@@ -8,7 +8,7 @@ import (
 )
 
 // TestBatchSequentialEquivalenceProperty checks, for deterministic seeds,
-// through the public API, that PutBatch/GetBatch/DeleteBatch are observably
+// through the public API, that same-kind batches through Exec are observably
 // equivalent to the same operations applied sequentially — including
 // batches that straddle leaf splits and deletes of absent keys — across
 // the shared harness's ablation grid.
@@ -18,12 +18,12 @@ func TestBatchSequentialEquivalenceProperty(t *testing.T) {
 		t.Run(opts.Advanced.name(), func(t *testing.T) {
 			testutil.RunSeeds(t, 6, func(t *testing.T, seed uint64) {
 				rng := testutil.RNG(seed)
-				mk := func() *Session {
+				mk := func() testSession {
 					c, err := NewCluster(ClusterConfig{MemoryServers: 2, ComputeServers: 1})
 					if err != nil {
 						t.Fatal(err)
 					}
-					return testTree(t, c, opts).Session(0)
+					return openSession(t, testTree(t, c, opts), 0)
 				}
 				seq, bat := mk(), mk()
 
@@ -106,7 +106,7 @@ func TestBatchConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tree.Session(w % c.ComputeServers())
+			s := openSession(t, tree, w%c.ComputeServers())
 			rng := testutil.RNG(uint64(w) + 1)
 			ref := make(map[uint64]uint64)
 			base := uint64(w)*100_000 + 1
@@ -140,7 +140,7 @@ func TestBatchConcurrentSessions(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate after concurrent batch churn: %v", err)
 	}
-	s := tree.Session(0)
+	s := openSession(t, tree, 0)
 	for w, ref := range refs {
 		keys := make([]uint64, 0, len(ref))
 		for k := range ref {
@@ -163,29 +163,16 @@ func TestBatchConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestBatchEmptyAndKeyZero covers the degenerate inputs.
-func TestBatchEmptyAndKeyZero(t *testing.T) {
+// TestBatchEmpty covers the degenerate input: an empty batch touches
+// nothing and returns no results.
+func TestBatchEmpty(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, DefaultTreeOptions())
-	s := tree.Session(0)
-	s.PutBatch(nil)
-	if v, f := s.GetBatch(nil); len(v) != 0 || len(f) != 0 {
-		t.Error("GetBatch(nil) returned non-empty slices")
+	s := openSession(t, tree, 0)
+	if res := s.Exec(nil); len(res) != 0 {
+		t.Errorf("Exec(nil) returned %d results", len(res))
 	}
-	if f := s.DeleteBatch(nil); len(f) != 0 {
-		t.Error("DeleteBatch(nil) returned non-empty slice")
-	}
-	for name, fn := range map[string]func(){
-		"PutBatch":    func() { s.PutBatch([]KV{{Key: 0, Value: 1}}) },
-		"DeleteBatch": func() { s.DeleteBatch([]uint64{0}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s with key 0 did not panic", name)
-				}
-			}()
-			fn()
-		}()
+	if st := s.Stats(); st.Batches != 0 || st.RoundTrips != 0 {
+		t.Errorf("Exec(nil) touched the fabric: %+v", st)
 	}
 }

@@ -5,8 +5,8 @@ package sherman
 // b.N at a CI-friendly scale and reports the headline virtual-time metrics
 // (Mops, p50/p99 microseconds) via b.ReportMetric, so `go test -bench`
 // output can be compared directly against the paper's numbers. Full-scale
-// runs (176 threads, 2M keys) go through cmd/shermanbench; EXPERIMENTS.md
-// records a captured full-scale run against the paper.
+// runs (176 threads, 2M keys) go through cmd/shermanbench, whose -json
+// reports are committed as BENCH_N.json.
 
 import (
 	"fmt"
@@ -285,7 +285,7 @@ func BenchmarkPublicAPIPut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := tree.Session(0)
+	s := openSession(b, tree, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Put(uint64(i)+1, uint64(i))
@@ -309,7 +309,7 @@ func BenchmarkPublicAPIGet(b *testing.B) {
 	if err := tree.Bulkload(kvs); err != nil {
 		b.Fatal(err)
 	}
-	s := tree.Session(0)
+	s := openSession(b, tree, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Get(uint64(i%100_000) + 1)

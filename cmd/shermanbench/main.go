@@ -1,7 +1,8 @@
 // Command shermanbench regenerates every table and figure of the paper's
 // evaluation (§5) on the simulated fabric, plus the repo's own batch,
 // pipeline and fault experiments. Results print as aligned text tables;
-// EXPERIMENTS.md records a captured run against the paper's numbers.
+// -json writes the machine-readable report (the committed BENCH_N.json
+// files are captured runs) and -baseline gates against bench/baseline.json.
 //
 // Usage:
 //

@@ -34,25 +34,20 @@
 //
 //	cluster, err := sherman.NewCluster(sherman.ClusterConfig{MemoryServers: 8, ComputeServers: 8})
 //	tree, err := cluster.CreateTree(sherman.DefaultTreeOptions())
-//	s := tree.Session(0)
-//	s.Put(42, 1000)
-//	v, ok := s.Get(42)
-//	kvs := s.Scan(40, 10)
+//	s, err := tree.SessionAt(0)
+//	err = s.PutE(42, 1000)
+//	v, ok, err := s.GetE(42)
+//	kvs, err := s.ScanE(40, 10)
 //
-// Bulk work goes through the batch planner — observably equivalent to the
+// Every request is an Op, and errors are typed (ErrReservedKey,
+// ErrSessionDead, ErrBadComputeServer) — nothing panics. Submit pipelines
+// operations the way the paper's clients run multiple coroutines per thread
+// to hide round-trip latency: a session opened with a pipeline depth keeps
+// that many operations outstanding, overlapping their round trips while
+// preserving sequential semantics (same-key operations never reorder). Exec
+// sends a mixed batch through the planner — observably equivalent to the
 // same operations applied in order, but amortizing traversals, leaf locks
 // and doorbells across operations that share a leaf:
-//
-//	s.PutBatch([]sherman.KV{{Key: 1, Value: 10}, {Key: 2, Value: 20}})
-//	vals, found := s.GetBatch([]uint64{1, 2, 3})
-//	deleted := s.DeleteBatch([]uint64{1, 3})
-//
-// The unified Op/Result API pipelines operations the way the paper's
-// clients run multiple coroutines per thread to hide round-trip latency: a
-// session opened with a pipeline depth keeps that many operations
-// outstanding, overlapping their round trips while preserving sequential
-// semantics (same-key operations never reorder), and reports typed errors
-// (ErrReservedKey, ErrBadComputeServer) instead of panicking:
 //
 //	s, err := tree.SessionAt(0, sherman.PipelineDepth(4))
 //	f := s.Submit(sherman.PutOp(42, 1000))

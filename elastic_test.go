@@ -30,7 +30,7 @@ func elasticTree(t *testing.T, nodeSize int) (*Cluster, *Tree) {
 
 func TestAddMemoryServerAndRebalance(t *testing.T) {
 	c, tr := elasticTree(t, 256)
-	s := tr.Session(0)
+	s := openSession(t, tr, 0)
 
 	// Generate load so the picker has a signal.
 	for k := uint64(1); k <= 2000; k += 3 {
@@ -73,7 +73,7 @@ func TestAddMemoryServerAndRebalance(t *testing.T) {
 	if len(loads0) != 2 {
 		t.Fatalf("loads = %+v", loads0)
 	}
-	s2 := tr.Session(1)
+	s2 := openSession(t, tr, 1)
 	for k := uint64(5000); k < 7000; k++ {
 		s2.Put(k, k)
 	}
@@ -96,7 +96,7 @@ func TestDrainMemoryServer(t *testing.T) {
 	if err := tr.Bulkload(kvs); err != nil {
 		t.Fatal(err)
 	}
-	s := tr.Session(0)
+	s := openSession(t, tr, 0)
 	s.Get(1)
 
 	st, err := c.DrainMemoryServer(1, 0)
@@ -203,7 +203,7 @@ func TestRebalanceDuringConcurrentSessions(t *testing.T) {
 			t.FailNow()
 		}
 
-		s := tr.Session(0)
+		s := openSession(t, tr, 0)
 		for w, ref := range refs {
 			for k, v := range ref {
 				if got, ok := s.Get(k); !ok || got != v {

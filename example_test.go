@@ -21,13 +21,18 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	s := tree.Session(0)
-	s.Put(7, 700)
-	if v, ok := s.Get(7); ok {
+	s, err := tree.SessionAt(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := s.PutE(7, 700); err != nil {
+		log.Fatal(err)
+	}
+	if v, ok, _ := s.GetE(7); ok {
 		fmt.Println("got", v)
 	}
-	s.Delete(7)
-	_, ok := s.Get(7)
+	s.DeleteE(7)
+	_, ok, _ := s.GetE(7)
 	fmt.Println("after delete:", ok)
 	// Output:
 	// got 700
@@ -35,14 +40,18 @@ func Example() {
 }
 
 // Scans return key-ordered rows starting at the given key.
-func ExampleSession_Scan() {
+func ExampleSession_ScanE() {
 	cluster, _ := sherman.NewCluster(sherman.ClusterConfig{MemoryServers: 1, ComputeServers: 1})
 	tree, _ := cluster.CreateTree(sherman.DefaultTreeOptions())
-	s := tree.Session(0)
+	s, _ := tree.SessionAt(0)
 	for k := uint64(1); k <= 10; k++ {
-		s.Put(k, k*k)
+		s.PutE(k, k*k)
 	}
-	for _, kv := range s.Scan(4, 3) {
+	rows, err := s.ScanE(4, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, kv := range rows {
 		fmt.Println(kv.Key, kv.Value)
 	}
 	// Output:
@@ -59,7 +68,8 @@ func ExampleTree_Bulkload() {
 	if err := tree.Bulkload(kvs); err != nil {
 		log.Fatal(err)
 	}
-	v, _ := tree.Session(0).Get(20)
+	s, _ := tree.SessionAt(0)
+	v, _, _ := s.GetE(20)
 	fmt.Println(v)
 	// Output: 2
 }
@@ -68,9 +78,9 @@ func ExampleTree_Bulkload() {
 func ExampleFGPlusTreeOptions() {
 	cluster, _ := sherman.NewCluster(sherman.ClusterConfig{MemoryServers: 1, ComputeServers: 1})
 	tree, _ := cluster.CreateTree(sherman.FGPlusTreeOptions())
-	s := tree.Session(0)
-	s.Put(1, 100)
-	v, _ := s.Get(1)
+	s, _ := tree.SessionAt(0)
+	s.PutE(1, 100)
+	v, _, _ := s.GetE(1)
 	fmt.Println(v)
 	// Output: 100
 }
@@ -87,9 +97,9 @@ func ExampleAdvancedOptions() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := tree.Session(0)
-	s.Put(5, 50)
-	v, _ := s.Get(5)
+	s, _ := tree.SessionAt(0)
+	s.PutE(5, 50)
+	v, _, _ := s.GetE(5)
 	fmt.Println(v)
 	// Output: 50
 }
@@ -98,13 +108,13 @@ func ExampleAdvancedOptions() {
 func ExampleTree_Compact() {
 	cluster, _ := sherman.NewCluster(sherman.ClusterConfig{MemoryServers: 1, ComputeServers: 1})
 	tree, _ := cluster.CreateTree(sherman.DefaultTreeOptions())
-	s := tree.Session(0)
+	s, _ := tree.SessionAt(0)
 	for k := uint64(1); k <= 2000; k++ {
-		s.Put(k, k)
+		s.PutE(k, k)
 	}
 	for k := uint64(1); k <= 2000; k++ {
 		if k%10 != 0 {
-			s.Delete(k)
+			s.DeleteE(k)
 		}
 	}
 	res := tree.Compact()

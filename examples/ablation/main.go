@@ -100,7 +100,9 @@ func run(st step) (mops float64, p50, p99 int64, rtPerWrite float64, handovers i
 
 	sessions := make([]*sherman.Session, workers)
 	for w := range sessions {
-		sessions[w] = tree.Session(w % cluster.ComputeServers())
+		if sessions[w], err = tree.SessionAt(w % cluster.ComputeServers()); err != nil {
+			log.Fatal(err)
+		}
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -111,10 +113,14 @@ func run(st step) (mops float64, p50, p99 int64, rtPerWrite float64, handovers i
 			rng := rand.New(rand.NewPCG(uint64(w)+1, 0xbeef))
 			for i := 0; i < opsPerWkr; i++ {
 				k := zipfKey(rng, zetan)
+				var err error
 				if i%2 == 0 {
-					s.Put(k, uint64(i)) // write-intensive: 50% inserts
+					err = s.PutE(k, uint64(i)) // write-intensive: 50% inserts
 				} else {
-					s.Get(k)
+					_, _, err = s.GetE(k)
+				}
+				if err != nil {
+					log.Fatal(err)
 				}
 			}
 		}(w)

@@ -40,9 +40,14 @@ func main() {
 	}
 
 	// Generate read traffic so the load picker has a signal.
-	s := tree.Session(0)
+	s, err := tree.SessionAt(0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for k := uint64(1); k <= n; k += 7 {
-		s.Get(k)
+		if _, _, err := s.GetE(k); err != nil {
+			log.Fatal(err)
+		}
 	}
 	report := func(when string) {
 		fmt.Printf("%-18s", when)
@@ -70,10 +75,13 @@ func main() {
 		st.NodesMoved, st.ChunksMoved, ms, st.Repoints, float64(st.VirtualNS)/1e6)
 
 	// Fresh traffic now spreads; sessions were never interrupted.
-	s2 := tree.Session(1)
+	s2, err := tree.SessionAt(1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for k := uint64(1); k <= n; k += 7 {
-		if v, ok := s2.Get(k); !ok || v != (k-1)*3 {
-			log.Fatalf("Get(%d) = (%d,%v) after rebalance", k, v, ok)
+		if v, ok, err := s2.GetE(k); err != nil || !ok || v != (k-1)*3 {
+			log.Fatalf("Get(%d) = (%d,%v,%v) after rebalance", k, v, ok, err)
 		}
 	}
 	report("after rebalance")
@@ -87,8 +95,8 @@ func main() {
 		log.Fatal(err)
 	}
 	for k := uint64(1); k <= n; k += 997 {
-		if v, ok := s2.Get(k); !ok || v != (k-1)*3 {
-			log.Fatalf("Get(%d) = (%d,%v) after drain", k, v, ok)
+		if v, ok, err := s2.GetE(k); err != nil || !ok || v != (k-1)*3 {
+			log.Fatalf("Get(%d) = (%d,%v,%v) after drain", k, v, ok, err)
 		}
 	}
 	report("after drain")

@@ -44,7 +44,9 @@ func main() {
 		log.Fatal(err)
 	}
 	for k := uint64(1); k <= 100; k++ {
-		doomed.Put(k, k*1000)
+		if err := doomed.PutE(k, k*1000); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// ...then its compute server dies in the middle of the next write: the
@@ -64,10 +66,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if v, ok := surv.Get(50); ok {
+	if v, ok, _ := surv.GetE(50); ok {
 		fmt.Printf("acked write survived: key 50 = %d\n", v)
 	}
-	surv.Put(50, 42) // same leaf range the dead client wrote
+	if err := surv.PutE(50, 42); err != nil { // same leaf range the dead client wrote
+		log.Fatal(err)
+	}
 	ls := tree.LockStats()
 	fmt.Printf("lease expiries: %d, reclaims: %d\n", ls.LeaseExpiries, ls.Reclaims)
 	if ls.Reclaims == 0 {
@@ -97,8 +101,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fresh.Put(7, 777)
-	if v, ok := fresh.Get(7); ok {
+	if err := fresh.PutE(7, 777); err != nil {
+		log.Fatal(err)
+	}
+	if v, ok, _ := fresh.GetE(7); ok {
 		fmt.Printf("restarted server serving again: key 7 = %d\n", v)
 	}
 }

@@ -37,10 +37,15 @@ func main() {
 	if err := tree.Bulkload(kvs); err != nil {
 		log.Fatal(err)
 	}
-	s := tree.Session(0)
+	s, err := tree.SessionAt(0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for k := uint64(1); k <= n; k++ {
 		if k%10 != 0 {
-			s.Delete(k)
+			if _, err := s.DeleteE(k); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
 
@@ -64,9 +69,12 @@ func main() {
 		log.Fatalf("invariants violated after compaction: %v", err)
 	}
 	// Fresh sessions read through the rebuilt tree.
-	s2 := tree.Session(1)
-	if v, ok := s2.Get(10); !ok || v != 9 {
-		log.Fatalf("survivor lookup failed: (%d,%v)", v, ok)
+	s2, err := tree.SessionAt(1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if v, ok, err := s2.GetE(10); err != nil || !ok || v != 9 {
+		log.Fatalf("survivor lookup failed: (%d,%v,%v)", v, ok, err)
 	}
 	fmt.Printf("fill recovered from %.1f%% to %.1f%%; survivors intact\n",
 		before.LeafFill*100, after.LeafFill*100)

@@ -78,7 +78,9 @@ func run(opts sherman.TreeOptions) {
 
 	sessions := make([]*sherman.Session, workers)
 	for w := range sessions {
-		sessions[w] = tree.Session(w % cluster.ComputeServers())
+		if sessions[w], err = tree.SessionAt(w % cluster.ComputeServers()); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -92,10 +94,12 @@ func run(opts sherman.TreeOptions) {
 				param := zipf.key(rng)
 				// Push: read-modify-write of the parameter version. The
 				// index's node lock makes the update atomic.
-				s.Put(param, uint64(i))
+				if err := s.PutE(param, uint64(i)); err != nil {
+					log.Fatal(err)
+				}
 				if i%pullEvery == 0 {
-					if _, ok := s.Get(param); !ok {
-						log.Fatalf("parameter %d vanished", param)
+					if _, ok, err := s.GetE(param); err != nil || !ok {
+						log.Fatalf("parameter %d vanished (%v)", param, err)
 					}
 				}
 			}

@@ -37,26 +37,39 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Single-session basics.
-	s := tree.Session(0)
-	if v, ok := s.Get(42); ok {
+	// Single-session basics. Every call reports ErrSessionDead if the
+	// session's compute server crashed, and writes report ErrReservedKey
+	// for key 0; neither can happen here.
+	s, err := tree.SessionAt(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if v, ok, _ := s.GetE(42); ok {
 		fmt.Printf("Get(42)        = %d\n", v)
 	}
-	s.Put(42, 4242) // update in place
-	s.Put(5000, 1)  // insert a new key
-	if v, ok := s.Get(42); ok {
+	if err := s.PutE(42, 4242); err != nil { // update in place
+		log.Fatal(err)
+	}
+	if err := s.PutE(5000, 1); err != nil { // insert a new key
+		log.Fatal(err)
+	}
+	if v, ok, _ := s.GetE(42); ok {
 		fmt.Printf("after Put(42)  = %d\n", v)
 	}
-	if s.Delete(7) {
+	if found, _ := s.DeleteE(7); found {
 		fmt.Println("Delete(7)      = ok")
 	}
-	if _, ok := s.Get(7); !ok {
+	if _, ok, _ := s.GetE(7); !ok {
 		fmt.Println("Get(7)         = not found (deleted)")
 	}
 
 	// Range scan: 5 pairs starting at key 40.
 	fmt.Println("Scan(40, 5):")
-	for _, kv := range s.Scan(40, 5) {
+	rows, err := s.ScanE(40, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, kv := range rows {
 		fmt.Printf("  %4d -> %d\n", kv.Key, kv.Value)
 	}
 
@@ -103,7 +116,7 @@ func main() {
 		st.PipelinedOps, st.LatencyHidingRatio)
 
 	// Exec applies a mixed batch — puts, gets, deletes, scans in one call —
-	// through the batch planner, with typed errors instead of panics.
+	// through the batch planner; an invalid op fails in its own slot.
 	results := ps.Exec([]sherman.Op{
 		sherman.PutOp(500, 1),
 		sherman.GetOp(500),
@@ -121,14 +134,19 @@ func main() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess := tree.Session(w % cluster.ComputeServers())
+			sess, err := tree.SessionAt(w % cluster.ComputeServers())
+			if err != nil {
+				log.Fatal(err)
+			}
 			base := uint64(10_000 + w*1000)
 			for i := uint64(0); i < 200; i++ {
-				sess.Put(base+i, i)
+				if err := sess.PutE(base+i, i); err != nil {
+					log.Fatal(err)
+				}
 			}
 			for i := uint64(0); i < 200; i++ {
-				if v, ok := sess.Get(base + i); !ok || v != i {
-					log.Fatalf("worker %d: Get(%d) = %d,%v; want %d", w, base+i, v, ok, i)
+				if v, ok, err := sess.GetE(base + i); err != nil || !ok || v != i {
+					log.Fatalf("worker %d: Get(%d) = %d,%v,%v; want %d", w, base+i, v, ok, err, i)
 				}
 			}
 		}(w)

@@ -54,7 +54,9 @@ func main() {
 		log.Fatal(err)
 	}
 	for k := uint64(1); k <= 1000; k++ {
-		s.Put(k, k*1000)
+		if err := s.PutE(k, k*1000); err != nil {
+			log.Fatal(err)
+		}
 	}
 	st := s.Stats()
 	fmt.Printf("1000 puts mirrored as %d replica writes, max lag %.1f us virtual\n",
@@ -77,14 +79,16 @@ func main() {
 	// Every acked write reads back through the promoted replicas, and the
 	// session keeps writing — new mirrors target the survivors.
 	for k := uint64(1); k <= 1000; k++ {
-		v, ok := s.Get(k)
-		if !ok || v != k*1000 {
-			log.Fatalf("acked write lost: key %d = (%d,%v)", k, v, ok)
+		v, ok, err := s.GetE(k)
+		if err != nil || !ok || v != k*1000 {
+			log.Fatalf("acked write lost: key %d = (%d,%v,%v)", k, v, ok, err)
 		}
 	}
 	fmt.Println("all 1000 acked writes survived the death")
-	s.Put(500, 42)
-	if v, _ := s.Get(500); v != 42 {
+	if err := s.PutE(500, 42); err != nil {
+		log.Fatal(err)
+	}
+	if v, _, _ := s.GetE(500); v != 42 {
 		log.Fatal("post-failover write misread")
 	}
 

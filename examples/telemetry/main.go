@@ -73,12 +73,17 @@ func main() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tree.Session(w % cluster.ComputeServers())
+			s, err := tree.SessionAt(w % cluster.ComputeServers())
+			if err != nil {
+				log.Fatal(err)
+			}
 			rng := rand.New(rand.NewPCG(uint64(w)+1, 0xabcdef))
 			for i := 0; i < ingestOps; i++ {
 				d := rng.Uint64N(devices)
 				seq := cursors[d].Add(1) - 1
-				s.Put(key(d, seq), reading(d, seq))
+				if err := s.PutE(key(d, seq), reading(d, seq)); err != nil {
+					log.Fatal(err)
+				}
 				inserted.Add(1)
 			}
 		}(w)
@@ -90,7 +95,10 @@ func main() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tree.Session(w % cluster.ComputeServers())
+			s, err := tree.SessionAt(w % cluster.ComputeServers())
+			if err != nil {
+				log.Fatal(err)
+			}
 			rng := rand.New(rand.NewPCG(uint64(w)+100, 0x123456))
 			for i := 0; i < scanOps; i++ {
 				d := rng.Uint64N(devices)
@@ -99,7 +107,10 @@ func main() {
 				if head > scanWindow {
 					start = head - scanWindow
 				}
-				rows := s.Scan(key(d, start), scanWindow)
+				rows, err := s.ScanE(key(d, start), scanWindow)
+				if err != nil {
+					log.Fatal(err)
+				}
 				for _, kv := range rows {
 					if kv.Key>>32 != d {
 						break // ran past this device's key range

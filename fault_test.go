@@ -27,7 +27,9 @@ func TestKilledSessionReportsErrSessionDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put(7, 77)
+	if err := s.PutE(7, 77); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.KillComputeServer(1); err != nil {
 		t.Fatal(err)
 	}
@@ -52,21 +54,13 @@ func TestKilledSessionReportsErrSessionDead(t *testing.T) {
 	if err := s.Flush(); !errors.Is(err, ErrSessionDead) {
 		t.Fatalf("Flush on dead session: err = %v, want ErrSessionDead", err)
 	}
-	func() {
-		defer func() {
-			if r := recover(); !errors.Is(r.(error), ErrSessionDead) {
-				t.Fatalf("legacy Get on dead session panicked with %v, want ErrSessionDead", r)
-			}
-		}()
-		s.Get(7)
-	}()
+	if _, _, err := s.GetE(7); !errors.Is(err, ErrSessionDead) {
+		t.Fatalf("GetE on dead session: err = %v, want ErrSessionDead", err)
+	}
 
 	// Survivors keep serving; the cluster recovers; restart revives the
 	// server for new sessions (the old one stays dead).
-	surv, err := tr.SessionAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	surv := openSession(t, tr, 0)
 	if v, ok := surv.Get(7); !ok || v != 77 {
 		t.Fatalf("acked write lost after crash: (%d,%v)", v, ok)
 	}
@@ -82,10 +76,7 @@ func TestKilledSessionReportsErrSessionDead(t *testing.T) {
 	if !s.Dead() {
 		t.Fatal("pre-crash session revived by restart")
 	}
-	fresh, err := tr.SessionAt(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := openSession(t, tr, 1)
 	fresh.Put(9, 99)
 	if v, ok := fresh.Get(9); !ok || v != 99 {
 		t.Fatalf("restarted CS session broken: (%d,%v)", v, ok)
@@ -122,10 +113,7 @@ func TestMidFlightCrashResolvesFutures(t *testing.T) {
 			t.Fatalf("Flush after mid-flight crash: %v, want ErrSessionDead", err)
 		}
 		// Each killed put was all-or-nothing: present implies the full value.
-		surv, err := tr.SessionAt(0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		surv := openSession(t, tr, 0)
 		for i := 0; i < 10; i++ {
 			if v, ok := surv.Get(uint64(600 + i)); ok && v != 1 {
 				t.Fatalf("torn write: key %d = %d", 600+i, v)

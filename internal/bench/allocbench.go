@@ -62,7 +62,7 @@ func allocProbes() []allocProbe {
 			name: "get_pipelined_d8", depth: 8, ops: allocProbeOps,
 			run: func(h *core.Handle, as *core.Async) {
 				for i := 0; i < allocProbeOps; i++ {
-					as.Submit(core.Op{Kind: stats.OpLookup, Key: uint64(i%allocProbeKeys + 1)})
+					as.SubmitOp(core.Op{Kind: stats.OpLookup, Key: uint64(i%allocProbeKeys + 1)})
 				}
 				as.Flush()
 			},
@@ -91,7 +91,7 @@ func allocProbes() []allocProbe {
 			name: "put_pipelined_d8", depth: 8, ops: allocProbeOps,
 			run: func(h *core.Handle, as *core.Async) {
 				for i := 0; i < allocProbeOps; i++ {
-					as.Submit(core.Op{Kind: stats.OpInsert, Key: uint64(i%allocProbeKeys + 1), Value: uint64(i + 1)})
+					as.SubmitOp(core.Op{Kind: stats.OpInsert, Key: uint64(i%allocProbeKeys + 1), Value: uint64(i + 1)})
 				}
 				as.Flush()
 			},

@@ -420,18 +420,18 @@ func appendCoreOps(out []core.Op, ops []workload.Op) []core.Op {
 func doOpAsync(as *core.Async, op workload.Op) {
 	switch op.Kind {
 	case workload.Lookup:
-		as.Submit(core.Op{Kind: stats.OpLookup, Key: op.Key})
+		as.SubmitOp(core.Op{Kind: stats.OpLookup, Key: op.Key})
 	case workload.Insert:
 		if op.RMW {
 			// YCSB-F: the read pipelines ahead of its update; same-key
 			// ordering in the executor keeps the pair dependent.
-			as.Submit(core.Op{Kind: stats.OpLookup, Key: op.Key})
+			as.SubmitOp(core.Op{Kind: stats.OpLookup, Key: op.Key})
 		}
-		as.Submit(core.Op{Kind: stats.OpInsert, Key: op.Key, Value: op.Value})
+		as.SubmitOp(core.Op{Kind: stats.OpInsert, Key: op.Key, Value: op.Value})
 	case workload.Delete:
-		as.Submit(core.Op{Kind: stats.OpDelete, Key: op.Key})
+		as.SubmitOp(core.Op{Kind: stats.OpDelete, Key: op.Key})
 	case workload.Range:
-		as.Submit(core.Op{Kind: stats.OpRange, Key: op.Key, Span: op.Span})
+		as.SubmitOp(core.Op{Kind: stats.OpRange, Key: op.Key, Span: op.Span})
 	}
 }
 

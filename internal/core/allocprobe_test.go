@@ -45,7 +45,7 @@ func BenchmarkProbeGetPipelined(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		as.Submit(core.Op{Kind: stats.OpLookup, Key: uint64(i%4096 + 1)})
+		as.SubmitOp(core.Op{Kind: stats.OpLookup, Key: uint64(i%4096 + 1)})
 	}
 	as.Flush()
 }
@@ -64,7 +64,7 @@ func BenchmarkProbePutPipelined(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		as.Submit(core.Op{Kind: stats.OpInsert, Key: uint64(i%4096 + 1), Value: uint64(i)})
+		as.SubmitOp(core.Op{Kind: stats.OpInsert, Key: uint64(i%4096 + 1), Value: uint64(i)})
 	}
 	as.Flush()
 }

@@ -1,97 +1,145 @@
 package core
 
 import (
-	"sherman/internal/sim"
+	"sync"
+	"sync/atomic"
+
 	"sherman/internal/stats"
+	"sherman/internal/transport"
 )
 
-// Async is one session's pipelined executor: it interleaves up to depth
-// logical coroutines ("lanes") over one Handle so that the round trips of
-// independent operations overlap on the client's virtual timeline instead
-// of serializing, the way Sherman's real clients run multiple coroutines
-// per thread to hide RDMA latency.
+// Async is one session's pipelined executor: it keeps up to depth operations
+// outstanding over one Handle so that the round trips of independent
+// operations overlap instead of serializing, the way Sherman's real clients
+// run multiple coroutines per thread to hide RDMA latency. Every operation
+// is Handle.execOne; the executor only schedules.
 //
-// The handle's clock plays the role of the coroutine scheduler ("driver"):
-// between operations it advances only by the per-op issue cost, plus — when
-// all depth lanes are busy — to the earliest lane's completion, exactly like
-// a scheduler that regains control at the next completion event. Each
-// operation executes on the earliest-free lane's timeline (rdma.Client.
-// OnTimeline), so its verbs' latencies overlap the other lanes' while the
-// issue-side NIC costs still serialize on the shared sim.Resources.
+// One ordering state serves both fabrics: a window of the <= depth
+// outstanding operations in issue order, and one predicate, conflicts, that
+// says which of them a new operation must order after. What "order after"
+// and "outstanding" mean is the only fork, chosen by the transport:
 //
-// Real execution stays strictly sequential in submission order — lanes are
-// virtual-time bookkeeping, not goroutines — so results are sequential by
-// construction and no new lock-interleaving states exist. To keep the
-// *timing* honest too, the executor orders dependent operations the way a
-// real pipelined client must: an operation on key k starts no earlier than
-// the completion of an outstanding write to k (and a write waits for
-// outstanding reads of k, which would otherwise observe it early), and a
-// scan orders after every outstanding write and bars later writes until it
-// completes. Independent operations overlap freely.
+//   - Virtual time (the simulator). Real execution stays strictly
+//     sequential in submission order and a slot records its operation's
+//     completion horizon. Each operation runs on a detached timeline
+//     (VirtualTimer.OnTimeline) starting at the driver clock — raised to
+//     the horizon of every conflicting slot — so its verbs' latencies
+//     overlap the other slots' while the issue-side NIC costs still
+//     serialize on the shared resources. The handle's clock is the
+//     coroutine scheduler: between operations it advances only by the
+//     per-op issue cost, plus — when the window is full — to the earliest
+//     horizon, like a scheduler that regains control at the next completion.
+//   - Goroutines (a real transport at depth > 1). A slot holds a ticket
+//     running on a persistent runner goroutine with its own worker Handle,
+//     so up to depth operations are physically in flight through the
+//     transport's multiplexed connections. Ordering after a slot drains its
+//     ticket — strictly stronger than starting after it, and conflicts are
+//     rare by design (a session hammering one key has no latency to hide).
+//
+// A real transport at depth 1 has nothing to overlap: operations run inline
+// on the handle and their slots are already complete.
 //
 // Async is owned by one goroutine, like the Handle it wraps.
 type Async struct {
 	h       *Handle
-	lanes   *sim.Lanes
+	depth   int
 	issueNS int64
 
-	// deps orders same-key operations; entries become inert once the driver
-	// clock passes them and are swept lazily.
-	deps map[uint64]keyDep
-	// lastWriteDone is the latest completion horizon of any write issued so
-	// far; scans start after it.
-	lastWriteDone int64
-	// barrier is the completion horizon of the latest scan: later writes
-	// and scans start after it (later reads may overlap — a scan writes
-	// nothing they could observe).
-	barrier int64
+	// win is the outstanding window in issue order. A slot whose horizon
+	// the driver clock has passed is inert: every start is at least the
+	// driver clock.
+	win []slot
+
 	// busyLo/busyHi bound the current merged busy interval, used to
 	// accumulate the union of execution intervals (the latency-hiding
-	// denominator). Tracking both ends keeps the union exact when a
-	// dependency-stalled op raises the high mark past a later op's
-	// earlier start.
+	// denominator). Tracking both ends keeps the union exact when an
+	// order-stalled op raises the high mark past a later op's earlier start.
 	busyLo, busyHi int64
 
-	// runOp/runIssueV/runRes frame the operation runFn executes. runFn is
-	// bound once at construction so Submit passes no per-op closure through
+	// runOp/runRes/runCost frame the operation runFn executes. runFn is
+	// bound once at construction so SubmitOp passes no per-op closure through
 	// the VirtualTimer interface — an escaping closure would cost an
 	// allocation per pipelined operation (see the alloc gate).
-	runOp     Op
-	runIssueV int64
-	runRes    OpResult
-	runFn     func()
+	runOp   Op
+	runRes  OpResult
+	runCost cost
+	runFn   func()
 
-	// real drives physical concurrency when the transport has no virtual
-	// timer (see realasync.go); nil on the simulator and at depth 1.
-	real *realExec
+	// tasks feeds tickets to the runner goroutines; nil unless operations
+	// overlap physically. Capacity depth: the window bounds in-flight
+	// tickets to depth, so a send never blocks.
+	tasks  chan *ticket
+	nrun   int       // runners started; grown lazily up to depth
+	freeTk []*ticket // owner-side ticket pool; refilled by Pending.Wait
+
+	mu      sync.Mutex
+	workers []*Handle // runner handles, for stats folding
 }
 
-// keyDep is the outstanding-op ordering state of one key.
-type keyDep struct {
-	write int64 // completion horizon of the last write to the key
-	any   int64 // completion horizon of the last op of any kind on the key
+// slot is one outstanding operation of the window.
+type slot struct {
+	op   Op
+	done int64   // completion horizon
+	tk   *ticket // in flight on a runner; nil once the horizon is known
+}
+
+// ticket is one operation in flight on a runner goroutine: its completion
+// signal and what the owner harvests from it.
+type ticket struct {
+	op   Op
+	done chan struct{} // buffered cap 1; the runner sends one token on completion
+
+	// Filled by the runner, read by the owner after the token.
+	res            OpResult
+	cost           cost
+	crash          any
+	startNS, endNS int64
+	depthAtIssue   int
+	harvested      bool // owner-only: folded into the session's recorder
+}
+
+// workerSeed staggers worker-handle allocators across all sessions.
+var workerSeed atomic.Int64
+
+// conflicts reports whether later must order after earlier, an operation
+// still outstanding when later is submitted — the whole ordering contract of
+// the pipeline. A point operation orders after an outstanding write to its
+// key, and a write also after outstanding reads of its key (which would
+// otherwise observe it early). A scan observes exactly the writes submitted
+// before it: it orders after every outstanding write, and later writes order
+// after it; scans also keep submission order among themselves. Point reads
+// write nothing another read or a scan could observe, so they overlap both
+// freely.
+func conflicts(earlier, later Op) bool {
+	if earlier.Kind == stats.OpRange || later.Kind == stats.OpRange {
+		return earlier.Kind != stats.OpLookup && later.Kind != stats.OpLookup
+	}
+	return (earlier.Kind.IsWrite() || later.Kind.IsWrite()) && earlier.Key == later.Key
 }
 
 // NewAsync wraps h in a pipelined executor bounded to depth outstanding
 // operations (clamped to >= 1). Depth 1 is the synchronous client: ops run
 // back-to-back on the handle's own clock with no issue overhead and no
-// pipeline accounting, so legacy callers are unchanged.
+// pipeline accounting.
 func (h *Handle) NewAsync(depth int) *Async {
-	a := &Async{h: h, lanes: sim.NewLanes(depth), deps: make(map[uint64]keyDep)}
-	if a.lanes.N() > 1 {
-		a.issueNS = h.tm.PipelineIssueNS
+	if depth < 1 {
+		depth = 1
 	}
-	a.runFn = func() { a.runRes = a.run(a.runOp, a.runIssueV) }
-	if depth > 1 && h.vt == nil {
-		a.real = newRealExec(a, depth)
+	a := &Async{h: h, depth: depth, win: make([]slot, 0, depth)}
+	a.runFn = func() { a.runRes, a.runCost = a.h.execOne(a.runOp) }
+	if depth > 1 {
+		a.issueNS = h.tm.PipelineIssueNS
+		if h.vt == nil {
+			a.tasks = make(chan *ticket, depth)
+		}
 	}
 	return a
 }
 
-// Pending is one submitted operation. On the simulator the result is already
-// materialized (Submit runs the op inline on the virtual timeline) and Wait
-// merely advances the driver clock; on a real transport at depth > 1 the op
-// runs on a worker goroutine and Wait genuinely blocks for it.
+// Depth returns the pipeline depth (the bound on outstanding operations).
+func (a *Async) Depth() int { return a.depth }
+
+// Pending is one submitted operation.
 type Pending struct {
 	a    *Async
 	tk   *ticket
@@ -99,183 +147,174 @@ type Pending struct {
 	done int64
 }
 
-// Deferred reports whether the result is still in flight on a worker
-// goroutine (real transport, depth > 1). When false, Result is already
-// materialized.
-func (p Pending) Deferred() bool { return p.tk != nil }
-
-// Result returns the materialized result of a non-deferred Pending without
-// touching the driver clock.
-func (p Pending) Result() (OpResult, int64) { return p.res, p.done }
+// Done returns the operation's completion time when it is already known —
+// virtual time on the simulator, where SubmitOp runs the op on its timeline
+// before returning — and 0 while the op is still in flight on a runner.
+func (p Pending) Done() int64 { return p.done }
 
 // Wait blocks until the operation completes and returns its result and
-// completion time (virtual on the simulator, wall-clock nanos on a real
-// transport). Owner-goroutine only, like every Async method.
+// completion time (virtual on the simulator, where waiting advances the
+// driver clock to it; wall-clock nanos on a real transport). A
+// compute-server crash that killed the op re-panics here, in the owner
+// goroutine. Owner-goroutine only, and at most once per Pending: the
+// in-flight state recycles.
 func (p Pending) Wait() (OpResult, int64) {
-	if p.tk != nil {
-		return p.a.real.wait(p.tk)
+	tk := p.tk
+	if tk == nil {
+		p.a.h.C.AdvanceTo(p.done)
+		return p.res, p.done
 	}
-	p.a.WaitUntil(p.done)
-	return p.res, p.done
+	if !tk.harvested {
+		for i := range p.a.win {
+			if p.a.win[i].tk == tk {
+				p.a.settle(i)
+				break
+			}
+		}
+	}
+	// Nothing else can still hold the ticket — it is out of the window, off
+	// the runners, and this Pending owned it — so it recycles here.
+	res, end, crash := tk.res, tk.endNS, tk.crash
+	p.a.freeTk = append(p.a.freeTk, tk)
+	if crash != nil {
+		panic(crash)
+	}
+	return res, end
 }
 
-// SubmitOp submits op through whichever executor is active and returns its
-// Pending. This is the entry point the session layer uses; Submit remains
-// the simulator-only path with materialized results.
+// SubmitOp issues op behind the operations it conflicts with and returns
+// its Pending. The driver (h.C.Now() between calls) does not wait for the
+// completion — use Pending.Wait or Flush to observe it.
 func (a *Async) SubmitOp(op Op) Pending {
-	if a.real != nil {
-		return Pending{a: a, tk: a.real.submit(op)}
+	var after int64
+	for i := 0; i < len(a.win); {
+		switch s := a.win[i]; {
+		case !conflicts(s.op, op):
+			i++
+		case s.tk != nil:
+			a.await(i) // drops win[i]: re-check the same index
+		default:
+			after = max(after, s.done)
+			i++
+		}
 	}
-	res, done := a.Submit(op)
-	return Pending{a: a, res: res, done: done}
+	if a.tasks == nil {
+		a.runOp = op
+		issueV, done := a.issue(op, after, a.runFn)
+		res := a.runRes
+		a.runRes = OpResult{} // don't pin a scan's KVs past its submission
+		// Issue-to-completion: the latency a pipelined client observes (at
+		// depth 1 it equals the execution latency).
+		a.h.record(op, done-issueV, a.runCost)
+		return Pending{a: a, res: res, done: done}
+	}
+	depthAtIssue := a.claim()
+	tk := a.getTicket(op)
+	tk.depthAtIssue = depthAtIssue
+	a.win = append(a.win, slot{op: op, tk: tk})
+	if a.nrun < len(a.win) {
+		// Runners start lazily as the window fills, so a chain of dependent
+		// ops never pays for transports it cannot use.
+		a.nrun++
+		go a.runner()
+	}
+	a.tasks <- tk
+	return Pending{a: a, tk: tk}
 }
 
-// ForEachWorker visits the worker handles of the real executor (no-op on
-// the simulator). Call after Flush: workers must be quiescent, since their
-// per-handle counters are read without synchronization.
-func (a *Async) ForEachWorker(fn func(*Handle)) {
-	if a.real == nil {
-		return
+// claim makes room for one more outstanding operation — when the window is
+// full the driver waits for the earliest completion, the backpressure that
+// bounds the session to depth — and returns the depth the new op issues at.
+func (a *Async) claim() int {
+	if len(a.win) == a.depth {
+		// The earliest horizon. Tickets have none yet (zero): the oldest wins.
+		first := 0
+		for i, s := range a.win {
+			if s.done < a.win[first].done {
+				first = i
+			}
+		}
+		a.await(first)
 	}
-	a.real.mu.Lock()
-	ws := append([]*Handle(nil), a.real.workers...)
-	a.real.mu.Unlock()
-	for _, h := range ws {
-		fn(h)
-	}
-}
-
-// Depth returns the pipeline depth (the bound on outstanding operations).
-func (a *Async) Depth() int { return a.lanes.N() }
-
-// Submit executes op with its round trips overlapping the other outstanding
-// operations', returning its result and virtual completion time. The
-// driver clock (h.C.Now() between calls) does not wait for the completion —
-// use Flush or advance to the returned time (Future.Wait at the session
-// layer) to observe it.
-func (a *Async) Submit(op Op) (OpResult, int64) {
-	h := a.h
-	// Claim the earliest-free lane, waiting for its completion when all
-	// depth lanes are busy.
-	lane, laneDone := a.lanes.Min()
-	h.C.AdvanceTo(laneDone)
-	depthAtIssue := a.lanes.Busy(h.C.Now()) + 1
-	h.C.Step(a.issueNS)
-	issueV := h.C.Now()
-
-	start := issueV
-	switch op.Kind {
-	case stats.OpLookup:
-		if d, ok := a.deps[op.Key]; ok && d.write > start {
-			start = d.write
-		}
-	case stats.OpInsert, stats.OpDelete:
-		if op.Key == 0 {
-			panic("core: key 0 is reserved")
-		}
-		if d, ok := a.deps[op.Key]; ok && d.any > start {
-			start = d.any
-		}
-		if a.barrier > start {
-			start = a.barrier
-		}
-	case stats.OpRange:
-		if a.lastWriteDone > start {
-			start = a.lastWriteDone
-		}
-		if a.barrier > start {
-			start = a.barrier
-		}
-	}
-
-	a.runOp, a.runIssueV = op, issueV
-	done := h.onTimeline(start, a.runFn)
-	res := a.runRes
-	a.runRes = OpResult{} // don't pin a scan's KVs past its submission
-	a.lanes.Set(lane, done)
-	a.noteCompletion(op, done)
-	a.recordPipeline(depthAtIssue, start, done)
-	return res, done
-}
-
-// run executes one operation on the current (lane) timeline, with the same
-// per-op accounting as the synchronous entry points. issueV is the driver
-// clock at issue; the recorded latency is issue-to-completion, the latency
-// a pipelined client observes (at depth 1 it equals the execution latency).
-func (a *Async) run(op Op, issueV int64) OpResult {
-	h := a.h
-	h.m.BeginOp()
-	switch op.Kind {
-	case stats.OpLookup:
-		v, found := h.lookupInner(op.Key)
-		h.Rec.RecordOp(stats.OpLookup, h.C.Now()-issueV)
-		return OpResult{Value: v, Found: found}
-	case stats.OpInsert:
-		dataBytes := h.insertInner(op.Key, op.Value)
-		h.Rec.RecordOp(stats.OpInsert, h.C.Now()-issueV)
-		h.Rec.WriteRoundTrips.Record(int(h.m.OpRoundTrips))
-		h.Rec.WriteSizes.Record(dataBytes)
-		return OpResult{}
-	case stats.OpDelete:
-		found, dataBytes := h.deleteInner(op.Key)
-		h.Rec.RecordOp(stats.OpDelete, h.C.Now()-issueV)
-		h.Rec.WriteRoundTrips.Record(int(h.m.OpRoundTrips))
-		if found {
-			h.Rec.WriteSizes.Record(dataBytes)
-		}
-		return OpResult{Found: found}
-	case stats.OpRange:
-		if op.Span <= 0 {
-			return OpResult{}
-		}
-		out := h.rangeInner(op.Key, op.Span)
-		h.Rec.RecordOp(stats.OpRange, h.C.Now()-issueV)
-		return OpResult{KVs: out}
-	}
-	return OpResult{}
-}
-
-// noteCompletion updates the ordering state with op's completion horizon.
-func (a *Async) noteCompletion(op Op, done int64) {
-	switch op.Kind {
-	case stats.OpLookup:
-		d := a.deps[op.Key]
-		if done > d.any {
-			d.any = done
-		}
-		a.deps[op.Key] = d
-	case stats.OpInsert, stats.OpDelete:
-		d := a.deps[op.Key]
-		if done > d.write {
-			d.write = done
-		}
-		if done > d.any {
-			d.any = done
-		}
-		a.deps[op.Key] = d
-		if done > a.lastWriteDone {
-			a.lastWriteDone = done
-		}
-	case stats.OpRange:
-		if done > a.barrier {
-			a.barrier = done
-		}
-	}
-	a.sweepDeps()
-}
-
-// sweepDeps lazily drops ordering entries the driver clock has passed —
-// they can no longer delay anything, since every start is at least the
-// driver clock.
-func (a *Async) sweepDeps() {
-	if len(a.deps) <= 8*a.lanes.N()+16 {
-		return
-	}
+	depth := 1
 	now := a.h.C.Now()
-	for k, d := range a.deps {
-		if d.any <= now {
-			delete(a.deps, k)
+	for _, s := range a.win {
+		if s.tk != nil || s.done > now {
+			depth++
 		}
+	}
+	return depth
+}
+
+// issue claims a slot for op and runs fn on a timeline starting at the
+// driver clock, or at floor if that is later, returning the driver clock at
+// issue and fn's completion horizon. On a real transport there is no
+// timeline to detach: fn just runs, complete when issue returns.
+func (a *Async) issue(op Op, floor int64, fn func()) (issueV, done int64) {
+	h := a.h
+	depthAtIssue := a.claim()
+	h.C.Step(a.issueNS)
+	issueV = h.C.Now()
+	start := max(issueV, floor)
+	done = h.onTimeline(start, fn)
+	a.win = append(a.win, slot{op: op, done: done})
+	a.recordPipeline(depthAtIssue, start, done)
+	return issueV, done
+}
+
+// unit runs one planned group of an Exec batch (see batch.go) as a window
+// operation and returns its completion horizon. The planner owns ordering
+// inside a batch — groups of a segment have disjoint key ranges, and it
+// floors a unit at whatever it must start after — and Exec drains the window
+// before and after, so a unit's slot is never tested for conflicts.
+func (a *Async) unit(floor int64, fn func()) int64 {
+	_, done := a.issue(Op{}, floor, fn)
+	return done
+}
+
+// settle waits for win[i] to complete and drops it from the window: the
+// driver clock advances to a known horizon; a ticket is received (its one
+// token, so the channel is drained by recycle time) and folded into the
+// session's recorder. It returns the crash that killed the ticket's
+// operation, if any. The ticket itself is not recycled here — a Pending may
+// still hold it.
+func (a *Async) settle(i int) (crash any) {
+	s := a.win[i]
+	a.win = append(a.win[:i], a.win[i+1:]...)
+	tk := s.tk
+	if tk == nil {
+		a.h.C.AdvanceTo(s.done)
+		return nil
+	}
+	<-tk.done
+	tk.harvested = true
+	if tk.crash == nil { // a crashed op records nothing; the session is about to die
+		a.h.record(tk.op, tk.endNS-tk.startNS, tk.cost)
+		a.recordPipeline(tk.depthAtIssue, tk.startNS, tk.endNS)
+	}
+	return tk.crash
+}
+
+// await is settle re-panicking a compute-server crash in the owner
+// goroutine, where the session layer converts it to ErrSessionDead.
+func (a *Async) await(i int) {
+	if crash := a.settle(i); crash != nil {
+		panic(crash)
+	}
+}
+
+// Flush drains the pipeline: every submitted operation has completed and is
+// in the session's past. The first crash observed re-panics after the drain,
+// so the runners are quiescent when the session goes dead.
+func (a *Async) Flush() {
+	var crash any
+	for len(a.win) > 0 {
+		if c := a.settle(0); crash == nil {
+			crash = c
+		}
+	}
+	if crash != nil {
+		panic(crash)
 	}
 }
 
@@ -284,9 +323,10 @@ func (a *Async) sweepDeps() {
 // report clean (empty) pipeline metrics. The busy union is maintained as
 // one merged interval [busyLo, busyHi]: issue order keeps execution
 // intervals overlapping or adjacent, so extending either end counts
-// exactly the uncovered part of each new interval.
+// exactly the uncovered part of each new interval (on the wall clock
+// tickets settle mostly in issue order, so it stays a good estimate).
 func (a *Async) recordPipeline(depth int, start, done int64) {
-	if a.lanes.N() <= 1 {
+	if a.depth <= 1 {
 		return
 	}
 	var busy int64
@@ -307,109 +347,80 @@ func (a *Async) recordPipeline(depth int, start, done int64) {
 	a.h.Rec.RecordPipelineOp(depth, done-start, busy)
 }
 
-// Flush drains the pipeline: the driver clock advances to the last
-// outstanding completion, after which every submitted result is in the
-// session's past.
-func (a *Async) Flush() {
-	if a.real != nil {
-		a.real.flush()
-	}
-	a.h.C.AdvanceTo(a.lanes.Max())
-	clear(a.deps)
-}
-
-// WaitUntil advances the driver clock to the given completion horizon —
-// the timing half of waiting on one future without draining the rest.
-func (a *Async) WaitUntil(done int64) { a.h.C.AdvanceTo(done) }
-
 // Exec applies a mixed batch through the planner (see batch.go) with each
-// planned unit — a leaf group or a scan — running on a lane timeline, so
-// the batch combines per-leaf amortization with cross-group latency
-// hiding. Exec orders after everything already outstanding and returns
-// fully drained, so its results are plain values, not futures.
-func (a *Async) Exec(ops []Op) []OpResult {
-	if len(ops) == 0 {
-		return nil
-	}
-	results := make([]OpResult, len(ops))
-	a.ExecInto(ops, results)
-	return results
-}
+// planned unit — a leaf group or a scan — running as a window operation, so
+// the batch combines per-leaf amortization with cross-group latency hiding.
+// Exec orders after everything already outstanding and returns fully
+// drained, so its results are plain values, not futures.
+func (a *Async) Exec(ops []Op) []OpResult { return a.h.exec(a, ops) }
 
 // ExecInto is Exec writing its results into the caller's slice (len must
 // equal len(ops)) — the allocation-free variant for callers that recycle a
 // results buffer across batches.
-func (a *Async) ExecInto(ops []Op, results []OpResult) {
-	if len(ops) == 0 {
-		return
+func (a *Async) ExecInto(ops []Op, results []OpResult) { a.h.execInto(a, ops, results) }
+
+// --- goroutine overlap -------------------------------------------------------
+
+// The executor's own cost is client CPU that a 1-core host cannot overlap
+// with anything, so this path is deliberately lean: runners are persistent
+// (no goroutine spawn per op, no handle pool handoff), and tickets and their
+// completion channels recycle through an owner-side free list. It is
+// deadlock-free by construction: every submitted ticket is conflict-free
+// (the owner drained its conflicts first), runners never wait on other
+// tickets, and in-flight tickets never exceed started runners.
+
+// getTicket recycles a pooled ticket or allocates one. The done channel is
+// reusable: its single token was received before the ticket was recycled.
+func (a *Async) getTicket(op Op) *ticket {
+	n := len(a.freeTk)
+	if n == 0 {
+		return &ticket{op: op, done: make(chan struct{}, 1)}
 	}
-	if len(results) != len(ops) {
-		panic("core: ExecInto results length mismatch")
-	}
-	clear(results) // a recycled buffer must not leak stale slots (not-found lookups never write theirs)
-	a.Flush()
-	h := a.h
-	h.m.BeginOp()
-	t0 := h.C.Now()
-	scanNS := h.execOps(ops, a, results)
-	a.Flush()
-	if counts, points := opCounts(ops); points > 0 {
-		// Scans record their own latency in execScan; exclude their
-		// execution time from the drained window amortized over the
-		// point operations.
-		lat := h.C.Now() - t0 - scanNS
-		if lat < 0 {
-			lat = 0
-		}
-		h.Rec.RecordMixedBatch(counts, lat, h.m.OpRoundTrips)
+	tk := a.freeTk[n-1]
+	a.freeTk = a.freeTk[:n-1]
+	*tk = ticket{op: op, done: tk.done}
+	return tk
+}
+
+// runner is one persistent worker goroutine with its own transport handle.
+func (a *Async) runner() {
+	h := a.h.t.NewHandle(int(a.h.C.CSID()), int(workerSeed.Add(1)))
+	a.mu.Lock()
+	a.workers = append(a.workers, h)
+	a.mu.Unlock()
+	for tk := range a.tasks {
+		runTicket(h, tk)
 	}
 }
 
-// unit runs one planned group on the earliest-free lane and returns its
-// completion horizon. Groups of one Exec have disjoint key ranges except
-// where a read group stops at a covered write — the planner floors that
-// write unit at the read's completion — so otherwise only scans need
-// cross-unit ordering.
-func (a *Async) unit(write bool, floor int64, fn func()) int64 {
-	h := a.h
-	lane, laneDone := a.lanes.Min()
-	h.C.AdvanceTo(laneDone)
-	depthAtIssue := a.lanes.Busy(h.C.Now()) + 1
-	h.C.Step(a.issueNS)
-	start := h.C.Now()
-	if floor > start {
-		start = floor
-	}
-	if write && a.barrier > start {
-		start = a.barrier
-	}
-	done := h.onTimeline(start, fn)
-	a.lanes.Set(lane, done)
-	if write && done > a.lastWriteDone {
-		a.lastWriteDone = done
-	}
-	a.recordPipeline(depthAtIssue, start, done)
-	return done
+// runTicket executes one ticket on h and publishes the completion token. A
+// compute-server crash is captured into the ticket (the owner re-panics
+// it); any other panic is a protocol bug and propagates.
+func runTicket(h *Handle, tk *ticket) {
+	tk.startNS = h.C.Now()
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := transport.IsCrash(r); !ok {
+					panic(r)
+				}
+				tk.crash = r
+			}
+		}()
+		tk.res, tk.cost = h.execOne(tk.op)
+	}()
+	tk.endNS = h.C.Now()
+	tk.done <- struct{}{}
 }
 
-func (a *Async) readUnit(fn func()) int64               { return a.unit(false, 0, fn) }
-func (a *Async) writeUnit(floor int64, fn func()) int64 { return a.unit(true, floor, fn) }
-
-// scanUnit runs a scan ordered after every outstanding unit, and bars later
-// writes until it completes — a scan must observe exactly the writes
-// submitted before it.
-func (a *Async) scanUnit(fn func()) {
-	h := a.h
-	lane, _ := a.lanes.Min()
-	h.C.AdvanceTo(a.lanes.Max())
-	depthAtIssue := 1
-	h.C.Step(a.issueNS)
-	start := h.C.Now()
-	if a.barrier > start {
-		start = a.barrier
+// ForEachWorker visits the runners' worker handles (none on the simulator or
+// at depth 1). Call after Flush: workers must be quiescent, since their
+// per-handle counters are read without synchronization.
+func (a *Async) ForEachWorker(fn func(*Handle)) {
+	a.mu.Lock()
+	ws := append([]*Handle(nil), a.workers...)
+	a.mu.Unlock()
+	for _, h := range ws {
+		fn(h)
 	}
-	done := h.onTimeline(start, fn)
-	a.lanes.Set(lane, done)
-	a.barrier = done
-	a.recordPipeline(depthAtIssue, start, done)
 }

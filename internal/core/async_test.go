@@ -8,6 +8,7 @@ import (
 	"sherman/internal/layout"
 	"sherman/internal/stats"
 	"sherman/internal/testutil"
+	"sherman/internal/workload"
 )
 
 // asyncTestTree builds a bulkloaded tree with n keys (key i+1 -> i+1) and
@@ -28,6 +29,14 @@ func asyncTestTree(t *testing.T, n int) (*core.Tree, *core.Handle) {
 	return tr, h
 }
 
+// submitted is one op left outstanding in the window, with the result the
+// sequential reference gave for it, checked when its Pending is waited on.
+type submitted struct {
+	op   core.Op
+	want core.OpResult
+	p    core.Pending
+}
+
 // TestAsyncOverlapsIndependentOps: the acceptance criterion at unit scale —
 // a depth-4 pipeline must execute independent gets in well under the
 // sequential virtual time, with a measured hiding ratio above 1.5x.
@@ -41,7 +50,7 @@ func TestAsyncOverlapsIndependentOps(t *testing.T) {
 		key := uint64(7)
 		for i := 0; i < ops; i++ {
 			key = key*6364136223846793005 + 1442695040888963407
-			a.Submit(core.Op{Kind: stats.OpLookup, Key: key%n + 1})
+			a.SubmitOp(core.Op{Kind: stats.OpLookup, Key: key%n + 1})
 		}
 		a.Flush()
 		return h.C.Now() - t0, h
@@ -71,8 +80,8 @@ func TestAsyncSameKeyOrdering(t *testing.T) {
 
 	// put(k) then get(k): the get must see the put's value and complete
 	// after it.
-	_, putDone := a.Submit(core.Op{Kind: stats.OpInsert, Key: 42, Value: 9999})
-	res, getDone := a.Submit(core.Op{Kind: stats.OpLookup, Key: 42})
+	putDone := a.SubmitOp(core.Op{Kind: stats.OpInsert, Key: 42, Value: 9999}).Done()
+	res, getDone := a.SubmitOp(core.Op{Kind: stats.OpLookup, Key: 42}).Wait()
 	if !res.Found || res.Value != 9999 {
 		t.Fatalf("pipelined get after put = (%d,%v), want (9999,true)", res.Value, res.Found)
 	}
@@ -82,8 +91,8 @@ func TestAsyncSameKeyOrdering(t *testing.T) {
 
 	// get(k) then put(k): the later put must not virtually complete before
 	// the read it would otherwise clobber.
-	_, rDone := a.Submit(core.Op{Kind: stats.OpLookup, Key: 77})
-	_, wDone := a.Submit(core.Op{Kind: stats.OpInsert, Key: 77, Value: 1})
+	rDone := a.SubmitOp(core.Op{Kind: stats.OpLookup, Key: 77}).Done()
+	wDone := a.SubmitOp(core.Op{Kind: stats.OpInsert, Key: 77, Value: 1}).Done()
 	if wDone <= rDone {
 		t.Errorf("write-after-read completed at %d, not after the read at %d", wDone, rDone)
 	}
@@ -91,8 +100,8 @@ func TestAsyncSameKeyOrdering(t *testing.T) {
 	// Independent keys do overlap: with 8 lanes, two fresh gets on cold
 	// keys complete within one RTT of each other in either order.
 	a.Flush()
-	_, d1 := a.Submit(core.Op{Kind: stats.OpLookup, Key: 101})
-	_, d2 := a.Submit(core.Op{Kind: stats.OpLookup, Key: 5003})
+	d1 := a.SubmitOp(core.Op{Kind: stats.OpLookup, Key: 101}).Done()
+	d2 := a.SubmitOp(core.Op{Kind: stats.OpLookup, Key: 5003}).Done()
 	gap := d2 - d1
 	if gap < 0 {
 		gap = -gap
@@ -111,10 +120,13 @@ func TestAsyncScanBarrier(t *testing.T) {
 
 	var writeDones []int64
 	for i := uint64(0); i < 4; i++ {
-		_, d := a.Submit(core.Op{Kind: stats.OpInsert, Key: 2000 + i, Value: 1})
-		writeDones = append(writeDones, d)
+		writeDones = append(writeDones, a.SubmitOp(core.Op{Kind: stats.OpInsert, Key: 2000 + i, Value: 1}).Done())
 	}
-	res, scanDone := a.Submit(core.Op{Kind: stats.OpRange, Key: 1999, Span: 8})
+	scan := a.SubmitOp(core.Op{Kind: stats.OpRange, Key: 1999, Span: 8})
+	// A write submitted behind the outstanding scan must not complete
+	// under it.
+	wDone := a.SubmitOp(core.Op{Kind: stats.OpInsert, Key: 2500, Value: 1}).Done()
+	res, scanDone := scan.Wait()
 	for _, d := range writeDones {
 		if scanDone <= d {
 			t.Errorf("scan completed at %d, before an outstanding write at %d", scanDone, d)
@@ -130,7 +142,6 @@ func TestAsyncScanBarrier(t *testing.T) {
 	if found != 4 {
 		t.Errorf("scan observed %d of the 4 writes submitted before it", found)
 	}
-	_, wDone := a.Submit(core.Op{Kind: stats.OpInsert, Key: 2500, Value: 1})
 	if wDone <= scanDone {
 		t.Errorf("write after scan completed at %d, before the scan at %d", wDone, scanDone)
 	}
@@ -149,14 +160,13 @@ func TestAsyncDepth1MatchesSync(t *testing.T) {
 	keys := []uint64{5, 500, 5000, 9999, 123, 456}
 	for _, k := range keys {
 		hs.Insert(k, k*3)
-		r, _ := a.Submit(core.Op{Kind: stats.OpInsert, Key: k, Value: k * 3})
-		_ = r
+		a.SubmitOp(core.Op{Kind: stats.OpInsert, Key: k, Value: k * 3})
 	}
 	for _, k := range keys {
 		wv, wok := hs.Lookup(k)
-		r, _ := a.Submit(core.Op{Kind: stats.OpLookup, Key: k})
+		r, _ := a.SubmitOp(core.Op{Kind: stats.OpLookup, Key: k}).Wait()
 		if r.Found != wok || r.Value != wv {
-			t.Errorf("depth-1 Submit lookup(%d) = (%d,%v), sync (%d,%v)", k, r.Value, r.Found, wv, wok)
+			t.Errorf("depth-1 SubmitOp lookup(%d) = (%d,%v), sync (%d,%v)", k, r.Value, r.Found, wv, wok)
 		}
 	}
 	a.Flush()
@@ -224,42 +234,51 @@ func TestAsyncMixedChurnEquivalence(t *testing.T) {
 			pipeH := pipeTree.NewHandle(0, 0)
 			a := pipeH.NewAsync(depth)
 
+			// Results are checked as the window retires them, depth ops
+			// behind submission, so the stream stays pipelined.
+			var fifo []submitted
+			check := func(s submitted) {
+				got, _ := s.p.Wait()
+				if got.Found != s.want.Found || got.Value != s.want.Value || len(got.KVs) != len(s.want.KVs) {
+					t.Fatalf("%v depth %d: %+v = (%d,%v,%d rows), sequential (%d,%v,%d rows)", mode, depth, s.op,
+						got.Value, got.Found, len(got.KVs), s.want.Value, s.want.Found, len(s.want.KVs))
+				}
+				for j := range s.want.KVs {
+					if got.KVs[j] != s.want.KVs[j] {
+						t.Fatalf("%v depth %d: %+v row %d = %+v, sequential %+v",
+							mode, depth, s.op, j, got.KVs[j], s.want.KVs[j])
+					}
+				}
+			}
+
 			const keySpace = 300
 			key := uint64(mode)*17 + uint64(depth)
 			for i := 0; i < 1200; i++ {
 				key = key*6364136223846793005 + 1442695040888963407
-				k := key%keySpace + 1
+				op := core.Op{Key: key%keySpace + 1}
+				var want core.OpResult
 				switch key % 5 {
 				case 0, 1:
-					seqH.Insert(k, key|1)
-					a.Submit(core.Op{Kind: stats.OpInsert, Key: k, Value: key | 1})
+					op.Kind, op.Value = stats.OpInsert, key|1
+					seqH.Insert(op.Key, op.Value)
 				case 2:
-					want := seqH.Delete(k)
-					got, _ := a.Submit(core.Op{Kind: stats.OpDelete, Key: k})
-					if got.Found != want {
-						t.Fatalf("%v depth %d: delete(%d) = %v, sequential %v", mode, depth, k, got.Found, want)
-					}
+					op.Kind = stats.OpDelete
+					want.Found = seqH.Delete(op.Key)
 				case 3:
-					wv, wok := seqH.Lookup(k)
-					got, _ := a.Submit(core.Op{Kind: stats.OpLookup, Key: k})
-					if got.Found != wok || got.Value != wv {
-						t.Fatalf("%v depth %d: get(%d) = (%d,%v), sequential (%d,%v)",
-							mode, depth, k, got.Value, got.Found, wv, wok)
-					}
+					op.Kind = stats.OpLookup
+					want.Value, want.Found = seqH.Lookup(op.Key)
 				default:
-					want := seqH.Range(k, 7)
-					got, _ := a.Submit(core.Op{Kind: stats.OpRange, Key: k, Span: 7})
-					if len(got.KVs) != len(want) {
-						t.Fatalf("%v depth %d: scan(%d) returned %d rows, sequential %d",
-							mode, depth, k, len(got.KVs), len(want))
-					}
-					for j := range want {
-						if got.KVs[j] != want[j] {
-							t.Fatalf("%v depth %d: scan(%d) row %d = %+v, sequential %+v",
-								mode, depth, k, j, got.KVs[j], want[j])
-						}
-					}
+					op.Kind, op.Span = stats.OpRange, 7
+					want.KVs = seqH.Range(op.Key, op.Span)
 				}
+				fifo = append(fifo, submitted{op, want, a.SubmitOp(op)})
+				if len(fifo) > depth {
+					check(fifo[0])
+					fifo = fifo[1:]
+				}
+			}
+			for _, s := range fifo {
+				check(s)
 			}
 			a.Flush()
 			for k := uint64(1); k <= keySpace; k++ {
@@ -272,6 +291,80 @@ func TestAsyncMixedChurnEquivalence(t *testing.T) {
 			if err := pipeTree.Validate(); err != nil {
 				t.Fatalf("%v depth %d: validate: %v", mode, depth, err)
 			}
+		}
+	}
+}
+
+// pipelineGolden is the simulated outcome of goldenStream at one depth.
+type pipelineGolden struct {
+	clock      int64   // final driver clock
+	pipelined  int64   // Recorder.PipelinedOps
+	meanDepth  float64 // Recorder.PipelineDepths.Mean()
+	hiding     float64 // Recorder.HidingRatio()
+	roundTrips int64
+	meanLatNS  float64 // Recorder.AllLatency.Mean(): issue-to-completion
+}
+
+// goldenStream drives a fixed-seed 10k-op zipf mix of gets, puts, deletes and
+// scans through SubmitOp — waiting on every seventh op, the rest left to the
+// window — with a 24-op Exec batch every 400 ops, on small nodes so leaves
+// split mid-pipeline.
+func goldenStream(depth int) pipelineGolden {
+	cfg := core.ShermanConfig()
+	cfg.Format = testutil.SmallFormat(layout.TwoLevel)
+	tr := core.New(cluster.New(cluster.Config{NumMS: 4, NumCS: 1}), cfg)
+	wl := workload.DefaultConfig(workload.Mix{LookupPct: 40, InsertPct: 40, DeletePct: 10, RangePct: 10},
+		workload.Zipfian, 20_000)
+	wl.RangeSpan = 20
+	kvs := make([]layout.KV, wl.LoadedKeys())
+	for i := range kvs {
+		kvs[i] = layout.KV{Key: uint64(i + 1), Value: uint64(i + 1)}
+	}
+	tr.Bulkload(kvs)
+	h := tr.NewHandle(0, 0)
+	a := h.NewAsync(depth)
+	g := workload.NewGenerator(wl, 42)
+	coreOp := func(op workload.Op) core.Op {
+		kind := [...]stats.OpKind{workload.Lookup: stats.OpLookup, workload.Insert: stats.OpInsert,
+			workload.Delete: stats.OpDelete, workload.Range: stats.OpRange}[op.Kind]
+		return core.Op{Kind: kind, Key: op.Key, Value: op.Value, Span: op.Span}
+	}
+	batch := make([]core.Op, 24)
+	for i := 0; i < 10_000; i++ {
+		p := a.SubmitOp(coreOp(g.Next()))
+		if i%7 == 0 {
+			p.Wait()
+		}
+		if i%400 == 399 {
+			for j := range batch {
+				batch[j] = coreOp(g.Next())
+			}
+			a.Exec(batch)
+		}
+	}
+	a.Flush()
+	return pipelineGolden{
+		clock:      h.C.Now(),
+		pipelined:  h.Rec.PipelinedOps,
+		meanDepth:  h.Rec.PipelineDepths.Mean(),
+		hiding:     h.Rec.HidingRatio(),
+		roundTrips: h.Metrics().RoundTrips,
+		meanLatNS:  h.Rec.AllLatency.Mean(),
+	}
+}
+
+// TestPipelineVirtualTimeGolden pins the simulator's account of goldenStream
+// to the values recorded at commit 71f2af8, before the lane/deps executor
+// became the slot window: the executor swap must not move virtual time.
+func TestPipelineVirtualTimeGolden(t *testing.T) {
+	want := map[int]pipelineGolden{
+		1: {clock: 46499331, pipelined: 0, meanDepth: 0, hiding: 0, roundTrips: 21886, meanLatNS: 4386.704716981132},
+		4: {clock: 19213393, pipelined: 10580, meanDepth: 3.3149338374291117, hiding: 2.4501695813593956, roundTrips: 21886, meanLatNS: 5433.281226415094},
+		8: {clock: 15763590, pipelined: 10580, meanDepth: 5.112948960302457, hiding: 3.0007689137228644, roundTrips: 21886, meanLatNS: 6550.627075471698},
+	}
+	for _, depth := range []int{1, 4, 8} {
+		if got := goldenStream(depth); got != want[depth] {
+			t.Errorf("depth %d:\n got %+v\nwant %+v", depth, got, want[depth])
 		}
 	}
 }

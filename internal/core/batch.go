@@ -22,8 +22,7 @@ import (
 // lock-free validated read, exactly like the sequential lookup path. When
 // the right sibling's lock hashes onto the very GLT slot the executor
 // already holds, the guard is reused across the leaf boundary (hocl.
-// SameSlot). The per-kind batch entry points (InsertBatch, LookupBatch,
-// DeleteBatch) are thin wrappers over Exec.
+// SameSlot).
 //
 // Equivalence argument: operations on different keys commute for both final
 // state and per-op results, and operations on the same key land adjacently
@@ -92,19 +91,26 @@ func opCounts(ops []Op) (counts [stats.NumOpKinds]int64, points int64) {
 // lock acquisition (when any writes) and one combined doorbell. Key 0 is
 // reserved for inserts and deletes and panics; callers wanting typed errors
 // validate first (the session layer does).
-func (h *Handle) Exec(ops []Op) []OpResult {
-	if len(ops) == 0 {
-		return nil
-	}
-	results := make([]OpResult, len(ops))
-	h.ExecInto(ops, results)
-	return results
-}
+func (h *Handle) Exec(ops []Op) []OpResult { return h.exec(nil, ops) }
 
 // ExecInto is Exec writing its results into the caller's slice (len must
 // equal len(ops)) — the allocation-free variant for callers that recycle a
 // results buffer across batches.
-func (h *Handle) ExecInto(ops []Op, results []OpResult) {
+func (h *Handle) ExecInto(ops []Op, results []OpResult) { h.execInto(nil, ops, results) }
+
+func (h *Handle) exec(a *Async, ops []Op) []OpResult {
+	if len(ops) == 0 {
+		return nil
+	}
+	results := make([]OpResult, len(ops))
+	h.execInto(a, ops, results)
+	return results
+}
+
+// execInto runs one batch on the handle's own clock, or — with a non-nil
+// executor — as window operations ordered after everything outstanding and
+// drained before returning.
+func (h *Handle) execInto(a *Async, ops []Op, results []OpResult) {
 	if len(ops) == 0 {
 		return
 	}
@@ -112,12 +118,18 @@ func (h *Handle) ExecInto(ops []Op, results []OpResult) {
 		panic("core: ExecInto results length mismatch")
 	}
 	clear(results) // a recycled buffer must not leak stale slots (not-found lookups never write theirs)
+	if a != nil {
+		a.Flush()
+	}
 	h.m.BeginOp()
 	t0 := h.C.Now()
-	scanNS := h.execOps(ops, nil, results)
+	scanNS := h.execOps(ops, a, results)
+	if a != nil {
+		a.Flush()
+	}
 	if counts, points := opCounts(ops); points > 0 {
 		// Scans record their own latency in execScan; exclude their time
-		// from the window amortized over the point operations.
+		// from the (drained) window amortized over the point operations.
 		lat := h.C.Now() - t0 - scanNS
 		if lat < 0 {
 			lat = 0
@@ -128,14 +140,21 @@ func (h *Handle) ExecInto(ops []Op, results []OpResult) {
 
 // execOps drives the planned walk and returns the virtual time the stream's
 // scans consumed (so callers can exclude it from point-op accounting). When
-// a is non-nil each unit — a leaf group or a scan — runs on one of the
-// async executor's lane timelines, so units' round trips overlap; with a
+// a is non-nil each unit — a leaf group or a scan — runs as one of the
+// async executor's window operations, so units' round trips overlap; with a
 // nil executor everything runs on the handle's own clock.
 func (h *Handle) execOps(ops []Op, a *Async, results []OpResult) (scanNS int64) {
 	i := 0
+	// scanDone is the completion horizon of the latest scan unit: later
+	// reads may overlap it (a scan writes nothing they could observe), but
+	// the next segment's write units are floored at it.
+	var scanDone int64
 	for i < len(ops) {
 		if ops[i].Kind == stats.OpRange {
-			scanNS += h.execScan(a, ops[i], &results[i])
+			if ops[i].Span > 0 {
+				scanDone = h.execScan(a, ops[i], &results[i])
+				scanNS += h.ex.elapsed
+			}
 			i++
 			continue
 		}
@@ -156,26 +175,26 @@ func (h *Handle) execOps(ops []Op, a *Async, results []OpResult) (scanNS int64) 
 		}
 		h.seg = seg[:0] // retain growth; consumed before the next segment
 		sortPlanOps(seg)
-		h.execSegment(a, seg, results)
+		h.execSegment(a, seg, results, scanDone)
 		i = j
 	}
 	return scanNS
 }
 
-// execScan runs one range query at its position in the stream, returning
-// the virtual time it consumed.
-func (h *Handle) execScan(a *Async, op Op, res *OpResult) int64 {
-	if op.Span <= 0 {
-		return 0
-	}
+// execScan runs one range query at its position in the stream — ordered
+// after every outstanding unit, since a scan must observe exactly the writes
+// submitted before it — and returns its completion horizon. The virtual time
+// it consumed is left in h.ex.elapsed.
+func (h *Handle) execScan(a *Async, op Op, res *OpResult) (done int64) {
 	h.ex.op, h.ex.res = op, res
 	if a != nil {
-		a.scanUnit(h.ex.scanFn)
+		a.Flush()
+		done = a.unit(0, h.ex.scanFn)
 	} else {
 		h.execScanBody()
 	}
 	h.ex.res = nil // don't pin the caller's results past the unit
-	return h.ex.elapsed
+	return done
 }
 
 // execScanBody is the scan unit framed by h.ex (bound once as h.ex.scanFn).
@@ -190,11 +209,12 @@ func (h *Handle) execScanBody() {
 // group led by a lookup is served lock-free; a group led by a write locks
 // the leaf and consumes every covered operation of any kind, lookups
 // included (they read the locked image, which already reflects the group's
-// earlier writes). When a read group stops at a covered write (same leaf),
-// the following write unit is floored at the read unit's completion — a
-// real pipelined client must not let the write's round trips complete
-// under a read of the leaf it clobbers.
-func (h *Handle) execSegment(a *Async, ops []planOp, results []OpResult) {
+// earlier writes). Write units start no earlier than scanDone, the
+// completion of the scan that delimited the segment; and when a read group
+// stops at a covered write (same leaf), the following write unit is also
+// floored at the read unit's completion — a real pipelined client must not
+// let the write's round trips complete under a read of the leaf it clobbers.
+func (h *Handle) execSegment(a *Async, ops []planOp, results []OpResult, scanDone int64) {
 	i := 0
 	var readDone int64
 	for i < len(ops) {
@@ -202,7 +222,7 @@ func (h *Handle) execSegment(a *Async, ops []planOp, results []OpResult) {
 		if ops[i].kind == stats.OpLookup {
 			i, readDone = h.execReadGroup(a, ops, i, results)
 		} else {
-			i = h.execWriteGroup(a, ops, i, results, readDone)
+			i = h.execWriteGroup(a, ops, i, results, max(readDone, scanDone))
 			readDone = 0
 		}
 	}
@@ -221,7 +241,7 @@ func (h *Handle) execReadGroup(a *Async, ops []planOp, start int, results []OpRe
 	if a == nil {
 		h.execReadGroupBody()
 	} else {
-		done = a.readUnit(h.ex.readFn)
+		done = a.unit(0, h.ex.readFn)
 	}
 	if !h.ex.sameLeafWrite {
 		done = 0
@@ -281,13 +301,12 @@ func (h *Handle) execReadGroupBody() {
 // image and queue entry write-backs, lookups read it — then releases with
 // one combined write-backs+release doorbell. The group chains into aliased
 // siblings where the lock slot allows, and ends early when a split consumes
-// the guard. floor, when nonzero, bounds how early the unit may start on a
-// lane timeline (a preceding read unit of the same leaf). Returns the
-// index of the first unconsumed op.
+// the guard. floor, when nonzero, bounds how early the unit may start on its
+// timeline. Returns the index of the first unconsumed op.
 func (h *Handle) execWriteGroup(a *Async, ops []planOp, start int, results []OpResult, floor int64) int {
 	h.ex.ops, h.ex.results, h.ex.start = ops, results, start
 	if a != nil {
-		a.writeUnit(floor, h.ex.writeFn)
+		a.unit(floor, h.ex.writeFn)
 	} else {
 		h.execWriteGroupBody()
 	}
@@ -408,57 +427,4 @@ func (h *Handle) chainToSibling(g hocl.Guard, leaf layout.Leaf, nextKey uint64) 
 	}
 	h.Rec.BatchChainedLeaves++
 	return sib, layout.AsLeaf(n), true
-}
-
-// --- legacy per-kind batch entry points, now thin wrappers over Exec ------
-
-// InsertBatch stores every pair in kvs, observably equivalent to calling
-// Insert for each pair in submission order. Keys sharing a leaf share one
-// traversal, one lock acquisition and one combined write-back+release
-// doorbell. Key 0 is reserved and panics.
-func (h *Handle) InsertBatch(kvs []layout.KV) {
-	ops := make([]Op, len(kvs))
-	for i, kv := range kvs {
-		if kv.Key == 0 {
-			panic("core: key 0 is reserved")
-		}
-		ops[i] = Op{Kind: stats.OpInsert, Key: kv.Key, Value: kv.Value}
-	}
-	h.Exec(ops)
-}
-
-// DeleteBatch removes every key, reporting per key (in submission order)
-// whether it was present — observably equivalent to calling Delete for
-// each key in order. Absent keys cost no write-back. Key 0 panics.
-func (h *Handle) DeleteBatch(keys []uint64) []bool {
-	ops := make([]Op, len(keys))
-	for i, k := range keys {
-		if k == 0 {
-			panic("core: key 0 is reserved")
-		}
-		ops[i] = Op{Kind: stats.OpDelete, Key: k}
-	}
-	res := h.Exec(ops)
-	found := make([]bool, len(keys))
-	for i := range res {
-		found[i] = res[i].Found
-	}
-	return found
-}
-
-// LookupBatch returns the value stored under each key, in submission
-// order — observably equivalent to calling Lookup per key, but reading
-// each target leaf once for all the keys it covers.
-func (h *Handle) LookupBatch(keys []uint64) (values []uint64, found []bool) {
-	ops := make([]Op, len(keys))
-	for i, k := range keys {
-		ops[i] = Op{Kind: stats.OpLookup, Key: k}
-	}
-	res := h.Exec(ops)
-	values = make([]uint64, len(keys))
-	found = make([]bool, len(keys))
-	for i := range res {
-		values[i], found[i] = res[i].Value, res[i].Found
-	}
-	return values, found
 }

@@ -8,6 +8,7 @@ import (
 	"sherman/internal/cluster"
 	core "sherman/internal/core"
 	"sherman/internal/layout"
+	"sherman/internal/stats"
 	"sherman/internal/testutil"
 )
 
@@ -28,6 +29,40 @@ func batchConfigsUnderTest() []core.Config {
 		}
 	}
 	return out
+}
+
+// insertBatch, deleteBatch and lookupBatch run one same-kind batch through
+// Exec, in the shape the sequential reference produces.
+func insertBatch(h *core.Handle, kvs []layout.KV) {
+	ops := make([]core.Op, len(kvs))
+	for i, kv := range kvs {
+		ops[i] = core.Op{Kind: stats.OpInsert, Key: kv.Key, Value: kv.Value}
+	}
+	h.Exec(ops)
+}
+
+func deleteBatch(h *core.Handle, keys []uint64) []bool {
+	ops := make([]core.Op, len(keys))
+	for i, k := range keys {
+		ops[i] = core.Op{Kind: stats.OpDelete, Key: k}
+	}
+	found := make([]bool, len(keys))
+	for i, r := range h.Exec(ops) {
+		found[i] = r.Found
+	}
+	return found
+}
+
+func lookupBatch(h *core.Handle, keys []uint64) (values []uint64, found []bool) {
+	ops := make([]core.Op, len(keys))
+	for i, k := range keys {
+		ops[i] = core.Op{Kind: stats.OpLookup, Key: k}
+	}
+	values, found = make([]uint64, len(keys)), make([]bool, len(keys))
+	for i, r := range h.Exec(ops) {
+		values[i], found[i] = r.Value, r.Found
+	}
+	return values, found
 }
 
 // TestBatchEquivalenceProperty checks, for deterministic seeds, that a random operation
@@ -58,7 +93,7 @@ func TestBatchEquivalenceProperty(t *testing.T) {
 					for _, kv := range kvs {
 						seqH.Insert(kv.Key, kv.Value)
 					}
-					batH.InsertBatch(kvs)
+					insertBatch(batH, kvs)
 				case 1: // deletes, including absent keys
 					keys := make([]uint64, n)
 					for i := range keys {
@@ -68,7 +103,7 @@ func TestBatchEquivalenceProperty(t *testing.T) {
 					for i, k := range keys {
 						want[i] = seqH.Delete(k)
 					}
-					got := batH.DeleteBatch(keys)
+					got := deleteBatch(batH, keys)
 					for i := range keys {
 						if got[i] != want[i] {
 							t.Fatalf("%s seed %d: DeleteBatch[%d] key %d = %v, sequential %v",
@@ -80,7 +115,7 @@ func TestBatchEquivalenceProperty(t *testing.T) {
 					for i := range keys {
 						keys[i] = rng.Uint64N(keySpace) + 1
 					}
-					vals, found := batH.LookupBatch(keys)
+					vals, found := lookupBatch(batH, keys)
 					for i, k := range keys {
 						wv, wok := seqH.Lookup(k)
 						if found[i] != wok || (wok && vals[i] != wv) {
@@ -110,7 +145,7 @@ func TestBatchEquivalenceProperty(t *testing.T) {
 }
 
 // TestBatchConcurrentChurnValidate drives concurrent batch churn — mixed
-// PutBatch/DeleteBatch/GetBatch on per-thread stripes — then checks the
+// put, delete and get batches on per-thread stripes — then checks the
 // structure with Validate and the contents against per-thread references.
 func TestBatchConcurrentChurnValidate(t *testing.T) {
 	for _, cfg := range batchConfigsUnderTest() {
@@ -136,7 +171,7 @@ func TestBatchConcurrentChurnValidate(t *testing.T) {
 						for i := range keys {
 							keys[i] = base + rng.Uint64N(600) + 1
 						}
-						found := h.DeleteBatch(keys)
+						found := deleteBatch(h, keys)
 						for i, k := range keys {
 							if _, exists := ref[k]; exists != found[i] {
 								t.Errorf("thread %d: DeleteBatch(%d) = %v, reference %v", th, k, found[i], exists)
@@ -149,7 +184,7 @@ func TestBatchConcurrentChurnValidate(t *testing.T) {
 						for i := range keys {
 							keys[i] = base + rng.Uint64N(600) + 1
 						}
-						vals, found := h.LookupBatch(keys)
+						vals, found := lookupBatch(h, keys)
 						// Duplicate keys in one batch see the same state.
 						for i, k := range keys {
 							want, exists := ref[k]
@@ -164,7 +199,7 @@ func TestBatchConcurrentChurnValidate(t *testing.T) {
 						for i := range kvs {
 							kvs[i] = layout.KV{Key: base + rng.Uint64N(600) + 1, Value: rng.Uint64() | 1}
 						}
-						h.InsertBatch(kvs)
+						insertBatch(h, kvs)
 						for _, kv := range kvs {
 							ref[kv.Key] = kv.Value
 						}
@@ -207,14 +242,14 @@ func TestBatchGuardReuseChains(t *testing.T) {
 		for i := range kvs {
 			kvs[i] = layout.KV{Key: uint64(i + 1), Value: uint64(i + 1000)}
 		}
-		h.InsertBatch(kvs)
+		insertBatch(h, kvs)
 		// A fresh fill ends every group in a split (which releases the
 		// guard); an update pass over the now-populated tree ends groups at
 		// fence boundaries, where the single-slot GLT forces chaining.
 		for i := range kvs {
 			kvs[i].Value = kvs[i].Key + 2000
 		}
-		h.InsertBatch(kvs)
+		insertBatch(h, kvs)
 		if h.Rec.BatchChainedLeaves == 0 {
 			t.Errorf("%s combine=%v: no chained leaves despite single-slot GLT", cfg.Name(), cfg.Combine)
 		}
@@ -228,7 +263,7 @@ func TestBatchGuardReuseChains(t *testing.T) {
 		for k := uint64(2); k <= n; k += 2 {
 			del = append(del, k)
 		}
-		found := h.DeleteBatch(del)
+		found := deleteBatch(h, del)
 		for i, ok := range found {
 			if !ok {
 				t.Fatalf("%s: DeleteBatch missed present key %d", cfg.Name(), del[i])
@@ -242,7 +277,7 @@ func TestBatchGuardReuseChains(t *testing.T) {
 
 // TestBatchAmortizesRoundTripsAndLocks is the headline claim at unit scale:
 // updating K keys that share leaves must cost measurably fewer round trips
-// and lock acquisitions through InsertBatch than through sequential Insert.
+// and lock acquisitions through one Exec than through sequential Insert.
 func TestBatchAmortizesRoundTripsAndLocks(t *testing.T) {
 	run := func(batched bool) (roundTrips, lockAcq int64) {
 		cfg := core.ShermanConfig()
@@ -264,7 +299,7 @@ func TestBatchAmortizesRoundTripsAndLocks(t *testing.T) {
 		}
 		rt0, acq0 := h.Metrics().RoundTrips, tr.LockStats().Acquisitions.Load()
 		if batched {
-			h.InsertBatch(upd)
+			insertBatch(h, upd)
 		} else {
 			for _, kv := range upd {
 				h.Insert(kv.Key, kv.Value)

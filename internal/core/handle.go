@@ -314,15 +314,6 @@ func (h *Handle) noteSiblingHop(hops *int) {
 	}
 }
 
-// Lookup returns the value stored under key.
-func (h *Handle) Lookup(key uint64) (uint64, bool) {
-	h.m.BeginOp()
-	t0 := h.C.Now()
-	val, found := h.lookupInner(key)
-	h.Rec.RecordOp(stats.OpLookup, h.C.Now()-t0)
-	return val, found
-}
-
 func (h *Handle) lookupInner(key uint64) (uint64, bool) {
 	retries := 0
 	hops := 0

@@ -9,6 +9,7 @@ import (
 
 	"sherman/internal/cluster"
 	"sherman/internal/layout"
+	"sherman/internal/stats"
 )
 
 func internalConfigs() []Config {
@@ -69,5 +70,37 @@ func TestCompactFreesOldNodes(t *testing.T) {
 	cl.RawRead(oldRoot, buf)
 	if layout.ViewNode(cfg.Format, buf).Alive() {
 		t.Error("old root still marked alive after compact")
+	}
+}
+
+// TestConflicts tabulates the pipeline's ordering contract: which later
+// operation must order after which outstanding earlier one.
+func TestConflicts(t *testing.T) {
+	get := func(k uint64) Op { return Op{Kind: stats.OpLookup, Key: k} }
+	put := func(k uint64) Op { return Op{Kind: stats.OpInsert, Key: k, Value: 1} }
+	del := func(k uint64) Op { return Op{Kind: stats.OpDelete, Key: k} }
+	scan := func(k uint64) Op { return Op{Kind: stats.OpRange, Key: k, Span: 10} }
+	for _, c := range []struct {
+		name           string
+		earlier, later Op
+		want           bool
+	}{
+		{"read/read same key", get(5), get(5), false},
+		{"read after write, same key", put(5), get(5), true},
+		{"read after delete, same key", del(5), get(5), true},
+		{"read after write, other key", put(5), get(6), false},
+		{"write after read, same key", get(5), put(5), true},
+		{"write after read, other key", get(5), put(6), false},
+		{"write/write same key", put(5), del(5), true},
+		{"write/write other key", put(5), put(6), false},
+		{"scan after write", put(5), scan(900), true},
+		{"write after scan", scan(900), del(5), true},
+		{"scan after read", get(5), scan(1), false},
+		{"read after scan", scan(1), get(5), false},
+		{"scan/scan", scan(1), scan(700), true},
+	} {
+		if got := conflicts(c.earlier, c.later); got != c.want {
+			t.Errorf("%s: conflicts(%+v, %+v) = %v, want %v", c.name, c.earlier, c.later, got, c.want)
+		}
 	}
 }

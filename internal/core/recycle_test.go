@@ -20,7 +20,7 @@ import (
 
 // TestPooledStreamsMatchModel drives one mixed stream per (cell, depth)
 // through a recycled batch scratch: the same ops slice and results slice
-// back every ExecInto call, interleaved with pipelined Submits, and every
+// back every ExecInto call, interleaved with pipelined SubmitOps, and every
 // result — including scan rows retained across later batches — must match
 // the model.
 func TestPooledStreamsMatchModel(t *testing.T) {
@@ -101,18 +101,21 @@ func TestPooledStreamsMatchModel(t *testing.T) {
 			var retained []retainedScan
 
 			for round := 0; round < 30; round++ {
-				// A burst of pipelined Submits; results check immediately
-				// (real execution is sequential, so the model is exact at
-				// submit time).
+				// A burst of pipelined submissions, left outstanding together
+				// and checked once the burst is in (execution is in
+				// submission order, so the model is exact at submit time).
+				var burst []submitted
 				for j := rng.Uint64N(6); j > 0; j-- {
 					op := randOp()
-					want := apply(op)
-					got, _ := as.Submit(op)
-					check("Submit", op, got, want)
-					if op.Kind == stats.OpRange && len(got.KVs) > 0 && len(retained) < 16 {
+					burst = append(burst, submitted{op, apply(op), as.SubmitOp(op)})
+				}
+				for _, b := range burst {
+					got, _ := b.p.Wait()
+					check("SubmitOp", b.op, got, b.want)
+					if b.op.Kind == stats.OpRange && len(got.KVs) > 0 && len(retained) < 16 {
 						retained = append(retained, retainedScan{
 							got:  got.KVs,
-							want: append([]layout.KV(nil), want.KVs...),
+							want: append([]layout.KV(nil), b.want.KVs...),
 						})
 					}
 				}

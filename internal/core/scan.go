@@ -16,18 +16,6 @@ const maxParallelReads = 16
 // splits can cause.
 const maxScanRestarts = 1 << 20
 
-// Range returns up to span key-value pairs with key >= from, in ascending
-// key order. Like FG, Sherman's range query is not atomic with concurrent
-// writes (§4.4): each leaf is read consistently, but the scan as a whole is
-// not a snapshot.
-func (h *Handle) Range(from uint64, span int) []layout.KV {
-	h.m.BeginOp()
-	t0 := h.C.Now()
-	out := h.rangeInner(from, span)
-	h.Rec.RecordOp(stats.OpRange, h.C.Now()-t0)
-	return out
-}
-
 func (h *Handle) rangeInner(from uint64, span int) []layout.KV {
 	out := make([]layout.KV, 0, span) // caller-owned result, never recycled
 	cursor := from

@@ -8,51 +8,7 @@ import (
 	"sherman/internal/hocl"
 	"sherman/internal/layout"
 	"sherman/internal/rdma"
-	"sherman/internal/stats"
 )
-
-// Insert stores (key, value), updating in place when key exists (the paper
-// folds updates into insert, §1). Key 0 is reserved.
-func (h *Handle) Insert(key, value uint64) {
-	if key == 0 {
-		panic("core: key 0 is reserved")
-	}
-	h.m.BeginOp()
-	t0 := h.C.Now()
-	dataBytes := h.insertInner(key, value)
-	for h.takeRedo() {
-		// A failover swallowed the commit (see mirror): retry through the
-		// promoted chunk; the insert is an idempotent upsert.
-		dataBytes = h.insertInner(key, value)
-	}
-	h.Rec.RecordOp(stats.OpInsert, h.C.Now()-t0)
-	h.Rec.WriteRoundTrips.Record(int(h.m.OpRoundTrips))
-	h.Rec.WriteSizes.Record(dataBytes)
-}
-
-// Delete removes key, reporting whether it was present. Non-structural
-// deletes clear the entry in place (§4.4); underfull leaves are tolerated
-// rather than merged (see DESIGN.md §5).
-func (h *Handle) Delete(key uint64) bool {
-	if key == 0 {
-		panic("core: key 0 is reserved")
-	}
-	h.m.BeginOp()
-	t0 := h.C.Now()
-	found, dataBytes := h.deleteInner(key)
-	for h.takeRedo() {
-		// A failover swallowed the commit: nothing durable changed, so the
-		// retry sees the key again (keeping found truthful) and re-deletes.
-		f, db := h.deleteInner(key)
-		found, dataBytes = found || f, db
-	}
-	h.Rec.RecordOp(stats.OpDelete, h.C.Now()-t0)
-	h.Rec.WriteRoundTrips.Record(int(h.m.OpRoundTrips))
-	if found {
-		h.Rec.WriteSizes.Record(dataBytes)
-	}
-	return found
-}
 
 // unlockWrite releases g, flushing pending dependent writes per the tree's
 // command-combination setting. nil pending releases through the dedicated

@@ -81,13 +81,13 @@ func (c *Client) Step(d int64) { c.Clk.Advance(d) }
 // OnTimeline runs fn with the client's clock repositioned to start and
 // returns the virtual time at which fn's work completed, restoring the
 // clock afterwards. It is the issue/complete split of the pipelined client:
-// an async executor runs each outstanding operation on its own lane
-// timeline, so a verb's round-trip latency overlaps its siblings' instead
-// of serializing on the thread clock. The issue-side costs still serialize
+// an async executor runs each outstanding operation on its own timeline,
+// so a verb's round-trip latency overlaps its siblings' instead of
+// serializing on the thread clock. The issue-side costs still serialize
 // faithfully — every verb charges the shared CS outbound and MS inbound
-// Resources at its lane's issue time regardless of which timeline it runs
+// Resources at its own issue time regardless of which timeline it runs
 // on, so one client's overlapping verbs contend for the NIC pipelines
-// exactly as a real coroutine client's posted work requests do. Lane
+// exactly as a real coroutine client's posted work requests do. The
 // timelines stay within an operation latency of each other, well inside
 // the Resource layer's out-of-order credit window (sim.CreditCapNS).
 func (c *Client) OnTimeline(start int64, fn func()) (end int64) {

@@ -8,7 +8,7 @@
 //
 //   - internal/rdma: the simulated RDMA fabric with virtual time. It also
 //     implements VirtualTimer, which carries the timing-model hooks
-//     (OnTimeline lanes, spin charging, atomic backlog arbitration) the
+//     (OnTimeline, spin charging, atomic backlog arbitration) the
 //     simulation's contention model needs.
 //   - internal/transport/tcp: a real network. Memory servers are OS
 //     processes (cmd/shermand) serving chunks, locks, and atomics over a
@@ -130,7 +130,7 @@ type VirtualTimer interface {
 	// OnTimeline runs fn with the clock temporarily set to start and
 	// returns the clock value fn reached; the ambient clock is restored
 	// afterwards. Pipelined executors use it to run each operation on its
-	// own lane's timeline.
+	// own timeline.
 	OnTimeline(start int64, fn func()) int64
 	// SetClock forces the clock to v (backwards allowed); benchmarks and
 	// recovery use it to align a fresh thread with cluster time.

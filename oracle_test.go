@@ -17,7 +17,7 @@ import (
 // rebalances onto, and drains memory servers under the stream.
 
 // oracleStream drives one session against the model for n steps.
-func oracleStream(t *testing.T, s *Session, model *testutil.Model, rng interface {
+func oracleStream(t *testing.T, s testSession, model *testutil.Model, rng interface {
 	Uint64N(uint64) uint64
 	Uint64() uint64
 }, keySpace uint64, n int) {
@@ -115,7 +115,7 @@ func oracleStream(t *testing.T, s *Session, model *testutil.Model, rng interface
 }
 
 // checkFinalState compares the whole tree against the model, key by key.
-func checkFinalState(t *testing.T, s *Session, model *testutil.Model, keySpace uint64) {
+func checkFinalState(t *testing.T, s testSession, model *testutil.Model, keySpace uint64) {
 	t.Helper()
 	for k := uint64(1); k <= 2*keySpace; k++ {
 		wv, wok := model.Get(k)
@@ -141,10 +141,7 @@ func TestDifferentialOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s, err := testTree(t, c, opts).SessionAt(0, PipelineDepth(depth))
-				if err != nil {
-					t.Fatal(err)
-				}
+				s := openSession(t, testTree(t, c, opts), 0, PipelineDepth(depth))
 				model := testutil.NewModel()
 				const keySpace = 400
 				oracleStream(t, s, model, rng, keySpace, 500)
@@ -174,10 +171,7 @@ func TestDifferentialOraclePoison(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := testTree(t, c, opts).SessionAt(0, PipelineDepth(depth))
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := openSession(t, testTree(t, c, opts), 0, PipelineDepth(depth))
 			model := testutil.NewModel()
 			const keySpace = 400
 			oracleStream(t, s, model, rng, keySpace, 500)
@@ -212,10 +206,7 @@ func TestDifferentialOracleTinyCache(t *testing.T) {
 					t.Fatal(err)
 				}
 				tree := testTree(t, c, opts)
-				s, err := tree.SessionAt(0, PipelineDepth(depth))
-				if err != nil {
-					t.Fatal(err)
-				}
+				s := openSession(t, tree, 0, PipelineDepth(depth))
 
 				// A fence band of known keys separates the oracle keyspace
 				// from the churn writer's stripe: scans running off the
@@ -244,7 +235,7 @@ func TestDifferentialOracleTinyCache(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					w := tree.Session(1)
+					w := openSession(t, tree, 1)
 					churnRng := testutil.RNG(seed + 1000)
 					added := false
 					for i := 0; ; i++ {
@@ -308,10 +299,7 @@ func runFailoverOracle(t *testing.T, opts TreeOptions, seed uint64, depth int) {
 		t.Fatal(err)
 	}
 	tree := testTree(t, c, opts)
-	s, err := tree.SessionAt(0, PipelineDepth(depth))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSession(t, tree, 0, PipelineDepth(depth))
 
 	// A bulkloaded band above the oracle keyspace stripes primary chunks
 	// across every memory server (the bulk allocator round-robins chunk
@@ -447,10 +435,7 @@ func TestDifferentialOracleUnderMigration(t *testing.T) {
 					t.Fatal(err)
 				}
 				tree := testTree(t, c, opts)
-				s, err := tree.SessionAt(0, PipelineDepth(depth))
-				if err != nil {
-					t.Fatal(err)
-				}
+				s := openSession(t, tree, 0, PipelineDepth(depth))
 
 				stop := make(chan struct{})
 				var wg sync.WaitGroup

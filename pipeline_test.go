@@ -25,15 +25,12 @@ func TestPipelineSequentialEquivalenceProperty(t *testing.T) {
 			testutil.RunSeeds(t, 5, func(t *testing.T, seed uint64) {
 				rng := testutil.RNG(seed)
 				depth := pipelineDepthsUnderTest[rng.Uint64N(uint64(len(pipelineDepthsUnderTest)))]
-				mk := func(d int) *Session {
+				mk := func(d int) testSession {
 					c, err := NewCluster(ClusterConfig{MemoryServers: 2, ComputeServers: 1})
 					if err != nil {
 						t.Fatal(err)
 					}
-					s, err := testTree(t, c, opts).SessionAt(0, PipelineDepth(d))
-					if err != nil {
-						t.Fatal(err)
-					}
+					s := openSession(t, testTree(t, c, opts), 0, PipelineDepth(d))
 					return s
 				}
 				seq, pipe := mk(1), mk(depth)
@@ -109,15 +106,12 @@ func TestExecMixedEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pipe, err := testTree(t, c, opts).SessionAt(0, PipelineDepth(depth))
-				if err != nil {
-					t.Fatal(err)
-				}
+				pipe := openSession(t, testTree(t, c, opts), 0, PipelineDepth(depth))
 				c2, err := NewCluster(ClusterConfig{MemoryServers: 2, ComputeServers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
-				seq := testTree(t, c2, opts).Session(0)
+				seq := openSession(t, testTree(t, c2, opts), 0)
 
 				const keySpace = 200
 				for round := 0; round < 4; round++ {
@@ -231,7 +225,7 @@ func TestPipelineConcurrentSessions(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate after concurrent pipelined churn: %v", err)
 	}
-	s := tree.Session(0)
+	s := openSession(t, tree, 0)
 	for w, ref := range refs {
 		for k, v := range ref {
 			if got, ok := s.Get(k); !ok || got != v {
@@ -242,8 +236,8 @@ func TestPipelineConcurrentSessions(t *testing.T) {
 }
 
 // TestSessionAtAndTypedErrors covers the typed-error surface: out-of-range
-// compute servers, reserved-key writes via Submit and Exec, and the
-// preserved legacy panic contracts.
+// compute servers and reserved-key writes via Submit, Exec and the
+// synchronous helpers.
 func TestSessionAtAndTypedErrors(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, DefaultTreeOptions())
@@ -253,10 +247,7 @@ func TestSessionAtAndTypedErrors(t *testing.T) {
 			t.Errorf("SessionAt(%d) error = %v, want ErrBadComputeServer", cs, err)
 		}
 	}
-	s, err := tree.SessionAt(0, PipelineDepth(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSession(t, tree, 0, PipelineDepth(4))
 	if s.PipelineDepth() != 4 {
 		t.Errorf("PipelineDepth() = %d, want 4", s.PipelineDepth())
 	}
@@ -283,20 +274,15 @@ func TestSessionAtAndTypedErrors(t *testing.T) {
 		t.Errorf("Get(12) after partial-error Exec = (%d,%v), want (120,true)", v, ok)
 	}
 
-	// Legacy contracts: Session panics on a bad cs, Put panics on key 0.
-	for name, fn := range map[string]func(){
-		"Session(-1)": func() { tree.Session(-1) },
-		"Put(0)":      func() { s.Put(0, 1) },
-		"Delete(0)":   func() { s.Delete(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
+	// The synchronous helpers report the same typed errors.
+	if err := s.PutE(0, 1); !errors.Is(err, ErrReservedKey) {
+		t.Errorf("PutE(0) err = %v, want ErrReservedKey", err)
+	}
+	if _, err := s.DeleteE(0); !errors.Is(err, ErrReservedKey) {
+		t.Errorf("DeleteE(0) err = %v, want ErrReservedKey", err)
+	}
+	if kvs, err := s.ScanE(1, 0); err != nil || kvs != nil {
+		t.Errorf("ScanE(span 0) = (%v, %v), want empty", kvs, err)
 	}
 }
 
@@ -305,7 +291,7 @@ func TestSessionAtAndTypedErrors(t *testing.T) {
 func TestCursor(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, TreeOptions{NodeSize: testutil.SmallNodeSize}) // small leaves: many refills
-	s := tree.Session(0)
+	s := openSession(t, tree, 0)
 	kvs := make([]KV, 500)
 	for i := range kvs {
 		kvs[i] = KV{Key: uint64(i+1) * 3, Value: uint64(i + 7)}
@@ -343,7 +329,7 @@ func TestPipelineVirtualTime(t *testing.T) {
 	if err := tree.Bulkload(kvs); err != nil {
 		t.Fatal(err)
 	}
-	s, _ := tree.SessionAt(0, PipelineDepth(4))
+	s := openSession(t, tree, 0, PipelineDepth(4))
 	s.Get(1) // warm the cache
 
 	before := s.VirtualNow()

@@ -50,10 +50,7 @@ func TestTCPCrashMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s, err := tree.SessionAt(0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := openSession(t, tree, 0)
 			const ops = 2000
 			const keySpace = 4096
 			// oracle is the full expected state: bulk load plus every

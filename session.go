@@ -10,8 +10,7 @@ import (
 	"sherman/internal/stats"
 )
 
-// Typed errors of the unified Op/Result API. The legacy methods keep their
-// original panic contracts; Submit and Exec report these instead.
+// Typed errors of the session API.
 var (
 	// ErrReservedKey rejects writes to key 0, the tree's deleted-entry
 	// sentinel (§4.4).
@@ -76,7 +75,7 @@ type Result struct {
 type Future struct {
 	s    *Session
 	p    core.Pending
-	pend bool
+	pend bool // p not yet waited on
 	res  Result
 	done int64
 }
@@ -89,18 +88,12 @@ type Future struct {
 func (f *Future) Wait() Result {
 	if f.pend {
 		f.pend = false
-		p := f.p
 		var cres core.OpResult
-		var end int64
-		if err := f.s.run(func() { cres, end = p.Wait() }); err != nil {
+		if err := f.s.run(func() { cres, f.done = f.p.Wait() }); err != nil {
 			f.res, f.done = Result{Err: err}, f.s.h.C.Now()
 		} else {
-			f.res, f.done = resultFrom(cres), end
+			f.res = resultFrom(cres)
 		}
-		return f.res
-	}
-	if f.s != nil {
-		f.s.a.WaitUntil(f.done)
 	}
 	return f.res
 }
@@ -117,13 +110,12 @@ func (f *Future) CompleteAtV() int64 { return f.done }
 // client thread of the paper — so open one per goroutine. Any number of
 // sessions may operate on the same tree concurrently.
 //
-// A session issues operations two ways. The synchronous methods (Put, Get,
-// Delete, Scan and the *Batch wrappers) complete each call before
-// returning. The unified Op/Result API (Submit, Exec, Flush) pipelines: a
-// session opened with PipelineDepth(n) keeps up to n operations
-// outstanding, overlapping their round trips the way the paper's clients
-// run multiple coroutines per thread, so per-thread throughput climbs
-// toward the fabric bound instead of being RTT-bound.
+// Every request is an Op. Submit pipelines it — a session opened with
+// PipelineDepth(n) keeps up to n operations outstanding, overlapping their
+// round trips the way the paper's clients run multiple coroutines per
+// thread, so per-thread throughput climbs toward the fabric bound instead
+// of being RTT-bound — and Exec plans a whole batch. PutE, GetE, DeleteE and
+// ScanE are Submit-and-Wait for one operation.
 type Session struct {
 	h    *core.Handle
 	a    *core.Async
@@ -139,8 +131,8 @@ type Session struct {
 
 // run executes fn, converting the crash of this session's compute server
 // into the typed ErrSessionDead: every entry point funnels through it, so a
-// dead session's calls return (or panic with) the error instead of touching
-// the fabric — and never hang.
+// dead session's calls return the error instead of touching the fabric —
+// and never hang.
 func (s *Session) run(fn func()) (err error) {
 	if s.dead || !s.h.C.Alive() {
 		s.dead = true
@@ -201,17 +193,6 @@ func (t *Tree) SessionAt(cs int, opts ...SessionOption) (*Session, error) {
 	return &Session{h: h, a: h.NewAsync(cfg.depth), cs: cs}, nil
 }
 
-// Session opens a synchronous session on compute server cs, panicking when
-// cs is out of range (the original contract; new code should prefer
-// SessionAt).
-func (t *Tree) Session(cs int) *Session {
-	s, err := t.SessionAt(cs)
-	if err != nil {
-		panic(fmt.Sprintf("sherman: compute server %d out of range [0,%d)", cs, t.c.ComputeServers()))
-	}
-	return s
-}
-
 // ComputeServer returns the compute server this session runs on.
 func (s *Session) ComputeServer() int { return s.cs }
 
@@ -259,20 +240,11 @@ func (s *Session) Submit(op Op) *Future {
 	if err != nil {
 		return &Future{res: Result{Err: err}, done: s.h.C.Now()}
 	}
-	if op.Kind == OpScan && op.Span <= 0 {
-		return &Future{res: Result{}, done: s.h.C.Now()}
-	}
 	var p core.Pending
 	if err := s.run(func() { p = s.a.SubmitOp(cop) }); err != nil {
 		return &Future{res: Result{Err: err}, done: s.h.C.Now()}
 	}
-	if p.Deferred() {
-		// Real transport, depth > 1: the op is physically in flight on a
-		// worker goroutine; its result materializes at Wait.
-		return &Future{s: s, p: p, pend: true}
-	}
-	res, done := p.Result()
-	return &Future{s: s, res: resultFrom(res), done: done}
+	return &Future{s: s, p: p, pend: true, done: p.Done()}
 }
 
 // Exec applies a mixed batch of operations, observably equivalent to
@@ -291,9 +263,6 @@ func (s *Session) Exec(ops []Op) []Result {
 		cop, err := op.toCore()
 		if err != nil {
 			results[i].Err = err
-			continue
-		}
-		if op.Kind == OpScan && op.Span <= 0 {
 			continue
 		}
 		cops = append(cops, cop)
@@ -332,11 +301,21 @@ func (s *Session) Flush() error {
 	return s.run(func() { s.a.Flush() })
 }
 
-// --- error-returning synchronous methods ---------------------------------
+// --- synchronous helpers: Submit and Wait for one operation ---------------
+
+// submitWait pushes one validated core op through the pipeline and waits for
+// its completion without materializing a Future (a synchronous caller waits
+// immediately, so the future's wait-later-and-repeatedly contract buys
+// nothing but an allocation).
+func (s *Session) submitWait(cop core.Op) (core.OpResult, error) {
+	var res core.OpResult
+	err := s.run(func() { res, _ = s.a.SubmitOp(cop).Wait() })
+	return res, err
+}
 
 // PutE stores value under key (insert or in-place update), reporting
-// ErrReservedKey for key 0 and ErrSessionDead on a crashed session. It is
-// the error-returning replacement for Put.
+// ErrReservedKey for key 0 — the tree's deleted-entry sentinel, §4.4 — and
+// ErrSessionDead on a crashed session.
 func (s *Session) PutE(key, value uint64) error {
 	cop, err := PutOp(key, value).toCore()
 	if err != nil {
@@ -347,18 +326,14 @@ func (s *Session) PutE(key, value uint64) error {
 }
 
 // GetE returns the value stored under key, reporting ErrSessionDead on a
-// crashed session. It is the error-returning replacement for Get.
+// crashed session.
 func (s *Session) GetE(key uint64) (uint64, bool, error) {
 	r, err := s.submitWait(core.Op{Kind: stats.OpLookup, Key: key})
-	if err != nil {
-		return 0, false, err
-	}
-	return r.Value, r.Found, nil
+	return r.Value, r.Found, err
 }
 
 // DeleteE removes key, reporting whether it was present, ErrReservedKey for
-// key 0, and ErrSessionDead on a crashed session. It is the error-returning
-// replacement for Delete.
+// key 0, and ErrSessionDead on a crashed session.
 func (s *Session) DeleteE(key uint64) (bool, error) {
 	cop, err := DeleteOp(key).toCore()
 	if err != nil {
@@ -369,160 +344,12 @@ func (s *Session) DeleteE(key uint64) (bool, error) {
 }
 
 // ScanE returns up to span pairs with key >= from in ascending key order,
-// reporting ErrSessionDead on a crashed session. Like Scan it is not a
-// snapshot. It is the error-returning replacement for Scan.
+// reporting ErrSessionDead on a crashed session. Like the paper's range
+// query (§4.4), a scan is not atomic with concurrent writes: each leaf is
+// read consistently, but the scan as a whole is not a snapshot.
 func (s *Session) ScanE(from uint64, span int) ([]KV, error) {
-	if span <= 0 {
-		return nil, nil
-	}
 	r, err := s.submitWait(core.Op{Kind: stats.OpRange, Key: from, Span: span})
-	if err != nil {
-		return nil, err
-	}
-	return r.KVs, nil
-}
-
-// --- legacy synchronous methods: thin wrappers over the unified API ------
-
-// legacyErr enforces the legacy methods' panic contracts: reserved keys keep
-// the original message; a dead session panics with ErrSessionDead (the
-// legacy signatures have no error slot to report it through — use Submit or
-// Exec for the typed-error contract).
-func legacyErr(err error) {
-	if err == nil {
-		return
-	}
-	if errors.Is(err, ErrSessionDead) {
-		panic(ErrSessionDead)
-	}
-	panic("core: key 0 is reserved")
-}
-
-// submitWait pushes one validated core op through the pipeline and waits for
-// its completion — the legacy synchronous path, which never materializes a
-// Future (a synchronous caller waits immediately, so the future's
-// wait-later-and-repeatedly contract buys nothing but an allocation).
-func (s *Session) submitWait(cop core.Op) (core.OpResult, error) {
-	var res core.OpResult
-	err := s.run(func() {
-		p := s.a.SubmitOp(cop)
-		res, _ = p.Wait()
-	})
-	return res, err
-}
-
-// Put stores value under key, inserting or updating in place. Key 0 is
-// reserved and panics (it is the tree's deleted-entry sentinel, §4.4), as
-// does a dead session (with ErrSessionDead).
-//
-// Deprecated: prefer PutE (or Submit/Exec), which report ErrReservedKey and
-// ErrSessionDead as errors instead of panicking. Put remains for
-// compatibility with the original synchronous contract.
-func (s *Session) Put(key, value uint64) {
-	cop, err := PutOp(key, value).toCore()
-	if err == nil {
-		_, err = s.submitWait(cop)
-	}
-	legacyErr(err)
-}
-
-// Get returns the value stored under key. A dead session panics with
-// ErrSessionDead.
-//
-// Deprecated: prefer GetE (or Submit/Exec), which report ErrSessionDead as
-// an error instead of panicking.
-func (s *Session) Get(key uint64) (uint64, bool) {
-	r, err := s.submitWait(core.Op{Kind: stats.OpLookup, Key: key})
-	legacyErr(err)
-	return r.Value, r.Found
-}
-
-// Delete removes key, reporting whether it was present. Key 0 is reserved
-// and panics, as does a dead session (with ErrSessionDead).
-//
-// Deprecated: prefer DeleteE (or Submit/Exec), which report ErrReservedKey
-// and ErrSessionDead as errors instead of panicking.
-func (s *Session) Delete(key uint64) bool {
-	cop, err := DeleteOp(key).toCore()
-	var r core.OpResult
-	if err == nil {
-		r, err = s.submitWait(cop)
-	}
-	legacyErr(err)
-	return r.Found
-}
-
-// Scan returns up to span pairs with key >= from in ascending key order.
-// Like the paper's range query (§4.4), a scan is not atomic with concurrent
-// writes: each leaf is read consistently, but the scan as a whole is not a
-// snapshot. A dead session panics with ErrSessionDead.
-//
-// Deprecated: prefer ScanE (or Submit/Exec), which report ErrSessionDead as
-// an error instead of panicking.
-func (s *Session) Scan(from uint64, span int) []KV {
-	if span <= 0 {
-		return nil
-	}
-	r, err := s.submitWait(core.Op{Kind: stats.OpRange, Key: from, Span: span})
-	legacyErr(err)
-	return r.KVs
-}
-
-// PutBatch stores every pair in kvs, observably equivalent to calling Put
-// for each pair in order, but executed through the batch planner: keys are
-// sorted and pairs landing in the same leaf share one traversal, one leaf
-// lock and one combined write-back+release doorbell, cutting round trips
-// and lock traffic on bulk writes. Duplicate keys apply in submission order
-// (the last value wins). Key 0 is reserved and panics.
-func (s *Session) PutBatch(kvs []KV) {
-	ops := make([]Op, len(kvs))
-	for i, kv := range kvs {
-		if kv.Key == 0 {
-			panic("core: key 0 is reserved")
-		}
-		ops[i] = PutOp(kv.Key, kv.Value)
-	}
-	for _, r := range s.Exec(ops) {
-		legacyErr(r.Err)
-	}
-}
-
-// GetBatch returns, for each key, the stored value and whether it was
-// present — observably equivalent to calling Get per key, but reading each
-// target leaf once for all the keys it covers.
-func (s *Session) GetBatch(keys []uint64) (values []uint64, found []bool) {
-	ops := make([]Op, len(keys))
-	for i, k := range keys {
-		ops[i] = GetOp(k)
-	}
-	res := s.Exec(ops)
-	values = make([]uint64, len(keys))
-	found = make([]bool, len(keys))
-	for i, r := range res {
-		legacyErr(r.Err)
-		values[i], found[i] = r.Value, r.Found
-	}
-	return values, found
-}
-
-// DeleteBatch removes every key, reporting per key whether it was present —
-// observably equivalent to calling Delete per key. Deletes of absent keys
-// cost no write-back. Key 0 is reserved and panics.
-func (s *Session) DeleteBatch(keys []uint64) (found []bool) {
-	ops := make([]Op, len(keys))
-	for i, k := range keys {
-		if k == 0 {
-			panic("core: key 0 is reserved")
-		}
-		ops[i] = DeleteOp(k)
-	}
-	res := s.Exec(ops)
-	found = make([]bool, len(keys))
-	for i, r := range res {
-		legacyErr(r.Err)
-		found[i] = r.Found
-	}
-	return found
+	return r.KVs, err
 }
 
 // VirtualNow returns the session's virtual clock in nanoseconds — the time
@@ -631,7 +458,7 @@ type SessionStats struct {
 
 	P50LatencyNS, P99LatencyNS int64
 
-	// Batches counts Exec (and *Batch wrapper) invocations; BatchedOps the
+	// Batches counts Exec invocations; BatchedOps the
 	// point operations they carried (also included in the per-kind counts
 	// above). BatchLeafGroups counts the leaf groups those batches formed —
 	// BatchedOps/BatchLeafGroups is the traversal-and-lock amortization the
@@ -660,8 +487,8 @@ type SessionStats struct {
 }
 
 // Cursor iterates the tree in ascending key order, refilling leaf-at-a-time
-// through Scan so callers don't hand-roll resume-from-last-key loops. Like
-// Scan, a cursor is not a snapshot: each refill observes concurrent writes.
+// through ScanE so callers don't hand-roll resume-from-last-key loops. Like
+// a scan, a cursor is not a snapshot: each refill observes concurrent writes.
 type Cursor struct {
 	s    *Session
 	next uint64

@@ -36,6 +36,102 @@ func testTree(t *testing.T, c *Cluster, opts TreeOptions) *Tree {
 	return tree
 }
 
+// testSession adds must-succeed forms of the synchronous helpers (and
+// same-kind batches over Exec) to a Session, for tests whose subject is the
+// tree rather than the error surface. A failure is reported with Errorf, so
+// worker goroutines may use it too.
+type testSession struct {
+	*Session
+	t testing.TB
+}
+
+func openSession(t testing.TB, tree *Tree, cs int, opts ...SessionOption) testSession {
+	t.Helper()
+	s, err := tree.SessionAt(cs, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return testSession{s, t}
+}
+
+func (s testSession) check(err error) {
+	s.t.Helper()
+	if err != nil {
+		s.t.Errorf("session op failed: %v", err)
+	}
+}
+
+func (s testSession) Put(key, value uint64) {
+	s.t.Helper()
+	s.check(s.PutE(key, value))
+}
+
+func (s testSession) Get(key uint64) (uint64, bool) {
+	s.t.Helper()
+	v, ok, err := s.GetE(key)
+	s.check(err)
+	return v, ok
+}
+
+func (s testSession) Delete(key uint64) bool {
+	s.t.Helper()
+	found, err := s.DeleteE(key)
+	s.check(err)
+	return found
+}
+
+func (s testSession) Scan(from uint64, span int) []KV {
+	s.t.Helper()
+	kvs, err := s.ScanE(from, span)
+	s.check(err)
+	return kvs
+}
+
+// execAll runs one batch and checks every slot succeeded.
+func (s testSession) execAll(ops []Op) []Result {
+	s.t.Helper()
+	res := s.Exec(ops)
+	for _, r := range res {
+		s.check(r.Err)
+	}
+	return res
+}
+
+func (s testSession) PutBatch(kvs []KV) {
+	s.t.Helper()
+	ops := make([]Op, len(kvs))
+	for i, kv := range kvs {
+		ops[i] = PutOp(kv.Key, kv.Value)
+	}
+	s.execAll(ops)
+}
+
+func (s testSession) GetBatch(keys []uint64) (values []uint64, found []bool) {
+	s.t.Helper()
+	ops := make([]Op, len(keys))
+	for i, k := range keys {
+		ops[i] = GetOp(k)
+	}
+	values, found = make([]uint64, len(keys)), make([]bool, len(keys))
+	for i, r := range s.execAll(ops) {
+		values[i], found[i] = r.Value, r.Found
+	}
+	return values, found
+}
+
+func (s testSession) DeleteBatch(keys []uint64) (found []bool) {
+	s.t.Helper()
+	ops := make([]Op, len(keys))
+	for i, k := range keys {
+		ops[i] = DeleteOp(k)
+	}
+	found = make([]bool, len(keys))
+	for i, r := range s.execAll(ops) {
+		found[i] = r.Found
+	}
+	return found
+}
+
 // gridOptions maps the shared harness matrix (testutil.Matrix) onto public
 // TreeOptions: the TwoLevel cells run the full Sherman lock stack, the
 // Checksum cells the FG-style baseline, so both lock-word formats ride
@@ -90,7 +186,7 @@ func TestPutGetDeleteScan(t *testing.T) {
 		t.Run(engine.String(), func(t *testing.T) {
 			c := testCluster(t)
 			tree := testTree(t, c, TreeOptions{Engine: engine})
-			s := tree.Session(0)
+			s := openSession(t, tree, 0)
 
 			if _, ok := s.Get(1); ok {
 				t.Fatal("Get on empty tree found a value")
@@ -150,43 +246,9 @@ func TestBulkloadValidation(t *testing.T) {
 	if err := tree.Bulkload([]KV{{Key: 1, Value: 10}, {Key: 2, Value: 20}}); err != nil {
 		t.Errorf("valid Bulkload failed: %v", err)
 	}
-	s := tree.Session(0)
+	s := openSession(t, tree, 0)
 	if v, ok := s.Get(2); !ok || v != 20 {
 		t.Errorf("Get(2) after bulkload = (%d,%v), want (20,true)", v, ok)
-	}
-}
-
-func TestKeyZeroPanics(t *testing.T) {
-	c := testCluster(t)
-	tree := testTree(t, c, DefaultTreeOptions())
-	s := tree.Session(0)
-	for name, fn := range map[string]func(){
-		"Put":    func() { s.Put(0, 1) },
-		"Delete": func() { s.Delete(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s with key 0 did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestSessionOutOfRangePanics(t *testing.T) {
-	c := testCluster(t)
-	tree := testTree(t, c, DefaultTreeOptions())
-	for _, cs := range []int{-1, 2, 99} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Session(%d) did not panic", cs)
-				}
-			}()
-			tree.Session(cs)
-		}()
 	}
 }
 
@@ -208,7 +270,7 @@ func TestConcurrentSessionsAgainstReference(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				s := tree.Session(w % c.ComputeServers())
+				s := openSession(t, tree, w%c.ComputeServers())
 				ref := make(map[uint64]uint64)
 				rng := testutil.RNG(seed<<8 | uint64(w))
 				base := uint64(w)*100_000 + 1
@@ -229,7 +291,7 @@ func TestConcurrentSessionsAgainstReference(t *testing.T) {
 		}
 		wg.Wait()
 
-		s := tree.Session(0)
+		s := openSession(t, tree, 0)
 		for w, ref := range refs {
 			for k, v := range ref {
 				got, ok := s.Get(k)
@@ -244,7 +306,7 @@ func TestConcurrentSessionsAgainstReference(t *testing.T) {
 func TestStatsSurface(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, DefaultTreeOptions())
-	s := tree.Session(0)
+	s := openSession(t, tree, 0)
 	for k := uint64(1); k <= 100; k++ {
 		s.Put(k, k)
 	}
@@ -311,7 +373,7 @@ func TestAdvancedOptionsMatrix(t *testing.T) {
 		adv := adv
 		c := testCluster(t)
 		tree := testTree(t, c, TreeOptions{Advanced: &adv})
-		s := tree.Session(0)
+		s := openSession(t, tree, 0)
 		for k := uint64(1); k <= 50; k++ {
 			s.Put(k, k+7)
 		}
@@ -326,7 +388,7 @@ func TestAdvancedOptionsMatrix(t *testing.T) {
 func TestKeySizeOption(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, TreeOptions{KeySize: 64, NodeSize: 4096})
-	s := tree.Session(0)
+	s := openSession(t, tree, 0)
 	for k := uint64(1); k <= 200; k++ {
 		s.Put(k, k*2)
 	}
@@ -351,7 +413,7 @@ func TestFabricParamOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := testTree(t, c, DefaultTreeOptions())
-	s := tree.Session(0)
+	s := openSession(t, tree, 0)
 	s.Put(1, 2)
 	if v, ok := s.Get(1); !ok || v != 2 {
 		t.Fatalf("Get(1) = (%d,%v)", v, ok)
@@ -365,7 +427,7 @@ func TestFabricParamOverrides(t *testing.T) {
 func TestStatsAndCompact(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, DefaultTreeOptions())
-	s := tree.Session(0)
+	s := openSession(t, tree, 0)
 	const n = 4000
 	for k := uint64(1); k <= n; k++ {
 		s.Put(k, k)
@@ -384,7 +446,7 @@ func TestStatsAndCompact(t *testing.T) {
 		t.Fatalf("compact: %+v", res)
 	}
 	// Sessions opened after Compact see exactly the survivors.
-	s2 := tree.Session(1)
+	s2 := openSession(t, tree, 1)
 	for k := uint64(8); k <= n; k += 8 {
 		if v, ok := s2.Get(k); !ok || v != k {
 			t.Fatalf("survivor %d = (%d,%v)", k, v, ok)

@@ -16,10 +16,7 @@ import (
 func TestEMethods(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, TreeOptions{})
-	s, err := tree.SessionAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSession(t, tree, 0)
 
 	if err := s.PutE(7, 70); err != nil {
 		t.Fatalf("PutE: %v", err)
@@ -76,10 +73,7 @@ func TestEMethods(t *testing.T) {
 func TestCursorErr(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, TreeOptions{})
-	s, err := tree.SessionAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSession(t, tree, 0)
 	for k := uint64(1); k <= 100; k++ {
 		if err := s.PutE(k, k*3); err != nil {
 			t.Fatal(err)
@@ -218,10 +212,7 @@ func TestTCPDifferential(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(1))
 	for _, depth := range []int{1, 4, 8} {
-		s, err := tree.SessionAt(depth%c.ComputeServers(), PipelineDepth(depth))
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := openSession(t, tree, depth%c.ComputeServers(), PipelineDepth(depth))
 		for i := 0; i < opsPerDepth; i++ {
 			key := uint64(rng.Intn(keySpace)) + 1
 			switch r := rng.Intn(100); {
@@ -284,10 +275,7 @@ func TestTCPDifferential(t *testing.T) {
 	// preserves per-key order, so the submit-time state is what each op
 	// observes).
 	{
-		s, err := tree.SessionAt(0, PipelineDepth(8))
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := openSession(t, tree, 0, PipelineDepth(8))
 		type expect struct {
 			fut   *Future
 			kind  OpKind
