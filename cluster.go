@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"sync"
 
-	"sherman/internal/alloc"
 	"sherman/internal/cluster"
 	"sherman/internal/core"
+	"sherman/internal/deploy"
 	"sherman/internal/sim"
 	"sherman/internal/transport/tcp"
 )
@@ -164,6 +164,7 @@ func (p FabricParams) toSim() sim.Params {
 // CreateTree.
 type Cluster struct {
 	be core.Backend      // the active backend, whichever transport is selected
+	st *deploy.State     // the backend's compute-side shared state
 	cl *cluster.Cluster  // simulated deployment; nil on TransportTCP
 	tc *tcp.Cluster      // TCP deployment; nil on TransportSim
 	ts *tcp.LocalServers // shermand processes this cluster launched and owns
@@ -203,11 +204,8 @@ func newSimCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.MaxMemoryServers != 0 && (cfg.MaxMemoryServers < cfg.MemoryServers || cfg.MaxMemoryServers > 1<<15) {
 		return nil, fmt.Errorf("sherman: MaxMemoryServers %d outside [%d, %d]", cfg.MaxMemoryServers, cfg.MemoryServers, 1<<15)
 	}
-	if cfg.ReplicationFactor < 0 || cfg.ReplicationFactor > alloc.MaxReplicationFactor {
-		return nil, fmt.Errorf("sherman: ReplicationFactor %d outside [0, %d]", cfg.ReplicationFactor, alloc.MaxReplicationFactor)
-	}
-	if cfg.ReplicationFactor > cfg.MemoryServers {
-		return nil, fmt.Errorf("sherman: ReplicationFactor %d exceeds MemoryServers %d", cfg.ReplicationFactor, cfg.MemoryServers)
+	if err := deploy.CheckFactor(cfg.ReplicationFactor, cfg.MemoryServers); err != nil {
+		return nil, fmt.Errorf("sherman: %w", err)
 	}
 	p := cfg.Fabric.toSim()
 	if err := p.Validate(); err != nil {
@@ -220,39 +218,38 @@ func newSimCluster(cfg ClusterConfig) (*Cluster, error) {
 		ReplicationFactor: cfg.ReplicationFactor,
 		Params:            p,
 	})
-	return &Cluster{be: cl, cl: cl}, nil
+	return &Cluster{be: cl, st: cl.State, cl: cl}, nil
 }
 
 func newTCPCluster(cfg ClusterConfig) (*Cluster, error) {
 	if f := cfg.Fabric.firstSet(); f != "" {
 		return nil, fmt.Errorf("%w: %s is set, but Transport %q has no simulated fabric to tune", ErrBadFabricParams, f, TransportTCP)
 	}
-	if cfg.ReplicationFactor < 0 || cfg.ReplicationFactor > alloc.MaxReplicationFactor {
-		return nil, fmt.Errorf("sherman: ReplicationFactor %d outside [0, %d]", cfg.ReplicationFactor, alloc.MaxReplicationFactor)
-	}
 	if cfg.MaxMemoryServers != 0 {
 		return nil, fmt.Errorf("%w: MaxMemoryServers (online scale-out)", ErrSimOnly)
 	}
 	endpoints := cfg.Endpoints
-	var ts *tcp.LocalServers
-	if len(endpoints) == 0 {
+	numMS := len(endpoints)
+	if numMS == 0 {
 		if cfg.MemoryServers <= 0 {
 			return nil, errors.New("sherman: MemoryServers must be positive when no Endpoints are given")
 		}
+		numMS = cfg.MemoryServers
+	} else if cfg.MemoryServers != 0 && cfg.MemoryServers != numMS {
+		return nil, fmt.Errorf("sherman: MemoryServers %d does not match %d Endpoints", cfg.MemoryServers, numMS)
+	}
+	// Checked before anything is launched or dialed.
+	if err := deploy.CheckFactor(cfg.ReplicationFactor, numMS); err != nil {
+		return nil, fmt.Errorf("sherman: %w", err)
+	}
+	var ts *tcp.LocalServers
+	if len(endpoints) == 0 {
 		var err error
-		ts, err = tcp.LaunchLocal(cfg.MemoryServers)
+		ts, err = tcp.LaunchLocal(numMS)
 		if err != nil {
 			return nil, err
 		}
 		endpoints = ts.Endpoints
-	} else if cfg.MemoryServers != 0 && cfg.MemoryServers != len(endpoints) {
-		return nil, fmt.Errorf("sherman: MemoryServers %d does not match %d Endpoints", cfg.MemoryServers, len(endpoints))
-	}
-	if cfg.ReplicationFactor > len(endpoints) {
-		if ts != nil {
-			ts.Stop()
-		}
-		return nil, fmt.Errorf("sherman: ReplicationFactor %d exceeds %d memory servers", cfg.ReplicationFactor, len(endpoints))
 	}
 	tc, err := tcp.NewCluster(endpoints, cfg.ComputeServers, tcp.Options{
 		ReplicationFactor: cfg.ReplicationFactor,
@@ -263,7 +260,7 @@ func newTCPCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		return nil, err
 	}
-	return &Cluster{be: tc, tc: tc, ts: ts}, nil
+	return &Cluster{be: tc, st: tc.State, tc: tc, ts: ts}, nil
 }
 
 // Close releases the cluster's external resources: on TransportTCP it shuts
@@ -283,14 +280,6 @@ func (c *Cluster) Close() {
 	}
 }
 
-// numMS returns the current memory-server count on either backend.
-func (c *Cluster) numMS() int {
-	if c.cl != nil {
-		return c.cl.NumMS()
-	}
-	return c.tc.NumMS()
-}
-
 // anchorClock aligns a fresh handle's clock with the cluster's latest
 // virtual verb time, so maintenance sweeps (Recover, migration,
 // re-replication) report their own span rather than the cluster's age. Real
@@ -302,7 +291,7 @@ func (c *Cluster) anchorClock(h *core.Handle) {
 }
 
 // MemoryServers returns the memory-server count.
-func (c *Cluster) MemoryServers() int { return c.numMS() }
+func (c *Cluster) MemoryServers() int { return c.be.NumMS() }
 
 // ComputeServers returns the compute-server count.
 func (c *Cluster) ComputeServers() int { return c.be.NumCS() }
@@ -389,8 +378,8 @@ func (c *Cluster) KillMemoryServer(ms int) error {
 	if c.ts == nil {
 		return fmt.Errorf("%w: KillMemoryServer on external Endpoints (this process does not own the servers)", ErrSimOnly)
 	}
-	if ms <= 0 || ms >= c.numMS() {
-		return fmt.Errorf("sherman: cannot kill memory server %d (valid: 1..%d; server 0 holds the superblock)", ms, c.numMS()-1)
+	if ms <= 0 || ms >= c.be.NumMS() {
+		return fmt.Errorf("sherman: cannot kill memory server %d (valid: 1..%d; server 0 holds the superblock)", ms, c.be.NumMS()-1)
 	}
 	if !c.tc.MSAlive(ms) {
 		return fmt.Errorf("sherman: memory server %d is already dead", ms)
@@ -408,7 +397,7 @@ func (c *Cluster) KillMemoryServer(ms int) error {
 // TransportTCP a server is considered dead once any connection to it
 // fails.
 func (c *Cluster) MemoryServerAlive(ms int) bool {
-	return ms >= 0 && ms < c.numMS() && c.be.MSAlive(ms)
+	return ms >= 0 && ms < c.be.NumMS() && c.be.MSAlive(ms)
 }
 
 // MemoryUsage returns the total host memory currently materialized across
@@ -427,15 +416,9 @@ func (c *Cluster) MemoryUsage() uint64 {
 
 // AllocStats reports allocator activity since the cluster started.
 func (c *Cluster) AllocStats() AllocStats {
-	var st *alloc.Stats
-	if c.cl != nil {
-		st = &c.cl.AllocStats
-	} else {
-		st = &c.tc.AllocStats
-	}
 	return AllocStats{
-		ChunkRPCs: st.Chunks.Load(),
-		Nodes:     st.Nodes.Load(),
+		ChunkRPCs: c.st.AllocStats.Chunks.Load(),
+		Nodes:     c.st.AllocStats.Nodes.Load(),
 	}
 }
 

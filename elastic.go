@@ -169,24 +169,13 @@ type MemoryServerLoad struct {
 	Dead bool
 }
 
-// MemoryServerLoads snapshots every memory server's inbound load. On the
-// simulator the counts come from the NIC load accounting; over TCP each
-// server reports its striped per-chunk op counters through the Stats opcode
-// (dead servers are reported as Dead with their last-known count unknown,
-// i.e. zero).
+// MemoryServerLoads snapshots every memory server's inbound load, as the
+// backend's own counters report it: the simulator's NIC load accounting, or
+// over TCP each server's striped per-chunk op counters fetched through the
+// Stats opcode. A dead server is reported as Dead — with its final count on
+// the simulator, with zero over TCP (the process that held it is gone).
 func (c *Cluster) MemoryServerLoads() []MemoryServerLoad {
-	if c.cl == nil {
-		if c.tc == nil {
-			return nil
-		}
-		loads := c.tc.Loads()
-		out := make([]MemoryServerLoad, len(loads))
-		for i, l := range loads {
-			out[i] = MemoryServerLoad{MS: l.MS, InboundOps: l.Ops, Draining: l.Draining, Dead: l.Dead}
-		}
-		return out
-	}
-	loads := migrate.Loads(c.cl.F)
+	loads := c.be.Loads()
 	out := make([]MemoryServerLoad, len(loads))
 	for i, l := range loads {
 		out[i] = MemoryServerLoad{MS: l.MS, InboundOps: l.Ops, Draining: l.Draining, Dead: l.Dead}
@@ -208,5 +197,5 @@ func LoadSkew(loads []MemoryServerLoad) float64 {
 // currently installed — nonzero while (or after) migrations have moved
 // data; entries of crashed migrations drain after Recover.
 func (c *Cluster) ForwardingEntries() int {
-	return c.be.Forwarding().Len()
+	return c.st.Forwarding().Len()
 }

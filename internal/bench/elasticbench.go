@@ -143,7 +143,7 @@ func RunElastic(e ElasticExp) ElasticResult {
 	var startV int64
 	seed := n
 	window := func(coord func(h *core.Handle, gate *sim.Gate, slot int)) (float64, []stats.MSLoad, *stats.Recorder) {
-		prev := migrate.Loads(cl.F)
+		prev := cl.Loads()
 		recs, maxV := runElasticWindow(e, cl, tr, gens, startV, seed, coord)
 		seed += n + 1
 		startV = maxV + 10_000
@@ -158,7 +158,7 @@ func RunElastic(e ElasticExp) ElasticResult {
 				mops += stats.ThroughputMops(rec.TotalOps(), d)
 			}
 		}
-		return mops, stats.SubLoads(migrate.Loads(cl.F), prev), merged
+		return mops, stats.SubLoads(cl.Loads(), prev), merged
 	}
 
 	// Warmup window (discarded), then the baseline at the original size.
@@ -180,7 +180,7 @@ func RunElastic(e ElasticExp) ElasticResult {
 
 	// Migration window: one third in, a coordinator thread rebalances the
 	// hottest chunks onto the newcomers while the workers keep serving.
-	baseline := migrate.Loads(cl.F)
+	baseline := cl.Loads()
 	var migr migrate.Stats
 	var migrErr error
 	mops, _, rec := window(func(h *core.Handle, gate *sim.Gate, slot int) {

@@ -1,71 +1,28 @@
-// Package cluster assembles a disaggregated-memory cluster: memory servers,
-// compute servers, the simulated RDMA fabric between them, and the cluster
-// superblock holding the tree's root pointer.
+// Package cluster assembles the simulated disaggregated-memory cluster:
+// memory servers, compute servers and the virtual-time RDMA fabric between
+// them. Everything compute-side that does not depend on the fabric — the
+// superblock, forwarding, replicas, failover promotion, allocator wiring —
+// is the embedded deploy.State.
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"sherman/internal/alloc"
+	"sherman/internal/deploy"
 	"sherman/internal/hocl"
 	"sherman/internal/rdma"
 	"sherman/internal/sim"
+	"sherman/internal/stats"
 	"sherman/internal/transport"
 )
 
-// Superblock layout, at offset 0 of memory server 0. The root pointer is
-// updated by RDMA_CAS when the root splits; clients re-read it whenever
-// cached-root validation (level / fence checks) fails.
-const (
-	superRootOff  = 0  // 8 B: rdma.Addr of the current root node
-	superLevelOff = 8  // 8 B: height hint (root node level)
-	superSize     = 64 // one line, so root updates are atomic
-)
-
-// Cluster is a running disaggregated-memory deployment.
+// Cluster is a running simulated deployment.
 type Cluster struct {
+	*deploy.State
+
 	F *rdma.Fabric
 	P sim.Params
-
-	// AllocStats aggregates allocator activity across all client threads.
-	AllocStats alloc.Stats
-
-	// Fwd is the chunk forwarding map of the live-migration protocol:
-	// compute-side shared state redirecting addresses of migrated chunks to
-	// their new home until every parent pointer is repointed.
-	Fwd *alloc.Forwarding
-
-	// Rep is the chunk→replicas placement table (nil when replication is
-	// off). Allocators register every fresh chunk's mirror copies here;
-	// writers mirror through it; MS-death promotion rewrites it.
-	Rep *alloc.ReplicaMap
-
-	rf int // configured replication factor (copies incl. primary; 0/1 = off)
-
-	numThreads []atomic.Int64 // per CS, for diagnostics
-
-	// invalidators are per-tree cache invalidation hooks, run by the
-	// MS-death promotion listener after it forwards a chunk to its replica
-	// so no compute server keeps steering into the dead server's addresses.
-	invMu        sync.Mutex
-	invalidators []func(alloc.ChunkID)
-
-	failovers atomic.Int64
-
-	// migMu serializes migration engines cluster-wide: two concurrent
-	// rebalances must never relocate the same chunk. Held in real time only
-	// (the owner's verbs still cost virtual time like any client's).
-	migMu sync.Mutex
 }
-
-// MigrationLock enters the cluster-wide migration critical section.
-func (c *Cluster) MigrationLock() { c.migMu.Lock() }
-
-// MigrationUnlock leaves the migration critical section.
-func (c *Cluster) MigrationUnlock() { c.migMu.Unlock() }
 
 // Config sizes a cluster.
 type Config struct {
@@ -100,50 +57,19 @@ func New(cfg Config) *Cluster {
 	if maxMS == 0 {
 		maxMS = cfg.NumMS + rdma.DefaultServerHeadroom
 	}
-	rf := cfg.ReplicationFactor
-	if rf < 0 || rf > alloc.MaxReplicationFactor {
-		panic(fmt.Sprintf("cluster: replication factor %d not in [0,%d]", rf, alloc.MaxReplicationFactor))
-	}
-	if rf > cfg.NumMS {
-		panic(fmt.Sprintf("cluster: replication factor %d exceeds %d memory servers", rf, cfg.NumMS))
-	}
 	f := rdma.NewFabricCap(p, cfg.NumMS, maxMS, cfg.NumCS)
-	f.Servers()[0].Grow() // superblock chunk
-	c := &Cluster{F: f, P: p, Fwd: alloc.NewForwarding(), rf: rf, numThreads: make([]atomic.Int64, cfg.NumCS)}
-	if rf > 1 {
-		c.Rep = alloc.NewReplicaMap()
-		// Promotion listener: runs synchronously in the MS-death chain,
-		// after the fabric has gated the dead server's memory. Installing
-		// the forwarding entries here — before the triggering verb proceeds
-		// — means a reader that observes the death already finds the chase
-		// target published; there is no window where the data is dark.
-		f.Faults.OnMSDeath(func(ms int, _ int64) {
-			promoted := c.Rep.FailoverServer(uint16(ms), f.Faults.MSAlive)
-			for _, p := range promoted {
-				c.Fwd.InstallReplica(p.Old, p.NewBase)
-				c.invMu.Lock()
-				invs := c.invalidators
-				c.invMu.Unlock()
-				for _, inv := range invs {
-					inv(p.Old)
-				}
-			}
-			c.failovers.Add(int64(len(promoted)))
-		})
+	st, err := deploy.New(f, cfg.ReplicationFactor)
+	if err == nil {
+		err = st.ReserveSuperblock()
 	}
-	return c
-}
-
-// ReplicationFactor returns the configured copies per chunk (0/1 = off).
-func (c *Cluster) ReplicationFactor() int { return c.rf }
-
-// OnChunkInvalidate registers a hook the MS-death promotion listener calls
-// for every chunk it fails over. Trees register their index-cache
-// invalidation here so cached pointers into a dead server stop steering.
-func (c *Cluster) OnChunkInvalidate(fn func(alloc.ChunkID)) {
-	c.invMu.Lock()
-	c.invalidators = append(c.invalidators, fn)
-	c.invMu.Unlock()
+	if err != nil {
+		panic("cluster: " + err.Error())
+	}
+	// The listener runs synchronously in the MS-death chain, after the
+	// fabric has gated the dead server's memory and before the triggering
+	// verb proceeds.
+	f.Faults.OnMSDeath(func(ms int, _ int64) { st.Failover(ms, f.Faults.MSAlive) })
+	return &Cluster{State: st, F: f, P: p}
 }
 
 // KillMS fails memory server ms: its memory goes dark (reads zero-fill,
@@ -170,10 +96,6 @@ func (c *Cluster) MSUsable(ms int) bool {
 	return c.F.Faults.MSAlive(ms) && !c.F.Servers()[ms].Draining()
 }
 
-// Failovers returns the number of chunks promoted to a replica after a
-// memory-server death.
-func (c *Cluster) Failovers() int64 { return c.failovers.Load() }
-
 // NumMS returns the current memory-server count.
 func (c *Cluster) NumMS() int { return c.F.NumServers() }
 
@@ -199,10 +121,7 @@ func (c *Cluster) SetDraining(ms int, v bool) {
 func (c *Cluster) NumCS() int { return len(c.F.CSs) }
 
 // NewClient creates a client thread bound to compute server cs.
-func (c *Cluster) NewClient(cs int) *rdma.Client {
-	c.numThreads[cs].Add(1)
-	return c.F.NewClient(cs)
-}
+func (c *Cluster) NewClient(cs int) *rdma.Client { return c.F.NewClient(cs) }
 
 // NewTransport is NewClient through the pluggable verb surface (the
 // core.Backend spelling).
@@ -213,46 +132,21 @@ func (c *Cluster) NewLockManager(cfg hocl.Config) *hocl.Manager {
 	return hocl.NewManager(c.F, cfg)
 }
 
-// Forwarding is the chunk forwarding map shared by migration and failover.
-func (c *Cluster) Forwarding() *alloc.Forwarding { return c.Fwd }
-
-// Replicas is the chunk→replicas placement table (nil when replication is
-// off).
-func (c *Cluster) Replicas() *alloc.ReplicaMap { return c.Rep }
-
-// RawWrite stores data at a without timing, mirrored to a's chunk replicas
-// when the cluster replicates — setup-time writes (bulk load, compaction,
-// free bits) must be failover-covered like any client write.
-func (c *Cluster) RawWrite(a rdma.Addr, data []byte) {
-	c.F.Servers()[a.MS()].WriteAt(a.Off(), data)
-	if c.Rep == nil {
-		return
-	}
-	var ts alloc.TargetSet
-	if c.Rep.Targets(alloc.ChunkOf(a), &ts) {
-		inner := a.Off() % rdma.DefaultChunkSize
-		for i := 0; i < ts.N; i++ {
-			ra := ts.Bases[i].Add(inner)
-			c.F.Servers()[ra.MS()].WriteAt(ra.Off(), data)
+// Loads snapshots every memory server's NIC inbound load, with per-chunk
+// breakdowns.
+func (c *Cluster) Loads() []stats.MSLoad {
+	servers := c.F.Servers()
+	out := make([]stats.MSLoad, len(servers))
+	for i, s := range servers {
+		out[i] = stats.MSLoad{
+			MS:       i,
+			Ops:      s.InboundOps(),
+			ChunkOps: s.ChunkOps(),
+			Draining: s.Draining(),
+			Dead:     s.Dead(),
 		}
 	}
-}
-
-// RawRead loads len(buf) bytes at a without timing, chasing the forwarding
-// map when a's server is dead — so Validate and Stats keep working after a
-// memory-server death, reading the promoted replicas instead.
-func (c *Cluster) RawRead(a rdma.Addr, buf []byte) {
-	for hop := 0; hop < alloc.MaxForwardHops; hop++ {
-		if c.F.Faults.MSAlive(int(a.MS())) {
-			break
-		}
-		fwd, ok := c.Fwd.Resolve(a)
-		if !ok {
-			break
-		}
-		a = fwd
-	}
-	c.F.Servers()[a.MS()].ReadAt(a.Off(), buf)
+	return out
 }
 
 // Kill fails compute server cs: every client thread bound to it aborts with
@@ -266,68 +160,13 @@ func (c *Cluster) Kill(cs int, nowV int64) {
 
 // Restart revives compute server cs under a new incarnation. Clients (and
 // sessions) created before the crash stay dead; create fresh ones.
-func (c *Cluster) Restart(cs int) {
-	c.F.Faults.Restart(cs)
-	c.numThreads[cs].Store(0)
-}
+func (c *Cluster) Restart(cs int) { c.F.Faults.Restart(cs) }
 
 // Faults exposes the fabric's deterministic fault injector for tests and
 // the fault benchmark (verb-indexed and time-indexed kills, degradation,
 // partitions).
 func (c *Cluster) Faults() *sim.Faults { return c.F.Faults }
 
-// NewThreadAllocator pairs a client thread with its stage-two allocator,
-// wired for replica placement when the cluster replicates.
-func (c *Cluster) NewThreadAllocator(cl transport.Transport, seed int) *alloc.ThreadAllocator {
-	a := alloc.NewThreadAllocator(cl, &c.AllocStats, seed)
-	if c.Rep != nil {
-		a.SetReplication(c.Rep, c.rf)
-	}
-	return a
-}
-
-// NewBulk builds a setup-time bulk allocator, wired for replica placement
-// when the cluster replicates.
-func (c *Cluster) NewBulk() *alloc.Bulk {
-	b := alloc.NewBulk(c.F, &c.AllocStats)
-	if c.Rep != nil {
-		b.SetReplication(c.Rep, c.rf)
-	}
-	return b
-}
-
-// SuperAddr returns the global address of the superblock field at off.
-func SuperAddr(off uint64) rdma.Addr { return rdma.MakeAddr(0, off) }
-
-// SetRoot stores the root pointer and level without timing; used by bulk
-// load before client threads start.
-func (c *Cluster) SetRoot(root rdma.Addr, level uint8) {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(root))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(level))
-	c.F.Servers()[0].WriteAt(superRootOff, buf[:])
-}
-
-// ReadRoot fetches the current root pointer and level via RDMA_READ on the
-// caller's clock. It works over any transport: the superblock lives at
-// offset 0 of memory server 0 on every backend.
-func ReadRoot(cl transport.Transport) (rdma.Addr, uint8) {
-	var buf [16]byte
-	cl.Read(SuperAddr(superRootOff), buf[:])
-	root := rdma.Addr(binary.LittleEndian.Uint64(buf[0:]))
-	level := uint8(binary.LittleEndian.Uint64(buf[8:]))
-	return root, level
-}
-
-// CASRoot atomically swaps the root pointer from old to new; the level hint
-// is then updated with a plain WRITE (readers tolerate a stale hint — they
-// validate the fetched node's level field).
-func CASRoot(cl transport.Transport, old, new rdma.Addr, newLevel uint8) bool {
-	_, ok := cl.CAS(SuperAddr(superRootOff), uint64(old), uint64(new))
-	if ok {
-		var lv [8]byte
-		binary.LittleEndian.PutUint64(lv[:], uint64(newLevel))
-		cl.Write(SuperAddr(superLevelOff), lv[:])
-	}
-	return ok
-}
+// ReadRoot forwards to deploy.ReadRoot: the superblock is the same on every
+// fabric.
+func ReadRoot(cl transport.Transport) (transport.Addr, uint8) { return deploy.ReadRoot(cl) }

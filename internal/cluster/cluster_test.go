@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"sherman/internal/deploy"
 	"sherman/internal/rdma"
 )
 
@@ -36,43 +37,6 @@ func TestInvalidConfigPanics(t *testing.T) {
 	}
 }
 
-func TestRootRoundTrip(t *testing.T) {
-	c := New(Config{NumMS: 2, NumCS: 1})
-	root := rdma.MakeAddr(1, 0x4000)
-	c.SetRoot(root, 3)
-
-	cl := c.NewClient(0)
-	gotRoot, gotLevel := ReadRoot(cl)
-	if gotRoot != root || gotLevel != 3 {
-		t.Fatalf("ReadRoot = (%v, %d), want (%v, 3)", gotRoot, gotLevel, root)
-	}
-	if cl.M.Reads != 1 {
-		t.Errorf("ReadRoot issued %d READs, want 1", cl.M.Reads)
-	}
-}
-
-func TestCASRoot(t *testing.T) {
-	c := New(Config{NumMS: 1, NumCS: 1})
-	oldRoot := rdma.MakeAddr(0, 0x1000)
-	c.SetRoot(oldRoot, 0)
-	cl := c.NewClient(0)
-
-	newRoot := rdma.MakeAddr(0, 0x2000)
-	if !CASRoot(cl, oldRoot, newRoot, 1) {
-		t.Fatal("CASRoot with correct old value failed")
-	}
-	if r, lvl := ReadRoot(cl); r != newRoot || lvl != 1 {
-		t.Fatalf("root after CAS = (%v, %d), want (%v, 1)", r, lvl, newRoot)
-	}
-	// A stale CAS must fail and leave the root untouched.
-	if CASRoot(cl, oldRoot, rdma.MakeAddr(0, 0x3000), 2) {
-		t.Fatal("CASRoot with stale old value succeeded")
-	}
-	if r, _ := ReadRoot(cl); r != newRoot {
-		t.Fatalf("failed CAS modified the root to %v", r)
-	}
-}
-
 // TestCASRootRace: of N concurrent root swaps from the same old value,
 // exactly one wins.
 func TestCASRootRace(t *testing.T) {
@@ -88,7 +52,7 @@ func TestCASRootRace(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			cl := c.NewClient(i % 4)
-			wins[i] = CASRoot(cl, oldRoot, rdma.MakeAddr(0, uint64(0x2000+i*64)), 1)
+			wins[i] = deploy.CASRoot(cl, oldRoot, rdma.MakeAddr(0, uint64(0x2000+i*64)), 1)
 		}(i)
 	}
 	wg.Wait()

@@ -4,6 +4,7 @@ import (
 	"sherman/internal/alloc"
 	"sherman/internal/hocl"
 	"sherman/internal/rdma"
+	"sherman/internal/stats"
 	"sherman/internal/transport"
 )
 
@@ -14,9 +15,12 @@ import (
 //
 // Two implementations exist: *cluster.Cluster (the simulated deployment —
 // the default) and the TCP cluster of internal/transport/tcp (real memory-
-// server processes). Core code never type-switches on the backend; the few
-// sim-only features (fault injection, migration orchestration) live behind
-// Tree.Cluster(), which reports nil on a real network.
+// server processes). Each supplies the fabric half itself (NewTransport,
+// NewLockManager, NumCS/NumMS, MSAlive/MSUsable, Loads) and gets the rest by
+// embedding the one deploy.State. Core reaches all of it through this
+// interface; the single place it inspects the backend's concrete type is
+// Tree.Cluster() in migrate.go, the escape hatch to the simulator's fault
+// injector and migration orchestration, which reports nil on a real network.
 type Backend interface {
 	// NewTransport creates one client thread's verb surface, bound to
 	// compute server cs.
@@ -41,6 +45,9 @@ type Backend interface {
 	// RawRead loads len(buf) bytes at a without timing, chasing the
 	// forwarding map when a's server is dead.
 	RawRead(a rdma.Addr, buf []byte)
+	// RawRoot loads the superblock root pointer and level hint without
+	// timing.
+	RawRoot() (rdma.Addr, uint8)
 
 	// Forwarding is the chunk forwarding map shared by migration and
 	// failover promotion.
@@ -60,6 +67,9 @@ type Backend interface {
 	// MSUsable reports whether ms should receive new placements (alive and
 	// not draining).
 	MSUsable(ms int) bool
+	// Loads snapshots every memory server's inbound load with per-chunk
+	// breakdowns — the signal repair and rebalancing place by.
+	Loads() []stats.MSLoad
 
 	// MigrationLock and MigrationUnlock bound the cluster-wide critical
 	// section shared by migration and re-replication engines: two sweeps

@@ -5,7 +5,7 @@ import (
 
 	"sherman/internal/alloc"
 	"sherman/internal/cache"
-	"sherman/internal/cluster"
+	"sherman/internal/deploy"
 	"sherman/internal/layout"
 	"sherman/internal/rdma"
 	"sherman/internal/stats"
@@ -255,7 +255,7 @@ func (h *Handle) readNode(a rdma.Addr, buf []byte) (layout.Node, int) {
 // validate node levels everywhere else for the same reason).
 func (h *Handle) refreshRoot() (rdma.Addr, uint8) {
 	for {
-		root, _ := cluster.ReadRoot(h.C)
+		root, _ := deploy.ReadRoot(h.C)
 		n, _ := h.readNode(root, h.nodeBuf)
 		if !n.Alive() {
 			// The root node migrated but the superblock pointer is not yet

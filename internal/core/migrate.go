@@ -5,6 +5,7 @@ import (
 
 	"sherman/internal/alloc"
 	"sherman/internal/cluster"
+	"sherman/internal/deploy"
 	"sherman/internal/layout"
 	"sherman/internal/rdma"
 )
@@ -130,9 +131,9 @@ func (h *Handle) Repoint(mv MovedNode, old, new rdma.Addr) bool {
 	for attempt := 0; attempt < maxRepointRetries; attempt++ {
 		// Read the superblock pointer raw — refreshRoot would chase the
 		// forwarding hop and hide exactly the staleness we came to repair.
-		sbRoot, _ := cluster.ReadRoot(h.C)
+		sbRoot, _ := deploy.ReadRoot(h.C)
 		if sbRoot == old {
-			if cluster.CASRoot(h.C, old, new, mv.Level) {
+			if deploy.CASRoot(h.C, old, new, mv.Level) {
 				h.cache.SetRoot(new, mv.Level)
 				return true
 			}

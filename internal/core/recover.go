@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sherman/internal/cluster"
+	"sherman/internal/deploy"
 	"sherman/internal/layout"
 	"sherman/internal/rdma"
 )
@@ -58,7 +58,7 @@ func (h *Handle) RecoverStructure() (repaired int, complete bool) {
 func (h *Handle) recoverPass() (int, bool) {
 	// One validated read resolves both the root image and its
 	// authoritative level (the superblock's level field is only a hint).
-	root, _ := cluster.ReadRoot(h.C)
+	root, _ := deploy.ReadRoot(h.C)
 	buf := make([]byte, h.t.cfg.Format.NodeSize)
 	n, _ := h.readNode(root, buf)
 	if !n.Alive() {
@@ -67,7 +67,7 @@ func (h *Handle) recoverPass() (int, bool) {
 			// superblock: follow the forwarding hop and repair the pointer,
 			// or the sweep would rescan this dead root forever.
 			fn, _ := h.readNode(fwd, buf)
-			if fn.Alive() && cluster.CASRoot(h.C, root, fwd, fn.Level()) {
+			if fn.Alive() && deploy.CASRoot(h.C, root, fwd, fn.Level()) {
 				h.cache.SetRoot(fwd, fn.Level())
 				return 1, true
 			}

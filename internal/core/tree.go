@@ -190,23 +190,13 @@ func (t *Tree) Validate() error {
 }
 
 func (t *Tree) rawRoot() (rdma.Addr, uint8) {
-	var buf [16]byte
-	t.cl.RawRead(rdma.MakeAddr(0, 0), buf[:])
-	root := rdma.Addr(le64(buf[0:]))
 	// The superblock's level field is only a hint (the pointer CAS and the
 	// hint write are separate verbs; a client can crash between them): the
 	// node's own level field is authoritative.
+	root, _ := t.cl.RawRoot()
 	nb := make([]byte, t.cfg.Format.NodeSize)
 	t.cl.RawRead(root, nb)
 	return root, layout.ViewNode(t.cfg.Format, nb).Level()
-}
-
-func le64(b []byte) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }
 
 func (t *Tree) validateNode(a rdma.Addr, level uint8, lower, upper uint64) error {

@@ -4,7 +4,7 @@ import (
 	"sort"
 
 	"sherman/internal/cache"
-	"sherman/internal/cluster"
+	"sherman/internal/deploy"
 	"sherman/internal/hocl"
 	"sherman/internal/layout"
 	"sherman/internal/rdma"
@@ -184,7 +184,7 @@ func (h *Handle) insertParent(sepKey uint64, child rdma.Addr, level uint8) {
 				h.refreshRoot()
 				continue
 			}
-			if cluster.CASRoot(h.C, root, newRootAddr, level) {
+			if deploy.CASRoot(h.C, root, newRootAddr, level) {
 				h.cache.SetRoot(newRootAddr, level)
 				return
 			}

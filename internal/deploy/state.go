@@ -1,0 +1,252 @@
+// Package deploy holds the compute-side state of one deployment — the part
+// of a cluster that is the same whatever carries the verbs. Sherman's memory
+// servers have near-zero compute power, so chunk placement (§4.2.4), the
+// superblock's root pointer, the forwarding map, the replica table, failover
+// promotion and the migration lock all live with the clients. A fabric (the
+// simulator's internal/cluster, the real network's internal/transport/tcp)
+// supplies verbs, liveness, load counters and untimed raw access; it embeds
+// a State for everything else and calls Failover from its death trigger.
+package deploy
+
+import (
+	"encoding/binary"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"sherman/internal/alloc"
+	"sherman/internal/transport"
+)
+
+// Superblock layout, at offset 0 of memory server 0's first chunk (reserved
+// by ReserveSuperblock, so Addr 0 stays the nil pointer). The root pointer
+// is updated by CAS when the root splits; clients re-read it whenever
+// cached-root validation (level / fence checks) fails.
+const (
+	superRootOff  = 0 // 8 B: Addr of the current root node
+	superLevelOff = 8 // 8 B: height hint (root node level)
+)
+
+func superAddr(off uint64) transport.Addr { return transport.MakeAddr(0, off) }
+
+// fabric is what a State needs from whatever carries the verbs: topology
+// and chunk growth, plus untimed access at a physical address (no
+// forwarding, no mirroring — State adds both).
+type fabric interface {
+	transport.Grower
+	ReadRaw(a transport.Addr, buf []byte)
+	WriteRaw(a transport.Addr, data []byte)
+}
+
+// State is the compute-side shared state of a running deployment.
+type State struct {
+	// AllocStats aggregates allocator activity across all client threads.
+	AllocStats alloc.Stats
+
+	// Fwd is the chunk forwarding map: live migration installs entries
+	// while it repoints parents, failover promotion installs permanent ones.
+	Fwd *alloc.Forwarding
+
+	// Rep is the chunk→replicas placement table (nil when replication is
+	// off). Allocators register every fresh chunk's mirror copies here;
+	// writers mirror through it; Failover rewrites it.
+	Rep *alloc.ReplicaMap
+
+	f  fabric
+	rf int // configured copies per chunk incl. primary (0/1 = off)
+
+	// invalidators are per-tree cache invalidation hooks, run by Failover
+	// after it forwards a chunk to its replica so no compute server keeps
+	// steering into the dead server's addresses.
+	invMu        sync.Mutex
+	invalidators []func(alloc.ChunkID)
+
+	failovers atomic.Int64
+
+	// migMu serializes migration and re-replication engines cluster-wide:
+	// two sweeps must never relocate or repair the same chunk. Held in real
+	// time only.
+	migMu sync.Mutex
+}
+
+// CheckFactor validates a replication factor (copies per chunk including
+// the primary; 0 or 1 disables replication) against the cluster size.
+func CheckFactor(rf, numMS int) error {
+	if rf < 0 || rf > alloc.MaxReplicationFactor {
+		return fmt.Errorf("ReplicationFactor %d outside [0, %d]", rf, alloc.MaxReplicationFactor)
+	}
+	if rf > numMS {
+		return fmt.Errorf("ReplicationFactor %d exceeds %d memory servers", rf, numMS)
+	}
+	return nil
+}
+
+// New builds the shared state over fabric f at replication factor rf. It
+// touches no memory: call ReserveSuperblock once the fabric answers.
+func New(f fabric, rf int) (*State, error) {
+	if err := CheckFactor(rf, f.NumMS()); err != nil {
+		return nil, err
+	}
+	s := &State{Fwd: alloc.NewForwarding(), f: f, rf: rf}
+	if rf > 1 {
+		s.Rep = alloc.NewReplicaMap()
+	}
+	return s, nil
+}
+
+// ReserveSuperblock grows memory server 0's first chunk, so offset 0 exists
+// before anything reads or CASes the root pointer and is never handed to an
+// allocator. It fails when the server has been grown before.
+func (s *State) ReserveSuperblock() error {
+	if base := s.f.GrowChunkRaw(0); base != 0 {
+		return fmt.Errorf("memory server 0 is not fresh (superblock chunk at %#x)", base)
+	}
+	return nil
+}
+
+// Failover promotes every chunk memory server ms hosted to its freshest
+// complete replica on a server alive reports live: the replica table is
+// re-keyed, a permanent forwarding entry is installed and every registered
+// invalidator runs, all before Failover returns. A fabric calls it from its
+// death trigger before the death becomes observable to verbs, so a reader
+// that sees the dead server already finds the chase target published —
+// there is no window where the data is dark. It issues no verbs.
+func (s *State) Failover(ms int, alive func(int) bool) {
+	if s.Rep == nil {
+		return
+	}
+	promoted := s.Rep.FailoverServer(uint16(ms), alive)
+	s.invMu.Lock()
+	invs := s.invalidators
+	s.invMu.Unlock()
+	for _, p := range promoted {
+		s.Fwd.InstallReplica(p.Old, p.NewBase)
+		for _, inv := range invs {
+			inv(p.Old)
+		}
+	}
+	s.failovers.Add(int64(len(promoted)))
+}
+
+// OnChunkInvalidate registers a hook Failover calls for every chunk it
+// promotes. Trees register their index-cache invalidation here so cached
+// pointers into a dead server stop steering.
+func (s *State) OnChunkInvalidate(fn func(alloc.ChunkID)) {
+	s.invMu.Lock()
+	s.invalidators = append(s.invalidators, fn)
+	s.invMu.Unlock()
+}
+
+// Failovers returns the number of chunks promoted to a replica after a
+// memory-server death.
+func (s *State) Failovers() int64 { return s.failovers.Load() }
+
+// Forwarding is the chunk forwarding map shared by migration and failover.
+func (s *State) Forwarding() *alloc.Forwarding { return s.Fwd }
+
+// Replicas is the chunk→replicas placement table (nil when replication is
+// off).
+func (s *State) Replicas() *alloc.ReplicaMap { return s.Rep }
+
+// ReplicationFactor returns the configured copies per chunk (0/1 = off).
+func (s *State) ReplicationFactor() int { return s.rf }
+
+// MigrationLock enters the cluster-wide migration critical section.
+func (s *State) MigrationLock() { s.migMu.Lock() }
+
+// MigrationUnlock leaves the migration critical section.
+func (s *State) MigrationUnlock() { s.migMu.Unlock() }
+
+// NewThreadAllocator pairs a client thread with its stage-two allocator,
+// wired for replica placement when the cluster replicates.
+func (s *State) NewThreadAllocator(c transport.Transport, seed int) *alloc.ThreadAllocator {
+	a := alloc.NewThreadAllocator(c, &s.AllocStats, seed)
+	if s.Rep != nil {
+		a.SetReplication(s.Rep, s.rf)
+	}
+	return a
+}
+
+// NewBulk builds a setup-time bulk allocator over the fabric's raw growth
+// path, wired for replica placement when the cluster replicates.
+func (s *State) NewBulk() *alloc.Bulk {
+	b := alloc.NewBulk(s.f, &s.AllocStats)
+	if s.Rep != nil {
+		b.SetReplication(s.Rep, s.rf)
+	}
+	return b
+}
+
+// RawWrite stores data at a without timing, mirrored to a's chunk replicas
+// when the cluster replicates — setup-time writes (bulk load, compaction,
+// free bits) must be failover-covered like any client write.
+func (s *State) RawWrite(a transport.Addr, data []byte) {
+	s.f.WriteRaw(a, data)
+	if s.Rep == nil {
+		return
+	}
+	var ts alloc.TargetSet
+	if s.Rep.Targets(alloc.ChunkOf(a), &ts) {
+		inner := a.Off() % transport.DefaultChunkSize
+		for i := 0; i < ts.N; i++ {
+			s.f.WriteRaw(ts.Bases[i].Add(inner), data)
+		}
+	}
+}
+
+// RawRead loads len(buf) bytes at a without timing, chasing the forwarding
+// map while a's server is dead (at most alloc.MaxForwardHops generations) —
+// so Validate and Stats keep working after a memory-server death, reading
+// the promoted replicas instead.
+func (s *State) RawRead(a transport.Addr, buf []byte) {
+	for hop := 0; hop < alloc.MaxForwardHops && !s.f.MSAlive(int(a.MS())); hop++ {
+		fwd, ok := s.Fwd.Resolve(a)
+		if !ok {
+			break
+		}
+		a = fwd
+	}
+	s.f.ReadRaw(a, buf)
+}
+
+// SetRoot stores the root pointer and level without timing; bulk load uses
+// it before client threads start.
+func (s *State) SetRoot(root transport.Addr, level uint8) {
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[superRootOff:], uint64(root))
+	binary.LittleEndian.PutUint64(buf[superLevelOff:], uint64(level))
+	s.f.WriteRaw(superAddr(0), buf[:])
+}
+
+// RawRoot is the untimed ReadRoot, for Validate and Stats.
+func (s *State) RawRoot() (transport.Addr, uint8) {
+	var buf [16]byte
+	s.RawRead(superAddr(0), buf[:])
+	return decodeRoot(buf[:])
+}
+
+func decodeRoot(buf []byte) (transport.Addr, uint8) {
+	return transport.Addr(binary.LittleEndian.Uint64(buf[superRootOff:])),
+		uint8(binary.LittleEndian.Uint64(buf[superLevelOff:]))
+}
+
+// ReadRoot fetches the current root pointer and level with one READ on the
+// caller's clock.
+func ReadRoot(c transport.Transport) (transport.Addr, uint8) {
+	var buf [16]byte
+	c.Read(superAddr(0), buf[:])
+	return decodeRoot(buf[:])
+}
+
+// CASRoot atomically swaps the root pointer from old to new; the level hint
+// is then updated with a plain WRITE (readers tolerate a stale hint — they
+// validate the fetched node's level field).
+func CASRoot(c transport.Transport, old, new transport.Addr, newLevel uint8) bool {
+	_, ok := c.CAS(superAddr(superRootOff), uint64(old), uint64(new))
+	if ok {
+		var lv [8]byte
+		binary.LittleEndian.PutUint64(lv[:], uint64(newLevel))
+		c.Write(superAddr(superLevelOff), lv[:])
+	}
+	return ok
+}

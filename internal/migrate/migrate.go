@@ -101,22 +101,6 @@ func New(h *core.Handle, opt Options) *Engine {
 	return &Engine{t: h.Tree(), h: h, opt: opt}
 }
 
-// Loads snapshots the current per-server inbound load.
-func Loads(f *rdma.Fabric) []stats.MSLoad {
-	servers := f.Servers()
-	out := make([]stats.MSLoad, len(servers))
-	for i, s := range servers {
-		out[i] = stats.MSLoad{
-			MS:       i,
-			Ops:      s.InboundOps(),
-			ChunkOps: s.ChunkOps(),
-			Draining: s.Draining(),
-			Dead:     s.Dead(),
-		}
-	}
-	return out
-}
-
 // Rebalance evens out per-server inbound load: while the hottest server
 // carries more than slack × the mean, its hottest chunks move to the
 // coldest non-draining server. Returns after the plan is executed (or the
@@ -124,7 +108,7 @@ func Loads(f *rdma.Fabric) []stats.MSLoad {
 func (e *Engine) Rebalance() (Stats, error) {
 	cl := e.t.Cluster()
 	start := e.h.C.Now()
-	loads := Loads(cl.F)
+	loads := cl.Loads()
 	if e.opt.Baseline != nil {
 		loads = stats.SubLoads(loads, e.opt.Baseline)
 	}
@@ -300,7 +284,7 @@ func anyDraining(loads []stats.MSLoad) bool {
 // assignTargets fills in destinations for a drain plan: spread round-robin
 // over the non-draining servers, coldest first.
 func (e *Engine) assignTargets(plan []move) []move {
-	loads := Loads(e.t.Cluster().F)
+	loads := e.t.Cluster().Loads()
 	var tgts []stats.MSLoad
 	for _, l := range loads {
 		if !l.Draining && !l.Dead {

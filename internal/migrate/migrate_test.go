@@ -192,7 +192,7 @@ func TestPlanRebalanceTargetsColdServer(t *testing.T) {
 	if _, err := cl.F.AddServer(); err != nil {
 		t.Fatal(err)
 	}
-	before := migrate.Loads(cl.F)
+	before := cl.Loads()
 	if skew := stats.LoadMaxMin(before); skew < 2 {
 		t.Fatalf("pre-rebalance max/min skew %.1f, want large", skew)
 	}
@@ -209,12 +209,12 @@ func TestPlanRebalanceTargetsColdServer(t *testing.T) {
 	// Fresh traffic must now split across both servers: the hottest one may
 	// keep more (whole chunks move, load splits at chunk granularity), but
 	// the cold server must carry a real share.
-	prev := migrate.Loads(cl.F)
+	prev := cl.Loads()
 	h2 := tr.NewHandle(0, 1)
 	for k := uint64(1); k <= keys; k += 13 {
 		h2.Lookup(k)
 	}
-	window := stats.SubLoads(migrate.Loads(cl.F), prev)
+	window := stats.SubLoads(cl.Loads(), prev)
 	if skew := stats.LoadMaxMin(window); skew > 4 {
 		t.Fatalf("post-rebalance window max/min skew %.2f, want near 1 (loads %+v)", skew, window)
 	}

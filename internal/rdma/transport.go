@@ -77,3 +77,11 @@ func (f *Fabric) MSUsable(ms int) bool {
 // GrowChunkRaw grows one chunk on ms with no virtual-time accounting, for
 // setup-time bulk loading.
 func (f *Fabric) GrowChunkRaw(ms uint16) uint64 { return f.Servers()[ms].Grow() }
+
+// ReadRaw loads len(buf) bytes at physical address a with no virtual-time
+// accounting (Validate, Stats).
+func (f *Fabric) ReadRaw(a Addr, buf []byte) { f.Servers()[a.MS()].ReadAt(a.Off(), buf) }
+
+// WriteRaw stores data at physical address a with no virtual-time
+// accounting (bulk load, the superblock).
+func (f *Fabric) WriteRaw(a Addr, data []byte) { f.Servers()[a.MS()].WriteAt(a.Off(), data) }

@@ -4,13 +4,13 @@
 //
 // The write-side mechanism lives below it — allocators place and register
 // replica chunks (internal/alloc), handles mirror every committed write to
-// them (internal/core's mirror engine), and the MS-death listener promotes
-// the freshest replica of each dead primary (internal/cluster). What is left
-// over after a failover is under-replication: every promoted chunk lost one
-// copy, and every chunk that kept its primary may have lost a replica. The
-// Engine sweeps those chunks, hottest first, and rebuilds each missing copy
-// on the coldest eligible server with a register-then-backfill protocol that
-// loses no concurrent write:
+// them (internal/core's mirror engine), and the fabric's death trigger
+// promotes the freshest replica of each dead primary (deploy.State.Failover).
+// What is left over after a failover is under-replication: every promoted
+// chunk lost one copy, and every chunk that kept its primary may have lost a
+// replica. The Engine sweeps those chunks, hottest first, and rebuilds each
+// missing copy on the coldest eligible server with a register-then-backfill
+// protocol that loses no concurrent write:
 //
 //  1. Grow a fresh chunk on the target server (one memory-thread RPC).
 //  2. AddPendingReplica publishes it as a mirror target: from this instant
@@ -138,19 +138,13 @@ func (e *Engine) ReReplicate() (Stats, error) {
 
 // sortHottest orders the repair queue by the chunks' inbound verb counts,
 // hottest first, with the deterministic (server, index) order breaking ties
-// so paced sweeps stay reproducible. Per-chunk heat counters are a
-// simulator instrument; on a real network the queue keeps its deterministic
-// order (repair priority is a policy refinement, not a correctness need).
+// so paced sweeps stay reproducible.
 func (e *Engine) sortHottest(cks []alloc.ChunkID) {
-	cl := e.t.Cluster()
-	if cl == nil {
-		return
-	}
-	servers := cl.F.Servers()
+	loads := e.t.Backend().Loads()
 	heat := make(map[alloc.ChunkID]int64, len(cks))
 	for _, ck := range cks {
-		if int(ck.MS) < len(servers) {
-			if ops := servers[ck.MS].ChunkOps(); ck.Index < uint64(len(ops)) {
+		if int(ck.MS) < len(loads) {
+			if ops := loads[ck.MS].ChunkOps; ck.Index < uint64(len(ops)) {
 				heat[ck] = ops[ck.Index]
 			}
 		}
@@ -158,10 +152,8 @@ func (e *Engine) sortHottest(cks []alloc.ChunkID) {
 	sort.SliceStable(cks, func(i, j int) bool { return heat[cks[i]] > heat[cks[j]] })
 }
 
-// pickTarget returns a usable server not already holding a copy of ck, or
-// -1 when none qualifies. On the simulator it picks the coldest by inbound
-// verb count; on a real network (no load counters) it walks round-robin
-// from the primary's successor so repairs spread across the cluster.
+// pickTarget returns the coldest (by inbound verb count) live, non-draining
+// server not already holding a copy of ck, or -1 when none qualifies.
 func (e *Engine) pickTarget(ck alloc.ChunkID) int {
 	be := e.t.Backend()
 	var holders [alloc.MaxReplicationFactor]uint16
@@ -174,24 +166,14 @@ func (e *Engine) pickTarget(ck alloc.ChunkID) int {
 		}
 		return false
 	}
-	if cl := e.t.Cluster(); cl != nil {
-		best, bestOps := -1, int64(0)
-		for i, s := range cl.F.Servers() {
-			if s.Dead() || s.Draining() || held(i) {
-				continue
-			}
-			if ops := s.InboundOps(); best < 0 || ops < bestOps {
-				best, bestOps = i, ops
-			}
+	best, bestOps := -1, int64(0)
+	for i, l := range be.Loads() {
+		if l.Dead || l.Draining || held(i) {
+			continue
 		}
-		return best
-	}
-	n := be.NumMS()
-	for d := 1; d <= n; d++ {
-		i := (int(ck.MS) + d) % n
-		if be.MSUsable(i) && !held(i) {
-			return i
+		if best < 0 || l.Ops < bestOps {
+			best, bestOps = i, l.Ops
 		}
 	}
-	return -1
+	return best
 }

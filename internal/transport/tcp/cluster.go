@@ -1,13 +1,12 @@
 package tcp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"sherman/internal/alloc"
+	"sherman/internal/deploy"
 	"sherman/internal/hocl"
 	"sherman/internal/stats"
 	"sherman/internal/transport"
@@ -29,16 +28,14 @@ type Options struct {
 	// HeartbeatTimeout is the per-ping deadline after which an unresponsive
 	// server is declared dead; 0 means the 200ms default (one lease).
 	HeartbeatTimeout time.Duration
-	// Window is the per-server outstanding-request window of the
-	// multiplexed connections (0 = the 64 default). Issues beyond it block
-	// until responses drain — the cluster-wide backpressure bound.
-	Window int
 }
 
 // Cluster is the client-side view of a set of shermand processes: the
-// core.Backend of the TCP transport. It mirrors internal/cluster.Cluster's
-// role for the simulator — transport factory, allocator wiring, lock
-// manager construction, raw superblock access — against real sockets.
+// core.Backend of the TCP transport. It supplies what only a real network
+// can — sockets, heartbeat membership, the cluster clock, Stats-opcode load
+// counters, raw access — and embeds deploy.State for the compute-side rest
+// (superblock, forwarding, replicas, failover promotion, allocator wiring),
+// the same code the simulator's internal/cluster.Cluster embeds.
 //
 // Fault tolerance is real here: a membership service heartbeats every
 // server on a wall-clock interval, I/O errors on any client verb feed the
@@ -46,21 +43,11 @@ type Options struct {
 // the dead server's chunks to their freshest replicas (DESIGN.md §13).
 // Elasticity and live migration remain sim-only.
 type Cluster struct {
+	*deploy.State
+
 	endpoints []string
 	numCS     int
 	onChip    int
-	rf        int // copies per chunk incl. primary (0/1 = off)
-
-	// AllocStats aggregates allocator activity across all client threads.
-	AllocStats alloc.Stats
-
-	// Fwd is the chunk forwarding map (see internal/cluster): failover
-	// promotions install permanent entries here.
-	Fwd *alloc.Forwarding
-
-	// Rep is the chunk→replicas placement table (nil when replication is
-	// off), the same compute-side structure the simulator uses.
-	Rep *alloc.ReplicaMap
 
 	// clockOff shifts this process's monotonic clock onto the cluster
 	// timeline anchored at memory server 0's Ping epoch (see Transport.Now).
@@ -81,19 +68,10 @@ type Cluster struct {
 	// out.
 	muxes []*muxConn
 
-	invMu        sync.Mutex
-	invalidators []func(alloc.ChunkID)
-
-	failovers atomic.Int64
-
-	// migMu serializes re-replication engines cluster-wide, mirroring the
-	// simulator's migration critical section.
-	migMu sync.Mutex
-
 	hb *membership
 
-	// raw is the metadata client behind RawRead/RawWrite/SetRoot — unlike
-	// per-thread Transports it is shared, hence the mutex.
+	// raw is the metadata client behind ReadRaw/WriteRaw/GrowChunkRaw —
+	// unlike per-thread Transports it is shared, hence the mutex.
 	rawMu sync.Mutex
 	raw   *Transport
 }
@@ -111,40 +89,43 @@ func NewCluster(endpoints []string, numCS int, opt Options) (*Cluster, error) {
 	if numCS <= 0 {
 		return nil, fmt.Errorf("tcp: need at least one compute server")
 	}
-	rf := opt.ReplicationFactor
-	if rf < 0 || rf > alloc.MaxReplicationFactor {
-		return nil, fmt.Errorf("tcp: replication factor %d not in [0,%d]", rf, alloc.MaxReplicationFactor)
-	}
-	if rf > len(endpoints) {
-		return nil, fmt.Errorf("tcp: replication factor %d exceeds %d memory servers", rf, len(endpoints))
-	}
 	c := &Cluster{
 		endpoints: endpoints,
 		numCS:     numCS,
-		rf:        rf,
-		Fwd:       alloc.NewForwarding(),
 		dead:      make([]atomic.Bool, len(endpoints)),
 		deadOnce:  make([]sync.Once, len(endpoints)),
 		muxes:     make([]*muxConn, len(endpoints)),
 	}
-	if rf > 1 {
-		c.Rep = alloc.NewReplicaMap()
+	st, err := deploy.New(c, opt.ReplicationFactor)
+	if err != nil {
+		return nil, fmt.Errorf("tcp: %w", err)
 	}
+	c.State = st
+	c.raw = c.newTransport(0)
+	if err := c.bringUp(); err != nil {
+		c.Close() // every dialed mux: socket, reader and writer goroutines
+		return nil, err
+	}
+	if opt.HeartbeatInterval >= 0 {
+		c.hb = startMembership(c, opt.HeartbeatInterval, opt.HeartbeatTimeout)
+	}
+	return c, nil
+}
+
+// bringUp dials and pings every server and reserves the superblock chunk.
+// On error the caller closes whatever was dialed.
+func (c *Cluster) bringUp() error {
 	// Pre-dial every server's multiplexed connection now, so the first
 	// measured verb against each server pays no TCP handshake — bring-up
 	// absorbs the dial latency, not the benchmark's first op.
-	for ms := range endpoints {
-		mx, err := dialMux(ms, endpoints[ms], opt.Window)
+	for ms, ep := range c.endpoints {
+		mx, err := dialMux(ms, ep, defaultWindow)
 		if err != nil {
-			for _, m := range c.muxes[:ms] {
-				m.fail()
-			}
-			return nil, fmt.Errorf("tcp: memory server %d (%s) unreachable: %w", ms, endpoints[ms], err)
+			return fmt.Errorf("tcp: memory server %d (%s) unreachable: %w", ms, ep, err)
 		}
 		c.muxes[ms] = mx
 	}
-	c.raw = c.newTransport(0)
-	for ms := range endpoints {
+	for ms, ep := range c.endpoints {
 		var version, onChip uint32
 		var serverNow uint64
 		var perr error
@@ -154,14 +135,13 @@ func NewCluster(endpoints []string, numCS int, opt Options) (*Cluster, error) {
 			perr = p.err
 		})
 		if !ok {
-			return nil, fmt.Errorf("tcp: ping to %s failed", endpoints[ms])
+			return fmt.Errorf("tcp: ping to %s failed", ep)
 		}
 		if perr != nil {
-			return nil, fmt.Errorf("tcp: bad ping response from %s: %v", endpoints[ms], perr)
+			return fmt.Errorf("tcp: bad ping response from %s: %v", ep, perr)
 		}
 		if version != protocolVersion {
-			return nil, fmt.Errorf("tcp: memory server %s speaks protocol v%d, want v%d",
-				endpoints[ms], version, protocolVersion)
+			return fmt.Errorf("tcp: memory server %s speaks protocol v%d, want v%d", ep, version, protocolVersion)
 		}
 		if ms == 0 {
 			// Anchor the cluster clock: server 0's monotonic epoch becomes
@@ -172,16 +152,10 @@ func NewCluster(endpoints []string, numCS int, opt Options) (*Cluster, error) {
 			c.onChip = int(onChip)
 		}
 	}
-	// Reserve the superblock chunk: offset 0 of memory server 0 must be
-	// grown before anything reads or CASes the root pointer, and must never
-	// be handed to the allocator (growing it here guarantees both).
-	if base := c.raw.GrowChunk(0); base != 0 {
-		return nil, fmt.Errorf("tcp: memory server 0 is not fresh (superblock chunk at %#x)", base)
+	if err := c.ReserveSuperblock(); err != nil {
+		return fmt.Errorf("tcp: %w", err)
 	}
-	if opt.HeartbeatInterval >= 0 {
-		c.hb = startMembership(c, opt.HeartbeatInterval, opt.HeartbeatTimeout)
-	}
-	return c, nil
+	return nil
 }
 
 // Close stops the membership service and tears down the multiplexed
@@ -226,20 +200,7 @@ func (c *Cluster) markDead(ms int) {
 		return
 	}
 	c.deadOnce[ms].Do(func() {
-		if c.Rep != nil {
-			alive := func(i int) bool { return i != ms && !c.dead[i].Load() }
-			promoted := c.Rep.FailoverServer(uint16(ms), alive)
-			for _, p := range promoted {
-				c.Fwd.InstallReplica(p.Old, p.NewBase)
-				c.invMu.Lock()
-				invs := c.invalidators
-				c.invMu.Unlock()
-				for _, inv := range invs {
-					inv(p.Old)
-				}
-			}
-			c.failovers.Add(int64(len(promoted)))
-		}
+		c.Failover(ms, func(i int) bool { return i != ms && !c.dead[i].Load() })
 		c.dead[ms].Store(true)
 		// Fail the mux: unblocks every goroutine stuck mid-round-trip on the
 		// dead server (a SIGSTOPped process holds its sockets open without
@@ -273,26 +234,6 @@ func (c *Cluster) newTransport(cs int) *Transport {
 // boundary — CSID still partitions the local lock tables.
 func (c *Cluster) NewTransport(cs int) transport.Transport { return c.newTransport(cs) }
 
-// NewThreadAllocator pairs a client thread with its stage-two allocator,
-// wired for replica placement when the cluster replicates.
-func (c *Cluster) NewThreadAllocator(cl transport.Transport, seed int) *alloc.ThreadAllocator {
-	a := alloc.NewThreadAllocator(cl, &c.AllocStats, seed)
-	if c.Rep != nil {
-		a.SetReplication(c.Rep, c.rf)
-	}
-	return a
-}
-
-// NewBulk builds a setup-time bulk allocator over the raw growth path,
-// wired for replica placement when the cluster replicates.
-func (c *Cluster) NewBulk() *alloc.Bulk {
-	b := alloc.NewBulk(c, &c.AllocStats)
-	if c.Rep != nil {
-		b.SetReplication(c.Rep, c.rf)
-	}
-	return b
-}
-
 // NewLockManager builds the remote lock manager: no fabric, no virtual-time
 // arbitration — the physical lock word on the servers is the whole truth.
 func (c *Cluster) NewLockManager(cfg hocl.Config) *hocl.Manager {
@@ -301,82 +242,6 @@ func (c *Cluster) NewLockManager(cfg hocl.Config) *hocl.Manager {
 
 // NumCS returns the compute-server (thread-group) count.
 func (c *Cluster) NumCS() int { return c.numCS }
-
-// SetRoot stores the root pointer and level without timing; used by bulk
-// load before client threads start.
-func (c *Cluster) SetRoot(root transport.Addr, level uint8) {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(root))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(level))
-	c.RawWrite(transport.MakeAddr(0, 0), buf[:])
-}
-
-// RawWrite stores data at a without timing, mirrored to a's chunk replicas
-// when the cluster replicates — setup-time writes (bulk load, free bits)
-// must be failover-covered like any client write.
-func (c *Cluster) RawWrite(a transport.Addr, data []byte) {
-	c.rawMu.Lock()
-	defer c.rawMu.Unlock()
-	c.raw.Write(a, data)
-	if c.Rep == nil {
-		return
-	}
-	var ts alloc.TargetSet
-	if c.Rep.Targets(alloc.ChunkOf(a), &ts) {
-		inner := a.Off() % transport.DefaultChunkSize
-		for i := 0; i < ts.N; i++ {
-			c.raw.Write(ts.Bases[i].Add(inner), data)
-		}
-	}
-}
-
-// RawRead loads len(buf) bytes at a without timing, chasing the forwarding
-// map when a's server is dead — so Validate and Stats keep working after a
-// memory-server death, reading the promoted replicas instead.
-func (c *Cluster) RawRead(a transport.Addr, buf []byte) {
-	c.rawMu.Lock()
-	defer c.rawMu.Unlock()
-	for hop := 0; hop < alloc.MaxForwardHops; hop++ {
-		if !c.isDead(int(a.MS())) {
-			break
-		}
-		fwd, ok := c.Fwd.Resolve(a)
-		if !ok {
-			break
-		}
-		a = fwd
-	}
-	c.raw.Read(a, buf)
-}
-
-// Forwarding is the chunk forwarding map.
-func (c *Cluster) Forwarding() *alloc.Forwarding { return c.Fwd }
-
-// Replicas is the chunk→replicas placement table (nil when replication is
-// off).
-func (c *Cluster) Replicas() *alloc.ReplicaMap { return c.Rep }
-
-// ReplicationFactor returns the configured copies per chunk (0/1 = off).
-func (c *Cluster) ReplicationFactor() int { return c.rf }
-
-// OnChunkInvalidate registers a hook the MS-death promotion path calls for
-// every chunk it fails over, so trees drop cached pointers into the dead
-// server.
-func (c *Cluster) OnChunkInvalidate(fn func(alloc.ChunkID)) {
-	c.invMu.Lock()
-	c.invalidators = append(c.invalidators, fn)
-	c.invMu.Unlock()
-}
-
-// Failovers returns the number of chunks promoted to a replica after a
-// memory-server death.
-func (c *Cluster) Failovers() int64 { return c.failovers.Load() }
-
-// MigrationLock enters the cluster-wide re-replication critical section.
-func (c *Cluster) MigrationLock() { c.migMu.Lock() }
-
-// MigrationUnlock leaves the re-replication critical section.
-func (c *Cluster) MigrationUnlock() { c.migMu.Unlock() }
 
 // MSAlive reports whether memory server ms is reachable.
 func (c *Cluster) MSAlive(ms int) bool { return !c.isDead(ms) }
@@ -416,7 +281,7 @@ func (c *Cluster) Loads() []stats.MSLoad {
 	return out
 }
 
-// --- transport.Grower ------------------------------------------------------
+// --- what deploy.State runs over: transport.Grower + raw access ------------
 
 // NumMS returns the memory-server count.
 func (c *Cluster) NumMS() int { return len(c.endpoints) }
@@ -431,4 +296,18 @@ func (c *Cluster) GrowChunkRaw(ms uint16) uint64 {
 	return c.raw.GrowChunk(ms)
 }
 
-var _ transport.Grower = (*Cluster)(nil)
+// ReadRaw loads len(buf) bytes at physical address a through the shared
+// metadata client.
+func (c *Cluster) ReadRaw(a transport.Addr, buf []byte) {
+	c.rawMu.Lock()
+	defer c.rawMu.Unlock()
+	c.raw.Read(a, buf)
+}
+
+// WriteRaw stores data at physical address a through the shared metadata
+// client.
+func (c *Cluster) WriteRaw(a transport.Addr, data []byte) {
+	c.rawMu.Lock()
+	defer c.rawMu.Unlock()
+	c.raw.Write(a, data)
+}

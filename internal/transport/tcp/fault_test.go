@@ -2,11 +2,11 @@ package tcp
 
 import (
 	"bytes"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
-	"sherman/internal/alloc"
 	"sherman/internal/hocl"
 	"sherman/internal/rdma"
 	"sherman/internal/sim"
@@ -103,39 +103,48 @@ func TestDeadVerbsMatchSimulator(t *testing.T) {
 	}
 }
 
-// TestForwardingChaseTwoHops pins the RawRead forwarding chase across a
-// chain of deaths: a chunk failed over from ms1 to ms2, then from ms2 to
-// ms0, must resolve through two hops (the hop bound is MaxForwardHops, a
-// constant that once was silently conflated with the replication-factor
-// cap).
-func TestForwardingChaseTwoHops(t *testing.T) {
-	c, err := NewCluster(startServers(t, 3), 1, Options{HeartbeatInterval: -1})
+// TestNewClusterFailureClosesConnections: a bring-up that fails after the
+// dial loop (here: memory server 0 already hosts another cluster's
+// superblock) must close every connection it dialed — socket, reader and
+// writer goroutines — rather than leak them to a server that keeps running.
+func TestNewClusterFailureClosesConnections(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	open := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns)
+	}
+
+	c, err := NewCluster([]string{srv.Addr()}, 1, Options{HeartbeatInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	tr := c.NewTransport(0)
-	defer tr.(*Transport).Close()
-
-	base1 := tr.GrowChunk(1)
-	base2 := tr.GrowChunk(2)
-	base0 := tr.GrowChunk(0)
-	data := []byte("surviving copy on ms0")
-	// Only the final holder has the bytes; the intermediates stay empty, as
-	// after real promotions (the data moved by mirroring, not by the map).
-	tr.Write(transport.MakeAddr(0, base0+128), data)
-
-	a1 := transport.MakeAddr(1, base1+128)
-	c.Fwd.InstallReplica(alloc.ChunkOf(a1), transport.MakeAddr(2, base2))
-	c.Fwd.InstallReplica(alloc.ChunkOf(transport.MakeAddr(2, base2)), transport.MakeAddr(0, base0))
-	c.MarkDead(1)
-	c.MarkDead(2)
-
-	buf := make([]byte, len(data))
-	c.RawRead(a1, buf)
-	if !bytes.Equal(buf, data) {
-		t.Fatalf("RawRead through 2 hops = %q, want %q", buf, data)
+	if n := open(); n != 1 {
+		t.Fatalf("%d server-side connections after bring-up, want 1 (one mux)", n)
 	}
+
+	if _, err := NewCluster([]string{srv.Addr()}, 1, Options{HeartbeatInterval: -1}); err == nil || !strings.Contains(err.Error(), "not fresh") {
+		t.Fatalf("second cluster on the same server: err = %v, want \"not fresh\"", err)
+	}
+	if srv.Accepted() != 2 {
+		t.Fatalf("server accepted %d connections, want 2 (the failed attempt dialed)", srv.Accepted())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for open() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d server-side connections still open after the failed bring-up, want 1", open())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The surviving cluster is untouched.
+	var buf [8]byte
+	c.RawRead(transport.MakeAddr(0, 64), buf[:])
 }
 
 // TestLeaseReclaimRealClock exercises lease-expiry lock reclamation on the

@@ -72,25 +72,16 @@ type ReReplicationStats struct {
 
 // ReplicationStats snapshots the cluster's replication state.
 func (c *Cluster) ReplicationStats() ReplicationStats {
-	rf, failovers := 1, int64(0)
-	if c.cl != nil {
-		rf, failovers = c.cl.ReplicationFactor(), c.cl.Failovers()
-	} else {
-		rf, failovers = c.tc.ReplicationFactor(), c.tc.Failovers()
-		if rf == 0 {
-			rf = 1
-		}
-	}
 	st := ReplicationStats{
-		ReplicationFactor: rf,
-		Failovers:         failovers,
+		ReplicationFactor: c.st.ReplicationFactor(),
+		Failovers:         c.st.Failovers(),
 	}
-	if rep := c.be.Replicas(); rep != nil {
+	if rep := c.st.Replicas(); rep != nil {
 		st.RegisteredChunks = rep.Len()
 		st.Promotions = rep.Promotions()
 		st.DroppedReplicas = rep.DroppedReplicas()
 		st.LostChunks = rep.Lost()
-		st.UnderReplicated = len(rep.UnderReplicated(rf))
+		st.UnderReplicated = len(rep.UnderReplicated(st.ReplicationFactor))
 	}
 	return st
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -422,5 +423,106 @@ func TestTCPDifferential(t *testing.T) {
 	}
 	if _, err := tree.Rebalance(0); !errors.Is(err, ErrSimOnly) {
 		t.Fatalf("Rebalance on tcp err = %v, want ErrSimOnly", err)
+	}
+}
+
+// TestClusterStatsSamePathBothFabrics pins the cluster-level getters that
+// read the shared deployment state — AllocStats, ReplicationStats,
+// ForwardingEntries, MemoryServerLoads — by running one deterministic
+// scenario (bulk load, a put stream that splits, a memory-server kill where
+// the config survives one) on the simulator and over real shermand
+// processes: every figure that does not depend on a clock must agree, and
+// ReplicationFactor echoes the configured value on both.
+func TestClusterStatsSamePathBothFabrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes and builds cmd/shermand")
+	}
+	type snapshot struct {
+		alloc      AllocStats
+		rep        ReplicationStats
+		forwarding int
+		dead       []bool
+	}
+	for _, tc := range []struct {
+		name       string
+		numMS, rf  int
+		kill       int // memory server to kill after the puts; 0 = none
+		wantFactor int
+	}{
+		{"unreplicated", 2, 0, 0, 0},
+		{"factor1", 2, 1, 0, 1},
+		{"factor2-kill", 3, 2, 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(transport string) snapshot {
+				// The session id seeds its allocator's round-robin origin:
+				// rewind it so both runs place chunks alike.
+				sessionSeq.Store(0)
+				c, err := NewCluster(ClusterConfig{
+					MemoryServers: tc.numMS, ComputeServers: 1,
+					Transport: transport, ReplicationFactor: tc.rf,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				tree, err := c.CreateTree(TreeOptions{NodeSize: 256})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var kvs []KV
+				for k := uint64(1); k <= 512; k++ {
+					kvs = append(kvs, KV{Key: 2 * k, Value: k})
+				}
+				if err := tree.Bulkload(kvs); err != nil {
+					t.Fatal(err)
+				}
+				s := openSession(t, tree, 0)
+				for k := uint64(1); k <= 512; k++ {
+					s.Put(2*k+1, k)
+				}
+				if tc.kill != 0 {
+					if err := c.KillMemoryServer(tc.kill); err != nil {
+						t.Fatal(err)
+					}
+					if v, ok := s.Get(2); !ok || v != 1 {
+						t.Fatalf("%s: key 2 after failover = %d,%v", transport, v, ok)
+					}
+				}
+				snap := snapshot{alloc: c.AllocStats(), rep: c.ReplicationStats(), forwarding: c.ForwardingEntries()}
+				for _, l := range c.MemoryServerLoads() {
+					snap.dead = append(snap.dead, l.Dead)
+				}
+				return snap
+			}
+			sim, tcp := run(TransportSim), run(TransportTCP)
+			if !reflect.DeepEqual(sim, tcp) {
+				t.Fatalf("the fabrics disagree:\n sim %+v\n tcp %+v", sim, tcp)
+			}
+			if sim.rep.ReplicationFactor != tc.wantFactor {
+				t.Errorf("ReplicationFactor = %d, want the configured %d", sim.rep.ReplicationFactor, tc.wantFactor)
+			}
+			if sim.alloc.ChunkRPCs == 0 || sim.alloc.Nodes < 512/8 {
+				t.Errorf("AllocStats = %+v, want chunk RPCs and at least the bulk-loaded nodes", sim.alloc)
+			}
+			if len(sim.dead) != tc.numMS {
+				t.Fatalf("MemoryServerLoads has %d entries, want %d", len(sim.dead), tc.numMS)
+			}
+			for ms, dead := range sim.dead {
+				if dead != (tc.kill != 0 && ms == tc.kill) {
+					t.Errorf("MemoryServerLoads[%d].Dead = %v", ms, dead)
+				}
+			}
+			if tc.kill == 0 {
+				if sim.rep.Failovers != 0 || sim.forwarding != 0 {
+					t.Errorf("no death, yet Failovers = %d, ForwardingEntries = %d", sim.rep.Failovers, sim.forwarding)
+				}
+				return
+			}
+			if sim.rep.Failovers == 0 || int64(sim.forwarding) != sim.rep.Failovers || sim.rep.LostChunks != 0 {
+				t.Errorf("after the kill: Failovers = %d, ForwardingEntries = %d, LostChunks = %d; want one forwarding entry per promoted chunk and nothing lost",
+					sim.rep.Failovers, sim.forwarding, sim.rep.LostChunks)
+			}
+		})
 	}
 }
