@@ -45,10 +45,10 @@
 // real shermand process SIGKILLed mid-window over the TCP transport loses
 // zero acked writes, at least one chunk fails over, and re-replication
 // restores full redundancy on the survivors); with -exp tcppipe, the
-// pipelining gate (depth-8 pipelined read verbs over real sockets reach at
-// least 3x the depth-1 throughput — the multiplexed connections genuinely
-// keep the window in flight — and the matched-scale sim-vs-TCP session
-// rows are present).
+// pipelining gate (at depth 8 both the client and the server put at least
+// 4 frames into each write syscall, depth-8 pipelined read verbs over real
+// sockets take at most 1/1.5 of depth-1's us/verb, and the matched-scale
+// sim-vs-TCP session rows are present).
 package main
 
 import (
@@ -210,8 +210,9 @@ func runChecks(ids []string, s bench.Scale, col *bench.Collector, churn *bench.F
 			if err := tcpPipeGate(tcpPipeRes); err != nil {
 				return err
 			}
-			fmt.Printf("tcppipe gate: depth-8 pipelined read verbs %.2fx depth-1 over real sockets (>= 3x), matched-scale sim-vs-TCP rows present\n",
-				tcpPipeRes.VerbMops[8]/tcpPipeRes.VerbMops[1])
+			fmt.Printf("tcppipe gate: depth-8 frames per write %.1f client / %.1f server (>= %.0f), %.1f us/verb vs %.1f at depth 1 (%.2fx, >= %.1fx), matched-scale sim-vs-TCP rows present\n",
+				tcpPipeRes.ClientFramesPerWrite[8], tcpPipeRes.ServerFramesPerWrite[8], tpMinFramesPerWrite,
+				1/tcpPipeRes.VerbMops[8], 1/tcpPipeRes.VerbMops[1], tcpPipeRes.VerbMops[8]/tcpPipeRes.VerbMops[1], tpMinDepthSpeedup)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"encoding/binary"
+	"slices"
 	"time"
 
 	"sherman/internal/transport"
@@ -25,8 +26,9 @@ func nowNS() int64 { return time.Since(clockBase).Nanoseconds() }
 // it deliberately does not implement transport.VirtualTimer — core code
 // holding a nil VirtualTimer runs its timeline hooks synchronously. It does
 // implement transport.AsyncVerbs: reads and doorbell write batches can be
-// issued without waiting, so a pipelined executor keeps depth-N verbs in
-// flight per memory server.
+// posted without waiting (they are on the wire no later than this thread's
+// next blocking verb or Await), so a pipelined executor keeps depth-N verbs
+// in flight per memory server.
 //
 // Like every Transport it is owned by a single goroutine. The sockets
 // themselves live in the cluster's per-server muxConns (dialed once at
@@ -40,6 +42,11 @@ type Transport struct {
 	payload []byte // request payload scratch
 
 	rmGroups []readGroup // ReadMulti per-server group scratch
+
+	// unflushed lists the muxes holding frames this thread posted and has
+	// not yet seen leave: posting never syscalls, and everything here is
+	// flushed before the thread blocks (await).
+	unflushed []*muxConn
 
 	pend  []pendingOp // AsyncVerbs completion slots
 	pfree []int32     // free indices into pend
@@ -78,6 +85,41 @@ const (
 // owner-calls-Close discipline the v1 pooled transport established.
 func (t *Transport) Close() {}
 
+// post issues one frame carrying t.payload on mx — no syscall; the frame
+// leaves when this thread is next about to block, or sooner if another
+// thread flushes mx first.
+func (t *Transport) post(mx *muxConn, op byte) uint32 {
+	if len(mx.free) == 0 {
+		t.flush() // issue is about to block on the window
+	}
+	tag := mx.issue(op, t.payload)
+	if !slices.Contains(t.unflushed, mx) {
+		t.unflushed = append(t.unflushed, mx)
+	}
+	return tag
+}
+
+// flush writes out every mux this thread has posted to since it last
+// blocked, so frames posted to several servers — ReadMulti groups, replica
+// mirrors ahead of the primary's verb — are all on the wire, overlapping
+// their round trips, before the thread parks on any one of them.
+func (t *Transport) flush() {
+	for _, mx := range t.unflushed {
+		mx.flush()
+	}
+	t.unflushed = t.unflushed[:0]
+}
+
+// await is mx.await behind the flush every blocking wait owes; a response
+// that is already in costs no syscall, so a caller retiring a window of
+// completed pendings keeps accumulating its new posts into one write.
+func (t *Transport) await(mx *muxConn, tag uint32) ([]byte, bool) {
+	if !mx.done(tag) {
+		t.flush()
+	}
+	return mx.await(tag)
+}
+
 // --- verbs -----------------------------------------------------------------
 
 // Verbs against a dead server apply the dead-memory semantics every backend
@@ -96,8 +138,8 @@ func (t *Transport) Read(a transport.Addr, buf []byte) {
 		return
 	}
 	t.payload = appendU32(appendU64(t.payload[:0], uint64(a)), uint32(len(buf)))
-	tag := mx.issue(opRead, t.payload)
-	resp, ok := mx.await(tag)
+	tag := t.post(mx, opRead)
+	resp, ok := t.await(mx, tag)
 	if !ok {
 		mx.release(tag)
 		t.cl.markDead(int(ms))
@@ -148,7 +190,7 @@ func (t *Transport) ReadMulti(ops []transport.ReadOp) {
 		}
 		g := readGroup{ms: ms, head: i}
 		if mx, alive := t.cl.mux(ms); alive {
-			g.tag = mx.issue(opReadBatch, t.payload)
+			g.tag = t.post(mx, opReadBatch)
 			g.issued = true
 		}
 		t.rmGroups = append(t.rmGroups, g)
@@ -159,7 +201,7 @@ func (t *Transport) ReadMulti(ops []transport.ReadOp) {
 		var mx *muxConn
 		if g.issued {
 			mx = t.cl.muxes[g.ms]
-			resp, ok = mx.await(g.tag)
+			resp, ok = t.await(mx, g.tag)
 			if ok {
 				t.m.RoundTrips++
 				t.m.OpRoundTrips++
@@ -204,8 +246,8 @@ func (t *Transport) Write(a transport.Addr, data []byte) {
 	t.payload = appendU32(t.payload[:0], 1)
 	t.payload = appendU32(appendU64(t.payload, uint64(a)), uint32(len(data)))
 	t.payload = append(t.payload, data...)
-	tag := mx.issue(opWriteBatch, t.payload)
-	_, ok := mx.await(tag)
+	tag := t.post(mx, opWriteBatch)
+	_, ok := t.await(mx, tag)
 	mx.release(tag)
 	if !ok {
 		t.cl.markDead(int(ms))
@@ -245,8 +287,8 @@ func (t *Transport) PostWrites(ops ...transport.WriteOp) {
 	if !alive {
 		return
 	}
-	tag := mx.issue(opWriteBatch, t.payload)
-	_, ok := mx.await(tag)
+	tag := t.post(mx, opWriteBatch)
+	_, ok := t.await(mx, tag)
 	mx.release(tag)
 	if !ok {
 		t.cl.markDead(int(ms))
@@ -262,8 +304,8 @@ func (t *Transport) CAS(a transport.Addr, old, new uint64) (uint64, bool) {
 	mx, alive := t.cl.mux(ms)
 	if alive {
 		t.payload = appendU64(appendU64(appendU64(t.payload[:0], uint64(a)), old), new)
-		tag := mx.issue(opCAS, t.payload)
-		resp, ok := mx.await(tag)
+		tag := t.post(mx, opCAS)
+		resp, ok := t.await(mx, tag)
 		if ok {
 			p := payloadReader{b: resp}
 			prev := p.u64()
@@ -298,8 +340,8 @@ func (t *Transport) CAS16(a transport.Addr, old, new uint16) (uint16, bool) {
 	if alive {
 		t.payload = appendU64(t.payload[:0], uint64(a))
 		t.payload = append(t.payload, byte(old), byte(old>>8), byte(new), byte(new>>8))
-		tag := mx.issue(opCAS16, t.payload)
-		resp, ok := mx.await(tag)
+		tag := t.post(mx, opCAS16)
+		resp, ok := t.await(mx, tag)
 		if ok {
 			p := payloadReader{b: resp}
 			prev := p.u16()
@@ -331,8 +373,8 @@ func (t *Transport) FAA(a transport.Addr, delta uint64) uint64 {
 		return 0
 	}
 	t.payload = appendU64(appendU64(t.payload[:0], uint64(a)), delta)
-	tag := mx.issue(opFAA, t.payload)
-	resp, ok := mx.await(tag)
+	tag := t.post(mx, opFAA)
+	resp, ok := t.await(mx, tag)
 	if !ok {
 		mx.release(tag)
 		t.cl.markDead(int(ms))
@@ -352,8 +394,9 @@ func (t *Transport) GrowChunk(ms uint16) uint64 {
 	if !alive {
 		return 0
 	}
-	tag := mx.issue(opGrow, nil)
-	resp, ok := mx.await(tag)
+	t.payload = t.payload[:0]
+	tag := t.post(mx, opGrow)
+	resp, ok := t.await(mx, tag)
 	if !ok {
 		mx.release(tag)
 		t.cl.markDead(int(ms))
@@ -381,7 +424,7 @@ func (t *Transport) newPending() (transport.Pending, *pendingOp) {
 	return transport.Pending(len(t.pend) - 1), &t.pend[len(t.pend)-1]
 }
 
-// ReadAsync issues the read and returns without waiting. buf is filled (or
+// ReadAsync posts the read and returns without waiting. buf is filled (or
 // zero-filled, on death) at Await time.
 func (t *Transport) ReadAsync(a transport.Addr, buf []byte) transport.Pending {
 	t.m.Reads++
@@ -395,12 +438,12 @@ func (t *Transport) ReadAsync(a transport.Addr, buf []byte) transport.Pending {
 	}
 	t.payload = appendU32(appendU64(t.payload[:0], uint64(a)), uint32(len(buf)))
 	p.kind = pendRead
-	p.tag = mx.issue(opRead, t.payload)
+	p.tag = t.post(mx, opRead)
 	return idx
 }
 
-// PostWritesAsync issues one doorbell batch and returns without waiting.
-// The data is captured into the frame at issue, so callers may reuse their
+// PostWritesAsync posts one doorbell batch and returns without waiting.
+// The data is captured into the frame at post, so callers may reuse their
 // op buffers immediately.
 func (t *Transport) PostWritesAsync(ops ...transport.WriteOp) transport.Pending {
 	idx, p := t.newPending()
@@ -417,7 +460,7 @@ func (t *Transport) PostWritesAsync(ops ...transport.WriteOp) transport.Pending 
 		return idx
 	}
 	p.kind = pendWrite
-	p.tag = mx.issue(opWriteBatch, t.payload)
+	p.tag = t.post(mx, opWriteBatch)
 	return idx
 }
 
@@ -431,7 +474,7 @@ func (t *Transport) Await(pd transport.Pending) {
 		}
 	} else {
 		mx := t.cl.muxes[p.ms]
-		resp, ok := mx.await(p.tag)
+		resp, ok := t.await(mx, p.tag)
 		if ok {
 			if p.kind == pendRead {
 				copy(p.buf, resp)

@@ -103,7 +103,7 @@ func NewCluster(endpoints []string, numCS int, opt Options) (*Cluster, error) {
 	c.State = st
 	c.raw = c.newTransport(0)
 	if err := c.bringUp(); err != nil {
-		c.Close() // every dialed mux: socket, reader and writer goroutines
+		c.Close() // every dialed mux
 		return nil, err
 	}
 	if opt.HeartbeatInterval >= 0 {
@@ -277,6 +277,18 @@ func (c *Cluster) Loads() []stats.MSLoad {
 			c.markDead(ms)
 			out[ms].Dead = true
 		}
+	}
+	return out
+}
+
+// WireStats returns, per memory server, this process's end of the data
+// connection: request frames sent and the write and read syscalls made —
+// frames per write is the coalescing the mux achieved. Local counters; no
+// round trip, and a dead server keeps its last counts.
+func (c *Cluster) WireStats() []WireStats {
+	out := make([]WireStats, len(c.muxes))
+	for ms, mx := range c.muxes {
+		out[ms] = WireStats{Frames: mx.frames.Load(), Writes: mx.writes.Load(), Reads: mx.reads.Load()}
 	}
 	return out
 }

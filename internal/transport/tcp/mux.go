@@ -1,9 +1,6 @@
 package tcp
 
 import (
-	"bufio"
-	"encoding/binary"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -12,7 +9,7 @@ import (
 
 // defaultWindow is the per-server outstanding-request window: how many
 // tagged frames one muxConn keeps in flight before issue blocks. It bounds
-// server-side buffering and is the backpressure of the pipelined executor;
+// what either end buffers and is the backpressure of the pipelined executor;
 // 64 comfortably exceeds any single session's depth times its verb fan-out.
 const defaultWindow = 64
 
@@ -42,19 +39,25 @@ func (s *muxSlot) deliver(err bool) {
 }
 
 // muxConn is the multiplexed connection to one memory server, shared by
-// every client thread of the cluster. Senders acquire a tagged slot (the
-// bounded window), append their frame to a shared write buffer, and block
-// on the slot; a writer goroutine coalesces whatever accumulated into
-// single flushes, and a reader goroutine demuxes responses by tag back to
-// the waiting slots. Responses may return in any order — that is the whole
-// point: requests to different chunks proceed through the server's striped
-// locks concurrently.
+// every client thread of the cluster, and like an RDMA queue pair it has no
+// goroutine of its own: the threads that use it do its I/O. Posting a frame
+// (issue) takes a tagged slot from the bounded window and appends to the
+// write buffer — never a syscall. A thread about to block writes everything
+// posted so far with one Write (flush), then awaits its slot; whichever
+// awaiting thread finds its slot incomplete while nobody is reading takes
+// the reader token, reads the socket and demuxes responses by tag into the
+// slots — its own and the other waiters' — and hands the token on once its
+// own has arrived. A lone depth-1 caller thus pays one park per round trip
+// (inside its own Read), and a wave of callers shares one write and one
+// read per burst. The server answers a connection in posted order, but
+// awaiters come in any order, so delivery stays by tag.
 //
 // Failure is terminal (a dead server stays dead, as in v1): fail closes the
-// socket, the reader sweeps every in-flight slot with err, and later issues
-// self-complete with err. Verbs observing err call Cluster.markDead, which
-// runs failover promotion before the death is published — the mux itself
-// never touches the cluster, keeping the markDead→fail call acyclic.
+// socket, the reader's next read errors, it sweeps every in-flight slot with
+// err, and later issues self-complete with err. Verbs observing err call
+// Cluster.markDead, which runs failover promotion before the death is
+// published — the mux itself never touches the cluster, keeping the
+// markDead→fail call acyclic.
 type muxConn struct {
 	ms int
 	c  net.Conn
@@ -62,16 +65,23 @@ type muxConn struct {
 	slots []muxSlot
 	free  chan uint32 // free slot indices; capacity = window
 
-	wmu  sync.Mutex
-	wbuf []byte        // frames queued for the writer, coalesced per flush
-	wake chan struct{} // capacity 1; nudges the writer, never closed
+	wmu      sync.Mutex
+	wbuf     []byte       // frames posted since the last flush took the buffer
+	posted   atomic.Int32 // frames in wbuf; written under wmu, read without
+	flushing atomic.Bool  // held by the one thread writing; guards spare
+	spare    []byte       // the flusher's recycled swap buffer
+
+	rtok chan struct{} // capacity 1; holds the reader token while nobody reads
+	fr   frameReader   // the token holder's
+
+	// Data-path counters: request frames sent, write and read syscalls made.
+	frames, writes, reads atomic.Int64
 
 	closed    atomic.Bool
-	dead      chan struct{} // closed by fail; stops the writer
 	closeOnce sync.Once
 }
 
-// dialMux connects to endpoint and starts the writer and reader goroutines.
+// dialMux connects to endpoint. Nothing runs until a thread uses the mux.
 func dialMux(ms int, endpoint string, window int) (*muxConn, error) {
 	if window <= 0 {
 		window = defaultWindow
@@ -85,54 +95,89 @@ func dialMux(ms int, endpoint string, window int) (*muxConn, error) {
 		c:     c,
 		slots: make([]muxSlot, window),
 		free:  make(chan uint32, window),
-		wake:  make(chan struct{}, 1),
-		dead:  make(chan struct{}),
+		rtok:  make(chan struct{}, 1),
 	}
+	m.fr = frameReader{src: c, reads: &m.reads}
+	m.rtok <- struct{}{}
 	for i := range m.slots {
 		m.slots[i].ready = make(chan struct{}, 1)
 		m.free <- uint32(i)
 	}
-	go m.writeLoop()
-	go m.readLoop()
 	return m, nil
 }
 
-// fail makes the mux terminally dead: no new frames go out, the socket
-// closes (kicking the reader out of any blocking read — a SIGSTOPped server
-// holds its sockets open without answering), and the writer stops. The
-// reader performs the in-flight sweep itself after its loop exits, so slot
-// buffers are never written concurrently with delivery.
+// fail makes the mux terminally dead: no new frames go out and the socket
+// closes, kicking the reader out of any blocking read (a SIGSTOPped server
+// holds its sockets open without answering). The in-flight sweep is the
+// reader's — the current one when its read errors, else the next thread to
+// await — so slot buffers are never written concurrently with delivery.
 func (m *muxConn) fail() {
 	m.closeOnce.Do(func() {
 		m.closed.Store(true)
 		m.c.Close()
-		close(m.dead)
 	})
 }
 
 // issue acquires a slot from the window (blocking while the window is
-// full — the backpressure), queues one frame for the writer and returns the
-// slot's tag. The payload is copied at enqueue, so the caller's scratch is
-// reusable immediately. On a dead mux the slot self-completes with err.
+// full — the backpressure), appends one frame to the write buffer and
+// returns the slot's tag. The payload is copied, so the caller's scratch is
+// reusable immediately; the frame leaves with the next flush. On a dead mux
+// the slot self-completes with err.
 func (m *muxConn) issue(op byte, payload []byte) uint32 {
-	tag := <-m.free
+	var tag uint32
+	select {
+	case tag = <-m.free:
+	default:
+		m.flush() // about to block: slots free up only once their frames have left
+		tag = <-m.free
+	}
 	s := &m.slots[tag]
 	s.err, s.reject = false, false
 	s.inflight.Store(true)
 	if m.closed.Load() {
-		// The request never goes out. Complete it here: the reader's sweep
-		// may already be done, but if it is running it CAS-races us safely.
+		// The request never goes out. Complete it here: a reader's sweep may
+		// already be done, but if it is running it CAS-races us safely.
 		s.deliver(true)
 		return tag
 	}
 	m.wmu.Lock()
 	m.wbuf = appendFrame(m.wbuf, tag, op, payload)
+	m.posted.Add(1)
 	m.wmu.Unlock()
-	select {
-	case m.wake <- struct{}{}:
-	default:
-	}
 	return tag
+}
+
+// flush puts every posted frame on the wire with one Write; every thread
+// calls it before it blocks on this mux's replies or window. When other
+// verbs are in flight their owners are probably about to post too (one
+// burst of replies woke them together), so yield once first and let their
+// frames ride this write; a lone caller never yields. A thread that finds
+// another one writing leaves its frames to it: the writer re-checks after
+// its Write, so nothing posted is ever left behind.
+func (m *muxConn) flush() {
+	n := m.posted.Load()
+	if n == 0 {
+		return
+	}
+	if int32(cap(m.free)-len(m.free)) > n {
+		runtime.Gosched()
+	}
+	for m.posted.Load() > 0 && m.flushing.CompareAndSwap(false, true) {
+		m.wmu.Lock()
+		out := m.wbuf
+		m.wbuf = m.spare[:0]
+		n = m.posted.Swap(0)
+		m.wmu.Unlock()
+		m.frames.Add(int64(n))
+		m.writes.Add(1)
+		_, err := m.c.Write(out)
+		m.spare = out[:0]
+		m.flushing.Store(false)
+		if err != nil {
+			m.fail() // the next read errors and its reader runs the failure sweep
+			return
+		}
+	}
 }
 
 // await blocks until tag's response arrives. ok=false means the connection
@@ -143,7 +188,12 @@ func (m *muxConn) issue(op byte, payload []byte) uint32 {
 // treatment of verb misuse.
 func (m *muxConn) await(tag uint32) ([]byte, bool) {
 	s := &m.slots[tag]
-	<-s.ready
+	select {
+	case <-s.ready:
+	default:
+		m.flush()
+		m.wait(s)
+	}
 	if s.err {
 		return nil, false
 	}
@@ -151,6 +201,50 @@ func (m *muxConn) await(tag uint32) ([]byte, bool) {
 		panic("tcp: server rejected request: " + string(s.resp))
 	}
 	return s.resp, true
+}
+
+// wait parks until s completes, serving as the connection's reader whenever
+// the token is free: handing it back wakes one parked waiter to take over.
+func (m *muxConn) wait(s *muxSlot) {
+	for {
+		select {
+		case <-s.ready:
+			return
+		case <-m.rtok:
+			m.demux(s)
+			m.rtok <- struct{}{}
+		}
+	}
+}
+
+// done reports whether tag's response has arrived, that is, whether await
+// would return without blocking.
+func (m *muxConn) done(tag uint32) bool { return !m.slots[tag].inflight.Load() }
+
+// demux is the reader role, held by the awaiter of own: read frames and
+// complete their slots until own is complete and no whole frame is left in
+// the buffer (those cost no syscall, and their awaiters are parked). Each
+// payload is copied into its slot's reusable buffer — the awaiter does not
+// touch it before deliver — so the steady path allocates nothing once warm.
+// A read error, or a response whose tag is out of range or not in flight
+// (the stream is desynchronized), kills the connection and completes every
+// in-flight slot with err.
+func (m *muxConn) demux(own *muxSlot) {
+	for own.inflight.Load() || m.fr.buffered() {
+		tag, status, payload, err := m.fr.next()
+		if err != nil || tag >= uint32(len(m.slots)) || !m.slots[tag].inflight.Load() {
+			m.fail()
+			m.fr.r, m.fr.w = 0, 0
+			for i := range m.slots {
+				m.slots[i].deliver(true)
+			}
+			return
+		}
+		s := &m.slots[tag]
+		s.resp = append(s.resp[:0], payload...)
+		s.reject = status != statusOK
+		s.deliver(false)
+	}
 }
 
 // release returns tag's slot to the window. The slot's response buffer is
@@ -167,108 +261,4 @@ func (m *muxConn) roundTrip(op byte, payload []byte, parse func(resp []byte)) bo
 	}
 	m.release(tag)
 	return ok
-}
-
-// writeLoop flushes queued frames. Every pass swaps the shared buffer for a
-// private one under the mutex — O(1) — then writes the whole batch with a
-// single Write: frames issued by concurrent senders while a flush is on the
-// wire coalesce into the next one (the writev-style batching that makes N
-// in-flight verbs cost far fewer syscalls than N).
-func (m *muxConn) writeLoop() {
-	var local []byte
-	for {
-		select {
-		case <-m.dead:
-			return
-		case <-m.wake:
-		}
-		// Yield before swapping — and keep yielding while the buffer is
-		// still growing: senders mid-issue get to append their frames, so a
-		// burst coalesces into one Write instead of trickling out a frame
-		// per syscall (which otherwise dominates pipelined throughput; a
-		// loopback write runs the whole TCP stack inline). A lone sender
-		// pays one no-op yield; a pipelined wave gathers until quiescent.
-		runtime.Gosched()
-		m.wmu.Lock()
-		n := len(m.wbuf)
-		m.wmu.Unlock()
-		// A completion batch wakes several senders whose next frames scatter
-		// across all muxes, so this mux may see growth only every few yields;
-		// tolerate a couple of quiet rounds before flushing. Idle yields are
-		// near-free (there is real work on the runnable queue whenever the
-		// burst is still unwinding).
-		for i, stale := 0, 0; n > 0 && i < 24 && stale < 3; i++ {
-			runtime.Gosched()
-			m.wmu.Lock()
-			grown := len(m.wbuf)
-			m.wmu.Unlock()
-			if grown == n {
-				stale++
-			} else {
-				stale = 0
-				n = grown
-			}
-		}
-		m.wmu.Lock()
-		local, m.wbuf = m.wbuf, local[:0]
-		m.wmu.Unlock()
-		if len(local) == 0 {
-			continue
-		}
-		if _, err := m.c.Write(local); err != nil {
-			m.c.Close() // the reader errors out and runs the failure sweep
-			return
-		}
-	}
-}
-
-// readLoop demuxes response frames to their slots until the connection
-// dies, then fails the mux and sweeps every in-flight slot. A response
-// whose tag is out of range or not in flight means the stream is
-// desynchronized; the only safe move is to kill the connection.
-func (m *muxConn) readLoop() {
-	defer func() {
-		m.fail()
-		for i := range m.slots {
-			m.slots[i].deliver(true)
-		}
-	}()
-	r := bufio.NewReader(m.c)
-	// Header scratch lives outside the loop: through the io.Reader
-	// interface a loop-local would escape and cost one heap allocation
-	// per response frame.
-	var hdr [frameHeader]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if n < 5 || n > maxFrame {
-			return
-		}
-		tag := binary.LittleEndian.Uint32(hdr[4:8])
-		status := hdr[8]
-		if tag >= uint32(len(m.slots)) {
-			return
-		}
-		s := &m.slots[tag]
-		if !s.inflight.Load() {
-			return
-		}
-		// The payload lands directly in the slot's reusable buffer: the
-		// awaiter is parked on ready until deliver, so nobody reads it while
-		// we fill it, and the steady path allocates nothing once warm.
-		plen := int(n) - 5
-		if cap(s.resp) < plen {
-			s.resp = make([]byte, plen)
-		}
-		s.resp = s.resp[:plen]
-		if plen > 0 {
-			if _, err := io.ReadFull(r, s.resp); err != nil {
-				return
-			}
-		}
-		s.reject = status != statusOK
-		s.deliver(false)
-	}
 }

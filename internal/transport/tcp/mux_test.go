@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bufio"
+	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -49,8 +50,9 @@ func readPayload(a transport.Addr, n int) []byte {
 
 // TestMuxOutOfOrderDelivery posts a large read and a small read back to back
 // on one multiplexed connection and awaits them in reverse issue order: the
-// tag demux must route each response to its own slot no matter which the
-// server finishes first.
+// server answers in posted order, so the awaiter of the second reads the
+// first's response off the socket first, and the tag demux must route each
+// to its own slot.
 func TestMuxOutOfOrderDelivery(t *testing.T) {
 	endpoints := startServers(t, 1)
 	m := muxDial(t, endpoints[0], 0)
@@ -72,7 +74,7 @@ func TestMuxOutOfOrderDelivery(t *testing.T) {
 		t.Fatalf("issue reused tag %d while in flight", tagBig)
 	}
 
-	// Await the later-issued request first: completion order is the server's
+	// Await the later-issued request first: arrival order is the server's
 	// business, delivery order is the awaiter's.
 	resp, ok := m.await(tagSmall)
 	if !ok {
@@ -99,8 +101,8 @@ func TestMuxOutOfOrderDelivery(t *testing.T) {
 }
 
 // TestMuxConcurrentSenders hammers one mux from several goroutines, each
-// verifying its own distinct pattern — the shared-window, coalesced-writer,
-// demuxed-reader path under real contention.
+// verifying its own distinct pattern — the shared window, the combined
+// flush and the reader role under real contention.
 func TestMuxConcurrentSenders(t *testing.T) {
 	endpoints := startServers(t, 1)
 	m := muxDial(t, endpoints[0], 0)
@@ -167,43 +169,88 @@ func fakeServer(t *testing.T, fn func(c net.Conn)) string {
 	return ln.Addr().String()
 }
 
-// TestMuxBadTagKillsConnection pins the desynchronization rule: a response
-// whose tag is out of range (or not in flight) kills the connection, and
-// every pending and future request completes with the error path instead of
-// hanging.
-func TestMuxBadTagKillsConnection(t *testing.T) {
-	ep := fakeServer(t, func(c net.Conn) {
-		r := bufio.NewReader(c)
-		tag, _, _, err := readFrame(r)
-		if err != nil {
-			return
-		}
-		writeFrame(c, tag+1000, statusOK, nil) // way out of the slot table
-		// Hold the conn open: only the bad tag, not EOF, must kill it.
-		time.Sleep(5 * time.Second)
-	})
-	m := muxDial(t, ep, 0)
-	tag := m.issue(opPing, nil)
-	if _, ok := m.await(tag); ok {
-		t.Fatal("await succeeded on a desynchronized stream")
+// startWaiters posts one ping per waiter from its own goroutine; each sends
+// whether its await succeeded.
+func startWaiters(m *muxConn, waiters int) <-chan bool {
+	oks := make(chan bool, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			tag := m.issue(opPing, nil)
+			_, ok := m.await(tag)
+			m.release(tag)
+			oks <- ok
+		}()
 	}
-	m.release(tag)
-	// The mux is terminally dead: a later issue self-completes with err.
-	tag = m.issue(opPing, nil)
-	if _, ok := m.await(tag); ok {
-		t.Fatal("await succeeded on a dead mux")
-	}
-	m.release(tag)
+	return oks
 }
 
-// TestMuxTornFrameFailsPending cuts the response stream mid-frame — once
-// inside the header, once inside the payload — and checks that the pending
-// request errors out instead of hanging on the torn read.
-func TestMuxTornFrameFailsPending(t *testing.T) {
+// collect waits for every waiter of startWaiters to return and counts the
+// successes. Every waiter returning at all is the no-stranding half of the
+// reader-role contract.
+func collect(t *testing.T, oks <-chan bool, waiters int) (succeeded int) {
+	t.Helper()
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < waiters; i++ {
+		select {
+		case ok := <-oks:
+			if ok {
+				succeeded++
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d waiters stranded on the mux", waiters-i, waiters)
+		}
+	}
+	return succeeded
+}
+
+// checkQuiescent verifies exactly-once completion after every waiter has
+// returned: the whole window is back on the free list, no slot holds a
+// second completion token, and the reader token is home.
+func checkQuiescent(t *testing.T, m *muxConn) {
+	t.Helper()
+	if len(m.free) != cap(m.free) {
+		t.Fatalf("%d of %d slots returned to the window", len(m.free), cap(m.free))
+	}
+	for i := range m.slots {
+		if len(m.slots[i].ready) != 0 || m.slots[i].inflight.Load() {
+			t.Fatalf("slot %d completed more or less than once", i)
+		}
+	}
+	if len(m.rtok) != 1 {
+		t.Fatal("the reader token was not handed back")
+	}
+}
+
+// readFrames consumes n request frames and returns their tags.
+func readFrames(c net.Conn, n int) ([]uint32, error) {
+	r := bufio.NewReader(c)
+	tags := make([]uint32, n)
+	for i := range tags {
+		tag, _, _, err := readFrame(r)
+		if err != nil {
+			return nil, err
+		}
+		tags[i] = tag
+	}
+	return tags, nil
+}
+
+// TestMuxDesyncFailsEveryWaiterOnce pins the failure rule with a full window
+// of waiters, one of them reading: a response whose tag is out of range, or
+// a frame torn inside its header or payload, kills the connection; every
+// pending request completes with the error path exactly once instead of
+// hanging, and so does every later one.
+func TestMuxDesyncFailsEveryWaiterOnce(t *testing.T) {
+	const waiters = 4
 	cases := []struct {
 		name string
 		fn   func(c net.Conn, tag uint32)
 	}{
+		{"bad tag", func(c net.Conn, tag uint32) {
+			writeFrame(c, tag+1000, statusOK, nil) // way out of the slot table
+			// Hold the conn open: only the bad tag, not EOF, must kill it.
+			time.Sleep(5 * time.Second)
+		}},
 		{"torn header", func(c net.Conn, tag uint32) {
 			c.Write([]byte{42, 0, 0}) // 3 of 9 header bytes
 		}},
@@ -215,21 +262,184 @@ func TestMuxTornFrameFailsPending(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ep := fakeServer(t, func(c net.Conn) {
-				r := bufio.NewReader(c)
-				tag, _, _, err := readFrame(r)
+				tags, err := readFrames(c, waiters)
 				if err != nil {
 					return
 				}
-				tc.fn(c, tag)
+				tc.fn(c, tags[0])
 			})
-			m := muxDial(t, ep, 0)
-			tag := m.issue(opPing, nil)
-			if _, ok := m.await(tag); ok {
-				t.Fatal("await succeeded across a torn frame")
+			m := muxDial(t, ep, waiters)
+			if n := collect(t, startWaiters(m, waiters), waiters); n != 0 {
+				t.Fatalf("%d awaits succeeded on a desynchronized stream", n)
 			}
-			m.release(tag)
+			checkQuiescent(t, m)
+			// The mux is terminally dead: a later issue self-completes with err.
+			if n := collect(t, startWaiters(m, 1), 1); n != 0 {
+				t.Fatal("await succeeded on a dead mux")
+			}
+			checkQuiescent(t, m)
 		})
 	}
+}
+
+// TestMuxReaderHandOff pins the reader role's hand-off. The leader — the
+// awaiter holding the reader token — gets its own reply first while a second
+// waiter's is still outstanding: it must stop reading, and the token must
+// reach the second waiter, who reads its own reply itself.
+func TestMuxReaderHandOff(t *testing.T) {
+	bothWaiting, leaderBack := make(chan struct{}), make(chan struct{})
+	ep := fakeServer(t, func(c net.Conn) {
+		tags, err := readFrames(c, 2)
+		if err != nil {
+			return
+		}
+		<-bothWaiting
+		writeFrame(c, tags[0], statusOK, []byte("first"))
+		<-leaderBack
+		writeFrame(c, tags[1], statusOK, []byte("second"))
+		time.Sleep(5 * time.Second) // no EOF to rescue a stranded waiter
+	})
+	m := muxDial(t, ep, 0)
+
+	lead := m.issue(opPing, nil)
+	follow := m.issue(opPing, nil)
+	followed := make(chan string, 1)
+	go func() {
+		// The leader: blocks in Read until "first" arrives, then returns.
+		resp, ok := m.await(lead)
+		if !ok || string(resp) != "first" {
+			t.Errorf("leader got %q, ok=%v", resp, ok)
+		}
+		m.release(lead)
+		close(leaderBack)
+	}()
+	for len(m.rtok) == 1 { // until the leader holds the token, parked in Read
+		time.Sleep(time.Millisecond)
+	}
+	go func() {
+		resp, ok := m.await(follow)
+		got := string(resp)
+		if !ok {
+			got = "connection failed"
+		}
+		m.release(follow)
+		followed <- got
+	}()
+	// Not needed for correctness — the token must reach the follower whenever
+	// it starts waiting — but this makes the parked-follower case the usual one.
+	time.Sleep(10 * time.Millisecond)
+	close(bothWaiting)
+	select {
+	case got := <-followed:
+		if got != "second" {
+			t.Fatalf("follower got %q", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower stranded: the reader token was not handed on")
+	}
+	checkQuiescent(t, m)
+}
+
+// TestMuxReaderRoleUnderContention runs 32 goroutines over a window of 4
+// against a real server: slots, the flush and the reader token change hands
+// constantly, every read must come back with its own bytes, and nobody may
+// strand.
+func TestMuxReaderRoleUnderContention(t *testing.T) {
+	endpoints := startServers(t, 1)
+	m := muxDial(t, endpoints[0], 4)
+	base := growOn(t, m)
+
+	const workers, rounds = 32, 100
+	for w := 0; w < workers; w++ {
+		writeOn(t, m, transport.MakeAddr(0, base+uint64(w)*64), bytes.Repeat([]byte{byte(w + 1)}, 64))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a := transport.MakeAddr(0, base+uint64(w)*64)
+			for r := 0; r < rounds; r++ {
+				tag := m.issue(opRead, readPayload(a, 64))
+				resp, ok := m.await(tag)
+				good := ok && bytes.Equal(resp, bytes.Repeat([]byte{byte(w + 1)}, 64))
+				m.release(tag)
+				if !good {
+					t.Errorf("worker %d round %d: ok=%v, payload %x", w, r, ok, resp)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("workers stranded on the mux")
+	}
+	checkQuiescent(t, m)
+}
+
+// TestMuxFailUnblocksParkedReader pins the heartbeat path: the membership
+// service declares a silent server dead by calling fail from outside, which
+// must kick the leader out of its blocking Read and fail every waiter.
+func TestMuxFailUnblocksParkedReader(t *testing.T) {
+	ep := fakeServer(t, func(c net.Conn) {
+		time.Sleep(10 * time.Second) // a SIGSTOPped server: open socket, no answers
+	})
+	m := muxDial(t, ep, 0)
+	oks := startWaiters(m, 3)
+	for len(m.rtok) == 1 { // until one of them is parked in Read
+		time.Sleep(time.Millisecond)
+	}
+	m.fail()
+	if n := collect(t, oks, 3); n != 0 {
+		t.Fatalf("%d awaits succeeded on a failed mux", n)
+	}
+	checkQuiescent(t, m)
+}
+
+// TestPostedMirrorLeavesBeforeBlocking pins the flush rule of the client
+// thread: frames posted to one server leave no later than the thread's next
+// blocking verb, on whatever server. A PostWritesAsync to server 1 followed
+// by a blocking Read on server 0 must have server 1 apply the write without
+// anyone calling Await — that is what lets replica mirrors overlap the
+// primary's round trip.
+func TestPostedMirrorLeavesBeforeBlocking(t *testing.T) {
+	srvs := []*Server{startServer(t), startServer(t)}
+	c, err := NewCluster([]string{srvs[0].Addr(), srvs[1].Addr()}, 1, Options{HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	tr := c.newTransport(0)
+	a0 := transport.MakeAddr(0, tr.GrowChunk(0))
+	a1 := transport.MakeAddr(1, tr.GrowChunk(1))
+
+	want := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	pd := tr.PostWritesAsync(transport.WriteOp{Addr: a1, Data: want})
+	if got := c.muxes[1].writes.Load(); got != 2 { // the ping and the grow
+		t.Fatalf("posting made a write syscall (%d so far, want 2)", got)
+	}
+	tr.Read(a0, make([]byte, 8)) // blocks on server 0 only
+
+	reg, err := srvs[1].st.locate(a1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := func() bool {
+		reg.mu.Lock()
+		defer reg.mu.Unlock()
+		return bytes.Equal(reg.b, want)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !applied(); {
+		if time.Now().After(deadline) {
+			t.Fatal("server 1 never saw the posted write: it did not leave before the thread blocked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	tr.Await(pd)
 }
 
 // TestPingBypassesFullDataWindow pins the heartbeat liveness property: the
@@ -251,11 +461,12 @@ func TestPingBypassesFullDataWindow(t *testing.T) {
 	addr := transport.MakeAddr(0, base)
 	writeOn(t, m, addr, make([]byte, 8))
 
-	// Wedge chunk 0's stripe: both window slots fill with reads that block
-	// inside server workers on the held lock.
+	// Wedge chunk 0's stripe: both window slots fill with reads, and the
+	// connection's goroutine blocks on the held lock applying the first.
 	srv.st.locks[0].Lock()
 	tagA := m.issue(opRead, readPayload(addr, 8))
 	tagB := m.issue(opRead, readPayload(addr, 8))
+	m.flush()
 
 	// A membership-style lockstep ping on its own connection must answer
 	// while the data window is wedged.

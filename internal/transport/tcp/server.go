@@ -1,10 +1,10 @@
 package tcp
 
 import (
-	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,16 +21,10 @@ const chunkSize = transport.DefaultChunkSize
 
 // numStripes is the lock-striping width of each address space half: host
 // chunks stripe by chunk index, the on-chip region by 64-byte line, so
-// concurrent tagged requests to different chunks (or different lock words)
-// never serialize on one mutex. 64 stripes comfortably exceed any plausible
-// per-server worker concurrency.
+// requests of different connections to different chunks (or different lock
+// words) never serialize on one mutex. 64 stripes comfortably exceed any
+// plausible number of connections working at once.
 const numStripes = 64
-
-// connWorkers is the per-connection handler pool: how many tagged requests
-// of one client connection the server works on concurrently. It matches the
-// client's default window order of magnitude; excess requests queue in the
-// read loop (backpressure via the request-context free list).
-const connWorkers = 16
 
 // serverStart anchors this server process's monotonic clock. Ping responses
 // carry nanoseconds since this instant so every client process can anchor
@@ -145,6 +139,9 @@ type Server struct {
 
 	accepted atomic.Int64
 
+	// Data-path counters over all connections (WireStats).
+	frames, writes, reads atomic.Int64
+
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
 	shutdown chan struct{}
@@ -173,6 +170,19 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // pre-dial regression probe: a cluster that pre-dials at bring-up accepts
 // nothing new when the first verb flies.
 func (s *Server) Accepted() int64 { return s.accepted.Load() }
+
+// WireStats counts a connection end's data-path work: frames it sent and the
+// write and read syscalls it made. Frames/Writes is the coalescing actually
+// achieved (DESIGN.md §13).
+type WireStats struct {
+	Frames, Writes, Reads int64
+}
+
+// WireStats returns the totals over every connection served so far: reply
+// frames sent, and the syscalls that carried them and read their requests.
+func (s *Server) WireStats() WireStats {
+	return WireStats{Frames: s.frames.Load(), Writes: s.writes.Load(), Reads: s.reads.Load()}
+}
 
 // Done is closed when a Shutdown frame arrives or Close is called.
 func (s *Server) Done() <-chan struct{} { return s.shutdown }
@@ -209,121 +219,13 @@ func (s *Server) Serve() error {
 	}
 }
 
-// reqCtx is one pooled request context: the read loop fills tag/op/in, a
-// worker appends the response payload into resp. Both buffers are reused
-// across requests, so the steady request path allocates nothing (the
-// in-process alloc probe measures this server too).
-type reqCtx struct {
-	tag  uint32
-	op   byte
-	in   []byte
-	resp []byte
-}
-
-// connWriter coalesces one connection's response writes: workers append
-// complete frames into a shared buffer, and a flusher goroutine swaps the
-// buffer out and writes it with a single syscall. Under a deep pipeline
-// many responses ride one flush — the server-side mirror of the client
-// mux's request coalescing; when the connection is idle the flusher runs
-// immediately, so a lone response flushes with no added delay. Responses to
-// different tags may legally leave in any order (the client demuxes by
-// tag), so the flusher and flushNow never need to agree on frame order —
-// only on whole-frame writes.
-type connWriter struct {
-	conn net.Conn
-	mu   sync.Mutex // guards buf
-	buf  []byte
-	wmu  sync.Mutex // serializes conn.Write between run and flushNow
-	fout []byte     // flushNow's recycled swap buffer; guarded by wmu
-	wake chan struct{}
-	done chan struct{}
-}
-
-func newConnWriter(conn net.Conn) *connWriter {
-	w := &connWriter{conn: conn, wake: make(chan struct{}, 1), done: make(chan struct{})}
-	go w.run()
-	return w
-}
-
-// post appends one response frame for the flusher to pick up.
-func (w *connWriter) post(tag uint32, status byte, resp []byte) {
-	w.mu.Lock()
-	w.buf = appendFrame(w.buf, tag, status, resp)
-	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-}
-
-// flushNow synchronously drains the buffer — the demux loop's batch
-// boundary, and the shutdown path (the ack must be on the wire before the
-// listener closes). The drained buffer swaps against a recycled spare so
-// the per-burst flush allocates nothing in steady state.
-func (w *connWriter) flushNow() {
-	w.wmu.Lock()
-	w.mu.Lock()
-	out := w.buf
-	w.buf = w.fout[:0]
-	w.mu.Unlock()
-	var err error
-	if len(out) > 0 {
-		_, err = w.conn.Write(out)
-	}
-	w.fout = out[:0]
-	w.wmu.Unlock()
-	if err != nil {
-		w.conn.Close()
-	}
-}
-
-func (w *connWriter) run() {
-	var out []byte
-	for {
-		select {
-		case <-w.wake:
-		case <-w.done:
-			return
-		}
-		// Same trick as the client mux's writer: yield while the buffer is
-		// still growing, so a window's worth of responses rides one Write.
-		runtime.Gosched()
-		w.mu.Lock()
-		n := len(w.buf)
-		w.mu.Unlock()
-		for i := 0; n > 0 && i < 4; i++ {
-			runtime.Gosched()
-			w.mu.Lock()
-			grown := len(w.buf)
-			w.mu.Unlock()
-			if grown == n {
-				break
-			}
-			n = grown
-		}
-		w.mu.Lock()
-		out, w.buf = w.buf, out[:0]
-		w.mu.Unlock()
-		if len(out) == 0 {
-			continue
-		}
-		w.wmu.Lock()
-		_, err := w.conn.Write(out)
-		w.wmu.Unlock()
-		if err != nil {
-			w.conn.Close() // unblocks the read loop
-			return
-		}
-	}
-}
-
-// serveConn runs one client connection: a read loop feeding a fixed worker
-// pool through pooled request contexts. Workers handle requests
-// concurrently — the tag is what lets their responses return out of order —
-// and serialize only on the coalescing response writer and the stripe locks
-// their ops touch. The free list of contexts bounds the per-connection work
-// in flight: when all connWorkers contexts are busy the read loop itself
-// blocks, pushing backpressure into the socket.
+// serveConn runs one client connection on one goroutine: decode a frame,
+// apply it under its stripe lock, append the reply to the output buffer, and
+// write that buffer once the inbound burst is drained (or it passes
+// burstBytes). So a connection's verbs execute and are answered in posted
+// order, as on an RC queue pair, a burst's answers ride one write, and no
+// verb is handed to another goroutine. A verb waiting for a stripe stalls
+// only its own connection; the stripe locks order verbs across connections.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -331,114 +233,47 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-
-	work := make(chan *reqCtx, connWorkers)
-	free := make(chan *reqCtx, connWorkers)
-	for i := 0; i < connWorkers; i++ {
-		free <- &reqCtx{}
-	}
-	w := newConnWriter(conn)
-	defer close(w.done)
-	var wg sync.WaitGroup
-	wg.Add(connWorkers)
-	for i := 0; i < connWorkers; i++ {
-		go func() {
-			defer wg.Done()
-			for ctx := range work {
-				s.serveReq(w, ctx)
-				free <- ctx
-			}
-		}()
-	}
-
-	r := bufio.NewReader(conn)
-	var hdr [frameHeader]byte
+	fr := frameReader{src: conn, reads: &s.reads}
+	var out []byte
+	var pending int64 // reply frames in out
 	for {
-		ctx := <-free
-		tag, op, payload, err := readFrameInto(r, ctx.in, &hdr)
-		ctx.in = payload
+		tag, op, payload, err := fr.next()
 		if err != nil {
-			free <- ctx
-			break // peer hung up (or died mid-frame); its state is already durable
+			return // peer hung up (or died mid-frame); its state is already durable
 		}
-		ctx.tag, ctx.op = tag, op
-		if op == opRead && s.tryInlineRead(w, ctx) {
-			free <- ctx
-		} else {
-			work <- ctx
+		out = s.reply(out, tag, op, payload)
+		pending++
+		if fr.buffered() && len(out) < burstBytes && op != opShutdown {
+			continue
 		}
-		// Batch boundary: the inbound burst is drained, the next ReadFull
-		// blocks. Flush whatever responses accumulated synchronously — the
-		// whole burst's answers ride one Write with no flusher handoff.
-		if r.Buffered() == 0 {
-			w.flushNow()
+		s.frames.Add(pending)
+		s.writes.Add(1)
+		_, err = conn.Write(out)
+		out, pending = out[:0], 0
+		if err != nil {
+			return
+		}
+		if op == opShutdown {
+			s.Close() // the ack is on the wire
+			return
 		}
 	}
-	close(work)
-	wg.Wait()
 }
 
-// tryInlineRead serves an uncontended read right on the demux goroutine,
-// appending the response frame straight from the store into the write
-// buffer — no worker handoff, no intermediate copy — so the dominant opcode
-// of a read-mostly pipeline costs two channel operations and a memcpy less
-// per request. TryLock keeps the no-blocking guarantee: a read whose stripe
-// is held (or any parse/locate error) falls back to the worker pool,
-// exactly as if the fast path did not exist.
-func (s *Server) tryInlineRead(w *connWriter, ctx *reqCtx) bool {
-	p := &payloadReader{b: ctx.in}
-	a := transport.Addr(p.u64())
-	n := int(p.u32())
-	if p.err != nil {
-		return false
-	}
-	reg, err := s.st.locate(a, n)
+// reply applies one request and appends its response frame to out.
+func (s *Server) reply(out []byte, tag uint32, op byte, payload []byte) []byte {
+	head := len(out)
+	out, err := s.handle(op, payload, appendFrame(out, tag, statusOK, nil))
 	if err != nil {
-		return false
+		out = append(out[:head+frameHeader], err.Error()...)
+		out[head+8] = statusErr
 	}
-	if !reg.mu.TryLock() {
-		return false
-	}
-	// Stripe lock before buffer lock, always in this order; workers never
-	// nest the two (handle releases the stripe before post takes the
-	// buffer), so the ordering is acyclic.
-	w.mu.Lock()
-	b := appendU32(w.buf, uint32(5+n))
-	b = appendU32(b, ctx.tag)
-	b = append(b, statusOK)
-	off := len(b)
-	if cap(b) < off+n {
-		nb := make([]byte, off, (off+n)*2)
-		copy(nb, b)
-		b = nb
-	}
-	b = b[:off+n]
-	copy(b[off:], reg.b)
-	w.buf = b
-	w.mu.Unlock()
-	reg.mu.Unlock()
-	s.st.count(reg)
-	return true
-}
-
-// serveReq handles one request and posts its response frame.
-func (s *Server) serveReq(w *connWriter, ctx *reqCtx) {
-	resp, err := s.handle(ctx.op, ctx.in, ctx.resp[:0])
-	status := statusOK
-	if err != nil {
-		status = statusErr
-		resp = append(resp[:0], err.Error()...)
-	}
-	w.post(ctx.tag, status, resp)
-	ctx.resp = resp[:0] // keep the grown backing array; post copied it out
-	if ctx.op == opShutdown && err == nil {
-		w.flushNow()
-		s.Close()
-	}
+	binary.LittleEndian.PutUint32(out[head:], uint32(len(out)-head-4))
+	return out
 }
 
 // handle applies one request frame, appending the response payload to resp
-// and returning it.
+// and returning it. On error whatever it appended is the caller's to drop.
 func (s *Server) handle(op byte, payload, resp []byte) ([]byte, error) {
 	p := &payloadReader{b: payload}
 	st := s.st
@@ -458,18 +293,25 @@ func (s *Server) handle(op byte, payload, resp []byte) ([]byte, error) {
 		if err != nil {
 			return resp, err
 		}
-		if cap(resp) < n {
-			resp = append(resp[:0], make([]byte, n)...)
-		}
-		resp = resp[:n]
+		resp = slices.Grow(resp, n)
 		reg.mu.Lock()
-		copy(resp, reg.b)
+		resp = append(resp, reg.b...)
 		reg.mu.Unlock()
 		st.count(reg)
 		return resp, nil
 
 	case opReadBatch:
 		count := int(p.u32())
+		// The reply is sized by the request alone (one address may be named
+		// any number of times), so bound it before reading or allocating.
+		q, total := *p, 0
+		for i := 0; i < count && q.err == nil; i++ {
+			q.u64()
+			if total += int(q.u32()); total > maxFrame-5 {
+				return resp, fmt.Errorf("read batch reply exceeds the %d-byte frame limit", maxFrame)
+			}
+		}
+		resp = slices.Grow(resp, total)
 		for i := 0; i < count; i++ {
 			a := transport.Addr(p.u64())
 			n := int(p.u32())
@@ -480,10 +322,8 @@ func (s *Server) handle(op byte, payload, resp []byte) ([]byte, error) {
 			if err != nil {
 				return resp, err
 			}
-			off := len(resp)
-			resp = append(resp, make([]byte, n)...)
 			reg.mu.Lock()
-			copy(resp[off:], reg.b)
+			resp = append(resp, reg.b...)
 			reg.mu.Unlock()
 			st.count(reg)
 		}

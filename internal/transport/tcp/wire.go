@@ -12,16 +12,20 @@
 // payload. Requests carry an operation opcode and a caller-chosen tag;
 // the response echoes the tag and reuses the opcode slot as a status byte
 // (statusOK with a result payload, statusErr with a UTF-8 message). Tags
-// let many requests share one connection with responses returning in
-// completion order, not request order: the client keeps a bounded window
-// of tagged slots per server, a writer path coalesces queued frames into
-// single flushes, and a reader goroutine demuxes responses by tag (see
-// mux.go). A doorbell batch of dependent writes still coalesces into a
+// let many requests of many client threads share one connection: the
+// client keeps a bounded window of tagged slots per server, posting a frame
+// only appends it to the connection's buffer, a thread about to block
+// writes every posted frame with one write, and whichever awaiting thread
+// finds its slot incomplete reads the socket and demuxes responses by tag
+// (see mux.go). A doorbell batch of dependent writes still coalesces into a
 // single WriteBatch frame — one network round trip, the §4.5 batching
 // mapped onto TCP.
 //
-// The server applies each operation under striped per-chunk locks, so
-// concurrent tagged requests to different chunks proceed in parallel.
+// The server runs one goroutine per connection that applies each frame as
+// it decodes it, so one connection's verbs execute — and are answered — in
+// posted order, exactly like an RC queue pair; a burst's answers leave in
+// one write. Across connections each operation runs under striped
+// per-chunk locks, so requests to different chunks proceed in parallel.
 // Each individual verb — and each op of a batch, applied in posted
 // order — is atomic under its stripe, which is exactly the per-verb
 // atomicity RDMA provides; see DESIGN.md §13 for why the tree protocol
@@ -32,6 +36,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync/atomic"
 )
 
 // protocolVersion is checked during the Ping handshake: a v1 peer (5-byte
@@ -68,8 +73,8 @@ const frameHeader = 9
 const maxFrame = 64 << 20
 
 // appendFrame appends one whole frame to b — the coalescing building block:
-// the mux writer path appends several frames to one buffer and flushes them
-// with a single Write.
+// both ends append several frames to one buffer and send them with a single
+// Write.
 func appendFrame(b []byte, tag uint32, op byte, payload []byte) []byte {
 	b = appendU32(b, uint32(5+len(payload)))
 	b = appendU32(b, tag)
@@ -94,52 +99,102 @@ func writeFrame(w io.Writer, tag uint32, op byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, returning its tag, opcode (or status) byte and
-// payload. A torn or truncated frame — the peer died mid-write — surfaces
-// as io.ErrUnexpectedEOF; a length outside [5, maxFrame] as a framing
-// error.
+// readFrame reads exactly one frame and nothing beyond it — the lockstep
+// reader of the heartbeat connection and the tests — returning its tag,
+// opcode (or status) byte and payload. A torn or truncated frame — the peer
+// died mid-write — surfaces as io.ErrUnexpectedEOF; a length outside
+// [5, maxFrame] as a framing error.
 func readFrame(r io.Reader) (tag uint32, op byte, payload []byte, err error) {
 	var hdr [frameHeader]byte
-	tag, op, payload, err = readFrameInto(r, nil, &hdr)
-	return
-}
-
-// readFrameInto is readFrame reusing buf for the payload when it has the
-// capacity — the allocation-free variant the server's request loop runs on.
-// The returned payload aliases buf (possibly grown); it is valid until the
-// next reuse. hdr is caller-owned header scratch: passed through the
-// io.Reader interface it would escape, so a stack-local here costs one heap
-// allocation per frame — the caller hoists it out of its loop instead.
-func readFrameInto(r io.Reader, buf []byte, hdr *[frameHeader]byte) (tag uint32, op byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return 0, 0, buf, err
+		return 0, 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
 	if n < 5 || n > maxFrame {
-		return 0, 0, buf, fmt.Errorf("tcp: bad frame length %d", n)
+		return 0, 0, nil, fmt.Errorf("tcp: bad frame length %d", n)
 	}
-	if _, err := io.ReadFull(r, hdr[4:frameHeader]); err != nil {
+	if _, err = io.ReadFull(r, hdr[4:]); err == nil {
+		payload = make([]byte, n-5)
+		_, err = io.ReadFull(r, payload)
+	}
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, 0, buf, err
+		return 0, 0, nil, err
 	}
-	tag = binary.LittleEndian.Uint32(hdr[4:8])
-	op = hdr[8]
-	plen := int(n) - 5
-	if cap(buf) < plen {
-		buf = make([]byte, plen)
-	}
-	payload = buf[:plen]
-	if plen > 0 {
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
+	return binary.LittleEndian.Uint32(hdr[4:8]), hdr[8], payload, nil
+}
+
+// burstBytes is where both ends size a connection's buffers: a frameReader
+// starts with this much room, so a window's worth of small frames arrives
+// in one read, and the server sends its pending replies once they pass it.
+const burstBytes = 64 << 10
+
+// frameReader decodes frames out of one recycled buffer filled with
+// whatever each socket read returns, so a burst of frames costs one read
+// syscall and the steady path allocates nothing. The buffer grows only for
+// a frame larger than it. A frameReader is used by one goroutine at a time.
+type frameReader struct {
+	src   io.Reader
+	buf   []byte
+	r, w  int           // buf[r:w] is read but not yet decoded
+	reads *atomic.Int64 // counts calls to src.Read
+}
+
+// buffered reports whether a whole frame is waiting in the buffer, that is,
+// whether next returns without touching the socket.
+func (f *frameReader) buffered() bool {
+	avail := f.w - f.r
+	return avail >= 4 && avail-4 >= int(binary.LittleEndian.Uint32(f.buf[f.r:]))
+}
+
+// next returns the next frame. The payload aliases the buffer and is valid
+// until the following call. Errors are readFrame's.
+func (f *frameReader) next() (tag uint32, op byte, payload []byte, err error) {
+	for {
+		need := 4
+		if avail := f.w - f.r; avail >= 4 {
+			n := binary.LittleEndian.Uint32(f.buf[f.r:])
+			if n < 5 || n > maxFrame {
+				return 0, 0, nil, fmt.Errorf("tcp: bad frame length %d", n)
 			}
-			return 0, 0, payload, err
+			need += int(n)
+			if avail >= need {
+				b := f.buf[f.r : f.r+need]
+				f.r += need
+				return binary.LittleEndian.Uint32(b[4:8]), b[8], b[frameHeader:], nil
+			}
+		}
+		if err := f.fill(need); err != nil {
+			return 0, 0, nil, err
 		}
 	}
-	return tag, op, payload, nil
+}
+
+// fill makes room for a frame of need bytes at buf[r:] and reads once.
+func (f *frameReader) fill(need int) error {
+	if f.r == f.w {
+		f.r, f.w = 0, 0
+	}
+	if f.r+need > len(f.buf) {
+		to := f.buf
+		if need > len(to) {
+			to = make([]byte, max(need, burstBytes))
+		}
+		f.w = copy(to, f.buf[f.r:f.w])
+		f.r, f.buf = 0, to
+	}
+	n, err := f.src.Read(f.buf[f.w:])
+	f.reads.Add(1)
+	f.w += n
+	if n > 0 {
+		return nil // an error that came with bytes comes back on the next read
+	}
+	if err == io.EOF && f.w > f.r {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // appendU64/appendU32 are the payload builders shared by client and server.

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestFrameRoundTrip encodes frames of assorted opcodes, tags and payload
@@ -49,7 +51,8 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // TestFrameAppendMatchesWrite pins that the coalescing builder (appendFrame,
-// the mux writer's path) produces byte-identical wire output to writeFrame.
+// what both ends post through) produces byte-identical wire output to
+// writeFrame.
 func TestFrameAppendMatchesWrite(t *testing.T) {
 	payload := bytes.Repeat([]byte{3}, 37)
 	var w bytes.Buffer
@@ -295,62 +298,143 @@ func TestServerFrames(t *testing.T) {
 		t.Fatalf("out-of-range read: tag %d, status %d, msg %q", tag, status, msg)
 	}
 	rc.req(opPing, nil) // still alive
+
+	// A ReadBatch whose reply would pass maxFrame — one valid address named
+	// many times, so nothing but the sum is wrong — is refused before the
+	// server sizes a buffer for it, and the connection stays usable.
+	const huge = maxFrame/(1<<20) + 1
+	rb = appendU32(nil, huge)
+	for i := 0; i < huge; i++ {
+		rb = appendU32(appendU64(rb, base), 1<<20)
+	}
+	if err := writeFrame(rc.c, 8888, opReadBatch, rb); err != nil {
+		t.Fatal(err)
+	}
+	tag, status, msg, err = readFrame(rc.r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag != 8888 || status != statusErr || len(msg) == 0 {
+		t.Fatalf("oversized read batch: tag %d, status %d, %d-byte payload", tag, status, len(msg))
+	}
+	rc.req(opPing, nil) // still alive
 }
 
-// TestServerOutOfOrderCompletion pins the server's out-of-order delivery:
-// two requests posted back to back on one connection may complete in either
-// order, and the tags — not the arrival order — say which response is
-// which. A slow (big) read is posted first and a tiny read second; both
-// responses must carry the right payload for their tag regardless of order.
-func TestServerOutOfOrderCompletion(t *testing.T) {
+// startServer runs one in-process server the test can reach into.
+func startServer(t *testing.T) *Server {
+	t.Helper()
 	srv, err := NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go srv.Serve()
-	defer srv.Close()
+	t.Cleanup(srv.Close)
+	return srv
+}
 
+// TestServerPostedOrderPerConnection pins the queue-pair contract: the
+// verbs of one connection execute, and are answered, in posted order. A
+// WriteBatch, a Read, a CAS and a second Read of one address leave in a
+// single write; each must observe exactly the verbs posted before it, and
+// the replies come back in that order under their own tags.
+func TestServerPostedOrderPerConnection(t *testing.T) {
+	srv := startServer(t)
 	rc := dialRaw(t, srv.Addr())
 	p := payloadReader{b: rc.req(opGrow, nil)}
 	base := p.u64()
 
-	pattern := bytes.Repeat([]byte{0xA5}, 4096)
-	w := appendU32(nil, 1)
-	w = appendU64(w, base)
-	w = appendU32(w, uint32(len(pattern)))
-	w = append(w, pattern...)
-	rc.req(opWriteBatch, w)
+	first, second := uint64(0x1111111111111111), uint64(0x2222222222222222)
+	w := appendU32(appendU64(appendU32(nil, 1), base), 8)
+	w = appendU64(w, first)
+	rd := appendU32(appendU64(nil, base), 8)
+	cas := appendU64(appendU64(appendU64(nil, base), first), second)
 
-	// Post both reads without reading a single response byte.
-	big := appendU32(appendU64(nil, base), 4096)
-	small := appendU32(appendU64(nil, base), 1)
-	if err := writeFrame(rc.c, 100, opRead, big); err != nil {
+	burst := appendFrame(nil, 10, opWriteBatch, w)
+	burst = appendFrame(burst, 11, opRead, rd)
+	burst = appendFrame(burst, 12, opCAS, cas)
+	burst = appendFrame(burst, 13, opRead, rd)
+	if _, err := rc.c.Write(burst); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(rc.c, 200, opRead, small); err != nil {
-		t.Fatal(err)
+	want := [][]byte{
+		nil,
+		appendU64(nil, first),
+		append(appendU64(nil, first), 1), // prev = what the write left, swapped
+		appendU64(nil, second),
 	}
-	seen := map[uint32]int{}
-	for i := 0; i < 2; i++ {
+	for i, w := range want {
 		tag, status, resp, err := readFrame(rc.r)
 		if err != nil || status != statusOK {
-			t.Fatalf("response %d: status %d err %v", i, status, err)
+			t.Fatalf("reply %d: status %d, err %v", i, status, err)
 		}
-		switch tag {
-		case 100:
-			if len(resp) != 4096 || !bytes.Equal(resp, pattern) {
-				t.Fatalf("tag 100: wrong payload (%d bytes)", len(resp))
-			}
-		case 200:
-			if len(resp) != 1 || resp[0] != 0xA5 {
-				t.Fatalf("tag 200: payload %v", resp)
-			}
-		default:
-			t.Fatalf("unknown response tag %d", tag)
+		if tag != uint32(10+i) {
+			t.Fatalf("reply %d carries tag %d, want %d: replies left out of posted order", i, tag, 10+i)
 		}
-		seen[tag]++
+		if !bytes.Equal(resp, w) {
+			t.Fatalf("reply %d (tag %d) = %x, want %x: the verb did not observe its predecessors", i, tag, resp, w)
+		}
 	}
-	if seen[100] != 1 || seen[200] != 1 {
-		t.Fatalf("responses per tag = %v, want one each", seen)
+}
+
+// TestServerBurstAnsweredWithOneWrite pins the reply coalescing: N frames
+// that arrive in one segment are answered with one write syscall.
+func TestServerBurstAnsweredWithOneWrite(t *testing.T) {
+	srv := startServer(t)
+	rc := dialRaw(t, srv.Addr())
+	rc.req(opGrow, nil)
+
+	const n = 16
+	var burst []byte
+	for i := 0; i < n; i++ {
+		burst = appendFrame(burst, uint32(100+i), opPing, nil)
+	}
+	before := srv.WireStats()
+	if _, err := rc.c.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if tag, status, _, err := readFrame(rc.r); err != nil || status != statusOK || tag != uint32(100+i) {
+			t.Fatalf("reply %d: tag %d, status %d, err %v", i, tag, status, err)
+		}
+	}
+	after := srv.WireStats()
+	if frames, writes := after.Frames-before.Frames, after.Writes-before.Writes; frames != n || writes != 1 {
+		t.Fatalf("%d frames in one segment were answered by %d frames in %d writes, want %d in 1", n, frames, writes, n)
+	}
+	if reads := after.Reads - before.Reads; reads != 1 {
+		t.Fatalf("the segment took %d read syscalls, want 1", reads)
+	}
+}
+
+// TestWedgedStripeStallsOnlyItsConnection pins what in-order execution does
+// not cost: a verb of connection A waiting for a held stripe stalls A alone;
+// connection B's verbs to other stripes are answered meanwhile.
+func TestWedgedStripeStallsOnlyItsConnection(t *testing.T) {
+	srv := startServer(t)
+	a, b := dialRaw(t, srv.Addr()), dialRaw(t, srv.Addr())
+	p := payloadReader{b: a.req(opGrow, nil)}
+	chunk0 := p.u64()
+	p = payloadReader{b: a.req(opGrow, nil)}
+	chunk1 := p.u64()
+
+	srv.st.locks[0].Lock() // chunk 0's stripe
+	unlock := sync.OnceFunc(srv.st.locks[0].Unlock)
+	defer unlock()
+	if err := writeFrame(a.c, 1, opRead, appendU32(appendU64(nil, chunk0), 8)); err != nil {
+		t.Fatal(err)
+	}
+
+	b.c.SetDeadline(time.Now().Add(5 * time.Second))
+	faa := appendU64(appendU64(nil, chunk1), 1)
+	for i := uint64(0); i < 3; i++ {
+		p = payloadReader{b: b.req(opFAA, faa)}
+		if old := p.u64(); old != i {
+			t.Fatalf("faa %d on the free stripe returned %d", i, old)
+		}
+	}
+
+	unlock()
+	if tag, status, _, err := readFrame(a.r); err != nil || status != statusOK || tag != 1 {
+		t.Fatalf("wedged read after unlock: tag %d, status %d, err %v", tag, status, err)
 	}
 }

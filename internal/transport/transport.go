@@ -97,9 +97,10 @@ type Transport interface {
 type Pending int32
 
 // AsyncVerbs is the optional capability interface of transports that can
-// genuinely overlap round trips: issue returns as soon as the request is on
-// the wire (or queued behind the transport's outstanding window), and Await
-// blocks until that request's response has been applied. The TCP transport
+// genuinely overlap round trips: a post returns as soon as the request is
+// queued (or after waiting for room in the transport's outstanding window),
+// the request is on the wire no later than the caller's next blocking verb
+// or Await, and Await blocks until that request's response has been applied. The TCP transport
 // implements it over tagged multiplexed connections; the simulator does not
 // need it (virtual time overlaps round trips by accounting, not by I/O).
 // Like every Transport method, these are single-goroutine: the owner issues
@@ -109,12 +110,12 @@ type Pending int32
 // to keep depth-N verbs in flight per memory server; when it too is absent
 // they degrade to synchronous verbs.
 type AsyncVerbs interface {
-	// ReadAsync issues the read of len(buf) bytes at a. buf must stay
+	// ReadAsync posts the read of len(buf) bytes at a. buf must stay
 	// untouched until Await; dead-memory zero-fill is applied at Await time.
 	ReadAsync(a Addr, buf []byte) Pending
-	// PostWritesAsync issues one doorbell batch of dependent writes (the
+	// PostWritesAsync posts one doorbell batch of dependent writes (the
 	// async PostWrites: all ops on one memory server, applied in order).
-	// The op data is captured at issue time and may be reused immediately.
+	// The op data is captured at post time and may be reused immediately.
 	PostWritesAsync(ops ...WriteOp) Pending
 	// Await blocks until p's response has been applied (read buffers
 	// filled, or dead-memory semantics applied) and releases p.
