@@ -93,8 +93,12 @@ func (h *Handle) seek(key uint64, level uint8, in intent, addr rdma.Addr, ce *ca
 	}
 	for {
 		var g hocl.Guard
+		read := false
 		if in == intentWrite {
-			g = h.t.locks.Lock(h.C, addr)
+			// The acquire doorbell: where the fabric can post the lock CAS
+			// and the node READ together (hocl decides), read reports that
+			// buf already holds the node as of the acquisition.
+			g, read = h.t.locks.LockRead(h.C, addr, buf, h.t.cfg.Combine)
 			if g.HandedOver() {
 				h.Rec.Handovers++
 			}
@@ -110,7 +114,14 @@ func (h *Handle) seek(key uint64, level uint8, in intent, addr rdma.Addr, ce *ca
 				}
 			}
 		}
-		n, r := h.readNode(addr, buf)
+		var n layout.Node
+		r := 0
+		if read {
+			n = layout.ViewNode(h.t.cfg.Format, buf)
+		}
+		if !read || !n.Consistent() {
+			n, r = h.readNode(addr, buf)
+		}
 		if retries != nil {
 			*retries += r
 		}

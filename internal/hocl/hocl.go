@@ -3,6 +3,15 @@
 // NICs, and per-compute-server local lock tables (LLTs) with FIFO wait
 // queues and a bounded lock-handover mechanism.
 //
+// A Manager is one of two kinds. A virtual manager (NewManager, over the
+// simulated fabric) serializes each global lock through a slot so virtual
+// time orders the grants; a remote manager (NewRemoteManager, over a real
+// network) has only the physical lock word and a CAS retry loop. Write paths
+// acquire through LockRead, which on a remote manager posts the first CAS
+// and the READ of the protected object as one doorbell — the acquire-side
+// counterpart of Unlock's write-back + release doorbell (§4.5) — and trusts
+// the bytes only if that CAS won; on a virtual manager it is Lock.
+//
 // The package also implements every degraded configuration the paper
 // ablates (Figure 16 and the +On-Chip / +Hierarchical steps of Figures 10
 // and 11): host-memory lock tables, lockless-local spinning, local tables
@@ -75,6 +84,12 @@ type Stats struct {
 	Handovers atomic.Int64
 	// GlobalRetries counts failed remote CAS attempts.
 	GlobalRetries atomic.Int64
+	// AcquireReads counts acquisitions whose first CAS carried the READ of
+	// the protected object in its doorbell (LockRead on a remote manager);
+	// AcquireReadsWasted counts those whose first CAS lost, so the bytes
+	// were discarded. Their difference is the round trips the doorbell saved.
+	AcquireReads       atomic.Int64
+	AcquireReadsWasted atomic.Int64
 	// LocalWaits counts acquisitions that had to wait for a local holder.
 	LocalWaits atomic.Int64
 	// MaxWaiters is the high-water mark of threads queued on one global
@@ -423,16 +438,41 @@ func (m *Manager) SameSlot(g Guard, a rdma.Addr) bool {
 // HOCL_Lock pseudo-code (Figure 6): local lock first (queueing locally under
 // contention), then the remote lock in the GLT unless it was handed over.
 func (m *Manager) Lock(c transport.Transport, addr rdma.Addr) Guard {
-	idx := m.index(addr)
-	return m.LockIdx(c, addr.MS(), idx)
+	g, _ := m.lock(c, addr.MS(), m.index(addr), addr, nil)
+	return g
+}
+
+// LockRead is Lock for a caller whose first act under the lock is to read
+// the object at addr into buf — every tree write. With combine set, on a
+// remote manager, the first CAS on the GLT slot carries that READ in its
+// doorbell (the acquire doorbell: transport.CASRead), and read reports that
+// this CAS won, so buf holds the object as of the acquisition and the caller
+// need only validate it. read is false — the caller reads for itself, as
+// after Lock — whenever no CAS was sent (handover), the first CAS lost (what
+// it fetched may be another holder's half-applied write-back, so it is
+// discarded and the retries are bare CASes: a contended lock never drags an
+// object-sized read behind every spin), the lock was stolen from an expired
+// lease, combine is off, or the manager is virtual.
+func (m *Manager) LockRead(c transport.Transport, addr rdma.Addr, buf []byte, combine bool) (g Guard, read bool) {
+	if !combine {
+		buf = nil
+	}
+	return m.lock(c, addr.MS(), m.index(addr), addr, buf)
 }
 
 // LockIdx acquires GLT slot idx on server ms directly, bypassing hashing.
 // The lock microbenchmarks (Figures 2 and 16) use it to place exactly N
 // distinct locks.
 func (m *Manager) LockIdx(c transport.Transport, ms uint16, idx int) Guard {
+	g, _ := m.lock(c, ms, idx, rdma.NilAddr, nil)
+	return g
+}
+
+// lock is the one acquisition path; a non-nil buf asks for the object at
+// addr to be read by the acquiring CAS's doorbell (see LockRead).
+func (m *Manager) lock(c transport.Transport, ms uint16, idx int, addr rdma.Addr, buf []byte) (g Guard, read bool) {
 	slot := int(ms)*m.locksPerMS + idx
-	g := Guard{m: m, ms: ms, idx: idx, slot: slot, gaddr: m.gltAddr(ms, idx)}
+	g = Guard{m: m, ms: ms, idx: idx, slot: slot, gaddr: m.gltAddr(ms, idx)}
 	if m.mode.Local {
 		ll := m.llt(c).lock(slot)
 		g.ll = ll
@@ -440,12 +480,16 @@ func (m *Manager) LockIdx(c transport.Transport, ms uint16, idx int) Guard {
 		if g.handedOff {
 			m.Stats.Handovers.Add(1)
 			m.Stats.Acquisitions.Add(1)
-			return g
+			return g, false
 		}
 	}
-	g.reclaimed = m.acquireGlobal(c, g.gaddr, slot)
+	if m.virtual {
+		g.reclaimed = m.acquireGlobal(c, g.gaddr, slot)
+	} else {
+		g.reclaimed, read = m.acquireGlobalRemote(c, g.gaddr, addr, buf)
+	}
 	m.Stats.Acquisitions.Add(1)
-	return g
+	return g, read
 }
 
 // llt returns the client's CS-local lock table under the table swap lock
@@ -465,9 +509,6 @@ func (m *Manager) llt(c transport.Transport) *localTable {
 // the lock after the dead holder's lease expires; the return value reports
 // that case.
 func (m *Manager) acquireGlobal(c transport.Transport, gaddr rdma.Addr, slot int) (reclaimed bool) {
-	if !m.virtual {
-		return m.acquireGlobalRemote(c, gaddr)
-	}
 	vt := c.(transport.VirtualTimer)
 	s := &m.slots[slot]
 	svc := vt.AtomicSvcNS(gaddr)
@@ -564,7 +605,14 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr rdma.Addr, slot int
 // model to bill, the retries themselves are the cost). A stamp that stays
 // unchanged for a full lease is treated as a crashed holder's and stolen,
 // mirroring the simulator's lease-expiry reclamation on the real clock.
-func (m *Manager) acquireGlobalRemote(c transport.Transport, gaddr rdma.Addr) (reclaimed bool) {
+//
+// A non-nil buf rides the first attempt as the acquire doorbell's READ of
+// addr; read reports that this attempt won. A winning CAS's READ is valid
+// because both ends of the critical section are in-order doorbells: the
+// previous holder's write-back precedes its release WRITE on its queue pair,
+// and our READ follows our CAS on ours, so a CAS that saw the release is
+// followed by a READ that sees the write-back.
+func (m *Manager) acquireGlobalRemote(c transport.Transport, gaddr, addr rdma.Addr, buf []byte) (reclaimed, read bool) {
 	id := uint64(c.CSID()) + 1
 	lease := c.Timing().LeaseNS
 	var stamp uint64 // last observed holder stamp
@@ -573,17 +621,17 @@ func (m *Manager) acquireGlobalRemote(c transport.Transport, gaddr rdma.Addr) (r
 		c.CheckAlive()
 		if retries > 0 {
 			m.Stats.GlobalRetries.Add(1)
+			buf = nil
 		}
-		var prev uint64
-		var ok bool
-		if m.mode.OnChip {
-			p16, ok16 := c.CAS16(gaddr, 0, uint16(id))
-			prev, ok = uint64(p16), ok16
-		} else {
-			prev, ok = c.CAS(gaddr, 0, id)
+		prev, ok := m.casWord(c, gaddr, 0, id, addr, buf)
+		if buf != nil {
+			m.Stats.AcquireReads.Add(1)
+			if !ok {
+				m.Stats.AcquireReadsWasted.Add(1)
+			}
 		}
 		if ok {
-			return false
+			return false, buf != nil
 		}
 		if prev != stamp {
 			stamp, since = prev, c.Now()
@@ -594,17 +642,30 @@ func (m *Manager) acquireGlobalRemote(c transport.Transport, gaddr rdma.Addr) (r
 			// release: treat the holder as dead and steal the word. A losing
 			// steal means another reclaimer (or a late release) moved it —
 			// restart the observation window on whatever is there now.
-			if m.mode.OnChip {
-				_, ok = c.CAS16(gaddr, uint16(stamp), uint16(id))
-			} else {
-				_, ok = c.CAS(gaddr, stamp, id)
-			}
-			if ok {
+			if _, ok = m.casWord(c, gaddr, stamp, id, addr, nil); ok {
 				m.Stats.Reclaims.Add(1)
-				return true
+				return true, false
 			}
 			stamp, since = 0, 0
 		}
+	}
+}
+
+// casWord issues one CAS of the physical lock word at gaddr from old to id in
+// the table's width, as an acquire doorbell carrying the READ of buf at addr
+// when buf is non-nil.
+func (m *Manager) casWord(c transport.Transport, gaddr rdma.Addr, old, id uint64, addr rdma.Addr, buf []byte) (uint64, bool) {
+	switch {
+	case m.mode.OnChip && buf != nil:
+		prev, ok := c.CAS16Read(gaddr, uint16(old), uint16(id), addr, buf)
+		return uint64(prev), ok
+	case m.mode.OnChip:
+		prev, ok := c.CAS16(gaddr, uint16(old), uint16(id))
+		return uint64(prev), ok
+	case buf != nil:
+		return c.CASRead(gaddr, old, id, addr, buf)
+	default:
+		return c.CAS(gaddr, old, id)
 	}
 }
 

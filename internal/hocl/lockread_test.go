@@ -1,0 +1,111 @@
+package hocl_test
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"sherman/internal/hocl"
+	"sherman/internal/transport"
+	"sherman/internal/transport/tcp"
+)
+
+// TestLockReadNeverTrustsALosingRead runs the remote manager's LockRead over
+// two in-process memory servers. Compute server A holds a node's lock; B's
+// LockRead goes out and its first attempt — the one carrying the READ —
+// loses, fetching the old image. A then writes a new image and releases in
+// one doorbell. B must come back holding the lock and either report "not
+// read" or hand back A's new image — never what its losing attempt fetched.
+// An uncontended LockRead afterwards does carry the node; with combine off
+// nothing is carried.
+func TestLockReadNeverTrustsALosingRead(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode hocl.Mode
+	}{
+		{"sherman", hocl.Sherman()},   // on-chip words: CAS16Read
+		{"baseline", hocl.Baseline()}, // host-memory words: CASRead
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			endpoints := make([]string, 2)
+			for i := range endpoints {
+				srv, err := tcp.NewServer("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				go srv.Serve()
+				t.Cleanup(srv.Close)
+				endpoints[i] = srv.Addr()
+			}
+			c, err := tcp.NewCluster(endpoints, 2, tcp.Options{HeartbeatInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			m := c.NewLockManager(hocl.Config{Mode: tc.mode})
+			a, b := c.NewTransport(0), c.NewTransport(1)
+
+			const size = 1024
+			node := transport.MakeAddr(1, a.GrowChunk(1)+4096)
+			oldImg, newImg := bytes.Repeat([]byte{0xAA}, size), bytes.Repeat([]byte{0xBB}, size)
+			a.Write(node, oldImg)
+
+			ga := m.Lock(a, node)
+			type result struct {
+				g    hocl.Guard
+				read bool
+				buf  []byte
+			}
+			done := make(chan result)
+			go func() {
+				buf := make([]byte, size)
+				g, read := m.LockRead(b, node, buf, true)
+				done <- result{g, read, buf}
+			}()
+			for m.Stats.AcquireReadsWasted.Load() == 0 {
+				runtime.Gosched() // B's first attempt has not lost yet
+			}
+			m.Unlock(a, ga, []transport.WriteOp{{Addr: node, Data: newImg}}, true)
+			r := <-done
+
+			if got := m.Stats.AcquireReads.Load(); got != 1 {
+				t.Errorf("AcquireReads = %d, want 1: only the first attempt carries the READ", got)
+			}
+			if m.Stats.GlobalRetries.Load() == 0 {
+				t.Error("GlobalRetries = 0: B never retried")
+			}
+			if r.read && !bytes.Equal(r.buf, newImg) {
+				t.Fatalf("LockRead reported the node read but handed back image %#x, want A's %#x", r.buf[0], newImg[0])
+			}
+			// B really holds the lock, over A's write-back.
+			got := make([]byte, size)
+			b.Read(node, got)
+			if !bytes.Equal(got, newImg) {
+				t.Fatalf("node under B's lock = %#x.., want A's write-back", got[0])
+			}
+			m.Unlock(b, r.g, nil, true)
+
+			// Uncontended: the winning first attempt carries the node.
+			buf := make([]byte, size)
+			before := a.Metrics().RoundTrips
+			g, read := m.LockRead(a, node, buf, true)
+			if !read || !bytes.Equal(buf, newImg) {
+				t.Fatalf("uncontended LockRead: read = %v, image %#x; want the node carried", read, buf[0])
+			}
+			if rt := a.Metrics().RoundTrips - before; rt != 1 {
+				t.Errorf("uncontended LockRead took %d round trips, want 1", rt)
+			}
+			m.Unlock(a, g, nil, true)
+			if carried, wasted := m.Stats.AcquireReads.Load(), m.Stats.AcquireReadsWasted.Load(); carried != 2 || wasted != 1 {
+				t.Errorf("AcquireReads/Wasted = %d/%d, want 2/1", carried, wasted)
+			}
+
+			// Combine off: a bare CAS, nothing carried, nothing counted.
+			g, read = m.LockRead(a, node, buf, false)
+			if read || m.Stats.AcquireReads.Load() != 2 {
+				t.Errorf("LockRead without combine: read = %v, AcquireReads = %d", read, m.Stats.AcquireReads.Load())
+			}
+			m.Unlock(a, g, nil, false)
+		})
+	}
+}

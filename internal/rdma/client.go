@@ -234,7 +234,7 @@ func (c *Client) AtomicSvcNS(a Addr) int64 {
 // PCIe-transaction cost serialized per atomic bucket (§3.2.2); on-chip
 // targets do not (§4.3).
 func (c *Client) CAS(a Addr, old, new uint64) (uint64, bool) {
-	return c.CASBacklog(a, old, new, 0)
+	return c.cas(a, old, new, 0, a, nil)
 }
 
 // CASBacklog is CAS whose command must first traverse backlogNS of service
@@ -242,13 +242,24 @@ func (c *Client) CAS(a Addr, old, new uint64) (uint64, bool) {
 // commands of concurrent spinners (§3.2.2). Lock managers use it to model
 // handoff latency under heavy contention.
 func (c *Client) CASBacklog(a Addr, old, new uint64, backlogNS int64) (uint64, bool) {
+	return c.cas(a, old, new, backlogNS, a, nil)
+}
+
+// CASRead is the acquire doorbell: the CAS on lock and the READ of buf at a
+// posted back to back on one queue pair, the READ executing after the CAS
+// (RC in-order delivery, §4.5). One round trip.
+func (c *Client) CASRead(lock Addr, old, new uint64, a Addr, buf []byte) (uint64, bool) {
+	return c.cas(lock, old, new, 0, a, buf)
+}
+
+func (c *Client) cas(a Addr, old, new uint64, backlogNS int64, ra Addr, buf []byte) (uint64, bool) {
 	fin := c.atomicTiming(a, backlogNS)
 	var swapped bool
 	prev := c.F.Server(a).atomic64(a, func(cur uint64) (uint64, bool) {
 		swapped = cur == old
 		return new, swapped
 	})
-	c.Clk.AdvanceTo(fin)
+	c.Clk.AdvanceTo(c.readBehind(fin, a, ra, buf))
 	if !swapped {
 		c.M.CASFailures++
 	}
@@ -261,12 +272,21 @@ func (c *Client) CASBacklog(a Addr, old, new uint64, backlogNS int64) (uint64, b
 // atomic" verb Sherman uses to pack 131,072 locks into 256 KB of on-chip
 // memory (§4.3).
 func (c *Client) CAS16(a Addr, old, new uint16) (uint16, bool) {
-	return c.CAS16Backlog(a, old, new, 0)
+	return c.cas16(a, old, new, 0, a, nil)
 }
 
 // CAS16Backlog is CAS16 behind backlogNS of queued atomic service time; see
 // CASBacklog.
 func (c *Client) CAS16Backlog(a Addr, old, new uint16, backlogNS int64) (uint16, bool) {
+	return c.cas16(a, old, new, backlogNS, a, nil)
+}
+
+// CAS16Read is CASRead with the masked 16-bit CAS of on-chip lock words.
+func (c *Client) CAS16Read(lock Addr, old, new uint16, a Addr, buf []byte) (uint16, bool) {
+	return c.cas16(lock, old, new, 0, a, buf)
+}
+
+func (c *Client) cas16(a Addr, old, new uint16, backlogNS int64, ra Addr, buf []byte) (uint16, bool) {
 	if a.Off()%2 != 0 {
 		panic(fmt.Sprintf("rdma: unaligned CAS16 at %v", a))
 	}
@@ -279,12 +299,38 @@ func (c *Client) CAS16Backlog(a Addr, old, new uint16, backlogNS int64) (uint16,
 		swapped = (cur&mask)>>shift == uint64(old)
 		return cur&^mask | uint64(new)<<shift, swapped
 	})
-	c.Clk.AdvanceTo(fin)
+	c.Clk.AdvanceTo(c.readBehind(fin, a, ra, buf))
 	if !swapped {
 		c.M.CASFailures++
 	}
 	yield()
 	return uint16((prev & mask) >> shift), swapped
+}
+
+// readBehind executes the READ that an acquire doorbell carries behind its
+// CAS (nothing when buf is nil) and returns the doorbell's completion time.
+// casFin is the CAS's own completion: the READ is the queue pair's next
+// command, so it occupies the CS's outbound pipeline for one more post,
+// enters the server's inbound pipeline when the CAS has executed — one RTT
+// before casFin — pays its response payload there, and the one round trip
+// atomicTiming booked covers both commands.
+func (c *Client) readBehind(casFin int64, lock, a Addr, buf []byte) int64 {
+	if buf == nil {
+		return casFin
+	}
+	if a.MS() != lock.MS() {
+		panic(fmt.Sprintf("rdma: combined post spans servers ms%d and ms%d", lock.MS(), a.MS()))
+	}
+	p := c.F.P
+	srv := c.F.Server(a)
+	c.CS.Outbound.Acquire(c.Clk.Now(), p.OutboundMinNS)
+	t := srv.Inbound.Acquire(casFin-p.RTTNS, p.PayloadNS(len(buf), p.InboundMinNS))
+	srv.NoteInbound(a, 1)
+	srv.copyOut(a, buf)
+	c.M.Reads++
+	c.M.DoorbellBatches++
+	c.M.DoorbellOps += 2
+	return t + p.RTTNS
 }
 
 // FAA executes RDMA_FAA on the 8-byte word at a and returns the previous

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"time"
 
@@ -299,66 +300,96 @@ func (t *Transport) PostWrites(ops ...transport.WriteOp) {
 }
 
 func (t *Transport) CAS(a transport.Addr, old, new uint64) (uint64, bool) {
+	return t.CASRead(a, old, new, a, nil)
+}
+
+func (t *Transport) CAS16(a transport.Addr, old, new uint16) (uint16, bool) {
+	return t.CAS16Read(a, old, new, a, nil)
+}
+
+func (t *Transport) CASRead(lock transport.Addr, old, new uint64, a transport.Addr, buf []byte) (uint64, bool) {
+	t.payload = appendU64(appendU64(appendU64(t.payload[:0], uint64(lock)), old), new)
+	return t.cas(opCAS, lock, old == 0, a, buf)
+}
+
+func (t *Transport) CAS16Read(lock transport.Addr, old, new uint16, a transport.Addr, buf []byte) (uint16, bool) {
+	t.payload = appendU64(t.payload[:0], uint64(lock))
+	t.payload = append(t.payload, byte(old), byte(old>>8), byte(new), byte(new>>8))
+	prev, swapped := t.cas(opCAS16, lock, old == 0, a, buf)
+	return uint16(prev), swapped
+}
+
+// cas posts the CAS frame its caller built in t.payload (op is opCAS or
+// opCAS16) and awaits it. A non-nil buf makes it the acquire doorbell: the
+// READ of buf at a is posted right behind the CAS on the same connection and
+// both replies are awaited together — one flush, one park, one round trip.
+// shermand executes a connection's frames in posted order, so the READ sees
+// memory as the CAS left it, exactly like the second command of a doorbell
+// on an RC queue pair: the two existing frames, no opcode of its own.
+func (t *Transport) cas(op byte, lock transport.Addr, fromZero bool, a transport.Addr, buf []byte) (uint64, bool) {
 	t.m.Atomics++
-	ms := a.MS()
-	mx, alive := t.cl.mux(ms)
-	if alive {
-		t.payload = appendU64(appendU64(appendU64(t.payload[:0], uint64(a)), old), new)
-		tag := t.post(mx, opCAS)
-		resp, ok := t.await(mx, tag)
+	ms := lock.MS()
+	if buf != nil {
+		if a.MS() != ms {
+			panic(fmt.Sprintf("tcp: acquire doorbell spans servers ms%d and ms%d", ms, a.MS()))
+		}
+		t.m.Reads++
+		t.m.DoorbellBatches++
+		t.m.DoorbellOps += 2
+	}
+	if mx, alive := t.cl.mux(ms); alive {
+		ctag := t.post(mx, op)
+		var rtag uint32
+		paired := false // the READ's frame is posted behind the CAS's
+		if buf != nil {
+			t.payload = appendU32(appendU64(t.payload[:0], uint64(a)), uint32(len(buf)))
+			rtag, paired = mx.tryIssue(opRead, t.payload)
+		}
+		resp, ok := t.await(mx, ctag)
+		var prev uint64
+		var swapped bool
 		if ok {
 			p := payloadReader{b: resp}
-			prev := p.u64()
-			swapped := p.u8() == 1
-			mx.release(tag)
-			t.m.RoundTrips++
-			t.m.OpRoundTrips++
+			if op == opCAS16 {
+				prev = uint64(p.u16())
+			} else {
+				prev = p.u64()
+			}
+			swapped = p.u8() == 1
+		}
+		mx.release(ctag)
+		trips := int64(1)
+		if buf != nil {
+			if !paired {
+				// The window had no second slot, and a thread holding one
+				// must not block for another (a window full of such threads
+				// never drains): the READ follows on a round trip of its own.
+				rtag = t.post(mx, opRead)
+				trips = 2
+			}
+			resp, rok := t.await(mx, rtag)
+			if ok = ok && rok; ok {
+				copy(buf, resp)
+			}
+			mx.release(rtag)
+		}
+		if ok {
+			t.m.RoundTrips += trips
+			t.m.OpRoundTrips += trips
 			if !swapped {
 				t.m.CASFailures++
 			}
 			return prev, swapped
 		}
-		mx.release(tag)
 		t.cl.markDead(int(ms))
 	}
 	// Dead memory fabricates the atomic from zeroed bytes, exactly as the
 	// simulator does (DESIGN.md §12): a CAS expecting 0 "succeeds" so lock
-	// acquisition proceeds into its validating read, which observes the
-	// death and takes the chase/failover path — instead of spinning forever
-	// on a false CAS.
-	if old == 0 {
-		return 0, true
-	}
-	t.m.CASFailures++
-	return 0, false
-}
-
-func (t *Transport) CAS16(a transport.Addr, old, new uint16) (uint16, bool) {
-	t.m.Atomics++
-	ms := a.MS()
-	mx, alive := t.cl.mux(ms)
-	if alive {
-		t.payload = appendU64(t.payload[:0], uint64(a))
-		t.payload = append(t.payload, byte(old), byte(old>>8), byte(new), byte(new>>8))
-		tag := t.post(mx, opCAS16)
-		resp, ok := t.await(mx, tag)
-		if ok {
-			p := payloadReader{b: resp}
-			prev := p.u16()
-			swapped := p.u8() == 1
-			mx.release(tag)
-			t.m.RoundTrips++
-			t.m.OpRoundTrips++
-			if !swapped {
-				t.m.CASFailures++
-			}
-			return prev, swapped
-		}
-		mx.release(tag)
-		t.cl.markDead(int(ms))
-	}
-	// Same fabricated-from-zero contract as CAS above.
-	if old == 0 {
+	// acquisition proceeds into its validating read — the zero-filled buf,
+	// when the doorbell carried it — which observes the death and takes the
+	// chase/failover path, instead of spinning forever on a false CAS.
+	clear(buf)
+	if fromZero {
 		return 0, true
 	}
 	t.m.CASFailures++

@@ -38,6 +38,12 @@ func startServers(t *testing.T, n int) []string {
 // observes the death. The same verb script runs against a simulated fabric
 // and a TCP cluster with a server marked dead; every response must match.
 func TestDeadVerbsMatchSimulator(t *testing.T) {
+	type doorbell struct {
+		prev   uint64
+		ok     bool
+		buf    [8]byte
+		counts transport.Metrics // what the one verb added
+	}
 	type outcome struct {
 		readZero             bool
 		casZeroPrev, casPrev uint64
@@ -45,13 +51,35 @@ func TestDeadVerbsMatchSimulator(t *testing.T) {
 		cas16Prev            uint16
 		cas16ZeroOK, cas16OK bool
 		faa                  uint64
+		// The acquire doorbell against the live server (a win, then a loss:
+		// the READ is served either way) and against the dead one.
+		liveWin, liveLose, live16, deadWin, deadLose, dead16 doorbell
 	}
 
 	script := func(c transport.Transport, base uint64, kill func()) outcome {
 		a := transport.MakeAddr(1, base+64)
 		c.Write(a, []byte{9, 9, 9, 9, 9, 9, 9, 9})
-		kill()
+		lock, lock16 := transport.MakeAddr(1, base+128), transport.MakeOnChipAddr(1, 6)
+		casRead := func(old, new uint64) (d doorbell) {
+			copy(d.buf[:], "garbage!")
+			*c.Metrics() = transport.Metrics{}
+			d.prev, d.ok = c.CASRead(lock, old, new, a, d.buf[:])
+			d.counts = *c.Metrics()
+			return d
+		}
+		cas16Read := func(old, new uint16) (d doorbell) {
+			copy(d.buf[:], "garbage!")
+			*c.Metrics() = transport.Metrics{}
+			prev, ok := c.CAS16Read(lock16, old, new, a, d.buf[:])
+			d.prev, d.ok = uint64(prev), ok
+			d.counts = *c.Metrics()
+			return d
+		}
 		var o outcome
+		o.liveWin = casRead(0, 5)
+		o.liveLose = casRead(0, 6)
+		o.live16 = cas16Read(0, 5)
+		kill()
 		buf := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 		c.Read(a, buf)
 		o.readZero = bytes.Equal(buf, make([]byte, 8))
@@ -61,6 +89,14 @@ func TestDeadVerbsMatchSimulator(t *testing.T) {
 		o.cas16Prev, o.cas16OK = c.CAS16(transport.MakeOnChipAddr(1, 2), 3, 7)
 		o.faa = c.FAA(a, 5)
 		c.Write(a, []byte{8, 8, 8, 8, 8, 8, 8, 8}) // discarded, must not panic
+		o.deadWin = casRead(0, 7)
+		o.deadLose = casRead(5, 7)
+		o.dead16 = cas16Read(0, 7)
+		// Round trips are fabric time, not outcome: a dead simulated server
+		// still bills its verbs, a dead TCP server is never contacted.
+		for _, d := range []*doorbell{&o.deadWin, &o.deadLose, &o.dead16} {
+			d.counts.RoundTrips, d.counts.OpRoundTrips = 0, 0
+		}
 		return o
 	}
 
@@ -100,6 +136,27 @@ func TestDeadVerbsMatchSimulator(t *testing.T) {
 	}
 	if tcpOut.faa != 0 {
 		t.Errorf("dead FAA = %d, want 0", tcpOut.faa)
+	}
+	// The acquire doorbell: one round trip and one 2-command batch carrying
+	// an atomic and a read; the READ is served whether or not the swap
+	// happened; against dead memory it is the fabricated CAS plus the
+	// zero-filled read.
+	nine := [8]byte{9, 9, 9, 9, 9, 9, 9, 9}
+	one := transport.Metrics{RoundTrips: 1, OpRoundTrips: 1, Atomics: 1, Reads: 1, DoorbellBatches: 1, DoorbellOps: 2}
+	lost := one
+	lost.CASFailures = 1
+	if want := (doorbell{prev: 0, ok: true, buf: nine, counts: one}); tcpOut.liveWin != want || tcpOut.live16 != want {
+		t.Errorf("live CASRead / CAS16Read from zero = %+v / %+v, want %+v", tcpOut.liveWin, tcpOut.live16, want)
+	}
+	if want := (doorbell{prev: 5, ok: false, buf: nine, counts: lost}); tcpOut.liveLose != want {
+		t.Errorf("live losing CASRead = %+v, want %+v", tcpOut.liveLose, want)
+	}
+	one.RoundTrips, one.OpRoundTrips, lost.RoundTrips, lost.OpRoundTrips = 0, 0, 0, 0
+	if want := (doorbell{ok: true, counts: one}); tcpOut.deadWin != want || tcpOut.dead16 != want {
+		t.Errorf("dead CASRead / CAS16Read from zero = %+v / %+v, want fabricated success and a zeroed buffer %+v", tcpOut.deadWin, tcpOut.dead16, want)
+	}
+	if want := (doorbell{counts: lost}); tcpOut.deadLose != want {
+		t.Errorf("dead CASRead(old=5) = %+v, want %+v", tcpOut.deadLose, want)
 	}
 }
 

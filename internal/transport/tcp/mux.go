@@ -131,6 +131,24 @@ func (m *muxConn) issue(op byte, payload []byte) uint32 {
 		m.flush() // about to block: slots free up only once their frames have left
 		tag = <-m.free
 	}
+	m.send(tag, op, payload)
+	return tag
+}
+
+// tryIssue is issue for a thread that already holds a slot of this window
+// and so may not block for another: it gives up when none is free.
+func (m *muxConn) tryIssue(op byte, payload []byte) (uint32, bool) {
+	select {
+	case tag := <-m.free:
+		m.send(tag, op, payload)
+		return tag, true
+	default:
+		return 0, false
+	}
+}
+
+// send arms slot tag and appends its frame to the write buffer.
+func (m *muxConn) send(tag uint32, op byte, payload []byte) {
 	s := &m.slots[tag]
 	s.err, s.reject = false, false
 	s.inflight.Store(true)
@@ -138,13 +156,12 @@ func (m *muxConn) issue(op byte, payload []byte) uint32 {
 		// The request never goes out. Complete it here: a reader's sweep may
 		// already be done, but if it is running it CAS-races us safely.
 		s.deliver(true)
-		return tag
+		return
 	}
 	m.wmu.Lock()
 	m.wbuf = appendFrame(m.wbuf, tag, op, payload)
 	m.posted.Add(1)
 	m.wmu.Unlock()
-	return tag
 }
 
 // flush puts every posted frame on the wire with one Write; every thread

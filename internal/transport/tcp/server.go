@@ -77,12 +77,17 @@ type region struct {
 // locate resolves [off, off+n) in the addressed memory space. Tree nodes and
 // lock words never straddle a chunk boundary (the allocator carves aligned
 // blocks out of aligned chunks), so a region crossing one is a protocol
-// error, not a case to support.
+// error, not a case to support. So is an on-chip region crossing a 64-byte
+// line: on-chip stripes guard one line each, and only the first line's
+// stripe is taken.
 func (s *store) locate(a transport.Addr, n int) (region, error) {
 	off := a.Off()
 	if a.OnChip() {
 		if off+uint64(n) > uint64(len(s.onChip)) {
 			return region{}, fmt.Errorf("on-chip access [%#x,+%d) exceeds %d B", off, n, len(s.onChip))
+		}
+		if n > 0 && off>>6 != (off+uint64(n)-1)>>6 {
+			return region{}, fmt.Errorf("on-chip access [%#x,+%d) crosses a 64-byte line", off, n)
 		}
 		return region{
 			b:  s.onChip[off : off+uint64(n)],
@@ -103,6 +108,16 @@ func (s *store) locate(a transport.Addr, n int) (region, error) {
 		mu:  &s.locks[ci%numStripes],
 		ops: snap.ops[ci],
 	}, nil
+}
+
+// locateAtomic is locate for an atomic of width n, which must be n-aligned
+// (the simulator panics on the same misuse): an unaligned word could
+// straddle two on-chip lines while holding one stripe.
+func (s *store) locateAtomic(a transport.Addr, n int) (region, error) {
+	if a.Off()%uint64(n) != 0 {
+		return region{}, fmt.Errorf("unaligned %d-byte atomic at %#x", n, a.Off())
+	}
+	return s.locate(a, n)
 }
 
 // count books one inbound op against the server totals and r's chunk.
@@ -355,7 +370,7 @@ func (s *Server) handle(op byte, payload, resp []byte) ([]byte, error) {
 		if p.err != nil {
 			return resp, p.err
 		}
-		reg, err := st.locate(a, 8)
+		reg, err := st.locateAtomic(a, 8)
 		if err != nil {
 			return resp, err
 		}
@@ -376,7 +391,7 @@ func (s *Server) handle(op byte, payload, resp []byte) ([]byte, error) {
 		if p.err != nil {
 			return resp, p.err
 		}
-		reg, err := st.locate(a, 2)
+		reg, err := st.locateAtomic(a, 2)
 		if err != nil {
 			return resp, err
 		}
@@ -397,7 +412,7 @@ func (s *Server) handle(op byte, payload, resp []byte) ([]byte, error) {
 		if p.err != nil {
 			return resp, p.err
 		}
-		reg, err := st.locate(a, 8)
+		reg, err := st.locateAtomic(a, 8)
 		if err != nil {
 			return resp, err
 		}

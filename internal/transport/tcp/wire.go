@@ -24,7 +24,9 @@
 // The server runs one goroutine per connection that applies each frame as
 // it decodes it, so one connection's verbs execute — and are answered — in
 // posted order, exactly like an RC queue pair; a burst's answers leave in
-// one write. Across connections each operation runs under striped
+// one write. The acquire doorbell (CASRead/CAS16Read) is built on that
+// order alone: a CAS frame and a Read frame posted back to back, no opcode
+// of its own. Across connections each operation runs under striped
 // per-chunk locks, so requests to different chunks proceed in parallel.
 // Each individual verb — and each op of a batch, applied in posted
 // order — is atomic under its stripe, which is exactly the per-verb

@@ -5,9 +5,13 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"sherman/internal/transport"
 )
 
 // TestFrameRoundTrip encodes frames of assorted opcodes, tags and payload
@@ -299,6 +303,38 @@ func TestServerFrames(t *testing.T) {
 	}
 	rc.req(opPing, nil) // still alive
 
+	// Misaligned atomics and on-chip accesses crossing a 64-byte line are
+	// refused before memory is touched (the simulator panics on the same
+	// misuse): either would span two on-chip lines under one line's stripe.
+	for i, bad := range []struct {
+		name    string
+		op      byte
+		payload []byte
+	}{
+		{"on-chip CAS at offset 60", opCAS, appendU64(appendU64(appendU64(nil, onChip+60), 0), 1)},
+		{"FAA at offset 4", opFAA, appendU64(appendU64(nil, base+4), 1)},
+		{"CAS16 at offset 63", opCAS16, append(appendU64(nil, onChip+63), 0, 0, 1, 0)},
+		{"on-chip read of 128 bytes", opRead, appendU32(appendU64(nil, onChip), 128)},
+	} {
+		if err := writeFrame(rc.c, uint32(9000+i), bad.op, bad.payload); err != nil {
+			t.Fatal(err)
+		}
+		tag, status, msg, err := readFrame(rc.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tag != uint32(9000+i) || status != statusErr || len(msg) == 0 {
+			t.Fatalf("%s: tag %d, status %d, msg %q; want an error frame", bad.name, tag, status, msg)
+		}
+		rc.req(opPing, nil) // still alive
+	}
+	if got := rc.req(opRead, appendU32(appendU64(nil, onChip), 64)); !bytes.Equal(got[:4], []byte{0, 0, 0x34, 0x12}) || !bytes.Equal(got[4:], make([]byte, 60)) {
+		t.Fatalf("on-chip line after the refused atomics = %x, want only the CAS16 above", got)
+	}
+	if got := rc.req(opRead, appendU32(appendU64(nil, base), 16)); !bytes.Equal(got, appendU64(appendU64(nil, 100), 0)) {
+		t.Fatalf("host words after the refused FAA = %x, want 100 then 0", got)
+	}
+
 	// A ReadBatch whose reply would pass maxFrame — one valid address named
 	// many times, so nothing but the sum is wrong — is refused before the
 	// server sizes a buffer for it, and the connection stays usable.
@@ -373,6 +409,131 @@ func TestServerPostedOrderPerConnection(t *testing.T) {
 		if !bytes.Equal(resp, w) {
 			t.Fatalf("reply %d (tag %d) = %x, want %x: the verb did not observe its predecessors", i, tag, resp, w)
 		}
+	}
+}
+
+// TestAcquireDoorbellSeesReleasersWriteBack pins what the acquire doorbell
+// rests on, across connections: a holder on one connection posts its
+// write-back and its lock release as one in-order doorbell; an acquirer on
+// another connection spins CAS16Read on that lock. Whatever its losing
+// attempts fetched, the attempt that wins must carry the image the release
+// was posted behind — round after round, the release racing a spin that has
+// already lost at least once.
+func TestAcquireDoorbellSeesReleasersWriteBack(t *testing.T) {
+	srv := startServer(t)
+	c, err := NewCluster([]string{srv.Addr()}, 1, Options{HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tr := c.NewTransport(0)
+	node := transport.MakeAddr(0, tr.GrowChunk(0)+4096)
+	lock := transport.MakeOnChipAddr(0, 10)
+
+	// The holder speaks raw frames on a connection of its own.
+	holder := dialRaw(t, srv.Addr())
+	const rounds, size = 300, 1024
+	tr.PostWrites(transport.WriteOp{Addr: lock, Data: []byte{1, 0}}) // the holder's stamp
+	won := make(chan struct{})
+	var lost atomic.Int64
+	go func() {
+		defer close(won)
+		buf := make([]byte, size)
+		for r := 1; r <= rounds; r++ {
+			for {
+				if _, ok := tr.CAS16Read(lock, 0, 2, node, buf); ok {
+					break
+				}
+				lost.Add(1)
+			}
+			if want := bytes.Repeat([]byte{byte(r)}, size); !bytes.Equal(buf, want) {
+				t.Errorf("round %d: the winning CAS16Read carried image %d..%d, want the releaser's %d",
+					r, buf[0], buf[size-1], byte(r))
+				return
+			}
+			// Hand the lock back: the holder's stamp, so it owns round r+1.
+			tr.PostWrites(transport.WriteOp{Addr: lock, Data: []byte{1, 0}})
+			won <- struct{}{}
+		}
+	}()
+	for r := 1; r <= rounds; r++ {
+		// Let the spin lose against this round's hold first.
+		for seen := lost.Load(); lost.Load() == seen; {
+			select {
+			case <-won:
+				return // the acquirer gave up (it sends only after a win)
+			default:
+				runtime.Gosched()
+			}
+		}
+		// Write-back + release, one doorbell: [node := image r, lock := 0].
+		w := appendU32(appendU64(appendU32(nil, 2), uint64(node)), size)
+		w = append(w, bytes.Repeat([]byte{byte(r)}, size)...)
+		w = append(appendU32(appendU64(w, uint64(lock)), 2), 0, 0)
+		holder.req(opWriteBatch, w)
+		if _, ok := <-won; !ok {
+			return
+		}
+	}
+}
+
+// TestAcquireDoorbellFullWindow: with one free slot left in the window the
+// doorbell's READ cannot be posted behind its CAS — a thread holding a slot
+// must not block for another — so it follows serially: same answer, two
+// round trips.
+func TestAcquireDoorbellFullWindow(t *testing.T) {
+	c, err := NewCluster(startServers(t, 1), 1, Options{HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tr := c.NewTransport(0)
+	node := transport.MakeAddr(0, tr.GrowChunk(0)+64)
+	tr.Write(node, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	mx := c.muxes[0]
+	var held []uint32
+	for len(mx.free) > 1 {
+		held = append(held, <-mx.free)
+	}
+	buf := make([]byte, 8)
+	before := tr.Metrics().RoundTrips
+	if prev, ok := tr.CAS16Read(transport.MakeOnChipAddr(0, 0), 0, 1, node, buf); !ok || prev != 0 {
+		t.Fatalf("CAS16Read on a nearly full window = %d, %v", prev, ok)
+	}
+	if !bytes.Equal(buf, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
+		t.Fatalf("buf = %v", buf)
+	}
+	if rt := tr.Metrics().RoundTrips - before; rt != 2 {
+		t.Fatalf("%d round trips, want 2 (the READ could not ride the CAS)", rt)
+	}
+	for _, tag := range held {
+		mx.free <- tag
+	}
+	before = tr.Metrics().RoundTrips
+	tr.CAS16Read(transport.MakeOnChipAddr(0, 0), 0, 1, node, buf)
+	if rt := tr.Metrics().RoundTrips - before; rt != 1 {
+		t.Fatalf("%d round trips with the window free again, want 1", rt)
+	}
+}
+
+// TestAcquireDoorbellAllocatesNothing: the doorbell reuses the payload
+// scratch and two window slots, so once warm it allocates nothing at either
+// end (client and in-process server share the measured heap).
+func TestAcquireDoorbellAllocatesNothing(t *testing.T) {
+	c, err := NewCluster(startServers(t, 1), 1, Options{HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tr := c.NewTransport(0)
+	node := transport.MakeAddr(0, tr.GrowChunk(0)+1024)
+	lock := transport.MakeOnChipAddr(0, 4)
+	buf := make([]byte, 1024)
+	if avg := testing.AllocsPerRun(2000, func() {
+		tr.CAS16Read(lock, 0, 1, node, buf)
+		tr.PostWrites(transport.WriteOp{Addr: lock, Data: []byte{0, 0}})
+	}); avg > 0.01 {
+		t.Fatalf("lock doorbell + release allocate %.3f objects per pair, want 0", avg)
 	}
 }
 

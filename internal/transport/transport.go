@@ -18,6 +18,13 @@
 //     synchronous no-ops — but it does implement AsyncVerbs, so pipelined
 //     executors overlap real round trips.
 //
+// Both implement the whole verb surface, the acquire doorbell included
+// (CASRead/CAS16Read: a lock CAS and the dependent READ of the locked object
+// in one round trip). The real fabric's write path uses it on every
+// acquisition; the simulator's virtual lock manager keeps the paper's
+// published CAS-then-READ, so there the verb is implemented and tested but
+// not on the tree's path (DESIGN.md §4).
+//
 // The package is dependency-free so both backends (and the packages between
 // them and the tree) can share its types without import cycles.
 package transport
@@ -47,6 +54,16 @@ type Transport interface {
 	CAS(a Addr, old, new uint64) (uint64, bool)
 	// CAS16 is the masked 2-byte CAS used by on-chip lock words (§4.3).
 	CAS16(a Addr, old, new uint16) (uint16, bool)
+	// CASRead is the acquire doorbell: the CAS on lock and a READ of
+	// len(buf) bytes at a, posted as two dependent commands on one queue
+	// pair (§4.5's in-order delivery applied to the acquire side). Both
+	// addresses must be on one memory server; the READ executes after the
+	// CAS and fills buf whether or not the swap happened, so buf holds the
+	// bytes as of the swap only when it did. One round trip, one 2-command
+	// doorbell batch.
+	CASRead(lock Addr, old, new uint64, a Addr, buf []byte) (uint64, bool)
+	// CAS16Read is CASRead with the masked 2-byte CAS of on-chip lock words.
+	CAS16Read(lock Addr, old, new uint16, a Addr, buf []byte) (uint16, bool)
 	// FAA is a one-sided 8-byte fetch-and-add returning the old value.
 	FAA(a Addr, delta uint64) uint64
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestEMethods covers the error-returning synchronous API: the happy path,
@@ -525,4 +526,129 @@ func TestClusterStatsSamePathBothFabrics(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRoundTripsPerOpPinned counts the protocol, deterministically: with a
+// warm cache, updating an existing key costs exactly 2 round trips over TCP
+// (the acquire doorbell: lock CAS + leaf READ; then write-back + release)
+// and the published 3 on the simulator (CAS, READ, write-back + release —
+// the virtual manager keeps Lock-then-read, DESIGN.md §4), a get exactly 1
+// on both, and with CombineCommands off a TCP put is back to 4 separate
+// verbs. A change that quietly re-serialises the acquire fails here, not
+// only in the benchmark.
+func TestRoundTripsPerOpPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes and builds cmd/shermand")
+	}
+	noCombine := &AdvancedOptions{TwoLevelVersions: true, OnChipLocks: true,
+		LocalLockTables: true, WaitQueues: true, Handover: true}
+	for _, tc := range []struct {
+		name, transport string
+		adv             *AdvancedOptions
+		put, get        int64
+	}{
+		{"sim", TransportSim, nil, 3, 1},
+		{"tcp", TransportTCP, nil, 2, 1},
+		{"tcp-nocombine", TransportTCP, noCombine, 4, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(ClusterConfig{MemoryServers: 2, ComputeServers: 1, Transport: tc.transport})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close) // after testTree's Validate
+			tree := testTree(t, c, TreeOptions{Advanced: tc.adv})
+			var kvs []KV
+			for k := uint64(1); k <= 4096; k++ {
+				kvs = append(kvs, KV{Key: k, Value: k})
+			}
+			if err := tree.Bulkload(kvs); err != nil {
+				t.Fatal(err)
+			}
+			s := openSession(t, tree, 0)
+			for _, key := range []uint64{7, 2000, 4096} {
+				s.Get(key) // warm the path to the key's leaf
+				before := s.Stats().RoundTrips
+				s.Put(key, key+1)
+				afterPut := s.Stats().RoundTrips
+				if v, ok := s.Get(key); !ok || v != key+1 {
+					t.Fatalf("Get(%d) = %d, %v", key, v, ok)
+				}
+				afterGet := s.Stats().RoundTrips
+				if put, get := afterPut-before, afterGet-afterPut; put != tc.put || get != tc.get {
+					t.Errorf("key %d: put took %d round trips, get %d; want %d and %d", key, put, get, tc.put, tc.get)
+				}
+			}
+			ls := tree.LockStats()
+			if wantCarried := tc.transport == TransportTCP && tc.adv == nil; (ls.AcquireReads == 3) != wantCarried || ls.AcquireReadsWasted != 0 {
+				t.Errorf("LockStats: AcquireReads = %d, AcquireReadsWasted = %d over 3 uncontended puts", ls.AcquireReads, ls.AcquireReadsWasted)
+			}
+		})
+	}
+}
+
+// TestAcquireDoorbellUnderContention drives the losing path of the acquire
+// doorbell for real: two depth-8 sessions on two compute servers put
+// disjoint keys that interleave through the same handful of leaves for two
+// seconds, so lock CASes lose across compute servers while the other side
+// is mid-write-back. Every acked value must be readable afterwards and the
+// tree must validate (testTree).
+func TestAcquireDoorbellUnderContention(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes and builds cmd/shermand")
+	}
+	c, err := NewCluster(ClusterConfig{MemoryServers: 2, ComputeServers: 2, Transport: TransportTCP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close) // after testTree's Validate
+	tree := testTree(t, c, TreeOptions{})
+	const keys = 128 // a handful of leaves; worker w owns the keys ≡ w mod 2
+	var kvs []KV
+	for k := uint64(1); k <= keys; k++ {
+		kvs = append(kvs, KV{Key: k, Value: 1})
+	}
+	if err := tree.Bulkload(kvs); err != nil {
+		t.Fatal(err)
+	}
+
+	acked := [2]map[uint64]uint64{{}, {}}
+	deadline := time.Now().Add(2 * time.Second)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := openSession(t, tree, w, PipelineDepth(8))
+			rng := rand.New(rand.NewSource(int64(w)))
+			for seq := uint64(2); time.Now().Before(deadline); seq++ {
+				// A window of puts in flight, all acked by the Flush.
+				for i := 0; i < 32; i++ {
+					key := uint64(rng.Intn(keys/2))*2 + uint64(w) + 1
+					s.Submit(PutOp(key, seq))
+					acked[w][key] = seq
+				}
+				s.check(s.Flush())
+			}
+		}()
+	}
+	wg.Wait()
+
+	s := openSession(t, tree, 0)
+	for w := range acked {
+		for key, want := range acked[w] {
+			if v, ok := s.Get(key); !ok || v != want {
+				t.Fatalf("key %d = %d, %v after the run; last acked value %d", key, v, ok, want)
+			}
+		}
+	}
+	ls := tree.LockStats()
+	if ls.GlobalRetries == 0 || ls.AcquireReadsWasted == 0 {
+		t.Fatalf("GlobalRetries = %d, AcquireReadsWasted = %d: the losing path never ran", ls.GlobalRetries, ls.AcquireReadsWasted)
+	}
+	if ls.AcquireReads <= ls.AcquireReadsWasted {
+		t.Fatalf("AcquireReads = %d, AcquireReadsWasted = %d: no acquisition was carried by a winning CAS", ls.AcquireReads, ls.AcquireReadsWasted)
+	}
+	t.Logf("acquisitions %d, handovers %d, carried %d, wasted %d, global retries %d",
+		ls.Acquisitions, ls.Handovers, ls.AcquireReads, ls.AcquireReadsWasted, ls.GlobalRetries)
 }

@@ -85,7 +85,9 @@ type AdvancedOptions struct {
 	// TwoLevelVersions selects the unsorted-leaf entry+node version layout
 	// (§4.4); false selects FG's sorted checksum layout.
 	TwoLevelVersions bool
-	// CombineCommands posts dependent writes as one doorbell batch (§4.5).
+	// CombineCommands posts dependent commands as one doorbell batch
+	// (§4.5): write-back + lock release, and on the real fabric lock CAS +
+	// node READ.
 	CombineCommands bool
 	// OnChipLocks stores global lock tables in NIC on-chip memory (§4.3).
 	OnChipLocks bool
@@ -268,6 +270,9 @@ func (t *Tree) LockStats() LockStats {
 		LocalWaits:    s.LocalWaits.Load(),
 		LeaseExpiries: s.LeaseExpiries.Load(),
 		Reclaims:      s.Reclaims.Load(),
+
+		AcquireReads:       s.AcquireReads.Load(),
+		AcquireReadsWasted: s.AcquireReadsWasted.Load(),
 	}
 }
 
@@ -277,7 +282,10 @@ func (t *Tree) LockStats() LockStats {
 // LocalWaits are acquisitions that queued behind another thread of the same
 // compute server. LeaseExpiries counts locks orphaned by compute-server
 // crashes; Reclaims counts the expired-lease reclamations survivors
-// performed to free them.
+// performed to free them. AcquireReads counts acquisitions whose lock CAS
+// carried the node READ in one doorbell (the real fabric's write path, with
+// CombineCommands on); AcquireReadsWasted those whose CAS lost, so the bytes
+// were discarded — the doorbell saves a round trip on the difference.
 type LockStats struct {
 	Acquisitions  int64
 	Handovers     int64
@@ -285,6 +293,9 @@ type LockStats struct {
 	LocalWaits    int64
 	LeaseExpiries int64
 	Reclaims      int64
+
+	AcquireReads       int64
+	AcquireReadsWasted int64
 }
 
 // Recover completes crash recovery from compute server cs: it sweeps the
