@@ -142,7 +142,11 @@ func placeReplicas(view placement, ms uint16, want int, grow func(uint16) uint64
 		if rms == int(ms) || !view.MSUsable(rms) {
 			continue
 		}
-		bases = append(bases, rdma.MakeAddr(uint16(rms), grow(uint16(rms))))
+		base := grow(uint16(rms))
+		if !view.MSUsable(rms) {
+			continue // died during the growth: its base names no fresh memory
+		}
+		bases = append(bases, rdma.MakeAddr(uint16(rms), base))
 	}
 	return bases
 }
@@ -239,21 +243,10 @@ func (b *Bulk) Alloc(size int) rdma.Addr {
 		panic(fmt.Sprintf("alloc: bad bulk allocation size %d", size))
 	}
 	sz := (uint64(size) + nodeAlign - 1) &^ (nodeAlign - 1)
-	ms := nextPlacement(b.g, &b.next)
-	for ms >= len(b.cur) {
-		// The fabric grew since this Bulk was created.
-		b.cur = append(b.cur, rdma.NilAddr)
-		b.rem = append(b.rem, 0)
-	}
+	ms := b.place()
 	for b.rem[ms] < sz {
-		base := b.g.GrowChunkRaw(uint16(ms))
-		b.cur[ms], b.rem[ms] = chunkStart(uint16(ms), base)
-		if b.stats != nil {
-			b.stats.Chunks.Add(1)
-		}
-		if b.rep != nil && b.rf > 1 {
-			ck := ChunkID{MS: uint16(ms), Index: base / rdma.DefaultChunkSize}
-			b.rep.Register(ck, placeReplicas(b.g, uint16(ms), b.rf-1, b.g.GrowChunkRaw)...)
+		if !b.refill(ms) {
+			ms = b.place()
 		}
 	}
 	addr := b.cur[ms]
@@ -263,4 +256,41 @@ func (b *Bulk) Alloc(size int) rdma.Addr {
 		b.stats.Nodes.Add(1)
 	}
 	return addr
+}
+
+// place picks the server of the next allocation.
+func (b *Bulk) place() int {
+	ms := nextPlacement(b.g, &b.next)
+	for ms >= len(b.cur) {
+		// The fabric grew since this Bulk was created.
+		b.cur = append(b.cur, rdma.NilAddr)
+		b.rem = append(b.rem, 0)
+	}
+	return ms
+}
+
+// refill opens a fresh chunk on ms, with ThreadAllocator.refill's two
+// born-dead checks: a server that died during the growth (a dead one answers
+// base 0, its first chunk, which already holds nodes) or before the chunk's
+// replicas were registered (the failover sweep may have missed it) yields
+// nothing — the registration is dropped, and false sends the caller to the
+// next placement.
+func (b *Bulk) refill(ms int) bool {
+	base := b.g.GrowChunkRaw(uint16(ms))
+	if !b.g.MSAlive(ms) {
+		return false
+	}
+	if b.rep != nil && b.rf > 1 {
+		ck := ChunkID{MS: uint16(ms), Index: base / rdma.DefaultChunkSize}
+		b.rep.Register(ck, placeReplicas(b.g, uint16(ms), b.rf-1, b.g.GrowChunkRaw)...)
+		if !b.g.MSAlive(ms) {
+			b.rep.Drop(ck)
+			return false
+		}
+	}
+	b.cur[ms], b.rem[ms] = chunkStart(uint16(ms), base)
+	if b.stats != nil {
+		b.stats.Chunks.Add(1)
+	}
+	return true
 }

@@ -247,3 +247,76 @@ func TestForwardingSingleTarget(t *testing.T) {
 		t.Fatalf("DropDead = %d, len %d; want 1, 0", n, fwd.Len())
 	}
 }
+
+// dyingGrower is a raw growth view over three servers whose server 1 dies
+// inside the nth GrowChunkRaw, whichever server that call grows, the way a
+// fabric's death trigger runs: the failover sweep first, then the death is
+// published. A growth on the dead server answers base 0, like a dead TCP
+// server.
+type dyingGrower struct {
+	grown    []uint64
+	dead     []bool
+	calls, n int
+	rep      *ReplicaMap
+}
+
+func (g *dyingGrower) NumMS() int           { return len(g.grown) }
+func (g *dyingGrower) MSAlive(ms int) bool  { return !g.dead[ms] }
+func (g *dyingGrower) MSUsable(ms int) bool { return !g.dead[ms] }
+
+func (g *dyingGrower) GrowChunkRaw(ms uint16) uint64 {
+	if g.calls++; g.calls == g.n {
+		if g.rep != nil {
+			g.rep.FailoverServer(1, func(i int) bool { return i != 1 && !g.dead[i] })
+		}
+		g.dead[1] = true
+	}
+	if g.dead[ms] {
+		return 0
+	}
+	base := g.grown[ms] * rdma.DefaultChunkSize
+	g.grown[ms]++
+	return base
+}
+
+// TestBulkBornDead: whichever chunk growth server 1 dies inside — its own
+// primary's, a replica's for another server, or one of its primary's
+// replicas elsewhere — Bulk hands out no address on it afterwards and never
+// the same address twice, and under replication no chunk of server 1 is
+// registered after the death, as primary or replica.
+func TestBulkBornDead(t *testing.T) {
+	for _, rf := range []int{0, 2} {
+		for n := 1; n <= 12; n++ {
+			g := &dyingGrower{grown: make([]uint64, 3), dead: make([]bool, 3), n: n}
+			b := NewBulk(g, nil)
+			if rf > 1 {
+				g.rep = NewReplicaMap()
+				b.SetReplication(g.rep, rf)
+			}
+			seen := map[rdma.Addr]bool{}
+			for i := 0; i < 32; i++ {
+				a := b.Alloc(rdma.DefaultChunkSize / 2)
+				if g.dead[1] && a.MS() == 1 {
+					t.Fatalf("rf=%d death at call %d: allocation %d at %v on the dead server", rf, n, i, a)
+				}
+				if seen[a] {
+					t.Fatalf("rf=%d death at call %d: allocation %d at %v handed out twice", rf, n, i, a)
+				}
+				seen[a] = true
+			}
+			if !g.dead[1] {
+				t.Fatalf("rf=%d: fewer than %d growths; the scenario is vacuous", rf, n)
+			}
+			if g.rep == nil {
+				continue
+			}
+			for _, ck := range g.rep.UnderReplicated(MaxReplicationFactor + 1) { // every registered chunk
+				var ts TargetSet
+				g.rep.Targets(ck, &ts)
+				if ck.MS == 1 || ts.N == 1 && ts.Bases[0].MS() == 1 {
+					t.Fatalf("rf=%d death at call %d: chunk %v (replica %v) registered on the dead server", rf, n, ck, ts.Bases[0])
+				}
+			}
+		}
+	}
+}

@@ -86,3 +86,18 @@ func BenchmarkProbeExecMixed(b *testing.B) {
 		as.Exec(ops)
 	}
 }
+
+// BenchmarkProbeBulkload bulkloads a tree of b.N leaves (1 KiB nodes at the
+// default 80% fill) on the simulator, so ns/op is per leaf built and stored.
+// B/op is reported per node: the heap bytes the build allocated beyond the
+// memory servers' own chunk growth, divided by the nodes built — the figure
+// TestBulkloadAllocs bounds.
+func BenchmarkProbeBulkload(b *testing.B) {
+	perLeaf := int(float64(core.ShermanConfig().Format.LeafCap) * 0.8)
+	cl, tr, kvs := bulkSetup(b.N * perLeaf)
+	b.ReportAllocs()
+	b.ResetTimer()
+	heap := bulkHeap(cl, func() { tr.Bulkload(kvs) })
+	b.StopTimer()
+	b.ReportMetric(float64(heap)/float64(nodeCount(tr)), "B/op")
+}

@@ -38,13 +38,15 @@ type Backend interface {
 	// SetRoot stores the superblock root pointer and level without timing;
 	// bulk load uses it before client threads start.
 	SetRoot(root rdma.Addr, level uint8)
-	// RawWrite stores data at a without timing, mirrored to a's chunk
+	// RawWrite stores every op without timing, mirrored to each op's chunk
 	// replicas when replicating — setup-time writes (bulk load, compaction,
-	// free bits) must be failover-covered like any client write.
-	RawWrite(a rdma.Addr, data []byte)
-	// RawRead loads len(buf) bytes at a without timing, chasing the
-	// forwarding map when a's server is dead.
-	RawRead(a rdma.Addr, buf []byte)
+	// free bits) must be failover-covered like any client write. The batch
+	// travels together: ops to one server apply in order, nothing orders
+	// ops to different servers.
+	RawWrite(ops ...rdma.WriteOp)
+	// RawRead fills every op's buffer without timing, chasing the
+	// forwarding map for ops whose server is dead.
+	RawRead(ops ...rdma.ReadOp)
 	// RawRoot loads the superblock root pointer and level hint without
 	// timing.
 	RawRoot() (rdma.Addr, uint8)

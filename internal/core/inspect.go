@@ -30,20 +30,17 @@ type TreeStats struct {
 // uses raw (untimed) reads and must not run concurrently with writers.
 func (t *Tree) Stats() TreeStats {
 	st := TreeStats{MinLeafFill: 1}
-	rootAddr, level := t.rawRoot()
-	st.Height = int(level) + 1
-	t.statsNode(rootAddr, &st)
+	_, root := t.rawRoot()
+	st.Height = int(root.Level()) + 1
+	t.statsNode(root, &st)
 	if st.LeafNodes > 0 {
 		st.LeafFill /= float64(st.LeafNodes)
 	}
 	return st
 }
 
-func (t *Tree) statsNode(a rdma.Addr, st *TreeStats) {
+func (t *Tree) statsNode(n layout.Node, st *TreeStats) {
 	f := t.cfg.Format
-	buf := make([]byte, f.NodeSize)
-	t.cl.RawRead(a, buf)
-	n := layout.ViewNode(f, buf)
 	st.BytesUsed += int64(f.NodeSize)
 	if n.IsLeaf() {
 		st.LeafNodes++
@@ -57,10 +54,8 @@ func (t *Tree) statsNode(a rdma.Addr, st *TreeStats) {
 		return
 	}
 	st.InternalNodes++
-	in := layout.AsInternal(n)
-	t.statsNode(in.Leftmost(), st)
-	for _, s := range in.Separators() {
-		t.statsNode(s.Child, st)
+	for _, c := range t.children(n) {
+		t.statsNode(layout.ViewNode(f, c.Buf), st)
 	}
 }
 
@@ -92,25 +87,12 @@ func (t *Tree) Compact() CompactResult {
 	// Collect all live entries in key order, remembering every reachable
 	// node so it can be freed after the rebuild.
 	var kvs []layout.KV
-	var old []rdma.Addr
-	rootAddr, _ := t.rawRoot()
-	t.collect(rootAddr, &kvs, &old)
+	rootAddr, root := t.rawRoot()
+	old := []rdma.Addr{rootAddr}
+	t.collect(root, &kvs, &old)
 
 	t.freeNodes(old)
-
-	if len(kvs) == 0 {
-		// Rebuild to a single empty leaf.
-		b := t.cl.NewBulk()
-		rootAddr := b.Alloc(t.cfg.Format.NodeSize)
-		leaf := layout.NewLeaf(t.cfg.Format, 0, layout.NoUpperBound)
-		if t.cfg.Format.Mode == layout.Checksum {
-			leaf.UpdateChecksum()
-		}
-		t.cl.RawWrite(rootAddr, leaf.B)
-		t.cl.SetRoot(rootAddr, 0)
-	} else {
-		t.Bulkload(kvs)
-	}
+	t.Bulkload(kvs) // an empty kvs leaves a single empty leaf
 	t.dropCaches()
 
 	after := t.Stats()
@@ -122,33 +104,30 @@ func (t *Tree) Compact() CompactResult {
 	}
 }
 
-// collect appends the subtree's live entries in key order and records node
-// addresses.
-func (t *Tree) collect(a rdma.Addr, kvs *[]layout.KV, nodes *[]rdma.Addr) {
-	f := t.cfg.Format
-	buf := make([]byte, f.NodeSize)
-	t.cl.RawRead(a, buf)
-	n := layout.ViewNode(f, buf)
-	*nodes = append(*nodes, a)
+// collect appends the subtree's live entries in key order and records its
+// nodes' addresses below n.
+func (t *Tree) collect(n layout.Node, kvs *[]layout.KV, nodes *[]rdma.Addr) {
 	if n.IsLeaf() {
 		*kvs = append(*kvs, layout.AsLeaf(n).Entries()...)
 		return
 	}
-	in := layout.AsInternal(n)
-	t.collect(in.Leftmost(), kvs, nodes)
-	for _, s := range in.Separators() {
-		t.collect(s.Child, kvs, nodes)
+	for _, c := range t.children(n) {
+		*nodes = append(*nodes, c.Addr)
+		t.collect(layout.ViewNode(t.cfg.Format, c.Buf), kvs, nodes)
 	}
 }
 
-// freeNodes clears the alive bit of each node (the free-bit deallocation of
-// §4.2.4). The memory itself is not returned to the memory servers — the
-// paper's allocator does not reclaim chunks either; freed nodes are
-// tombstones that steer stale readers back to the root.
+// freeNodes clears the alive bit of every node in one RawWrite (the
+// free-bit deallocation of §4.2.4). The memory itself is not returned to the
+// memory servers — the paper's allocator does not reclaim chunks either;
+// freed nodes are tombstones that steer stale readers back to the root.
 func (t *Tree) freeNodes(addrs []rdma.Addr) {
-	for _, a := range addrs {
-		t.cl.RawWrite(a.Add(layout.AliveOffset), []byte{0})
+	dead := []byte{0}
+	ops := make([]rdma.WriteOp, len(addrs))
+	for i, a := range addrs {
+		ops[i] = rdma.WriteOp{Addr: a.Add(layout.AliveOffset), Data: dead}
 	}
+	t.cl.RawWrite(ops...)
 }
 
 // dropCaches clears every compute server's index cache after a structural

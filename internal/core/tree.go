@@ -36,14 +36,7 @@ func New(cl Backend, cfg Config) *Tree {
 	// per-chunk invalidation migration uses.
 	cl.OnChunkInvalidate(func(ck alloc.ChunkID) { t.InvalidateChunk(ck) })
 	// Empty tree: one leaf covering the whole key space.
-	b := cl.NewBulk()
-	rootAddr := b.Alloc(cfg.Format.NodeSize)
-	leaf := layout.NewLeaf(cfg.Format, 0, layout.NoUpperBound)
-	if cfg.Format.Mode == layout.Checksum {
-		leaf.UpdateChecksum()
-	}
-	cl.RawWrite(rootAddr, leaf.B)
-	cl.SetRoot(rootAddr, 0)
+	t.Bulkload(nil)
 	return t
 }
 
@@ -69,10 +62,48 @@ func newCSCache(cfg Config) *cache.Cache {
 	})
 }
 
+// bulkSlab is how many nodes Bulkload builds before it stores them: each
+// node is built in place in one of this many recycled slots, and a full slab
+// leaves as one RawWrite — 256 KiB waves at 1 KiB nodes, and one buffer for
+// the whole build instead of one per node.
+const bulkSlab = 256
+
+// slab stages Bulkload's nodes. A slot is handed out again only after the
+// flush that stored it.
+type slab struct {
+	cl   Backend
+	size int
+	buf  []byte
+	ops  []rdma.WriteOp
+}
+
+func newSlab(cl Backend, nodeSize, slots int) *slab {
+	return &slab{cl: cl, size: nodeSize, buf: make([]byte, slots*nodeSize), ops: make([]rdma.WriteOp, 0, slots)}
+}
+
+// next returns the slot the node at a is built in, storing the slab first
+// when every slot is taken.
+func (s *slab) next(a rdma.Addr) []byte {
+	if len(s.ops) == cap(s.ops) {
+		s.flush()
+	}
+	off := len(s.ops) * s.size
+	slot := s.buf[off : off+s.size : off+s.size]
+	s.ops = append(s.ops, rdma.WriteOp{Addr: a, Data: slot})
+	return slot
+}
+
+// flush stores every node built since the last flush with one RawWrite.
+func (s *slab) flush() {
+	s.cl.RawWrite(s.ops...)
+	s.ops = s.ops[:0]
+}
+
 // Bulkload replaces the tree contents with the given key-value pairs, which
 // must be sorted by strictly increasing key with no key 0. Leaves are packed
 // to the configured fill factor (80% in the paper, §5.1.3) and spread across
-// memory servers chunk by chunk. Call before starting client threads.
+// memory servers chunk by chunk; nodes are built in a recycled slab and
+// stored a slab at a time. Call before starting client threads.
 func (t *Tree) Bulkload(kvs []layout.KV) {
 	for i := range kvs {
 		if kvs[i].Key == 0 {
@@ -94,14 +125,17 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 	}
 
 	// Build the leaf level.
-	var leafAddrs []rdma.Addr
-	var bounds []uint64 // lower fence of each leaf
 	nLeaves := (len(kvs) + perLeaf - 1) / perLeaf
 	if nLeaves == 0 {
 		nLeaves = 1
 	}
+	// Every level above the leaves has at most half as many nodes as the one
+	// below, so a small tree gets a small slab.
+	s := newSlab(t.cl, f.NodeSize, min(bulkSlab, 2*nLeaves))
+	leafAddrs := make([]rdma.Addr, nLeaves)
+	bounds := make([]uint64, nLeaves) // lower fence of each leaf
 	for i := 0; i < nLeaves; i++ {
-		leafAddrs = append(leafAddrs, b.Alloc(f.NodeSize))
+		leafAddrs[i] = b.Alloc(f.NodeSize)
 	}
 	for i := 0; i < nLeaves; i++ {
 		lo := i * perLeaf
@@ -116,7 +150,7 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 		if hi < len(kvs) {
 			upper = kvs[hi].Key
 		}
-		leaf := layout.NewLeaf(f, lower, upper)
+		leaf := layout.NewLeafIn(f, s.next(leafAddrs[i]), lower, upper)
 		if i+1 < nLeaves {
 			leaf.SetSibling(leafAddrs[i+1])
 		}
@@ -124,8 +158,7 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 		if f.Mode == layout.Checksum {
 			leaf.UpdateChecksum()
 		}
-		t.cl.RawWrite(leafAddrs[i], leaf.B)
-		bounds = append(bounds, lower)
+		bounds[i] = lower
 	}
 
 	// Build internal levels bottom-up until a single root remains.
@@ -135,12 +168,12 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 	if perInt < 2 {
 		perInt = 2
 	}
+	var seps []layout.Sep
 	for len(addrs) > 1 {
 		level++
-		var upAddrs []rdma.Addr
-		var upLowers []uint64
 		n := (len(addrs) + perInt - 1) / perInt
 		newAddrs := make([]rdma.Addr, n)
+		upLowers := make([]uint64, n)
 		for i := range newAddrs {
 			newAddrs[i] = b.Alloc(f.NodeSize)
 		}
@@ -157,12 +190,12 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 			if hi < len(addrs) {
 				upper = lowers[hi]
 			}
-			node := layout.NewInternal(f, level, lower, upper)
+			node := layout.NewInternalIn(f, s.next(newAddrs[i]), level, lower, upper)
 			if i+1 < n {
 				node.SetSibling(newAddrs[i+1])
 			}
 			node.SetLeftmost(addrs[lo])
-			seps := make([]layout.Sep, 0, hi-lo-1)
+			seps = seps[:0]
 			for j := lo + 1; j < hi; j++ {
 				seps = append(seps, layout.Sep{Key: lowers[j], Child: addrs[j]})
 			}
@@ -170,12 +203,13 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 			if f.Mode == layout.Checksum {
 				node.UpdateChecksum()
 			}
-			t.cl.RawWrite(newAddrs[i], node.B)
-			upAddrs = append(upAddrs, newAddrs[i])
-			upLowers = append(upLowers, lower)
+			upLowers[i] = lower
 		}
-		addrs, lowers = upAddrs, upLowers
+		addrs, lowers = newAddrs, upLowers
 	}
+	// The root pointer is published only after every node it reaches is
+	// stored.
+	s.flush()
 	t.cl.SetRoot(addrs[0], level)
 }
 
@@ -185,25 +219,39 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 // bulkloaded/inserted key is reachable. Intended for tests; not concurrent
 // safe with writers.
 func (t *Tree) Validate() error {
-	rootAddr, level := t.rawRoot()
-	return t.validateNode(rootAddr, level, 0, layout.NoUpperBound)
+	root, n := t.rawRoot()
+	return t.validateNode(root, n, n.Level(), 0, layout.NoUpperBound)
 }
 
-func (t *Tree) rawRoot() (rdma.Addr, uint8) {
-	// The superblock's level field is only a hint (the pointer CAS and the
-	// hint write are separate verbs; a client can crash between them): the
-	// node's own level field is authoritative.
+// rawRoot reads the root node. The superblock's level field is only a hint
+// (the pointer CAS and the hint write are separate verbs; a client can crash
+// between them): the node's own level field is authoritative.
+func (t *Tree) rawRoot() (rdma.Addr, layout.Node) {
 	root, _ := t.cl.RawRoot()
 	nb := make([]byte, t.cfg.Format.NodeSize)
-	t.cl.RawRead(root, nb)
-	return root, layout.ViewNode(t.cfg.Format, nb).Level()
+	t.cl.RawRead(rdma.ReadOp{Addr: root, Buf: nb})
+	return root, layout.ViewNode(t.cfg.Format, nb)
 }
 
-func (t *Tree) validateNode(a rdma.Addr, level uint8, lower, upper uint64) error {
-	f := t.cfg.Format
-	buf := make([]byte, f.NodeSize)
-	t.cl.RawRead(a, buf)
-	n := layout.ViewNode(f, buf)
+// children reads every child of internal node n, leftmost first, with one
+// RawRead — so a whole-tree walk costs one batch per internal node.
+func (t *Tree) children(n layout.Node) []rdma.ReadOp {
+	in := layout.AsInternal(n)
+	size := t.cfg.Format.NodeSize
+	ops := make([]rdma.ReadOp, in.Count()+1)
+	buf := make([]byte, len(ops)*size)
+	for i := range ops {
+		ops[i].Addr = in.Leftmost()
+		if i > 0 {
+			ops[i].Addr = in.ChildAt(i - 1)
+		}
+		ops[i].Buf = buf[i*size : (i+1)*size]
+	}
+	t.cl.RawRead(ops...)
+	return ops
+}
+
+func (t *Tree) validateNode(a rdma.Addr, n layout.Node, level uint8, lower, upper uint64) error {
 	if !n.Alive() {
 		return fmt.Errorf("node %v is freed but reachable", a)
 	}
@@ -222,8 +270,7 @@ func (t *Tree) validateNode(a rdma.Addr, level uint8, lower, upper uint64) error
 		}
 		return nil
 	}
-	in := layout.AsInternal(n)
-	seps := in.Separators()
+	seps := layout.AsInternal(n).Separators()
 	prev := lower
 	for i, s := range seps {
 		if s.Key <= prev {
@@ -231,20 +278,17 @@ func (t *Tree) validateNode(a rdma.Addr, level uint8, lower, upper uint64) error
 		}
 		prev = s.Key
 	}
-	childLower := lower
-	childUpper := upper
-	if len(seps) > 0 {
-		childUpper = seps[0].Key
-	}
-	if err := t.validateNode(in.Leftmost(), level-1, childLower, childUpper); err != nil {
-		return err
-	}
-	for i, s := range seps {
-		cu := upper
-		if i+1 < len(seps) {
-			cu = seps[i+1].Key
+	// Child i covers [separator i-1, separator i): the leftmost child from
+	// the node's lower fence, the last one up to its upper fence.
+	for i, c := range t.children(n) {
+		lo, hi := lower, upper
+		if i > 0 {
+			lo = seps[i-1].Key
 		}
-		if err := t.validateNode(s.Child, level-1, s.Key, cu); err != nil {
+		if i < len(seps) {
+			hi = seps[i].Key
+		}
+		if err := t.validateNode(c.Addr, layout.ViewNode(t.cfg.Format, c.Buf), level-1, lo, hi); err != nil {
 			return err
 		}
 	}

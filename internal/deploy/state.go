@@ -11,6 +11,7 @@ package deploy
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,12 +31,13 @@ const (
 func superAddr(off uint64) transport.Addr { return transport.MakeAddr(0, off) }
 
 // fabric is what a State needs from whatever carries the verbs: topology
-// and chunk growth, plus untimed access at a physical address (no
-// forwarding, no mirroring — State adds both).
+// and chunk growth, plus untimed batched access at physical addresses (no
+// forwarding, no mirroring — State adds both). A batch's ops to one server
+// apply in order; nothing orders ops to different servers.
 type fabric interface {
 	transport.Grower
-	ReadRaw(a transport.Addr, buf []byte)
-	WriteRaw(a transport.Addr, data []byte)
+	ReadRaw(ops ...transport.ReadOp)
+	WriteRaw(ops ...transport.WriteOp)
 }
 
 // State is the compute-side shared state of a running deployment.
@@ -177,36 +179,55 @@ func (s *State) NewBulk() *alloc.Bulk {
 	return b
 }
 
-// RawWrite stores data at a without timing, mirrored to a's chunk replicas
-// when the cluster replicates — setup-time writes (bulk load, compaction,
-// free bits) must be failover-covered like any client write.
-func (s *State) RawWrite(a transport.Addr, data []byte) {
-	s.f.WriteRaw(a, data)
-	if s.Rep == nil {
-		return
-	}
-	var ts alloc.TargetSet
-	if s.Rep.Targets(alloc.ChunkOf(a), &ts) {
-		inner := a.Off() % transport.DefaultChunkSize
-		for i := 0; i < ts.N; i++ {
-			s.f.WriteRaw(ts.Bases[i].Add(inner), data)
+// RawWrite stores every op without timing, each mirrored to its chunk's
+// replicas at the same intra-chunk offset when the cluster replicates —
+// setup-time writes (bulk load, compaction, free bits) must be
+// failover-covered like any client write. The fabric gets primaries and
+// copies as one batch.
+func (s *State) RawWrite(ops ...transport.WriteOp) {
+	if s.Rep != nil {
+		all := slices.Clip(ops) // copies on the first append: ops is the caller's
+		var ts alloc.TargetSet
+		for _, op := range ops {
+			if s.Rep.Targets(alloc.ChunkOf(op.Addr), &ts) {
+				inner := op.Addr.Off() % transport.DefaultChunkSize
+				for i := 0; i < ts.N; i++ {
+					all = append(all, transport.WriteOp{Addr: ts.Bases[i].Add(inner), Data: op.Data})
+				}
+			}
 		}
+		ops = all
 	}
+	s.f.WriteRaw(ops...)
 }
 
-// RawRead loads len(buf) bytes at a without timing, chasing the forwarding
-// map while a's server is dead (at most alloc.MaxForwardHops generations) —
-// so Validate and Stats keep working after a memory-server death, reading
-// the promoted replicas instead.
-func (s *State) RawRead(a transport.Addr, buf []byte) {
-	for hop := 0; hop < alloc.MaxForwardHops && !s.f.MSAlive(int(a.MS())); hop++ {
-		fwd, ok := s.Fwd.Resolve(a)
-		if !ok {
-			break
+// RawRead fills every op's buffer without timing, chasing the forwarding
+// map while an op's server is dead (at most alloc.MaxForwardHops
+// generations) — so Validate and Stats keep working after a memory-server
+// death, reading the promoted replicas instead. The fabric gets the chased
+// ops as one batch.
+func (s *State) RawRead(ops ...transport.ReadOp) {
+	var chased []transport.ReadOp // copied on the first redirect: ops is the caller's
+	for i, op := range ops {
+		a := op.Addr
+		for hop := 0; hop < alloc.MaxForwardHops && !s.f.MSAlive(int(a.MS())); hop++ {
+			fwd, ok := s.Fwd.Resolve(a)
+			if !ok {
+				break
+			}
+			a = fwd
 		}
-		a = fwd
+		if a != op.Addr {
+			if chased == nil {
+				chased = slices.Clone(ops)
+			}
+			chased[i].Addr = a
+		}
 	}
-	s.f.ReadRaw(a, buf)
+	if chased == nil {
+		chased = ops
+	}
+	s.f.ReadRaw(chased...)
 }
 
 // SetRoot stores the root pointer and level without timing; bulk load uses
@@ -215,13 +236,13 @@ func (s *State) SetRoot(root transport.Addr, level uint8) {
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[superRootOff:], uint64(root))
 	binary.LittleEndian.PutUint64(buf[superLevelOff:], uint64(level))
-	s.f.WriteRaw(superAddr(0), buf[:])
+	s.f.WriteRaw(transport.WriteOp{Addr: superAddr(0), Data: buf[:]})
 }
 
 // RawRoot is the untimed ReadRoot, for Validate and Stats.
 func (s *State) RawRoot() (transport.Addr, uint8) {
 	var buf [16]byte
-	s.RawRead(superAddr(0), buf[:])
+	s.RawRead(transport.ReadOp{Addr: superAddr(0), Buf: buf[:]})
 	return decodeRoot(buf[:])
 }
 

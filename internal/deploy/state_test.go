@@ -18,7 +18,9 @@ type fakeFabric struct {
 	mem    map[transport.Addr]byte
 	grown  []uint64 // chunks grown per server
 	dead   []bool
-	rawOps []transport.Addr // address of every ReadRaw, in order
+	rawOps []transport.Addr // address of every ReadRaw op, in order
+
+	rawBatches int // ReadRaw and WriteRaw calls
 }
 
 func newFake(numMS int) *fakeFabric {
@@ -36,23 +38,38 @@ func (f *fakeFabric) GrowChunkRaw(ms uint16) uint64 {
 }
 
 // Dead memory reads as zeros and discards writes, as on every real fabric.
-func (f *fakeFabric) ReadRaw(a transport.Addr, buf []byte) {
-	f.rawOps = append(f.rawOps, a)
-	for i := range buf {
-		buf[i] = 0
-		if !f.dead[a.MS()] {
-			buf[i] = f.mem[a+transport.Addr(i)]
+func (f *fakeFabric) ReadRaw(ops ...transport.ReadOp) {
+	f.rawBatches++
+	for _, op := range ops {
+		f.rawOps = append(f.rawOps, op.Addr)
+		for i := range op.Buf {
+			op.Buf[i] = 0
+			if !f.dead[op.Addr.MS()] {
+				op.Buf[i] = f.mem[op.Addr+transport.Addr(i)]
+			}
 		}
 	}
 }
 
-func (f *fakeFabric) WriteRaw(a transport.Addr, data []byte) {
-	if f.dead[a.MS()] {
-		return
+func (f *fakeFabric) WriteRaw(ops ...transport.WriteOp) {
+	f.rawBatches++
+	for _, op := range ops {
+		if f.dead[op.Addr.MS()] {
+			continue
+		}
+		for i, b := range op.Data {
+			f.mem[op.Addr+transport.Addr(i)] = b
+		}
 	}
-	for i, b := range data {
-		f.mem[a+transport.Addr(i)] = b
-	}
+}
+
+// read and write are single-op raw accesses for the tests' own setup and
+// checks.
+func (f *fakeFabric) read(a transport.Addr, buf []byte) {
+	f.ReadRaw(transport.ReadOp{Addr: a, Buf: buf})
+}
+func (f *fakeFabric) write(a transport.Addr, d []byte) {
+	f.WriteRaw(transport.WriteOp{Addr: a, Data: d})
 }
 
 // fakeVerbs is one client thread over the fake: only the verbs the root
@@ -64,8 +81,8 @@ type fakeVerbs struct {
 	reads, writes int
 }
 
-func (v *fakeVerbs) Read(a transport.Addr, buf []byte) { v.reads++; v.f.ReadRaw(a, buf) }
-func (v *fakeVerbs) Write(a transport.Addr, d []byte)  { v.writes++; v.f.WriteRaw(a, d) }
+func (v *fakeVerbs) Read(a transport.Addr, buf []byte) { v.reads++; v.f.read(a, buf) }
+func (v *fakeVerbs) Write(a transport.Addr, d []byte)  { v.writes++; v.f.write(a, d) }
 func (v *fakeVerbs) NumMS() int                        { return v.f.NumMS() }
 func (v *fakeVerbs) MSAlive(ms int) bool               { return v.f.MSAlive(ms) }
 func (v *fakeVerbs) MSUsable(ms int) bool              { return v.f.MSUsable(ms) }
@@ -73,13 +90,13 @@ func (v *fakeVerbs) GrowChunk(ms uint16) uint64        { return v.f.GrowChunkRaw
 
 func (v *fakeVerbs) CAS(a transport.Addr, old, new uint64) (uint64, bool) {
 	var b [8]byte
-	v.f.ReadRaw(a, b[:])
+	v.f.read(a, b[:])
 	prev := binary.LittleEndian.Uint64(b[:])
 	if prev != old {
 		return prev, false
 	}
 	binary.LittleEndian.PutUint64(b[:], new)
-	v.f.WriteRaw(a, b[:])
+	v.f.write(a, b[:])
 	return prev, true
 }
 
@@ -165,8 +182,9 @@ func TestRootRoundTrip(t *testing.T) {
 }
 
 // TestAllocatorsAndRawWriteMirror: both allocator constructors are wired
-// for replica placement and counted in AllocStats, and RawWrite lands on
-// every registered replica at the same intra-chunk offset.
+// for replica placement and counted in AllocStats, and one RawWrite of
+// several ops reaches the fabric as one batch that lands every op on every
+// registered replica at the same intra-chunk offset.
 func TestAllocatorsAndRawWriteMirror(t *testing.T) {
 	s, f := newState(t, 3, 3)
 	bulk := s.NewBulk().Alloc(128)
@@ -177,17 +195,26 @@ func TestAllocatorsAndRawWriteMirror(t *testing.T) {
 	if got := s.AllocStats.Nodes.Load(); got != 2 {
 		t.Fatalf("AllocStats.Nodes = %d, want 2", got)
 	}
-	for _, a := range []transport.Addr{bulk, thread} {
+	addrs := []transport.Addr{bulk, thread}
+	ops := make([]transport.WriteOp, len(addrs), 8) // spare capacity RawWrite must not scribble on
+	for i, a := range addrs {
+		ops[i] = transport.WriteOp{Addr: a.Add(64), Data: []byte{1, 2, 3, 4, 5, 6, 7, byte(a.MS())}}
+	}
+	batches := f.rawBatches
+	s.RawWrite(ops...)
+	if spare := ops[:cap(ops)][len(addrs)]; f.rawBatches != batches+1 || spare.Data != nil {
+		t.Fatalf("RawWrite: %d fabric calls, spare slot %+v; want 1 call and the spare untouched", f.rawBatches-batches, spare)
+	}
+	for i, a := range addrs {
 		var ts alloc.TargetSet
 		if !s.Rep.Targets(alloc.ChunkOf(a), &ts) || ts.N != 2 {
 			t.Fatalf("chunk of %v has %d replicas registered, want 2", a, ts.N)
 		}
-		data := []byte{1, 2, 3, 4, 5, 6, 7, byte(a.MS())}
-		s.RawWrite(a.Add(64), data)
+		data := ops[i].Data
 		inner := a.Add(64).Off() % transport.DefaultChunkSize
 		got := make([]byte, len(data))
 		for _, at := range []transport.Addr{a.Add(64), ts.Bases[0].Add(inner), ts.Bases[1].Add(inner)} {
-			f.ReadRaw(at, got)
+			f.read(at, got)
 			if !bytes.Equal(got, data) {
 				t.Fatalf("copy at %v = %v, want %v", at, got, data)
 			}
@@ -199,7 +226,7 @@ func TestAllocatorsAndRawWriteMirror(t *testing.T) {
 	// Off: no table, no mirroring, the write still lands.
 	s0, f0 := newState(t, 2, 0)
 	a := s0.NewBulk().Alloc(64)
-	s0.RawWrite(a, []byte{7})
+	s0.RawWrite(transport.WriteOp{Addr: a, Data: []byte{7}})
 	if s0.Rep != nil || f0.mem[a] != 7 {
 		t.Fatalf("unreplicated RawWrite: Rep=%v mem=%d", s0.Rep, f0.mem[a])
 	}
@@ -214,7 +241,7 @@ func TestFailoverPromotes(t *testing.T) {
 	var addrs []transport.Addr
 	for i := 0; i < 6; i++ { // bulk stripes servers: two nodes per server
 		a := b.Alloc(64)
-		s.RawWrite(a, []byte{byte(0xA0 + i)})
+		s.RawWrite(transport.WriteOp{Addr: a, Data: []byte{byte(0xA0 + i)}})
 		addrs = append(addrs, a)
 	}
 
@@ -263,7 +290,7 @@ func TestFailoverPromotes(t *testing.T) {
 	}
 	for i, a := range addrs {
 		var got [1]byte
-		s.RawRead(a, got[:])
+		s.RawRead(transport.ReadOp{Addr: a, Buf: got[:]})
 		if got[0] != byte(0xA0+i) {
 			t.Fatalf("RawRead(%v) after failover = %#x, want %#x", a, got[0], 0xA0+i)
 		}
@@ -290,19 +317,31 @@ func TestRawReadChase(t *testing.T) {
 	data := []byte("surviving copy on ms0")
 	// Only the final holder has the bytes; the intermediates stay empty, as
 	// after real promotions (the data moved by mirroring, not by the map).
-	f.WriteRaw(b0.Add(128), data)
+	f.write(b0.Add(128), data)
 	s.Fwd.InstallReplica(alloc.ChunkOf(b1), b2)
 	s.Fwd.InstallReplica(alloc.ChunkOf(b2), b0)
 
 	buf := make([]byte, len(data))
-	s.RawRead(b1.Add(128), buf)
+	s.RawRead(transport.ReadOp{Addr: b1.Add(128), Buf: buf})
 	if !bytes.Equal(buf, make([]byte, len(buf))) || f.rawOps[len(f.rawOps)-1] != b1.Add(128) {
 		t.Fatalf("live server: read %q at %v, want zeros in place at %v", buf, f.rawOps[len(f.rawOps)-1], b1.Add(128))
 	}
 	f.dead[1], f.dead[2] = true, true
-	s.RawRead(b1.Add(128), buf)
+	s.RawRead(transport.ReadOp{Addr: b1.Add(128), Buf: buf})
 	if !bytes.Equal(buf, data) {
 		t.Fatalf("RawRead through 2 hops = %q, want %q", buf, data)
+	}
+	// In a batch each op chases on its own, the fabric sees one call, and
+	// the caller's ops keep the addresses it named.
+	ops := []transport.ReadOp{
+		{Addr: b1.Add(128), Buf: make([]byte, len(data))}, // two hops
+		{Addr: b0.Add(128), Buf: make([]byte, len(data))}, // in place
+	}
+	batches := f.rawBatches
+	s.RawRead(ops...)
+	if f.rawBatches != batches+1 || ops[0].Addr != b1.Add(128) || !bytes.Equal(ops[0].Buf, data) || !bytes.Equal(ops[1].Buf, data) {
+		t.Fatalf("batched RawRead: %d fabric calls, op 0 at %v = %q, op 1 = %q; want 1 call, %v, %q twice",
+			f.rawBatches-batches, ops[0].Addr, ops[0].Buf, ops[1].Buf, b1.Add(128), data)
 	}
 
 	// MaxForwardHops+1 generations, all on the dead server 1, the last
@@ -312,18 +351,18 @@ func TestRawReadChase(t *testing.T) {
 		gen[i] = base(1)
 	}
 	live := base(0)
-	f.WriteRaw(live, []byte{0xEE})
+	f.write(live, []byte{0xEE})
 	for i := 0; i+1 < len(gen); i++ {
 		s.Fwd.InstallReplica(alloc.ChunkOf(gen[i]), gen[i+1])
 	}
 	s.Fwd.InstallReplica(alloc.ChunkOf(gen[len(gen)-1]), live)
 	var one [1]byte
-	s.RawRead(gen[0], one[:])
+	s.RawRead(transport.ReadOp{Addr: gen[0], Buf: one[:]})
 	if last := f.rawOps[len(f.rawOps)-1]; last != gen[alloc.MaxForwardHops] || one[0] != 0 {
 		t.Fatalf("over-long chain read %v (= %#x), want it abandoned at generation %d (%v)",
 			last, one[0], alloc.MaxForwardHops, gen[alloc.MaxForwardHops])
 	}
-	s.RawRead(gen[2], one[:]) // within the bound from here
+	s.RawRead(transport.ReadOp{Addr: gen[2], Buf: one[:]}) // within the bound from here
 	if one[0] != 0xEE {
 		t.Fatalf("chain of %d hops = %#x, want 0xEE", alloc.MaxForwardHops, one[0])
 	}

@@ -78,10 +78,18 @@ func (f *Fabric) MSUsable(ms int) bool {
 // setup-time bulk loading.
 func (f *Fabric) GrowChunkRaw(ms uint16) uint64 { return f.Servers()[ms].Grow() }
 
-// ReadRaw loads len(buf) bytes at physical address a with no virtual-time
-// accounting (Validate, Stats).
-func (f *Fabric) ReadRaw(a Addr, buf []byte) { f.Servers()[a.MS()].ReadAt(a.Off(), buf) }
+// ReadRaw fills each op's buffer from its physical address with no
+// virtual-time accounting (Validate, Stats).
+func (f *Fabric) ReadRaw(ops ...ReadOp) {
+	for _, op := range ops {
+		f.Servers()[op.Addr.MS()].ReadAt(op.Addr.Off(), op.Buf)
+	}
+}
 
-// WriteRaw stores data at physical address a with no virtual-time
-// accounting (bulk load, the superblock).
-func (f *Fabric) WriteRaw(a Addr, data []byte) { f.Servers()[a.MS()].WriteAt(a.Off(), data) }
+// WriteRaw stores each op's data at its physical address, in order, with no
+// virtual-time accounting (bulk load, the superblock).
+func (f *Fabric) WriteRaw(ops ...WriteOp) {
+	for _, op := range ops {
+		f.Servers()[op.Addr.MS()].WriteAt(op.Addr.Off(), op.Data)
+	}
+}

@@ -308,18 +308,58 @@ func (c *Cluster) GrowChunkRaw(ms uint16) uint64 {
 	return c.raw.GrowChunk(ms)
 }
 
-// ReadRaw loads len(buf) bytes at physical address a through the shared
-// metadata client.
-func (c *Cluster) ReadRaw(a transport.Addr, buf []byte) {
+// ReadRaw fills every op's buffer through the shared metadata client: one
+// ReadBatch frame per server, all in flight together.
+func (c *Cluster) ReadRaw(ops ...transport.ReadOp) {
 	c.rawMu.Lock()
 	defer c.rawMu.Unlock()
-	c.raw.Read(a, buf)
+	c.raw.ReadMulti(ops)
 }
 
-// WriteRaw stores data at physical address a through the shared metadata
-// client.
-func (c *Cluster) WriteRaw(a transport.Addr, data []byte) {
+// rawWave bounds the WriteBatch frames WriteRaw keeps in flight: the raw
+// client must not block on a window only its own awaits can free.
+const rawWave = defaultWindow / 2
+
+// WriteRaw stores every op through the shared metadata client as one posted
+// wave. Each server's ops are packed, in order, into WriteBatch frames of at
+// most burstBytes header included, so neither end's burst buffer ever grows
+// (an op bigger than that rides alone); every frame is posted before any is
+// awaited. Nothing orders ops to different servers.
+func (c *Cluster) WriteRaw(ops ...transport.WriteOp) {
 	c.rawMu.Lock()
 	defer c.rawMu.Unlock()
-	c.raw.Write(a, data)
+	var pend []transport.Pending
+	var batch []transport.WriteOp
+	const empty = frameHeader + 4 // header + op count
+	size := empty
+	await := func() {
+		for _, p := range pend {
+			c.raw.Await(p)
+		}
+		pend = pend[:0]
+	}
+	post := func() {
+		if len(pend) == rawWave {
+			await()
+		}
+		pend = append(pend, c.raw.PostWritesAsync(batch...))
+		batch, size = batch[:0], empty
+	}
+	for ms := range c.endpoints {
+		for _, op := range ops {
+			if int(op.Addr.MS()) != ms {
+				continue
+			}
+			n := 12 + len(op.Data) // addr u64, len u32, data
+			if len(batch) > 0 && size+n > burstBytes {
+				post()
+			}
+			batch = append(batch, op)
+			size += n
+		}
+		if len(batch) > 0 {
+			post()
+		}
+	}
+	await()
 }

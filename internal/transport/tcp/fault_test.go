@@ -201,7 +201,7 @@ func TestNewClusterFailureClosesConnections(t *testing.T) {
 	}
 	// The surviving cluster is untouched.
 	var buf [8]byte
-	c.RawRead(transport.MakeAddr(0, 64), buf[:])
+	c.RawRead(transport.ReadOp{Addr: transport.MakeAddr(0, 64), Buf: buf[:]})
 }
 
 // TestLeaseReclaimRealClock exercises lease-expiry lock reclamation on the
