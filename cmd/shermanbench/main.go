@@ -46,9 +46,8 @@
 // zero acked writes, at least one chunk fails over, and re-replication
 // restores full redundancy on the survivors); with -exp tcppipe, the
 // pipelining gate (at depth 8 both the client and the server put at least
-// 4 frames into each write syscall, depth-8 pipelined read verbs over real
-// sockets take at most 1/1.5 of depth-1's us/verb, and the matched-scale
-// sim-vs-TCP session rows are present).
+// 4 frames into each write syscall, and depth-8 pipelined read verbs over
+// real sockets take at most 1/1.5 of depth-1's us/verb).
 package main
 
 import (
@@ -210,7 +209,7 @@ func runChecks(ids []string, s bench.Scale, col *bench.Collector, churn *bench.F
 			if err := tcpPipeGate(tcpPipeRes); err != nil {
 				return err
 			}
-			fmt.Printf("tcppipe gate: depth-8 frames per write %.1f client / %.1f server (>= %.0f), %.1f us/verb vs %.1f at depth 1 (%.2fx, >= %.1fx), matched-scale sim-vs-TCP rows present\n",
+			fmt.Printf("tcppipe gate: depth-8 frames per write %.1f client / %.1f server (>= %.0f), %.1f us/verb vs %.1f at depth 1 (%.2fx, >= %.1fx)\n",
 				tcpPipeRes.ClientFramesPerWrite[8], tcpPipeRes.ServerFramesPerWrite[8], tpMinFramesPerWrite,
 				1/tcpPipeRes.VerbMops[8], 1/tcpPipeRes.VerbMops[1], tcpPipeRes.VerbMops[8]/tcpPipeRes.VerbMops[1], tpMinDepthSpeedup)
 		}

@@ -26,16 +26,16 @@ import (
 // ratio, because a depth-1 verb is one park per round trip and has little
 // waste left to amortize).
 //
-// The comparison layer is end-to-end: each worker streams Submits through
+// The reported layer is end-to-end: each worker streams Submits through
 // depth-N sessions — futures held open across the executor's window, so
 // depth-N sessions genuinely keep N operations in flight per memory
-// server — and the same sweep runs at matched scale on the simulated
-// fabric, giving the sim-vs-TCP rows ROADMAP asks for. TCP rows are honest
-// wall-clock Mops; sim rows are virtual-time Mops on the same op mix. The
-// session-level scaling is reported but not gated: a session op spends CPU
-// on the B+tree client (seek, leaf scan, executor) that a small host
-// cannot overlap with the wire, so its depth scaling is host-dependent in a
-// way the verb layer's is not.
+// server — timed in wall-clock Mops. The session-level scaling is reported
+// but not gated: a session op spends CPU on the B+tree client (seek, leaf
+// scan, executor) that a small host cannot overlap with the wire, so its
+// depth scaling is host-dependent in a way the verb layer's is not. There
+// is no simulator column: fresh sessions start at virtual time 0 behind the
+// horizon earlier rounds left, so a virtual-time span of the sweep measures
+// the fabric's age, not the depth (DESIGN.md §7).
 
 const (
 	tpNumMS    = 3
@@ -66,16 +66,13 @@ const (
 
 // tcpPipeResult is the outcome runChecks gates on: per-depth pipelined verb
 // throughput and the frames each end put into one write syscall (the gate),
-// plus session get-phase and mixed-phase throughput, TCP (wall) and sim
-// (virtual), for the matched-scale comparison rows.
+// plus session get-phase and mixed-phase wall-clock throughput (reported).
 type tcpPipeResult struct {
 	VerbMops             map[int]float64
 	ClientFramesPerWrite map[int]float64
 	ServerFramesPerWrite map[int]float64
 	TCPGetMops           map[int]float64
 	TCPMixedMops         map[int]float64
-	SimGetMops           map[int]float64
-	SimMixedMops         map[int]float64
 }
 
 // tpVerbStream drives tpVerbOps pipelined read verbs at base's server
@@ -228,15 +225,13 @@ func tpPhase(s *sherman.Session, r *rand.Rand, ops int, mixed bool) error {
 	return s.Flush()
 }
 
-// tpSweep runs the full depth sweep on one tree. wall=true measures
-// wall-clock seconds across the concurrent workers; wall=false measures the
-// longest worker's virtual-time span (the simulator's makespan convention).
-func tpSweep(tree *sherman.Tree, wall bool) (get, mixed map[int]float64, err error) {
+// tpSweep runs the full depth sweep on one tree, timing wall-clock seconds
+// across the concurrent workers.
+func tpSweep(tree *sherman.Tree) (get, mixed map[int]float64, err error) {
 	get, mixed = make(map[int]float64), make(map[int]float64)
 	seed := int64(1)
 	round := func(depth, ops int, isMixed bool, seed int64) (float64, error) {
-		var spanMax int64 // sim: longest worker virtual span, ns
-		var spanMu sync.Mutex
+		var errMu sync.Mutex
 		var firstErr error
 		start := time.Now()
 		var wg sync.WaitGroup
@@ -248,23 +243,15 @@ func tpSweep(tree *sherman.Tree, wall bool) (get, mixed map[int]float64, err err
 				if err == nil {
 					r := rand.New(rand.NewSource(seed))
 					if err = tpPhase(s, r, tpWarmup, isMixed); err == nil {
-						v0 := s.VirtualNow()
-						if err = tpPhase(s, r, ops, isMixed); err == nil {
-							span := s.VirtualNow() - v0
-							spanMu.Lock()
-							if span > spanMax {
-								spanMax = span
-							}
-							spanMu.Unlock()
-						}
+						err = tpPhase(s, r, ops, isMixed)
 					}
 				}
 				if err != nil {
-					spanMu.Lock()
+					errMu.Lock()
 					if firstErr == nil {
 						firstErr = fmt.Errorf("tcppipe: depth %d worker %d: %w", depth, w, err)
 					}
-					spanMu.Unlock()
+					errMu.Unlock()
 				}
 			}(w, seed+int64(w))
 		}
@@ -272,11 +259,7 @@ func tpSweep(tree *sherman.Tree, wall bool) (get, mixed map[int]float64, err err
 		if firstErr != nil {
 			return 0, firstErr
 		}
-		total := float64(ops * tpWorkers)
-		if wall {
-			return total / time.Since(start).Seconds() / 1e6, nil
-		}
-		return total / (float64(spanMax) / 1e9) / 1e6, nil
+		return float64(ops*tpWorkers) / time.Since(start).Seconds() / 1e6, nil
 	}
 	for _, depth := range tpDepths {
 		for phase := 0; phase < 2; phase++ {
@@ -347,28 +330,7 @@ func runTCPPipe(col *bench.Collector) ([]*bench.Table, *tcpPipeResult, error) {
 		if err := tpBulkload(tree); err != nil {
 			return nil, nil, err
 		}
-		if res.TCPGetMops, res.TCPMixedMops, err = tpSweep(tree, true); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Sim half at matched scale: same servers, workers, op counts and mix.
-	{
-		c, err := sherman.NewCluster(sherman.ClusterConfig{
-			MemoryServers:  tpNumMS,
-			ComputeServers: tpNumCS,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		tree, err := c.CreateTree(sherman.TreeOptions{CacheLevels: -1})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := tpBulkload(tree); err != nil {
-			return nil, nil, err
-		}
-		if res.SimGetMops, res.SimMixedMops, err = tpSweep(tree, false); err != nil {
+		if res.TCPGetMops, res.TCPMixedMops, err = tpSweep(tree); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -390,28 +352,22 @@ func runTCPPipe(col *bench.Collector) ([]*bench.Table, *tcpPipeResult, error) {
 	vt.Note("gate: depth-8 frames/write >= %.0f on both ends, depth-8 us/verb <= depth-1 / %.1f (measured %.1f vs %.1f us/verb, %.2fx)",
 		tpMinFramesPerWrite, tpMinDepthSpeedup, 1/res.VerbMops[8], 1/res.VerbMops[1], res.VerbMops[8]/res.VerbMops[1])
 
-	t := bench.NewTable(fmt.Sprintf("TCP sessions: depth sweep over %d shermand processes, %d workers, vs sim at matched scale", tpNumMS, tpWorkers),
-		"depth", "tcp get Mops", "tcp mixed Mops", "sim get Mops", "sim mixed Mops", "tcp get kops/thread")
+	t := bench.NewTable(fmt.Sprintf("TCP sessions: depth sweep over %d shermand processes, %d workers", tpNumMS, tpWorkers),
+		"depth", "tcp get Mops", "tcp mixed Mops", "tcp get kops/thread")
 	for _, d := range tpDepths {
 		t.Addf(fmt.Sprintf("%d", d),
 			fmt.Sprintf("%.3f", res.TCPGetMops[d]),
 			fmt.Sprintf("%.3f", res.TCPMixedMops[d]),
-			fmt.Sprintf("%.3f", res.SimGetMops[d]),
-			fmt.Sprintf("%.3f", res.SimMixedMops[d]),
 			fmt.Sprintf("%.1f", res.TCPGetMops[d]*1e3/tpWorkers))
 		col.Add(bench.Metric{Exp: "tcppipe", Name: fmt.Sprintf("tcppipe/tcp_get_d%d", d),
 			Mops: res.TCPGetMops[d], KopsPerThread: res.TCPGetMops[d] * 1e3 / tpWorkers})
 		col.Add(bench.Metric{Exp: "tcppipe", Name: fmt.Sprintf("tcppipe/tcp_mixed_d%d", d),
 			Mops: res.TCPMixedMops[d], KopsPerThread: res.TCPMixedMops[d] * 1e3 / tpWorkers})
-		col.Add(bench.Metric{Exp: "tcppipe", Name: fmt.Sprintf("tcppipe/sim_get_d%d", d),
-			Mops: res.SimGetMops[d], KopsPerThread: res.SimGetMops[d] * 1e3 / tpWorkers})
-		col.Add(bench.Metric{Exp: "tcppipe", Name: fmt.Sprintf("tcppipe/sim_mixed_d%d", d),
-			Mops: res.SimMixedMops[d], KopsPerThread: res.SimMixedMops[d] * 1e3 / tpWorkers})
 	}
 	if d1, d8 := res.TCPGetMops[1], res.TCPGetMops[8]; d1 > 0 {
 		t.Note("session get scaling depth-8/depth-1: %.2fx (reported, not gated: session CPU is host-dependent)", d8/d1)
 	}
-	t.Note("cache-cold gets (2 dependent round trips); tcp rows are wall-clock over real sockets, sim rows virtual-time at the same scale")
+	t.Note("cache-cold gets (2 dependent round trips), wall-clock over real sockets")
 	t.Note("futures stream through the executor window: depth-N sessions hold N ops physically in flight per server")
 	return []*bench.Table{vt, t}, res, nil
 }
@@ -432,9 +388,6 @@ func tpBulkload(tree *sherman.Tree) error {
 // Timed: that must still buy wall-clock, depth-8 us/verb at most depth-1's
 // / tpMinDepthSpeedup; the ratio divides out host speed, and it is modest
 // because the depth-1 verb it divides by has no hand-offs left to amortize.
-// The gate also requires the matched-scale session comparison rows to exist:
-// the report without the sim-vs-TCP rows would be gating a transport nobody
-// measured end to end.
 func tcpPipeGate(r *tcpPipeResult) error {
 	if r == nil {
 		return fmt.Errorf("tcppipe gate: experiment did not run")
@@ -450,11 +403,6 @@ func tcpPipeGate(r *tcpPipeResult) error {
 	if d8 < tpMinDepthSpeedup*d1 {
 		return fmt.Errorf("tcppipe gate: depth-8 read verbs take %.1f us/verb, depth-1 %.1f us/verb: only %.2fx, want >= %.1fx",
 			1/d8, 1/d1, d8/d1, tpMinDepthSpeedup)
-	}
-	for _, d := range tpDepths {
-		if r.TCPGetMops[d] <= 0 || r.SimGetMops[d] <= 0 {
-			return fmt.Errorf("tcppipe gate: missing matched-scale comparison row for depth %d", d)
-		}
 	}
 	return nil
 }

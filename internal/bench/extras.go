@@ -171,13 +171,17 @@ func runRPCWrites(threadsPerCS int, s Scale) float64 {
 	n := 8 * threadsPerCS
 	gate := sim.NewGate(gateWindowNS, gateSlack, n)
 	ops := make([]int64, n)
+	handles := make([]*rpcindex.Handle, n)
+	for i := range handles {
+		handles[i] = ix.NewHandle(i % 8)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer gate.Done(i)
-			h := ix.NewHandle(i % 8)
+			h := handles[i]
 			rng := newRand(uint64(i) + 1)
 			deadline := s.MeasureNS
 			for h.C.Now() < deadline {

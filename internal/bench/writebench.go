@@ -69,13 +69,19 @@ func RunWrites(e WriteExp) WriteResult {
 		}
 	}
 
+	// Every client exists before any worker starts, so verbs yield from the
+	// first one on (rdma.Client.yield).
+	clients := make([]*rdma.Client, e.Threads)
+	for th := range clients {
+		clients[th] = f.NewClient(th % numCS)
+	}
 	finish := make([]int64, e.Threads)
 	var wg sync.WaitGroup
 	for th := 0; th < e.Threads; th++ {
 		wg.Add(1)
 		go func(th int) {
 			defer wg.Done()
-			c := f.NewClient(th % numCS)
+			c := clients[th]
 			data := make([]byte, e.IOSize)
 			// Saturation benchmarks keep many WRITEs in flight: post
 			// unsignaled batches per QP, paying one round trip per batch.

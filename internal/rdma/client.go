@@ -7,12 +7,22 @@ import (
 	"sherman/internal/sim"
 )
 
-// yield makes every verb a real scheduling point. A verb spans microseconds
-// of virtual time, so other client goroutines must get real CPU time inside
-// it — otherwise critical sections (lock, read, write-back, release) would
-// execute atomically in real time and lock conflicts could never be
-// observed, no matter the contention.
-func yield() { runtime.Gosched() }
+// yield makes every verb a real scheduling point once the fabric has a
+// second client. A verb spans microseconds of virtual time, so other client
+// goroutines must get real CPU time inside it — otherwise critical sections
+// (lock, read, write-back, release) would execute atomically in real time
+// and lock conflicts could never be observed, no matter the contention. A
+// lone client has no one to yield to, and its virtual time never depended
+// on real-time scheduling, so it skips the scheduler. The count only rises:
+// from the moment a second client exists, every verb yields.
+func (c *Client) yield() {
+	if c.F.ClientCount() > 1 {
+		onYield()
+	}
+}
+
+// onYield is the scheduling point itself; tests swap it to count yields.
+var onYield = runtime.Gosched
 
 // Client is one client thread's view of the fabric: a set of RC queue pairs
 // (one per memory server, modeled implicitly), a virtual clock, and verb
@@ -117,7 +127,7 @@ func (c *Client) Read(a Addr, buf []byte) {
 	c.Clk.AdvanceTo(t + p.RTTNS)
 	c.roundTrip()
 	c.M.Reads++
-	yield()
+	c.yield()
 }
 
 // ReadMulti issues the given reads in parallel (one command per target, all
@@ -148,7 +158,7 @@ func (c *Client) ReadMulti(reqs []ReadOp) {
 		c.M.DoorbellBatches++
 		c.M.DoorbellOps += int64(len(reqs))
 	}
-	yield()
+	c.yield()
 }
 
 // Write stores data at a via a single signaled RDMA_WRITE: one round trip.
@@ -192,7 +202,7 @@ func (c *Client) PostWrites(ops ...WriteOp) {
 		c.M.DoorbellBatches++
 		c.M.DoorbellOps += int64(len(ops))
 	}
-	yield()
+	c.yield()
 }
 
 func (c *Client) atomicTiming(a Addr, backlogNS int64) int64 {
@@ -263,7 +273,7 @@ func (c *Client) cas(a Addr, old, new uint64, backlogNS int64, ra Addr, buf []by
 	if !swapped {
 		c.M.CASFailures++
 	}
-	yield()
+	c.yield()
 	return prev, swapped
 }
 
@@ -303,7 +313,7 @@ func (c *Client) cas16(a Addr, old, new uint16, backlogNS int64, ra Addr, buf []
 	if !swapped {
 		c.M.CASFailures++
 	}
-	yield()
+	c.yield()
 	return uint16((prev & mask) >> shift), swapped
 }
 
@@ -341,7 +351,7 @@ func (c *Client) FAA(a Addr, delta uint64) uint64 {
 		return cur + delta, true
 	})
 	c.Clk.AdvanceTo(fin)
-	yield()
+	c.yield()
 	return prev
 }
 
@@ -354,7 +364,7 @@ func (c *Client) ChargeAtomic(a Addr) {
 	fin := c.atomicTiming(a, 0)
 	c.Clk.AdvanceTo(fin)
 	c.M.CASFailures++
-	yield()
+	c.yield()
 }
 
 // maxSpinCharges bounds the work of one ChargeSpin call in real time; waits
@@ -396,7 +406,7 @@ func (c *Client) ChargeSpin(a Addr, from, to, cadence int64) int {
 	c.M.OpRoundTrips += int64(n)
 	c.Clk.AdvanceTo(to)
 	if n > 0 {
-		yield()
+		c.yield()
 	}
 	return n
 }
@@ -416,5 +426,5 @@ func (c *Client) Call(ms uint16, fn func()) {
 	c.Clk.AdvanceTo(t + p.RTTNS)
 	c.roundTrip()
 	c.M.RPCs++
-	yield()
+	c.yield()
 }

@@ -131,6 +131,56 @@ func TestClientCount(t *testing.T) {
 	}
 }
 
+// TestYieldOnlyWithSecondClient pins the scheduling gate: a lone client
+// issues every verb kind without entering the scheduler, and once a second
+// client exists on the fabric every verb yields exactly once.
+func TestYieldOnlyWithSecondClient(t *testing.T) {
+	var yields int
+	defer func(saved func()) { onYield = saved }(onYield)
+	onYield = func() { yields++ }
+
+	f := spinFabric()
+	base := f.Servers()[0].Grow()
+	a, chip := MakeAddr(0, base+256), MakeOnChipAddr(0, 8)
+	buf := make([]byte, 64)
+	verbs := []struct {
+		name string
+		fn   func(c *Client)
+	}{
+		{"Read", func(c *Client) { c.Read(a, buf) }},
+		{"ReadMulti", func(c *Client) { c.ReadMulti([]ReadOp{{Addr: a, Buf: buf}, {Addr: a.Add(64), Buf: buf}}) }},
+		{"Write", func(c *Client) { c.Write(a, buf) }},
+		{"PostWrites", func(c *Client) { c.PostWrites(WriteOp{Addr: a, Data: buf}, WriteOp{Addr: a.Add(64), Data: buf}) }},
+		{"CAS", func(c *Client) { c.CAS(a.Add(128), 0, 1) }},
+		{"CASBacklog", func(c *Client) { c.CASBacklog(a.Add(128), 1, 0, 1000) }},
+		{"CASRead", func(c *Client) { c.CASRead(a.Add(128), 0, 1, a, buf) }},
+		{"CAS16", func(c *Client) { c.CAS16(chip, 0, 1) }},
+		{"CAS16Backlog", func(c *Client) { c.CAS16Backlog(chip, 1, 0, 1000) }},
+		{"CAS16Read", func(c *Client) { c.CAS16Read(chip, 0, 1, MakeOnChipAddr(0, 0), buf[:8]) }},
+		{"FAA", func(c *Client) { c.FAA(a.Add(192), 1) }},
+		{"ChargeAtomic", func(c *Client) { c.ChargeAtomic(a.Add(192)) }},
+		{"ChargeSpin", func(c *Client) { c.ChargeSpin(a, c.Now(), c.Now()+100_000, 2_500) }},
+		{"Call", func(c *Client) { c.Call(0, func() {}) }},
+	}
+
+	c := f.NewClient(0)
+	for _, v := range verbs {
+		yields = 0
+		v.fn(c)
+		if yields != 0 {
+			t.Errorf("lone client: %s yielded %d times, want 0", v.name, yields)
+		}
+	}
+	f.NewClient(1)
+	for _, v := range verbs {
+		yields = 0
+		v.fn(c)
+		if yields != 1 {
+			t.Errorf("second client present: %s yielded %d times, want 1", v.name, yields)
+		}
+	}
+}
+
 // TestAtomicUnitSaturation verifies the per-NIC atomic pipeline bounds
 // aggregate host-atomic throughput: hammering distinct addresses from many
 // clients completes no faster than unit capacity allows.
