@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"sherman/internal/core"
@@ -168,5 +170,29 @@ func TestRPCBaselineCeiling(t *testing.T) {
 	}
 	if many > few*2 {
 		t.Errorf("RPC writes scaled %.2f -> %.2f Mops with 4x clients; should saturate", few, many)
+	}
+}
+
+// TestFig15cShape holds Figure 15(c)'s shape at quick scale: the hit ratio
+// never falls as the cache grows, and a cache covering the level-1 set hits
+// at least 90 % (the paper reports ~98 %).
+func TestFig15cShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs six quick-scale tree experiments")
+	}
+	tab := Fig15Cache(QuickScale())
+	prev := 0.0
+	for _, row := range tab.Rows {
+		ratio, err := strconv.ParseFloat(strings.TrimSuffix(row[3], "%"), 64)
+		if err != nil {
+			t.Fatalf("row %v: %v", row, err)
+		}
+		if ratio < prev {
+			t.Errorf("hit ratio fell to %.1f%% at cache %s (previous row %.1f%%)", ratio, row[0], prev)
+		}
+		if row[0] == "100%" && ratio < 90 {
+			t.Errorf("hit ratio %.1f%% with the level-1 set cached, want at least 90%%", ratio)
+		}
+		prev = ratio
 	}
 }

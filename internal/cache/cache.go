@@ -275,13 +275,19 @@ func (c *Cache) Admissible(level, rootLevel uint8) bool {
 
 // share returns level lvl's slice of the budget: level 1 — whose misses
 // cost a near-full descent — gets the largest share, each level above half
-// the previous (2^(levels-lvl) weighting, normalized).
+// the previous (2^(levels-lvl) weighting, normalized) over the budgeted
+// levels below the pinned region, 1..min(Levels, rootLevel-2), so no share
+// goes to a pinned level. An unknown root (level 0) keeps the full split.
 func (c *Cache) share(lvl uint8) int {
-	if c.levels <= 0 || int(lvl) > c.levels {
+	levels := c.levels
+	if _, root := c.Root(); root > 0 && int(root)-2 < levels {
+		levels = int(root) - 2
+	}
+	if levels <= 0 || int(lvl) > levels {
 		return 0
 	}
-	num := 1 << (c.levels - int(lvl))
-	den := (1 << c.levels) - 1
+	num := 1 << (levels - int(lvl))
+	den := (1 << levels) - 1
 	s := c.limit * num / den
 	if s < 1 {
 		s = 1

@@ -417,6 +417,38 @@ func TestBudgetSplit(t *testing.T) {
 	}
 }
 
+// TestShareFollowsRootLevel: the budget splits only over the budgeted
+// levels below the pinned region. Under a root at level 3, level 2 is pinned
+// and level 1 may use the whole budget; from level 4 up the 2:1 split holds;
+// an unknown root keeps it too. A rising root trims level 1 to its new share
+// at the next insert.
+func TestShareFollowsRootLevel(t *testing.T) {
+	const limit = 30
+	c := New(Config{MaxBytes: int64(limit * testFormat.NodeSize), NodeSize: testFormat.NodeSize, Levels: 2})
+	for _, tc := range []struct {
+		root           uint8
+		level1, level2 int
+	}{{0, 20, 10}, {2, 0, 0}, {3, limit, 0}, {4, 20, 10}, {7, 20, 10}} {
+		c.SetRoot(addr(900+uint64(tc.root)), tc.root)
+		if l1, l2 := c.share(1), c.share(2); l1 != tc.level1 || l2 != tc.level2 {
+			t.Errorf("root at level %d: shares %d:%d, want %d:%d", tc.root, l1, l2, tc.level1, tc.level2)
+		}
+	}
+
+	c.SetRoot(addr(903), 3)
+	for i := uint64(0); i < limit+10; i++ {
+		insist(c, addr(i), mkNodeAt(1, i*100, (i+1)*100))
+	}
+	if got := len(c.pools[1]); got != c.Limit() {
+		t.Fatalf("root at level 3: level 1 holds %d entries, want the whole budget %d", got, c.Limit())
+	}
+	c.SetRoot(addr(904), 4)
+	insist(c, addr(100), mkNodeAt(1, 100*100, 101*100))
+	if got := len(c.pools[1]); got != 20 {
+		t.Fatalf("root rose to level 4: level 1 holds %d entries after the next insert, want its share 20", got)
+	}
+}
+
 // TestConcurrentMixed hammers the cache from many goroutines; correctness
 // here is "no crashes, no wrong-range results, bounded size".
 func TestConcurrentMixed(t *testing.T) {

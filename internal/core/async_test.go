@@ -356,11 +356,14 @@ func goldenStream(depth int) pipelineGolden {
 // TestPipelineVirtualTimeGolden pins the simulator's account of goldenStream
 // to the values recorded at commit 71f2af8, before the lane/deps executor
 // became the slot window: the executor swap must not move virtual time.
+// Re-pinned once since, declared: a scan that misses level 1 now batches
+// its leaves from the level-1 node it reads, saving a round trip (21886 →
+// 21865 round trips; clock and latency follow, pipelining does not move).
 func TestPipelineVirtualTimeGolden(t *testing.T) {
 	want := map[int]pipelineGolden{
-		1: {clock: 46499331, pipelined: 0, meanDepth: 0, hiding: 0, roundTrips: 21886, meanLatNS: 4386.704716981132},
-		4: {clock: 19213393, pipelined: 10580, meanDepth: 3.3149338374291117, hiding: 2.4501695813593956, roundTrips: 21886, meanLatNS: 5433.281226415094},
-		8: {clock: 15763590, pipelined: 10580, meanDepth: 5.112948960302457, hiding: 3.0007689137228644, roundTrips: 21886, meanLatNS: 6550.627075471698},
+		1: {clock: 46456581, pipelined: 0, meanDepth: 0, hiding: 0, roundTrips: 21865, meanLatNS: 4382.671698113208},
+		4: {clock: 19170643, pipelined: 10580, meanDepth: 3.3149338374291117, hiding: 2.453428917788683, roundTrips: 21865, meanLatNS: 5420.261226415094},
+		8: {clock: 15720840, pipelined: 10580, meanDepth: 5.112948960302457, hiding: 3.0062563305586445, roundTrips: 21865, meanLatNS: 6531.506320754717},
 	}
 	for _, depth := range []int{1, 4, 8} {
 		if got := goldenStream(depth); got != want[depth] {

@@ -29,11 +29,13 @@ func (h *Handle) rangeInner(from uint64, span int) []layout.KV {
 		// buffers — dies with the batch, so resetting the arena here keeps
 		// its high-water mark at one batch regardless of span.
 		h.arena.reset()
-		// Collect the addresses of the next run of leaves. A cached level-1
-		// node yields many at once, fetched with parallel RDMA_READs; a
-		// cache miss falls back to a single traversal.
+		// Collect the addresses of the next run of leaves from the level-1
+		// node covering the cursor: a cached copy steers speculatively, a
+		// miss reads and validates the node itself. Either way its children
+		// from the cursor on are fetched with parallel RDMA_READs.
 		addrs := h.scanAddrs[:0]
 		h.C.Step(h.tm.LocalStepNS)
+		var steer layout.Internal
 		e := h.cache.Lookup(cursor, 1)
 		if e != nil {
 			h.Rec.CacheHits++
@@ -42,15 +44,28 @@ func (h *Handle) rangeInner(from uint64, span int) []layout.KV {
 			// resolution: it either validates or fails (and restarts) as a
 			// unit, matching the one SpecFail a failure records below.
 			h.Rec.SpecReads++
-			addrs = e.N.AppendChildrenFrom(addrs, cursor)
-			if len(addrs) > maxParallelReads {
-				addrs = addrs[:maxParallelReads]
-			}
+			steer = e.N
 		} else {
 			h.Rec.CacheMisses++
+			if _, rootLvl := h.cache.Root(); rootLvl > 0 {
+				addr, ce := h.descend(cursor, 1)
+				if r, ok := h.seek(cursor, 1, intentRead, addr, ce, h.nodeBuf, nil, nil); ok {
+					h.cacheNode(r.addr, r.n)
+					steer = layout.AsInternal(r.n)
+				}
+			}
+		}
+		if steer.B == nil {
+			// No validated level-1 node to steer from (the root is a leaf or
+			// unknown, or the level-1 read raced): descend to one leaf.
 			var leaf rdma.Addr
 			leaf, e = h.traverseToLeaf(cursor)
 			addrs = append(addrs, leaf)
+		} else {
+			addrs = steer.AppendChildrenFrom(addrs, cursor)
+			if len(addrs) > maxParallelReads {
+				addrs = addrs[:maxParallelReads]
+			}
 		}
 		h.scanAddrs = addrs[:0]
 

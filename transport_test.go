@@ -587,6 +587,52 @@ func TestRoundTripsPerOpPinned(t *testing.T) {
 	}
 }
 
+// TestColdScanRoundTripsPinned counts a scan that misses level 1 on both
+// fabrics: on a tree whose root sits at level 3 or higher, with a one-node
+// cache budget held by another level-1 node, a scan whose rows lie under one
+// level-1 node and whose leaves share one memory server costs exactly 2
+// round trips — the validated level-1 read, then one parallel read of every
+// leaf it steers to.
+func TestColdScanRoundTripsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes and builds cmd/shermand")
+	}
+	for _, transport := range []string{TransportSim, TransportTCP} {
+		t.Run(transport, func(t *testing.T) {
+			c, err := NewCluster(ClusterConfig{MemoryServers: 1, ComputeServers: 1, Transport: transport})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close) // after testTree's Validate
+			const nodeSize = 256
+			tree := testTree(t, c, TreeOptions{NodeSize: nodeSize, CacheBytes: nodeSize})
+			var kvs []KV
+			for k := uint64(1); k <= 4096; k++ {
+				kvs = append(kvs, KV{Key: k, Value: k})
+			}
+			if err := tree.Bulkload(kvs); err != nil {
+				t.Fatal(err)
+			}
+			if h := tree.Stats().Height; h < 4 {
+				t.Fatalf("tree height %d, want the root at level 3 or higher", h)
+			}
+			s := openSession(t, tree, 0)
+			// Warm the pinned top on the path to key 1 and fill the one
+			// budgeted slot with another level-1 node under the same
+			// level-2 node.
+			s.Get(500)
+			before := s.Stats().RoundTrips
+			rows := s.Scan(1, 20) // three leaves under the leftmost level-1 node
+			if len(rows) != 20 || rows[0].Key != 1 || rows[19].Key != 20 {
+				t.Fatalf("Scan(1, 20) = %d rows %v", len(rows), rows)
+			}
+			if rt := s.Stats().RoundTrips - before; rt != 2 {
+				t.Errorf("cold scan took %d round trips, want 2", rt)
+			}
+		})
+	}
+}
+
 // TestAcquireDoorbellUnderContention drives the losing path of the acquire
 // doorbell for real: two depth-8 sessions on two compute servers put
 // disjoint keys that interleave through the same handful of leaves for two
