@@ -94,7 +94,13 @@ func bulkKVs(n int) []layout.KV {
 // over them, replicating at factor rf.
 func tcpCluster(t *testing.T, numMS, rf int) *tcp.Cluster {
 	t.Helper()
-	endpoints := make([]string, numMS)
+	return dialTCP(t, tcpServers(t, numMS), rf)
+}
+
+// tcpServers starts n in-process memory servers and returns their endpoints.
+func tcpServers(t *testing.T, n int) []string {
+	t.Helper()
+	endpoints := make([]string, n)
 	for i := range endpoints {
 		srv, err := tcp.NewServer("127.0.0.1:0")
 		if err != nil {
@@ -104,6 +110,12 @@ func tcpCluster(t *testing.T, numMS, rf int) *tcp.Cluster {
 		t.Cleanup(srv.Close)
 		endpoints[i] = srv.Addr()
 	}
+	return endpoints
+}
+
+// dialTCP brings up a TCP cluster over endpoints, replicating at factor rf.
+func dialTCP(t *testing.T, endpoints []string, rf int) *tcp.Cluster {
+	t.Helper()
 	c, err := tcp.NewCluster(endpoints, 1, tcp.Options{ReplicationFactor: rf, HeartbeatInterval: -1})
 	if err != nil {
 		t.Fatal(err)
