@@ -236,8 +236,10 @@ func (h *Handle) readNode(a rdma.Addr, buf []byte) (layout.Node, int) {
 			retries++
 			continue
 		}
-		// A zero guard disables the heuristic (real clocks never re-read the
-		// same 4-bit version within a wrap window).
+		// A zero guard disables the heuristic (TCP): a wrap needs 16
+		// write-backs of the node, or of one entry, inside one read verb's
+		// apply on the server, each behind its own lock handoff of at least a
+		// round trip (DESIGN.md §13).
 		if h.t.cfg.Format.Mode == layout.TwoLevel && h.tm.WraparoundGuardNS > 0 &&
 			h.C.Now()-start > h.tm.WraparoundGuardNS && wrap < h.t.cfg.maxWrapRetries() {
 			wrap++

@@ -123,7 +123,7 @@ func (c *Client) Read(a Addr, buf []byte) {
 	t := c.CS.Outbound.Acquire(c.Clk.Now(), p.OutboundMinNS)
 	t = srv.Inbound.Acquire(t, p.PayloadNS(len(buf), p.InboundMinNS))
 	srv.NoteInbound(a, 1)
-	srv.copyOut(a, buf)
+	srv.read(a, buf)
 	c.Clk.AdvanceTo(t + p.RTTNS)
 	c.roundTrip()
 	c.M.Reads++
@@ -146,7 +146,7 @@ func (c *Client) ReadMulti(reqs []ReadOp) {
 		srv := c.F.Server(r.Addr)
 		fin := srv.Inbound.Acquire(t, p.PayloadNS(len(r.Buf), p.InboundMinNS))
 		srv.NoteInbound(r.Addr, 1)
-		srv.copyOut(r.Addr, r.Buf)
+		srv.read(r.Addr, r.Buf)
 		if fin > done {
 			done = fin
 		}
@@ -191,7 +191,7 @@ func (c *Client) PostWrites(ops ...WriteOp) {
 	for _, op := range ops {
 		t = srv.Inbound.Acquire(t, p.PayloadNS(len(op.Data), p.InboundMinNS))
 		srv.NoteInbound(op.Addr, 1)
-		srv.copyIn(op.Addr, op.Data)
+		srv.write(op.Addr, op.Data)
 		c.M.WriteBytes += int64(len(op.Data))
 		c.M.OpWriteBytes += int64(len(op.Data))
 		c.M.Writes++
@@ -264,11 +264,8 @@ func (c *Client) CASRead(lock Addr, old, new uint64, a Addr, buf []byte) (uint64
 
 func (c *Client) cas(a Addr, old, new uint64, backlogNS int64, ra Addr, buf []byte) (uint64, bool) {
 	fin := c.atomicTiming(a, backlogNS)
-	var swapped bool
-	prev := c.F.Server(a).atomic64(a, func(cur uint64) (uint64, bool) {
-		swapped = cur == old
-		return new, swapped
-	})
+	prev := c.F.Server(a).cas(a, old, new)
+	swapped := prev == old
 	c.Clk.AdvanceTo(c.readBehind(fin, a, ra, buf))
 	if !swapped {
 		c.M.CASFailures++
@@ -297,24 +294,15 @@ func (c *Client) CAS16Read(lock Addr, old, new uint16, a Addr, buf []byte) (uint
 }
 
 func (c *Client) cas16(a Addr, old, new uint16, backlogNS int64, ra Addr, buf []byte) (uint16, bool) {
-	if a.Off()%2 != 0 {
-		panic(fmt.Sprintf("rdma: unaligned CAS16 at %v", a))
-	}
-	word := Addr(uint64(a) &^ 7)
-	shift := (a.Off() % 8) * 8
-	mask := uint64(0xffff) << shift
-	fin := c.atomicTiming(word, backlogNS)
-	var swapped bool
-	prev := c.F.Server(word).atomic64(word, func(cur uint64) (uint64, bool) {
-		swapped = (cur&mask)>>shift == uint64(old)
-		return cur&^mask | uint64(new)<<shift, swapped
-	})
+	fin := c.atomicTiming(a, backlogNS)
+	prev := c.F.Server(a).cas16(a, old, new)
+	swapped := prev == old
 	c.Clk.AdvanceTo(c.readBehind(fin, a, ra, buf))
 	if !swapped {
 		c.M.CASFailures++
 	}
 	c.yield()
-	return uint16((prev & mask) >> shift), swapped
+	return prev, swapped
 }
 
 // readBehind executes the READ that an acquire doorbell carries behind its
@@ -336,7 +324,7 @@ func (c *Client) readBehind(casFin int64, lock, a Addr, buf []byte) int64 {
 	c.CS.Outbound.Acquire(c.Clk.Now(), p.OutboundMinNS)
 	t := srv.Inbound.Acquire(casFin-p.RTTNS, p.PayloadNS(len(buf), p.InboundMinNS))
 	srv.NoteInbound(a, 1)
-	srv.copyOut(a, buf)
+	srv.read(a, buf)
 	c.M.Reads++
 	c.M.DoorbellBatches++
 	c.M.DoorbellOps += 2
@@ -347,9 +335,7 @@ func (c *Client) readBehind(casFin int64, lock, a Addr, buf []byte) int64 {
 // value.
 func (c *Client) FAA(a Addr, delta uint64) uint64 {
 	fin := c.atomicTiming(a, 0)
-	prev := c.F.Server(a).atomic64(a, func(cur uint64) (uint64, bool) {
-		return cur + delta, true
-	})
+	prev := c.F.Server(a).faa(a, delta)
 	c.Clk.AdvanceTo(fin)
 	c.yield()
 	return prev

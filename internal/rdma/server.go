@@ -1,30 +1,20 @@
 package rdma
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"sherman/internal/memstore"
 	"sherman/internal/sim"
 )
 
-// lineSize is the granularity at which simulated DMA is atomic. Real NICs
-// read/write host memory in cacheline units in increasing address order
-// (§3.2.3 footnote 5), so larger transfers can be observed torn at line
-// boundaries — which is exactly what the index's consistency checks exist
-// to detect.
-const lineSize = 64
-
-const (
-	hostStripes   = 1 << 11
-	onChipStripes = 1 << 6
-)
-
-// Server is one memory server: high-volume host DRAM carved into chunks, an
-// RDMA NIC with on-chip device memory and internal atomic buckets, and a
-// wimpy memory thread for allocation RPCs.
+// Server is one memory server: host DRAM and on-chip device memory (the
+// embedded store, which applies verbs per 64-byte line as a NIC does), the
+// NIC's pipelines and internal atomic buckets, and a wimpy memory thread for
+// allocation RPCs.
 type Server struct {
+	*memstore.Store
+
 	// ID is the server's 15-bit identifier used in Addr values.
 	ID uint16
 
@@ -41,10 +31,6 @@ type Server struct {
 	// CPU models the wimpy memory thread that serves allocation RPCs.
 	CPU sim.Resource
 
-	chunkSize int64
-	chunks    atomic.Pointer[[][]byte]
-	growMu    sync.Mutex
-
 	// draining marks a server that is being scaled in: allocators stop
 	// placing new chunks (and nodes) on it, and the migration engine moves
 	// its contents elsewhere. Existing addresses stay resolvable forever.
@@ -58,34 +44,15 @@ type Server struct {
 	// death). Addresses stay resolvable so in-flight verbs never fault.
 	dead atomic.Bool
 
-	// inboundOps counts client verbs serviced by this NIC (reads, writes,
-	// atomics, RPCs) — the load signal the migration picker and the elastic
-	// benchmark consume. chunkOps breaks host-memory traffic down by chunk
-	// so the picker can select the hottest chunks; it is grown copy-on-write
-	// alongside chunks.
-	inboundOps atomic.Int64
-	chunkOps   atomic.Pointer[[]*atomic.Int64]
-
-	stripes [hostStripes]sync.Mutex
-
-	onChip        []byte
-	onChipStripes [onChipStripes]sync.Mutex
-
 	buckets []sim.Resource
 }
 
 func newServer(id uint16, p sim.Params) *Server {
-	s := &Server{
-		ID:        id,
-		chunkSize: DefaultChunkSize,
-		onChip:    make([]byte, p.OnChipMemBytes),
-		buckets:   make([]sim.Resource, p.AtomicBuckets),
+	return &Server{
+		Store:   memstore.New(p.OnChipMemBytes),
+		ID:      id,
+		buckets: make([]sim.Resource, p.AtomicBuckets),
 	}
-	empty := make([][]byte, 0)
-	s.chunks.Store(&empty)
-	counters := make([]*atomic.Int64, 0)
-	s.chunkOps.Store(&counters)
-	return s
 }
 
 // SetDraining marks (or unmarks) the server as scaling in; draining servers
@@ -103,161 +70,58 @@ func (s *Server) SetDead(v bool) { s.dead.Store(v) }
 // Dead reports whether the server has failed.
 func (s *Server) Dead() bool { return s.dead.Load() }
 
-// InboundOps returns the number of client verbs this NIC has serviced.
-func (s *Server) InboundOps() int64 { return s.inboundOps.Load() }
+// The verbs below apply the dead flag on top of the store. Dead memory
+// reads as zero and absorbs nothing: an atomic's "previous value" is that
+// zero (so a CAS expecting 0 appears to succeed) and its write is dropped —
+// the acquiring client proceeds into a validating read that observes the
+// death and chases to a replica. A bounds or alignment violation is a bug
+// in the caller, not a fault the fabric models, so it panics.
 
-// ChunkOps returns a snapshot of per-chunk inbound verb counts for host
-// memory (index = chunk number). On-chip traffic is counted only in
-// InboundOps.
-func (s *Server) ChunkOps() []int64 {
-	counters := *s.chunkOps.Load()
-	out := make([]int64, len(counters))
-	for i, c := range counters {
-		out[i] = c.Load()
-	}
-	return out
-}
-
-// NoteRPC books one memory-thread RPC against the NIC total (no chunk
-// attribution: RPCs are control traffic, not data placement).
-func (s *Server) NoteRPC() { s.inboundOps.Add(1) }
-
-// NoteInbound books n inbound verbs against the NIC (and, for host-memory
-// targets, against the chunk holding a). Client verbs call it; raw
-// setup-time accesses do not, so load counters reflect served traffic only.
-func (s *Server) NoteInbound(a Addr, n int64) {
-	s.inboundOps.Add(n)
-	if a.OnChip() {
-		return
-	}
-	counters := *s.chunkOps.Load()
-	if ci := a.Off() / uint64(s.chunkSize); ci < uint64(len(counters)) {
-		counters[ci].Add(n)
-	}
-}
-
-// Capacity returns the currently materialized host-memory size in bytes.
-func (s *Server) Capacity() uint64 {
-	return uint64(len(*s.chunks.Load())) * uint64(s.chunkSize)
-}
-
-// OnChipSize returns the NIC's on-chip device memory capacity in bytes.
-func (s *Server) OnChipSize() int { return len(s.onChip) }
-
-// Grow appends one fixed-length chunk of host memory and returns its base
-// offset. It is invoked by the memory thread's allocation RPC handler; the
-// virtual-time cost of the RPC is charged by the caller.
-func (s *Server) Grow() uint64 {
-	s.growMu.Lock()
-	defer s.growMu.Unlock()
-	old := *s.chunks.Load()
-	base := uint64(len(old)) * uint64(s.chunkSize)
-	grown := make([][]byte, len(old)+1)
-	copy(grown, old)
-	grown[len(old)] = make([]byte, s.chunkSize)
-	oldCtr := *s.chunkOps.Load()
-	ctrs := make([]*atomic.Int64, len(oldCtr)+1)
-	copy(ctrs, oldCtr)
-	ctrs[len(oldCtr)] = new(atomic.Int64)
-	s.chunkOps.Store(&ctrs)
-	s.chunks.Store(&grown)
-	return base
-}
-
-// slice resolves [off, off+n) to the backing chunk memory. Objects never
-// span chunks (the allocator guarantees it), so a single slice suffices.
-func (s *Server) slice(off uint64, n int) []byte {
-	chunks := *s.chunks.Load()
-	ci := off / uint64(s.chunkSize)
-	inner := off % uint64(s.chunkSize)
-	if ci >= uint64(len(chunks)) || inner+uint64(n) > uint64(s.chunkSize) {
-		panic(fmt.Sprintf("rdma: access [%#x,+%d) out of bounds on ms%d (cap %#x)",
-			off, n, s.ID, s.Capacity()))
-	}
-	return chunks[ci][inner : inner+uint64(n)]
-}
-
-func (s *Server) region(a Addr, n int) (mem []byte, stripes []sync.Mutex, base uint64) {
-	if a.OnChip() {
-		off := a.Off()
-		if off+uint64(n) > uint64(len(s.onChip)) {
-			panic(fmt.Sprintf("rdma: on-chip access [%#x,+%d) out of bounds on ms%d", off, n, s.ID))
-		}
-		return s.onChip[off : off+uint64(n)], s.onChipStripes[:], off
-	}
-	return s.slice(a.Off(), n), s.stripes[:], a.Off()
-}
-
-// copyOut reads n = len(buf) bytes at a into buf with line-granular
-// atomicity, in increasing address order.
-func (s *Server) copyOut(a Addr, buf []byte) {
+func (s *Server) read(a Addr, buf []byte) {
 	if s.dead.Load() {
 		clear(buf)
 		return
 	}
-	mem, stripes, base := s.region(a, len(buf))
-	forEachLine(base, len(buf), func(lo, hi int, stripe uint64) {
-		mu := &stripes[stripe%uint64(len(stripes))]
-		mu.Lock()
-		copy(buf[lo:hi], mem[lo:hi])
-		mu.Unlock()
-	})
+	s.must(s.Read(a, buf))
 }
 
-// copyIn writes data at a with line-granular atomicity, in increasing
-// address order (real NIC DMA order, which Cell/NAM-DB and Sherman rely on).
-func (s *Server) copyIn(a Addr, data []byte) {
+func (s *Server) write(a Addr, data []byte) {
+	if !s.dead.Load() {
+		s.must(s.Write(a, data))
+	}
+}
+
+func (s *Server) cas(a Addr, old, new uint64) uint64 {
 	if s.dead.Load() {
-		return
-	}
-	mem, stripes, base := s.region(a, len(data))
-	forEachLine(base, len(data), func(lo, hi int, stripe uint64) {
-		mu := &stripes[stripe%uint64(len(stripes))]
-		mu.Lock()
-		copy(mem[lo:hi], data[lo:hi])
-		mu.Unlock()
-	})
-}
-
-// forEachLine visits [0,n) split at 64-byte line boundaries of base+i,
-// yielding buffer-relative [lo,hi) plus the global line index.
-func forEachLine(base uint64, n int, fn func(lo, hi int, line uint64)) {
-	lo := 0
-	for lo < n {
-		line := (base + uint64(lo)) / lineSize
-		hi := int((line+1)*lineSize - base)
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi, line)
-		lo = hi
-	}
-}
-
-// atomic64 runs fn on the 8-byte little-endian word at a under the word's
-// stripe lock, giving RDMA_ATOMIC semantics. The address must be 8-aligned.
-func (s *Server) atomic64(a Addr, fn func(old uint64) (new uint64, write bool)) uint64 {
-	if a.Off()%8 != 0 {
-		panic(fmt.Sprintf("rdma: unaligned atomic at %v", a))
-	}
-	if s.dead.Load() {
-		// Dead memory reads as zero and absorbs nothing: the atomic's
-		// "previous value" response is fabricated from that zero (so a CAS
-		// expecting 0 appears to succeed) and any write is discarded — the
-		// acquiring client then proceeds into a validating read that
-		// observes the death and chases to a replica.
-		fn(0)
 		return 0
 	}
-	mem, stripes, base := s.region(a, 8)
-	mu := &stripes[(base/lineSize)%uint64(len(stripes))]
-	mu.Lock()
-	old := binary.LittleEndian.Uint64(mem)
-	if nw, write := fn(old); write {
-		binary.LittleEndian.PutUint64(mem, nw)
+	prev, err := s.CAS(a, old, new)
+	s.must(err)
+	return prev
+}
+
+func (s *Server) cas16(a Addr, old, new uint16) uint16 {
+	if s.dead.Load() {
+		return 0
 	}
-	mu.Unlock()
-	return old
+	prev, err := s.CAS16(a, old, new)
+	s.must(err)
+	return prev
+}
+
+func (s *Server) faa(a Addr, delta uint64) uint64 {
+	if s.dead.Load() {
+		return 0
+	}
+	prev, err := s.FAA(a, delta)
+	s.must(err)
+	return prev
+}
+
+func (s *Server) must(err error) {
+	if err != nil {
+		panic(fmt.Errorf("rdma: ms%d: %w", s.ID, err))
+	}
 }
 
 // bucketFor returns the NIC-internal atomic bucket serializing commands that
@@ -269,13 +133,13 @@ func (s *Server) bucketFor(a Addr) *sim.Resource {
 // WriteAt stores data at host offset off without virtual-time accounting.
 // It is intended for bulk loading before client threads start.
 func (s *Server) WriteAt(off uint64, data []byte) {
-	s.copyIn(MakeAddr(s.ID, off), data)
+	s.write(MakeAddr(s.ID, off), data)
 }
 
 // ReadAt loads len(buf) bytes from host offset off without virtual-time
 // accounting. Intended for tests and debugging.
 func (s *Server) ReadAt(off uint64, buf []byte) {
-	s.copyOut(MakeAddr(s.ID, off), buf)
+	s.read(MakeAddr(s.ID, off), buf)
 }
 
 // ResetTime rewinds all of the server's resource clocks to zero between

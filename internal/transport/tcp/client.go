@@ -546,9 +546,11 @@ func (t *Transport) MSUsable(ms int) bool { return !t.cl.isDead(ms) }
 func (t *Transport) Metrics() *transport.Metrics { return &t.m }
 
 func (t *Transport) Timing() transport.Timing {
-	// Real clocks: no virtual cost constants. A zero WraparoundGuardNS
-	// disables §4.4's wraparound heuristic (a real clock never re-reads the
-	// same 4-bit version within a wrap window); the lease is a real
-	// duration.
+	// Real clocks: no virtual cost constants, and the lease is a real
+	// duration. A zero WraparoundGuardNS disables §4.4's wraparound
+	// heuristic: a read passes a wrapped 4-bit version only if 16
+	// write-backs of one node (or one entry) land inside one read verb's
+	// apply on the server, each behind its own lock handoff of at least a
+	// loopback round trip (DESIGN.md §13).
 	return transport.Timing{LeaseNS: int64(200 * time.Millisecond)}
 }

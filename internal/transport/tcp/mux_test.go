@@ -26,7 +26,7 @@ func muxDial(t *testing.T, endpoint string, window int) *muxConn {
 func growOn(t *testing.T, m *muxConn) uint64 {
 	t.Helper()
 	var base uint64
-	if !m.roundTrip(opGrow, nil, func(resp []byte) { base = leU64(resp) }) {
+	if !m.roundTrip(opGrow, nil, func(resp []byte) { base = (&payloadReader{b: resp}).u64() }) {
 		t.Fatal("grow round trip failed")
 	}
 	return base
@@ -424,14 +424,12 @@ func TestPostedMirrorLeavesBeforeBlocking(t *testing.T) {
 	}
 	tr.Read(a0, make([]byte, 8)) // blocks on server 0 only
 
-	reg, err := srvs[1].st.locate(a1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	applied := func() bool {
-		reg.mu.Lock()
-		defer reg.mu.Unlock()
-		return bytes.Equal(reg.b, want)
+		got := make([]byte, len(want))
+		if err := srvs[1].Read(a1, got); err != nil { // under a1's line lock
+			t.Fatal(err)
+		}
+		return bytes.Equal(got, want)
 	}
 	for deadline := time.Now().Add(5 * time.Second); !applied(); {
 		if time.Now().After(deadline) {
@@ -461,9 +459,10 @@ func TestPingBypassesFullDataWindow(t *testing.T) {
 	addr := transport.MakeAddr(0, base)
 	writeOn(t, m, addr, make([]byte, 8))
 
-	// Wedge chunk 0's stripe: both window slots fill with reads, and the
+	// Wedge addr's line: both window slots fill with reads, and the
 	// connection's goroutine blocks on the held lock applying the first.
-	srv.st.locks[0].Lock()
+	line := srv.LineLock(addr)
+	line.Lock()
 	tagA := m.issue(opRead, readPayload(addr, 8))
 	tagB := m.issue(opRead, readPayload(addr, 8))
 	m.flush()
@@ -472,22 +471,22 @@ func TestPingBypassesFullDataWindow(t *testing.T) {
 	// while the data window is wedged.
 	pc, err := net.DialTimeout("tcp", srv.Addr(), dialTimeout)
 	if err != nil {
-		srv.st.locks[0].Unlock()
+		line.Unlock()
 		t.Fatal(err)
 	}
 	defer pc.Close()
 	pc.SetDeadline(time.Now().Add(5 * time.Second))
 	if err := writeFrame(pc, 0, opPing, nil); err != nil {
-		srv.st.locks[0].Unlock()
+		line.Unlock()
 		t.Fatalf("ping write: %v", err)
 	}
 	_, status, _, err := readFrame(bufio.NewReader(pc))
 	if err != nil || status != statusOK {
-		srv.st.locks[0].Unlock()
+		line.Unlock()
 		t.Fatalf("ping while data window wedged: status %d, err %v", status, err)
 	}
 
-	srv.st.locks[0].Unlock()
+	line.Unlock()
 	if _, ok := m.await(tagA); !ok {
 		t.Fatal("wedged read A failed after unlock")
 	}

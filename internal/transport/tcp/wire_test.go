@@ -302,38 +302,7 @@ func TestServerFrames(t *testing.T) {
 		t.Fatalf("out-of-range read: tag %d, status %d, msg %q", tag, status, msg)
 	}
 	rc.req(opPing, nil) // still alive
-
-	// Misaligned atomics and on-chip accesses crossing a 64-byte line are
-	// refused before memory is touched (the simulator panics on the same
-	// misuse): either would span two on-chip lines under one line's stripe.
-	for i, bad := range []struct {
-		name    string
-		op      byte
-		payload []byte
-	}{
-		{"on-chip CAS at offset 60", opCAS, appendU64(appendU64(appendU64(nil, onChip+60), 0), 1)},
-		{"FAA at offset 4", opFAA, appendU64(appendU64(nil, base+4), 1)},
-		{"CAS16 at offset 63", opCAS16, append(appendU64(nil, onChip+63), 0, 0, 1, 0)},
-		{"on-chip read of 128 bytes", opRead, appendU32(appendU64(nil, onChip), 128)},
-	} {
-		if err := writeFrame(rc.c, uint32(9000+i), bad.op, bad.payload); err != nil {
-			t.Fatal(err)
-		}
-		tag, status, msg, err := readFrame(rc.r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tag != uint32(9000+i) || status != statusErr || len(msg) == 0 {
-			t.Fatalf("%s: tag %d, status %d, msg %q; want an error frame", bad.name, tag, status, msg)
-		}
-		rc.req(opPing, nil) // still alive
-	}
-	if got := rc.req(opRead, appendU32(appendU64(nil, onChip), 64)); !bytes.Equal(got[:4], []byte{0, 0, 0x34, 0x12}) || !bytes.Equal(got[4:], make([]byte, 60)) {
-		t.Fatalf("on-chip line after the refused atomics = %x, want only the CAS16 above", got)
-	}
-	if got := rc.req(opRead, appendU32(appendU64(nil, base), 16)); !bytes.Equal(got, appendU64(appendU64(nil, 100), 0)) {
-		t.Fatalf("host words after the refused FAA = %x, want 100 then 0", got)
-	}
+	// (Every other bounds and alignment rule is TestBoundsMatchSimulator's.)
 
 	// A ReadBatch whose reply would pass maxFrame — one valid address named
 	// many times, so nothing but the sum is wrong — is refused before the
@@ -578,8 +547,9 @@ func TestWedgedStripeStallsOnlyItsConnection(t *testing.T) {
 	p = payloadReader{b: a.req(opGrow, nil)}
 	chunk1 := p.u64()
 
-	srv.st.locks[0].Lock() // chunk 0's stripe
-	unlock := sync.OnceFunc(srv.st.locks[0].Unlock)
+	line := srv.LineLock(transport.MakeAddr(0, chunk0))
+	line.Lock()
+	unlock := sync.OnceFunc(line.Unlock)
 	defer unlock()
 	if err := writeFrame(a.c, 1, opRead, appendU32(appendU64(nil, chunk0), 8)); err != nil {
 		t.Fatal(err)
