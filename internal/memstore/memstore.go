@@ -22,12 +22,12 @@ import (
 	"sherman/internal/transport"
 )
 
-// LineSize is the granularity at which a verb's memory access is atomic.
-const LineSize = 64
+// lineSize is the granularity at which a verb's memory access is atomic.
+const lineSize = 64
 
 const (
 	chunkSize  = transport.DefaultChunkSize
-	chunkLines = chunkSize / LineSize
+	chunkLines = chunkSize / lineSize
 
 	// Stripe lock counts. A host line folds its chunk index into its
 	// stripe, so the same offset in different chunks (a chunk's first node,
@@ -45,8 +45,9 @@ type Store struct {
 	hostLocks [hostStripes]sync.Mutex
 	chipLocks [chipStripes]sync.Mutex
 
-	// inbound counts served verbs and RPCs; the directory breaks host-memory
-	// verbs down by chunk.
+	// inbound counts served verbs and RPCs, and the directory breaks
+	// host-memory verbs down by chunk: the load signal that migration picks
+	// hot chunks by and that replica repair places by.
 	inbound atomic.Int64
 }
 
@@ -159,7 +160,7 @@ func (s *Store) mem(a transport.Addr, n int) []byte {
 // LineLock returns the stripe lock guarding a's 64-byte line. Holding it
 // stalls every verb that touches the line; tests use that to wedge one.
 func (s *Store) LineLock(a transport.Addr) *sync.Mutex {
-	line := a.Off() / LineSize
+	line := a.Off() / lineSize
 	if a.OnChip() {
 		return &s.chipLocks[line%chipStripes]
 	}
@@ -181,7 +182,7 @@ func (s *Store) copyLines(a transport.Addr, buf []byte, write bool) error {
 	mem := s.mem(a, len(buf))
 	for lo := 0; lo < len(buf); {
 		at := a + transport.Addr(lo)
-		hi := min(lo+LineSize-int(at.Off()%LineSize), len(buf))
+		hi := min(lo+lineSize-int(at.Off()%lineSize), len(buf))
 		mu := s.LineLock(at)
 		mu.Lock()
 		if write {
