@@ -12,7 +12,7 @@ import (
 
 // TestImportBoundaries keeps the deployment split honest for non-test
 // files: the shared state knows no fabric and no tree; the memory store both
-// fabrics embed knows nothing but the transport's types; the two fabrics —
+// fabrics use knows nothing but the transport's types; the two fabrics —
 // the simulator (rdma) and TCP — know nothing of each other and both import
 // the store; and in core only migrate.go — home of Tree.Cluster(), the one
 // sim-only escape hatch — names internal/cluster.

@@ -7,8 +7,8 @@
 // consistency checks exist to catch. Atomics are aligned to their width, so
 // each stays inside one line and runs under that line's lock.
 //
-// Both fabrics embed a Store: the simulator's rdma.Server and shermand's
-// tcp.Server. A verb that breaks a bounds or alignment rule touches nothing
+// Both fabrics serve their memory from a Store: the simulator's rdma.Server
+// and shermand's tcp.Server. A verb that breaks a bounds or alignment rule touches nothing
 // and returns the rule's error; the simulator panics with it, shermand
 // answers it on the wire.
 package memstore
@@ -26,12 +26,9 @@ import (
 const lineSize = 64
 
 const (
-	chunkSize  = transport.DefaultChunkSize
-	chunkLines = chunkSize / lineSize
+	chunkSize = transport.DefaultChunkSize
 
-	// Stripe lock counts. A host line folds its chunk index into its
-	// stripe, so the same offset in different chunks (a chunk's first node,
-	// a lock table at a chunk's base) takes different stripes.
+	// Stripe lock counts; a line's stripe is its line index modulo these.
 	hostStripes = 1 << 11
 	chipStripes = 1 << 6
 )
@@ -164,7 +161,7 @@ func (s *Store) LineLock(a transport.Addr) *sync.Mutex {
 	if a.OnChip() {
 		return &s.chipLocks[line%chipStripes]
 	}
-	return &s.hostLocks[(line^line/chunkLines)%hostStripes]
+	return &s.hostLocks[line%hostStripes]
 }
 
 // Read copies len(buf) bytes at a into buf.

@@ -104,9 +104,8 @@ func TestConcurrentAtomicsLinearize(t *testing.T) {
 	}
 }
 
-// TestGrowCountsAndStripes: chunks grow at fixed bases with their own
-// counters, and the first line of each chunk takes its own stripe.
-func TestGrowCountsAndStripes(t *testing.T) {
+// TestGrowCounts: chunks grow at fixed bases with their own counters.
+func TestGrowCounts(t *testing.T) {
 	s := New(64)
 	if b0, b1 := s.Grow(), s.Grow(); b0 != 0 || b1 != chunkSize || s.Capacity() != 2*chunkSize {
 		t.Fatalf("bases %#x, %#x, capacity %#x", b0, b1, s.Capacity())
@@ -116,8 +115,5 @@ func TestGrowCountsAndStripes(t *testing.T) {
 	s.NoteRPC()
 	if ops := s.ChunkOps(); s.InboundOps() != 5 || len(ops) != 2 || ops[0] != 0 || ops[1] != 3 {
 		t.Fatalf("inbound %d, chunks %v; want 5 and [0 3]", s.InboundOps(), ops)
-	}
-	if s.LineLock(transport.MakeAddr(0, 0)) == s.LineLock(transport.MakeAddr(0, chunkSize)) {
-		t.Fatal("chunk 0 and chunk 1 share their first line's stripe")
 	}
 }

@@ -7,8 +7,9 @@
 // Every operation really executes against shared process memory — the
 // internal/memstore store shermand embeds too, with 64-byte access atomicity
 // matching cacheline-granular NIC DMA — so lock-free readers observe genuine
-// torn data that the index's version/checksum machinery must catch. Performance is accounted in virtual time via internal/sim; see
-// DESIGN.md §3 for the model.
+// torn data that the index's version/checksum machinery must catch.
+// Performance is accounted in virtual time via internal/sim; see DESIGN.md
+// §3 for the model.
 //
 // The verb surface and its value types are defined by internal/transport;
 // *Client implements transport.Transport (and transport.VirtualTimer, the

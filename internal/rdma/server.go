@@ -9,11 +9,13 @@ import (
 )
 
 // Server is one memory server: host DRAM and on-chip device memory (the
-// embedded store, which applies verbs per 64-byte line as a NIC does), the
-// NIC's pipelines and internal atomic buckets, and a wimpy memory thread for
+// store, which applies verbs per 64-byte line as a NIC does), the NIC's
+// pipelines and internal atomic buckets, and a wimpy memory thread for
 // allocation RPCs.
 type Server struct {
-	*memstore.Store
+	// st is reached only through the verbs below, which apply the dead
+	// flag, and the forwarders for growth and op counts.
+	st *memstore.Store
 
 	// ID is the server's 15-bit identifier used in Addr values.
 	ID uint16
@@ -49,11 +51,32 @@ type Server struct {
 
 func newServer(id uint16, p sim.Params) *Server {
 	return &Server{
-		Store:   memstore.New(p.OnChipMemBytes),
+		st:      memstore.New(p.OnChipMemBytes),
 		ID:      id,
 		buckets: make([]sim.Resource, p.AtomicBuckets),
 	}
 }
+
+// Grow appends one chunk of host memory and returns its base offset.
+func (s *Server) Grow() uint64 { return s.st.Grow() }
+
+// Capacity returns the grown host-memory size in bytes.
+func (s *Server) Capacity() uint64 { return s.st.Capacity() }
+
+// OnChipSize returns the on-chip memory size in bytes.
+func (s *Server) OnChipSize() int { return s.st.OnChipSize() }
+
+// NoteInbound books n served verbs against the server and a's chunk.
+func (s *Server) NoteInbound(a Addr, n int64) { s.st.NoteInbound(a, n) }
+
+// NoteRPC books one memory-thread RPC against the server.
+func (s *Server) NoteRPC() { s.st.NoteRPC() }
+
+// InboundOps returns the served verbs and RPCs booked so far.
+func (s *Server) InboundOps() int64 { return s.st.InboundOps() }
+
+// ChunkOps returns a snapshot of the served verbs booked per host chunk.
+func (s *Server) ChunkOps() []int64 { return s.st.ChunkOps() }
 
 // SetDraining marks (or unmarks) the server as scaling in; draining servers
 // receive no new allocations.
@@ -82,12 +105,12 @@ func (s *Server) read(a Addr, buf []byte) {
 		clear(buf)
 		return
 	}
-	s.must(s.Read(a, buf))
+	s.must(s.st.Read(a, buf))
 }
 
 func (s *Server) write(a Addr, data []byte) {
 	if !s.dead.Load() {
-		s.must(s.Write(a, data))
+		s.must(s.st.Write(a, data))
 	}
 }
 
@@ -95,7 +118,7 @@ func (s *Server) cas(a Addr, old, new uint64) uint64 {
 	if s.dead.Load() {
 		return 0
 	}
-	prev, err := s.CAS(a, old, new)
+	prev, err := s.st.CAS(a, old, new)
 	s.must(err)
 	return prev
 }
@@ -104,7 +127,7 @@ func (s *Server) cas16(a Addr, old, new uint16) uint16 {
 	if s.dead.Load() {
 		return 0
 	}
-	prev, err := s.CAS16(a, old, new)
+	prev, err := s.st.CAS16(a, old, new)
 	s.must(err)
 	return prev
 }
@@ -113,7 +136,7 @@ func (s *Server) faa(a Addr, delta uint64) uint64 {
 	if s.dead.Load() {
 		return 0
 	}
-	prev, err := s.FAA(a, delta)
+	prev, err := s.st.FAA(a, delta)
 	s.must(err)
 	return prev
 }

@@ -15,8 +15,8 @@ import (
 // memory servers, each with one grown chunk. Both must accept and refuse
 // the same verbs, for the same reason: the simulator panics with the
 // store's message, shermand answers it in a statusErr frame and keeps the
-// connection up. A refused verb touches nothing, so afterwards both
-// servers hold the same bytes.
+// connection up. A refused verb touches nothing: afterwards each server
+// holds exactly the bytes the accepted verbs wrote.
 func TestBoundsMatchSimulator(t *testing.T) {
 	const chunk = transport.DefaultChunkSize
 	host := func(off uint64) transport.Addr { return transport.MakeAddr(0, off) }
@@ -45,7 +45,7 @@ func TestBoundsMatchSimulator(t *testing.T) {
 		// Legal since both fabrics apply per line: shermand used to refuse it
 		// because it took only the first line's stripe.
 		{"on-chip read of 128 bytes", opRead, chip(0), 128, true},
-		{"on-chip write crossing a line", opWriteBatch, chip(60), 8, true},
+		{"on-chip write crossing a line", opWriteBatch, chip(124), 8, true},
 	}
 	data := func(n int) []byte { return bytes.Repeat([]byte{0xEE}, n) }
 
@@ -112,17 +112,27 @@ func TestBoundsMatchSimulator(t *testing.T) {
 		}
 	}
 
+	// The accepted verbs' bytes; the refused atomics above would have
+	// written next to them, at host offset 4 and on-chip offsets 60 and 63.
+	hostWant, chipWant := make([]byte, 192), make([]byte, 192)
+	hostWant[8], hostWant[16] = 1, 1 // the aligned CAS and FAA
+	copy(hostWant[60:132], data(72))
+	chipWant[62] = 1 // the aligned CAS16
+	copy(chipWant[124:132], data(8))
 	for _, r := range []struct {
-		a transport.Addr
-		n int
-	}{{host(0), 192}, {host(chunk - 64), 64}, {chip(0), 128}, {chip(OnChipBytes - 64), 64}} {
-		simMem := make([]byte, r.n)
+		a    transport.Addr
+		want []byte
+	}{
+		{host(0), hostWant},
+		{host(chunk - 64), make([]byte, 64)}, // the refused straddling write
+		{chip(0), chipWant},
+		{chip(OnChipBytes - 64), make([]byte, 64)},
+	} {
+		simMem := make([]byte, len(r.want))
 		c.Read(r.a, simMem)
-		if tcpMem := rc.req(opRead, readPayload(r.a, r.n)); !bytes.Equal(simMem, tcpMem) {
-			t.Errorf("[%v,+%d) after the table: simulator %x, shermand %x", r.a, r.n, simMem, tcpMem)
-		}
-		if r.a == host(chunk-64) && !bytes.Equal(simMem, make([]byte, 64)) {
-			t.Errorf("a refused write straddling the chunk left %x", simMem)
+		tcpMem := rc.req(opRead, readPayload(r.a, len(r.want)))
+		if !bytes.Equal(simMem, r.want) || !bytes.Equal(tcpMem, r.want) {
+			t.Errorf("[%v,+%d) after the table: simulator %x, shermand %x, want %x", r.a, len(r.want), simMem, tcpMem, r.want)
 		}
 	}
 }

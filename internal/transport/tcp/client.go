@@ -280,8 +280,7 @@ func (t *Transport) PostWrites(ops ...transport.WriteOp) {
 		return
 	}
 	// Dependent writes to one server coalesce into a single WriteBatch
-	// frame, applied in order under the target chunks' stripe locks: §4.5's
-	// doorbell batch with strictly stronger (atomic per op) semantics.
+	// frame, applied op by op in posted order: §4.5's doorbell batch.
 	t.buildWriteBatch(ops)
 	ms := ops[0].Addr.MS()
 	mx, alive := t.cl.mux(ms)

@@ -26,12 +26,12 @@
 // posted order, exactly like an RC queue pair; a burst's answers leave in
 // one write. The acquire doorbell (CASRead/CAS16Read) is built on that
 // order alone: a CAS frame and a Read frame posted back to back, no opcode
-// of its own. Across connections each operation runs under striped
-// per-chunk locks, so requests to different chunks proceed in parallel.
-// Each individual verb — and each op of a batch, applied in posted
-// order — is atomic under its stripe, which is exactly the per-verb
-// atomicity RDMA provides; see DESIGN.md §13 for why the tree protocol
-// needs nothing stronger.
+// of its own. Across connections the server's memory (internal/memstore,
+// the simulator's too) applies each verb per 64-byte line in increasing
+// address order, each line under its stripe lock, and each atomic under
+// its line's: the atomicity a NIC provides, so a read can tear at line
+// boundaries. See DESIGN.md §13 for why the tree protocol needs nothing
+// stronger.
 package tcp
 
 import (

@@ -555,8 +555,11 @@ func TestWedgedStripeStallsOnlyItsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// chunk1's first line shares chunk0's stripe (a host line's stripe is
+	// its index modulo 2048, and a chunk is a whole number of 2048 lines),
+	// so B targets chunk1's second line.
 	b.c.SetDeadline(time.Now().Add(5 * time.Second))
-	faa := appendU64(appendU64(nil, chunk1), 1)
+	faa := appendU64(appendU64(nil, chunk1+64), 1)
 	for i := uint64(0); i < 3; i++ {
 		p = payloadReader{b: b.req(opFAA, faa)}
 		if old := p.u64(); old != i {
