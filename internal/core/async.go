@@ -35,6 +35,11 @@ import (
 //     transport's multiplexed connections. Ordering after a slot drains its
 //     ticket — strictly stronger than starting after it, and conflicts are
 //     rare by design (a session hammering one key has no latency to hide).
+//     Through transport.Parker the executor hands runnable counts over with
+//     its tickets, so the verbs of runners woken together leave together:
+//     a runner is counted from hand-off to ticket end, and an owner parked
+//     on a ticket is counted by the runner completing it, until the call
+//     that parked it returns.
 //
 // A real transport at depth 1 has nothing to overlap: operations run inline
 // on the handle and their slots are already complete.
@@ -89,6 +94,12 @@ type ticket struct {
 	op   Op
 	done chan struct{} // buffered cap 1; the runner sends one token on completion
 
+	// park is the count hand-off with the owner (transport.Parker):
+	// tkRunning until the owner parks on the ticket (tkParked — it gave its
+	// count up, so the runner counts it before waking it) or the runner
+	// finishes first (tkDone).
+	park atomic.Uint32
+
 	// Filled by the runner, read by the owner after the token.
 	res            OpResult
 	cost           cost
@@ -97,6 +108,12 @@ type ticket struct {
 	depthAtIssue   int
 	harvested      bool // owner-only: folded into the session's recorder
 }
+
+const (
+	tkRunning uint32 = iota
+	tkParked
+	tkDone
+)
 
 // workerSeed staggers worker-handle allocators across all sessions.
 var workerSeed atomic.Int64
@@ -172,6 +189,7 @@ func (p Pending) Wait() (OpResult, int64) {
 			}
 		}
 	}
+	p.a.release()
 	// Nothing else can still hold the ticket — it is out of the window, off
 	// the runners, and this Pending owned it — so it recycles here.
 	res, end, crash := tk.res, tk.endNS, tk.crash
@@ -218,7 +236,11 @@ func (a *Async) SubmitOp(op Op) Pending {
 		a.nrun++
 		go a.runner()
 	}
+	if a.h.pk != nil {
+		a.h.pk.Hand() // the runner that takes tk is runnable until tk ends
+	}
 	a.tasks <- tk
+	a.release()
 	return Pending{a: a, tk: tk}
 }
 
@@ -286,13 +308,35 @@ func (a *Async) settle(i int) (crash any) {
 		a.h.C.AdvanceTo(s.done)
 		return nil
 	}
-	<-tk.done
+	a.block(tk)
 	tk.harvested = true
 	if tk.crash == nil { // a crashed op records nothing; the session is about to die
 		a.h.record(tk.op, tk.endNS-tk.startNS, tk.cost)
 		a.recordPipeline(tk.depthAtIssue, tk.startNS, tk.endNS)
 	}
 	return tk.crash
+}
+
+// block receives tk's completion token. An owner that has to wait gives
+// its count up first, and the runner completing tk counts it again
+// (runTicket); it keeps that count until the executor call that parked it
+// returns (release) or it blocks again.
+func (a *Async) block(tk *ticket) {
+	if pk := a.h.pk; pk != nil && tk.park.CompareAndSwap(tkRunning, tkParked) {
+		pk.Park()
+		<-tk.done
+		pk.Take()
+		return
+	}
+	<-tk.done
+}
+
+// release gives up the count block took, as SubmitOp, Wait and Flush return:
+// past them the owner may go quiet for as long as it likes.
+func (a *Async) release() {
+	if pk := a.h.pk; pk != nil && pk.Held() {
+		pk.Park()
+	}
 }
 
 // await is settle re-panicking a compute-server crash in the owner
@@ -313,6 +357,7 @@ func (a *Async) Flush() {
 			crash = c
 		}
 	}
+	a.release()
 	if crash != nil {
 		panic(crash)
 	}
@@ -395,8 +440,12 @@ func (a *Async) runner() {
 
 // runTicket executes one ticket on h and publishes the completion token. A
 // compute-server crash is captured into the ticket (the owner re-panics
-// it); any other panic is a protocol bug and propagates.
+// it); any other panic is a protocol bug and propagates. The runner holds
+// the count SubmitOp handed over with tk until the token is sent.
 func runTicket(h *Handle, tk *ticket) {
+	if h.pk != nil {
+		h.pk.Take()
+	}
 	tk.startNS = h.C.Now()
 	func() {
 		defer func() {
@@ -410,7 +459,13 @@ func runTicket(h *Handle, tk *ticket) {
 		tk.res, tk.cost = h.execOne(tk.op)
 	}()
 	tk.endNS = h.C.Now()
+	if tk.park.Swap(tkDone) == tkParked {
+		h.pk.Hand() // the owner is parked on tk: count it before waking it
+	}
 	tk.done <- struct{}{}
+	if h.pk != nil {
+		h.pk.Park()
+	}
 }
 
 // ForEachWorker visits the runners' worker handles (none on the simulator or

@@ -24,11 +24,13 @@ type Handle struct {
 	// no repeated interface calls: m is the verb-counter block (stable
 	// pointer), tm the cost-constant snapshot, vt the virtual-time
 	// capability (nil on real transports — every use degrades gracefully),
-	// fwd/rep the backend's migration and replication state.
+	// av/pk the async-verb and runnable-count capabilities (nil on the
+	// simulator), fwd/rep the backend's migration and replication state.
 	m   *transport.Metrics
 	tm  transport.Timing
 	vt  transport.VirtualTimer
 	av  transport.AsyncVerbs
+	pk  transport.Parker
 	fwd *alloc.Forwarding
 	rep *alloc.ReplicaMap
 
@@ -137,6 +139,7 @@ func (t *Tree) NewHandle(cs int, seed int) *Handle {
 	h.tm = c.Timing()
 	h.vt, _ = c.(transport.VirtualTimer)
 	h.av, _ = c.(transport.AsyncVerbs)
+	h.pk, _ = c.(transport.Parker)
 	h.ex.scanFn = h.execScanBody
 	h.ex.readFn = h.execReadGroupBody
 	h.ex.writeFn = h.execWriteGroupBody

@@ -165,7 +165,9 @@ type Manager struct {
 	// on every wake path (release handoff, orphan promotion, death kill), so
 	// after the receive nothing references it and its one-slot channel is
 	// empty again — contended waits then allocate nothing in steady state.
+	// localPool does the same for the lwaiters of local lock queues.
 	waiterPool sync.Pool
+	localPool  sync.Pool
 
 	// slots[ms*locksPerMS+idx] serializes each global lock in virtual time.
 	// Worker goroutines execute at unrelated real-time rates, so a raw
@@ -476,7 +478,7 @@ func (m *Manager) lock(c transport.Transport, ms uint16, idx int, addr rdma.Addr
 	if m.mode.Local {
 		ll := m.llt(c).lock(slot)
 		g.ll = ll
-		g.handedOff = ll.acquire(c, m.mode.WaitQueue, &m.Stats)
+		g.handedOff = ll.acquire(c, m)
 		if g.handedOff {
 			m.Stats.Handovers.Add(1)
 			m.Stats.Acquisitions.Add(1)
@@ -914,7 +916,7 @@ func (m *Manager) Unlock(c transport.Transport, g Guard, pending []rdma.WriteOp,
 		g.ll.mu.Unlock()
 		m.flush(c, g, pending, combine, !handover)
 		g.ll.mu.Lock()
-		g.ll.releaseLocked(c.Now())
+		g.ll.releaseLocked(c, c.Now())
 		return
 	}
 	m.flush(c, g, pending, combine, true)

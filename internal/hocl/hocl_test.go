@@ -1,6 +1,7 @@
 package hocl
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -382,5 +383,52 @@ func TestWaitQueueFIFO(t *testing.T) {
 			t.Fatalf("waiter %d granted twice", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestContendedLocalWaitsAllocateNothing: four threads of one compute
+// server hammer one lock, so most acquisitions queue on the local lock. A
+// queued wait recycles its waiter and the queue keeps its backing array, so
+// once warm the waits allocate next to nothing; a channel made per wait
+// would cost one allocation each.
+func TestContendedLocalWaitsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops recycled waiters")
+	}
+	f := testFabric(t, 1, 1)
+	m := NewManager(f, Config{Mode: Sherman(), LocksPerMS: 8})
+	const threads = 4
+	clients := make([]*rdma.Client, threads)
+	for i := range clients {
+		clients[i] = f.NewClient(0)
+	}
+	run := func(ops int) {
+		var wg sync.WaitGroup
+		for _, c := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				release := make([]rdma.WriteOp, 0, 1) // room for the release op
+				for i := 0; i < ops; i++ {
+					g := m.LockIdx(c, 0, 0)
+					c.Step(20)
+					m.Unlock(c, g, release, true)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	run(500) // warm the pools and the queue's backing array
+	waits0 := m.Stats.LocalWaits.Load()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(2000)
+	runtime.ReadMemStats(&after)
+	waits := m.Stats.LocalWaits.Load() - waits0
+	if waits < 1000 {
+		t.Fatalf("only %d local waits in %d acquisitions: not contended", waits, threads*2000)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / float64(waits); per > 0.05 {
+		t.Fatalf("%d allocations over %d local waits, %.2f per wait", after.Mallocs-before.Mallocs, waits, per)
 	}
 }

@@ -3,7 +3,6 @@ package tcp
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"time"
 
 	"sherman/internal/transport"
@@ -27,9 +26,10 @@ func nowNS() int64 { return time.Since(clockBase).Nanoseconds() }
 // it deliberately does not implement transport.VirtualTimer — core code
 // holding a nil VirtualTimer runs its timeline hooks synchronously. It does
 // implement transport.AsyncVerbs: reads and doorbell write batches can be
-// posted without waiting (they are on the wire no later than this thread's
-// next blocking verb or Await), so a pipelined executor keeps depth-N verbs
-// in flight per memory server.
+// posted without waiting, so a pipelined executor keeps depth-N verbs in
+// flight per memory server. And it implements transport.Parker: posted
+// frames leave when the cluster's last runnable thread blocks (runners), so
+// the verbs of threads woken together share one write.
 //
 // Like every Transport it is owned by a single goroutine. The sockets
 // themselves live in the cluster's per-server muxConns (dialed once at
@@ -44,10 +44,9 @@ type Transport struct {
 
 	rmGroups []readGroup // ReadMulti per-server group scratch
 
-	// unflushed lists the muxes holding frames this thread posted and has
-	// not yet seen leave: posting never syscalls, and everything here is
-	// flushed before the thread blocks (await).
-	unflushed []*muxConn
+	// held says this thread holds one of the cluster's runnable counts:
+	// handed to it by whoever woke it, given up whenever it blocks.
+	held bool
 
 	pend  []pendingOp // AsyncVerbs completion slots
 	pfree []int32     // free indices into pend
@@ -55,6 +54,7 @@ type Transport struct {
 
 var _ transport.Transport = (*Transport)(nil)
 var _ transport.AsyncVerbs = (*Transport)(nil)
+var _ transport.Parker = (*Transport)(nil)
 
 // readGroup is one per-server slice of a ReadMulti fan-out: the ReadBatch
 // frame for ms was issued under tag (when issued; a server already dead at
@@ -87,39 +87,46 @@ const (
 func (t *Transport) Close() {}
 
 // post issues one frame carrying t.payload on mx — no syscall; the frame
-// leaves when this thread is next about to block, or sooner if another
-// thread flushes mx first.
+// leaves when the last runnable thread of the cluster blocks, this one
+// included, so frames posted to several servers — ReadMulti groups, replica
+// mirrors ahead of the primary's verb — are all on the wire, overlapping
+// their round trips, before the thread parks on any one of them.
 func (t *Transport) post(mx *muxConn, op byte) uint32 {
-	if len(mx.free) == 0 {
-		t.flush() // issue is about to block on the window
-	}
-	tag := mx.issue(op, t.payload)
-	if !slices.Contains(t.unflushed, mx) {
-		t.unflushed = append(t.unflushed, mx)
+	tag, ok := mx.tryIssue(op, t.payload)
+	if !ok {
+		// A full window is a wait nobody hands a count across: give it up
+		// while blocked (slots free up only once frames leave), take it back.
+		held := t.held
+		t.Park()
+		tag = <-mx.free
+		mx.send(tag, op, t.payload)
+		if held {
+			t.Hand()
+			t.Take()
+		}
 	}
 	return tag
 }
 
-// flush writes out every mux this thread has posted to since it last
-// blocked, so frames posted to several servers — ReadMulti groups, replica
-// mirrors ahead of the primary's verb — are all on the wire, overlapping
-// their round trips, before the thread parks on any one of them.
-func (t *Transport) flush() {
-	for _, mx := range t.unflushed {
-		mx.flush()
-	}
-	t.unflushed = t.unflushed[:0]
+// await is mx.await for this thread's count: a response that is already in
+// costs no syscall, so a caller retiring a window of completed pendings
+// keeps accumulating its new posts into one write.
+func (t *Transport) await(mx *muxConn, tag uint32) ([]byte, bool) {
+	return mx.awaitAs(tag, t.held)
 }
 
-// await is mx.await behind the flush every blocking wait owes; a response
-// that is already in costs no syscall, so a caller retiring a window of
-// completed pendings keeps accumulating its new posts into one write.
-func (t *Transport) await(mx *muxConn, tag uint32) ([]byte, bool) {
-	if !mx.done(tag) {
-		t.flush()
-	}
-	return mx.await(tag)
+// --- transport.Parker ------------------------------------------------------
+
+func (t *Transport) Held() bool { return t.held }
+
+func (t *Transport) Park() {
+	held := t.held
+	t.held = false
+	t.cl.run.park(held)
 }
+
+func (t *Transport) Hand() { t.cl.run.n.Add(1) }
+func (t *Transport) Take() { t.held = true }
 
 // --- verbs -----------------------------------------------------------------
 

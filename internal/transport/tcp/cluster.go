@@ -68,6 +68,10 @@ type Cluster struct {
 	// out.
 	muxes []*muxConn
 
+	// run counts the client threads that are runnable and may still post;
+	// the one that takes it to zero writes every mux's posted frames.
+	run runners
+
 	hb *membership
 
 	// raw is the metadata client behind ReadRaw/WriteRaw/GrowChunkRaw —
@@ -123,8 +127,10 @@ func (c *Cluster) bringUp() error {
 		if err != nil {
 			return fmt.Errorf("tcp: memory server %d (%s) unreachable: %w", ms, ep, err)
 		}
+		mx.run = &c.run
 		c.muxes[ms] = mx
 	}
+	c.run.muxes = c.muxes
 	for ms, ep := range c.endpoints {
 		var version, onChip uint32
 		var serverNow uint64

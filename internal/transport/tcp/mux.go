@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -12,6 +11,37 @@ import (
 // what either end buffers and is the backpressure of the pipelined executor;
 // 64 comfortably exceeds any single session's depth times its verb fan-out.
 const defaultWindow = 64
+
+// runners is one cluster's count of its client threads that are runnable
+// and may still post (transport.Parker). Posting never syscalls: a thread
+// about to block gives its count up, and the one that takes the count to
+// zero writes every mux's posted frames, so a wave of threads woken by one
+// burst of replies leaves in one write per server. The count is handed
+// over, never guessed — whoever wakes a counted thread adds its count
+// first: the reader delivering a slot its awaiter parked on, or core's
+// executor and lock tables through Parker. Too low only writes early; too
+// high strands frames, so each hand-over is matched by one give-up.
+type runners struct {
+	n     atomic.Int32
+	muxes []*muxConn
+}
+
+// park is called by a thread about to block or to stop posting, held saying
+// whether it holds a count. A thread without one (a lone caller, the raw
+// client) is last when the count is already zero; otherwise it leaves its
+// frames to the counted threads, the last of which writes them.
+func (r *runners) park(held bool) {
+	if held {
+		if r.n.Add(-1) > 0 {
+			return
+		}
+	} else if r.n.Load() > 0 {
+		return
+	}
+	for _, mx := range r.muxes {
+		mx.flush()
+	}
+}
 
 // muxSlot is one tagged completion slot. Its tag is its index in the mux's
 // slot table; a slot cycles free → inflight → delivered → free, and its
@@ -25,32 +55,35 @@ type muxSlot struct {
 	// the completion (the reader with a response, or the failure sweep).
 	inflight atomic.Bool
 
+	// hand is the count hand-off with a counted awaiter: handNone until it
+	// parks (handWait — it gave its count up, so the deliverer counts it
+	// again before waking it) or the slot completes first (handDone).
+	hand atomic.Uint32
+
 	err    bool   // connection died; apply dead-memory semantics
 	reject bool   // server answered statusErr; resp holds the message
 	resp   []byte // response payload, valid until release
 }
 
-// deliver completes the slot exactly once.
-func (s *muxSlot) deliver(err bool) {
-	if s.inflight.CompareAndSwap(true, false) {
-		s.err = err
-		s.ready <- struct{}{}
-	}
-}
+const (
+	handNone uint32 = iota
+	handWait
+	handDone
+)
 
 // muxConn is the multiplexed connection to one memory server, shared by
 // every client thread of the cluster, and like an RDMA queue pair it has no
 // goroutine of its own: the threads that use it do its I/O. Posting a frame
 // (issue) takes a tagged slot from the bounded window and appends to the
-// write buffer — never a syscall. A thread about to block writes everything
-// posted so far with one Write (flush), then awaits its slot; whichever
-// awaiting thread finds its slot incomplete while nobody is reading takes
-// the reader token, reads the socket and demuxes responses by tag into the
-// slots — its own and the other waiters' — and hands the token on once its
-// own has arrived. A lone depth-1 caller thus pays one park per round trip
-// (inside its own Read), and a wave of callers shares one write and one
-// read per burst. The server answers a connection in posted order, but
-// awaiters come in any order, so delivery stays by tag.
+// write buffer — never a syscall. A thread about to block parks (runners):
+// the last runnable one writes every mux's posted frames with one Write each
+// (flush). Whichever awaiting thread finds its slot incomplete while nobody
+// is reading takes the reader token, reads the socket and demuxes responses
+// by tag into the slots — its own and the other waiters' — and hands the
+// token on once its own has arrived. A lone depth-1 caller thus pays one
+// park per round trip (inside its own Read), and a wave of callers shares
+// one write and one read per burst. The server answers a connection in
+// posted order, but awaiters come in any order, so delivery stays by tag.
 //
 // Failure is terminal (a dead server stays dead, as in v1): fail closes the
 // socket, the reader's next read errors, it sweeps every in-flight slot with
@@ -59,8 +92,9 @@ func (s *muxSlot) deliver(err bool) {
 // published — the mux itself never touches the cluster, keeping the
 // markDead→fail call acyclic.
 type muxConn struct {
-	ms int
-	c  net.Conn
+	ms  int
+	c   net.Conn
+	run *runners // the cluster's count; a mux dialed alone has one of its own
 
 	slots []muxSlot
 	free  chan uint32 // free slot indices; capacity = window
@@ -97,6 +131,7 @@ func dialMux(ms int, endpoint string, window int) (*muxConn, error) {
 		free:  make(chan uint32, window),
 		rtok:  make(chan struct{}, 1),
 	}
+	m.run = &runners{muxes: []*muxConn{m}}
 	m.fr = frameReader{src: c, reads: &m.reads}
 	m.rtok <- struct{}{}
 	for i := range m.slots {
@@ -124,14 +159,12 @@ func (m *muxConn) fail() {
 // reusable immediately; the frame leaves with the next flush. On a dead mux
 // the slot self-completes with err.
 func (m *muxConn) issue(op byte, payload []byte) uint32 {
-	var tag uint32
-	select {
-	case tag = <-m.free:
-	default:
-		m.flush() // about to block: slots free up only once their frames have left
+	tag, ok := m.tryIssue(op, payload)
+	if !ok {
+		m.run.park(false) // about to block: slots free up only once their frames have left
 		tag = <-m.free
+		m.send(tag, op, payload)
 	}
-	m.send(tag, op, payload)
 	return tag
 }
 
@@ -151,11 +184,12 @@ func (m *muxConn) tryIssue(op byte, payload []byte) (uint32, bool) {
 func (m *muxConn) send(tag uint32, op byte, payload []byte) {
 	s := &m.slots[tag]
 	s.err, s.reject = false, false
+	s.hand.Store(handNone)
 	s.inflight.Store(true)
 	if m.closed.Load() {
 		// The request never goes out. Complete it here: a reader's sweep may
 		// already be done, but if it is running it CAS-races us safely.
-		s.deliver(true)
+		m.deliver(s, true)
 		return
 	}
 	m.wmu.Lock()
@@ -164,26 +198,15 @@ func (m *muxConn) send(tag uint32, op byte, payload []byte) {
 	m.wmu.Unlock()
 }
 
-// flush puts every posted frame on the wire with one Write; every thread
-// calls it before it blocks on this mux's replies or window. When other
-// verbs are in flight their owners are probably about to post too (one
-// burst of replies woke them together), so yield once first and let their
-// frames ride this write; a lone caller never yields. A thread that finds
-// another one writing leaves its frames to it: the writer re-checks after
-// its Write, so nothing posted is ever left behind.
+// flush puts every posted frame on the wire with one Write. A thread that
+// finds another one writing leaves its frames to it: the writer re-checks
+// after its Write, so nothing posted is ever left behind.
 func (m *muxConn) flush() {
-	n := m.posted.Load()
-	if n == 0 {
-		return
-	}
-	if int32(cap(m.free)-len(m.free)) > n {
-		runtime.Gosched()
-	}
 	for m.posted.Load() > 0 && m.flushing.CompareAndSwap(false, true) {
 		m.wmu.Lock()
 		out := m.wbuf
 		m.wbuf = m.spare[:0]
-		n = m.posted.Swap(0)
+		n := m.posted.Swap(0)
 		m.wmu.Unlock()
 		m.frames.Add(int64(n))
 		m.writes.Add(1)
@@ -202,14 +225,18 @@ func (m *muxConn) flush() {
 // The returned payload aliases the slot's buffer — parse or copy it before
 // release. A statusErr response is a protocol bug (out-of-range access, bad
 // opcode) and panics in the awaiting goroutine, matching the simulator's
-// treatment of verb misuse.
-func (m *muxConn) await(tag uint32) ([]byte, bool) {
+// treatment of verb misuse. The awaiter holds no count (see awaitAs).
+func (m *muxConn) await(tag uint32) ([]byte, bool) { return m.awaitAs(tag, false) }
+
+// awaitAs is await for a thread whose count held says it holds (runners).
+// A response already in costs no syscall and no park; otherwise the thread
+// parks, and a counted one is counted again by whoever delivers its slot.
+func (m *muxConn) awaitAs(tag uint32, held bool) ([]byte, bool) {
 	s := &m.slots[tag]
 	select {
 	case <-s.ready:
 	default:
-		m.flush()
-		m.wait(s)
+		m.wait(s, held)
 	}
 	if s.err {
 		return nil, false
@@ -221,8 +248,15 @@ func (m *muxConn) await(tag uint32) ([]byte, bool) {
 }
 
 // wait parks until s completes, serving as the connection's reader whenever
-// the token is free: handing it back wakes one parked waiter to take over.
-func (m *muxConn) wait(s *muxSlot) {
+// the token is free: handing it back wakes one parked waiter to take over. A
+// counted thread registers on the slot before it gives its count up; if the
+// slot completed in between, it never parks and keeps its count.
+func (m *muxConn) wait(s *muxSlot, held bool) {
+	if held && !s.hand.CompareAndSwap(handNone, handWait) {
+		<-s.ready
+		return
+	}
+	m.run.park(held)
 	for {
 		select {
 		case <-s.ready:
@@ -234,9 +268,17 @@ func (m *muxConn) wait(s *muxSlot) {
 	}
 }
 
-// done reports whether tag's response has arrived, that is, whether await
-// would return without blocking.
-func (m *muxConn) done(tag uint32) bool { return !m.slots[tag].inflight.Load() }
+// deliver completes slot s exactly once, counting its awaiter runnable
+// first if it parked holding a count.
+func (m *muxConn) deliver(s *muxSlot, err bool) {
+	if s.inflight.CompareAndSwap(true, false) {
+		s.err = err
+		if s.hand.Swap(handDone) == handWait {
+			m.run.n.Add(1)
+		}
+		s.ready <- struct{}{}
+	}
+}
 
 // demux is the reader role, held by the awaiter of own: read frames and
 // complete their slots until own is complete and no whole frame is left in
@@ -253,14 +295,14 @@ func (m *muxConn) demux(own *muxSlot) {
 			m.fail()
 			m.fr.r, m.fr.w = 0, 0
 			for i := range m.slots {
-				m.slots[i].deliver(true)
+				m.deliver(&m.slots[i], true)
 			}
 			return
 		}
 		s := &m.slots[tag]
 		s.resp = append(s.resp[:0], payload...)
 		s.reject = status != statusOK
-		s.deliver(false)
+		m.deliver(s, false)
 	}
 }
 

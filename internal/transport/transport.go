@@ -1,8 +1,8 @@
 // Package transport defines the verb surface of the disaggregated fabric:
 // the Transport interface every tree client runs over, the address/op/metric
 // value types shared by all implementations, and the optional capability
-// interfaces (VirtualTimer, AsyncVerbs) that expose backend-specific powers
-// without the core ever type-switching on the implementation.
+// interfaces (VirtualTimer, AsyncVerbs, Parker) that expose backend-specific
+// powers without the core ever type-switching on the implementation.
 //
 // Two implementations exist:
 //
@@ -16,7 +16,8 @@
 //     server with real clocks and map doorbell batches to coalesced frames.
 //     It does not implement VirtualTimer — virtual-time hooks degrade to
 //     synchronous no-ops — but it does implement AsyncVerbs, so pipelined
-//     executors overlap real round trips.
+//     executors overlap real round trips, and Parker, so their threads'
+//     posts leave together.
 //
 // Both implement the whole verb surface, the acquire doorbell included
 // (CASRead/CAS16Read: a lock CAS and the dependent READ of the locked object
@@ -116,10 +117,12 @@ type Pending int32
 // AsyncVerbs is the optional capability interface of transports that can
 // genuinely overlap round trips: a post returns as soon as the request is
 // queued (or after waiting for room in the transport's outstanding window),
-// the request is on the wire no later than the caller's next blocking verb
-// or Await, and Await blocks until that request's response has been applied. The TCP transport
-// implements it over tagged multiplexed connections; the simulator does not
-// need it (virtual time overlaps round trips by accounting, not by I/O).
+// the request is on the wire by the time every posting thread has blocked —
+// at the caller's next blocking verb or Await when nothing else runs (see
+// Parker) — and Await blocks until that request's response has been
+// applied. The TCP transport implements it over tagged multiplexed
+// connections; the simulator does not need it (virtual time overlaps round
+// trips by accounting, not by I/O).
 // Like every Transport method, these are single-goroutine: the owner issues
 // and awaits its own pendings.
 //
@@ -137,6 +140,31 @@ type AsyncVerbs interface {
 	// Await blocks until p's response has been applied (read buffers
 	// filled, or dead-memory semantics applied) and releases p.
 	Await(p Pending)
+}
+
+// Parker is the optional capability interface of transports whose posted
+// requests leave in waves: the transport counts the client threads that are
+// runnable and may still post, a thread about to block gives its count up,
+// and the thread that takes the count to zero writes every thread's posted
+// requests at once — §4.5's one doorbell for many coroutines' verbs, where
+// the doorbell is a syscall. The transport sees its own blocking verbs; core
+// code that parks or wakes a thread on anything else (a pipelined executor's
+// tickets, a local lock queue) reports it here. A count that is too low only
+// writes early; one that is too high strands requests nobody writes, so every
+// Hand is matched by exactly one Park. The TCP transport implements it; the
+// simulator does not, and core code holds it as a nillable field.
+type Parker interface {
+	// Held reports whether this thread holds a count.
+	Held() bool
+	// Park gives up this thread's count, if it holds one, before it blocks
+	// or stops posting; when no counted thread is left it first writes
+	// every posted request.
+	Park()
+	// Hand counts one more runnable thread: the one the caller is about to
+	// wake, which then calls Take.
+	Hand()
+	// Take records that this thread holds the count another one handed it.
+	Take()
 }
 
 // VirtualTimer is the optional capability interface of transports that run
