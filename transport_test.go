@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"sherman/internal/testutil"
 )
 
 // TestEMethods covers the error-returning synchronous API: the happy path,
@@ -175,10 +177,9 @@ func TestKillMemoryServerZeroRejected(t *testing.T) {
 }
 
 // TestTCPDifferential runs the random-stream oracle against a tree over the
-// TCP transport with two real shermand memory-server processes — the test
-// half of the `shermanbench -exp tcp` gate, at test-sized op counts. It
+// TCP transport with two real shermand memory-server processes. It
 // exercises launch, the wire protocol, doorbell coalescing, pipelined
-// sessions and teardown end to end.
+// sessions, Exec batches and teardown end to end.
 func TestTCPDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes and builds cmd/shermand")
@@ -201,70 +202,69 @@ func TestTCPDifferential(t *testing.T) {
 		opsPerDepth = 3000
 		keySpace    = 1024
 		scanSpan    = 16
+		execBatch   = 8
 	)
-	oracle := make(map[uint64]uint64, keySpace)
+	model := testutil.NewModel()
 	var kvs []KV
 	for k := uint64(1); k <= 256; k++ {
 		kvs = append(kvs, KV{Key: k, Value: k * 7})
-		oracle[k] = k * 7
+		model.Put(k, k*7)
 	}
 	if err := tree.Bulkload(kvs); err != nil {
 		t.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(1))
+	randOp := func() Op {
+		key := uint64(rng.Intn(keySpace)) + 1
+		switch r := rng.Intn(100); {
+		case r < 45:
+			return PutOp(key, rng.Uint64()|1)
+		case r < 75:
+			return GetOp(key)
+		case r < 90:
+			return DeleteOp(key)
+		}
+		return ScanOp(key, scanSpan)
+	}
+	// check replays op into the model and reports how got differs from the
+	// result a sequential execution must give.
+	check := func(op Op, got Result) error {
+		var want Result
+		switch op.Kind {
+		case OpPut:
+			model.Put(op.Key, op.Value)
+		case OpGet:
+			want.Value, want.Found = model.Get(op.Key)
+		case OpDelete:
+			want.Found = model.Delete(op.Key)
+		case OpScan:
+			want.KVs = model.Scan(op.Key, op.Span)
+		}
+		if got.Err != nil || got.Found != want.Found || got.Value != want.Value || !slices.Equal(got.KVs, want.KVs) {
+			return fmt.Errorf("%+v = %+v, oracle %+v", op, got, want)
+		}
+		return nil
+	}
+
+	// Synchronous E-methods, one op at a time.
 	for _, depth := range []int{1, 4, 8} {
 		s := openSession(t, tree, depth%c.ComputeServers(), PipelineDepth(depth))
 		for i := 0; i < opsPerDepth; i++ {
-			key := uint64(rng.Intn(keySpace)) + 1
-			switch r := rng.Intn(100); {
-			case r < 45:
-				v := rng.Uint64() | 1
-				if err := s.PutE(key, v); err != nil {
-					t.Fatalf("depth %d op %d: PutE: %v", depth, i, err)
-				}
-				oracle[key] = v
-			case r < 75:
-				v, ok, err := s.GetE(key)
-				if err != nil {
-					t.Fatalf("depth %d op %d: GetE: %v", depth, i, err)
-				}
-				ov, ook := oracle[key]
-				if ok != ook || (ok && v != ov) {
-					t.Fatalf("depth %d op %d: GetE(%d) = %d,%v; oracle %d,%v", depth, i, key, v, ok, ov, ook)
-				}
-			case r < 90:
-				found, err := s.DeleteE(key)
-				if err != nil {
-					t.Fatalf("depth %d op %d: DeleteE: %v", depth, i, err)
-				}
-				if _, ook := oracle[key]; found != ook {
-					t.Fatalf("depth %d op %d: DeleteE(%d) = %v; oracle %v", depth, i, key, found, ook)
-				}
-				delete(oracle, key)
-			default:
-				got, err := s.ScanE(key, scanSpan)
-				if err != nil {
-					t.Fatalf("depth %d op %d: ScanE: %v", depth, i, err)
-				}
-				var keys []uint64
-				for k := range oracle {
-					if k >= key {
-						keys = append(keys, k)
-					}
-				}
-				sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-				if len(keys) > scanSpan {
-					keys = keys[:scanSpan]
-				}
-				if len(got) != len(keys) {
-					t.Fatalf("depth %d op %d: ScanE(%d) %d pairs, oracle %d", depth, i, key, len(got), len(keys))
-				}
-				for j, k := range keys {
-					if got[j].Key != k || got[j].Value != oracle[k] {
-						t.Fatalf("depth %d op %d: ScanE(%d)[%d] = %v, oracle {%d %d}", depth, i, key, j, got[j], k, oracle[k])
-					}
-				}
+			op := randOp()
+			var got Result
+			switch op.Kind {
+			case OpPut:
+				got.Err = s.PutE(op.Key, op.Value)
+			case OpGet:
+				got.Value, got.Found, got.Err = s.GetE(op.Key)
+			case OpDelete:
+				got.Found, got.Err = s.DeleteE(op.Key)
+			case OpScan:
+				got.KVs, got.Err = s.ScanE(op.Key, op.Span)
+			}
+			if err := check(op, got); err != nil {
+				t.Fatalf("depth %d op %d: %v", depth, i, err)
 			}
 		}
 		if err := s.Flush(); err != nil {
@@ -272,55 +272,45 @@ func TestTCPDifferential(t *testing.T) {
 		}
 	}
 
+	// Exec batches of mixed ops: a batch is observably sequential, so each
+	// slot is checked against the model replayed in submission order.
+	for _, depth := range []int{1, 4} {
+		s := openSession(t, tree, depth%c.ComputeServers(), PipelineDepth(depth))
+		for b := 0; b < opsPerDepth/execBatch; b++ {
+			ops := make([]Op, execBatch)
+			for i := range ops {
+				ops[i] = randOp()
+			}
+			for i, got := range s.Exec(ops) {
+				if err := check(ops[i], got); err != nil {
+					t.Fatalf("depth %d Exec batch %d slot %d: %v", depth, b, i, err)
+				}
+			}
+		}
+	}
+
 	// Streamed futures: a full window of Submits held open at once, each
-	// verified against the oracle captured at submit time (the pipeline
-	// preserves per-key order, so the submit-time state is what each op
-	// observes).
+	// checked against the model replayed in submission order (the pipeline
+	// preserves per-key order and orders scans after outstanding writes, so
+	// the submit-time state is what each op observes).
 	{
 		s := openSession(t, tree, 0, PipelineDepth(8))
-		type expect struct {
-			fut   *Future
-			kind  OpKind
-			key   uint64
-			val   uint64
-			found bool
+		type pending struct {
+			op  Op
+			fut *Future
 		}
-		var window []expect
+		var window []pending
 		drain := func() {
-			for _, e := range window {
-				r := e.fut.Wait()
-				if r.Err != nil {
-					t.Fatalf("streamed %v(%d): %v", e.kind, e.key, r.Err)
-				}
-				switch e.kind {
-				case OpGet:
-					if r.Found != e.found || (r.Found && r.Value != e.val) {
-						t.Fatalf("streamed Get(%d) = %d,%v; submit-time oracle %d,%v",
-							e.key, r.Value, r.Found, e.val, e.found)
-					}
-				case OpDelete:
-					if r.Found != e.found {
-						t.Fatalf("streamed Delete(%d) = %v; submit-time oracle %v", e.key, r.Found, e.found)
-					}
+			for _, p := range window {
+				if err := check(p.op, p.fut.Wait()); err != nil {
+					t.Fatalf("streamed: %v", err)
 				}
 			}
 			window = window[:0]
 		}
 		for i := 0; i < 2000; i++ {
-			key := uint64(rng.Intn(keySpace)) + 1
-			switch r := rng.Intn(100); {
-			case r < 50:
-				v := rng.Uint64() | 1
-				window = append(window, expect{fut: s.Submit(PutOp(key, v)), kind: OpPut, key: key})
-				oracle[key] = v
-			case r < 85:
-				ov, ok := oracle[key]
-				window = append(window, expect{fut: s.Submit(GetOp(key)), kind: OpGet, key: key, val: ov, found: ok})
-			default:
-				_, ok := oracle[key]
-				window = append(window, expect{fut: s.Submit(DeleteOp(key)), kind: OpDelete, key: key, found: ok})
-				delete(oracle, key)
-			}
+			op := randOp()
+			window = append(window, pending{op, s.Submit(op)})
 			if len(window) >= 64 {
 				drain()
 			}
