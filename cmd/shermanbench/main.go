@@ -1,53 +1,32 @@
 // Command shermanbench regenerates every table and figure of the paper's
-// evaluation (§5) on the simulated fabric, plus the repo's own batch,
-// pipeline and fault experiments. Results print as aligned text tables;
-// -json writes the machine-readable report (the committed BENCH_N.json
-// files are captured runs) and -baseline gates against bench/baseline.json.
+// evaluation (§5) on the simulated fabric, plus the repo's own experiments:
+// batching, pipelining, faults, elasticity, the index cache, allocations,
+// replication, and two that spawn real shermand processes. Results print as
+// aligned text tables; -json writes the machine-readable report (the
+// committed BENCH_N.json files are captured runs) and -baseline gates
+// against bench/baseline.json.
 //
 // Usage:
 //
 //	shermanbench -exp all
-//	shermanbench -exp fig10 -keys 4194304 -ops 2000 -threads 22
+//	shermanbench -exp fig10 -keys 4194304 -threads 22
 //	shermanbench -exp batch,pipeline,faults -quick -json BENCH.json -baseline bench/baseline.json
 //
-// Experiments: table1 table2 fig2 fig3 fig10 fig11 fig12 fig13 fig14
-// fig15a fig15b fig15c fig16 extras ycsb batch pipeline faults elastic
-// cache alloc replica tcp tcpfault tcppipe all quick (tcp, tcpfault and
-// tcppipe spawn real shermand processes and are not part of all)
+// Every experiment is one entry of the experiments registry below; -h lists
+// their ids and, for -check, the hard gate each gated experiment asserts.
 //
 // Machine-readable output and CI gating:
 //
 //	-json PATH            write the run's structured Report (tables + typed
 //	                      metrics) to PATH — the BENCH_*.json artifact
-//	-baseline PATH        after the run, fail (exit 1) when a batch or
-//	                      pipeline metric regressed more than -tolerance
-//	                      against the committed baseline report
+//	-baseline PATH        after the run, fail (exit 1) when a gate-marked
+//	                      metric regressed more than -tolerance against
+//	                      the committed baseline report
 //	-write-baseline PATH  write the fresh metrics as the new baseline
 //	-tolerance F          regression band (default 0.15 = 15%)
-//
-// -check adds experiment-specific hard assertions: with -exp pipeline, the
-// latency-hiding smoke (depth-4 beats depth-1); with -exp faults, the
-// crash-recovery smoke (a compute server killed mid-write leaves a
-// reclaimable lock, and the tree validates after recovery); with -exp
-// elastic, the scale-out gate (adding a memory server mid-run at least
-// halves the per-MS inbound-load skew and steady-state throughput reaches
-// 95% of a cluster provisioned at the larger size up front); with -exp
-// cache, the unified-cache gate (speculative leaf-direct reads cut round
-// trips per op well below cache-off, speculation validates >= 90% of the
-// time, and the multi-level cache beats the flat level-1-only baseline at
-// the same constrained budget); with -exp alloc, the zero-allocation gate
-// (steady-state cached gets and puts measure zero heap allocations per
-// operation against hard per-probe budgets); with -exp replica, the
-// replication gate (a memory server killed mid-window loses zero acked
-// writes — each tracked key reachable exactly once after failover and
-// re-replication — and factor-2 steady-state throughput stays within 90%
-// of the unreplicated control); with -exp tcpfault, the TCP fault gate (a
-// real shermand process SIGKILLed mid-window over the TCP transport loses
-// zero acked writes, at least one chunk fails over, and re-replication
-// restores full redundancy on the survivors); with -exp tcppipe, the
-// pipelining gate (at depth 8 both the client and the server put at least
-// 4 frames into each write syscall, and depth-8 pipelined read verbs over
-// real sockets take at most 1/1.5 of depth-1's us/verb).
+//	-check                after the run, evaluate the hard gate of every
+//	                      selected gated experiment; report each failure,
+//	                      then exit 1
 package main
 
 import (
@@ -62,16 +41,132 @@ import (
 	"sherman/internal/workload"
 )
 
+// An experiment is one -exp id. run renders its tables and adds its typed
+// metrics to col; a gated experiment also returns check, which evaluates
+// its gate on the result run produced. err is a failed run (a launch
+// failure, a worker's verb error), fatal with or without -check.
+type experiment struct {
+	id   string
+	all  bool   // part of -exp all
+	gate string // what check asserts; empty for an ungated experiment
+	run  func(s bench.Scale, col *bench.Collector) (tables []*bench.Table, check func() error, err error)
+}
+
+var experiments = []experiment{
+	{id: "table1", all: true, run: one(bench.Table1)},
+	{id: "table2", all: true, run: one(func(bench.Scale) *bench.Table { return bench.Table2() })},
+	{id: "fig2", all: true, run: one(bench.Fig2)},
+	{id: "fig3", all: true, run: one(bench.Fig3)},
+	{id: "fig10", all: true, run: many(func(s bench.Scale) []*bench.Table { return bench.Ablation(s, workload.Zipfian) })},
+	{id: "fig11", all: true, run: many(func(s bench.Scale) []*bench.Table { return bench.Ablation(s, workload.Uniform) })},
+	{id: "fig12", all: true, run: one(bench.Fig12)},
+	{id: "fig13", all: true, run: many(bench.Fig13)},
+	{id: "fig14", all: true, run: many(bench.Fig14)},
+	{id: "fig15a", all: true, run: one(func(s bench.Scale) *bench.Table { return bench.Fig15KeySize(s, workload.Uniform) })},
+	{id: "fig15b", all: true, run: one(func(s bench.Scale) *bench.Table { return bench.Fig15KeySize(s, workload.Zipfian) })},
+	{id: "fig15c", all: true, run: one(bench.Fig15Cache)},
+	{id: "fig16", all: true, run: one(bench.Fig16)},
+	{id: "extras", run: many(bench.Extras)},
+	{id: "ycsb", run: one(bench.YCSBSuite)},
+	{id: "batch", all: true, run: func(s bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {
+		return bench.BatchTables(s, col), nil, nil
+	}},
+	{id: "pipeline", all: true, gate: "depth-4 beats depth-1 for put and get (hiding > 1.5x)",
+		run: func(s bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {
+			return bench.PipelineTables(s, col), func() error { return bench.PipelineGate(col.Metrics) }, nil
+		}},
+	{id: "faults", all: true, gate: "a compute server killed at a put's commit doorbell leaves a lock a survivor reclaims, then the tree validates; every churn round validates",
+		run: func(s bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {
+			t, r := bench.FaultChurn(s, col)
+			return []*bench.Table{t}, func() error { return bench.FaultGate(s, &r) }, nil
+		}},
+	{id: "elastic", all: true, gate: "scale-out at least halves per-MS inbound skew; steady state within 95% of the provisioned control",
+		run: func(s bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {
+			t, r := bench.Elastic(s, col)
+			return []*bench.Table{t}, func() error { return bench.ElasticGate(&r) }, nil
+		}},
+	{id: "cache", all: true, gate: "leaf-direct speculation cuts RT/op vs cache-off and validates >= 90%; unified multi-level beats flat level-1-only at the same budget",
+		run: func(s bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {
+			t, r := bench.CacheSweep(s, col)
+			return []*bench.Table{t}, func() error { return bench.CacheGate(r) }, nil
+		}},
+	{id: "alloc", all: true, gate: "steady-state hot paths within hard budgets (cached get and put at 0 allocs/op)",
+		run: func(s bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {
+			return bench.AllocTables(s, col), func() error { return bench.AllocGate(col.Metrics) }, nil
+		}},
+	{id: "replica", all: true, gate: "zero acked writes lost to the mid-window MS kill, all reachable exactly once; factor-2 steady state within 90% of control",
+		run: func(s bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {
+			t, r := bench.Replica(s, col)
+			return []*bench.Table{t}, func() error { return bench.ReplicaGate(r) }, nil
+		}},
+	{id: "tcpfault", run: runTCPFault,
+		gate: "zero acked writes lost to a SIGKILLed shermand, all reachable exactly once; failover real, redundancy restored"},
+	{id: "tcppipe", run: runTCPPipe,
+		gate: fmt.Sprintf("at depth 8 client and server put >= %.0f frames into each write; depth-8 read verbs >= %.1fx depth-1's throughput",
+			tpMinFramesPerWrite, tpMinDepthSpeedup)},
+}
+
+// one adapts an ungated experiment that renders one table.
+func one(f func(bench.Scale) *bench.Table) func(bench.Scale, *bench.Collector) ([]*bench.Table, func() error, error) {
+	return func(s bench.Scale, _ *bench.Collector) ([]*bench.Table, func() error, error) {
+		return []*bench.Table{f(s)}, nil, nil
+	}
+}
+
+// many adapts an ungated experiment that renders several tables.
+func many(f func(bench.Scale) []*bench.Table) func(bench.Scale, *bench.Collector) ([]*bench.Table, func() error, error) {
+	return func(s bench.Scale, _ *bench.Collector) ([]*bench.Table, func() error, error) {
+		return f(s), nil, nil
+	}
+}
+
+// selectExperiments resolves a comma-separated -exp value, in which "all"
+// stands for every experiment marked all, and rejects an unknown id.
+func selectExperiments(spec string) ([]experiment, error) {
+	var sel []experiment
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(id)
+		n := len(sel)
+		for _, e := range experiments {
+			if e.id == id || (id == "all" && e.all) {
+				sel = append(sel, e)
+			}
+		}
+		if len(sel) == n {
+			return nil, fmt.Errorf("unknown experiment %q; valid: %s all", id, strings.Join(ids(false), " "))
+		}
+	}
+	return sel, nil
+}
+
+// ids lists the registry's ids in order, or only those -exp all runs.
+func ids(allOnly bool) []string {
+	var out []string
+	for _, e := range experiments {
+		if e.all || !allOnly {
+			out = append(out, e.id)
+		}
+	}
+	return out
+}
+
 func main() {
+	var gateHelp strings.Builder
+	for _, e := range experiments {
+		if e.gate != "" {
+			fmt.Fprintf(&gateHelp, "\n  %s: %s", e.id, e.gate)
+		}
+	}
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table1,table2,fig2,fig3,fig10,fig11,fig12,fig13,fig14,fig15a,fig15b,fig15c,fig16,extras,ycsb,batch,pipeline,faults,elastic,cache,alloc,replica,tcp,tcpfault,tcppipe,all,quick; tcp, tcpfault and tcppipe spawn real shermand processes and are not part of all)")
+		exp = flag.String("exp", "all", fmt.Sprintf("comma-separated experiment ids: %s; all = %s",
+			strings.Join(ids(false), " "), strings.Join(ids(true), " ")))
 		keys     = flag.Uint64("keys", 0, "key-space size (0 = scale default)")
 		windowMS = flag.Int("window", 0, "virtual measurement window in ms (0 = scale default)")
 		warmup   = flag.Int("warmup", 0, "warmup ops per thread (0 = scale default)")
 		threads  = flag.Int("threads", 0, "client threads per compute server (0 = scale default)")
 		quick    = flag.Bool("quick", false, "use the quick (CI-sized) scale")
 		runs     = flag.Int("runs", 0, "average each tree experiment over this many runs (0 = scale default)")
-		check    = flag.Bool("check", false, "run the hard assertions of the selected experiments (pipeline, faults)")
+		check    = flag.Bool("check", false, "after the run, evaluate the hard gate of every selected gated experiment; fail (exit 1) if any fails"+gateHelp.String())
 		jsonOut  = flag.String("json", "", "write the structured run report to this path")
 		baseline = flag.String("baseline", "", "regression-gate the run against this committed baseline report")
 		writeBas = flag.String("write-baseline", "", "write the fresh metrics as the new baseline report")
@@ -79,8 +174,13 @@ func main() {
 	)
 	flag.Parse()
 
+	exps, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	s := bench.FullScale()
-	if *quick || *exp == "quick" {
+	if *quick {
 		s = bench.QuickScale()
 	}
 	if *keys != 0 {
@@ -98,26 +198,32 @@ func main() {
 	if *runs != 0 {
 		s.Runs = *runs
 	}
-
-	ids := strings.Split(*exp, ",")
-	if *exp == "all" || *exp == "quick" {
-		ids = []string{"table1", "table2", "fig2", "fig3", "fig10", "fig11",
-			"fig12", "fig13", "fig14", "fig15a", "fig15b", "fig15c", "fig16",
-			"batch", "pipeline", "faults", "elastic", "cache", "alloc", "replica"}
-	}
 	fmt.Printf("# shermanbench: keys=%d threads/CS=%d window=%dms GOMAXPROCS=%d\n\n",
 		s.Keys, s.ThreadsPerCS, s.MeasureNS/1_000_000, runtime.GOMAXPROCS(0))
 
-	report := bench.NewReport(*exp, *quick || *exp == "quick", s)
+	report := bench.NewReport(*exp, *quick, s)
 	col := &bench.Collector{}
-	var churn *bench.FaultResult
-	var elastic *bench.ElasticResult
-	var cacheRes *bench.CacheResult
-	var replicaRes *bench.ReplicaResult
-	var tcpFaultRes *tcpFaultResult
-	var tcpPipeRes *tcpPipeResult
-	for _, id := range ids {
-		run(strings.TrimSpace(id), s, col, report, &churn, &elastic, &cacheRes, &replicaRes, &tcpFaultRes, &tcpPipeRes)
+	type gated struct {
+		experiment
+		check func() error
+	}
+	var gates []gated
+	var runErr error
+	for _, e := range exps {
+		start := time.Now()
+		tables, check, err := e.run(s, col)
+		for _, t := range tables {
+			fmt.Println(t)
+			report.Tables = append(report.Tables, t.ToJSON())
+		}
+		if err != nil {
+			runErr = err
+			break
+		}
+		fmt.Printf("(%s took %v)\n\n", e.id, time.Since(start).Round(time.Millisecond))
+		if check != nil {
+			gates = append(gates, gated{e, check})
+		}
 	}
 	report.Metrics = col.Metrics
 
@@ -127,6 +233,10 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s (%d metrics, %d tables)\n", *jsonOut, len(report.Metrics), len(report.Tables))
+	}
+	if runErr != nil {
+		fmt.Fprintln(os.Stderr, runErr)
+		os.Exit(1)
 	}
 	if *writeBas != "" {
 		// The baseline keeps only the typed metrics: it is a comparison
@@ -154,174 +264,16 @@ func main() {
 		}
 	}
 	if *check {
-		if err := runChecks(ids, s, col, churn, elastic, cacheRes, replicaRes, tcpFaultRes, tcpPipeRes); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			failed = true
+		for _, g := range gates {
+			if err := g.check(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				failed = true
+			} else {
+				fmt.Printf("%s gate: %s\n", g.id, g.gate)
+			}
 		}
 	}
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// runChecks executes the hard assertions of the selected experiments,
-// evaluating the results this invocation already produced (the pipeline
-// sweep's metrics, the fault churn's rounds) rather than re-running them.
-func runChecks(ids []string, s bench.Scale, col *bench.Collector, churn *bench.FaultResult, elastic *bench.ElasticResult, cacheRes *bench.CacheResult, replicaRes *bench.ReplicaResult, tcpFaultRes *tcpFaultResult, tcpPipeRes *tcpPipeResult) error {
-	for _, id := range ids {
-		switch strings.TrimSpace(id) {
-		case "pipeline":
-			if err := bench.PipelineGate(col.Metrics); err != nil {
-				return err
-			}
-			fmt.Println("pipeline gate: depth-4 beats depth-1 for put and get (hiding > 1.5x)")
-		case "faults":
-			if err := bench.FaultGate(s, churn); err != nil {
-				return err
-			}
-			fmt.Println("fault gate: mid-write crash reclaimed and recovered; churn rounds validate")
-		case "elastic":
-			if err := bench.ElasticGate(elastic); err != nil {
-				return err
-			}
-			fmt.Println("elastic gate: skew halved after scale-out; steady state within 95% of the provisioned control")
-		case "cache":
-			if err := bench.CacheGate(cacheRes); err != nil {
-				return err
-			}
-			fmt.Println("cache gate: leaf-direct speculation cuts RT/op vs cache-off; unified multi-level beats flat level-1-only")
-		case "alloc":
-			if err := bench.AllocGate(col.Metrics); err != nil {
-				return err
-			}
-			fmt.Println("alloc gate: steady-state hot paths within hard budgets (cached get and put at 0 allocs/op)")
-		case "replica":
-			if err := bench.ReplicaGate(replicaRes); err != nil {
-				return err
-			}
-			fmt.Println("replica gate: zero acked writes lost to the mid-window MS kill, all reachable exactly once; factor-2 steady state within 90% of control")
-		case "tcpfault":
-			if err := tcpFaultGate(tcpFaultRes); err != nil {
-				return err
-			}
-			fmt.Println("tcpfault gate: zero acked writes lost to the SIGKILLed shermand, all reachable exactly once; failover real, redundancy restored")
-		case "tcppipe":
-			if err := tcpPipeGate(tcpPipeRes); err != nil {
-				return err
-			}
-			fmt.Printf("tcppipe gate: depth-8 frames per write %.1f client / %.1f server (>= %.0f), %.1f us/verb vs %.1f at depth 1 (%.2fx, >= %.1fx)\n",
-				tcpPipeRes.ClientFramesPerWrite[8], tcpPipeRes.ServerFramesPerWrite[8], tpMinFramesPerWrite,
-				1/tcpPipeRes.VerbMops[8], 1/tcpPipeRes.VerbMops[1], tcpPipeRes.VerbMops[8]/tcpPipeRes.VerbMops[1], tpMinDepthSpeedup)
-		}
-	}
-	return nil
-}
-
-func run(id string, s bench.Scale, col *bench.Collector, report *bench.Report, churn **bench.FaultResult, elastic **bench.ElasticResult, cacheRes **bench.CacheResult, replicaRes **bench.ReplicaResult, tcpFaultRes **tcpFaultResult, tcpPipeRes **tcpPipeResult) {
-	start := time.Now()
-	var tables []*bench.Table
-	switch id {
-	case "table1":
-		tables = []*bench.Table{bench.Table1(s)}
-	case "table2":
-		tables = []*bench.Table{bench.Table2()}
-	case "fig2":
-		tables = []*bench.Table{bench.Fig2(s)}
-	case "fig3":
-		tables = []*bench.Table{bench.Fig3(s)}
-	case "fig10":
-		tables = bench.Ablation(s, workload.Zipfian)
-	case "fig11":
-		tables = bench.Ablation(s, workload.Uniform)
-	case "fig12":
-		tables = []*bench.Table{bench.Fig12(s)}
-	case "fig13":
-		tables = bench.Fig13(s)
-	case "fig14":
-		tables = bench.Fig14(s)
-	case "fig15a":
-		tables = []*bench.Table{bench.Fig15KeySize(s, workload.Uniform)}
-	case "fig15b":
-		tables = []*bench.Table{bench.Fig15KeySize(s, workload.Zipfian)}
-	case "fig15c":
-		tables = []*bench.Table{bench.Fig15Cache(s)}
-	case "fig16":
-		tables = []*bench.Table{bench.Fig16(s)}
-	case "extras":
-		tables = bench.Extras(s)
-	case "ycsb":
-		tables = []*bench.Table{bench.YCSBSuite(s)}
-	case "batch":
-		tables = bench.BatchTables(s, col)
-	case "pipeline":
-		tables = bench.PipelineTables(s, col)
-	case "faults":
-		t, r := bench.FaultChurn(s, col)
-		tables = []*bench.Table{t}
-		*churn = &r
-	case "elastic":
-		t, r := bench.Elastic(s, col)
-		tables = []*bench.Table{t}
-		*elastic = &r
-	case "cache":
-		t, r := bench.CacheSweep(s, col)
-		tables = []*bench.Table{t}
-		*cacheRes = r
-	case "alloc":
-		tables = bench.AllocTables(s, col)
-	case "replica":
-		t, r := bench.Replica(s, col)
-		tables = []*bench.Table{t}
-		*replicaRes = r
-	case "tcp":
-		// The differential is its own hard gate: any oracle mismatch (or a
-		// failed launch) fails the run regardless of -check.
-		t, err := runTCPDifferential()
-		if t != nil {
-			tables = []*bench.Table{t}
-		}
-		if err != nil {
-			for _, t := range tables {
-				fmt.Println(t)
-			}
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case "tcpfault":
-		// A run error (failed launch, worker verb error) fails regardless of
-		// -check; the semantic gate itself runs under -check.
-		t, r, err := runTCPFault()
-		if t != nil {
-			tables = []*bench.Table{t}
-		}
-		*tcpFaultRes = r
-		if err != nil {
-			for _, t := range tables {
-				fmt.Println(t)
-			}
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case "tcppipe":
-		// A run error (failed launch, worker verb error) fails regardless of
-		// -check; the scaling gate itself runs under -check.
-		ts, r, err := runTCPPipe(col)
-		tables = ts
-		*tcpPipeRes = r
-		if err != nil {
-			for _, t := range tables {
-				fmt.Println(t)
-			}
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
-		os.Exit(2)
-	}
-	for _, t := range tables {
-		fmt.Println(t)
-		report.Tables = append(report.Tables, t.ToJSON())
-	}
-	fmt.Printf("(%s took %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 }

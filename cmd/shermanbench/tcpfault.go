@@ -43,7 +43,7 @@ func tfStripeKey(worker int, j int64) uint64 {
 // the read-back can verify content, not just presence.
 func tfValue(k uint64) uint64 { return k*2654435761 + 1 }
 
-// tcpFaultResult is the outcome runChecks gates on.
+// tcpFaultResult is the outcome tcpFaultGate checks.
 type tcpFaultResult struct {
 	Victim int
 
@@ -60,7 +60,7 @@ type tcpFaultResult struct {
 	ValidateErr error
 }
 
-func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
+func runTCPFault(bench.Scale, *bench.Collector) ([]*bench.Table, func() error, error) {
 	const (
 		numMS    = 3
 		numCS    = 2
@@ -165,10 +165,10 @@ func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
 
 	// Steady window, factor-2, fault-free.
 	if _, err := window(steadyWindow, nil); err != nil { // warmup, discarded
-		return nil, res, err
+		return nil, nil, err
 	}
 	if res.SteadyMops, err = window(steadyWindow, nil); err != nil {
-		return nil, res, err
+		return nil, nil, err
 	}
 
 	// Kill window: SIGKILL the victim's process partway in, workers running.
@@ -179,10 +179,10 @@ func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
 	res.KillMops, err = window(killWindow, acked)
 	killTimer.Stop()
 	if err != nil {
-		return nil, res, err
+		return nil, nil, err
 	}
 	if res.KillErr != nil {
-		return nil, res, fmt.Errorf("tcpfault: killing ms%d: %w", res.Victim, res.KillErr)
+		return nil, nil, fmt.Errorf("tcpfault: killing ms%d: %w", res.Victim, res.KillErr)
 	}
 	st := c.ReplicationStats()
 	res.FailedOver, res.LostChunks = st.Failovers, st.LostChunks
@@ -195,7 +195,7 @@ func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
 	for i := 0; ; i++ {
 		rst, err := tree.ReReplicate(0)
 		if err != nil {
-			return nil, res, fmt.Errorf("tcpfault: re-replication: %w", err)
+			return nil, nil, fmt.Errorf("tcpfault: re-replication: %w", err)
 		}
 		res.RepairedChunks += rst.ChunksRepaired
 		if c.ReplicationStats().UnderReplicated == 0 || i >= 64 {
@@ -210,7 +210,7 @@ func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
 	// worker never acked may appear in its stripe.
 	check, err := tree.SessionAt(0)
 	if err != nil {
-		return nil, res, err
+		return nil, nil, err
 	}
 	for w := 0; w < workers; w++ {
 		cnt := acked[w]
@@ -219,7 +219,7 @@ func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
 			k := tfStripeKey(w, j)
 			v, ok, err := check.GetE(k)
 			if err != nil {
-				return nil, res, err
+				return nil, nil, err
 			}
 			if !ok || v != tfValue(k) {
 				res.LostAcked++
@@ -227,7 +227,7 @@ func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
 		}
 		kvs, err := check.ScanE(base, int(cnt)+8)
 		if err != nil {
-			return nil, res, err
+			return nil, nil, err
 		}
 		for j, kv := range kvs {
 			if kv.Key >= base+tfStripeSpan {
@@ -243,7 +243,7 @@ func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
 
 	// Recovered steady state, then the structural check.
 	if res.RecoveredMops, err = window(recoveredWindow, nil); err != nil {
-		return nil, res, err
+		return nil, nil, err
 	}
 	res.ValidateErr = tree.Validate()
 
@@ -263,7 +263,7 @@ func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
 			res.AckedWrites, res.LostAcked, res.DupOrPhantom, valid))
 	t.Note("the victim is a real OS process killed with SIGKILL; failover runs inside the detecting verb")
 	t.Note("wall-clock throughput is reported, not band-gated — the gate is zero lost acked writes")
-	return t, res, nil
+	return []*bench.Table{t}, func() error { return tcpFaultGate(res) }, nil
 }
 
 // tcpFaultGate is the CI check behind `shermanbench -exp tcpfault -check`:
@@ -272,9 +272,6 @@ func runTCPFault() (*bench.Table, *tcpFaultResult, error) {
 // over with none lost outright, repair must restore full redundancy on a
 // Validate-clean tree, and both fault windows must have made progress.
 func tcpFaultGate(r *tcpFaultResult) error {
-	if r == nil {
-		return fmt.Errorf("tcpfault gate: experiment did not run")
-	}
 	if r.AckedWrites == 0 {
 		return fmt.Errorf("tcpfault gate: kill window acknowledged no tracked writes")
 	}

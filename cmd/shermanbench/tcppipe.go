@@ -2,52 +2,29 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
-	"sherman"
 	"sherman/internal/bench"
 	"sherman/internal/transport"
 	"sherman/internal/transport/tcp"
 )
 
 // runTCPPipe is the -exp tcppipe experiment: real-socket pipelining against
-// 3 shermand processes, measured at two layers.
-//
-// The gated layer is the transport itself: a depth sweep (1/2/4/8) of
-// pipelined leaf-sized read verbs through the multiplexed connections'
-// async post/complete path (ReadAsync/Await — exactly what the pipelined
-// executor drives). The gate counts what pipelining is for: at depth 8 a
-// window of posted frames must leave the client in one write syscall and
-// its answers must leave the server in one (frames per write on both ends,
-// a count that repeats on any host), and that coalescing must still buy
-// wall-clock time (depth-8 us/verb at most depth-1's / 1.5 — a modest
-// ratio, because a depth-1 verb is one park per round trip and has little
-// waste left to amortize).
-//
-// The reported layer is end-to-end: each worker streams Submits through
-// depth-N sessions — futures held open across the executor's window, so
-// depth-N sessions genuinely keep N operations in flight per memory
-// server — timed in wall-clock Mops. The session-level scaling is reported
-// but not gated: a session op spends CPU on the B+tree client (seek, leaf
-// scan, executor) that a small host cannot overlap with the wire, so its
-// depth scaling is host-dependent in a way the verb layer's is not. There
-// is no simulator column: fresh sessions start at virtual time 0 behind the
-// horizon earlier rounds left, so a virtual-time span of the sweep measures
-// the fabric's age, not the depth (DESIGN.md §7).
+// 3 shermand processes, measured at the transport itself: a depth sweep
+// (1/2/4/8) of pipelined leaf-sized read verbs through the multiplexed
+// connections' async post/complete path (ReadAsync/Await — exactly what the
+// pipelined executor drives). The gate counts what pipelining is for: at
+// depth 8 a window of posted frames must leave the client in one write
+// syscall and its answers must leave the server in one (frames per write on
+// both ends, a count that repeats on any host), and that coalescing must
+// still buy wall-clock time (depth-8 us/verb at most depth-1's / 1.5 — a
+// modest ratio, because a depth-1 verb is one park per round trip and has
+// little waste left to amortize). End-to-end session timing over TCP is
+// the benchmark module's job (BENCHMARK.json's tcp-* workloads).
 
 const (
-	tpNumMS    = 3
-	tpNumCS    = 2
-	tpWorkers  = 2
-	tpPreload  = 160000 // enough keys for a 4-level tree: one internal level below the always-cached top
-	tpKeySpace = tpPreload * 2
-	tpGetOps   = 6000 // per worker per depth
-	tpMixedOps = 4000 // per worker per depth
-	tpWarmup   = 300  // untimed per-worker ops before each depth's windows
-	tpDrain    = 64   // streamed futures held open before a drain
-	tpReps     = 3    // timed repetitions per depth; best rep is reported
+	tpNumMS = 3
+	tpReps  = 3 // timed repetitions per depth; best rep is reported
 
 	tpVerbOps   = 20000 // pipelined read verbs per depth per rep
 	tpVerbSize  = 1024  // one default-node-sized read
@@ -64,15 +41,12 @@ const (
 	tpMinDepthSpeedup   = 1.5
 )
 
-// tcpPipeResult is the outcome runChecks gates on: per-depth pipelined verb
-// throughput and the frames each end put into one write syscall (the gate),
-// plus session get-phase and mixed-phase wall-clock throughput (reported).
+// tcpPipeResult is the outcome tcpPipeGate checks: per-depth pipelined verb
+// throughput and the frames each end put into one write syscall.
 type tcpPipeResult struct {
 	VerbMops             map[int]float64
 	ClientFramesPerWrite map[int]float64
 	ServerFramesPerWrite map[int]float64
-	TCPGetMops           map[int]float64
-	TCPMixedMops         map[int]float64
 }
 
 // tpVerbStream drives tpVerbOps pipelined read verbs at base's server
@@ -187,152 +161,21 @@ func tpServerCoalescing() (map[int]float64, error) {
 	return res, err
 }
 
-// tpPhase drives one worker's streamed window: ops operations submitted
-// through the session's pipeline with up to tpDrain futures open, mixed or
-// get-only. Returns the first error any future carried.
-func tpPhase(s *sherman.Session, r *rand.Rand, ops int, mixed bool) error {
-	// Rolling FIFO of open futures: once full, retire only the oldest before
-	// each submit, so the executor's window never drains — a stop-the-world
-	// drain every tpDrain ops would bubble the pipeline at exactly the
-	// depths the experiment is trying to measure.
-	futs := make([]*sherman.Future, tpDrain)
-	head, tail := 0, 0
-	for i := 0; i < ops; i++ {
-		key := uint64(r.Intn(tpKeySpace)) + 1
-		var op sherman.Op
-		switch v := r.Intn(100); {
-		case !mixed || v >= 50:
-			op = sherman.GetOp(key)
-		case v < 40:
-			op = sherman.PutOp(key, key*31+uint64(i))
-		default:
-			op = sherman.DeleteOp(key)
-		}
-		if tail-head >= tpDrain {
-			if res := futs[head%tpDrain].Wait(); res.Err != nil {
-				return res.Err
-			}
-			head++
-		}
-		futs[tail%tpDrain] = s.Submit(op)
-		tail++
-	}
-	for ; head < tail; head++ {
-		if res := futs[head%tpDrain].Wait(); res.Err != nil {
-			return res.Err
-		}
-	}
-	return s.Flush()
-}
-
-// tpSweep runs the full depth sweep on one tree, timing wall-clock seconds
-// across the concurrent workers.
-func tpSweep(tree *sherman.Tree) (get, mixed map[int]float64, err error) {
-	get, mixed = make(map[int]float64), make(map[int]float64)
-	seed := int64(1)
-	round := func(depth, ops int, isMixed bool, seed int64) (float64, error) {
-		var errMu sync.Mutex
-		var firstErr error
-		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < tpWorkers; w++ {
-			wg.Add(1)
-			go func(w int, seed int64) {
-				defer wg.Done()
-				s, err := tree.SessionAt(w%tpNumCS, sherman.PipelineDepth(depth))
-				if err == nil {
-					r := rand.New(rand.NewSource(seed))
-					if err = tpPhase(s, r, tpWarmup, isMixed); err == nil {
-						err = tpPhase(s, r, ops, isMixed)
-					}
-				}
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("tcppipe: depth %d worker %d: %w", depth, w, err)
-					}
-					errMu.Unlock()
-				}
-			}(w, seed+int64(w))
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return 0, firstErr
-		}
-		return float64(ops*tpWorkers) / time.Since(start).Seconds() / 1e6, nil
-	}
-	for _, depth := range tpDepths {
-		for phase := 0; phase < 2; phase++ {
-			isMixed := phase == 1
-			ops := tpGetOps
-			if isMixed {
-				ops = tpMixedOps
-			}
-			// Best of tpReps timed rounds: wall-clock loopback throughput on
-			// a shared host is noisy, and the per-depth best is the stable
-			// estimate of what each depth can actually sustain.
-			var best float64
-			for rep := 0; rep < tpReps; rep++ {
-				mops, err := round(depth, ops, isMixed, seed)
-				if err != nil {
-					return nil, nil, err
-				}
-				if mops > best {
-					best = mops
-				}
-				seed += tpWorkers
-			}
-			if isMixed {
-				mixed[depth] = best
-			} else {
-				get[depth] = best
-			}
-		}
-	}
-	return get, mixed, nil
-}
-
-func runTCPPipe(col *bench.Collector) ([]*bench.Table, *tcpPipeResult, error) {
+func runTCPPipe(_ bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {
+	// Pipelined read verbs through the multiplexed transport, timed against
+	// real shermand processes, then counted on both ends.
 	res := &tcpPipeResult{}
-
-	// Gated half: pipelined read verbs through the multiplexed transport,
-	// timed against real shermand processes, then counted on both ends.
-	{
-		ls, err := tcp.LaunchLocal(tpNumMS)
-		if err != nil {
-			return nil, nil, fmt.Errorf("tcppipe: launch: %w", err)
-		}
-		res.VerbMops, res.ClientFramesPerWrite, err = tpVerbSweep(ls.Endpoints, nil)
-		ls.Stop()
-		if err != nil {
-			return nil, nil, err
-		}
-		if res.ServerFramesPerWrite, err = tpServerCoalescing(); err != nil {
-			return nil, nil, err
-		}
+	ls, err := tcp.LaunchLocal(tpNumMS)
+	if err != nil {
+		return nil, nil, fmt.Errorf("tcppipe: launch: %w", err)
 	}
-
-	// TCP session half: three real shermand processes.
-	{
-		c, err := sherman.NewCluster(sherman.ClusterConfig{
-			MemoryServers:  tpNumMS,
-			ComputeServers: tpNumCS,
-			Transport:      sherman.TransportTCP,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("tcppipe: %w", err)
-		}
-		defer c.Close()
-		tree, err := c.CreateTree(sherman.TreeOptions{CacheLevels: -1})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := tpBulkload(tree); err != nil {
-			return nil, nil, err
-		}
-		if res.TCPGetMops, res.TCPMixedMops, err = tpSweep(tree); err != nil {
-			return nil, nil, err
-		}
+	res.VerbMops, res.ClientFramesPerWrite, err = tpVerbSweep(ls.Endpoints, nil)
+	ls.Stop()
+	if err != nil {
+		return nil, nil, err
+	}
+	if res.ServerFramesPerWrite, err = tpServerCoalescing(); err != nil {
+		return nil, nil, err
 	}
 
 	vt := bench.NewTable(fmt.Sprintf("TCP pipelined read verbs: depth sweep over %d shermand processes (the -check gate)", tpNumMS),
@@ -352,33 +195,7 @@ func runTCPPipe(col *bench.Collector) ([]*bench.Table, *tcpPipeResult, error) {
 	vt.Note("gate: depth-8 frames/write >= %.0f on both ends, depth-8 us/verb <= depth-1 / %.1f (measured %.1f vs %.1f us/verb, %.2fx)",
 		tpMinFramesPerWrite, tpMinDepthSpeedup, 1/res.VerbMops[8], 1/res.VerbMops[1], res.VerbMops[8]/res.VerbMops[1])
 
-	t := bench.NewTable(fmt.Sprintf("TCP sessions: depth sweep over %d shermand processes, %d workers", tpNumMS, tpWorkers),
-		"depth", "tcp get Mops", "tcp mixed Mops", "tcp get kops/thread")
-	for _, d := range tpDepths {
-		t.Addf(fmt.Sprintf("%d", d),
-			fmt.Sprintf("%.3f", res.TCPGetMops[d]),
-			fmt.Sprintf("%.3f", res.TCPMixedMops[d]),
-			fmt.Sprintf("%.1f", res.TCPGetMops[d]*1e3/tpWorkers))
-		col.Add(bench.Metric{Exp: "tcppipe", Name: fmt.Sprintf("tcppipe/tcp_get_d%d", d),
-			Mops: res.TCPGetMops[d], KopsPerThread: res.TCPGetMops[d] * 1e3 / tpWorkers})
-		col.Add(bench.Metric{Exp: "tcppipe", Name: fmt.Sprintf("tcppipe/tcp_mixed_d%d", d),
-			Mops: res.TCPMixedMops[d], KopsPerThread: res.TCPMixedMops[d] * 1e3 / tpWorkers})
-	}
-	if d1, d8 := res.TCPGetMops[1], res.TCPGetMops[8]; d1 > 0 {
-		t.Note("session get scaling depth-8/depth-1: %.2fx (reported, not gated: session CPU is host-dependent)", d8/d1)
-	}
-	t.Note("cache-cold gets (2 dependent round trips), wall-clock over real sockets")
-	t.Note("futures stream through the executor window: depth-N sessions hold N ops physically in flight per server")
-	return []*bench.Table{vt, t}, res, nil
-}
-
-// tpBulkload seeds the tree with the preload working set.
-func tpBulkload(tree *sherman.Tree) error {
-	kvs := make([]sherman.KV, 0, tpPreload)
-	for k := uint64(1); k <= tpPreload; k++ {
-		kvs = append(kvs, sherman.KV{Key: k * 2, Value: k * 31})
-	}
-	return tree.Bulkload(kvs)
+	return []*bench.Table{vt}, func() error { return tcpPipeGate(res) }, nil
 }
 
 // tcpPipeGate is the CI check behind `shermanbench -exp tcppipe -check`:
@@ -389,9 +206,6 @@ func tpBulkload(tree *sherman.Tree) error {
 // / tpMinDepthSpeedup; the ratio divides out host speed, and it is modest
 // because the depth-1 verb it divides by has no hand-offs left to amortize.
 func tcpPipeGate(r *tcpPipeResult) error {
-	if r == nil {
-		return fmt.Errorf("tcppipe gate: experiment did not run")
-	}
 	d1, d8 := r.VerbMops[1], r.VerbMops[8]
 	if d1 <= 0 || d8 <= 0 {
 		return fmt.Errorf("tcppipe gate: missing verb depth rows (d1=%.3f d8=%.3f)", d1, d8)
