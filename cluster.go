@@ -19,11 +19,13 @@ const (
 	// default.
 	TransportSim = "sim"
 	// TransportTCP runs against real memory-server processes (cmd/shermand)
-	// over TCP with real clocks. Replication and memory-server failover are
-	// real here — a membership service heartbeats the servers, and
-	// KillMemoryServer SIGKILLs a launched process. Compute-side fault
-	// injection, elasticity, and live migration are sim-only; their methods
-	// return ErrSimOnly.
+	// over TCP with real clocks. Replication, memory-server failover and
+	// live migration are real here — a membership service heartbeats the
+	// servers, KillMemoryServer SIGKILLs a launched process, and Rebalance
+	// and DrainMemoryServer move chunks between running servers.
+	// Compute-side fault injection and admitting a memory server
+	// (AddMemoryServer, MaxMemoryServers) are sim-only; they return
+	// ErrSimOnly.
 	TransportTCP = "tcp"
 )
 
@@ -31,8 +33,9 @@ var (
 	// ErrBadFabricParams rejects a FabricParams field that is out of range
 	// for the selected transport; the error message names the field.
 	ErrBadFabricParams = errors.New("sherman: bad fabric parameter")
-	// ErrSimOnly rejects an operation (fault injection, replication,
-	// elasticity) on a cluster whose transport is a real network.
+	// ErrSimOnly rejects an operation (compute-side fault injection,
+	// admitting a memory server) on a cluster whose transport is a real
+	// network.
 	ErrSimOnly = errors.New("sherman: operation requires the simulated transport")
 )
 

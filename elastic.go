@@ -20,7 +20,7 @@ import (
 // placing new chunks on it immediately; existing data moves only when a
 // Rebalance (or DrainMemoryServer) migrates it. The cluster's scale-out
 // capacity is fixed at creation (MaxMemoryServers); beyond it an error is
-// returned.
+// returned. Sim-only: a TCP cluster's endpoint list is fixed.
 func (c *Cluster) AddMemoryServer() (int, error) {
 	if c.cl == nil {
 		return 0, fmt.Errorf("%w: AddMemoryServer", ErrSimOnly)
@@ -46,27 +46,23 @@ func (t *Tree) Rebalance(via int) (MigrationStats, error) {
 	return migrationStats(st), err
 }
 
-// DrainMemoryServer migrates every tree's data off memory server ms and
-// marks it as draining, so allocators place nothing new there — the
-// scale-in half of elasticity, driven from compute server via. The server
-// remains addressable (migrated originals stay as forwarding tombstones)
-// but holds no live data when the call returns.
+// DrainMemoryServer marks memory server ms as draining, so allocators place
+// nothing new there, and migrates every tree's data off it — the scale-in
+// half of elasticity, driven from compute server via. The server remains
+// addressable (migrated originals stay as forwarding tombstones) but holds
+// no live data when the call returns. Draining the last server placement
+// could still use is refused, whether or not any tree exists.
 func (c *Cluster) DrainMemoryServer(ms, via int) (MigrationStats, error) {
-	if c.cl == nil {
-		return MigrationStats{}, fmt.Errorf("%w: DrainMemoryServer", ErrSimOnly)
-	}
-	if ms < 0 || ms >= c.cl.NumMS() {
-		return MigrationStats{}, fmt.Errorf("sherman: memory server %d not in [0,%d)", ms, c.cl.NumMS())
-	}
 	var total MigrationStats
+	if err := c.checkMigrator(via); err != nil {
+		return total, err
+	}
+	if err := c.st.SetDraining(ms, true); err != nil {
+		return total, fmt.Errorf("sherman: %w", err)
+	}
 	c.treeMu.Lock()
 	trees := append([]*Tree(nil), c.trees...)
 	c.treeMu.Unlock()
-	if len(trees) == 0 {
-		// No trees: just mark it; there is nothing to move.
-		c.cl.SetDraining(ms, true)
-		return total, nil
-	}
 	for _, t := range trees {
 		var st migrate.Stats
 		err := t.runMigration(via, func(e *migrate.Engine) error {
@@ -85,16 +81,8 @@ func (c *Cluster) DrainMemoryServer(ms, via int) (MigrationStats, error) {
 // runMigration runs fn over a fresh engine on compute server via,
 // converting a mid-migration crash of via into ErrSessionDead.
 func (t *Tree) runMigration(via int, fn func(*migrate.Engine) error) (err error) {
-	if t.c.cl == nil {
-		// Live migration leans on the simulator's load accounting and
-		// failover hooks; over a real network it is future work.
-		return fmt.Errorf("%w: migration", ErrSimOnly)
-	}
-	if via < 0 || via >= t.c.ComputeServers() {
-		return fmt.Errorf("%w: %d not in [0,%d)", ErrBadComputeServer, via, t.c.ComputeServers())
-	}
-	if !t.c.ComputeServerAlive(via) {
-		return fmt.Errorf("%w: migration must run on a live compute server", ErrSessionDead)
+	if err := t.c.checkMigrator(via); err != nil {
+		return err
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -111,6 +99,17 @@ func (t *Tree) runMigration(via int, fn func(*migrate.Engine) error) (err error)
 	// Tree.Recover).
 	t.c.anchorClock(h)
 	return fn(migrate.New(h, migrate.Options{}))
+}
+
+// checkMigrator rejects a compute server that cannot drive a migration.
+func (c *Cluster) checkMigrator(via int) error {
+	if via < 0 || via >= c.ComputeServers() {
+		return fmt.Errorf("%w: %d not in [0,%d)", ErrBadComputeServer, via, c.ComputeServers())
+	}
+	if !c.ComputeServerAlive(via) {
+		return fmt.Errorf("%w: migration must run on a live compute server", ErrSessionDead)
+	}
+	return nil
 }
 
 // MigrationStats reports one Rebalance or DrainMemoryServer run.

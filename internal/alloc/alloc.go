@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"sherman/internal/rdma"
 	"sherman/internal/transport"
 )
 
@@ -26,9 +25,11 @@ type Stats struct {
 	Nodes atomic.Int64
 }
 
-// placement is the topology view chunk placement decisions run over: both a
-// client Transport and a raw Grower satisfy it.
-type placement interface {
+// Placement is the view chunk placement decisions run over: the server
+// count and which servers may receive new chunks. The deployment's
+// compute-side state (deploy.State) supplies it, since draining is a
+// compute-side decision (§4.2.4 puts allocation policy with the clients).
+type Placement interface {
 	NumMS() int
 	MSUsable(ms int) bool
 }
@@ -40,10 +41,11 @@ type placement interface {
 // soon as they join, and never on draining ones.
 type ThreadAllocator struct {
 	c      transport.Transport
+	view   Placement
 	stats  *Stats
 	nextMS int
 
-	cur rdma.Addr
+	cur transport.Addr
 	rem uint64
 
 	rep *ReplicaMap
@@ -57,13 +59,15 @@ func (a *ThreadAllocator) SetReplication(rep *ReplicaMap, factor int) {
 	a.rep, a.rf = rep, factor
 }
 
-// NewThreadAllocator creates an allocator for client thread c. startMS
-// staggers the round-robin origin so threads do not stampede one server;
-// pass e.g. the thread index.
-func NewThreadAllocator(c transport.Transport, stats *Stats, startMS int) *ThreadAllocator {
-	numMS := c.NumMS()
+// NewThreadAllocator creates an allocator for client thread c, placing
+// chunks on the servers view reports usable. startMS staggers the
+// round-robin origin so threads do not stampede one server; pass e.g. the
+// thread index.
+func NewThreadAllocator(c transport.Transport, view Placement, stats *Stats, startMS int) *ThreadAllocator {
+	numMS := view.NumMS()
 	return &ThreadAllocator{
 		c:      c,
+		view:   view,
 		stats:  stats,
 		nextMS: ((startMS % numMS) + numMS) % numMS,
 	}
@@ -72,12 +76,12 @@ func NewThreadAllocator(c transport.Transport, stats *Stats, startMS int) *Threa
 // Alloc returns the address of a fresh size-byte region of disaggregated
 // memory. It falls back to a chunk RPC only when the current chunk is
 // exhausted.
-func (a *ThreadAllocator) Alloc(size int) rdma.Addr {
-	if size <= 0 || size > rdma.DefaultChunkSize {
+func (a *ThreadAllocator) Alloc(size int) transport.Addr {
+	if size <= 0 || size > transport.DefaultChunkSize {
 		panic(fmt.Sprintf("alloc: bad allocation size %d", size))
 	}
 	sz := (uint64(size) + nodeAlign - 1) &^ (nodeAlign - 1)
-	if a.rem > 0 && !a.c.MSUsable(int(a.cur.MS())) {
+	if a.rem > 0 && !a.view.MSUsable(int(a.cur.MS())) {
 		// The current chunk's server started draining or died: abandon
 		// the remainder so no new node lands on a server being scaled in
 		// (or on dead memory that discards every write).
@@ -98,7 +102,7 @@ func (a *ThreadAllocator) Alloc(size int) rdma.Addr {
 // refill obtains a new chunk from the next non-draining memory server in
 // round-robin order via the memory thread RPC.
 func (a *ThreadAllocator) refill() {
-	ms := uint16(nextPlacement(a.c, &a.nextMS))
+	ms := uint16(nextPlacement(a.view, &a.nextMS))
 	base := a.c.GrowChunk(ms)
 	if !a.c.MSAlive(int(ms)) {
 		// The server died during (or just before) the growth RPC. A chunk
@@ -112,8 +116,8 @@ func (a *ThreadAllocator) refill() {
 	a.cur, a.rem = chunkStart(ms, base)
 	a.stats.Chunks.Add(1)
 	if a.rep != nil && a.rf > 1 {
-		ck := ChunkID{MS: ms, Index: base / rdma.DefaultChunkSize}
-		a.rep.Register(ck, placeReplicas(a.c, ms, a.rf-1, a.c.GrowChunk)...)
+		ck := ChunkID{MS: ms, Index: base / transport.DefaultChunkSize}
+		a.rep.Register(ck, placeReplicas(a.view, ms, a.rf-1, a.c.GrowChunk)...)
 		if !a.c.MSAlive(int(ms)) {
 			// Died between the liveness check above and registration: the
 			// failover sweep may have missed this chunk. Nothing was carved
@@ -132,8 +136,8 @@ func (a *ThreadAllocator) refill() {
 // chosen server (RPC-timed or raw, per caller). Fewer than want servers
 // qualifying yields an under-replicated chunk the background re-replicator
 // repairs once capacity appears.
-func placeReplicas(view placement, ms uint16, want int, grow func(uint16) uint64) []rdma.Addr {
-	var bases []rdma.Addr
+func placeReplicas(view Placement, ms uint16, want int, grow func(uint16) uint64) []transport.Addr {
+	var bases []transport.Addr
 	n := view.NumMS()
 	cursor := (int(ms) + 1) % n
 	for i := 0; i < n && len(bases) < want; i++ {
@@ -146,7 +150,7 @@ func placeReplicas(view placement, ms uint16, want int, grow func(uint16) uint64
 		if !view.MSUsable(rms) {
 			continue // died during the growth: its base names no fresh memory
 		}
-		bases = append(bases, rdma.MakeAddr(uint16(rms), base))
+		bases = append(bases, transport.MakeAddr(uint16(rms), base))
 	}
 	return bases
 }
@@ -158,10 +162,7 @@ func placeReplicas(view placement, ms uint16, want int, grow func(uint16) uint64
 // registered — the migration engine calls this for fresh forwarding-target
 // chunks, which bypass the allocators, and a reused target is already
 // covered.
-func RegisterPlaced(rep *ReplicaMap, view interface {
-	NumMS() int
-	MSUsable(ms int) bool
-}, ck ChunkID, want int, grow func(uint16) uint64) {
+func RegisterPlaced(rep *ReplicaMap, view Placement, ck ChunkID, want int, grow func(uint16) uint64) {
 	if rep == nil || want <= 0 || rep.Registered(ck) {
 		return
 	}
@@ -172,7 +173,7 @@ func RegisterPlaced(rep *ReplicaMap, view interface {
 // to accept allocations — live and not draining — falling back to plain
 // round-robin when no server qualifies (scale-in must never wedge the
 // allocator).
-func nextPlacement(view placement, cursor *int) int {
+func nextPlacement(view Placement, cursor *int) int {
 	n := view.NumMS()
 	*cursor %= n
 	for i := 0; i < n; i++ {
@@ -191,11 +192,11 @@ func nextPlacement(view placement, cursor *int) int {
 // very first bytes of memory server 0 would form address 0 — the nil
 // pointer — so that region is skipped (deployments normally reserve it for
 // the superblock anyway).
-func chunkStart(ms uint16, base uint64) (rdma.Addr, uint64) {
+func chunkStart(ms uint16, base uint64) (transport.Addr, uint64) {
 	if ms == 0 && base == 0 {
-		return rdma.MakeAddr(ms, nodeAlign), rdma.DefaultChunkSize - nodeAlign
+		return transport.MakeAddr(ms, nodeAlign), transport.DefaultChunkSize - nodeAlign
 	}
-	return rdma.MakeAddr(ms, base), rdma.DefaultChunkSize
+	return transport.MakeAddr(ms, base), transport.DefaultChunkSize
 }
 
 // Bulk is a setup-time allocator used for bulk loading: it grows server
@@ -203,8 +204,9 @@ func chunkStart(ms uint16, base uint64) (rdma.Addr, uint64) {
 // It is not safe for concurrent use.
 type Bulk struct {
 	g     transport.Grower
+	view  Placement
 	next  int
-	cur   []rdma.Addr // per-MS open-chunk cursor
+	cur   []transport.Addr // per-MS open-chunk cursor
 	rem   []uint64
 	stats *Stats
 
@@ -219,11 +221,13 @@ func (b *Bulk) SetReplication(rep *ReplicaMap, factor int) {
 	b.rep, b.rf = rep, factor
 }
 
-// NewBulk creates a bulk-load allocator over the cluster's raw growth view.
-func NewBulk(g transport.Grower, stats *Stats) *Bulk {
+// NewBulk creates a bulk-load allocator over the cluster's raw growth path,
+// placing chunks on the servers view reports usable.
+func NewBulk(g transport.Grower, view Placement, stats *Stats) *Bulk {
 	return &Bulk{
 		g:     g,
-		cur:   make([]rdma.Addr, g.NumMS()),
+		view:  view,
+		cur:   make([]transport.Addr, g.NumMS()),
 		rem:   make([]uint64, g.NumMS()),
 		stats: stats,
 	}
@@ -238,8 +242,8 @@ func NewBulk(g transport.Grower, stats *Stats) *Bulk {
 // put every leaf behind a single NIC, making that NIC's inbound pipeline
 // the whole fabric's bound — a placement artifact of the scaling, not a
 // property of the system.
-func (b *Bulk) Alloc(size int) rdma.Addr {
-	if size <= 0 || size > rdma.DefaultChunkSize {
+func (b *Bulk) Alloc(size int) transport.Addr {
+	if size <= 0 || size > transport.DefaultChunkSize {
 		panic(fmt.Sprintf("alloc: bad bulk allocation size %d", size))
 	}
 	sz := (uint64(size) + nodeAlign - 1) &^ (nodeAlign - 1)
@@ -260,10 +264,10 @@ func (b *Bulk) Alloc(size int) rdma.Addr {
 
 // place picks the server of the next allocation.
 func (b *Bulk) place() int {
-	ms := nextPlacement(b.g, &b.next)
+	ms := nextPlacement(b.view, &b.next)
 	for ms >= len(b.cur) {
 		// The fabric grew since this Bulk was created.
-		b.cur = append(b.cur, rdma.NilAddr)
+		b.cur = append(b.cur, transport.NilAddr)
 		b.rem = append(b.rem, 0)
 	}
 	return ms
@@ -281,8 +285,8 @@ func (b *Bulk) refill(ms int) bool {
 		return false
 	}
 	if b.rep != nil && b.rf > 1 {
-		ck := ChunkID{MS: uint16(ms), Index: base / rdma.DefaultChunkSize}
-		b.rep.Register(ck, placeReplicas(b.g, uint16(ms), b.rf-1, b.g.GrowChunkRaw)...)
+		ck := ChunkID{MS: uint16(ms), Index: base / transport.DefaultChunkSize}
+		b.rep.Register(ck, placeReplicas(b.view, uint16(ms), b.rf-1, b.g.GrowChunkRaw)...)
 		if !b.g.MSAlive(ms) {
 			b.rep.Drop(ck)
 			return false

@@ -13,10 +13,15 @@ func newTestFabric(numMS int) *rdma.Fabric {
 	return rdma.NewFabric(sim.DefaultParams(), numMS, 2)
 }
 
+// everyLive is the placement view of a fabric with nothing draining.
+type everyLive struct{ *rdma.Fabric }
+
+func (v everyLive) MSUsable(ms int) bool { return v.MSAlive(ms) }
+
 func TestThreadAllocatorAlignmentAndDistinctness(t *testing.T) {
 	f := newTestFabric(2)
 	var st Stats
-	a := NewThreadAllocator(f.NewClient(0), &st, 0)
+	a := NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
 
 	seen := map[rdma.Addr]bool{}
 	for i := 0; i < 1000; i++ {
@@ -40,7 +45,7 @@ func TestChunkRPCRate(t *testing.T) {
 	f := newTestFabric(1)
 	var st Stats
 	c := f.NewClient(0)
-	a := NewThreadAllocator(c, &st, 0)
+	a := NewThreadAllocator(c, everyLive{f}, &st, 0)
 
 	// The first chunk on MS 0 loses 64 B to the nil-address carve-out, so
 	// one fewer full node fits.
@@ -65,7 +70,7 @@ func TestChunkRPCRate(t *testing.T) {
 func TestRoundRobinAcrossServers(t *testing.T) {
 	f := newTestFabric(4)
 	var st Stats
-	a := NewThreadAllocator(f.NewClient(0), &st, 1)
+	a := NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 1)
 
 	var order []uint16
 	for i := 0; i < 9; i++ {
@@ -95,7 +100,7 @@ func TestRoundRobinAcrossServers(t *testing.T) {
 func TestAllocationsNeverSpanChunks(t *testing.T) {
 	f := newTestFabric(1)
 	var st Stats
-	a := NewThreadAllocator(f.NewClient(0), &st, 0)
+	a := NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
 	sizes := []int{1024, 4096, 64, 8128, 333, 1 << 20}
 	for round := 0; round < 200; round++ {
 		size := sizes[round%len(sizes)]
@@ -114,7 +119,7 @@ func TestAllocationsNeverSpanChunks(t *testing.T) {
 func TestAllocBadSizesPanic(t *testing.T) {
 	f := newTestFabric(1)
 	var st Stats
-	a := NewThreadAllocator(f.NewClient(0), &st, 0)
+	a := NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
 	for _, size := range []int{0, -1, rdma.DefaultChunkSize + 1} {
 		func() {
 			defer func() {
@@ -140,7 +145,7 @@ func TestConcurrentAllocatorsDisjoint(t *testing.T) {
 		wg.Add(1)
 		go func(th int) {
 			defer wg.Done()
-			a := NewThreadAllocator(f.NewClient(th%2), &st, th)
+			a := NewThreadAllocator(f.NewClient(th%2), everyLive{f}, &st, th)
 			for i := 0; i < allocs; i++ {
 				results[th] = append(results[th], a.Alloc(1024))
 			}
@@ -166,7 +171,7 @@ func TestConcurrentAllocatorsDisjoint(t *testing.T) {
 // bulkloaded tree lands spread out.
 func TestBulkSpreadsServers(t *testing.T) {
 	f := newTestFabric(4)
-	b := NewBulk(f, nil)
+	b := NewBulk(f, everyLive{f}, nil)
 	perChunk := rdma.DefaultChunkSize / 1024
 	hit := map[uint16]bool{}
 	for i := 0; i < 4*perChunk; i++ {
@@ -182,7 +187,7 @@ func TestBulkSpreadsServers(t *testing.T) {
 func TestBulkNoTimeAccounting(t *testing.T) {
 	f := newTestFabric(1)
 	var st Stats
-	b := NewBulk(f, &st)
+	b := NewBulk(f, everyLive{f}, &st)
 	for i := 0; i < 100; i++ {
 		b.Alloc(2048)
 	}
@@ -199,7 +204,7 @@ func TestBulkNoTimeAccounting(t *testing.T) {
 func TestAllocPropertyAligned(t *testing.T) {
 	f := newTestFabric(2)
 	var st Stats
-	a := NewThreadAllocator(f.NewClient(0), &st, 0)
+	a := NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
 	fn := func(raw uint16) bool {
 		size := int(raw)%8192 + 1
 		addr := a.Alloc(size)
@@ -288,7 +293,7 @@ func TestBulkBornDead(t *testing.T) {
 	for _, rf := range []int{0, 2} {
 		for n := 1; n <= 12; n++ {
 			g := &dyingGrower{grown: make([]uint64, 3), dead: make([]bool, 3), n: n}
-			b := NewBulk(g, nil)
+			b := NewBulk(g, g, nil)
 			if rf > 1 {
 				g.rep = NewReplicaMap()
 				b.SetReplication(g.rep, rf)

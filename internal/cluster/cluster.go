@@ -1,8 +1,8 @@
 // Package cluster assembles the simulated disaggregated-memory cluster:
 // memory servers, compute servers and the virtual-time RDMA fabric between
 // them. Everything compute-side that does not depend on the fabric — the
-// superblock, forwarding, replicas, failover promotion, allocator wiring —
-// is the embedded deploy.State.
+// superblock, forwarding, replicas, failover promotion, allocator wiring and
+// placement, draining included — is the embedded deploy.State.
 package cluster
 
 import (
@@ -90,12 +90,6 @@ func (c *Cluster) KillMS(ms int) error {
 // MSAlive reports whether memory server ms is live.
 func (c *Cluster) MSAlive(ms int) bool { return c.F.Faults.MSAlive(ms) }
 
-// MSUsable reports whether memory server ms should receive new placements:
-// live and not draining.
-func (c *Cluster) MSUsable(ms int) bool {
-	return c.F.Faults.MSAlive(ms) && !c.F.Servers()[ms].Draining()
-}
-
 // NumMS returns the current memory-server count.
 func (c *Cluster) NumMS() int { return c.F.NumServers() }
 
@@ -109,12 +103,6 @@ func (c *Cluster) AddMS() (int, error) {
 		return 0, err
 	}
 	return int(s.ID), nil
-}
-
-// SetDraining marks memory server ms as scaling in (or back): allocators
-// skip it. The migration engine moves its contents elsewhere.
-func (c *Cluster) SetDraining(ms int, v bool) {
-	c.F.Servers()[ms].SetDraining(v)
 }
 
 // NumCS returns the compute-server count.
@@ -142,7 +130,7 @@ func (c *Cluster) Loads() []stats.MSLoad {
 			MS:       i,
 			Ops:      s.InboundOps(),
 			ChunkOps: s.ChunkOps(),
-			Draining: s.Draining(),
+			Draining: c.Draining(i),
 			Dead:     s.Dead(),
 		}
 	}
@@ -157,6 +145,10 @@ func (c *Cluster) Loads() []stats.MSLoad {
 func (c *Cluster) Kill(cs int, nowV int64) {
 	c.F.Faults.Kill(cs, nowV)
 }
+
+// CSAlive reports whether a client of the given incarnation on compute
+// server cs may still issue verbs.
+func (c *Cluster) CSAlive(cs int, epoch int64) bool { return c.F.Faults.Alive(cs, epoch) }
 
 // Restart revives compute server cs under a new incarnation. Clients (and
 // sessions) created before the crash stay dead; create fresh ones.

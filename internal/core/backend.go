@@ -3,7 +3,6 @@ package core
 import (
 	"sherman/internal/alloc"
 	"sherman/internal/hocl"
-	"sherman/internal/rdma"
 	"sherman/internal/stats"
 	"sherman/internal/transport"
 )
@@ -16,11 +15,11 @@ import (
 // Two implementations exist: *cluster.Cluster (the simulated deployment —
 // the default) and the TCP cluster of internal/transport/tcp (real memory-
 // server processes). Each supplies the fabric half itself (NewTransport,
-// NewLockManager, NumCS/NumMS, MSAlive/MSUsable, Loads) and gets the rest by
-// embedding the one deploy.State. Core reaches all of it through this
-// interface; the single place it inspects the backend's concrete type is
-// Tree.Cluster() in migrate.go, the escape hatch to the simulator's fault
-// injector and migration orchestration, which reports nil on a real network.
+// NewLockManager, NumCS/NumMS, MSAlive, CSAlive, Loads) and gets the rest —
+// placement (MSUsable, SetDraining), forwarding, replicas, the migration
+// lock — by embedding the one deploy.State. Core and the migration engine
+// reach all of it through this interface and never inspect the backend's
+// concrete type, so a decorator that embeds a Backend loses nothing.
 type Backend interface {
 	// NewTransport creates one client thread's verb surface, bound to
 	// compute server cs.
@@ -37,19 +36,19 @@ type Backend interface {
 
 	// SetRoot stores the superblock root pointer and level without timing;
 	// bulk load uses it before client threads start.
-	SetRoot(root rdma.Addr, level uint8)
+	SetRoot(root transport.Addr, level uint8)
 	// RawWrite stores every op without timing, mirrored to each op's chunk
 	// replicas when replicating — setup-time writes (bulk load, compaction,
 	// free bits) must be failover-covered like any client write. The batch
 	// travels together: ops to one server apply in order, nothing orders
 	// ops to different servers.
-	RawWrite(ops ...rdma.WriteOp)
+	RawWrite(ops ...transport.WriteOp)
 	// RawRead fills every op's buffer without timing, chasing the
 	// forwarding map for ops whose server is dead.
-	RawRead(ops ...rdma.ReadOp)
+	RawRead(ops ...transport.ReadOp)
 	// RawRoot loads the superblock root pointer and level hint without
 	// timing.
-	RawRoot() (rdma.Addr, uint8)
+	RawRoot() (transport.Addr, uint8)
 
 	// Forwarding is the chunk forwarding map shared by migration and
 	// failover promotion.
@@ -69,9 +68,16 @@ type Backend interface {
 	// MSUsable reports whether ms should receive new placements (alive and
 	// not draining).
 	MSUsable(ms int) bool
+	// SetDraining marks memory server ms as scaling in (or back), so
+	// placement skips it; it refuses to drain the last usable server.
+	SetDraining(ms int, v bool) error
 	// Loads snapshots every memory server's inbound load with per-chunk
 	// breakdowns — the signal repair and rebalancing place by.
 	Loads() []stats.MSLoad
+	// CSAlive reports whether a client of the given incarnation on compute
+	// server cs may still issue verbs; forwarding entries of a dead
+	// migrator drain by it.
+	CSAlive(cs int, epoch int64) bool
 
 	// MigrationLock and MigrationUnlock bound the cluster-wide critical
 	// section shared by migration and re-replication engines: two sweeps

@@ -6,8 +6,8 @@ import (
 
 	"sherman/internal/hocl"
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
 	"sherman/internal/stats"
+	"sherman/internal/transport"
 )
 
 // This file is the mixed-operation batch planner on top of the shared
@@ -67,10 +67,10 @@ func (h *Handle) pace() {
 // post, by which time the shared node buffer may hold a different node. The
 // copy lives in the handle's arena — valid until the next operation resets
 // it, which is after the group's doorbell flushed.
-func (h *Handle) appendCopiedWrite(ops []rdma.WriteOp, a rdma.Addr, data []byte) []rdma.WriteOp {
+func (h *Handle) appendCopiedWrite(ops []transport.WriteOp, a transport.Addr, data []byte) []transport.WriteOp {
 	cp := h.arena.bytes(len(data))
 	copy(cp, data)
-	return append(ops, rdma.WriteOp{Addr: a, Data: cp})
+	return append(ops, transport.WriteOp{Addr: a, Data: cp})
 }
 
 // opCounts tallies ops per kind, excluding scans (which record
@@ -416,14 +416,14 @@ redo:
 // slot excludes writers from every node it covers). The sibling is read
 // into the shared leaf buffer, so the caller's queued writes must already
 // be private copies — appendCopiedWrite guarantees that.
-func (h *Handle) chainToSibling(g hocl.Guard, leaf layout.Leaf, nextKey uint64) (rdma.Addr, layout.Leaf, bool) {
+func (h *Handle) chainToSibling(g hocl.Guard, leaf layout.Leaf, nextKey uint64) (transport.Addr, layout.Leaf, bool) {
 	sib := leaf.Sibling()
 	if sib.IsNil() || !h.t.locks.SameSlot(g, sib) {
-		return rdma.NilAddr, layout.Leaf{}, false
+		return transport.NilAddr, layout.Leaf{}, false
 	}
 	n, _ := h.readNode(sib, h.leafBuf)
 	if !n.Alive() || !n.IsLeaf() || !leafCovers(n, nextKey) {
-		return rdma.NilAddr, layout.Leaf{}, false
+		return transport.NilAddr, layout.Leaf{}, false
 	}
 	h.Rec.BatchChainedLeaves++
 	return sib, layout.AsLeaf(n), true

@@ -7,7 +7,6 @@ import (
 	"sherman/internal/cache"
 	"sherman/internal/deploy"
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
 	"sherman/internal/stats"
 	"sherman/internal/transport"
 )
@@ -59,16 +58,16 @@ type Handle struct {
 	// once: a batch group's pending list while a nested seek move-right
 	// releases a freshly-probed lock). Both are handed to hocl with spare
 	// capacity so appending the release op never reallocates.
-	wops    []rdma.WriteOp
-	relWops []rdma.WriteOp
+	wops    []transport.WriteOp
+	relWops []transport.WriteOp
 
 	// seg is the batch planner's segment scratch; kvs the sorted-entries
 	// scratch of splits and scans; scanAddrs/scanReqs/scanBufs the parallel-
 	// read scratch of range scans. All recycle across operations.
 	seg       []planOp
 	kvs       []layout.KV
-	scanAddrs []rdma.Addr
-	scanReqs  []rdma.ReadOp
+	scanAddrs []transport.Addr
+	scanReqs  []transport.ReadOp
 	scanBufs  [][]byte
 
 	// Mirror engine scratch (see mirror.go). replicated caches Rep != nil;
@@ -79,11 +78,11 @@ type Handle struct {
 	// once at handle creation so OnTimeline takes no per-op closure);
 	// mirrorEndV is the latest mirror completion awaiting a lag sample.
 	replicated bool
-	repWops    []rdma.WriteOp
+	repWops    []transport.WriteOp
 	repMarks   []*atomic.Int64
 	repPends   []transport.Pending
 	repTargets alloc.TargetSet
-	oneWop     [1]rdma.WriteOp
+	oneWop     [1]transport.WriteOp
 	repLo      int
 	repHi      int
 	mirrorEndV int64
@@ -131,8 +130,8 @@ func (t *Tree) NewHandle(cs int, seed int) *Handle {
 		Rec:     stats.NewRecorder(),
 		leafBuf: make([]byte, t.cfg.Format.NodeSize),
 		nodeBuf: make([]byte, t.cfg.Format.NodeSize),
-		wops:    make([]rdma.WriteOp, 0, 8),
-		relWops: make([]rdma.WriteOp, 0, 1),
+		wops:    make([]transport.WriteOp, 0, 8),
+		relWops: make([]transport.WriteOp, 0, 1),
 		poison:  t.cfg.Poison,
 	}
 	h.m = c.Metrics()
@@ -148,7 +147,7 @@ func (t *Tree) NewHandle(cs int, seed int) *Handle {
 	if rep := t.cl.Replicas(); rep != nil {
 		h.replicated = true
 		h.rep = rep
-		h.repWops = make([]rdma.WriteOp, 0, 8)
+		h.repWops = make([]transport.WriteOp, 0, 8)
 		h.repMarks = make([]*atomic.Int64, 0, 8)
 		h.mirrorFn = h.postMirrorGroup
 	}
@@ -183,12 +182,12 @@ func (h *Handle) Timing() transport.Timing { return h.tm }
 
 // takeWops returns the emptied write-op scratch for one combined doorbell.
 // The slice is dead once unlockWrite returns; keepWops recycles any growth.
-func (h *Handle) takeWops() []rdma.WriteOp { return h.wops[:0] }
+func (h *Handle) takeWops() []transport.WriteOp { return h.wops[:0] }
 
 // keepWops retains w's backing array (appends may have outgrown the original
 // scratch) and, in poison mode, clears the recycled entries so a retained
 // WriteOp reads zeroes instead of a plausible stale write.
-func (h *Handle) keepWops(w []rdma.WriteOp) {
+func (h *Handle) keepWops(w []transport.WriteOp) {
 	if h.poison {
 		clear(w)
 	}
@@ -198,11 +197,11 @@ func (h *Handle) keepWops(w []rdma.WriteOp) {
 // growForRelease guarantees one spare capacity slot so hocl's combined
 // release append stays in place — the combined doorbell then posts from this
 // very backing array with zero further allocation.
-func growForRelease(w []rdma.WriteOp) []rdma.WriteOp {
+func growForRelease(w []transport.WriteOp) []transport.WriteOp {
 	if len(w) < cap(w) {
 		return w
 	}
-	nw := make([]rdma.WriteOp, len(w), 2*cap(w)+4)
+	nw := make([]transport.WriteOp, len(w), 2*cap(w)+4)
 	copy(nw, w)
 	return nw
 }
@@ -220,7 +219,7 @@ func (h *Handle) Cache() *cache.Cache { return h.cache }
 // guard is satisfied (§4.4: a read taking longer than 8 us could straddle a
 // full 4-bit version cycle and must retry). Returns the view and the number
 // of retries performed.
-func (h *Handle) readNode(a rdma.Addr, buf []byte) (layout.Node, int) {
+func (h *Handle) readNode(a transport.Addr, buf []byte) (layout.Node, int) {
 	retries := 0
 	wrap := 0
 	for {
@@ -258,7 +257,7 @@ func (h *Handle) readNode(a rdma.Addr, buf []byte) (layout.Node, int) {
 // write are separate verbs, and a client can crash between them — so the
 // authoritative level comes from the fetched root node itself (readers
 // validate node levels everywhere else for the same reason).
-func (h *Handle) refreshRoot() (rdma.Addr, uint8) {
+func (h *Handle) refreshRoot() (transport.Addr, uint8) {
 	for {
 		root, _ := deploy.ReadRoot(h.C)
 		n, _ := h.readNode(root, h.nodeBuf)
@@ -289,7 +288,7 @@ func (h *Handle) refreshRoot() (rdma.Addr, uint8) {
 // pinned region. The structural pre-check avoids paying a node-size copy
 // for levels the cache could never hold (mid-tree levels above the
 // budgeted depth, or everything budgeted when the cache is off).
-func (h *Handle) cacheInternal(a rdma.Addr, n layout.Node, rootLevel uint8) {
+func (h *Handle) cacheInternal(a transport.Addr, n layout.Node, rootLevel uint8) {
 	if !h.cache.Admissible(n.Level(), rootLevel) {
 		return
 	}
@@ -299,7 +298,7 @@ func (h *Handle) cacheInternal(a rdma.Addr, n layout.Node, rootLevel uint8) {
 
 // cacheNode is cacheInternal against the cache's current notion of the root
 // level, for call sites outside a descent (split refreshes, repoints).
-func (h *Handle) cacheNode(a rdma.Addr, n layout.Node) {
+func (h *Handle) cacheNode(a transport.Addr, n layout.Node) {
 	_, rootLvl := h.cache.Root()
 	h.cacheInternal(a, n, rootLvl)
 }

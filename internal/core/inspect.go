@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // TreeStats is a structural snapshot of the tree, collected with raw reads.
@@ -88,7 +88,7 @@ func (t *Tree) Compact() CompactResult {
 	// node so it can be freed after the rebuild.
 	var kvs []layout.KV
 	rootAddr, root := t.rawRoot()
-	old := []rdma.Addr{rootAddr}
+	old := []transport.Addr{rootAddr}
 	t.collect(root, &kvs, &old)
 
 	t.freeNodes(old)
@@ -106,7 +106,7 @@ func (t *Tree) Compact() CompactResult {
 
 // collect appends the subtree's live entries in key order and records its
 // nodes' addresses below n.
-func (t *Tree) collect(n layout.Node, kvs *[]layout.KV, nodes *[]rdma.Addr) {
+func (t *Tree) collect(n layout.Node, kvs *[]layout.KV, nodes *[]transport.Addr) {
 	if n.IsLeaf() {
 		*kvs = append(*kvs, layout.AsLeaf(n).Entries()...)
 		return
@@ -121,11 +121,11 @@ func (t *Tree) collect(n layout.Node, kvs *[]layout.KV, nodes *[]rdma.Addr) {
 // free-bit deallocation of §4.2.4). The memory itself is not returned to the
 // memory servers — the paper's allocator does not reclaim chunks either;
 // freed nodes are tombstones that steer stale readers back to the root.
-func (t *Tree) freeNodes(addrs []rdma.Addr) {
+func (t *Tree) freeNodes(addrs []transport.Addr) {
 	dead := []byte{0}
-	ops := make([]rdma.WriteOp, len(addrs))
+	ops := make([]transport.WriteOp, len(addrs))
 	for i, a := range addrs {
-		ops[i] = rdma.WriteOp{Addr: a.Add(layout.AliveOffset), Data: dead}
+		ops[i] = transport.WriteOp{Addr: a.Add(layout.AliveOffset), Data: dead}
 	}
 	t.cl.RawWrite(ops...)
 }

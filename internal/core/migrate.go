@@ -4,10 +4,9 @@ import (
 	"errors"
 
 	"sherman/internal/alloc"
-	"sherman/internal/cluster"
 	"sherman/internal/deploy"
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // This file is the tree side of live chunk migration (internal/migrate is
@@ -57,10 +56,10 @@ var ErrLostTarget = errors.New("core: migration target lost its server")
 // chases one hop per chunk generation — entries are installed before the
 // first kill of a chunk, so the copy is always reachable, and steady-state
 // repointing makes even the single hop transient.
-func (h *Handle) chase(addr rdma.Addr) (rdma.Addr, bool) {
+func (h *Handle) chase(addr transport.Addr) (transport.Addr, bool) {
 	fwd, ok := h.fwd.Resolve(addr)
 	if !ok {
-		return rdma.NilAddr, false
+		return transport.NilAddr, false
 	}
 	h.C.Step(h.tm.LocalStepNS)
 	h.Rec.ForwardHops++
@@ -78,7 +77,7 @@ type MovedNode struct {
 // The caller must have installed the chunk's forwarding entry first, and
 // owns dst (a fresh, never-referenced address). Returns ErrMoved when src
 // is already dead.
-func (h *Handle) MoveNode(src, dst rdma.Addr) (MovedNode, error) {
+func (h *Handle) MoveNode(src, dst transport.Addr) (MovedNode, error) {
 	g := h.t.locks.Lock(h.C, src)
 	if g.Reclaimed() {
 		h.Rec.Reclaims++
@@ -109,9 +108,9 @@ func (h *Handle) MoveNode(src, dst rdma.Addr) (MovedNode, error) {
 		// noticing the free bit: kill by rewriting the whole node.
 		n.SetAlive(false)
 		n.UpdateChecksum()
-		h.unlockWrite(g, []rdma.WriteOp{{Addr: src, Data: n.B}})
+		h.unlockWrite(g, []transport.WriteOp{{Addr: src, Data: n.B}})
 	} else {
-		h.unlockWrite(g, []rdma.WriteOp{{Addr: src.Add(layout.AliveOffset), Data: []byte{0}}})
+		h.unlockWrite(g, []transport.WriteOp{{Addr: src.Add(layout.AliveOffset), Data: []byte{0}}})
 	}
 	return mv, nil
 }
@@ -127,7 +126,7 @@ const maxRepointRetries = 8
 // covering parent's child slot, through the ordinary locked write path.
 // Returns true when the reference now names new (even if another thread got
 // there first).
-func (h *Handle) Repoint(mv MovedNode, old, new rdma.Addr) bool {
+func (h *Handle) Repoint(mv MovedNode, old, new transport.Addr) bool {
 	for attempt := 0; attempt < maxRepointRetries; attempt++ {
 		// Read the superblock pointer raw — refreshRoot would chase the
 		// forwarding hop and hide exactly the staleness we came to repair.
@@ -174,7 +173,7 @@ const (
 
 // repointChild locks the internal node at parentLevel covering key and
 // swaps its child pointer old → new.
-func (h *Handle) repointChild(parentLevel uint8, key uint64, old, new rdma.Addr) repointOutcome {
+func (h *Handle) repointChild(parentLevel uint8, key uint64, old, new transport.Addr) repointOutcome {
 	addr, ce := h.locateInternal(key, parentLevel)
 	r, ok := h.seek(key, parentLevel, intentWrite, addr, ce, h.nodeBuf, nil, nil)
 	if !ok {
@@ -191,7 +190,7 @@ func (h *Handle) repointChild(parentLevel uint8, key uint64, old, new rdma.Addr)
 		} else {
 			in.UpdateChecksum()
 		}
-		h.unlockWrite(r.g, []rdma.WriteOp{{Addr: r.addr, Data: in.B}})
+		h.unlockWrite(r.g, []transport.WriteOp{{Addr: r.addr, Data: in.B}})
 		if h.takeRedo() {
 			// The parent's chunk was re-keyed mid-commit: re-resolve and
 			// retry at the promoted parent.
@@ -210,7 +209,7 @@ func (h *Handle) repointChild(parentLevel uint8, key uint64, old, new rdma.Addr)
 
 // ChunkNode is one reachable node CollectChunk found inside a chunk.
 type ChunkNode struct {
-	Addr       rdma.Addr
+	Addr       transport.Addr
 	Level      uint8
 	LowerFence uint64
 }
@@ -238,7 +237,7 @@ func (h *Handle) CollectChunks(cks map[alloc.ChunkID]bool) map[alloc.ChunkID][]C
 	w := &chunkWalk{
 		h:    h,
 		cks:  cks,
-		seen: make(map[rdma.Addr]bool),
+		seen: make(map[transport.Addr]bool),
 		out:  make(map[alloc.ChunkID][]ChunkNode, len(cks)),
 		buf:  make([]byte, h.t.cfg.Format.NodeSize),
 	}
@@ -252,12 +251,12 @@ func (h *Handle) CollectChunks(cks map[alloc.ChunkID]bool) map[alloc.ChunkID][]C
 type chunkWalk struct {
 	h    *Handle
 	cks  map[alloc.ChunkID]bool
-	seen map[rdma.Addr]bool
+	seen map[transport.Addr]bool
 	out  map[alloc.ChunkID][]ChunkNode
 	buf  []byte
 }
 
-func (w *chunkWalk) visit(addr rdma.Addr) {
+func (w *chunkWalk) visit(addr transport.Addr) {
 	if addr.IsNil() || w.seen[addr] {
 		return
 	}
@@ -273,7 +272,7 @@ func (w *chunkWalk) visit(addr rdma.Addr) {
 		return
 	}
 	in := layout.AsInternal(n)
-	children := make([]rdma.Addr, 0, in.Count()+1)
+	children := make([]transport.Addr, 0, in.Count()+1)
 	children = append(children, in.Leftmost())
 	for _, s := range in.Separators() {
 		children = append(children, s.Child)
@@ -303,11 +302,11 @@ const copyPaceStride = 64
 // of a partially filled chunk, or reads off a just-died source server, which
 // zero-fill) are skipped, never written — so a racing source death degrades
 // the copy to a no-op instead of clobbering mirrored data on the target.
-func (h *Handle) CopyChunk(src alloc.ChunkID, dstBase rdma.Addr) int {
+func (h *Handle) CopyChunk(src alloc.ChunkID, dstBase transport.Addr) int {
 	nodeSize := h.t.cfg.Format.NodeSize
 	base := src.ChunkBase()
 	copied := 0
-	for off, slot := uint64(0), 0; off+uint64(nodeSize) <= rdma.DefaultChunkSize; off, slot = off+uint64(nodeSize), slot+1 {
+	for off, slot := uint64(0), 0; off+uint64(nodeSize) <= transport.DefaultChunkSize; off, slot = off+uint64(nodeSize), slot+1 {
 		if slot%copyPaceStride == 0 {
 			if !h.t.cl.MSAlive(int(src.MS)) {
 				break // source died; its failover owns the chunk now
@@ -337,15 +336,6 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// Cluster exposes the tree's simulated cluster (fabric, fault injector,
-// migration orchestration) to the migration engine and benchmarks. It
-// returns nil on a real-network backend: fault injection and live
-// migration are simulation features, so their callers are sim-only.
-func (t *Tree) Cluster() *cluster.Cluster {
-	cl, _ := t.cl.(*cluster.Cluster)
-	return cl
-}
-
 // Backend exposes the tree's deployment interface.
 func (t *Tree) Backend() Backend { return t.cl }
 
@@ -368,9 +358,5 @@ func (t *Tree) InvalidateChunk(ck alloc.ChunkID) int {
 // sweep: the sweep repaired every parent pointer, so nothing references the
 // old addresses anymore.
 func (t *Tree) DrainDeadForwarding() int {
-	cl := t.Cluster()
-	if cl == nil {
-		return 0
-	}
-	return cl.Fwd.DropDead(cl.Faults().Alive)
+	return t.cl.Forwarding().DropDead(t.cl.CSAlive)
 }

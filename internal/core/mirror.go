@@ -2,7 +2,7 @@ package core
 
 import (
 	"sherman/internal/alloc"
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // This file is the write-side mirror engine of chunk-granularity replication
@@ -24,7 +24,7 @@ import (
 // the copies as per-server doorbells on a detached timeline. No-op when the
 // cluster does not replicate, and skips on-chip targets (lock words) and
 // unreplicated chunks. Call before committing ops to their primaries.
-func (h *Handle) mirror(ops []rdma.WriteOp) {
+func (h *Handle) mirror(ops []transport.WriteOp) {
 	if !h.replicated || len(ops) == 0 {
 		return
 	}
@@ -45,9 +45,9 @@ func (h *Handle) mirror(ops []rdma.WriteOp) {
 			}
 			continue
 		}
-		inner := op.Addr.Off() % rdma.DefaultChunkSize
+		inner := op.Addr.Off() % transport.DefaultChunkSize
 		for i := 0; i < h.repTargets.N; i++ {
-			wops = append(wops, rdma.WriteOp{Addr: h.repTargets.Bases[i].Add(inner), Data: op.Data})
+			wops = append(wops, transport.WriteOp{Addr: h.repTargets.Bases[i].Add(inner), Data: op.Data})
 			marks = append(marks, h.repTargets.Watermark(i))
 		}
 	}
@@ -168,13 +168,13 @@ func (h *Handle) noteMirrorLag() {
 // verb). The caller may already hold another node's lock; that pair cannot
 // deadlock, because CopyChunk never holds more than one lock and nobody
 // else ever locks an unpublished slot.
-func (h *Handle) writeMirrored(a rdma.Addr, data []byte) {
+func (h *Handle) writeMirrored(a transport.Addr, data []byte) {
 	if !h.replicated {
 		h.C.Write(a, data)
 		return
 	}
 	g := h.t.locks.Lock(h.C, h.slotBase(a))
-	h.oneWop[0] = rdma.WriteOp{Addr: a, Data: data}
+	h.oneWop[0] = transport.WriteOp{Addr: a, Data: data}
 	h.mirror(h.oneWop[:])
 	h.C.Write(a, data)
 	h.unlockWrite(g, nil)
@@ -192,8 +192,8 @@ func (h *Handle) takeRedo() bool {
 // slotBase returns the node-slot base address containing a — the lock key
 // shared by writers of unpublished slots and CopyChunk (a free-bit write
 // targets an interior offset but must serialize under its node's slot).
-func (h *Handle) slotBase(a rdma.Addr) rdma.Addr {
-	inner := a.Off() % rdma.DefaultChunkSize
+func (h *Handle) slotBase(a transport.Addr) transport.Addr {
+	inner := a.Off() % transport.DefaultChunkSize
 	slot := inner - inner%uint64(h.t.cfg.Format.NodeSize)
 	return alloc.ChunkOf(a).ChunkBase().Add(slot)
 }

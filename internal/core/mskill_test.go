@@ -149,7 +149,7 @@ func TestMSKillAtEveryVerb(t *testing.T) {
 						if err := tr.Validate(); err != nil {
 							t.Fatalf("%s: validate: %v", tag, err)
 						}
-						checkMSKillState(t, tag, tr, sc.want(load))
+						checkMSKillState(t, tag, cl, tr, sc.want(load))
 
 						// A repair sweep from the surviving CS restores full
 						// redundancy; the tree stays intact throughout.
@@ -165,7 +165,7 @@ func TestMSKillAtEveryVerb(t *testing.T) {
 						if err := tr.Validate(); err != nil {
 							t.Fatalf("%s: post-repair validate: %v", tag, err)
 						}
-						checkMSKillState(t, tag+"/repaired", tr, sc.want(load))
+						checkMSKillState(t, tag+"/repaired", cl, tr, sc.want(load))
 					}
 				}
 			})
@@ -175,10 +175,10 @@ func TestMSKillAtEveryVerb(t *testing.T) {
 
 // checkMSKillState verifies the tree's readable contents match want exactly,
 // via point lookups from a fresh handle on the surviving compute server.
-func checkMSKillState(t *testing.T, tag string, tr *core.Tree, want map[uint64]uint64) {
+func checkMSKillState(t *testing.T, tag string, cl *cluster.Cluster, tr *core.Tree, want map[uint64]uint64) {
 	t.Helper()
 	h := tr.NewHandle(0, 99)
-	h.SetClock(tr.Cluster().Faults().LatestVerbV())
+	h.SetClock(cl.Faults().LatestVerbV())
 	for k, wantV := range want {
 		if got, ok := h.Lookup(k); !ok || got != wantV {
 			t.Fatalf("%s: key %d = (%#x,%v), want (%#x,true)", tag, k, got, ok, wantV)

@@ -6,8 +6,8 @@ import (
 	"sherman/internal/cache"
 	"sherman/internal/hocl"
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
 	"sherman/internal/stats"
+	"sherman/internal/transport"
 )
 
 // This file is the shared node-I/O + traversal layer: every data path —
@@ -46,7 +46,7 @@ const (
 // seekResult is the node a seek landed on. The guard is the held lock for
 // intentWrite seeks and the zero Guard for intentRead.
 type seekResult struct {
-	addr rdma.Addr
+	addr transport.Addr
 	n    layout.Node
 	g    hocl.Guard
 }
@@ -86,7 +86,7 @@ func (h *Handle) specFail(key uint64, level uint8, ce *cache.Entry) {
 // Figure 14(a) metric). hops, when non-nil, is the caller's sibling-hop
 // budget — one logical operation keeps one counter across its seeks so the
 // stale-top-cache flush heuristic (noteSiblingHop) sees the whole walk.
-func (h *Handle) seek(key uint64, level uint8, in intent, addr rdma.Addr, ce *cache.Entry, buf []byte, retries, hops *int) (seekResult, bool) {
+func (h *Handle) seek(key uint64, level uint8, in intent, addr transport.Addr, ce *cache.Entry, buf []byte, retries, hops *int) (seekResult, bool) {
 	var localHops int
 	if hops == nil {
 		hops = &localHops
@@ -192,7 +192,7 @@ func (h *Handle) seek(key uint64, level uint8, in intent, addr rdma.Addr, ce *ca
 // the entry is returned as the steering handle so the caller's seek can
 // invalidate it (via specFail) if the speculation proves stale; a nil
 // entry means the address came from a validated read.
-func (h *Handle) descend(key uint64, target uint8) (rdma.Addr, *cache.Entry) {
+func (h *Handle) descend(key uint64, target uint8) (transport.Addr, *cache.Entry) {
 	root, rootLvl := h.cache.Root()
 	if root.IsNil() || rootLvl < target {
 		root, rootLvl = h.refreshRoot()
@@ -278,7 +278,7 @@ func (h *Handle) descend(key uint64, target uint8) (rdma.Addr, *cache.Entry) {
 // traverseToLeaf resolves the leaf-level address covering key by a
 // (cache-resumed) descent; the returned entry, when non-nil, is the cached
 // parent whose unvalidated child pointer the address is.
-func (h *Handle) traverseToLeaf(key uint64) (rdma.Addr, *cache.Entry) {
+func (h *Handle) traverseToLeaf(key uint64) (transport.Addr, *cache.Entry) {
 	return h.descend(key, 0)
 }
 
@@ -289,7 +289,7 @@ func (h *Handle) traverseToLeaf(key uint64) (rdma.Addr, *cache.Entry) {
 // stale. On a level-1 miss the descent still resumes at the deepest cached
 // ancestor. The returned cache entry (nil on miss) lets the caller
 // invalidate stale steering.
-func (h *Handle) locateLeaf(key uint64) (rdma.Addr, *cache.Entry) {
+func (h *Handle) locateLeaf(key uint64) (transport.Addr, *cache.Entry) {
 	h.C.Step(h.tm.LocalStepNS)
 	if e := h.cache.Lookup(key, 1); e != nil {
 		h.Rec.CacheHits++
@@ -305,7 +305,7 @@ func (h *Handle) locateLeaf(key uint64) (rdma.Addr, *cache.Entry) {
 // locateInternal finds the internal node at the target level covering key:
 // a cache hit at exactly that level answers locally, anything else resumes
 // the descent at the deepest cached ancestor.
-func (h *Handle) locateInternal(key uint64, level uint8) (rdma.Addr, *cache.Entry) {
+func (h *Handle) locateInternal(key uint64, level uint8) (transport.Addr, *cache.Entry) {
 	if e := h.cache.Lookup(key, level); e != nil {
 		h.Rec.CacheLevelHits[stats.CacheLevelIdx(level)]++
 		return e.Addr, e
@@ -316,7 +316,7 @@ func (h *Handle) locateInternal(key uint64, level uint8) (rdma.Addr, *cache.Entr
 // lockLeafForWrite locks and reads the leaf that must hold key, handling
 // stale steering and B-link move-right under lock coupling (unlock current,
 // lock sibling — Sherman holds at most one node lock at a time, §4.3 [52]).
-func (h *Handle) lockLeafForWrite(key uint64) (rdma.Addr, hocl.Guard, layout.Leaf) {
+func (h *Handle) lockLeafForWrite(key uint64) (transport.Addr, hocl.Guard, layout.Leaf) {
 	addr, ce := h.locateLeaf(key)
 	r, _ := h.seek(key, 0, intentWrite, addr, ce, h.leafBuf, nil, nil)
 	return r.addr, r.g, layout.AsLeaf(r.n)

@@ -3,7 +3,7 @@ package core
 import (
 	"sherman/internal/deploy"
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // This file is the structural half of crash recovery. A compute-server crash
@@ -97,7 +97,7 @@ func (h *Handle) recoverPass() (int, bool) {
 func (h *Handle) recoverNode(in layout.Internal, level uint8) (int, bool) {
 	f := h.t.cfg.Format
 	seps := in.Separators()
-	children := make([]rdma.Addr, 0, len(seps)+1)
+	children := make([]transport.Addr, 0, len(seps)+1)
 	uppers := make([]uint64, 0, len(seps)+1)
 	children = append(children, in.Leftmost())
 	for _, s := range seps {
@@ -109,10 +109,10 @@ func (h *Handle) recoverNode(in layout.Internal, level uint8) (int, bool) {
 	// One doorbell post fetches every child (§4.4's parallel-read pattern);
 	// torn reads fall back to the validating single-node path.
 	bufs := make([][]byte, len(children))
-	reqs := make([]rdma.ReadOp, len(children))
+	reqs := make([]transport.ReadOp, len(children))
 	for i, a := range children {
 		bufs[i] = make([]byte, f.NodeSize)
-		reqs[i] = rdma.ReadOp{Addr: a, Buf: bufs[i]}
+		reqs[i] = transport.ReadOp{Addr: a, Buf: bufs[i]}
 	}
 	h.C.ReadMulti(reqs)
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sherman/internal/alloc"
+	"sherman/internal/cluster"
 	core "sherman/internal/core"
 	"sherman/internal/rdma"
 	"sherman/internal/testutil"
@@ -21,9 +22,8 @@ import (
 // the parent pointer is left stale, exactly as if the migrating compute
 // server died between the kill write and the repoint. The forwarding entry
 // is recorded as owned by (dead) compute server owner.
-func moveWithoutRepoint(t *testing.T, h *core.Handle, src rdma.Addr, dstMS uint16, owner int) rdma.Addr {
+func moveWithoutRepoint(t *testing.T, cl *cluster.Cluster, h *core.Handle, src rdma.Addr, dstMS uint16, owner int) rdma.Addr {
 	t.Helper()
-	cl := h.Tree().Cluster()
 	newBase := rdma.MakeAddr(dstMS, h.C.GrowChunk(dstMS))
 	ck := alloc.ChunkOf(src)
 	cl.Fwd.Install(ck, newBase, owner, cl.Faults().Epoch(owner))
@@ -34,12 +34,12 @@ func moveWithoutRepoint(t *testing.T, h *core.Handle, src rdma.Addr, dstMS uint1
 	return dst
 }
 
-func forwardTestTree(t *testing.T, cfg core.Config) (*core.Tree, *core.Handle) {
+func forwardTestTree(t *testing.T, cfg core.Config) (*cluster.Cluster, *core.Tree, *core.Handle) {
 	t.Helper()
 	cl := testutil.NewCluster(t, 2, 2)
 	tr := testutil.NewTree(t, cl, cfg)
 	testutil.Bulk(t, tr, 300)
-	return tr, tr.NewHandle(0, 0)
+	return cl, tr, tr.NewHandle(0, 0)
 }
 
 // TestRecoverRepairsForwardedChild: a leaf killed-and-forwarded with a
@@ -48,8 +48,7 @@ func forwardTestTree(t *testing.T, cfg core.Config) (*core.Tree, *core.Handle) {
 // entries drain and the tree validates.
 func TestRecoverRepairsForwardedChild(t *testing.T) {
 	testutil.RunConfigs(t, func(t *testing.T, cfg core.Config) {
-		tr, h := forwardTestTree(t, cfg)
-		cl := tr.Cluster()
+		cl, tr, h := forwardTestTree(t, cfg)
 
 		// Any non-root node of memory server 1 works as the victim (chunk 0
 		// may be the host-mode lock table; scan a few).
@@ -61,7 +60,7 @@ func TestRecoverRepairsForwardedChild(t *testing.T) {
 			t.Fatal("no nodes on ms1")
 		}
 		victim := items[len(items)-1] // last = deepest (parents sort first)
-		moveWithoutRepoint(t, h, victim.Addr, 0, 1)
+		moveWithoutRepoint(t, cl, h, victim.Addr, 0, 1)
 		cl.Kill(1, 0) // the "migrator" dies; its forwarding entry is orphaned
 
 		// The tree still serves through the forwarding hop.
@@ -108,8 +107,7 @@ func TestRecoverRepairsForwardedChild(t *testing.T) {
 // the relocated copy instead of rescanning the dead root forever.
 func TestRecoverRepairsForwardedRoot(t *testing.T) {
 	testutil.RunConfigs(t, func(t *testing.T, cfg core.Config) {
-		tr, h := forwardTestTree(t, cfg)
-		cl := tr.Cluster()
+		cl, tr, h := forwardTestTree(t, cfg)
 
 		// Resolve the root's address via a fresh descent: CollectChunk on
 		// the root's chunk lists parents first, so item 0 of the chunk
@@ -128,7 +126,7 @@ func TestRecoverRepairsForwardedRoot(t *testing.T) {
 		if rootItem == nil {
 			t.Fatal("root not found")
 		}
-		moveWithoutRepoint(t, h, rootItem.Addr, 0, 1)
+		moveWithoutRepoint(t, cl, h, rootItem.Addr, 0, 1)
 		cl.Kill(1, 0)
 
 		if _, ok := h.Lookup(5); !ok {

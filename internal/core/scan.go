@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
 	"sherman/internal/stats"
+	"sherman/internal/transport"
 )
 
 // maxParallelReads caps one ReadMulti batch of a range query.
@@ -58,7 +58,7 @@ func (h *Handle) rangeInner(from uint64, span int) []layout.KV {
 		if steer.B == nil {
 			// No validated level-1 node to steer from (the root is a leaf or
 			// unknown, or the level-1 read raced): descend to one leaf.
-			var leaf rdma.Addr
+			var leaf transport.Addr
 			leaf, e = h.traverseToLeaf(cursor)
 			addrs = append(addrs, leaf)
 		} else {
@@ -74,7 +74,7 @@ func (h *Handle) rangeInner(from uint64, span int) []layout.KV {
 		for _, a := range addrs {
 			buf := h.arena.bytes(h.t.cfg.Format.NodeSize)
 			bufs = append(bufs, buf)
-			reqs = append(reqs, rdma.ReadOp{Addr: a, Buf: buf})
+			reqs = append(reqs, transport.ReadOp{Addr: a, Buf: buf})
 		}
 		h.scanBufs, h.scanReqs = bufs[:0], reqs[:0]
 		h.C.ReadMulti(reqs)
@@ -203,7 +203,7 @@ func (h *Handle) scanWalkRight(n layout.Node, buf []byte, cursor uint64, span in
 // leaf when an entry-level version check fails (§4.4). addr may be NilAddr
 // when the caller cannot cheaply re-read (sibling walks); the caller then
 // restarts from steering instead.
-func (h *Handle) leafEntriesConsistent(addr rdma.Addr, n layout.Node, buf []byte) ([]layout.KV, bool) {
+func (h *Handle) leafEntriesConsistent(addr transport.Addr, n layout.Node, buf []byte) ([]layout.KV, bool) {
 	for attempt := 0; attempt < 8; attempt++ {
 		leaf := layout.AsLeaf(n)
 		if h.t.cfg.Format.Mode != layout.TwoLevel {

@@ -7,7 +7,7 @@ import (
 	"sherman/internal/cache"
 	"sherman/internal/hocl"
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // Tree is one distributed B+Tree living in a cluster's disaggregated memory.
@@ -74,22 +74,22 @@ type slab struct {
 	cl   Backend
 	size int
 	buf  []byte
-	ops  []rdma.WriteOp
+	ops  []transport.WriteOp
 }
 
 func newSlab(cl Backend, nodeSize, slots int) *slab {
-	return &slab{cl: cl, size: nodeSize, buf: make([]byte, slots*nodeSize), ops: make([]rdma.WriteOp, 0, slots)}
+	return &slab{cl: cl, size: nodeSize, buf: make([]byte, slots*nodeSize), ops: make([]transport.WriteOp, 0, slots)}
 }
 
 // next returns the slot the node at a is built in, storing the slab first
 // when every slot is taken.
-func (s *slab) next(a rdma.Addr) []byte {
+func (s *slab) next(a transport.Addr) []byte {
 	if len(s.ops) == cap(s.ops) {
 		s.flush()
 	}
 	off := len(s.ops) * s.size
 	slot := s.buf[off : off+s.size : off+s.size]
-	s.ops = append(s.ops, rdma.WriteOp{Addr: a, Data: slot})
+	s.ops = append(s.ops, transport.WriteOp{Addr: a, Data: slot})
 	return slot
 }
 
@@ -132,7 +132,7 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 	// Every level above the leaves has at most half as many nodes as the one
 	// below, so a small tree gets a small slab.
 	s := newSlab(t.cl, f.NodeSize, min(bulkSlab, 2*nLeaves))
-	leafAddrs := make([]rdma.Addr, nLeaves)
+	leafAddrs := make([]transport.Addr, nLeaves)
 	bounds := make([]uint64, nLeaves) // lower fence of each leaf
 	for i := 0; i < nLeaves; i++ {
 		leafAddrs[i] = b.Alloc(f.NodeSize)
@@ -172,7 +172,7 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 	for len(addrs) > 1 {
 		level++
 		n := (len(addrs) + perInt - 1) / perInt
-		newAddrs := make([]rdma.Addr, n)
+		newAddrs := make([]transport.Addr, n)
 		upLowers := make([]uint64, n)
 		for i := range newAddrs {
 			newAddrs[i] = b.Alloc(f.NodeSize)
@@ -226,19 +226,19 @@ func (t *Tree) Validate() error {
 // rawRoot reads the root node. The superblock's level field is only a hint
 // (the pointer CAS and the hint write are separate verbs; a client can crash
 // between them): the node's own level field is authoritative.
-func (t *Tree) rawRoot() (rdma.Addr, layout.Node) {
+func (t *Tree) rawRoot() (transport.Addr, layout.Node) {
 	root, _ := t.cl.RawRoot()
 	nb := make([]byte, t.cfg.Format.NodeSize)
-	t.cl.RawRead(rdma.ReadOp{Addr: root, Buf: nb})
+	t.cl.RawRead(transport.ReadOp{Addr: root, Buf: nb})
 	return root, layout.ViewNode(t.cfg.Format, nb)
 }
 
 // children reads every child of internal node n, leftmost first, with one
 // RawRead — so a whole-tree walk costs one batch per internal node.
-func (t *Tree) children(n layout.Node) []rdma.ReadOp {
+func (t *Tree) children(n layout.Node) []transport.ReadOp {
 	in := layout.AsInternal(n)
 	size := t.cfg.Format.NodeSize
-	ops := make([]rdma.ReadOp, in.Count()+1)
+	ops := make([]transport.ReadOp, in.Count()+1)
 	buf := make([]byte, len(ops)*size)
 	for i := range ops {
 		ops[i].Addr = in.Leftmost()
@@ -251,7 +251,7 @@ func (t *Tree) children(n layout.Node) []rdma.ReadOp {
 	return ops
 }
 
-func (t *Tree) validateNode(a rdma.Addr, n layout.Node, level uint8, lower, upper uint64) error {
+func (t *Tree) validateNode(a transport.Addr, n layout.Node, level uint8, lower, upper uint64) error {
 	if !n.Alive() {
 		return fmt.Errorf("node %v is freed but reachable", a)
 	}

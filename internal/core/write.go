@@ -7,14 +7,14 @@ import (
 	"sherman/internal/deploy"
 	"sherman/internal/hocl"
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // unlockWrite releases g, flushing pending dependent writes per the tree's
 // command-combination setting. nil pending releases through the dedicated
 // release scratch, so even a bare unlock (failed probes, move-rights) posts
 // its GLT-clear WRITE without allocating.
-func (h *Handle) unlockWrite(g hocl.Guard, pending []rdma.WriteOp) {
+func (h *Handle) unlockWrite(g hocl.Guard, pending []transport.WriteOp) {
 	if pending == nil {
 		pending = h.relWops[:0]
 	}
@@ -30,7 +30,7 @@ func (h *Handle) unlockWrite(g hocl.Guard, pending []rdma.WriteOp) {
 // unlockWith releases g after posting exactly the given write-backs, built in
 // the handle's write-op scratch — the steady-state (non-split) write path,
 // allocation-free.
-func (h *Handle) unlockWith(g hocl.Guard, ops ...rdma.WriteOp) {
+func (h *Handle) unlockWith(g hocl.Guard, ops ...transport.WriteOp) {
 	w := append(h.takeWops(), ops...)
 	h.unlockWrite(g, w)
 	h.keepWops(w)
@@ -51,14 +51,14 @@ func (h *Handle) insertInner(key, value uint64) (dataBytes int64) {
 			// entry (Figure 7 lines 11-17) — the write-amplification fix.
 			leaf.SetEntry(i, key, value)
 			off, sz := leaf.EntrySpan(i)
-			h.unlockWith(g, rdma.WriteOp{Addr: addr.Add(uint64(off)), Data: leaf.B[off : off+sz]})
+			h.unlockWith(g, transport.WriteOp{Addr: addr.Add(uint64(off)), Data: leaf.B[off : off+sz]})
 			return int64(sz)
 		}
 		return h.splitLeaf(addr, g, leaf, key, value, nil)
 	}
 	if leaf.InsertSorted(key, value) {
 		leaf.UpdateChecksum()
-		h.unlockWith(g, rdma.WriteOp{Addr: addr, Data: leaf.B})
+		h.unlockWith(g, transport.WriteOp{Addr: addr, Data: leaf.B})
 		return int64(f.NodeSize)
 	}
 	return h.splitLeaf(addr, g, leaf, key, value, nil)
@@ -77,7 +77,7 @@ func (h *Handle) deleteInner(key uint64) (bool, int64) {
 		}
 		leaf.ClearEntry(i)
 		off, sz := leaf.EntrySpan(i)
-		h.unlockWith(g, rdma.WriteOp{Addr: addr.Add(uint64(off)), Data: leaf.B[off : off+sz]})
+		h.unlockWith(g, transport.WriteOp{Addr: addr.Add(uint64(off)), Data: leaf.B[off : off+sz]})
 		return true, int64(sz)
 	}
 	if !leaf.DeleteSorted(key) {
@@ -85,7 +85,7 @@ func (h *Handle) deleteInner(key uint64) (bool, int64) {
 		return false, 0
 	}
 	leaf.UpdateChecksum()
-	h.unlockWith(g, rdma.WriteOp{Addr: addr, Data: leaf.B})
+	h.unlockWith(g, transport.WriteOp{Addr: addr, Data: leaf.B})
 	return true, int64(f.NodeSize)
 }
 
@@ -95,7 +95,7 @@ func (h *Handle) deleteInner(key uint64) (bool, int64) {
 // batch executor accumulated under g before the split filled the leaf; they
 // target g's memory server and are posted ahead of the split's write-backs
 // in the same doorbell batch.
-func (h *Handle) splitLeaf(addr rdma.Addr, g hocl.Guard, leaf layout.Leaf, key, value uint64, carry []rdma.WriteOp) int64 {
+func (h *Handle) splitLeaf(addr transport.Addr, g hocl.Guard, leaf layout.Leaf, key, value uint64, carry []transport.WriteOp) int64 {
 	f := h.t.cfg.Format
 	kvs := leaf.AppendEntries(h.kvs[:0]) // sorts the unsorted leaf (Figure 7 line 21)
 	i := sort.Search(len(kvs), func(i int) bool { return kvs[i].Key >= key })
@@ -130,8 +130,8 @@ func (h *Handle) splitLeaf(addr rdma.Addr, g hocl.Guard, leaf layout.Leaf, key, 
 	// new sibling landed on the same MS (Figure 7 lines 29-35).
 	if sibAddr.MS() == addr.MS() {
 		carry = append(carry,
-			rdma.WriteOp{Addr: sibAddr, Data: sib.B},
-			rdma.WriteOp{Addr: addr, Data: leaf.B},
+			transport.WriteOp{Addr: sibAddr, Data: sib.B},
+			transport.WriteOp{Addr: addr, Data: leaf.B},
 		)
 	} else {
 		h.writeMirrored(sibAddr, sib.B)
@@ -143,7 +143,7 @@ func (h *Handle) splitLeaf(addr rdma.Addr, g hocl.Guard, leaf layout.Leaf, key, 
 			h.keepWops(carry)
 			return 0
 		}
-		carry = append(carry, rdma.WriteOp{Addr: addr, Data: leaf.B})
+		carry = append(carry, transport.WriteOp{Addr: addr, Data: leaf.B})
 	}
 	h.unlockWrite(g, carry)
 	h.keepWops(carry)
@@ -160,7 +160,7 @@ func (h *Handle) splitLeaf(addr rdma.Addr, g hocl.Guard, leaf layout.Leaf, key, 
 // insertParent inserts (sepKey -> child) into the internal node at the given
 // level, creating a new root when the tree grows (insert_internal of
 // Figure 7 line 39).
-func (h *Handle) insertParent(sepKey uint64, child rdma.Addr, level uint8) {
+func (h *Handle) insertParent(sepKey uint64, child transport.Addr, level uint8) {
 	f := h.t.cfg.Format
 	for {
 		root, rootLvl := h.cache.Root()
@@ -207,7 +207,7 @@ func (h *Handle) insertParent(sepKey uint64, child rdma.Addr, level uint8) {
 // tryInsertAt seeks the internal node at addr under lock coupling and
 // inserts or splits. false means steering was stale and the caller should
 // re-resolve the target from a fresh root.
-func (h *Handle) tryInsertAt(addr rdma.Addr, ce *cache.Entry, sepKey uint64, child rdma.Addr, level uint8) bool {
+func (h *Handle) tryInsertAt(addr transport.Addr, ce *cache.Entry, sepKey uint64, child transport.Addr, level uint8) bool {
 	f := h.t.cfg.Format
 	r, ok := h.seek(sepKey, level, intentWrite, addr, ce, h.nodeBuf, nil, nil)
 	if !ok {
@@ -222,7 +222,7 @@ func (h *Handle) tryInsertAt(addr rdma.Addr, ce *cache.Entry, sepKey uint64, chi
 		} else {
 			in.UpdateChecksum()
 		}
-		h.unlockWith(g, rdma.WriteOp{Addr: addr, Data: in.B})
+		h.unlockWith(g, transport.WriteOp{Addr: addr, Data: in.B})
 		if h.takeRedo() {
 			// The parent's chunk was re-keyed mid-commit: nothing durable
 			// changed; re-resolve and retry at the promoted parent.
@@ -252,8 +252,8 @@ func (h *Handle) tryInsertAt(addr rdma.Addr, ce *cache.Entry, sepKey uint64, chi
 	}
 	if rightAddr.MS() == addr.MS() {
 		h.unlockWith(g,
-			rdma.WriteOp{Addr: rightAddr, Data: right.B},
-			rdma.WriteOp{Addr: addr, Data: in.B},
+			transport.WriteOp{Addr: rightAddr, Data: right.B},
+			transport.WriteOp{Addr: addr, Data: in.B},
 		)
 	} else {
 		h.writeMirrored(rightAddr, right.B)
@@ -263,7 +263,7 @@ func (h *Handle) tryInsertAt(addr rdma.Addr, ce *cache.Entry, sepKey uint64, chi
 			h.unlockWrite(g, nil)
 			return false
 		}
-		h.unlockWith(g, rdma.WriteOp{Addr: addr, Data: in.B})
+		h.unlockWith(g, transport.WriteOp{Addr: addr, Data: in.B})
 	}
 	if h.takeRedo() {
 		// The split's commit vanished with its chunk: no durable change;

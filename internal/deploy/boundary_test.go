@@ -14,8 +14,8 @@ import (
 // files: the shared state knows no fabric and no tree; the memory store both
 // fabrics use knows nothing but the transport's types; the two fabrics —
 // the simulator (rdma) and TCP — know nothing of each other and both import
-// the store; and in core only migrate.go — home of Tree.Cluster(), the one
-// sim-only escape hatch — names internal/cluster.
+// the store; and the tree and the migration engine above it name no fabric
+// at all, so both run over any core.Backend.
 func TestImportBoundaries(t *testing.T) {
 	const mod = "sherman/internal/"
 	for _, rule := range []struct {
@@ -23,13 +23,13 @@ func TestImportBoundaries(t *testing.T) {
 		banned []string // under sherman/internal/
 		only   []string // when set, the only imports allowed under sherman/internal/
 		needs  string   // under sherman/internal/, imported by some file
-		except string   // the one file allowed to import banned packages
 	}{
 		{dir: ".", banned: []string{"cluster", "rdma", "sim", "core", "transport/tcp"}},
 		{dir: "../memstore", only: []string{"transport"}},
 		{dir: "../transport/tcp", banned: []string{"cluster", "rdma", "sim"}, needs: "memstore"},
 		{dir: "../rdma", banned: []string{"transport/tcp"}, needs: "memstore"},
-		{dir: "../core", banned: []string{"cluster"}, except: "migrate.go"},
+		{dir: "../core", banned: []string{"cluster", "rdma"}},
+		{dir: "../migrate", banned: []string{"cluster", "rdma", "sim"}},
 	} {
 		files, err := filepath.Glob(filepath.Join(rule.dir, "*.go"))
 		if err != nil || len(files) == 0 {
@@ -52,7 +52,7 @@ func TestImportBoundaries(t *testing.T) {
 				case pkg == rule.needs:
 					needed = true
 				case rule.only != nil && !slices.Contains(rule.only, pkg),
-					slices.Contains(rule.banned, pkg) && filepath.Base(file) != rule.except:
+					slices.Contains(rule.banned, pkg):
 					t.Errorf("%s imports %s", file, path)
 				}
 			}

@@ -1,8 +1,9 @@
 // Package deploy holds the compute-side state of one deployment — the part
 // of a cluster that is the same whatever carries the verbs. Sherman's memory
-// servers have near-zero compute power, so chunk placement (§4.2.4), the
-// superblock's root pointer, the forwarding map, the replica table, failover
-// promotion and the migration lock all live with the clients. A fabric (the
+// servers have near-zero compute power, so chunk placement (§4.2.4) and the
+// set of servers it skips while they drain, the superblock's root pointer,
+// the forwarding map, the replica table, failover promotion and the
+// migration lock all live with the clients. A fabric (the
 // simulator's internal/cluster, the real network's internal/transport/tcp)
 // supplies verbs, liveness, load counters and untimed raw access; it embeds
 // a State for everything else and calls Failover from its death trigger.
@@ -10,6 +11,7 @@ package deploy
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -69,6 +71,11 @@ type State struct {
 	// two sweeps must never relocate or repair the same chunk. Held in real
 	// time only.
 	migMu sync.Mutex
+
+	// draining is the set of memory servers being scaled in: placement
+	// skips them, the migration engine moves their contents off.
+	drainMu  sync.Mutex
+	draining map[int]bool
 }
 
 // CheckFactor validates a replication factor (copies per chunk including
@@ -89,7 +96,7 @@ func New(f fabric, rf int) (*State, error) {
 	if err := CheckFactor(rf, f.NumMS()); err != nil {
 		return nil, err
 	}
-	s := &State{Fwd: alloc.NewForwarding(), f: f, rf: rf}
+	s := &State{Fwd: alloc.NewForwarding(), f: f, rf: rf, draining: map[int]bool{}}
 	if rf > 1 {
 		s.Rep = alloc.NewReplicaMap()
 	}
@@ -159,10 +166,54 @@ func (s *State) MigrationLock() { s.migMu.Lock() }
 // MigrationUnlock leaves the migration critical section.
 func (s *State) MigrationUnlock() { s.migMu.Unlock() }
 
+// NumMS is the fabric's memory-server count.
+func (s *State) NumMS() int { return s.f.NumMS() }
+
+// MSUsable reports whether memory server ms may receive new placements: the
+// fabric reports it alive and it is not draining.
+func (s *State) MSUsable(ms int) bool {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	return s.usableLocked(ms)
+}
+
+func (s *State) usableLocked(ms int) bool { return s.f.MSAlive(ms) && !s.draining[ms] }
+
+// Draining reports whether memory server ms is being scaled in.
+func (s *State) Draining(ms int) bool {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	return s.draining[ms]
+}
+
+// SetDraining marks memory server ms as scaling in (or back). It refuses to
+// drain the last server placement could still use: a drain needs somewhere
+// to move the data.
+func (s *State) SetDraining(ms int, v bool) error {
+	if ms < 0 || ms >= s.f.NumMS() {
+		return fmt.Errorf("deploy: no memory server %d", ms)
+	}
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	if v && !s.draining[ms] {
+		others := 0
+		for i := 0; i < s.f.NumMS(); i++ {
+			if i != ms && s.usableLocked(i) {
+				others++
+			}
+		}
+		if others == 0 {
+			return errors.New("deploy: cannot drain the last memory server")
+		}
+	}
+	s.draining[ms] = v
+	return nil
+}
+
 // NewThreadAllocator pairs a client thread with its stage-two allocator,
 // wired for replica placement when the cluster replicates.
 func (s *State) NewThreadAllocator(c transport.Transport, seed int) *alloc.ThreadAllocator {
-	a := alloc.NewThreadAllocator(c, &s.AllocStats, seed)
+	a := alloc.NewThreadAllocator(c, s, &s.AllocStats, seed)
 	if s.Rep != nil {
 		a.SetReplication(s.Rep, s.rf)
 	}
@@ -172,7 +223,7 @@ func (s *State) NewThreadAllocator(c transport.Transport, seed int) *alloc.Threa
 // NewBulk builds a setup-time bulk allocator over the fabric's raw growth
 // path, wired for replica placement when the cluster replicates.
 func (s *State) NewBulk() *alloc.Bulk {
-	b := alloc.NewBulk(s.f, &s.AllocStats)
+	b := alloc.NewBulk(s.f, s, &s.AllocStats)
 	if s.Rep != nil {
 		b.SetReplication(s.Rep, s.rf)
 	}

@@ -27,9 +27,8 @@ func newFake(numMS int) *fakeFabric {
 	return &fakeFabric{mem: map[transport.Addr]byte{}, grown: make([]uint64, numMS), dead: make([]bool, numMS)}
 }
 
-func (f *fakeFabric) NumMS() int           { return len(f.grown) }
-func (f *fakeFabric) MSAlive(ms int) bool  { return !f.dead[ms] }
-func (f *fakeFabric) MSUsable(ms int) bool { return !f.dead[ms] }
+func (f *fakeFabric) NumMS() int          { return len(f.grown) }
+func (f *fakeFabric) MSAlive(ms int) bool { return !f.dead[ms] }
 
 func (f *fakeFabric) GrowChunkRaw(ms uint16) uint64 {
 	base := f.grown[ms] * transport.DefaultChunkSize
@@ -85,7 +84,6 @@ func (v *fakeVerbs) Read(a transport.Addr, buf []byte) { v.reads++; v.f.read(a, 
 func (v *fakeVerbs) Write(a transport.Addr, d []byte)  { v.writes++; v.f.write(a, d) }
 func (v *fakeVerbs) NumMS() int                        { return v.f.NumMS() }
 func (v *fakeVerbs) MSAlive(ms int) bool               { return v.f.MSAlive(ms) }
-func (v *fakeVerbs) MSUsable(ms int) bool              { return v.f.MSUsable(ms) }
 func (v *fakeVerbs) GrowChunk(ms uint16) uint64        { return v.f.GrowChunkRaw(ms) }
 
 func (v *fakeVerbs) CAS(a transport.Addr, old, new uint64) (uint64, bool) {
@@ -229,6 +227,42 @@ func TestAllocatorsAndRawWriteMirror(t *testing.T) {
 	s0.RawWrite(transport.WriteOp{Addr: a, Data: []byte{7}})
 	if s0.Rep != nil || f0.mem[a] != 7 {
 		t.Fatalf("unreplicated RawWrite: Rep=%v mem=%d", s0.Rep, f0.mem[a])
+	}
+}
+
+// TestDrainingPlacement: draining is the State's, usable is alive and not
+// draining, both allocators place by it, and the last usable server cannot
+// be drained — a dead server does not count as one.
+func TestDrainingPlacement(t *testing.T) {
+	s, f := newState(t, 3, 0)
+	if err := s.SetDraining(1, true); err != nil {
+		t.Fatal(err)
+	}
+	f.dead[2] = true
+	if s.MSUsable(1) || s.MSUsable(2) || !s.MSUsable(0) || !s.Draining(1) || s.Draining(2) {
+		t.Fatalf("usable %v %v %v, draining %v %v", s.MSUsable(0), s.MSUsable(1), s.MSUsable(2), s.Draining(1), s.Draining(2))
+	}
+	b, th := s.NewBulk(), s.NewThreadAllocator(&fakeVerbs{f: f}, 1)
+	for i := 0; i < 4; i++ {
+		for _, a := range []transport.Addr{b.Alloc(transport.DefaultChunkSize / 2), th.Alloc(transport.DefaultChunkSize / 2)} {
+			if a.MS() != 0 {
+				t.Fatalf("allocation %d at %v: want server 0, the only usable one", i, a)
+			}
+		}
+	}
+	if err := s.SetDraining(0, true); err == nil {
+		t.Fatal("drained the last usable server")
+	}
+	for _, ms := range []int{1, 2} { // already draining; dead
+		if err := s.SetDraining(ms, true); err != nil {
+			t.Fatalf("SetDraining(%d): %v", ms, err)
+		}
+	}
+	if err := s.SetDraining(3, true); err == nil {
+		t.Fatal("drained a server that does not exist")
+	}
+	if err := s.SetDraining(1, false); err != nil || !s.MSUsable(1) {
+		t.Fatalf("undrain: %v, usable %v", err, s.MSUsable(1))
 	}
 }
 

@@ -7,9 +7,12 @@
 // provides the node-level primitives (locked move with a kill-commit,
 // parent repointing through the ordinary locked write path, cache
 // invalidation), internal/alloc the chunk forwarding map that keeps
-// concurrent traversals correct mid-move, and internal/rdma the load
-// counters the picker consumes. See DESIGN.md §9 for the protocol and its
-// crash-safety argument.
+// concurrent traversals correct mid-move, and the tree's core.Backend
+// everything deployment-wide: the load counters the picker consumes
+// (Loads), the draining mark (SetDraining), forwarding, replica placement
+// and the migration lock. Nothing here names a fabric, so the engine runs
+// the same on the simulator and over real memory-server processes. See
+// DESIGN.md §9 for the protocol and its crash-safety argument.
 package migrate
 
 import (
@@ -18,8 +21,8 @@ import (
 
 	"sherman/internal/alloc"
 	"sherman/internal/core"
-	"sherman/internal/rdma"
 	"sherman/internal/stats"
+	"sherman/internal/transport"
 )
 
 // Options tunes one engine.
@@ -106,9 +109,8 @@ func New(h *core.Handle, opt Options) *Engine {
 // coldest non-draining server. Returns after the plan is executed (or the
 // chunk budget is exhausted); the tree serves throughout.
 func (e *Engine) Rebalance() (Stats, error) {
-	cl := e.t.Cluster()
 	start := e.h.C.Now()
-	loads := cl.Loads()
+	loads := e.t.Backend().Loads()
 	if e.opt.Baseline != nil {
 		loads = stats.SubLoads(loads, e.opt.Baseline)
 	}
@@ -126,26 +128,15 @@ func (e *Engine) Rebalance() (Stats, error) {
 // propagates. The server stays addressable forever (dead originals and the
 // forwarding map live on), it just holds no tree data.
 func (e *Engine) DrainServer(ms uint16) (Stats, error) {
-	cl := e.t.Cluster()
-	if int(ms) >= cl.NumMS() {
-		return Stats{}, fmt.Errorf("migrate: no memory server %d", ms)
-	}
-	alive := 0
-	for _, s := range cl.F.Servers() {
-		if !s.Draining() && !s.Dead() {
-			alive++
-		}
-	}
-	if alive <= 1 && !cl.F.Servers()[ms].Draining() {
-		return Stats{}, fmt.Errorf("migrate: cannot drain the last memory server")
+	be := e.t.Backend()
+	if err := be.SetDraining(int(ms), true); err != nil {
+		return Stats{}, fmt.Errorf("migrate: %w", err)
 	}
 	start := e.h.C.Now()
-	cl.SetDraining(int(ms), true)
 	var st Stats
 	const maxSweeps = 16
 	for sweep := 0; sweep < maxSweeps; sweep++ {
-		srv := cl.F.Servers()[ms]
-		chunks := len(srv.ChunkOps())
+		chunks := len(be.Loads()[ms].ChunkOps)
 		var plan []move
 		for ci := 0; ci < chunks; ci++ {
 			ck := alloc.ChunkID{MS: ms, Index: uint64(ci)}
@@ -284,7 +275,7 @@ func anyDraining(loads []stats.MSLoad) bool {
 // assignTargets fills in destinations for a drain plan: spread round-robin
 // over the non-draining servers, coldest first.
 func (e *Engine) assignTargets(plan []move) []move {
-	loads := e.t.Cluster().Loads()
+	loads := e.t.Backend().Loads()
 	var tgts []stats.MSLoad
 	for _, l := range loads {
 		if !l.Draining && !l.Dead {
@@ -307,9 +298,9 @@ func (e *Engine) runPlan(plan []move, st *Stats) error {
 	if len(plan) == 0 {
 		return nil
 	}
-	cl := e.t.Cluster()
-	cl.MigrationLock()
-	defer cl.MigrationUnlock()
+	be := e.t.Backend()
+	be.MigrationLock()
+	defer be.MigrationUnlock()
 	want := make(map[alloc.ChunkID]bool, len(plan))
 	for _, mv := range plan {
 		want[mv.chunk] = true
@@ -329,7 +320,7 @@ func (e *Engine) runPlan(plan []move, st *Stats) error {
 // chunk. See the protocol walkthrough in core/migrate.go and DESIGN.md §9.
 func (e *Engine) migrateChunk(ck alloc.ChunkID, dstMS uint16, items []core.ChunkNode) (Stats, error) {
 	var st Stats
-	cl := e.t.Cluster()
+	be := e.t.Backend()
 	if len(items) == 0 {
 		return st, nil
 	}
@@ -340,19 +331,19 @@ func (e *Engine) migrateChunk(ck alloc.ChunkID, dstMS uint16, items []core.Chunk
 	// copy into untouched offsets of that same target, whatever server it
 	// sits on. Installing a second target would strand every reference to a
 	// first-generation original.
-	newBase, reused := cl.Fwd.Reuse(ck, int(e.h.C.CSID()), e.h.C.Epoch())
+	newBase, reused := be.Forwarding().Reuse(ck, int(e.h.C.CSID()), e.h.C.Epoch())
 	if !reused {
-		newBase = rdma.MakeAddr(dstMS, e.h.C.GrowChunk(dstMS))
+		newBase = transport.MakeAddr(dstMS, e.h.C.GrowChunk(dstMS))
 		// The fresh destination chunk bypassed the allocators, so it must
 		// register its own replica set before the first node copies in —
 		// otherwise every migrated-into chunk would silently lose failover
 		// coverage.
-		alloc.RegisterPlaced(cl.Rep, e.h.C, alloc.ChunkOf(newBase), cl.ReplicationFactor()-1, e.h.C.GrowChunk)
-		cl.Fwd.Install(ck, newBase, int(e.h.C.CSID()), e.h.C.Epoch())
+		alloc.RegisterPlaced(be.Replicas(), be, alloc.ChunkOf(newBase), be.ReplicationFactor()-1, e.h.C.GrowChunk)
+		be.Forwarding().Install(ck, newBase, int(e.h.C.CSID()), e.h.C.Epoch())
 	}
 	nodeSize := e.t.Config().Format.NodeSize
 	for _, it := range items {
-		dst := newBase.Add(it.Addr.Off() % rdma.DefaultChunkSize)
+		dst := newBase.Add(it.Addr.Off() % transport.DefaultChunkSize)
 		mv, err := e.h.MoveNode(it.Addr, dst)
 		if err != nil {
 			st.SkippedNodes++

@@ -131,6 +131,58 @@ func TestMigrationCrashAtEveryVerb(t *testing.T) {
 	}
 }
 
+// decorated wraps a Backend the way a tracing or fault-injecting layer
+// does: by embedding core.Backend and overriding nothing migration uses.
+type decorated struct{ core.Backend }
+
+// TestMigrationOverDecoratedBackend drains a server of a tree built over a
+// decorated simulator Backend, once to completion and once with the
+// migrator killed halfway: the engine and Tree.DrainDeadForwarding reach
+// the deployment through the Backend interface alone, so the wrapper hides
+// nothing — the dead migrator's forwarding entries drain after recovery.
+func TestMigrationOverDecoratedBackend(t *testing.T) {
+	const keys = 90
+	cfg := testutil.Configs()[0]
+	build := func() (*cluster.Cluster, *core.Tree, *core.Handle) {
+		cl := cluster.New(cluster.Config{NumMS: 2, NumCS: 2})
+		tr := core.New(decorated{cl}, cfg)
+		testutil.Bulk(t, tr, keys)
+		return cl, tr, tr.NewHandle(1, 1)
+	}
+
+	cl, tr, h := build()
+	v0 := cl.Faults().Verbs(1)
+	if st, err := migrate.New(h, migrate.Options{}).DrainServer(1); err != nil || st.NodesMoved == 0 {
+		t.Fatalf("drain = %+v, %v; want nodes moved", st, err)
+	}
+	if !cl.Loads()[1].Draining {
+		t.Fatal("drained server not marked draining")
+	}
+	checkExactContents(t, tr, keys, "drained")
+
+	verbs := cl.Faults().Verbs(1) - v0
+	cl, tr, h = build()
+	cl.Faults().KillAtVerb(1, verbs/2)
+	if !runCrashing(func() { migrate.New(h, migrate.Options{}).DrainServer(1) }) {
+		t.Fatal("migrator survived its armed kill")
+	}
+	if cl.Fwd.Len() == 0 {
+		t.Fatal("no forwarding entry installed by the halfway kill; the scenario is vacuous")
+	}
+	surv := tr.NewHandle(0, 2)
+	surv.SetClock(h.C.Now())
+	if _, complete := surv.RecoverStructure(); !complete {
+		t.Fatal("recovery pass budget exhausted")
+	}
+	if n := tr.DrainDeadForwarding(); n == 0 || cl.Fwd.Len() != 0 {
+		t.Fatalf("DrainDeadForwarding = %d, %d entries left; want every dead migrator's entry drained", n, cl.Fwd.Len())
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	checkExactContents(t, tr, keys, "recovered")
+}
+
 // TestDrainThenOperate drains a server and keeps writing through it: the
 // drained server must take no new data while every existing key stays
 // reachable, and a second drain of the (already empty) server is a no-op.

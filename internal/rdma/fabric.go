@@ -19,8 +19,8 @@ const DefaultServerHeadroom = 4
 // simulated RDMA network with the timing model in sim.Params.
 //
 // The memory-server set is elastic: AddServer attaches a new server while
-// client threads run (scale-out), and Server.SetDraining marks one as
-// leaving (scale-in). The server list is published through an atomic
+// client threads run (scale-out); which servers are leaving (scale-in) is
+// compute-side state, kept by deploy.State. The server list is published through an atomic
 // snapshot so concurrent verbs never observe a half-grown fabric.
 type Fabric struct {
 	P   sim.Params

@@ -33,11 +33,6 @@ type Server struct {
 	// CPU models the wimpy memory thread that serves allocation RPCs.
 	CPU sim.Resource
 
-	// draining marks a server that is being scaled in: allocators stop
-	// placing new chunks (and nodes) on it, and the migration engine moves
-	// its contents elsewhere. Existing addresses stay resolvable forever.
-	draining atomic.Bool
-
 	// dead marks a failed server. One-sided clients never learn of the
 	// failure in-band — their verbs simply stop taking effect: reads
 	// zero-fill (a zeroed buffer fails every consistency check, so readers
@@ -77,13 +72,6 @@ func (s *Server) InboundOps() int64 { return s.st.InboundOps() }
 
 // ChunkOps returns a snapshot of the served verbs booked per host chunk.
 func (s *Server) ChunkOps() []int64 { return s.st.ChunkOps() }
-
-// SetDraining marks (or unmarks) the server as scaling in; draining servers
-// receive no new allocations.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports whether the server is scaling in.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // SetDead fails (or revives, in tests) the server's memory: subsequent
 // reads zero-fill and writes/atomics discard. The fault injector's MS-death

@@ -25,13 +25,6 @@ func (c *Client) NumMS() int { return c.F.NumServers() }
 // MSAlive reports whether memory server ms is reachable.
 func (c *Client) MSAlive(ms int) bool { return c.F.Faults.MSAlive(ms) }
 
-// MSUsable reports whether ms should receive new allocations: alive and not
-// draining for scale-in.
-func (c *Client) MSUsable(ms int) bool {
-	s := c.F.Servers()[ms]
-	return !s.Draining() && !s.Dead()
-}
-
 // Metrics exposes the per-thread verb counters.
 func (c *Client) Metrics() *Metrics { return &c.M }
 
@@ -67,12 +60,6 @@ func (f *Fabric) NumMS() int { return f.NumServers() }
 
 // MSAlive reports whether memory server ms is reachable.
 func (f *Fabric) MSAlive(ms int) bool { return f.Faults.MSAlive(ms) }
-
-// MSUsable reports whether ms should receive new allocations.
-func (f *Fabric) MSUsable(ms int) bool {
-	s := f.Servers()[ms]
-	return !s.Draining() && !s.Dead()
-}
 
 // GrowChunkRaw grows one chunk on ms with no virtual-time accounting, for
 // setup-time bulk loading.

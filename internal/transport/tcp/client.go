@@ -545,9 +545,8 @@ func (t *Transport) Epoch() int64 { return 0 }
 func (t *Transport) Alive() bool  { return true }
 func (t *Transport) CheckAlive()  {}
 
-func (t *Transport) NumMS() int           { return len(t.cl.endpoints) }
-func (t *Transport) MSAlive(ms int) bool  { return !t.cl.isDead(ms) }
-func (t *Transport) MSUsable(ms int) bool { return !t.cl.isDead(ms) }
+func (t *Transport) NumMS() int          { return len(t.cl.endpoints) }
+func (t *Transport) MSAlive(ms int) bool { return !t.cl.isDead(ms) }
 
 func (t *Transport) Metrics() *transport.Metrics { return &t.m }
 

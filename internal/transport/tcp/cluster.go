@@ -34,14 +34,16 @@ type Options struct {
 // core.Backend of the TCP transport. It supplies what only a real network
 // can — sockets, heartbeat membership, the cluster clock, Stats-opcode load
 // counters, raw access — and embeds deploy.State for the compute-side rest
-// (superblock, forwarding, replicas, failover promotion, allocator wiring),
-// the same code the simulator's internal/cluster.Cluster embeds.
+// (superblock, forwarding, replicas, failover promotion, allocator wiring,
+// placement and draining), the same code the simulator's
+// internal/cluster.Cluster embeds.
 //
 // Fault tolerance is real here: a membership service heartbeats every
 // server on a wall-clock interval, I/O errors on any client verb feed the
 // same death path, and under replication each death synchronously promotes
 // the dead server's chunks to their freshest replicas (DESIGN.md §13).
-// Elasticity and live migration remain sim-only.
+// Live migration (rebalance, drain) runs over it unchanged; only admitting
+// a new memory server stays sim-only, since the endpoint list is fixed.
 type Cluster struct {
 	*deploy.State
 
@@ -252,15 +254,19 @@ func (c *Cluster) NumCS() int { return c.numCS }
 // MSAlive reports whether memory server ms is reachable.
 func (c *Cluster) MSAlive(ms int) bool { return !c.isDead(ms) }
 
+// CSAlive is always true: the compute servers are this process's thread
+// groups, and it is running.
+func (c *Cluster) CSAlive(int, int64) bool { return true }
+
 // Loads polls every memory server's Stats opcode and returns per-server
 // inbound-op counts with per-chunk breakdowns — the real-network analogue
 // of the simulator's NIC load accounting, feeding the same stats.MSLoad
 // aggregation (LoadSkew, SubLoads) the rebalancer uses. Dead servers report
-// Dead with zero counts.
+// Dead with zero counts; Draining comes from the compute-side state.
 func (c *Cluster) Loads() []stats.MSLoad {
 	out := make([]stats.MSLoad, len(c.endpoints))
 	for ms := range c.endpoints {
-		out[ms].MS = ms
+		out[ms].MS, out[ms].Draining = ms, c.Draining(ms)
 		mx, alive := c.mux(uint16(ms))
 		if !alive {
 			out[ms].Dead = true
@@ -303,9 +309,6 @@ func (c *Cluster) WireStats() []WireStats {
 
 // NumMS returns the memory-server count.
 func (c *Cluster) NumMS() int { return len(c.endpoints) }
-
-// MSUsable reports whether ms should receive new allocations.
-func (c *Cluster) MSUsable(ms int) bool { return !c.isDead(ms) }
 
 // GrowChunkRaw grows one chunk on ms with no timing accounting.
 func (c *Cluster) GrowChunkRaw(ms uint16) uint64 {

@@ -97,9 +97,6 @@ type Transport interface {
 	NumMS() int
 	// MSAlive reports whether memory server ms is reachable.
 	MSAlive(ms int) bool
-	// MSUsable reports whether ms should receive new allocations: alive
-	// and not draining for scale-in.
-	MSUsable(ms int) bool
 
 	// Metrics exposes the per-thread verb counters. The pointer is stable
 	// for the transport's lifetime.
@@ -231,8 +228,6 @@ type Grower interface {
 	NumMS() int
 	// MSAlive reports whether memory server ms is reachable.
 	MSAlive(ms int) bool
-	// MSUsable reports whether ms should receive new allocations.
-	MSUsable(ms int) bool
 	// GrowChunkRaw grows one chunk on ms and returns its base offset,
 	// with no timing accounting.
 	GrowChunkRaw(ms uint16) uint64
