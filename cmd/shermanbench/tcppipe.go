@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"sherman/internal/bench"
@@ -19,8 +20,12 @@ import (
 // both ends, a count that repeats on any host), and that coalescing must
 // still buy wall-clock time (depth-8 us/verb at most depth-1's / 1.5 — a
 // modest ratio, because a depth-1 verb is one park per round trip and has
-// little waste left to amortize). End-to-end session timing over TCP is
-// the benchmark module's job (BENCHMARK.json's tcp-* workloads).
+// little waste left to amortize). An ungated row beside the sweep times a
+// lockstep raw-frame READ round trip (its own connection, one writeFrame
+// then one readFrame, as the heartbeat pings) against the depth-1 verb
+// through the mux, on the same shermand: the gap is the mux's own share of
+// a depth-1 round trip. End-to-end session timing over TCP is the benchmark
+// module's job (BENCHMARK.json's tcp-* workloads).
 
 const (
 	tpNumMS = 3
@@ -32,6 +37,13 @@ const (
 )
 
 var tpDepths = []int{1, 2, 4, 8}
+
+// The lockstep row: tpLockstepReps alternating blocks of tpLockstepOps
+// round trips per path, so drift hits both paths alike.
+const (
+	tpLockstepOps  = 2000
+	tpLockstepReps = 5
+)
 
 // The gate's floors. Frames per write at depth 8 measured 8.0 on both ends
 // (the whole window leaves, and is answered, in one syscall); the floor is
@@ -47,6 +59,10 @@ type tcpPipeResult struct {
 	VerbMops             map[int]float64
 	ClientFramesPerWrite map[int]float64
 	ServerFramesPerWrite map[int]float64
+
+	// LockstepP50 and MuxP50 are the ungated row's median round trips:
+	// a raw frame in lockstep, and a depth-1 verb through the mux.
+	LockstepP50, MuxP50 time.Duration
 }
 
 // tpVerbStream drives tpVerbOps pipelined read verbs at base's server
@@ -67,20 +83,26 @@ func tpVerbStream(av transport.AsyncVerbs, base transport.Addr, pend []transport
 	}
 }
 
-// tpVerbSweep runs the depth sweep of tpVerbStream against the given
-// memory servers and returns, per depth, the best-of-tpReps throughput and
-// the frames per write syscall that wire's counters saw over the depth's
-// streams; a nil wire counts the client's end of the connections.
-func tpVerbSweep(endpoints []string, wire func() []tcp.WireStats) (mops, framesPerWrite map[int]float64, err error) {
+// tpClient is one client cluster over the servers under test, with one
+// seeded chunk per server. A server accepts one client cluster only, so
+// every measurement against it runs through the same tpClient.
+type tpClient struct {
+	cl    *tcp.Cluster
+	tr    transport.Transport
+	av    transport.AsyncVerbs
+	bases []transport.Addr
+}
+
+func tpDial(endpoints []string) (*tpClient, error) {
 	cl, err := tcp.NewCluster(endpoints, 1, tcp.Options{})
 	if err != nil {
-		return nil, nil, fmt.Errorf("tcppipe: dial: %w", err)
+		return nil, fmt.Errorf("tcppipe: dial: %w", err)
 	}
-	defer cl.Close()
 	tr := cl.NewTransport(0)
 	av, ok := tr.(transport.AsyncVerbs)
 	if !ok {
-		return nil, nil, fmt.Errorf("tcppipe: tcp transport does not implement AsyncVerbs")
+		cl.Close()
+		return nil, fmt.Errorf("tcppipe: tcp transport does not implement AsyncVerbs")
 	}
 	// One chunk per server, seeded with leaf-sized records so the reads
 	// move real bytes.
@@ -95,8 +117,16 @@ func tpVerbSweep(endpoints []string, wire func() []tcp.WireStats) (mops, framesP
 			tr.Write(bases[ms].Add(uint64(s*tpVerbSize)), seed)
 		}
 	}
+	return &tpClient{cl: cl, tr: tr, av: av, bases: bases}, nil
+}
+
+// tpVerbSweep runs the depth sweep of tpVerbStream against every server of
+// c and returns, per depth, the best-of-tpReps throughput and the frames
+// per write syscall that wire's counters saw over the depth's streams; a
+// nil wire counts the client's end of the connections.
+func (c *tpClient) tpVerbSweep(wire func() []tcp.WireStats) (mops, framesPerWrite map[int]float64) {
 	if wire == nil {
-		wire = cl.WireStats
+		wire = c.cl.WireStats
 	}
 	sent := func() (frames, writes int64) {
 		for _, w := range wire() {
@@ -121,10 +151,10 @@ func tpVerbSweep(endpoints []string, wire func() []tcp.WireStats) (mops, framesP
 		var best float64
 		for rep := 0; rep < tpReps; rep++ {
 			start := time.Now()
-			for ms := range bases {
-				tpVerbStream(av, bases[ms], pend, bufs)
+			for _, base := range c.bases {
+				tpVerbStream(c.av, base, pend, bufs)
 			}
-			if m := float64(len(bases)*tpVerbOps) / time.Since(start).Seconds() / 1e6; m > best {
+			if m := float64(len(c.bases)*tpVerbOps) / time.Since(start).Seconds() / 1e6; m > best {
 				best = m
 			}
 		}
@@ -132,7 +162,34 @@ func tpVerbSweep(endpoints []string, wire func() []tcp.WireStats) (mops, framesP
 		mops[depth] = best
 		framesPerWrite[depth] = float64(f1-f0) / float64(w1-w0)
 	}
-	return mops, framesPerWrite, nil
+	return mops, framesPerWrite
+}
+
+// tpLockstep times, in alternating blocks, a lockstep raw-frame READ round
+// trip (tcp.LockstepRead, on a connection of its own) and a depth-1 READ
+// through the mux, both of tpVerbSize bytes at the same address of memory
+// server 0 at endpoint, and returns each path's median.
+func (c *tpClient) tpLockstep(endpoint string) (raw, mux time.Duration, err error) {
+	buf := make([]byte, tpVerbSize)
+	var raws, muxes []time.Duration
+	for rep := 0; rep < tpLockstepReps; rep++ {
+		rtts, err := tcp.LockstepRead(endpoint, c.bases[0], tpVerbSize, tpLockstepOps)
+		if err != nil {
+			return 0, 0, fmt.Errorf("tcppipe: lockstep read: %w", err)
+		}
+		raws = append(raws, rtts...)
+		for i := 0; i < tpLockstepOps; i++ {
+			start := time.Now()
+			c.tr.Read(c.bases[0], buf)
+			muxes = append(muxes, time.Since(start))
+		}
+	}
+	return median(raws), median(muxes), nil
+}
+
+func median(d []time.Duration) time.Duration {
+	slices.Sort(d)
+	return d[len(d)/2]
 }
 
 // tpServerCoalescing repeats the verb sweep against in-process servers —
@@ -151,14 +208,19 @@ func tpServerCoalescing() (map[int]float64, error) {
 		defer srv.Close()
 		srvs[i], endpoints[i] = srv, srv.Addr()
 	}
-	_, res, err := tpVerbSweep(endpoints, func() []tcp.WireStats {
+	c, err := tpDial(endpoints)
+	if err != nil {
+		return nil, err
+	}
+	defer c.cl.Close()
+	_, res := c.tpVerbSweep(func() []tcp.WireStats {
 		ws := make([]tcp.WireStats, len(srvs))
 		for i, srv := range srvs {
 			ws[i] = srv.WireStats()
 		}
 		return ws
 	})
-	return res, err
+	return res, nil
 }
 
 func runTCPPipe(_ bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {
@@ -169,7 +231,12 @@ func runTCPPipe(_ bench.Scale, col *bench.Collector) ([]*bench.Table, func() err
 	if err != nil {
 		return nil, nil, fmt.Errorf("tcppipe: launch: %w", err)
 	}
-	res.VerbMops, res.ClientFramesPerWrite, err = tpVerbSweep(ls.Endpoints, nil)
+	c, err := tpDial(ls.Endpoints)
+	if err == nil {
+		res.VerbMops, res.ClientFramesPerWrite = c.tpVerbSweep(nil)
+		res.LockstepP50, res.MuxP50, err = c.tpLockstep(ls.Endpoints[0])
+		c.cl.Close()
+	}
 	ls.Stop()
 	if err != nil {
 		return nil, nil, err
@@ -195,7 +262,18 @@ func runTCPPipe(_ bench.Scale, col *bench.Collector) ([]*bench.Table, func() err
 	vt.Note("gate: depth-8 frames/write >= %.0f on both ends, depth-8 us/verb <= depth-1 / %.1f (measured %.1f vs %.1f us/verb, %.2fx)",
 		tpMinFramesPerWrite, tpMinDepthSpeedup, 1/res.VerbMops[8], 1/res.VerbMops[1], res.VerbMops[8]/res.VerbMops[1])
 
-	return []*bench.Table{vt}, func() error { return tcpPipeGate(res) }, nil
+	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+	lt := bench.NewTable("TCP depth-1 round trip: lockstep raw frame vs the mux verb, same shermand (ungated)",
+		"path", "p50 us/round trip")
+	lt.Addf("raw frame, lockstep (own connection)", fmt.Sprintf("%.1f", us(res.LockstepP50)))
+	lt.Addf("mux verb, depth 1", fmt.Sprintf("%.1f", us(res.MuxP50)))
+	lt.Addf("the mux's share", fmt.Sprintf("%.1f", us(res.MuxP50-res.LockstepP50)))
+	lt.Note("%d-byte READs of one address; %d alternating blocks of %d round trips per path", tpVerbSize, tpLockstepReps, tpLockstepOps)
+	lt.Note("raw: one writeFrame, then one readFrame, as the heartbeat pings; mux: Transport.Read (post, write, park on the slot, wake)")
+	col.Add(bench.Metric{Exp: "tcppipe", Name: "tcppipe/lockstep_read_d1", Mops: 1 / us(res.LockstepP50), P50NS: res.LockstepP50.Nanoseconds()})
+	col.Add(bench.Metric{Exp: "tcppipe", Name: "tcppipe/mux_read_d1", Mops: 1 / us(res.MuxP50), P50NS: res.MuxP50.Nanoseconds()})
+
+	return []*bench.Table{vt, lt}, func() error { return tcpPipeGate(res) }, nil
 }
 
 // tcpPipeGate is the CI check behind `shermanbench -exp tcppipe -check`:

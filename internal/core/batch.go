@@ -317,7 +317,7 @@ func (h *Handle) execWriteGroup(a *Async, ops []planOp, start int, results []OpR
 // execWriteGroupBody is the locked write unit framed by h.ex (bound once as
 // h.ex.writeFn).
 func (h *Handle) execWriteGroupBody() {
-	f := h.t.cfg.Format
+	f := &h.t.cfg.Format
 	ops, results, start := h.ex.ops, h.ex.results, h.ex.start
 	var i int
 redo:

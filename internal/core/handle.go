@@ -225,7 +225,7 @@ func (h *Handle) readNode(a transport.Addr, buf []byte) (layout.Node, int) {
 	for {
 		start := h.C.Now()
 		h.C.Read(a, buf)
-		n := layout.ViewNode(h.t.cfg.Format, buf)
+		n := h.t.cfg.Format.View(buf)
 		if !n.Consistent() {
 			if !h.C.MSAlive(int(a.MS())) {
 				// Dead memory zero-fills, so no retry will ever read a
@@ -292,8 +292,7 @@ func (h *Handle) cacheInternal(a transport.Addr, n layout.Node, rootLevel uint8)
 	if !h.cache.Admissible(n.Level(), rootLevel) {
 		return
 	}
-	cp := append([]byte(nil), n.B...)
-	h.cache.Insert(a, layout.AsInternal(layout.ViewNode(n.F, cp)), rootLevel)
+	h.cache.Insert(a, layout.AsInternal(n.Clone()), rootLevel)
 }
 
 // cacheNode is cacheInternal against the cache's current notion of the root

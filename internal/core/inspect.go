@@ -40,7 +40,7 @@ func (t *Tree) Stats() TreeStats {
 }
 
 func (t *Tree) statsNode(n layout.Node, st *TreeStats) {
-	f := t.cfg.Format
+	f := &t.cfg.Format
 	st.BytesUsed += int64(f.NodeSize)
 	if n.IsLeaf() {
 		st.LeafNodes++
@@ -55,7 +55,7 @@ func (t *Tree) statsNode(n layout.Node, st *TreeStats) {
 	}
 	st.InternalNodes++
 	for _, c := range t.children(n) {
-		t.statsNode(layout.ViewNode(f, c.Buf), st)
+		t.statsNode(f.View(c.Buf), st)
 	}
 }
 
@@ -113,7 +113,7 @@ func (t *Tree) collect(n layout.Node, kvs *[]layout.KV, nodes *[]transport.Addr)
 	}
 	for _, c := range t.children(n) {
 		*nodes = append(*nodes, c.Addr)
-		t.collect(layout.ViewNode(t.cfg.Format, c.Buf), kvs, nodes)
+		t.collect(t.cfg.Format.View(c.Buf), kvs, nodes)
 	}
 }
 

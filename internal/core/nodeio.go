@@ -117,7 +117,7 @@ func (h *Handle) seek(key uint64, level uint8, in intent, addr transport.Addr, c
 		var n layout.Node
 		r := 0
 		if read {
-			n = layout.ViewNode(h.t.cfg.Format, buf)
+			n = h.t.cfg.Format.View(buf)
 		}
 		if !read || !n.Consistent() {
 			n, r = h.readNode(addr, buf)

@@ -95,7 +95,7 @@ func (h *Handle) recoverPass() (int, bool) {
 // appear as a separator. Missing ones are re-inserted; intact children are
 // recursed into.
 func (h *Handle) recoverNode(in layout.Internal, level uint8) (int, bool) {
-	f := h.t.cfg.Format
+	f := &h.t.cfg.Format
 	seps := in.Separators()
 	children := make([]transport.Addr, 0, len(seps)+1)
 	uppers := make([]uint64, 0, len(seps)+1)
@@ -118,7 +118,7 @@ func (h *Handle) recoverNode(in layout.Internal, level uint8) (int, bool) {
 
 	repaired := 0
 	for i, a := range children {
-		n := layout.ViewNode(f, bufs[i])
+		n := f.View(bufs[i])
 		if !n.Consistent() {
 			n, _ = h.readNode(a, bufs[i])
 		}

@@ -81,7 +81,7 @@ func (h *Handle) rangeInner(from uint64, span int) []layout.KV {
 
 		restart := false
 		for i := range addrs {
-			n := layout.ViewNode(h.t.cfg.Format, bufs[i])
+			n := h.t.cfg.Format.View(bufs[i])
 			if !n.Consistent() {
 				// Inconsistent snapshot: re-read this leaf alone.
 				n, _ = h.readNode(addrs[i], bufs[i])

@@ -113,7 +113,7 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 			panic(fmt.Sprintf("core: bulkload keys not strictly sorted at %d", i))
 		}
 	}
-	f := t.cfg.Format
+	f := &t.cfg.Format
 	b := t.cl.NewBulk()
 
 	perLeaf := int(float64(f.LeafCap) * t.cfg.bulkFill())
@@ -150,7 +150,7 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 		if hi < len(kvs) {
 			upper = kvs[hi].Key
 		}
-		leaf := layout.NewLeafIn(f, s.next(leafAddrs[i]), lower, upper)
+		leaf := layout.NewLeafIn(*f, s.next(leafAddrs[i]), lower, upper)
 		if i+1 < nLeaves {
 			leaf.SetSibling(leafAddrs[i+1])
 		}
@@ -190,7 +190,7 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 			if hi < len(addrs) {
 				upper = lowers[hi]
 			}
-			node := layout.NewInternalIn(f, s.next(newAddrs[i]), level, lower, upper)
+			node := layout.NewInternalIn(*f, s.next(newAddrs[i]), level, lower, upper)
 			if i+1 < n {
 				node.SetSibling(newAddrs[i+1])
 			}
@@ -230,7 +230,7 @@ func (t *Tree) rawRoot() (transport.Addr, layout.Node) {
 	root, _ := t.cl.RawRoot()
 	nb := make([]byte, t.cfg.Format.NodeSize)
 	t.cl.RawRead(transport.ReadOp{Addr: root, Buf: nb})
-	return root, layout.ViewNode(t.cfg.Format, nb)
+	return root, t.cfg.Format.View(nb)
 }
 
 // children reads every child of internal node n, leftmost first, with one
@@ -288,7 +288,7 @@ func (t *Tree) validateNode(a transport.Addr, n layout.Node, level uint8, lower,
 		if i < len(seps) {
 			hi = seps[i].Key
 		}
-		if err := t.validateNode(c.Addr, layout.ViewNode(t.cfg.Format, c.Buf), level-1, lo, hi); err != nil {
+		if err := t.validateNode(c.Addr, t.cfg.Format.View(c.Buf), level-1, lo, hi); err != nil {
 			return err
 		}
 	}

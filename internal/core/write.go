@@ -39,7 +39,7 @@ func (h *Handle) unlockWith(g hocl.Guard, ops ...transport.WriteOp) {
 func (h *Handle) insertInner(key, value uint64) (dataBytes int64) {
 	h.arena.reset()
 	addr, g, leaf := h.lockLeafForWrite(key)
-	f := h.t.cfg.Format
+	f := &h.t.cfg.Format
 	h.C.Step(h.tm.LocalStepNS)
 	if f.Mode == layout.TwoLevel {
 		i, found := leaf.Find(key)
@@ -67,7 +67,7 @@ func (h *Handle) insertInner(key, value uint64) (dataBytes int64) {
 func (h *Handle) deleteInner(key uint64) (bool, int64) {
 	h.arena.reset()
 	addr, g, leaf := h.lockLeafForWrite(key)
-	f := h.t.cfg.Format
+	f := &h.t.cfg.Format
 	h.C.Step(h.tm.LocalStepNS)
 	if f.Mode == layout.TwoLevel {
 		i, found := leaf.Find(key)
@@ -96,7 +96,7 @@ func (h *Handle) deleteInner(key uint64) (bool, int64) {
 // target g's memory server and are posted ahead of the split's write-backs
 // in the same doorbell batch.
 func (h *Handle) splitLeaf(addr transport.Addr, g hocl.Guard, leaf layout.Leaf, key, value uint64, carry []transport.WriteOp) int64 {
-	f := h.t.cfg.Format
+	f := &h.t.cfg.Format
 	kvs := leaf.AppendEntries(h.kvs[:0]) // sorts the unsorted leaf (Figure 7 line 21)
 	i := sort.Search(len(kvs), func(i int) bool { return kvs[i].Key >= key })
 	kvs = append(kvs, layout.KV{})
@@ -108,7 +108,7 @@ func (h *Handle) splitLeaf(addr transport.Addr, g hocl.Guard, leaf layout.Leaf, 
 	sep := kvs[mid].Key
 
 	sibAddr := h.alloc.Alloc(f.NodeSize)
-	sib := layout.NewLeafIn(f, h.arena.bytes(f.NodeSize), sep, leaf.UpperFence())
+	sib := layout.NewLeafIn(*f, h.arena.bytes(f.NodeSize), sep, leaf.UpperFence())
 	sib.SetSibling(leaf.Sibling())
 	sib.SetEntries(kvs[mid:])
 
@@ -161,7 +161,7 @@ func (h *Handle) splitLeaf(addr transport.Addr, g hocl.Guard, leaf layout.Leaf, 
 // level, creating a new root when the tree grows (insert_internal of
 // Figure 7 line 39).
 func (h *Handle) insertParent(sepKey uint64, child transport.Addr, level uint8) {
-	f := h.t.cfg.Format
+	f := &h.t.cfg.Format
 	for {
 		root, rootLvl := h.cache.Root()
 		if root.IsNil() {
@@ -170,7 +170,7 @@ func (h *Handle) insertParent(sepKey uint64, child transport.Addr, level uint8) 
 		if rootLvl < level {
 			// The split node was the root: grow the tree.
 			newRootAddr := h.alloc.Alloc(f.NodeSize)
-			nr := layout.NewInternalIn(f, h.arena.bytes(f.NodeSize), level, 0, layout.NoUpperBound)
+			nr := layout.NewInternalIn(*f, h.arena.bytes(f.NodeSize), level, 0, layout.NoUpperBound)
 			nr.SetLeftmost(root)
 			nr.Insert(sepKey, child)
 			if f.Mode == layout.Checksum {
@@ -208,7 +208,7 @@ func (h *Handle) insertParent(sepKey uint64, child transport.Addr, level uint8) 
 // inserts or splits. false means steering was stale and the caller should
 // re-resolve the target from a fresh root.
 func (h *Handle) tryInsertAt(addr transport.Addr, ce *cache.Entry, sepKey uint64, child transport.Addr, level uint8) bool {
-	f := h.t.cfg.Format
+	f := &h.t.cfg.Format
 	r, ok := h.seek(sepKey, level, intentWrite, addr, ce, h.nodeBuf, nil, nil)
 	if !ok {
 		return false
@@ -236,7 +236,7 @@ func (h *Handle) tryInsertAt(addr transport.Addr, ce *cache.Entry, sepKey uint64
 	}
 	// Full: split the internal node and push the median up.
 	rightAddr := h.alloc.Alloc(f.NodeSize)
-	right := layout.NewInternalIn(f, h.arena.bytes(f.NodeSize), level, 0, layout.NoUpperBound)
+	right := layout.NewInternalIn(*f, h.arena.bytes(f.NodeSize), level, 0, layout.NoUpperBound)
 	upSep := in.SplitInto(right, rightAddr)
 	switch {
 	case sepKey < upSep:

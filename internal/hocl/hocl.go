@@ -158,8 +158,10 @@ type Manager struct {
 	// when !mode.OnChip. On-chip GLTs start at on-chip offset 0.
 	gltHostBase []uint64
 
-	lltMu sync.Mutex
-	llts  []*localTable // indexed by CS id; nil when !mode.Local
+	// llts[cs] is the CS's local lock table; nil when !mode.Local. Restart
+	// replaces a dead CS's table wholesale (resetCS), so acquisitions and
+	// the death sweep load it atomically.
+	llts []atomic.Pointer[localTable]
 
 	// waiterPool recycles gwaiters: each waiter receives exactly one grant
 	// on every wake path (release handoff, orphan promotion, death kill), so
@@ -306,9 +308,7 @@ func NewManager(f *rdma.Fabric, cfg Config) *Manager {
 		m.wireServer(s)
 	}
 	if cfg.Mode.Local {
-		for range f.CSs {
-			m.llts = append(m.llts, newLocalTable(maxMS*n))
-		}
+		m.llts = newLocalTables(len(f.CSs), maxMS*n)
 	}
 	m.slots = make([]gslot, maxMS*n)
 	// New servers are wired (on-chip capacity check, host GLT chunk) before
@@ -356,9 +356,7 @@ func NewRemoteManager(cfg Config, numMS, numCS, onChipSize int, growHost func(ms
 		}
 	}
 	if cfg.Mode.Local {
-		for i := 0; i < numCS; i++ {
-			m.llts = append(m.llts, newLocalTable(numMS*n))
-		}
+		m.llts = newLocalTables(numCS, numMS*n)
 	}
 	return m
 }
@@ -476,7 +474,7 @@ func (m *Manager) lock(c transport.Transport, ms uint16, idx int, addr rdma.Addr
 	slot := int(ms)*m.locksPerMS + idx
 	g = Guard{m: m, ms: ms, idx: idx, slot: slot, gaddr: m.gltAddr(ms, idx)}
 	if m.mode.Local {
-		ll := m.llt(c).lock(slot)
+		ll := m.llts[c.CSID()].Load().lock(slot)
 		g.ll = ll
 		g.handedOff = ll.acquire(c, m)
 		if g.handedOff {
@@ -492,14 +490,6 @@ func (m *Manager) lock(c transport.Transport, ms uint16, idx int, addr rdma.Addr
 	}
 	m.Stats.Acquisitions.Add(1)
 	return g, read
-}
-
-// llt returns the client's CS-local lock table under the table swap lock
-// (restart replaces a dead CS's table wholesale).
-func (m *Manager) llt(c transport.Transport) *localTable {
-	m.lltMu.Lock()
-	defer m.lltMu.Unlock()
-	return m.llts[c.CSID()]
 }
 
 // acquireGlobal acquires the GLT slot: it claims the slot's simulation state
@@ -816,10 +806,7 @@ func (m *Manager) noteDeath(cs int, deathV int64) {
 		}
 	}
 	if m.mode.Local {
-		m.lltMu.Lock()
-		t := m.llts[cs]
-		m.lltMu.Unlock()
-		t.killAll()
+		m.llts[cs].Load().killAll()
 	}
 }
 
@@ -830,9 +817,7 @@ func (m *Manager) resetCS(cs int) {
 	if !m.mode.Local {
 		return
 	}
-	m.lltMu.Lock()
-	m.llts[cs] = newLocalTable(m.f.MaxServers() * m.locksPerMS)
-	m.lltMu.Unlock()
+	m.llts[cs].Store(newLocalTable(m.f.MaxServers() * m.locksPerMS))
 }
 
 // releaseSlot records the virtual release time and hands the slot to the

@@ -3,6 +3,7 @@ package hocl
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sherman/internal/transport"
 )
@@ -161,6 +162,16 @@ func (l *localLock) releaseLocked(c transport.Transport, now int64) {
 	}
 	l.held = false
 	l.mu.Unlock()
+}
+
+// newLocalTables builds one table of n locks for each of numCS compute
+// servers.
+func newLocalTables(numCS, n int) []atomic.Pointer[localTable] {
+	t := make([]atomic.Pointer[localTable], numCS)
+	for i := range t {
+		t[i].Store(newLocalTable(n))
+	}
+	return t
 }
 
 // killAll aborts every queued waiter of the table's compute server after it

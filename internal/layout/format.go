@@ -17,7 +17,10 @@
 // the raw bytes.
 package layout
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Mode selects the consistency-check mechanism and node layout.
 type Mode int
@@ -72,7 +75,9 @@ const NoUpperBound = ^uint64(0)
 // (§4.2.4).
 const AliveOffset = offAlive
 
-// Format captures the node geometry of one tree.
+// Format captures the node geometry of one tree. Build it with NewFormat,
+// NewFormatFixedCap or DefaultFormat and do not change its fields after:
+// views read the geometry interned when it was built.
 type Format struct {
 	Mode Mode
 	// KeySize is the wire size of a key in bytes (>= 8; the logical key is
@@ -89,6 +94,36 @@ type Format struct {
 	IntCap      int // max separator keys per internal node
 	LeafEntSize int // bytes per leaf entry (incl. FEV/REV in TwoLevel mode)
 	IntEntSize  int // bytes per internal entry (key + child pointer)
+
+	// shared is the interned copy of this geometry that views point at:
+	// NewFormat sets it, so every copy of a Format carries it and building
+	// a view costs neither a lookup nor an allocation.
+	shared *Format
+}
+
+// interned holds one immutable Format per distinct geometry.
+var interned struct {
+	sync.Mutex
+	m map[Format]*Format
+}
+
+// intern returns the shared copy of f's geometry, creating it on first use.
+// The shared copy points at itself and is never written after.
+func intern(f Format) *Format {
+	f.shared = nil
+	interned.Lock()
+	defer interned.Unlock()
+	if p, ok := interned.m[f]; ok {
+		return p
+	}
+	if interned.m == nil {
+		interned.m = make(map[Format]*Format)
+	}
+	p := new(Format)
+	*p = f
+	p.shared = p
+	interned.m[f] = p
+	return p
 }
 
 // NewFormat derives a format from mode, key size and node size.
@@ -117,6 +152,7 @@ func NewFormat(mode Mode, keySize, nodeSize int) Format {
 	if f.LeafCap < 2 || f.IntCap < 2 {
 		panic(fmt.Sprintf("layout: node size %d too small for key size %d", nodeSize, keySize))
 	}
+	f.shared = intern(f)
 	return f
 }
 
@@ -138,6 +174,7 @@ func NewFormatFixedCap(mode Mode, keySize, entries int) Format {
 	// comparisons across modes.
 	if f.LeafCap > entries {
 		f.LeafCap = entries
+		f.shared = intern(f)
 	}
 	return f
 }
@@ -147,7 +184,7 @@ func NewFormatFixedCap(mode Mode, keySize, entries int) Format {
 func DefaultFormat(mode Mode) Format { return NewFormat(mode, 8, 1024) }
 
 // leafEntryOff returns the buffer offset of leaf entry slot i.
-func (f Format) leafEntryOff(i int) int {
+func (f *Format) leafEntryOff(i int) int {
 	switch f.Mode {
 	case TwoLevel:
 		return headerEnd + i*f.LeafEntSize
@@ -157,7 +194,7 @@ func (f Format) leafEntryOff(i int) int {
 }
 
 // intEntryOff returns the buffer offset of internal entry slot i.
-func (f Format) intEntryOff(i int) int {
+func (f *Format) intEntryOff(i int) int {
 	switch f.Mode {
 	case TwoLevel:
 		return offCountTL + 2 + 8 + i*f.IntEntSize

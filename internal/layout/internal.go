@@ -42,7 +42,7 @@ func NewInternalIn(f Format, buf []byte, level uint8, lower, upper uint64) Inter
 }
 
 func (n Internal) countOff() int {
-	if n.F.Mode == Checksum {
+	if n.f.Mode == Checksum {
 		return offCountCksum
 	}
 	return offCountTL
@@ -60,18 +60,18 @@ func (n Internal) Leftmost() rdma.Addr { return rdma.Addr(n.getU64(n.countOff() 
 func (n Internal) SetLeftmost(a rdma.Addr) { n.putU64(n.countOff()+2, uint64(a)) }
 
 // KeyAt returns separator key i.
-func (n Internal) KeyAt(i int) uint64 { return n.getKey(n.F.intEntryOff(i)) }
+func (n Internal) KeyAt(i int) uint64 { return n.getKey(n.f.intEntryOff(i)) }
 
 // ChildAt returns the child pointer paired with separator key i.
 func (n Internal) ChildAt(i int) rdma.Addr {
-	return rdma.Addr(n.getU64(n.F.intEntryOff(i) + n.F.KeySize))
+	return rdma.Addr(n.getU64(n.f.intEntryOff(i) + n.f.KeySize))
 }
 
 // setAt stores separator i.
 func (n Internal) setAt(i int, key uint64, child rdma.Addr) {
-	off := n.F.intEntryOff(i)
+	off := n.f.intEntryOff(i)
 	n.putKey(off, key)
-	n.putU64(off+n.F.KeySize, uint64(child))
+	n.putU64(off+n.f.KeySize, uint64(child))
 }
 
 // SetChild rewrites the child pointer at the index ChildFor returned: -1 is
@@ -82,7 +82,7 @@ func (n Internal) SetChild(i int, a rdma.Addr) {
 		n.SetLeftmost(a)
 		return
 	}
-	n.putU64(n.F.intEntryOff(i)+n.F.KeySize, uint64(a))
+	n.putU64(n.f.intEntryOff(i)+n.f.KeySize, uint64(a))
 }
 
 // ChildFor returns the child to descend into for key, plus the index of the
@@ -124,7 +124,7 @@ func (n Internal) AppendChildrenFrom(dst []rdma.Addr, key uint64) []rdma.Addr {
 }
 
 // Full reports whether no separator slot remains.
-func (n Internal) Full() bool { return n.Count() >= n.F.IntCap }
+func (n Internal) Full() bool { return n.Count() >= n.f.IntCap }
 
 // Insert adds (key, child) keeping separators sorted. Returns false when the
 // node is full; duplicate keys overwrite the child pointer (idempotent
@@ -136,12 +136,12 @@ func (n Internal) Insert(key uint64, child rdma.Addr) bool {
 		n.setAt(i, key, child)
 		return true
 	}
-	if cnt >= n.F.IntCap {
+	if cnt >= n.f.IntCap {
 		return false
 	}
-	start := n.F.intEntryOff(i)
-	end := n.F.intEntryOff(cnt)
-	copy(n.B[start+n.F.IntEntSize:end+n.F.IntEntSize], n.B[start:end])
+	start := n.f.intEntryOff(i)
+	end := n.f.intEntryOff(cnt)
+	copy(n.B[start+n.f.IntEntSize:end+n.f.IntEntSize], n.B[start:end])
 	n.setAt(i, key, child)
 	n.setCount(cnt + 1)
 	return true
@@ -165,11 +165,11 @@ type Sep struct {
 
 // SetSeparators rewrites the node's separator array.
 func (n Internal) SetSeparators(seps []Sep) {
-	if len(seps) > n.F.IntCap {
+	if len(seps) > n.f.IntCap {
 		panic("layout: too many separators")
 	}
-	lo := n.F.intEntryOff(0)
-	hi := n.F.intEntryOff(n.F.IntCap)
+	lo := n.f.intEntryOff(0)
+	hi := n.f.intEntryOff(n.f.IntCap)
 	for i := lo; i < hi; i++ {
 		n.B[i] = 0
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"sherman/internal/rdma"
 )
@@ -39,6 +40,41 @@ func TestFormatGeometry(t *testing.T) {
 		if endI > limit {
 			t.Fatalf("%v keySize=%d: internal entry overruns node", f.Mode, f.KeySize)
 		}
+	}
+}
+
+// TestViewSize pins a view at its buffer plus one geometry pointer: views
+// are passed by value on every accessor call, so a field that grows them
+// brings the per-call copies back.
+func TestViewSize(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"Node":     unsafe.Sizeof(Node{}),
+		"Leaf":     unsafe.Sizeof(Leaf{}),
+		"Internal": unsafe.Sizeof(Internal{}),
+	} {
+		if size > 32 {
+			t.Errorf("%s is %d bytes, want at most 32", name, size)
+		}
+	}
+}
+
+// TestFormatShared checks that equal geometries share one interned copy,
+// whichever constructor built them, and that views point at it.
+func TestFormatShared(t *testing.T) {
+	a, b := DefaultFormat(TwoLevel), NewFormat(TwoLevel, 8, 1024)
+	if a != b || a.shared == nil || a.shared != b.shared {
+		t.Fatalf("equal formats do not share one geometry: %p vs %p", a.shared, b.shared)
+	}
+	if c := DefaultFormat(Checksum); c.shared == a.shared {
+		t.Fatal("distinct geometries share a copy")
+	}
+	fixed := NewFormatFixedCap(TwoLevel, 8, 32)
+	if fixed.shared.LeafCap != 32 || fixed.shared.shared != fixed.shared {
+		t.Fatalf("fixed-cap format interned as %+v", *fixed.shared)
+	}
+	l := NewLeaf(a, 0, NoUpperBound)
+	if l.f != a.shared || a.View(l.B).f != a.shared || l.Clone().f != a.shared {
+		t.Fatal("views do not point at the shared geometry")
 	}
 }
 

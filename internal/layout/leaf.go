@@ -44,18 +44,18 @@ type KV struct {
 }
 
 // Cap returns the entry capacity.
-func (l Leaf) Cap() int { return l.F.LeafCap }
+func (l Leaf) Cap() int { return l.f.LeafCap }
 
 // keyOff/valOff locate the fields of slot i.
 func (l Leaf) keyOff(i int) int {
-	off := l.F.leafEntryOff(i)
-	if l.F.Mode == TwoLevel {
+	off := l.f.leafEntryOff(i)
+	if l.f.Mode == TwoLevel {
 		return off + 1 // skip FEV
 	}
 	return off
 }
 
-func (l Leaf) valOff(i int) int { return l.keyOff(i) + l.F.KeySize }
+func (l Leaf) valOff(i int) int { return l.keyOff(i) + l.f.KeySize }
 
 // Key returns the key in slot i (0 = empty in TwoLevel mode).
 func (l Leaf) Key(i int) uint64 { return l.getKey(l.keyOff(i)) }
@@ -64,11 +64,11 @@ func (l Leaf) Key(i int) uint64 { return l.getKey(l.keyOff(i)) }
 func (l Leaf) Value(i int) uint64 { return l.getU64(l.valOff(i)) }
 
 // FEV and REV return the entry versions of slot i (TwoLevel mode).
-func (l Leaf) FEV(i int) uint8 { return l.B[l.F.leafEntryOff(i)] & 0xF }
+func (l Leaf) FEV(i int) uint8 { return l.B[l.f.leafEntryOff(i)] & 0xF }
 
 // REV returns the rear entry version of slot i.
 func (l Leaf) REV(i int) uint8 {
-	return l.B[l.F.leafEntryOff(i)+l.F.LeafEntSize-1] & 0xF
+	return l.B[l.f.leafEntryOff(i)+l.f.LeafEntSize-1] & 0xF
 }
 
 // EntryConsistent reports whether slot i's two versions match (§4.4 lookup,
@@ -80,11 +80,11 @@ func (l Leaf) EntryConsistent(i int) bool { return l.FEV(i) == l.REV(i) }
 func (l Leaf) SetEntry(i int, key, value uint64) {
 	l.putKey(l.keyOff(i), key)
 	l.putU64(l.valOff(i), value)
-	if l.F.Mode == TwoLevel {
-		off := l.F.leafEntryOff(i)
+	if l.f.Mode == TwoLevel {
+		off := l.f.leafEntryOff(i)
 		v := (l.B[off] + 1) & 0xF
 		l.B[off] = v
-		l.B[off+l.F.LeafEntSize-1] = v
+		l.B[off+l.f.LeafEntSize-1] = v
 	}
 }
 
@@ -94,12 +94,12 @@ func (l Leaf) ClearEntry(i int) { l.SetEntry(i, 0, 0) }
 // EntrySpan returns the buffer offset and length of slot i's write-back
 // region (the 17-byte granule of Figure 14(c), including FEV and REV).
 func (l Leaf) EntrySpan(i int) (off, size int) {
-	return l.F.leafEntryOff(i), l.F.LeafEntSize
+	return l.f.leafEntryOff(i), l.f.LeafEntSize
 }
 
 // Count returns the number of live entries.
 func (l Leaf) Count() int {
-	if l.F.Mode == Checksum {
+	if l.f.Mode == Checksum {
 		return l.getU16(offCountCksum)
 	}
 	n := 0
@@ -115,7 +115,7 @@ func (l Leaf) Count() int {
 // added CPU cost the paper accepts for microsecond-scale networks (§4.4);
 // Checksum mode binary-searches the sorted array.
 func (l Leaf) Find(key uint64) (int, bool) {
-	if l.F.Mode == Checksum {
+	if l.f.Mode == Checksum {
 		cnt := l.Count()
 		i := sort.Search(cnt, func(i int) bool { return l.Key(i) >= key })
 		if i < cnt && l.Key(i) == key {
@@ -123,12 +123,12 @@ func (l Leaf) Find(key uint64) (int, bool) {
 		}
 		return -1, false
 	}
-	// Stride the buffer directly: the per-slot accessors copy the whole
-	// view struct per call, which dominates the scan on warm reads.
-	ent := l.F.LeafEntSize
+	// Stride the buffer directly: the per-slot accessors recompute the
+	// slot's offset on every call, which dominates the scan on warm reads.
+	ent := l.f.LeafEntSize
 	off := headerEnd + 1 // first slot's key (skip FEV)
 	b := l.B
-	for i, n := 0, l.F.LeafCap; i < n; i++ {
+	for i, n := 0, l.f.LeafCap; i < n; i++ {
 		if binary.LittleEndian.Uint64(b[off:]) == key {
 			return i, true
 		}
@@ -140,10 +140,10 @@ func (l Leaf) Find(key uint64) (int, bool) {
 // FindFree returns an empty slot, or -1 when the leaf is full. Only
 // meaningful in TwoLevel mode.
 func (l Leaf) FindFree() int {
-	ent := l.F.LeafEntSize
+	ent := l.f.LeafEntSize
 	off := headerEnd + 1
 	b := l.B
-	for i, n := 0, l.F.LeafCap; i < n; i++ {
+	for i, n := 0, l.f.LeafCap; i < n; i++ {
 		if binary.LittleEndian.Uint64(b[off:]) == 0 {
 			return i
 		}
@@ -165,9 +165,9 @@ func (l Leaf) InsertSorted(key, value uint64) bool {
 	if cnt == l.Cap() {
 		return false
 	}
-	start := l.F.leafEntryOff(i)
-	end := l.F.leafEntryOff(cnt)
-	copy(l.B[start+l.F.LeafEntSize:end+l.F.LeafEntSize], l.B[start:end])
+	start := l.f.leafEntryOff(i)
+	end := l.f.leafEntryOff(cnt)
+	copy(l.B[start+l.f.LeafEntSize:end+l.f.LeafEntSize], l.B[start:end])
 	l.putKey(l.keyOff(i), key)
 	l.putU64(l.valOff(i), value)
 	l.putU16(offCountCksum, cnt+1)
@@ -181,9 +181,9 @@ func (l Leaf) DeleteSorted(key uint64) bool {
 	if i >= cnt || l.Key(i) != key {
 		return false
 	}
-	start := l.F.leafEntryOff(i)
-	end := l.F.leafEntryOff(cnt)
-	copy(l.B[start:], l.B[start+l.F.LeafEntSize:end])
+	start := l.f.leafEntryOff(i)
+	end := l.f.leafEntryOff(cnt)
+	copy(l.B[start:], l.B[start+l.f.LeafEntSize:end])
 	l.putU16(offCountCksum, cnt-1)
 	return true
 }
@@ -198,7 +198,7 @@ func (l Leaf) Entries() []KV { return l.AppendEntries(nil) }
 // untouched.
 func (l Leaf) AppendEntries(dst []KV) []KV {
 	start := len(dst)
-	if l.F.Mode == Checksum {
+	if l.f.Mode == Checksum {
 		cnt := l.Count()
 		for i := 0; i < cnt; i++ {
 			dst = append(dst, KV{l.Key(i), l.Value(i)})
@@ -223,20 +223,20 @@ func (l Leaf) SetEntries(kvs []KV) {
 		panic("layout: too many entries for leaf")
 	}
 	// Clear the whole entry area first so stale slots cannot resurface.
-	lo := l.F.leafEntryOff(0)
-	hi := l.F.leafEntryOff(l.Cap())
+	lo := l.f.leafEntryOff(0)
+	hi := l.f.leafEntryOff(l.Cap())
 	for i := lo; i < hi; i++ {
 		l.B[i] = 0
 	}
 	for i, kv := range kvs {
-		if l.F.Mode == Checksum {
+		if l.f.Mode == Checksum {
 			l.putKey(l.keyOff(i), kv.Key)
 			l.putU64(l.valOff(i), kv.Value)
 		} else {
 			l.SetEntry(i, kv.Key, kv.Value)
 		}
 	}
-	if l.F.Mode == Checksum {
+	if l.f.Mode == Checksum {
 		l.putU16(offCountCksum, len(kvs))
 	}
 }

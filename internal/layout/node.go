@@ -11,21 +11,33 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // Node is an in-place view over one node buffer (a client-local copy of
 // NodeSize bytes). Leaf and Internal embed it.
+//
+// A view is the buffer plus one pointer to its Format's shared, immutable
+// geometry, 32 bytes: views are passed and returned by value on every
+// accessor call, so they must stay small enough to travel in registers
+// (TestViewSize). A copy of the 64-byte Format would be copied with them.
 type Node struct {
 	B []byte
-	F Format
+	f *Format
 }
 
 // NewNodeBuf allocates a zeroed node buffer viewed as a Node.
-func NewNodeBuf(f Format) Node { return Node{B: make([]byte, f.NodeSize), F: f} }
+func NewNodeBuf(f Format) Node { return Node{B: make([]byte, f.NodeSize), f: f.shared} }
 
 // ViewNode wraps an existing buffer (len must equal f.NodeSize).
-func ViewNode(f Format, b []byte) Node {
+func ViewNode(f Format, b []byte) Node { return f.View(b) }
+
+// View wraps an existing buffer (len must equal f.NodeSize). It is ViewNode
+// for callers that hold the Format in place, and copies nothing.
+func (f *Format) View(b []byte) Node {
 	if len(b) != f.NodeSize {
 		panic("layout: buffer size does not match format")
 	}
-	return Node{B: b, F: f}
+	return Node{B: b, f: f.shared}
 }
+
+// Clone returns a view of a fresh copy of n's buffer.
+func (n Node) Clone() Node { return Node{B: append([]byte(nil), n.B...), f: n.f} }
 
 // Init stamps a fresh node: alive, given level and fences, nil sibling.
 func (n Node) Init(level uint8, lower, upper uint64) {
@@ -88,14 +100,14 @@ func (n Node) Covers(key uint64) bool {
 func (n Node) FNV() uint8 { return n.B[offFNV] & 0xF }
 
 // RNV returns the 4-bit rear node version (last byte of the node).
-func (n Node) RNV() uint8 { return n.B[n.F.NodeSize-1] & 0xF }
+func (n Node) RNV() uint8 { return n.B[n.f.NodeSize-1] & 0xF }
 
 // BumpNodeVersions increments FNV and RNV together (called under the node's
 // exclusive lock before a whole-node write-back, §4.4).
 func (n Node) BumpNodeVersions() {
 	v := (n.FNV() + 1) & 0xF
 	n.B[offFNV] = v
-	n.B[n.F.NodeSize-1] = v
+	n.B[n.f.NodeSize-1] = v
 }
 
 // UpdateChecksum recomputes the whole-node CRC64 (Checksum mode). The CRC
@@ -113,7 +125,7 @@ func (n Node) computeChecksum() uint64 {
 // quiescent state: matching node versions in TwoLevel mode, a valid CRC in
 // Checksum mode.
 func (n Node) Consistent() bool {
-	if n.F.Mode == Checksum {
+	if n.f.Mode == Checksum {
 		return binary.LittleEndian.Uint64(n.B[offChecksum:]) == n.computeChecksum()
 	}
 	return n.FNV() == n.RNV()
@@ -125,7 +137,7 @@ func (n Node) Consistent() bool {
 // padding — larger key sizes only model wire volume).
 func (n Node) putKey(off int, k uint64) {
 	binary.LittleEndian.PutUint64(n.B[off:], k)
-	for i := off + 8; i < off+n.F.KeySize; i++ {
+	for i := off + 8; i < off+n.f.KeySize; i++ {
 		n.B[i] = 0
 	}
 }

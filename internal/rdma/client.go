@@ -118,7 +118,7 @@ func (c *Client) roundTrip() {
 // response payload charged at the memory server's NIC.
 func (c *Client) Read(a Addr, buf []byte) {
 	c.checkVerb()
-	p := c.F.P
+	p := &c.F.P
 	srv := c.F.Server(a)
 	t := c.CS.Outbound.Acquire(c.Clk.Now(), p.OutboundMinNS)
 	t = srv.Inbound.Acquire(t, p.PayloadNS(len(buf), p.InboundMinNS))
@@ -138,7 +138,7 @@ func (c *Client) ReadMulti(reqs []ReadOp) {
 		return
 	}
 	c.checkVerb()
-	p := c.F.P
+	p := &c.F.P
 	var done int64
 	t := c.Clk.Now()
 	for _, r := range reqs {
@@ -177,7 +177,7 @@ func (c *Client) PostWrites(ops ...WriteOp) {
 		return
 	}
 	c.checkVerb()
-	p := c.F.P
+	p := &c.F.P
 	srv := c.F.Server(ops[0].Addr)
 	for _, op := range ops[1:] {
 		if op.Addr.MS() != srv.ID {
@@ -207,7 +207,7 @@ func (c *Client) PostWrites(ops ...WriteOp) {
 
 func (c *Client) atomicTiming(a Addr, backlogNS int64) int64 {
 	c.checkVerb()
-	p := c.F.P
+	p := &c.F.P
 	srv := c.F.Server(a)
 	conflictSvc, unitSvc := p.HostAtomicNS, p.HostAtomicUnitNS
 	if a.OnChip() {
@@ -319,7 +319,7 @@ func (c *Client) readBehind(casFin int64, lock, a Addr, buf []byte) int64 {
 	if a.MS() != lock.MS() {
 		panic(fmt.Sprintf("rdma: combined post spans servers ms%d and ms%d", lock.MS(), a.MS()))
 	}
-	p := c.F.P
+	p := &c.F.P
 	srv := c.F.Server(a)
 	c.CS.Outbound.Acquire(c.Clk.Now(), p.OutboundMinNS)
 	t := srv.Inbound.Acquire(casFin-p.RTTNS, p.PayloadNS(len(buf), p.InboundMinNS))
@@ -374,7 +374,7 @@ const maxSpinCharges = 1 << 14
 // would double-count the storm and grow the queue without bound.
 func (c *Client) ChargeSpin(a Addr, from, to, cadence int64) int {
 	c.checkVerb()
-	p := c.F.P
+	p := &c.F.P
 	srv := c.F.Server(a)
 	if cadence <= 0 {
 		cadence = p.RTTNS
@@ -402,7 +402,7 @@ func (c *Client) ChargeSpin(a Addr, from, to, cadence int64) int {
 // fn runs the real server-side logic (e.g. chunk allocation) exactly once.
 func (c *Client) Call(ms uint16, fn func()) {
 	c.checkVerb()
-	p := c.F.P
+	p := &c.F.P
 	srv := c.F.Servers()[ms]
 	t := c.CS.Outbound.Acquire(c.Clk.Now(), p.OutboundMinNS)
 	t = srv.Inbound.Acquire(t, p.InboundMinNS)

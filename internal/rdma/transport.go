@@ -30,7 +30,7 @@ func (c *Client) Metrics() *Metrics { return &c.M }
 
 // Timing exposes the simulation's cost constants.
 func (c *Client) Timing() transport.Timing {
-	p := c.F.P
+	p := &c.F.P
 	return transport.Timing{
 		RTTNS:             p.RTTNS,
 		LocalStepNS:       p.LocalStepNS,

@@ -97,7 +97,7 @@ func (h *Handle) Get(key uint64) (uint64, bool) {
 	ms := h.ix.shardFor(key)
 	sh := &h.ix.shards[ms]
 	// Bill the verb: one read of an entry-sized payload at the home NIC.
-	p := h.C.F.P
+	p := &h.C.F.P
 	srv := h.C.F.Servers()[ms]
 	t := h.C.CS.Outbound.Acquire(h.C.Now(), p.OutboundMinNS)
 	t = srv.Inbound.Acquire(t, p.PayloadNS(16, p.InboundMinNS))

@@ -130,7 +130,7 @@ func DefaultParams() Params {
 
 // PayloadNS returns the size-dependent service time of moving n payload
 // bytes through a NIC with the given per-command floor.
-func (p Params) PayloadNS(n int, floor int64) int64 {
+func (p *Params) PayloadNS(n int, floor int64) int64 {
 	t := int64(float64(n) * p.NSPerByte)
 	if t < floor {
 		return floor

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -35,21 +36,10 @@ func bucketOf(v int64) int {
 	if v < subBuckets {
 		return int(v)
 	}
-	exp := 63 - leadingZeros(uint64(v))
+	exp := 63 - bits.LeadingZeros64(uint64(v))
 	// Top bit implied; next subBucketBits bits select the sub-bucket.
 	sub := int(v>>(uint(exp)-subBucketBits)) & (subBuckets - 1)
 	return (exp-subBucketBits+1)*subBuckets + sub
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if x&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
 }
 
 // bucketLow returns the smallest value mapping to bucket b (inverse of

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -97,6 +98,46 @@ func TestBucketRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20_000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// loopLeadingZeros is the bit-by-bit count bucketOf used before
+// math/bits, kept as the reference for TestBucketOfPinned.
+func loopLeadingZeros(x uint64) int {
+	n := 0
+	for i := 63; i >= 0; i-- {
+		if x&(1<<uint(i)) != 0 {
+			return n
+		}
+		n++
+	}
+	return 64
+}
+
+// TestBucketOfPinned checks bucketOf, and bucketLow of its bucket, against
+// the loop-based bucketing at 0, 1, every power of two, its neighbours and
+// MaxInt64, so recorded histograms bucket exactly as before.
+func TestBucketOfPinned(t *testing.T) {
+	ref := func(v int64) int {
+		if v < subBuckets {
+			return int(v)
+		}
+		exp := 63 - loopLeadingZeros(uint64(v))
+		sub := int(v>>(uint(exp)-subBucketBits)) & (subBuckets - 1)
+		return (exp-subBucketBits+1)*subBuckets + sub
+	}
+	vals := []int64{0, 1, math.MaxInt64}
+	for k := 1; k < 63; k++ {
+		vals = append(vals, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	for _, v := range vals {
+		b, want := bucketOf(v), ref(v)
+		if b != want {
+			t.Fatalf("bucketOf(%d) = %d, want %d", v, b, want)
+		}
+		if lo := bucketLow(b); lo > v || (v&(v-1) == 0 && lo != v) {
+			t.Fatalf("bucketLow(bucketOf(%d)) = %d", v, lo)
+		}
 	}
 }
 
@@ -250,11 +291,16 @@ func TestThroughputMops(t *testing.T) {
 	}
 }
 
+// TestLeadingZeros checks the reference loop TestBucketOfPinned compares
+// against, and that math/bits agrees with it.
 func TestLeadingZeros(t *testing.T) {
 	cases := map[uint64]int{1: 63, 2: 62, 1 << 63: 0, 0: 64, 0xff: 56}
 	for v, want := range cases {
-		if got := leadingZeros(v); got != want {
-			t.Errorf("leadingZeros(%#x) = %d, want %d", v, got, want)
+		if got := loopLeadingZeros(v); got != want {
+			t.Errorf("loopLeadingZeros(%#x) = %d, want %d", v, got, want)
+		}
+		if got := bits.LeadingZeros64(v); got != want {
+			t.Errorf("bits.LeadingZeros64(%#x) = %d, want %d", v, got, want)
 		}
 	}
 }

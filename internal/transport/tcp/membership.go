@@ -2,9 +2,12 @@ package tcp
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"sync"
 	"time"
+
+	"sherman/internal/transport"
 )
 
 // Membership defaults: pings every defaultHeartbeatInterval, and a server
@@ -101,4 +104,36 @@ func (m *membership) ping(conn net.Conn, r *bufio.Reader) bool {
 	}
 	_, status, _, err := readFrame(r)
 	return err == nil && status == statusOK
+}
+
+// LockstepRead times n round trips of one size-byte READ at a on the memory
+// server at endpoint, the way the heartbeat pings: on a connection of its
+// own, one writeFrame then one readFrame, so no mux, window, parking or
+// wake-up sits between the request and its answer. It returns each round
+// trip's duration; set next to a depth-1 verb through the mux, the gap is
+// the mux's own share of that verb.
+func LockstepRead(endpoint string, a transport.Addr, size, n int) ([]time.Duration, error) {
+	conn, err := net.DialTimeout("tcp", endpoint, dialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	req := appendU32(appendU64(nil, uint64(a)), uint32(size))
+	rtts := make([]time.Duration, n)
+	for i := range rtts {
+		start := time.Now()
+		if err := writeFrame(conn, 0, opRead, req); err != nil {
+			return nil, err
+		}
+		_, status, payload, err := readFrame(r)
+		if err != nil {
+			return nil, err
+		}
+		if status != statusOK || len(payload) != size {
+			return nil, fmt.Errorf("tcp: lockstep read at %v: status %d, %d of %d bytes", a, status, len(payload), size)
+		}
+		rtts[i] = time.Since(start)
+	}
+	return rtts, nil
 }

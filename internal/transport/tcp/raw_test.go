@@ -52,3 +52,31 @@ func TestRawWaves(t *testing.T) {
 		}
 	}
 }
+
+// TestLockstepRead: the heartbeat-style lockstep READ answers every round
+// trip on its own connection next to a live client cluster, and a refused
+// READ (past the chunk) is an error, not a short answer.
+func TestLockstepRead(t *testing.T) {
+	eps := startServers(t, 1)
+	c, err := NewCluster(eps, 1, Options{HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	base := transport.MakeAddr(0, c.GrowChunkRaw(0))
+	rtts, err := LockstepRead(eps[0], base, 1024, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range rtts {
+		if d <= 0 {
+			t.Fatalf("round trip %d took %v", i, d)
+		}
+	}
+	if len(rtts) != 5 {
+		t.Fatalf("%d round trips timed, want 5", len(rtts))
+	}
+	if _, err := LockstepRead(eps[0], base.Add(1<<40), 1024, 1); err == nil {
+		t.Fatal("a READ outside every chunk succeeded")
+	}
+}
