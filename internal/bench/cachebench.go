@@ -26,30 +26,8 @@ import (
 // cacheNodeSize keeps the sweep's tree deep at bench scale.
 const cacheNodeSize = 256
 
-// CacheExp configures one cell of the cache sweep.
-type CacheExp struct {
-	Name string
-
-	// Keys sizes the key space; Dist/theta shape the skew.
-	Keys uint64
-	Dist workload.Dist
-
-	// CachePct sizes the budgeted region as a percentage of the level-1
-	// working set. Ignored when Levels < 0 (cache off).
-	CachePct int
-	// Levels is the budgeted caching depth (core.Config.CacheLevels):
-	// -1 = off (pinned top only), 1 = the paper's flat level-1 cache,
-	// 2 = the unified default, 3 = one more level.
-	Levels int
-
-	ThreadsPerCS int
-	MeasureNS    int64
-	WarmupOps    int
-}
-
 // CacheCellResult is one measured cell.
 type CacheCellResult struct {
-	Name string
 	// Mops and RTPerOp are the headline trade-off: round trips per
 	// operation is what the cache exists to cut.
 	Mops    float64
@@ -65,33 +43,32 @@ type CacheCellResult struct {
 	P50, P99   int64
 }
 
-// runCacheCell executes one sweep cell.
-func runCacheCell(e CacheExp) CacheCellResult {
+// runCacheCell executes one sweep cell: the read-intensive workload under
+// dist, with a budgeted region caching `levels` tree levels
+// (core.Config.CacheLevels; -1 = off, pinned top only) in pct% of the
+// level-1 working set.
+func runCacheCell(s Scale, dist workload.Dist, pct, levels int) CacheCellResult {
+	keys := max(s.Keys, 1<<18) // keep the 256 B-node tree at root level >= 5
 	cfg := core.ShermanConfig()
 	cfg.Format = layout.NewFormat(layout.TwoLevel, 8, cacheNodeSize)
-	cfg.CacheLevels = e.Levels
-	if e.Levels < 0 {
+	cfg.CacheLevels = levels
+	if levels < 0 {
 		cfg.CacheBytes = 1 // budget is irrelevant; top levels stay pinned
 	} else {
-		ws := Level1WorkingSetBytes(e.Keys, cfg)
-		cfg.CacheBytes = ws * int64(e.CachePct) / 100
-		if cfg.CacheBytes < int64(cacheNodeSize) {
-			cfg.CacheBytes = int64(cacheNodeSize)
-		}
+		ws := Level1WorkingSetBytes(keys, cfg)
+		cfg.CacheBytes = max(ws*int64(pct)/100, cacheNodeSize)
 	}
 	r := RunTree(TreeExp{
-		Name:         e.Name,
-		Keys:         e.Keys,
-		ThreadsPerCS: e.ThreadsPerCS,
-		MeasureNS:    e.MeasureNS,
-		WarmupOps:    e.WarmupOps,
+		Keys:         keys,
+		ThreadsPerCS: min(s.ThreadsPerCS, 8),
+		MeasureNS:    s.MeasureNS,
+		WarmupOps:    s.WarmupOps,
 		Mix:          workload.ReadIntensive,
-		Dist:         e.Dist,
+		Dist:         dist,
 		Tree:         cfg,
 	})
 	ops := r.Rec.TotalOps()
 	out := CacheCellResult{
-		Name:      e.Name,
 		Mops:      r.Mops,
 		RTPerOp:   r.RoundTripsPerOp,
 		HitRatio:  r.HitRatio,
@@ -129,24 +106,6 @@ type CacheResult struct {
 	// (a quarter of the level-1 working set) — the regime where the
 	// architecture, not the budget, decides.
 	FlatSmall, UnifiedSmall CacheCellResult
-}
-
-// cacheExpBase derives the sweep's shared shape from the scale.
-func cacheExpBase(s Scale, name string, dist workload.Dist, pct, levels int) CacheExp {
-	keys := s.Keys
-	if keys < 1<<18 {
-		keys = 1 << 18 // keep the 256 B-node tree at root level >= 5
-	}
-	return CacheExp{
-		Name:         name,
-		Keys:         keys,
-		Dist:         dist,
-		CachePct:     pct,
-		Levels:       levels,
-		ThreadsPerCS: min(s.ThreadsPerCS, 8),
-		MeasureNS:    s.MeasureNS,
-		WarmupOps:    s.WarmupOps,
-	}
 }
 
 // CacheSweep runs the cache-size × levels-cached × skew sweep and renders
@@ -187,7 +146,7 @@ func CacheSweep(s Scale, c *Collector) (*Table, *CacheResult) {
 			lvlName, sizeName = "off", "-"
 		}
 		name := fmt.Sprintf("cache/%s/size=%s/levels=%s", distName(cl.dist), sizeName, lvlName)
-		r := runCacheCell(cacheExpBase(s, name, cl.dist, cl.pct, cl.levels))
+		r := runCacheCell(s, cl.dist, cl.pct, cl.levels)
 		if cl.keep != nil {
 			*cl.keep = &r
 		}

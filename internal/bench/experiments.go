@@ -6,6 +6,7 @@ import (
 	"sherman/internal/core"
 	"sherman/internal/hocl"
 	"sherman/internal/layout"
+	"sherman/internal/sim"
 	"sherman/internal/workload"
 )
 
@@ -39,7 +40,7 @@ func FullScale() Scale {
 	return Scale{Keys: 2 << 20, ThreadsPerCS: 22, WarmupOps: 300, MeasureNS: 10_000_000, WriteOps: 4000, Runs: 3}
 }
 
-// QuickScale keeps `go test -bench` runs short.
+// QuickScale is the CI-sized scale of `shermanbench -quick`.
 func QuickScale() Scale {
 	return Scale{Keys: 256 << 10, ThreadsPerCS: 8, WarmupOps: 100, MeasureNS: 3_000_000, WriteOps: 1000}
 }
@@ -55,17 +56,6 @@ func (s Scale) treeExp(name string, mix workload.Mix, dist workload.Dist, cfg co
 		Dist:         dist,
 		Tree:         cfg,
 	}
-}
-
-// TreeExpScaled builds a tree experiment at the given scale; the root-level
-// benchmarks use it to parameterize per-figure runs.
-func TreeExpScaled(s Scale, name string, mix workload.Mix, dist workload.Dist, cfg core.Config) TreeExp {
-	return s.treeExp(name, mix, dist, cfg)
-}
-
-// RunTreeScaled runs one scaled tree experiment.
-func RunTreeScaled(s Scale, name string, mix workload.Mix, dist workload.Dist, cfg core.Config) TreeResult {
-	return RunTree(s.treeExp(name, mix, dist, cfg))
 }
 
 // Level1WorkingSetBytes estimates the memory needed to cache every level-1
@@ -111,10 +101,7 @@ func Fig2(s Scale) *Table {
 	t := NewTable("Figure 2: RDMA-based exclusive locks vs contention",
 		"theta", "Mops", "p50(us)", "p99(us)")
 	for _, theta := range []float64{0, 0.8, 0.9, 0.95, 0.99} {
-		r := RunLocks(LockExp{
-			Name: fmt.Sprintf("theta=%.2f", theta), Theta: theta,
-			NumCS: 7, Mode: hocl.Baseline(), MeasureNS: s.MeasureNS,
-		})
+		r := RunLocks(lockScale(s), 7, hocl.Config{Mode: hocl.Baseline(), LocksPerMS: figLocks}, theta, sim.DefaultParams())
 		label := fmt.Sprintf("%.2f", theta)
 		if theta == 0 {
 			label = "uniform"
@@ -337,7 +324,7 @@ func Fig16(s Scale) *Table {
 		{"Handover", hocl.Sherman()},
 	}
 	for _, st := range steps {
-		r := RunLocks(LockExp{Name: st.name, Theta: 0.99, Mode: st.mode, MeasureNS: s.MeasureNS})
+		r := RunLocks(lockScale(s), 8, hocl.Config{Mode: st.mode, LocksPerMS: figLocks}, 0.99, sim.DefaultParams())
 		t.Add(st.name, MopsString(r.Mops), USString(r.P50), USString(r.P99),
 			fmt.Sprint(r.Handovers), fmt.Sprint(r.GlobalRetries))
 	}

@@ -2,14 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"sherman/internal/core"
 	"sherman/internal/hocl"
-	"sherman/internal/rdma"
-	"sherman/internal/rpcindex"
 	"sherman/internal/sim"
-	"sherman/internal/stats"
 	"sherman/internal/workload"
 )
 
@@ -27,13 +23,8 @@ func ExtraHandoverDepth(s Scale) *Table {
 	t := NewTable("Extra: handover depth bound (skewed locks, theta=0.99)",
 		"max depth", "Mops", "p50(us)", "p99(us)", "handovers")
 	for _, depth := range []int{1, 2, 4, 16, 64} {
-		r := RunLocks(LockExp{
-			Name:        fmt.Sprintf("depth=%d", depth),
-			Theta:       0.99,
-			Mode:        hocl.Sherman(),
-			MaxHandover: depth,
-			MeasureNS:   s.MeasureNS,
-		})
+		r := RunLocks(lockScale(s), 8, hocl.Config{Mode: hocl.Sherman(), LocksPerMS: figLocks, MaxHandover: depth},
+			0.99, sim.DefaultParams())
 		t.Add(fmt.Sprint(depth), MopsString(r.Mops), USString(r.P50), USString(r.P99),
 			fmt.Sprint(r.Handovers))
 	}
@@ -96,13 +87,7 @@ func ExtraBuckets(s Scale) *Table {
 	for _, buckets := range []int{16, 256, 4096} {
 		p := sim.DefaultParams()
 		p.AtomicBuckets = buckets
-		r := RunLocks(LockExp{
-			Name:      fmt.Sprintf("buckets=%d", buckets),
-			Theta:     0.8,
-			Mode:      hocl.Baseline(),
-			MeasureNS: s.MeasureNS,
-			Params:    p,
-		})
+		r := RunLocks(lockScale(s), 8, hocl.Config{Mode: hocl.Baseline(), LocksPerMS: figLocks}, 0.8, p)
 		t.Add(fmt.Sprint(buckets), MopsString(r.Mops), USString(r.P99))
 	}
 	t.Note("the paper cites ~4096 buckets keyed by low address bits; collisions serialize unrelated atomics")
@@ -139,62 +124,5 @@ func Extras(s Scale) []*Table {
 		ExtraCacheOff(s),
 		ExtraBuckets(s),
 		ExtraCombineSplit(s),
-		ExtraRPCBaseline(s),
 	}
-}
-
-// ExtraRPCBaseline measures the RPC-write index design of Cell/FaRM-Tree
-// on disaggregated memory: writes ship to the 1-2 wimpy cores of the
-// memory servers and throughput saturates at numMS / RPC-service-time no
-// matter how many clients are added — the reason Table 2 marks those
-// designs as unable to ride disaggregated memory (§3.1). Sherman's
-// one-sided writes keep scaling on the same fabric.
-func ExtraRPCBaseline(s Scale) *Table {
-	t := NewTable("Extra: RPC-write index vs Sherman (uniform write-only)",
-		"threads", "RPC-index(Mops)", "Sherman(Mops)")
-	for _, tpc := range []int{2, 8, 22, 44} {
-		rpc := runRPCWrites(tpc, s)
-		e := s.treeExp("sherman", workload.WriteOnly, workload.Uniform, core.ShermanConfig())
-		e.ThreadsPerCS = tpc
-		sherman := RunTree(e).Mops
-		t.Add(fmt.Sprint(tpc*8), MopsString(rpc), MopsString(sherman))
-	}
-	t.Note("RPC writes cap at numMS/rpc-service (~4 Mops at 8 MS); one-sided writes keep scaling")
-	return t
-}
-
-// runRPCWrites drives the RPC index with the harness's windowed
-// measurement (no warmup needed: there is no client cache to fill).
-func runRPCWrites(threadsPerCS int, s Scale) float64 {
-	f := rdma.NewFabric(sim.DefaultParams(), 8, 8)
-	ix := rpcindex.New(f)
-	n := 8 * threadsPerCS
-	gate := sim.NewGate(gateWindowNS, gateSlack, n)
-	ops := make([]int64, n)
-	handles := make([]*rpcindex.Handle, n)
-	for i := range handles {
-		handles[i] = ix.NewHandle(i % 8)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer gate.Done(i)
-			h := handles[i]
-			rng := newRand(uint64(i) + 1)
-			deadline := s.MeasureNS
-			for h.C.Now() < deadline {
-				h.Put(rng.Uint64N(1<<20)+1, 1)
-				ops[i]++
-				gate.Sync(i, h.C.Now())
-			}
-		}(i)
-	}
-	wg.Wait()
-	var total int64
-	for _, v := range ops {
-		total += v
-	}
-	return stats.ThroughputMops(total, s.MeasureNS)
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"sherman/internal/cluster"
 	"sherman/internal/core"
@@ -20,67 +19,6 @@ import (
 // throughput dips when a compute server dies holding locks, how long lease
 // reclamation and the structural REDO sweep take, and whether the tree is
 // Validate-clean afterwards.
-
-// FaultExp configures one crash/restart churn run.
-type FaultExp struct {
-	Name string
-
-	NumMS        int
-	NumCS        int
-	ThreadsPerCS int
-
-	Keys  uint64
-	Mix   workload.Mix
-	Dist  workload.Dist
-	Theta float64
-
-	Tree core.Config
-
-	// MeasureNS is the per-round virtual measurement window.
-	MeasureNS int64
-	// MaxOpsPerThread bounds a worker's measured ops (wall-time valve).
-	MaxOpsPerThread int
-
-	// Rounds is the number of faulted rounds after the fault-free baseline
-	// round. In faulted round r, compute server r % NumCS is killed one
-	// third into the window and restarted after recovery.
-	Rounds int
-
-	Params sim.Params
-}
-
-// Defaults fills unset fields (smaller than TreeExp's: each round is a full
-// window and the per-round recovery sweep reads the whole tree).
-func (e FaultExp) Defaults() FaultExp {
-	if e.NumMS == 0 {
-		e.NumMS = 4
-	}
-	if e.NumCS == 0 {
-		e.NumCS = 4
-	}
-	if e.ThreadsPerCS == 0 {
-		e.ThreadsPerCS = 4
-	}
-	if e.Keys == 0 {
-		e.Keys = 256 << 10
-	}
-	if e.Theta == 0 {
-		e.Theta = 0.99
-	}
-	if e.MeasureNS == 0 {
-		e.MeasureNS = 3_000_000
-	}
-	if e.MaxOpsPerThread == 0 {
-		e.MaxOpsPerThread = 1_000_000
-	}
-	if e.Rounds == 0 {
-		e.Rounds = 3
-	}
-	if e.Params.RTTNS == 0 {
-		e.Params = sim.DefaultParams()
-	}
-	return e
-}
 
 // FaultRound is one measurement window of the churn run.
 type FaultRound struct {
@@ -104,59 +42,41 @@ type FaultRound struct {
 
 // FaultResult is the outcome of one churn run.
 type FaultResult struct {
-	Name   string
 	Rounds []FaultRound
 }
 
-// RunFaults executes the crash/restart churn experiment: a fault-free
-// baseline round, then Rounds rounds that each kill one compute server one
-// third into the window, run recovery from a survivor, validate the tree,
-// and restart the victim before the next round.
-func RunFaults(e FaultExp) FaultResult {
-	e = e.Defaults()
-	if err := e.Mix.Validate(); err != nil {
-		panic(err)
-	}
-	cl := cluster.New(cluster.Config{NumMS: e.NumMS, NumCS: e.NumCS, Params: e.Params})
-	tr := core.New(cl, e.Tree)
+// faultNumMS and faultNumCS shape the churn cluster (smaller than the
+// paper's: each round is a full window and the per-round recovery sweep
+// reads the whole tree).
+const (
+	faultNumMS = 4
+	faultNumCS = 4
+)
 
-	wcfg := workload.DefaultConfig(e.Mix, e.Dist, e.Keys)
-	wcfg.Theta = e.Theta
-	loaded := wcfg.LoadedKeys()
-	kvs := make([]layout.KV, loaded)
-	for i := range kvs {
-		k := uint64(i + 1)
-		kvs[i] = layout.KV{Key: k, Value: bulkValue(k)}
-	}
-	tr.Bulkload(kvs)
-
-	baseGen := workload.NewGenerator(wcfg, 0x5eed)
-	n := e.NumCS * e.ThreadsPerCS
-	gens := make([]*workload.Generator, n)
-	for i := range gens {
-		gens[i] = workload.NewGeneratorFrom(baseGen, uint64(i)+1)
-	}
-
-	res := FaultResult{Name: e.Name}
-	var startV int64
-	seed := n
+// RunFaults executes the crash/restart churn experiment over e's fixture:
+// a fault-free baseline round, then `rounds` rounds that each kill compute
+// server r % e.NumCS one third into the window, run recovery from a
+// survivor, validate the tree, and restart the victim before the next
+// round.
+func RunFaults(e TreeExp, rounds int) FaultResult {
+	fx := newFixture(e, 0, 0)
+	e = fx.e
+	fx.seed = fx.threads() // window handles draw seeds from n up
+	var res FaultResult
 	// Round -2 warms the index caches and is discarded; round -1 is the
 	// fault-free baseline; rounds 0.. each kill one compute server.
-	for round := -2; round < e.Rounds; round++ {
+	for round := -2; round < rounds; round++ {
 		victim := -1
+		var kill func(int64, func(int64)) int64
 		if round >= 0 {
 			victim = round % e.NumCS
+			kill = killAtThird(e.MeasureNS, func(at int64) { fx.cl.Faults().KillAtTime(victim, at) })
 		}
-		ls := tr.LockStats()
+		ls := fx.tr.LockStats()
 		expiries0, reclaims0 := ls.LeaseExpiries.Load(), ls.Reclaims.Load()
 
-		if victim >= 0 {
-			cl.Faults().KillAtTime(victim, startV+e.MeasureNS/3)
-		}
-		recs, maxV := runFaultRound(e, cl, tr, gens, startV, seed)
-		seed += n
+		recs, end := fx.window(fx.worker, kill)
 		if round == -2 {
-			startV = maxV + 10_000
 			continue
 		}
 
@@ -166,9 +86,6 @@ func RunFaults(e FaultExp) FaultResult {
 		// survivors' per-thread rates rise with the lightened contention.
 		r := FaultRound{Victim: victim}
 		for i, rec := range recs {
-			if rec == nil {
-				continue
-			}
 			m := stats.ThroughputMops(rec.TotalOps(), e.MeasureNS)
 			r.Mops += m
 			if i%e.NumCS != victim {
@@ -184,92 +101,35 @@ func RunFaults(e FaultExp) FaultResult {
 		if victim == 0 {
 			recCS = 1 % e.NumCS
 		}
-		recH := tr.NewHandle(recCS, seed)
-		seed++
-		recH.SetClock(maxV)
+		recH := fx.handle(recCS)
+		recH.SetClock(end)
 		r.Repairs, _ = recH.RecoverStructure()
-		r.RecoveryNS = recH.C.Now() - maxV
-		r.ValidateErr = tr.Validate()
+		r.RecoveryNS = recH.C.Now() - end
+		r.ValidateErr = fx.tr.Validate()
 
-		ls = tr.LockStats()
+		ls = fx.tr.LockStats()
 		r.LeaseExpiries = ls.LeaseExpiries.Load() - expiries0
 		r.Reclaims = ls.Reclaims.Load() - reclaims0
 		res.Rounds = append(res.Rounds, r)
 
 		if victim >= 0 {
-			cl.Restart(victim)
+			fx.cl.Restart(victim)
 		}
-		startV = recH.C.Now() + 10_000
+		fx.clock = recH.C.Now() + 10_000
 	}
 	return res
 }
 
-// runFaultRound runs one measurement window with fresh handles whose clocks
-// start at startV, returning the per-thread recorders (nil entries are
-// threads that never started) and the latest clock observed.
-func runFaultRound(e FaultExp, cl *cluster.Cluster, tr *core.Tree, gens []*workload.Generator, startV int64, seed int) ([]*stats.Recorder, int64) {
-	n := e.NumCS * e.ThreadsPerCS
-	recs := make([]*stats.Recorder, n)
-	ends := make([]int64, n)
-	gate := sim.NewGate(gateWindowNS, gateSlack, n)
-	deadline := startV + e.MeasureNS
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer gate.Done(i)
-			h := tr.NewHandle(i%e.NumCS, seed+i)
-			h.SetClock(startV + int64(i*9973%10_000))
-			h.Pace = func(v int64) { gate.Sync(i, v) }
-			rec := stats.NewRecorder()
-			rec.StartV = h.C.Now()
-			h.Rec = rec
-			recs[i] = rec
-			defer func() {
-				rec.FinishV = h.C.Now()
-				ends[i] = h.C.Now()
-				if r := recover(); r != nil {
-					if _, ok := sim.IsCrash(r); ok {
-						return // the injector killed this thread's CS
-					}
-					panic(r)
-				}
-			}()
-			g := gens[i]
-			for j := 0; h.C.Now() < deadline && j < e.MaxOpsPerThread; j++ {
-				doOp(h, g.Next())
-				gate.Sync(i, h.C.Now())
-			}
-		}(i)
-	}
-	wg.Wait()
-	var maxV int64
-	for _, v := range ends {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if maxV < deadline {
-		maxV = deadline
-	}
-	return recs, maxV
-}
-
-func faultExp(s Scale, name string) FaultExp {
-	rounds := 3
-	if s.Keys >= FullScale().Keys { // full scale: more churn
-		rounds = 6
-	}
-	return FaultExp{
-		Name:         name,
+func faultExp(s Scale) TreeExp {
+	return TreeExp{
+		NumMS:        faultNumMS,
+		NumCS:        faultNumCS,
 		Keys:         s.Keys,
 		ThreadsPerCS: s.ThreadsPerCS,
 		MeasureNS:    s.MeasureNS,
 		Mix:          workload.WriteIntensive,
 		Dist:         workload.Zipfian,
 		Tree:         core.ShermanConfig(),
-		Rounds:       rounds,
 	}
 }
 
@@ -280,9 +140,13 @@ func faultExp(s Scale, name string) FaultExp {
 // into its window. When c is non-nil, typed per-round metrics are recorded
 // for the JSON report.
 func FaultChurn(s Scale, c *Collector) (*Table, FaultResult) {
-	e := faultExp(s, "faults")
-	r := RunFaults(e)
-	t := NewTable(fmt.Sprintf("Faults: crash/restart churn (write-intensive, zipfian, %d CS x %d threads)", e.Defaults().NumCS, e.Defaults().ThreadsPerCS),
+	rounds := 3
+	if s.Keys >= FullScale().Keys { // full scale: more churn
+		rounds = 6
+	}
+	e := faultExp(s)
+	r := RunFaults(e, rounds)
+	t := NewTable(fmt.Sprintf("Faults: crash/restart churn (write-intensive, zipfian, %d CS x %d threads)", e.NumCS, e.ThreadsPerCS),
 		"round", "victim", "Mops", "survivor Mops", "lease exp", "reclaims", "repairs", "recovery(us)", "validate")
 	for i, round := range r.Rounds {
 		label, victim := fmt.Sprint(i-1), "-"
@@ -322,9 +186,7 @@ func FaultGate(s Scale, churn *FaultResult) error {
 		}
 	}
 	if churn == nil {
-		e := faultExp(s, "faults")
-		e.Rounds = 2
-		r := RunFaults(e)
+		r := RunFaults(faultExp(s), 2)
 		churn = &r
 	}
 	for i, round := range churn.Rounds {

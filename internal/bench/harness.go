@@ -1,37 +1,210 @@
-// Package bench is the evaluation harness: one driver per table and figure
-// of the paper's §5, runnable through cmd/shermanbench or the root-level
-// testing.B benchmarks.
+// Package bench is the evaluation harness: one experiment per table and
+// figure of the paper's §5, plus the repo's own, runnable through
+// cmd/shermanbench.
 //
-// Each driver builds a cluster, bulkloads a tree, runs a warmup phase to
-// fill the index caches, aligns all thread clocks (with per-thread jitter),
-// then measures over a fixed virtual-time window: threads issue operations
-// until their clocks pass the deadline, and throughput is completed
-// operations divided by the window — the same windowed measurement a real
-// testbed uses, and the only form under which lock-convoy equilibria are
-// visible. Latencies come from the merged per-thread recorders.
+// Every gate-paced experiment is one or more calls of Run. A Spec names the
+// workers, their warm-up, the window's start clock and an optional
+// mid-window coordinator. Run builds every worker, runs the warm-up, aligns
+// all thread clocks (with per-thread jitter), then measures over a fixed
+// virtual-time window: threads issue operations until their clocks pass the
+// deadline, and throughput is completed operations divided by the window —
+// the same windowed measurement a real testbed uses, and the only form
+// under which lock-convoy equilibria are visible. Latencies come from the
+// merged per-thread recorders.
 package bench
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"sherman/internal/cluster"
 	"sherman/internal/core"
 	"sherman/internal/layout"
 	"sherman/internal/sim"
 	"sherman/internal/stats"
+	"sherman/internal/transport"
 	"sherman/internal/workload"
 )
 
-// Pacing parameters for sim.Gate: workers may run at most gateSlack windows
-// of gateWindowNS virtual nanoseconds ahead of the slowest active worker.
 const (
+	// Pacing parameters for sim.Gate: workers may run at most gateSlack
+	// windows of gateWindowNS virtual nanoseconds ahead of the slowest
+	// active worker.
 	gateWindowNS = 20_000
 	gateSlack    = 2
+
+	// maxOpsPerThread bounds a worker's measured operations: a wall-time
+	// safety valve.
+	maxOpsPerThread = 1_000_000
 )
 
-// TreeExp is one tree benchmark configuration.
+// A Worker is one closed-loop client thread of a Spec.
+type Worker struct {
+	// C is the worker's fabric client: Run aligns its clock and counts its
+	// round trips.
+	C transport.Transport
+	// Issue runs one unit of work, one operation or one batch, and returns
+	// the operations it completed.
+	Issue func() int
+	// Flush, when non-nil, completes the worker's outstanding operations.
+	Flush func()
+	// Rec is where the worker records; Run points it at the window's
+	// recorder once warm-up is over.
+	Rec **stats.Recorder
+	// Pace, when non-nil, is the hook the worker calls between the leaf
+	// groups of a batch (core.Handle.Pace); Run installs the gate there.
+	Pace *func(int64)
+}
+
+// Spec is one measured window.
+type Spec struct {
+	// Threads is the number of workers, and Worker builds worker i. Run
+	// builds every worker before it starts any, so their verbs interleave
+	// from the first (DESIGN.md §1).
+	Threads int
+	Worker  func(i int) Worker
+	// WarmupOps is issued by each worker before the clocks align.
+	WarmupOps int
+	// Start is every worker's clock before warm-up.
+	Start int64
+	// MeasureNS is the window: workers issue until their clocks pass the
+	// aligned start plus MeasureNS.
+	MeasureNS int64
+	// Coordinator, when non-nil, runs as one more gate participant from the
+	// aligned start, paces its clock through pace and returns its end
+	// clock. Workers keep issuing until their clocks pass that end too, so
+	// all of its work happens under live traffic.
+	Coordinator func(start int64, pace func(int64)) (end int64)
+	// Aligned, when non-nil, runs while every worker is parked between
+	// warm-up and measurement.
+	Aligned func()
+}
+
+// Run executes one Spec. It returns every worker's recorder, with StartV,
+// FinishV and RoundTrips of the measured window, and the window's end
+// clock: the latest of the deadline and every worker's and the
+// coordinator's final clock. A worker whose compute server the fault
+// injector kills mid-window stops there; its recorder keeps what it
+// completed.
+func Run(sp Spec) ([]*stats.Recorder, int64) {
+	n := sp.Threads
+	ws := make([]Worker, n)
+	for i := range ws {
+		ws[i] = sp.Worker(i)
+	}
+	parts := n
+	if sp.Coordinator != nil {
+		parts++
+	}
+	gate := sim.NewGate(gateWindowNS, gateSlack, parts)
+	recs := make([]*stats.Recorder, n)
+	ends := make([]int64, parts)
+	warmV := make([]int64, n)
+	var until atomic.Int64 // workers issue while their clock is below it
+	var aligned int64      // the slowest warm-up clock, set before startCh closes
+	startCh := make(chan struct{})
+	var warmed, done sync.WaitGroup
+	warmed.Add(n)
+	done.Add(parts)
+
+	for i := range ws {
+		go func(i int) {
+			defer done.Done()
+			defer gate.Done(i)
+			w := ws[i]
+			if w.Pace != nil {
+				// Batch executors pace between leaf groups so a long batch
+				// cannot carry this thread's clock outside the gate window.
+				*w.Pace = func(v int64) { gate.Sync(i, v) }
+			}
+			w.C.AdvanceTo(sp.Start)
+			for j := 0; j < sp.WarmupOps; j += w.Issue() {
+				gate.Sync(i, w.C.Now())
+			}
+			if w.Flush != nil {
+				w.Flush()
+			}
+			warmV[i] = w.C.Now()
+			gate.Park(i) // a frozen clock must not stall threads still warming up
+			warmed.Done()
+			<-startCh
+			start := aligned + jitter(i)
+			w.C.AdvanceTo(start)
+			rec := stats.NewRecorder()
+			rec.StartV = start
+			recs[i] = rec
+			*w.Rec = rec
+			rt0 := w.C.Metrics().RoundTrips
+			defer func() {
+				rec.RoundTrips = w.C.Metrics().RoundTrips - rt0
+				rec.FinishV = w.C.Now()
+				ends[i] = rec.FinishV
+				if r := recover(); r != nil {
+					if _, ok := sim.IsCrash(r); !ok {
+						panic(r)
+					}
+				}
+			}()
+			for j := 0; w.C.Now() < until.Load() && j < maxOpsPerThread; j += w.Issue() {
+				// Pace workers so virtual clocks stay within a bounded
+				// window of each other (see sim.Gate).
+				gate.Sync(i, w.C.Now())
+			}
+			if w.Flush != nil {
+				w.Flush() // fold outstanding completions into the makespan
+			}
+		}(i)
+	}
+	if sp.Coordinator != nil {
+		gate.Park(n) // joins at the aligned start
+		go func() {
+			defer done.Done()
+			<-startCh
+			end := sp.Coordinator(aligned, func(v int64) { gate.Sync(n, v) })
+			ends[n] = end
+			until.Store(max(aligned+sp.MeasureNS, end))
+			gate.Done(n)
+		}()
+	}
+
+	warmed.Wait()
+	for _, v := range warmV {
+		aligned = max(aligned, v)
+	}
+	if sp.Aligned != nil {
+		sp.Aligned()
+	}
+	deadline := aligned + sp.MeasureNS
+	until.Store(deadline)
+	// Every participant rejoins the gate before any runs on, so neither a
+	// worker nor the coordinator can outrun one still parked.
+	for i := range ws {
+		gate.Resume(i, aligned+jitter(i))
+	}
+	if sp.Coordinator != nil {
+		until.Store(math.MaxInt64)
+		gate.Resume(n, aligned)
+	}
+	close(startCh)
+	done.Wait()
+	end := deadline
+	for _, v := range ends {
+		end = max(end, v)
+	}
+	return recs, end
+}
+
+// jitter staggers worker i's start within ~one operation so the window
+// doesn't open with a thundering herd on the hottest key — on real
+// hardware threads are in arbitrary phases when a measurement window
+// opens.
+func jitter(i int) int64 { return int64(i * 9973 % 10_000) }
+
+// TreeExp is one tree benchmark configuration. The windowed experiments
+// (faults, elastic, replica) build their fixtures from one too.
 type TreeExp struct {
 	Name string
 
@@ -68,10 +241,6 @@ type TreeExp struct {
 	// effects. 0 means 10 ms.
 	MeasureNS int64
 
-	// MaxOpsPerThread bounds a worker's measured operations as a wall-time
-	// safety valve (0 = 1e6).
-	MaxOpsPerThread int
-
 	// BatchSize, when > 1, makes workers issue their operations through the
 	// batch planner (core.Handle.Exec) in groups of this size; 0 or 1
 	// issues operations one at a time.
@@ -83,8 +252,6 @@ type TreeExp struct {
 	// Composes with BatchSize: pipelined workers submit batches through
 	// Async.Exec, overlapping the batch's leaf groups.
 	PipelineDepth int
-
-	Params sim.Params // zero = defaults
 }
 
 // Defaults fills unset fields with the paper's setup (8 MS, 8 CS, 22
@@ -114,13 +281,116 @@ func (e TreeExp) Defaults() TreeExp {
 	if e.MeasureNS == 0 {
 		e.MeasureNS = 10_000_000
 	}
-	if e.MaxOpsPerThread == 0 {
-		e.MaxOpsPerThread = 1_000_000
-	}
-	if e.Params.RTTNS == 0 {
-		e.Params = sim.DefaultParams()
-	}
 	return e
+}
+
+// fixture is one bulkloaded tree and its workers' generators: what every
+// generated-op experiment runs its windows over.
+type fixture struct {
+	e    TreeExp // defaulted
+	cl   *cluster.Cluster
+	tr   *core.Tree
+	gens []*workload.Generator
+	// seed is the next handle's seed, and clock the next window's start.
+	seed  int
+	clock int64
+}
+
+// newFixture builds e's cluster, replicated at factor, bulkloads 80% of
+// its key space with nonzero derived values and seeds one generator per
+// worker. spareMS > 0 caps online scale-out at that many servers beyond
+// e.NumMS; 0 keeps the cluster's default headroom.
+func newFixture(e TreeExp, spareMS, factor int) *fixture {
+	e = e.Defaults()
+	if err := e.Mix.Validate(); err != nil {
+		panic(err)
+	}
+	maxMS := 0
+	if spareMS > 0 {
+		maxMS = e.NumMS + spareMS
+	}
+	cl := cluster.New(cluster.Config{NumMS: e.NumMS, NumCS: e.NumCS, MaxMS: maxMS, ReplicationFactor: factor})
+	tr := core.New(cl, e.Tree)
+
+	wcfg := workload.DefaultConfig(e.Mix, e.Dist, e.Keys)
+	wcfg.Theta = e.Theta
+	wcfg.RangeSpan = e.RangeSpan
+	if e.Workload != nil {
+		wcfg = *e.Workload
+	}
+	kvs := make([]layout.KV, wcfg.LoadedKeys())
+	for i := range kvs {
+		k := uint64(i + 1)
+		kvs[i] = layout.KV{Key: k, Value: bulkValue(k)}
+	}
+	tr.Bulkload(kvs)
+
+	baseGen := workload.NewGenerator(wcfg, 0x5eed)
+	gens := make([]*workload.Generator, e.NumCS*e.ThreadsPerCS)
+	for i := range gens {
+		gens[i] = workload.NewGeneratorFrom(baseGen, uint64(i)+1)
+	}
+	return &fixture{e: e, cl: cl, tr: tr, gens: gens}
+}
+
+// threads is the fixture's worker count.
+func (fx *fixture) threads() int { return len(fx.gens) }
+
+// handle creates a thread handle on compute server cs with the next seed.
+func (fx *fixture) handle(cs int) *core.Handle {
+	h := fx.tr.NewHandle(cs, fx.seed)
+	fx.seed++
+	return h
+}
+
+// worker builds worker i of the fixture's workload on a fresh handle.
+func (fx *fixture) worker(i int) Worker {
+	return fx.opWorker(fx.handle(i%fx.e.NumCS), i)
+}
+
+// opWorker is worker i's generated workload on h: one operation at a time,
+// or e.BatchSize per batch through the planner, pipelined at
+// e.PipelineDepth.
+func (fx *fixture) opWorker(h *core.Handle, i int) Worker {
+	g := fx.gens[i]
+	w := Worker{C: h.C, Rec: &h.Rec, Pace: &h.Pace}
+	var as *core.Async
+	if d := fx.e.PipelineDepth; d > 1 {
+		as = h.NewAsync(d)
+		w.Flush = as.Flush
+	}
+	switch bs := fx.e.BatchSize; {
+	case bs > 1:
+		var sc batchScratch
+		w.Issue = func() int { sc.exec(h, as, g.NextBatch(bs)); return bs }
+	case as != nil:
+		w.Issue = func() int { doOpAsync(as, g.Next()); return 1 }
+	default:
+		w.Issue = func() int { doOp(h, g.Next()); return 1 }
+	}
+	return w
+}
+
+// window runs one window of fresh workers from the fixture's clock, with
+// an optional coordinator, and moves the clock past the window's end.
+func (fx *fixture) window(worker func(int) Worker, coord func(int64, func(int64)) int64) ([]*stats.Recorder, int64) {
+	recs, end := Run(Spec{
+		Threads: fx.threads(), Worker: worker, Start: fx.clock,
+		MeasureNS: fx.e.MeasureNS, Coordinator: coord,
+	})
+	fx.clock = end + 10_000
+	return recs, end
+}
+
+// killAtThird is the coordinator of a kill window: it arms kill one third
+// into the window and returns. No worker passes the window's first gate
+// windows before it returns, so the kill fires at its virtual time
+// whatever order the goroutines run in.
+func killAtThird(measureNS int64, kill func(at int64)) func(int64, func(int64)) int64 {
+	return func(start int64, _ func(int64)) int64 {
+		kill(start + measureNS/3)
+		return start
+	}
 }
 
 // TreeResult is the outcome of one tree experiment.
@@ -165,132 +435,16 @@ func RunTree(e TreeExp) TreeResult {
 	// plus per-thread state); sweeps run hundreds of these back-to-back,
 	// so return the previous run's pages to the OS eagerly.
 	defer debug.FreeOSMemory()
-	e = e.Defaults()
-	if err := e.Mix.Validate(); err != nil {
-		panic(err)
-	}
-
-	cl := cluster.New(cluster.Config{NumMS: e.NumMS, NumCS: e.NumCS, Params: e.Params})
-	tr := core.New(cl, e.Tree)
-
-	// Bulkload keys 1..loaded with nonzero derived values.
-	wcfg := workload.DefaultConfig(e.Mix, e.Dist, e.Keys)
-	wcfg.Theta = e.Theta
-	wcfg.RangeSpan = e.RangeSpan
-	if e.Workload != nil {
-		wcfg = *e.Workload
-	}
-	loaded := wcfg.LoadedKeys()
-	kvs := make([]layout.KV, loaded)
-	for i := range kvs {
-		k := uint64(i + 1)
-		kvs[i] = layout.KV{Key: k, Value: bulkValue(k)}
-	}
-	tr.Bulkload(kvs)
-
-	baseGen := workload.NewGenerator(wcfg, 0x5eed)
-
-	n := e.NumCS * e.ThreadsPerCS
-	handles := make([]*core.Handle, n)
-	gens := make([]*workload.Generator, n)
-	for i := 0; i < n; i++ {
-		handles[i] = tr.NewHandle(i%e.NumCS, i)
-		gens[i] = workload.NewGeneratorFrom(baseGen, uint64(i)+1)
-	}
-
-	startV := make([]int64, n)
-	recs := make([]*stats.Recorder, n)
-	gate := sim.NewGate(gateWindowNS, gateSlack, n)
-
-	var warmDone, measureDone sync.WaitGroup
-	warmDone.Add(n)
-	measureDone.Add(n)
-	startCh := make(chan int64) // closed after carrying maxStart by value
-
-	// issue runs one unit of work — a single operation or one batch,
-	// synchronous or pipelined — and returns the number of operations it
-	// completed.
-	batchSize := e.BatchSize
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	issue := func(h *core.Handle, as *core.Async, g *workload.Generator, sc *batchScratch) int {
-		switch {
-		case as != nil && batchSize > 1:
-			sc.exec(h, as, g.NextBatch(batchSize))
-			return batchSize
-		case as != nil:
-			doOpAsync(as, g.Next())
-			return 1
-		case batchSize > 1:
-			sc.exec(h, nil, g.NextBatch(batchSize))
-			return batchSize
-		default:
-			doOp(h, g.Next())
-			return 1
-		}
-	}
-
-	var maxStart int64
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer measureDone.Done()
-			defer gate.Done(i)
-			h, g := handles[i], gens[i]
-			var sc batchScratch
-			var as *core.Async
-			if e.PipelineDepth > 1 {
-				as = h.NewAsync(e.PipelineDepth)
-			}
-			// Batch executors pace between leaf groups so a long batch
-			// cannot carry this thread's clock outside the gate window.
-			h.Pace = func(v int64) { gate.Sync(i, v) }
-			for j := 0; j < e.WarmupOps; j += issue(h, as, g, &sc) {
-				gate.Sync(i, h.C.Now())
-			}
-			if as != nil {
-				as.Flush()
-			}
-			startV[i] = h.C.Now()
-			gate.Park(i) // frozen clock must not stall threads still warming up
-			warmDone.Done()
-			<-startCh // all threads aligned to the slowest warmup clock
-			// Jitter each thread's start within ~one operation so the
-			// window doesn't open with a thundering herd on the hottest
-			// key — on real hardware threads are in arbitrary phases when
-			// a measurement window opens.
-			start := maxStart + int64(i*9973%10_000)
-			h.C.AdvanceTo(start)
-			gate.Resume(i, start)
-			rec := stats.NewRecorder()
-			rec.StartV = start
-			h.Rec = rec
-			rt0 := h.Metrics().RoundTrips
-			deadline := maxStart + e.MeasureNS
-			for j := 0; h.C.Now() < deadline && j < e.MaxOpsPerThread; j += issue(h, as, g, &sc) {
-				// Pace workers so virtual clocks stay within a bounded
-				// window of each other (see sim.Gate).
-				gate.Sync(i, h.C.Now())
-			}
-			if as != nil {
-				as.Flush() // fold outstanding completions into the makespan
-			}
-			rec.RoundTrips = h.Metrics().RoundTrips - rt0
-			rec.FinishV = h.C.Now()
-			recs[i] = rec
-		}(i)
-	}
-	warmDone.Wait()
-	// Every thread is parked at the warmup barrier: snapshot the lock
-	// manager here so the result can report measurement-window deltas.
-	warmupAcq := tr.LockStats().Acquisitions.Load()
-	for _, v := range startV {
-		if v > maxStart {
-			maxStart = v
-		}
-	}
-	close(startCh)
-	measureDone.Wait()
+	fx := newFixture(e, 0, 0)
+	e = fx.e
+	var warmupAcq int64
+	recs, _ := Run(Spec{
+		Threads: fx.threads(), Worker: fx.worker,
+		WarmupOps: e.WarmupOps, MeasureNS: e.MeasureNS,
+		// Every thread is parked at the warmup barrier: snapshot the lock
+		// manager here so the result can report measurement-window deltas.
+		Aligned: func() { warmupAcq = fx.tr.LockStats().Acquisitions.Load() },
+	})
 
 	merged := stats.NewRecorder()
 	// Throughput sums per-thread rates over each thread's actual issuing
@@ -299,18 +453,12 @@ func RunTree(e TreeExp) TreeResult {
 	// total ops by the fixed window would credit the overshoot ops without
 	// their time, biasing large-batch runs upward. Per-thread intervals
 	// charge numerator and denominator together.
-	var mops float64
-	for _, r := range recs {
-		merged.Merge(r)
-		if d := r.FinishV - r.StartV; d > 0 {
-			mops += stats.ThroughputMops(r.TotalOps(), d)
-		}
-	}
+	mops := intervalMops(recs, merged)
 	var evictions int64
 	for cs := 0; cs < e.NumCS; cs++ {
-		evictions += tr.Cache(cs).Evictions()
+		evictions += fx.tr.Cache(cs).Evictions()
 	}
-	ls := tr.LockStats()
+	ls := fx.tr.LockStats()
 	res := TreeResult{
 		Name:              e.Name,
 		Mops:              mops,
@@ -334,6 +482,19 @@ func RunTree(e TreeExp) TreeResult {
 		res.LockAcqPerOp = float64(res.MeasuredLockAcquisitions) / float64(ops)
 	}
 	return res
+}
+
+// intervalMops merges recs into merged and sums their per-thread rates,
+// each over the thread's own issuing interval.
+func intervalMops(recs []*stats.Recorder, merged *stats.Recorder) float64 {
+	var mops float64
+	for _, r := range recs {
+		merged.Merge(r)
+		if d := r.FinishV - r.StartV; d > 0 {
+			mops += stats.ThroughputMops(r.TotalOps(), d)
+		}
+	}
+	return mops
 }
 
 // RunTreeN runs the experiment `runs` times and averages the headline

@@ -3,10 +3,13 @@ package bench
 import (
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sherman/internal/core"
 	"sherman/internal/hocl"
+	"sherman/internal/sim"
+	"sherman/internal/stats"
 	"sherman/internal/workload"
 )
 
@@ -75,11 +78,8 @@ func TestRunTreeNAverages(t *testing.T) {
 }
 
 func TestRunLocksBasics(t *testing.T) {
-	r := RunLocks(LockExp{
-		Name: "tiny", NumCS: 2, ThreadsPerCS: 4, Locks: 64,
-		Theta: 0.99, Mode: hocl.Sherman(),
-		WarmupOps: 20, MeasureNS: 500_000,
-	})
+	r := RunLocks(Scale{ThreadsPerCS: 4, WarmupOps: 20, MeasureNS: 500_000}, 2,
+		hocl.Config{Mode: hocl.Sherman(), LocksPerMS: 64}, 0.99, sim.DefaultParams())
 	if r.Mops <= 0 {
 		t.Fatalf("lock throughput = %v", r.Mops)
 	}
@@ -157,22 +157,6 @@ func TestWindowScalesOps(t *testing.T) {
 	}
 }
 
-// TestRPCBaselineCeiling: the RPC index's write throughput must be pinned
-// near the memory threads' aggregate service rate and must not grow with
-// client count, while Sherman's does (the Table 2 claim).
-func TestRPCBaselineCeiling(t *testing.T) {
-	s := Scale{MeasureNS: 1_000_000}
-	few := runRPCWrites(2, s)  // 16 clients
-	many := runRPCWrites(8, s) // 64 clients
-	// 8 MSs x 1 op / 2000 ns = 4 Mops hard ceiling.
-	if many > 4.4 {
-		t.Errorf("RPC writes reached %.2f Mops, above the 4 Mops memory-thread ceiling", many)
-	}
-	if many > few*2 {
-		t.Errorf("RPC writes scaled %.2f -> %.2f Mops with 4x clients; should saturate", few, many)
-	}
-}
-
 // TestFig15cShape holds Figure 15(c)'s shape at quick scale: the hit ratio
 // never falls as the cache grows, and a cache covering the level-1 set hits
 // at least 90 % (the paper reports ~98 %).
@@ -194,5 +178,124 @@ func TestFig15cShape(t *testing.T) {
 			t.Errorf("hit ratio %.1f%% with the level-1 set cached, want at least 90%%", ratio)
 		}
 		prev = ratio
+	}
+}
+
+// TestLoneWorkerGoldens pins the driver: a lone simulated client's counts
+// repeat exactly (DESIGN.md §1), so each cell must reproduce these counts
+// op for op.
+func TestLoneWorkerGoldens(t *testing.T) {
+	type counts struct{ ops, rts, p50, p99, end int64 }
+	of := func(rec *stats.Recorder) counts {
+		return counts{rec.TotalOps(), rec.RoundTrips, rec.AllLatency.Percentile(50),
+			rec.AllLatency.Percentile(99), rec.FinishV}
+	}
+	tree := func(bs, depth int) counts {
+		e := tinyExp(workload.WriteIntensive, workload.Zipfian, core.ShermanConfig())
+		e.NumCS, e.ThreadsPerCS = 1, 1
+		e.BatchSize, e.PipelineDepth = bs, depth
+		return of(RunTree(e).Rec)
+	}
+	for _, c := range []struct {
+		name string
+		got  counts
+		want counts
+	}{
+		{"tree/batch=1/depth=1", tree(1, 1), counts{221, 467, 6144, 6144, 1220602}},
+		{"tree/batch=1/depth=4", tree(1, 4), counts{746, 1550, 6144, 18432, 1071728}},
+		{"tree/batch=8/depth=1", tree(8, 1), counts{272, 469, 3712, 5376, 1222650}},
+		{"tree/batch=8/depth=4", tree(8, 4), counts{720, 1275, 1344, 2688, 1086541}},
+		{"locks", of(RunLocks(Scale{ThreadsPerCS: 1, WarmupOps: 20, MeasureNS: 500_000}, 1,
+			hocl.Config{Mode: hocl.Sherman(), LocksPerMS: 64}, 0.99, sim.DefaultParams()).Rec),
+			counts{115, 230, 4361, 4361, 588735}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: got %+v, want %+v", c.name, c.got, c.want)
+		}
+	}
+
+	e := replicaExp(Scale{Keys: 32 << 10, ThreadsPerCS: 1, MeasureNS: 500_000})
+	e.NumCS = 1
+	want := ReplicaResult{
+		SteadyMops: 0.22599999999999998, KillMops: 0.16, RecoveredMops: 0.176, ControlMops: 0.23,
+		ReplicaWritesPerWrite: 1.0357142857142858, FailedOver: 1, RepairedChunks: 3,
+		RecoveryNS: 154472420, AckedWrites: 20,
+	}
+	if got := RunReplica(e); got != want {
+		t.Errorf("replica: got %+v, want %+v", got, want)
+	}
+}
+
+// TestRunCoordinatorExtendsWindow: the coordinator's pace holds it back
+// until the workers catch up; while it runs past the deadline every worker
+// keeps issuing, and none stops before the coordinator's end clock.
+func TestRunCoordinatorExtendsWindow(t *testing.T) {
+	fx := newFixture(tinyExp(workload.ReadIntensive, workload.Uniform, core.ShermanConfig()), 0, 0)
+	const measure = 200_000
+	var issued atomic.Int64
+	var coordEnd int64
+	recs, end := Run(Spec{
+		Threads: fx.threads(), MeasureNS: measure,
+		Worker: func(i int) Worker {
+			w := fx.worker(i)
+			issue := w.Issue
+			w.Issue = func() int { n := issue(); issued.Add(int64(n)); return n }
+			return w
+		},
+		Coordinator: func(start int64, pace func(int64)) int64 {
+			pace(start + measure/2)
+			// Every worker is now within the gate's slack of the coordinator,
+			// ~40 us past its start: a few operations each.
+			if got := issued.Load(); got < int64(fx.threads()) {
+				t.Errorf("pace returned after %d ops of %d workers", got, fx.threads())
+			}
+			v := start
+			for ; v < start+3*measure; v += 5_000 {
+				pace(v)
+			}
+			coordEnd = v
+			return v
+		},
+	})
+	if end < coordEnd {
+		t.Errorf("Run's end clock %d before the coordinator's %d", end, coordEnd)
+	}
+	for i, r := range recs {
+		if r.FinishV < coordEnd {
+			t.Errorf("worker %d finished at %d, before the coordinator's end %d", i, r.FinishV, coordEnd)
+		}
+		if r.TotalOps() == 0 {
+			t.Errorf("worker %d issued nothing", i)
+		}
+	}
+}
+
+// TestRunSurvivesCSKill: a compute server killed at a fixed virtual time
+// mid-window stops its workers there; Run still returns every recorder and
+// counts the survivors' ops.
+func TestRunSurvivesCSKill(t *testing.T) {
+	fx := newFixture(tinyExp(workload.WriteIntensive, workload.Zipfian, core.ShermanConfig()), 0, 0)
+	const measure, victim = 600_000, 1
+	var killAt int64
+	recs, _ := Run(Spec{
+		Threads: fx.threads(), Worker: fx.worker, MeasureNS: measure, WarmupOps: 20,
+		Coordinator: killAtThird(measure, func(at int64) {
+			killAt = at
+			fx.cl.Faults().KillAtTime(victim, at)
+		}),
+	})
+	if len(recs) != fx.threads() {
+		t.Fatalf("%d recorders for %d workers", len(recs), fx.threads())
+	}
+	for i, r := range recs {
+		if r == nil {
+			t.Fatalf("worker %d has no recorder", i)
+		}
+		switch {
+		case i%fx.e.NumCS != victim && r.TotalOps() == 0:
+			t.Errorf("survivor %d counted no ops", i)
+		case i%fx.e.NumCS == victim && r.FinishV > killAt+20_000:
+			t.Errorf("victim worker %d ran on to %d, past the kill at %d", i, r.FinishV, killAt)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"sync"
-
 	"sherman/internal/hocl"
 	"sherman/internal/rdma"
 	"sherman/internal/sim"
@@ -10,166 +8,76 @@ import (
 	"sherman/internal/workload"
 )
 
-// LockExp is the raw lock microbenchmark of Figures 2 and 16: threads across
-// several compute servers acquire and release a set of locks on one memory
-// server under a (possibly skewed) access pattern.
-type LockExp struct {
-	Name string
+const (
+	// figLocks is the lock count of Figures 2 and 16, all on memory
+	// server 0.
+	figLocks = 10240
+	// lockHoldNS is the local critical section between acquire and release.
+	lockHoldNS = 200
+)
 
-	NumCS        int
-	ThreadsPerCS int
-	// Locks is the number of distinct locks, all on memory server 0
-	// (10240 in the paper's experiments).
-	Locks int
-	// Theta is the Zipfian skewness; 0 means uniform.
-	Theta float64
-	// HoldNS is the local critical-section time between acquire and
-	// release.
-	HoldNS int64
-
-	Mode hocl.Mode
-	// MaxHandover overrides HOCL's consecutive-handover bound (0 = the
-	// paper's MAX_DEPTH of 4).
-	MaxHandover int
-
-	// WarmupOps is executed per thread before measurement.
-	WarmupOps int
-	// MeasureNS is the virtual measurement window (see TreeExp.MeasureNS);
-	// 0 means 10 ms.
-	MeasureNS int64
-	// MaxOpsPerThread is the wall-time safety valve (0 = 1e6).
-	MaxOpsPerThread int
-
-	Params sim.Params
-}
-
-// Defaults fills unset fields with the Figure 16 setup (176 threads across
-// 8 CSs, 10240 locks, skew 0.99).
-func (e LockExp) Defaults() LockExp {
-	if e.NumCS == 0 {
-		e.NumCS = 8
-	}
-	if e.ThreadsPerCS == 0 {
-		e.ThreadsPerCS = 22
-	}
-	if e.Locks == 0 {
-		e.Locks = 10240
-	}
-	if e.HoldNS == 0 {
-		e.HoldNS = 200
-	}
-	if e.WarmupOps == 0 {
-		e.WarmupOps = 200
-	}
-	if e.MeasureNS == 0 {
-		e.MeasureNS = 10_000_000
-	}
-	if e.MaxOpsPerThread == 0 {
-		e.MaxOpsPerThread = 1_000_000
-	}
-	if e.Params.RTTNS == 0 {
-		e.Params = sim.DefaultParams()
-	}
-	return e
+// lockScale is the Figure 16 setup every lock experiment runs at: 22
+// threads per compute server and 200 warm-up acquisitions each, over s's
+// window.
+func lockScale(s Scale) Scale {
+	return Scale{ThreadsPerCS: 22, WarmupOps: 200, MeasureNS: s.MeasureNS}
 }
 
 // LockResult is the outcome of one lock experiment.
 type LockResult struct {
-	Name          string
 	Mops          float64
 	P50, P99      int64
 	Handovers     int64
 	GlobalRetries int64
+	// Rec is the merged per-thread recorder: one OpInsert per acquisition.
+	Rec *stats.Recorder
 }
 
-// RunLocks executes one lock microbenchmark.
-func RunLocks(e LockExp) LockResult {
-	e = e.Defaults()
-	f := rdma.NewFabric(e.Params, 1, e.NumCS)
-	mgr := hocl.NewManager(f, hocl.Config{Mode: e.Mode, LocksPerMS: e.Locks, MaxHandover: e.MaxHandover})
-
-	n := e.NumCS * e.ThreadsPerCS
-	clients := make([]*rdma.Client, n)
-	for i := range clients {
-		clients[i] = f.NewClient(i % e.NumCS)
-	}
+// RunLocks is the raw lock microbenchmark of Figures 2 and 16: numCS x
+// s.ThreadsPerCS threads acquire a lock of lk's table on memory server 0,
+// hold it lockHoldNS and release it. Locks are picked Zipf(theta), or
+// uniformly when theta is 0.
+func RunLocks(s Scale, numCS int, lk hocl.Config, theta float64, p sim.Params) LockResult {
+	f := rdma.NewFabric(p, 1, numCS)
+	mgr := hocl.NewManager(f, lk)
 	var zipf *workload.ZipfGen
-	if e.Theta > 0 {
-		zipf = workload.NewZipfGen(uint64(e.Locks), e.Theta)
+	if theta > 0 {
+		zipf = workload.NewZipfGen(uint64(lk.LocksPerMS), theta)
 	}
-
-	startV := make([]int64, n)
-	recs := make([]*stats.Recorder, n)
-	gate := sim.NewGate(gateWindowNS, gateSlack, n)
-	var warmDone, measureDone sync.WaitGroup
-	warmDone.Add(n)
-	measureDone.Add(n)
-	startCh := make(chan struct{})
-	var maxStart int64
-
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer measureDone.Done()
-			defer gate.Done(i)
-			c := clients[i]
+	recs, _ := Run(Spec{
+		Threads: numCS * s.ThreadsPerCS, WarmupOps: s.WarmupOps, MeasureNS: s.MeasureNS,
+		Worker: func(i int) Worker {
+			c := f.NewClient(i % numCS)
 			rng := newRand(uint64(i) + 1)
-			next := func() int {
+			var rec *stats.Recorder // nil during warm-up
+			return Worker{C: c, Rec: &rec, Issue: func() int {
+				idx := 0
 				if zipf != nil {
-					return int(zipf.Next(rng))
+					idx = int(zipf.Next(rng))
+				} else {
+					idx = int(rng.Uint64N(uint64(lk.LocksPerMS)))
 				}
-				return int(rng.Uint64N(uint64(e.Locks)))
-			}
-			lockOnce := func(rec *stats.Recorder) {
-				idx := next()
 				t0 := c.Now()
 				g := mgr.LockIdx(c, 0, idx)
-				c.Step(e.HoldNS)
+				c.Step(lockHoldNS)
 				mgr.Unlock(c, g, nil, true)
 				if rec != nil {
 					rec.RecordOp(stats.OpInsert, c.Now()-t0)
 				}
-			}
-			for j := 0; j < e.WarmupOps; j++ {
-				lockOnce(nil)
-				gate.Sync(i, c.Now())
-			}
-			startV[i] = c.Now()
-			gate.Park(i) // frozen clock must not stall threads still warming up
-			warmDone.Done()
-			<-startCh
-			// Jittered start; see RunTree.
-			start := maxStart + int64(i*9973%10_000)
-			c.Clk.AdvanceTo(start)
-			gate.Resume(i, start)
-			rec := stats.NewRecorder()
-			deadline := maxStart + e.MeasureNS
-			for j := 0; c.Now() < deadline && j < e.MaxOpsPerThread; j++ {
-				lockOnce(rec)
-				gate.Sync(i, c.Now())
-			}
-			rec.FinishV = c.Now()
-			recs[i] = rec
-		}(i)
-	}
-	warmDone.Wait()
-	for _, v := range startV {
-		if v > maxStart {
-			maxStart = v
-		}
-	}
-	close(startCh)
-	measureDone.Wait()
-
+				return 1
+			}}
+		},
+	})
 	merged := stats.NewRecorder()
 	for _, r := range recs {
 		merged.Merge(r)
 	}
 	return LockResult{
-		Name:          e.Name,
-		Mops:          stats.ThroughputMops(merged.TotalOps(), e.MeasureNS),
+		Mops:          stats.ThroughputMops(merged.TotalOps(), s.MeasureNS),
 		P50:           merged.AllLatency.Percentile(50),
 		P99:           merged.AllLatency.Percentile(99),
 		Handovers:     mgr.Stats.Handovers.Load(),
 		GlobalRetries: mgr.Stats.GlobalRetries.Load(),
+		Rec:           merged,
 	}
 }

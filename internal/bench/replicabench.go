@@ -2,13 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
-	"sherman/internal/cluster"
 	"sherman/internal/core"
-	"sherman/internal/layout"
 	"sherman/internal/replica"
-	"sherman/internal/sim"
 	"sherman/internal/stats"
 	"sherman/internal/workload"
 )
@@ -38,71 +34,16 @@ func stripeKeyBase(worker int) uint64 {
 	return stripeStart + uint64(worker)*stripeSpan
 }
 
-// ReplicaExp configures one replication run.
-type ReplicaExp struct {
-	Name string
-
-	// NumMS is the starting memory-server count (one more may join as the
-	// victim's replacement); Victim is the server killed mid-window (never
-	// 0, which holds the superblock).
-	NumMS  int
-	Victim int
-
-	NumCS        int
-	ThreadsPerCS int
-
-	Keys  uint64
-	Mix   workload.Mix
-	Dist  workload.Dist
-	Theta float64
-
-	Tree core.Config
-
-	// MeasureNS is the per-window virtual measurement span.
-	MeasureNS int64
-	// MaxOpsPerThread bounds a worker's measured ops (wall-time valve).
-	MaxOpsPerThread int
-
-	Params sim.Params
-}
-
-// Defaults fills unset fields.
-func (e ReplicaExp) Defaults() ReplicaExp {
-	if e.NumMS == 0 {
-		e.NumMS = 4
-	}
-	if e.Victim == 0 {
-		e.Victim = 1
-	}
-	if e.NumCS == 0 {
-		e.NumCS = 4
-	}
-	if e.ThreadsPerCS == 0 {
-		e.ThreadsPerCS = 4
-	}
-	if e.Keys == 0 {
-		e.Keys = 256 << 10
-	}
-	if e.Theta == 0 {
-		e.Theta = 0.99
-	}
-	if e.MeasureNS == 0 {
-		e.MeasureNS = 3_000_000
-	}
-	if e.MaxOpsPerThread == 0 {
-		e.MaxOpsPerThread = 1_000_000
-	}
-	if e.Params.RTTNS == 0 {
-		e.Params = sim.DefaultParams()
-	}
-	return e
-}
+// The replication cluster: replicaNumMS memory servers at factor 2 (one
+// more may join as the victim's replacement), of which replicaVictim dies
+// mid-window (never 0, which holds the superblock).
+const (
+	replicaNumMS  = 4
+	replicaVictim = 1
+)
 
 // ReplicaResult is the outcome of one replication run.
 type ReplicaResult struct {
-	Name   string
-	Victim int
-
 	// SteadyMops is replicated fault-free throughput; ControlMops the same
 	// workload on an unreplicated cluster of the same shape (the replication
 	// tax is their ratio). KillMops is the window in which the victim dies a
@@ -137,54 +78,16 @@ type ReplicaResult struct {
 	ValidateErr error
 }
 
-// replicaFixture is one cluster + tree + per-worker generators.
-type replicaFixture struct {
-	cl   *cluster.Cluster
-	tr   *core.Tree
-	gens []*workload.Generator
-}
+// RunReplica executes the replication experiment over e's fixture.
+func RunReplica(e TreeExp) ReplicaResult {
+	var res ReplicaResult
+	fx := newFixture(e, 1, 2)
+	e = fx.e
+	n := fx.threads()
+	fx.seed = n // window handles draw seeds from n up
 
-func buildReplicaFixture(e ReplicaExp, factor int) replicaFixture {
-	cl := cluster.New(cluster.Config{
-		NumMS: e.NumMS, NumCS: e.NumCS, MaxMS: e.NumMS + 1,
-		ReplicationFactor: factor, Params: e.Params,
-	})
-	tr := core.New(cl, e.Tree)
-	wcfg := workload.DefaultConfig(e.Mix, e.Dist, e.Keys)
-	wcfg.Theta = e.Theta
-	loaded := wcfg.LoadedKeys()
-	kvs := make([]layout.KV, loaded)
-	for i := range kvs {
-		k := uint64(i + 1)
-		kvs[i] = layout.KV{Key: k, Value: bulkValue(k)}
-	}
-	tr.Bulkload(kvs)
-	baseGen := workload.NewGenerator(wcfg, 0x5eed)
-	n := e.NumCS * e.ThreadsPerCS
-	gens := make([]*workload.Generator, n)
-	for i := range gens {
-		gens[i] = workload.NewGeneratorFrom(baseGen, uint64(i)+1)
-	}
-	return replicaFixture{cl: cl, tr: tr, gens: gens}
-}
-
-// RunReplica executes the replication experiment.
-func RunReplica(e ReplicaExp) ReplicaResult {
-	e = e.Defaults()
-	if err := e.Mix.Validate(); err != nil {
-		panic(err)
-	}
-	res := ReplicaResult{Name: e.Name, Victim: e.Victim}
-
-	fx := buildReplicaFixture(e, 2)
-	n := e.NumCS * e.ThreadsPerCS
-	var startV int64
-	seed := n
-
-	window := func(acked []int64) (float64, *stats.Recorder) {
-		recs, maxV := runReplicaWindow(e, fx, startV, seed, acked)
-		seed += n
-		startV = maxV + 10_000
+	window := func(fx *fixture, worker func(int) Worker, kill func(int64, func(int64)) int64) (float64, *stats.Recorder) {
+		recs, _ := fx.window(worker, kill)
 		merged := stats.NewRecorder()
 		var mops float64
 		for _, rec := range recs {
@@ -195,24 +98,40 @@ func RunReplica(e ReplicaExp) ReplicaResult {
 	}
 
 	// Warmup window (discarded), then the replicated fault-free steady state.
-	window(nil)
+	window(fx, fx.worker, nil)
 	var steadyRec *stats.Recorder
-	res.SteadyMops, steadyRec = window(nil)
+	res.SteadyMops, steadyRec = window(fx, fx.worker, nil)
 	if w := steadyRec.Ops[stats.OpInsert] + steadyRec.Ops[stats.OpDelete]; w > 0 {
 		res.ReplicaWritesPerWrite = float64(steadyRec.ReplicaWrites) / float64(w)
 	}
 	res.ReplicaLagMaxNS = steadyRec.ReplicaLagMaxNS
 
 	// Kill window: the victim dies one third in, while every worker tracks
-	// its acked writes on a private key stripe. Memory-server death is
-	// invisible to the clients beyond latency — every op completes.
-	fx.cl.Faults().KillMSAtTime(e.Victim, startV+e.MeasureNS/3)
+	// its acked writes on a private key stripe: from its first op, every
+	// stripeEvery-th is the next stripe key, counted only once the insert
+	// returns. Memory-server death is invisible to the clients beyond
+	// latency — every op completes.
 	acked := make([]int64, n)
-	res.KillMops, _ = window(acked)
-	if fx.cl.MSAlive(e.Victim) {
+	res.KillMops, _ = window(fx, func(i int) Worker {
+		h := fx.handle(i % e.NumCS)
+		w := fx.opWorker(h, i)
+		gen, j := w.Issue, 0
+		w.Issue = func() int {
+			j++
+			if (j-1)%stripeEvery != 0 {
+				return gen()
+			}
+			k := stripeKeyBase(i) + uint64(acked[i])
+			h.Insert(k, bulkValue(k))
+			acked[i]++
+			return 1
+		}
+		return w
+	}, killAtThird(e.MeasureNS, func(at int64) { fx.cl.Faults().KillMSAtTime(replicaVictim, at) }))
+	if fx.cl.MSAlive(replicaVictim) {
 		// Nothing tripped the armed kill (a degenerate window); fire it so
 		// the rest of the run still measures failover + repair.
-		fx.cl.Faults().KillMS(e.Victim, fx.cl.Faults().LatestVerbV())
+		fx.cl.Faults().KillMS(replicaVictim, fx.cl.Faults().LatestVerbV())
 	}
 	res.FailedOver = fx.cl.Failovers()
 	res.LostChunks = fx.cl.Rep.Lost()
@@ -225,8 +144,7 @@ func RunReplica(e ReplicaExp) ReplicaResult {
 	if _, err := fx.cl.AddMS(); err != nil {
 		panic(err)
 	}
-	rh := fx.tr.NewHandle(0, seed)
-	seed++
+	rh := fx.handle(0)
 	rh.SetClock(fx.cl.Faults().LatestVerbV())
 	t0 := rh.C.Now()
 	for i := 0; ; i++ {
@@ -241,15 +159,13 @@ func RunReplica(e ReplicaExp) ReplicaResult {
 	}
 	res.RecoveryNS = rh.C.Now() - t0
 	res.UnderReplicated = len(fx.cl.Rep.UnderReplicated(2))
-	startV = rh.C.Now() + 10_000
 
 	// Zero lost acked writes, exactly once: every tracked key a worker got
 	// an ack for must read back with its exact value through the promoted
 	// replicas, and a stripe scan must see each exactly once and nothing
 	// the worker never acked.
-	ch := fx.tr.NewHandle(0, seed)
-	seed++
-	ch.SetClock(startV)
+	ch := fx.handle(0)
+	ch.SetClock(rh.C.Now() + 10_000)
 	for i, cnt := range acked {
 		base := stripeKeyBase(i)
 		for j := int64(0); j < cnt; j++ {
@@ -276,86 +192,24 @@ func RunReplica(e ReplicaExp) ReplicaResult {
 			}
 		}
 	}
-	startV = ch.C.Now() + 10_000
+	fx.clock = ch.C.Now() + 10_000
 
 	// Steady state after repair, then the structural check.
-	res.RecoveredMops, _ = window(nil)
+	res.RecoveredMops, _ = window(fx, fx.worker, nil)
 	res.ValidateErr = fx.tr.Validate()
 
 	// Control: the same shape and workload, replication off.
-	ctl := buildReplicaFixture(e, 0)
-	ctlFx, ctlStart, ctlSeed := ctl, int64(0), n
-	ctlWindow := func() float64 {
-		recs, maxV := runReplicaWindow(e, ctlFx, ctlStart, ctlSeed, nil)
-		ctlSeed += n
-		ctlStart = maxV + 10_000
-		var mops float64
-		for _, rec := range recs {
-			mops += stats.ThroughputMops(rec.TotalOps(), e.MeasureNS)
-		}
-		return mops
-	}
-	ctlWindow()
-	res.ControlMops = ctlWindow()
+	ctl := newFixture(e, 1, 0)
+	ctl.seed = n
+	window(ctl, ctl.worker, nil)
+	res.ControlMops, _ = window(ctl, ctl.worker, nil)
 	return res
 }
 
-// runReplicaWindow runs one fixed measurement window with fresh handles
-// whose clocks start at startV. When acked is non-nil, every worker issues a
-// tracked write on its private stripe as every stripeEvery-th op, bumping
-// its acked counter only after the insert returns.
-func runReplicaWindow(e ReplicaExp, fx replicaFixture, startV int64, seed int, acked []int64) ([]*stats.Recorder, int64) {
-	n := e.NumCS * e.ThreadsPerCS
-	recs := make([]*stats.Recorder, n)
-	ends := make([]int64, n)
-	gate := sim.NewGate(gateWindowNS, gateSlack, n)
-	deadline := startV + e.MeasureNS
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer gate.Done(i)
-			h := fx.tr.NewHandle(i%e.NumCS, seed+i)
-			h.SetClock(startV + int64(i*9973%10_000))
-			h.Pace = func(v int64) { gate.Sync(i, v) }
-			rec := stats.NewRecorder()
-			rec.StartV = h.C.Now()
-			h.Rec = rec
-			recs[i] = rec
-			defer func() {
-				rec.FinishV = h.C.Now()
-				ends[i] = h.C.Now()
-			}()
-			g := fx.gens[i]
-			for j := 0; h.C.Now() < deadline && j < e.MaxOpsPerThread; j++ {
-				if acked != nil && j%stripeEvery == 0 {
-					k := stripeKeyBase(i) + uint64(acked[i])
-					h.Insert(k, bulkValue(k))
-					acked[i]++
-				} else {
-					doOp(h, g.Next())
-				}
-				gate.Sync(i, h.C.Now())
-			}
-		}(i)
-	}
-	wg.Wait()
-	var maxV int64
-	for _, v := range ends {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if maxV < deadline {
-		maxV = deadline
-	}
-	return recs, maxV
-}
-
-func replicaExp(s Scale, name string) ReplicaExp {
-	return ReplicaExp{
-		Name:         name,
+func replicaExp(s Scale) TreeExp {
+	return TreeExp{
+		NumMS:        replicaNumMS,
+		NumCS:        4,
 		Keys:         s.Keys,
 		ThreadsPerCS: min(s.ThreadsPerCS, 8),
 		MeasureNS:    s.MeasureNS,
@@ -368,17 +222,16 @@ func replicaExp(s Scale, name string) ReplicaExp {
 // Replica runs the replication experiment and renders its trajectory. When c
 // is non-nil, typed metrics land in the JSON report (BENCH_7.json).
 func Replica(s Scale, c *Collector) (*Table, *ReplicaResult) {
-	e := replicaExp(s, "replica")
+	e := replicaExp(s)
 	r := RunReplica(e)
-	ed := e.Defaults()
 	t := NewTable(fmt.Sprintf("Replica: factor-2 vs none, MS killed mid-window (write-intensive zipfian, %d MS, %d CS x %d threads)",
-		ed.NumMS, ed.NumCS, ed.ThreadsPerCS),
+		e.NumMS, e.NumCS, e.ThreadsPerCS),
 		"phase", "Mops", "notes")
 	t.Add("control (no replication)", MopsString(r.ControlMops), "same cluster shape, factor 0")
 	t.Add("steady (factor 2)", MopsString(r.SteadyMops),
 		fmt.Sprintf("%.2f mirror writes/write, max lag %s us", r.ReplicaWritesPerWrite, USString(r.ReplicaLagMaxNS)))
 	t.Add("kill window", MopsString(r.KillMops),
-		fmt.Sprintf("ms%d dies 1/3 in: %d chunks failed over, %d lost", r.Victim, r.FailedOver, r.LostChunks))
+		fmt.Sprintf("ms%d dies 1/3 in: %d chunks failed over, %d lost", replicaVictim, r.FailedOver, r.LostChunks))
 	t.Add("repair", "-",
 		fmt.Sprintf("%d chunks re-replicated in %s us; %d under-replicated left", r.RepairedChunks, USString(r.RecoveryNS), r.UnderReplicated))
 	valid := "ok"

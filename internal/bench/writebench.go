@@ -20,12 +20,10 @@ func newRand(seed uint64) *rand.Rand {
 // or one compute server's outbound pipeline (one CS writing to many MSs)
 // at a given IO size.
 type WriteExp struct {
-	Name    string
 	IOSize  int
 	Inbound bool // true: 8 CSs -> 1 MS; false: 1 CS -> 8 MSs
 	Threads int
 	Ops     int // per thread
-	Params  sim.Params
 }
 
 // Defaults fills unset fields.
@@ -39,17 +37,12 @@ func (e WriteExp) Defaults() WriteExp {
 	if e.IOSize == 0 {
 		e.IOSize = 64
 	}
-	if e.Params.RTTNS == 0 {
-		e.Params = sim.DefaultParams()
-	}
 	return e
 }
 
 // WriteResult is the measured verb throughput.
 type WriteResult struct {
-	Name   string
-	IOSize int
-	Mops   float64
+	Mops float64
 }
 
 // RunWrites executes one RDMA_WRITE saturation run.
@@ -59,7 +52,7 @@ func RunWrites(e WriteExp) WriteResult {
 	if !e.Inbound {
 		numMS, numCS = 8, 1
 	}
-	f := rdma.NewFabric(e.Params, numMS, numCS)
+	f := rdma.NewFabric(sim.DefaultParams(), numMS, numCS)
 	// One private chunk per thread per server keeps targets distinct.
 	bases := make([][]uint64, numMS)
 	for ms := 0; ms < numMS; ms++ {
@@ -111,9 +104,5 @@ func RunWrites(e WriteExp) WriteResult {
 			makespan = v
 		}
 	}
-	return WriteResult{
-		Name:   e.Name,
-		IOSize: e.IOSize,
-		Mops:   stats.ThroughputMops(int64(e.Threads*e.Ops), makespan),
-	}
+	return WriteResult{Mops: stats.ThroughputMops(int64(e.Threads*e.Ops), makespan)}
 }
