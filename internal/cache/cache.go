@@ -54,7 +54,8 @@ type Config struct {
 	// MaxBytes bounds the budgeted (non-pinned) entries; the pinned top
 	// levels ride outside it, as in the paper.
 	MaxBytes int64
-	// NodeSize converts the byte budget to an entry budget.
+	// NodeSize is the unit of Limit and of the eviction clock, and the
+	// smallest budget and level share: each holds at least one entry.
 	NodeSize int
 	// Levels is the budgeted caching depth: tree levels 1..Levels are
 	// cacheable. 0 means DefaultLevels; negative disables the budgeted
@@ -62,14 +63,15 @@ type Config struct {
 	Levels int
 }
 
-// Entry is one cached internal node: a client-local copy of the node's
-// buffer plus bookkeeping for eviction and targeted invalidation.
+// Entry is one cached internal node: a client-local routing copy of the
+// node (layout.Internal.Routing) plus bookkeeping for eviction and targeted
+// invalidation.
 type Entry struct {
 	// Addr is the node's disaggregated-memory address; validation failures
 	// on nodes fetched through this entry invalidate it.
 	Addr rdma.Addr
-	// N is the decoded copy. It is immutable after insertion — updates
-	// replace the whole entry.
+	// N is the routing copy, charged len(N.B) bytes. It is immutable after
+	// insertion — updates replace the whole entry.
 	N layout.Internal
 
 	level  uint8
@@ -94,8 +96,10 @@ func (e *Entry) Level() uint8 { return e.level }
 // Cache is one compute server's unified index cache. All client threads of
 // the CS share it; lookups are lock-free, mutations serialize on one mutex.
 type Cache struct {
-	levels int // budgeted depth (0 = none)
-	limit  int // budgeted entry capacity
+	levels   int // budgeted depth (0 = none)
+	limit    int // budget in full-node units: Limit and the eviction clock
+	budget   int // budgeted bytes, at least one node
+	nodeSize int
 
 	sl [MaxLevels + 1]*skiplist
 
@@ -103,7 +107,8 @@ type Cache struct {
 
 	mu      sync.Mutex
 	pools   [MaxLevels + 1][]*Entry // evictable (budgeted) entries, per level
-	total   int                     // budgeted entries across all levels
+	bytes   [MaxLevels + 1]int      // routing bytes of each level's pool
+	total   int                     // routing bytes across all pools
 	pinned  []*Entry                // top-level entries, flushed wholesale on root change
 	byAddr  map[rdma.Addr]*Entry
 	byChunk map[alloc.ChunkID]map[*Entry]struct{}
@@ -124,10 +129,7 @@ type Cache struct {
 
 // New creates a cache per the config.
 func New(cfg Config) *Cache {
-	limit := int(cfg.MaxBytes / int64(cfg.NodeSize))
-	if limit < 1 {
-		limit = 1
-	}
+	budget := max(int(cfg.MaxBytes), cfg.NodeSize)
 	levels := cfg.Levels
 	if levels == 0 {
 		levels = DefaultLevels
@@ -139,11 +141,13 @@ func New(cfg Config) *Cache {
 		levels = MaxLevels
 	}
 	c := &Cache{
-		levels:  levels,
-		limit:   limit,
-		byAddr:  make(map[rdma.Addr]*Entry),
-		byChunk: make(map[alloc.ChunkID]map[*Entry]struct{}),
-		rnd:     rand.NewPCG(0x5eed, 0xfeed),
+		levels:   levels,
+		limit:    budget / cfg.NodeSize,
+		budget:   budget,
+		nodeSize: cfg.NodeSize,
+		byAddr:   make(map[rdma.Addr]*Entry),
+		byChunk:  make(map[alloc.ChunkID]map[*Entry]struct{}),
+		rnd:      rand.NewPCG(0x5eed, 0xfeed),
 	}
 	for i := range c.sl {
 		c.sl[i] = newSkiplist()
@@ -155,7 +159,11 @@ func New(cfg Config) *Cache {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.total
+	n := 0
+	for _, p := range c.pools {
+		n += len(p)
+	}
+	return n
 }
 
 // PinnedLen returns the number of pinned top-level entries.
@@ -165,7 +173,8 @@ func (c *Cache) PinnedLen() int {
 	return len(c.pinned)
 }
 
-// Limit returns the budgeted entry capacity.
+// Limit returns the byte budget in full-node units. Routing copies are
+// smaller than a node, so Len can exceed it.
 func (c *Cache) Limit() int { return c.limit }
 
 // Levels returns the budgeted caching depth.
@@ -258,22 +267,8 @@ func (c *Cache) Deepest(key uint64, lo, hi uint8) *Entry {
 	return nil
 }
 
-// Admissible reports whether a node at the given tree level can possibly
-// be cached under rootLevel (pinned region or budgeted depth) — the cheap
-// structural pre-check callers use to skip copying node buffers the cache
-// would discard unseen. The frequency gate is not consulted: it must see
-// the insert attempt to count the touch.
-func (c *Cache) Admissible(level, rootLevel uint8) bool {
-	if level == 0 || level > MaxLevels {
-		return false
-	}
-	if rootLevel > 0 && level+1 >= rootLevel {
-		return true
-	}
-	return int(level) <= c.levels
-}
-
-// share returns level lvl's slice of the budget: level 1 — whose misses
+// share returns level lvl's slice of the byte budget, at least one node so
+// that every level holds one entry: level 1 — whose misses
 // cost a near-full descent — gets the largest share, each level above half
 // the previous (2^(levels-lvl) weighting, normalized) over the budgeted
 // levels below the pinned region, 1..min(Levels, rootLevel-2), so no share
@@ -288,19 +283,16 @@ func (c *Cache) share(lvl uint8) int {
 	}
 	num := 1 << (levels - int(lvl))
 	den := (1 << levels) - 1
-	s := c.limit * num / den
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return max(c.budget*num/den, c.nodeSize)
 }
 
-// Insert caches an internal-node copy fetched during traversal. The buffer
-// is owned by the cache afterwards. rootLevel (the level of the traversal's
-// root) defines the pinned region: nodes at rootLevel-1 and above are always
-// admitted and never evicted; nodes at budgeted levels pass the admission
-// gate. Inserting over an existing fence key replaces the old entry — a
-// split's parent update refreshes the cached copy in O(1).
+// Insert caches a routing copy of an internal node fetched during
+// traversal. n stays the caller's: the copy is made only once the entry is
+// admitted, so a rejected insert allocates nothing. rootLevel (the level of
+// the traversal's root) defines the pinned region: nodes at rootLevel-1 and
+// above are always admitted and never evicted; nodes at budgeted levels pass
+// the admission gate. Inserting over an existing fence key replaces the old
+// entry — a split's parent update refreshes the cached copy in O(1).
 func (c *Cache) Insert(addr rdma.Addr, n layout.Internal, rootLevel uint8) {
 	lvl := n.Level()
 	if lvl == 0 || lvl > MaxLevels {
@@ -310,22 +302,20 @@ func (c *Cache) Insert(addr rdma.Addr, n layout.Internal, rootLevel uint8) {
 	if !pinned && int(lvl) > c.levels {
 		return // below the pinned region, beyond the budgeted depth
 	}
-	e := &Entry{Addr: addr, N: n, level: lvl, pinned: pinned, key: n.LowerFence(), poolIdx: -1}
-	e.chunks = appendRefChunks(e.chunkStore[:0], addr, n)
-	e.lastUse.Store(c.tick.Add(1))
+	key := n.LowerFence()
 
 	// Replacing an existing entry at the same fence key (a split shrank the
 	// node, a separator landed, a repoint swung a child) does not grow the
 	// cache, so it bypasses the admission gate — refreshes must never lose
 	// to a stale copy.
 	replacing := false
-	if ex := c.sl[lvl].floor(e.key); ex != nil && ex.key == e.key && !ex.dead.Load() {
+	if ex := c.sl[lvl].floor(key); ex != nil && ex.key == key && !ex.dead.Load() {
 		replacing = true
 	}
 	if !pinned && !replacing {
 		c.mu.Lock()
-		full := len(c.pools[lvl]) >= c.share(lvl)
-		admit := !full || c.admitLocked(e.key)
+		full := c.bytes[lvl]+n.RoutingLen() > c.share(lvl)
+		admit := !full || c.admitLocked(key)
 		c.mu.Unlock()
 		if !admit {
 			c.admitRejects.Add(1)
@@ -333,6 +323,10 @@ func (c *Cache) Insert(addr rdma.Addr, n layout.Internal, rootLevel uint8) {
 		}
 	}
 
+	n = n.Routing()
+	e := &Entry{Addr: addr, N: n, level: lvl, pinned: pinned, key: key, poolIdx: -1}
+	e.chunks = appendRefChunks(e.chunkStore[:0], addr, n)
+	e.lastUse.Store(c.tick.Add(1))
 	if old := c.sl[lvl].insert(e); old != nil {
 		c.unindex(old)
 	}
@@ -388,7 +382,8 @@ func (c *Cache) index(e *Entry) {
 	} else {
 		e.poolIdx = len(c.pools[e.level])
 		c.pools[e.level] = append(c.pools[e.level], e)
-		c.total++
+		c.bytes[e.level] += len(e.N.B)
+		c.total += len(e.N.B)
 	}
 	c.byAddr[e.Addr] = e
 	for _, ck := range e.chunks {
@@ -424,7 +419,8 @@ func (c *Cache) unindexLocked(e *Entry) {
 	*list = (*list)[:last]
 	e.poolIdx = -1
 	if !e.pinned {
-		c.total--
+		c.bytes[e.level] -= len(e.N.B)
+		c.total -= len(e.N.B)
 	}
 	if c.byAddr[e.Addr] == e {
 		delete(c.byAddr, e.Addr)
@@ -464,18 +460,18 @@ func addChunk(dst []alloc.ChunkID, a rdma.Addr) []alloc.ChunkID {
 	return append(dst, ck)
 }
 
-// overShare reports whether level lvl exceeds its budget share.
+// overShare reports whether level lvl's bytes exceed its budget share.
 func (c *Cache) overShare(lvl uint8) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pools[lvl]) > c.share(lvl)
+	return c.bytes[lvl] > c.share(lvl)
 }
 
 // overBudget reports whether the budgeted entries exceed the byte budget.
 func (c *Cache) overBudget() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.total > c.limit
+	return c.total > c.budget
 }
 
 // sampleLocked picks one budgeted entry uniformly from levels [lo, hi].

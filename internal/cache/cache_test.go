@@ -12,11 +12,24 @@ import (
 
 var testFormat = layout.DefaultFormat(layout.TwoLevel)
 
-// mkNode builds an internal node copy at the given level covering
-// [lower, upper).
+// mkNodeAt builds a full internal node at the given level covering
+// [lower, upper). Its routing copy is within one separator of NodeSize, so
+// a budget of k nodes holds k of them (k < 100), as the tests below count.
 func mkNodeAt(level uint8, lower, upper uint64) layout.Internal {
+	return mkFilled(level, lower, upper, testFormat.IntCap)
+}
+
+// mkFilled builds an internal node with cnt separators. The separator keys
+// are placeholders (the cache routes by fences), and every child shares the
+// leftmost child's chunk, so the node references one chunk besides its own.
+func mkFilled(level uint8, lower, upper uint64, cnt int) layout.Internal {
 	n := layout.NewInternal(testFormat, level, lower, upper)
 	n.SetLeftmost(rdma.MakeAddr(0, lower+64))
+	seps := make([]layout.Sep, cnt)
+	for i := range seps {
+		seps[i] = layout.Sep{Key: lower + 1 + uint64(i), Child: n.Leftmost()}
+	}
+	n.SetSeparators(seps)
 	return n
 }
 
@@ -421,31 +434,101 @@ func TestBudgetSplit(t *testing.T) {
 // levels below the pinned region. Under a root at level 3, level 2 is pinned
 // and level 1 may use the whole budget; from level 4 up the 2:1 split holds;
 // an unknown root keeps it too. A rising root trims level 1 to its new share
-// at the next insert.
+// at the next insert. Shares and holdings are routing bytes.
 func TestShareFollowsRootLevel(t *testing.T) {
 	const limit = 30
-	c := New(Config{MaxBytes: int64(limit * testFormat.NodeSize), NodeSize: testFormat.NodeSize, Levels: 2})
+	node := testFormat.NodeSize
+	c := New(Config{MaxBytes: int64(limit * node), NodeSize: node, Levels: 2})
 	for _, tc := range []struct {
 		root           uint8
 		level1, level2 int
-	}{{0, 20, 10}, {2, 0, 0}, {3, limit, 0}, {4, 20, 10}, {7, 20, 10}} {
+	}{{0, 20 * node, 10 * node}, {2, 0, 0}, {3, limit * node, 0}, {4, 20 * node, 10 * node}, {7, 20 * node, 10 * node}} {
 		c.SetRoot(addr(900+uint64(tc.root)), tc.root)
 		if l1, l2 := c.share(1), c.share(2); l1 != tc.level1 || l2 != tc.level2 {
-			t.Errorf("root at level %d: shares %d:%d, want %d:%d", tc.root, l1, l2, tc.level1, tc.level2)
+			t.Errorf("root at level %d: shares %d:%d bytes, want %d:%d", tc.root, l1, l2, tc.level1, tc.level2)
 		}
 	}
 
+	// fills reports whether level 1's bytes fill share: no room left for
+	// one more entry, and none over.
+	entry := mkNode(0, 100).RoutingLen()
+	fills := func(share int) bool { return c.bytes[1] <= share && c.bytes[1]+entry > share }
 	c.SetRoot(addr(903), 3)
 	for i := uint64(0); i < limit+10; i++ {
 		insist(c, addr(i), mkNodeAt(1, i*100, (i+1)*100))
 	}
-	if got := len(c.pools[1]); got != c.Limit() {
-		t.Fatalf("root at level 3: level 1 holds %d entries, want the whole budget %d", got, c.Limit())
+	if !fills(limit * node) {
+		t.Fatalf("root at level 3: level 1 holds %d bytes, want the whole budget %d", c.bytes[1], limit*node)
 	}
 	c.SetRoot(addr(904), 4)
 	insist(c, addr(100), mkNodeAt(1, 100*100, 101*100))
-	if got := len(c.pools[1]); got != 20 {
-		t.Fatalf("root rose to level 4: level 1 holds %d entries after the next insert, want its share 20", got)
+	if !fills(20 * node) {
+		t.Fatalf("root rose to level 4: level 1 holds %d bytes after the next insert, want its share %d", c.bytes[1], 20*node)
+	}
+}
+
+// TestByteBudget: a budget of k nodes holds more than k routing copies of
+// 80%-full nodes, every level's bytes stay within its share (a level may
+// pass it only while it holds its one floor entry), and the total within the
+// budget.
+func TestByteBudget(t *testing.T) {
+	const k = 30
+	fill := testFormat.IntCap * 4 / 5
+	c := New(Config{MaxBytes: int64(k * testFormat.NodeSize), NodeSize: testFormat.NodeSize, Levels: 2})
+	check := func() {
+		t.Helper()
+		for lvl := uint8(1); lvl <= 2; lvl++ {
+			if c.bytes[lvl] > c.share(lvl) && len(c.pools[lvl]) > 1 {
+				t.Fatalf("level %d holds %d bytes in %d entries, share %d", lvl, c.bytes[lvl], len(c.pools[lvl]), c.share(lvl))
+			}
+		}
+		if c.total > c.budget {
+			t.Fatalf("cache holds %d bytes, budget %d", c.total, c.budget)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for i := uint64(0); i < 3*k; i++ {
+			insist(c, addr(i), mkFilled(1, i*100, (i+1)*100, fill))
+			check()
+			insist(c, addr(1000+i), mkFilled(2, i*10_000, (i+1)*10_000, fill))
+			check()
+		}
+	}
+	if c.Len() <= k {
+		t.Fatalf("budget of %d nodes holds %d routing copies of %d%%-full nodes, want more", k, c.Len(), 100*fill/testFormat.IntCap)
+	}
+	if want := k * testFormat.NodeSize * 2 / 3 / mkFilled(1, 0, 100, fill).RoutingLen(); len(c.pools[1]) != want {
+		t.Fatalf("level 1 holds %d entries, want %d in its two-thirds share", len(c.pools[1]), want)
+	}
+	// The tiniest budget still holds one entry per level; the total floor
+	// is one node, so the level-2 entry goes.
+	tiny := New(Config{MaxBytes: 1, NodeSize: testFormat.NodeSize, Levels: 2})
+	insist(tiny, addr(1), mkFilled(1, 0, 100, fill))
+	tiny.Insert(addr(2), mkFilled(2, 0, 1000, fill), 0)
+	if len(tiny.pools[1]) != 1 || len(tiny.pools[2]) != 0 {
+		t.Fatalf("tiny cache holds %d:%d entries at levels 1:2, want 1:0", len(tiny.pools[1]), len(tiny.pools[2]))
+	}
+}
+
+// TestRejectedInsertAllocatesNothing: the routing copy and the entry are
+// made only after admission, so an insert the cache turns away — beyond the
+// budgeted depth, or refused by the frequency gate — allocates nothing.
+func TestRejectedInsertAllocatesNothing(t *testing.T) {
+	c := flat(1)
+	insist(c, addr(1), mkNode(0, 100))
+	deep := mkNodeAt(2, 0, 1000)
+	cold := mkNode(100, 200)
+	rejects := c.AdmissionRejects()
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Insert(addr(2), deep, 0)
+		c.Insert(addr(3), cold, 0)
+		c.freq = [freqBuckets]uint8{} // keep the gate cold
+	})
+	if allocs != 0 {
+		t.Fatalf("rejected inserts allocated %.1f times per run", allocs)
+	}
+	if c.AdmissionRejects() == rejects || c.Lookup(150, 1) != nil || c.Lookup(500, 2) != nil {
+		t.Fatal("the inserts were not rejected")
 	}
 }
 

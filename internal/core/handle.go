@@ -282,17 +282,12 @@ func (h *Handle) refreshRoot() (transport.Addr, uint8) {
 	}
 }
 
-// cacheInternal copies an internal node into the unified cache; admission
-// (pinned top levels, budgeted depth, frequency gate) is the cache's call.
-// rootLevel is the level of the current traversal's root, which defines the
-// pinned region. The structural pre-check avoids paying a node-size copy
-// for levels the cache could never hold (mid-tree levels above the
-// budgeted depth, or everything budgeted when the cache is off).
+// cacheInternal offers an internal node to the unified cache, which copies
+// what it admits; admission (pinned top levels, budgeted depth, frequency
+// gate) is the cache's call. rootLevel is the level of the current
+// traversal's root, which defines the pinned region.
 func (h *Handle) cacheInternal(a transport.Addr, n layout.Node, rootLevel uint8) {
-	if !h.cache.Admissible(n.Level(), rootLevel) {
-		return
-	}
-	h.cache.Insert(a, layout.AsInternal(n.Clone()), rootLevel)
+	h.cache.Insert(a, layout.AsInternal(n), rootLevel)
 }
 
 // cacheNode is cacheInternal against the cache's current notion of the root

@@ -123,6 +123,20 @@ func (n Internal) AppendChildrenFrom(dst []rdma.Addr, key uint64) []rdma.Addr {
 	return dst
 }
 
+// RoutingLen is the length of the copy Routing returns: the header, the
+// count, the leftmost child and Count() separators.
+func (n Internal) RoutingLen() int { return n.f.intEntryOff(n.Count()) }
+
+// Routing returns a right-sized, read-only copy of the bytes that route —
+// everything up to the end of the last separator — for the index cache to
+// keep and charge. Fences, level, count and children read as in n; version,
+// checksum and free-slot accessors index past its end and panic.
+func (n Internal) Routing() Internal {
+	b := make([]byte, n.RoutingLen())
+	copy(b, n.B)
+	return Internal{Node{B: b, f: n.f}}
+}
+
 // Full reports whether no separator slot remains.
 func (n Internal) Full() bool { return n.Count() >= n.f.IntCap }
 

@@ -36,9 +36,6 @@ func (f *Format) View(b []byte) Node {
 	return Node{B: b, f: f.shared}
 }
 
-// Clone returns a view of a fresh copy of n's buffer.
-func (n Node) Clone() Node { return Node{B: append([]byte(nil), n.B...), f: n.f} }
-
 // Init stamps a fresh node: alive, given level and fences, nil sibling.
 func (n Node) Init(level uint8, lower, upper uint64) {
 	for i := range n.B {
@@ -118,7 +115,7 @@ func (n Node) UpdateChecksum() {
 
 func (n Node) computeChecksum() uint64 {
 	c := crc64.Checksum(n.B[:offChecksum], crcTable)
-	return crc64.Update(c, crcTable, n.B[checksumBody:])
+	return crc64.Update(c, crcTable, n.B[checksumBody:n.f.NodeSize])
 }
 
 // Consistent reports whether a lock-free read of this node observed a

@@ -461,6 +461,7 @@ func TestPingBypassesFullDataWindow(t *testing.T) {
 
 	// Wedge addr's line: both window slots fill with reads, and the
 	// connection's goroutine blocks on the held lock applying the first.
+	before := srv.WireStats().Frames
 	line := srv.LineLock(addr)
 	line.Lock()
 	tagA := m.issue(opRead, readPayload(addr, 8))
@@ -484,6 +485,13 @@ func TestPingBypassesFullDataWindow(t *testing.T) {
 	if err != nil || status != statusOK {
 		line.Unlock()
 		t.Fatalf("ping while data window wedged: status %d, err %v", status, err)
+	}
+	// The reads really are wedged: while the line is held, the ping's reply
+	// is the only frame the server sends.
+	time.Sleep(20 * time.Millisecond)
+	if sent := srv.WireStats().Frames - before; sent > 1 {
+		line.Unlock()
+		t.Fatalf("server sent %d frames while the read line was held, want only the ping's reply", sent)
 	}
 
 	line.Unlock()

@@ -3,8 +3,10 @@ package tcp
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -566,6 +568,12 @@ func TestWedgedStripeStallsOnlyItsConnection(t *testing.T) {
 			t.Fatalf("faa %d on the free stripe returned %d", i, old)
 		}
 	}
+	// A's read really is wedged: no frame answers it while the line is held.
+	a.c.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if tag, _, _, err := readFrame(a.r); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read on the held line answered (tag %d, err %v) before unlock", tag, err)
+	}
+	a.c.SetReadDeadline(time.Time{})
 
 	unlock()
 	if tag, status, _, err := readFrame(a.r); err != nil || status != statusOK || tag != 1 {

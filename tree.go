@@ -389,7 +389,9 @@ func (t *Tree) CacheStats(cs int) CacheStats {
 // riding outside the budget, hit/miss aggregates, budget-pressure
 // evictions, staleness invalidations (failed speculative validations,
 // migrated chunks, reclaimed-lock repairs), and inserts the frequency gate
-// turned away under level pressure.
+// turned away under level pressure. The budget charges each entry its
+// routing bytes, which are less than a node, while Capacity is the budget
+// in full-node units, so Entries can exceed Capacity.
 type CacheStats struct {
 	Entries          int
 	PinnedEntries    int
