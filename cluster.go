@@ -396,13 +396,6 @@ func (c *Cluster) KillMemoryServer(ms int) error {
 	return nil
 }
 
-// MemoryServerAlive reports whether memory server ms is currently up. On
-// TransportTCP a server is considered dead once any connection to it
-// fails.
-func (c *Cluster) MemoryServerAlive(ms int) bool {
-	return ms >= 0 && ms < c.be.NumMS() && c.be.MSAlive(ms)
-}
-
 // MemoryUsage returns the total host memory currently materialized across
 // all memory servers, in bytes. On TransportTCP the memory lives in other
 // processes and is not tracked; the call returns 0.

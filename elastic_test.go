@@ -35,22 +35,6 @@ func loadTree(t *testing.T, c *Cluster, nodeSize int) *Tree {
 	return tr
 }
 
-// fabricCluster builds a 2-MS, 2-CS cluster on the named transport, closed
-// after the test (and after its trees' Validate-on-exit). TCP spawns
-// shermand processes, so -short skips it like the other tests that do.
-func fabricCluster(t *testing.T, transport string) *Cluster {
-	t.Helper()
-	if transport == TransportTCP && testing.Short() {
-		t.Skip("spawns processes and builds cmd/shermand")
-	}
-	c, err := NewCluster(ClusterConfig{MemoryServers: 2, ComputeServers: 2, Transport: transport})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return c
-}
-
 func TestAddMemoryServerAndRebalance(t *testing.T) {
 	c, tr := elasticTree(t, 256)
 	s := openSession(t, tr, 0)
@@ -107,36 +91,34 @@ func TestAddMemoryServerAndRebalance(t *testing.T) {
 }
 
 func TestDrainMemoryServer(t *testing.T) {
-	for _, transport := range []string{TransportSim, TransportTCP} {
-		t.Run(transport, func(t *testing.T) {
-			c := fabricCluster(t, transport)
-			tr := loadTree(t, c, 256)
-			s := openSession(t, tr, 0)
-			s.Get(1)
+	testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+		c, _ := fabricCluster(t, fab, 2, 2, 0)
+		tr := loadTree(t, c, 256)
+		s := openSession(t, tr, 0)
+		s.Get(1)
 
-			st, err := c.DrainMemoryServer(1, 0)
-			if err != nil {
-				t.Fatal(err)
+		st, err := c.DrainMemoryServer(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.NodesMoved == 0 {
+			t.Fatalf("drain moved nothing: %+v", st)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("Validate after drain: %v", err)
+		}
+		for k := uint64(1); k <= 2000; k++ {
+			if v, ok := s.Get(k); !ok || v != (k-1)*3+7 {
+				t.Fatalf("post-drain Get(%d) = (%d,%v)", k, v, ok)
 			}
-			if st.NodesMoved == 0 {
-				t.Fatalf("drain moved nothing: %+v", st)
-			}
-			if err := tr.Validate(); err != nil {
-				t.Fatalf("Validate after drain: %v", err)
-			}
-			for k := uint64(1); k <= 2000; k++ {
-				if v, ok := s.Get(k); !ok || v != (k-1)*3+7 {
-					t.Fatalf("post-drain Get(%d) = (%d,%v)", k, v, ok)
-				}
-			}
-			checkDrainedQuiet(t, c, tr, s)
+		}
+		checkDrainedQuiet(t, c, tr, s)
 
-			// Draining the last live server must fail.
-			if _, err := c.DrainMemoryServer(0, 0); err == nil {
-				t.Fatal("draining the last memory server succeeded")
-			}
-		})
-	}
+		// Draining the last live server must fail.
+		if _, err := c.DrainMemoryServer(0, 0); err == nil {
+			t.Fatal("draining the last memory server succeeded")
+		}
+	})
 }
 
 // checkDrainedQuiet puts 2000 fresh keys through s after memory server 1
@@ -277,7 +259,7 @@ func TestRebalanceDuringConcurrentSessions(t *testing.T) {
 // model, the tree validates, the moved chunks left forwarding entries, and
 // later puts keep off the drained server.
 func TestTCPDrainDuringConcurrentSessions(t *testing.T) {
-	c := fabricCluster(t, TransportTCP)
+	c, _ := fabricCluster(t, testutil.TCP, 2, 2, 0)
 	tr := loadTree(t, c, 256)
 	churnWhile(t, c, tr, 1, func() error {
 		_, err := c.DrainMemoryServer(1, 1)

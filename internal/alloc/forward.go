@@ -3,7 +3,6 @@ package alloc
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"sherman/internal/rdma"
 )
@@ -62,9 +61,6 @@ type forwardEntry struct {
 type Forwarding struct {
 	mu sync.RWMutex
 	m  map[ChunkID]forwardEntry
-
-	installed atomic.Int64
-	dropped   atomic.Int64
 }
 
 // NewForwarding creates an empty forwarding map.
@@ -86,7 +82,6 @@ func (f *Forwarding) Install(c ChunkID, newBase rdma.Addr, ownerCS int, epoch in
 		panic(fmt.Sprintf("alloc: chunk (%d,%d) already forwarded to %v", c.MS, c.Index, old.newBase))
 	}
 	f.m[c] = forwardEntry{newBase: newBase, ownerCS: ownerCS, epoch: epoch}
-	f.installed.Add(1)
 }
 
 // permanentOwner marks entries no compute server owns: failover promotions
@@ -107,7 +102,6 @@ func (f *Forwarding) InstallReplica(c ChunkID, newBase rdma.Addr) {
 		return
 	}
 	f.m[c] = forwardEntry{newBase: newBase, ownerCS: permanentOwner}
-	f.installed.Add(1)
 }
 
 // Reuse returns the installed target base of an already-forwarded chunk,
@@ -164,7 +158,6 @@ func (f *Forwarding) DropDead(alive func(cs int, epoch int64) bool) int {
 			n++
 		}
 	}
-	f.dropped.Add(int64(n))
 	return n
 }
 
@@ -174,9 +167,3 @@ func (f *Forwarding) Len() int {
 	defer f.mu.RUnlock()
 	return len(f.m)
 }
-
-// Installed and Dropped expose lifetime counters for stats and tests.
-func (f *Forwarding) Installed() int64 { return f.installed.Load() }
-
-// Dropped returns the number of entries removed so far.
-func (f *Forwarding) Dropped() int64 { return f.dropped.Load() }

@@ -39,19 +39,12 @@ func (s *replicaSet) complete(i int) bool {
 }
 
 // TargetSet is a caller-owned snapshot of one chunk's replica targets,
-// filled by ReplicaMap.Targets without allocating. NoteApplied advances the
-// shared per-replica watermark after a mirror doorbell completes.
+// filled by ReplicaMap.Targets without allocating. A mirror doorbell's
+// completion advances the shared per-replica watermark (Watermark).
 type TargetSet struct {
 	N       int
 	Bases   [MaxReplicas]rdma.Addr
 	applied [MaxReplicas]*atomic.Int64
-}
-
-// NoteApplied raises replica i's applied watermark to v (monotone max) —
-// the virtual time up to which that replica has absorbed every mirrored
-// write of its chunk.
-func (t *TargetSet) NoteApplied(i int, v int64) {
-	NoteWatermark(t.applied[i], v)
 }
 
 // Watermark returns replica i's shared applied-watermark cell, so a mirror
@@ -76,9 +69,6 @@ type Promotion struct {
 	// base (same-offset addressing, like a forwarding entry).
 	Old     ChunkID
 	NewBase rdma.Addr
-	// AppliedV is the promoted replica's applied watermark at promotion —
-	// every mirrored write up to this virtual time is present.
-	AppliedV int64
 }
 
 // ReplicaMap is the cluster-wide chunk→replicas placement table. Like the
@@ -181,15 +171,6 @@ func (r *ReplicaMap) Register(ck ChunkID, bases ...rdma.Addr) {
 	r.registered.Add(1)
 }
 
-// AddReplica attaches one more, already-complete replica copy: base's chunk
-// holds a full copy of ck as of applied watermark appliedV, and mirrors of
-// later writes will keep it close. Use only when nothing wrote ck during
-// the copy (quiesced tests); the live re-replication path is
-// AddPendingReplica → CopyChunk → CompleteReplica.
-func (r *ReplicaMap) AddReplica(ck ChunkID, base rdma.Addr, appliedV int64) {
-	r.addReplica(ck, base, appliedV, false)
-}
-
 // AddPendingReplica attaches base's chunk as a new mirror target of ck whose
 // bulk backfill has not run yet: every write committed from now on reaches
 // it as a mirror (so the backfill misses nothing), but promotion treats it
@@ -197,24 +178,11 @@ func (r *ReplicaMap) AddReplica(ck ChunkID, base rdma.Addr, appliedV int64) {
 // registered primary — a concurrent failover re-keyed it — or the set is
 // full; the re-replicator then skips the chunk.
 func (r *ReplicaMap) AddPendingReplica(ck ChunkID, base rdma.Addr) bool {
-	return r.addReplica(ck, base, 0, true)
-}
-
-func (r *ReplicaMap) addReplica(ck ChunkID, base rdma.Addr, appliedV int64, pending bool) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old, ok := (*r.m.Load())[ck]
-	if !ok {
-		if pending {
-			return false
-		}
-		old = &replicaSet{}
-	}
-	if old.n >= MaxReplicas {
-		if pending {
-			return false
-		}
-		panic(fmt.Sprintf("alloc: chunk (%d,%d) already at MaxReplicas", ck.MS, ck.Index))
+	if !ok || old.n >= MaxReplicas {
+		return false
 	}
 	if base.MS() == ck.MS {
 		panic(fmt.Sprintf("alloc: replica of chunk (%d,%d) placed on its own server", ck.MS, ck.Index))
@@ -222,14 +190,10 @@ func (r *ReplicaMap) addReplica(ck ChunkID, base rdma.Addr, appliedV int64, pend
 	s := &replicaSet{n: old.n + 1}
 	s.bases, s.applied, s.pending = old.bases, old.applied, old.pending
 	s.bases[old.n] = base
-	w := new(atomic.Int64)
-	w.Store(appliedV)
-	s.applied[old.n] = w
-	if pending {
-		p := new(atomic.Bool)
-		p.Store(true)
-		s.pending[old.n] = p
-	}
+	s.applied[old.n] = new(atomic.Int64)
+	p := new(atomic.Bool)
+	p.Store(true)
+	s.pending[old.n] = p
 	r.swap(func(m map[ChunkID]*replicaSet) {
 		m[ck] = s
 	})
@@ -308,11 +272,7 @@ func (r *ReplicaMap) FailoverServer(ms uint16, aliveMS func(int) bool) []Promoti
 					next.n++
 				}
 				m[ChunkOf(s.bases[best])] = next
-				promoted = append(promoted, Promotion{
-					Old:      ck,
-					NewBase:  s.bases[best],
-					AppliedV: bestV,
-				})
+				promoted = append(promoted, Promotion{Old: ck, NewBase: s.bases[best]})
 				r.promotions.Add(1)
 				continue
 			}

@@ -131,7 +131,7 @@ func RunReplica(e TreeExp) ReplicaResult {
 	if fx.cl.MSAlive(replicaVictim) {
 		// Nothing tripped the armed kill (a degenerate window); fire it so
 		// the rest of the run still measures failover + repair.
-		fx.cl.Faults().KillMS(replicaVictim, fx.cl.Faults().LatestVerbV())
+		fx.cl.Faults().KillMS(replicaVictim)
 	}
 	res.FailedOver = fx.cl.Failovers()
 	res.LostChunks = fx.cl.Rep.Lost()

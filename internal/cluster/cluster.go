@@ -68,7 +68,7 @@ func New(cfg Config) *Cluster {
 	// The listener runs synchronously in the MS-death chain, after the
 	// fabric has gated the dead server's memory and before the triggering
 	// verb proceeds.
-	f.Faults.OnMSDeath(func(ms int, _ int64) { st.Failover(ms, f.Faults.MSAlive) })
+	f.Faults.OnMSDeath(func(ms int) { st.Failover(ms, f.Faults.MSAlive) })
 	return &Cluster{State: st, F: f, P: p}
 }
 
@@ -83,7 +83,7 @@ func (c *Cluster) KillMS(ms int) error {
 	if !c.F.Faults.MSAlive(ms) {
 		return fmt.Errorf("cluster: memory server %d is already dead", ms)
 	}
-	c.F.Faults.KillMS(ms, c.F.Faults.LatestVerbV())
+	c.F.Faults.KillMS(ms)
 	return nil
 }
 

@@ -134,7 +134,7 @@ func (h *Handle) execInto(a *Async, ops []Op, results []OpResult) {
 		if lat < 0 {
 			lat = 0
 		}
-		h.Rec.RecordMixedBatch(counts, lat, h.m.OpRoundTrips)
+		h.Rec.RecordMixedBatch(counts, lat)
 	}
 }
 

@@ -90,40 +90,6 @@ func bulkKVs(n int) []layout.KV {
 	return kvs
 }
 
-// tcpCluster brings up numMS in-process memory servers and a TCP cluster
-// over them, replicating at factor rf.
-func tcpCluster(t *testing.T, numMS, rf int) *tcp.Cluster {
-	t.Helper()
-	return dialTCP(t, tcpServers(t, numMS), rf)
-}
-
-// tcpServers starts n in-process memory servers and returns their endpoints.
-func tcpServers(t *testing.T, n int) []string {
-	t.Helper()
-	endpoints := make([]string, n)
-	for i := range endpoints {
-		srv, err := tcp.NewServer("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve()
-		t.Cleanup(srv.Close)
-		endpoints[i] = srv.Addr()
-	}
-	return endpoints
-}
-
-// dialTCP brings up a TCP cluster over endpoints, replicating at factor rf.
-func dialTCP(t *testing.T, endpoints []string, rf int) *tcp.Cluster {
-	t.Helper()
-	c, err := tcp.NewCluster(endpoints, 1, tcp.Options{ReplicationFactor: rf, HeartbeatInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return c
-}
-
 // TestBulkloadImageGolden: both fabrics reproduce every recorded image hash,
 // and the slab-boundary rows really sit at the slab boundary.
 func TestBulkloadImageGolden(t *testing.T) {
@@ -137,15 +103,12 @@ func TestBulkloadImageGolden(t *testing.T) {
 			atSlab[g.cfg]++
 		}
 		cfg := cfgs[g.cfg]
-		for _, fabric := range []string{"sim", "tcp"} {
-			if fabric == "tcp" && testing.Short() && g.keys > 10000 {
+		for _, fab := range testutil.Fabrics() {
+			if fab.Name == "tcp" && testing.Short() && g.keys > 10000 {
 				continue
 			}
-			t.Run(fmt.Sprintf("%s/%s/%d", g.cfg, fabric, g.keys), func(t *testing.T) {
-				var be core.Backend = cluster.New(cluster.Config{NumMS: 2, NumCS: 1})
-				if fabric == "tcp" {
-					be = tcpCluster(t, 2, 0)
-				}
+			t.Run(fmt.Sprintf("%s/%s/%d", g.cfg, fab.Name, g.keys), func(t *testing.T) {
+				be, _ := fab.New(t, 2, 1, 0)
 				tr := core.New(be, cfg)
 				tr.Bulkload(bulkKVs(g.keys))
 				if h, n := imageHash(be, cfg.Format); h != g.hash || n != g.nodes {
@@ -167,39 +130,32 @@ func TestBulkloadImageGolden(t *testing.T) {
 // missed a batch, shows as a differing byte.
 func TestBulkloadReplicasMatchPrimary(t *testing.T) {
 	cfg := testutil.Configs()[0]
-	for _, fabric := range []string{"sim", "tcp"} {
-		t.Run(fabric, func(t *testing.T) {
-			var be core.Backend
-			if fabric == "sim" {
-				be = cluster.New(cluster.Config{NumMS: 3, NumCS: 1, ReplicationFactor: 2})
-			} else {
-				be = tcpCluster(t, 3, 2)
+	testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+		be, _ := fab.New(t, 3, 1, 2)
+		tr := core.New(be, cfg)
+		tr.Bulkload(bulkKVs(20000))
+		// Every replicated chunk carries fewer than MaxReplicationFactor
+		// complete copies, so this lists all of them.
+		chunks := be.Replicas().UnderReplicated(alloc.MaxReplicationFactor + 1)
+		if len(chunks) < 3 {
+			t.Fatalf("%d replicated chunks, want one per server at least", len(chunks))
+		}
+		const piece = 64 << 10
+		primary, replica := make([]byte, piece), make([]byte, piece)
+		for _, ck := range chunks {
+			var ts alloc.TargetSet
+			if !be.Replicas().Targets(ck, &ts) || ts.N != 1 {
+				t.Fatalf("chunk %v has %d replicas, want 1", ck, ts.N)
 			}
-			tr := core.New(be, cfg)
-			tr.Bulkload(bulkKVs(20000))
-			// Every replicated chunk carries fewer than MaxReplicationFactor
-			// complete copies, so this lists all of them.
-			chunks := be.Replicas().UnderReplicated(alloc.MaxReplicationFactor + 1)
-			if len(chunks) < 3 {
-				t.Fatalf("%d replicated chunks, want one per server at least", len(chunks))
-			}
-			const piece = 64 << 10
-			primary, replica := make([]byte, piece), make([]byte, piece)
-			for _, ck := range chunks {
-				var ts alloc.TargetSet
-				if !be.Replicas().Targets(ck, &ts) || ts.N != 1 {
-					t.Fatalf("chunk %v has %d replicas, want 1", ck, ts.N)
-				}
-				for off := uint64(0); off < rdma.DefaultChunkSize; off += piece {
-					be.RawRead(rdma.ReadOp{Addr: ck.ChunkBase().Add(off), Buf: primary},
-						rdma.ReadOp{Addr: ts.Bases[0].Add(off), Buf: replica})
-					if !bytes.Equal(primary, replica) {
-						t.Fatalf("chunk %v differs from its replica %v in [%#x, +%d)", ck, ts.Bases[0], off, piece)
-					}
+			for off := uint64(0); off < rdma.DefaultChunkSize; off += piece {
+				be.RawRead(rdma.ReadOp{Addr: ck.ChunkBase().Add(off), Buf: primary},
+					rdma.ReadOp{Addr: ts.Bases[0].Add(off), Buf: replica})
+				if !bytes.Equal(primary, replica) {
+					t.Fatalf("chunk %v differs from its replica %v in [%#x, +%d)", ck, ts.Bases[0], off, piece)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestBulkloadFramesTCP pins the bulk path's wire cost: a tree of K nodes
@@ -207,7 +163,8 @@ func TestBulkloadReplicasMatchPrimary(t *testing.T) {
 // chunk growth and the root pointer) where one frame per node was paid
 // before.
 func TestBulkloadFramesTCP(t *testing.T) {
-	c := tcpCluster(t, 2, 0)
+	be, _ := testutil.TCP.New(t, 2, 1, 0)
+	c := be.(*tcp.Cluster)
 	cfg := core.ShermanConfig()
 	tr := core.New(c, cfg)
 	frames := func() (n int64) {

@@ -46,10 +46,6 @@ type Config struct {
 	// 0 means 0.8.
 	BulkFill float64
 
-	// MaxWrapRetries bounds consecutive wraparound-guard retries of a
-	// lock-free read (§4.4's 8 us rule); 0 means 3.
-	MaxWrapRetries int
-
 	// Poison fills recycled hot-path scratch (the per-handle arena and the
 	// pooled write-op lists) with 0xDB when released, so a reuse-after-free —
 	// code retaining a buffer past its operation — reads deterministic
@@ -75,13 +71,6 @@ func (c Config) bulkFill() float64 {
 		return 0.8
 	}
 	return c.BulkFill
-}
-
-func (c Config) maxWrapRetries() int {
-	if c.MaxWrapRetries == 0 {
-		return 3
-	}
-	return c.MaxWrapRetries
 }
 
 // ShermanConfig is the full system: two-level versions, command combination,

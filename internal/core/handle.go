@@ -214,6 +214,10 @@ func (h *Handle) Cache() *cache.Cache { return h.cache }
 
 // --- read-side machinery ----------------------------------------------------
 
+// maxWrapRetries bounds consecutive wraparound-guard retries of one
+// lock-free read (§4.4's 8 us rule).
+const maxWrapRetries = 3
+
 // readNode fetches the node at a into buf, retrying until the node-level
 // consistency check passes (version pair or checksum) and the wraparound
 // guard is satisfied (§4.4: a read taking longer than 8 us could straddle a
@@ -243,7 +247,7 @@ func (h *Handle) readNode(a transport.Addr, buf []byte) (layout.Node, int) {
 		// apply on the server, each behind its own lock handoff of at least a
 		// round trip (DESIGN.md §13).
 		if h.t.cfg.Format.Mode == layout.TwoLevel && h.tm.WraparoundGuardNS > 0 &&
-			h.C.Now()-start > h.tm.WraparoundGuardNS && wrap < h.t.cfg.maxWrapRetries() {
+			h.C.Now()-start > h.tm.WraparoundGuardNS && wrap < maxWrapRetries {
 			wrap++
 			retries++
 			continue

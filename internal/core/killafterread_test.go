@@ -1,74 +1,45 @@
-package core
+package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"sherman/internal/cluster"
+	"sherman/internal/core"
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
 	"sherman/internal/stats"
-	"sherman/internal/transport"
+	"sherman/internal/testutil"
 )
 
-// killAfterRead is the simulated deployment, except that the first Read
-// issued while armed kills the memory server it addressed as soon as it
-// returns. Armed right before a warm-cache write, that Read is the leaf's
-// validating read under the lock, so the server dies in the one window
-// where the commit doorbell is swallowed: mirror finds the chunk re-keyed,
-// raises the handle's redo flag, and the op must retry before it acks.
-type killAfterRead struct {
-	*cluster.Cluster
-	armed  bool
-	killed int // the server the armed Read killed; 0 if it addressed MS 0 (unkillable)
-}
-
-func (b *killAfterRead) NewTransport(cs int) transport.Transport {
-	inner := b.Cluster.NewTransport(cs)
-	return &killingTransport{Transport: inner, VirtualTimer: inner.(transport.VirtualTimer), b: b}
-}
-
-type killingTransport struct {
-	transport.Transport
-	transport.VirtualTimer
-	b *killAfterRead
-}
-
-func (x *killingTransport) Read(a rdma.Addr, buf []byte) {
-	x.Transport.Read(a, buf)
-	if b := x.b; b.armed {
-		b.armed = false
-		if ms := int(a.MS()); ms != 0 && b.KillMS(ms) == nil {
-			b.killed = ms
-		}
-	}
-}
-
 // TestKillAfterValidatingRead sweeps the bulkloaded keys of a 3-MS RF=2 tree
-// (every third: each leaf is hit at least twice, and a fresh cluster per key
-// is what the test costs) through each way of running one write — the
+// (every third: each leaf is hit at least twice, and a fresh deployment per
+// key is what the test costs) through each way of running one write — the
 // synchronous entry points and the pipelined executor at depth 1 and 4 —
-// killing the leaf's memory server between the write's validating read and
-// its commit. Whatever the driver, the acked write must be durable through
-// the promoted replica, no other acked write may be lost, the tree must
-// validate, and the op must leave no redo flag behind for the next op to
-// trip over.
+// on both fabrics, killing the leaf's memory server between the write's
+// validating read and its commit (testutil.KillAfter on the first read
+// verb: a Read on the simulator, the acquire doorbell over TCP, or the Read
+// after a bare lock CAS with combining off). Mirror then finds the chunk
+// re-keyed and raises the handle's redo flag. Whatever the write path and the
+// fabric, the acked write must be durable through the promoted replica, no
+// other acked write may be lost, the tree must validate, and the op must
+// leave no redo flag behind for the next op to trip over.
 func TestKillAfterValidatingRead(t *testing.T) {
 	const newVal = 0xfeed
 	drivers := []struct {
 		name   string
 		delete bool
-		run    func(h *Handle, key uint64) (found bool)
+		run    func(h *core.Handle, key uint64) (found bool)
 	}{
-		{"Insert", false, func(h *Handle, key uint64) bool { h.Insert(key, newVal); return true }},
-		{"Delete", true, func(h *Handle, key uint64) bool { return h.Delete(key) }},
-		{"NewAsync(1)", false, func(h *Handle, key uint64) bool {
-			h.NewAsync(1).SubmitOp(Op{Kind: stats.OpInsert, Key: key, Value: newVal}).Wait()
+		{"Insert", false, func(h *core.Handle, key uint64) bool { h.Insert(key, newVal); return true }},
+		{"Delete", true, func(h *core.Handle, key uint64) bool { return h.Delete(key) }},
+		{"NewAsync(1)", false, func(h *core.Handle, key uint64) bool {
+			h.NewAsync(1).SubmitOp(core.Op{Kind: stats.OpInsert, Key: key, Value: newVal}).Wait()
 			return true
 		}},
-		{"NewAsync(4)", false, func(h *Handle, key uint64) bool {
+		{"NewAsync(4)", false, func(h *core.Handle, key uint64) bool {
 			a := h.NewAsync(4)
-			p := a.SubmitOp(Op{Kind: stats.OpInsert, Key: key, Value: newVal})
-			a.SubmitOp(Op{Kind: stats.OpLookup, Key: key + 1}) // keep the window busy behind it
+			p := a.SubmitOp(core.Op{Kind: stats.OpInsert, Key: key, Value: newVal})
+			a.SubmitOp(core.Op{Kind: stats.OpLookup, Key: key + 1}) // keep the window busy behind it
 			p.Wait()
 			a.Flush()
 			return true
@@ -79,54 +50,73 @@ func TestKillAfterValidatingRead(t *testing.T) {
 		k := uint64(2 * (i + 1))
 		load[i] = layout.KV{Key: k, Value: k*7 + 1}
 	}
-	for _, cfg := range internalConfigs() {
+	for _, cfg := range testutil.Configs() {
 		cfg.BulkFill = 1.0
+		// Small lock tables: over TCP the depth-4 executor's runner
+		// goroutines outlive their subtest (an Async has no shutdown) and
+		// keep its tree, lock tables included, reachable.
+		cfg.LocksPerMS = 1024
 		for _, d := range drivers {
 			t.Run(cfg.Name()+"/"+d.name, func(t *testing.T) {
-				fired, swept := 0, 0
-				for i := 0; i < len(load); i += 3 {
-					target := load[i]
-					swept++
-					be := &killAfterRead{Cluster: cluster.New(cluster.Config{NumMS: 3, NumCS: 2, ReplicationFactor: 2})}
-					tr := New(be, cfg)
-					tr.Bulkload(load)
-					h := tr.NewHandle(1, 1)
-					h.Lookup(target.Key) // warm the cache: the write's first Read is its leaf's
+				testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+					fired, swept := 0, 0
+					for i := 0; i < len(load); i += 3 {
+						target := load[i]
+						swept++
+						// One subtest per key, so each deployment is torn
+						// down before the next is built.
+						t.Run(fmt.Sprintf("key=%d", target.Key), func(t *testing.T) {
+							inner, kill := fab.New(t, 3, 2, 2)
+							be := &testutil.KillAfter{Backend: inner, Kill: kill}
+							tr := core.New(be, cfg)
+							tr.Bulkload(load)
+							h := tr.NewHandle(1, 1)
+							h.Lookup(target.Key) // warm the cache: the write's first read is its leaf's
 
-					be.armed = true
-					found := d.run(h, target.Key)
-					if be.killed == 0 {
-						continue // the leaf lives on MS 0
+							be.Arm(testutil.VerbRead|testutil.VerbCASRead, 1)
+							found := d.run(h, target.Key)
+							killed := 0
+							for ms := 1; ms < 3; ms++ {
+								if !be.MSAlive(ms) {
+									killed = ms
+								}
+							}
+							if killed == 0 {
+								return // the leaf lives on MS 0
+							}
+							fired++
+							if !found {
+								t.Fatalf("delete reported a bulkloaded key absent")
+							}
+							if lost := be.Replicas().Lost(); lost != 0 {
+								t.Fatalf("%d chunks lost outright", lost)
+							}
+							if err := tr.Validate(); err != nil {
+								t.Fatalf("validate: %v", err)
+							}
+							vh := tr.NewHandle(0, 99)
+							if cl, ok := inner.(*cluster.Cluster); ok {
+								vh.SetClock(cl.Faults().LatestVerbV())
+							}
+							for _, kv := range load {
+								want, wantOK := kv.Value, true
+								if kv.Key == target.Key {
+									want, wantOK = newVal, !d.delete
+								}
+								if got, ok := vh.Lookup(kv.Key); ok != wantOK || (ok && got != want) {
+									t.Fatalf("killed MS %d: acked state lost: key %d = (%#x,%v), want (%#x,%v)",
+										killed, kv.Key, got, ok, want, wantOK)
+								}
+							}
+							if h.Redo() {
+								t.Fatalf("op exited with the redo flag raised")
+							}
+						})
 					}
-					fired++
-					if !found {
-						t.Fatalf("key %d: delete reported a bulkloaded key absent", target.Key)
+					if fired < swept/3 {
+						t.Fatalf("only %d of %d keys had their leaf's server killed", fired, swept)
 					}
-					if lost := be.Rep.Lost(); lost != 0 {
-						t.Fatalf("key %d: %d chunks lost outright", target.Key, lost)
-					}
-					if err := tr.Validate(); err != nil {
-						t.Fatalf("key %d: validate: %v", target.Key, err)
-					}
-					vh := tr.NewHandle(0, 99)
-					vh.SetClock(be.Faults().LatestVerbV())
-					for _, kv := range load {
-						want, wantOK := kv.Value, true
-						if kv.Key == target.Key {
-							want, wantOK = newVal, !d.delete
-						}
-						if got, ok := vh.Lookup(kv.Key); ok != wantOK || (ok && got != want) {
-							t.Fatalf("killed MS %d under key %d: acked state lost: key %d = (%#x,%v), want (%#x,%v)",
-								be.killed, target.Key, kv.Key, got, ok, want, wantOK)
-						}
-					}
-					if h.redo {
-						t.Fatalf("key %d: op exited with the redo flag raised", target.Key)
-					}
-				}
-				if fired < swept/3 {
-					t.Fatalf("only %d of %d keys had their leaf's server killed", fired, swept)
-				}
+				})
 			})
 		}
 	}

@@ -111,7 +111,10 @@ func buildMSKillTree(cfg core.Config) (*cluster.Cluster, *core.Tree, []uint64) {
 // injected at that verb must be survivable with zero lost acked writes — the
 // operation completes on the live compute server, every bulkloaded and
 // prefix write stays readable through the promoted replicas, Validate
-// passes, and a re-replication sweep restores full redundancy.
+// passes, and a re-replication sweep restores full redundancy. It stays on
+// the simulator for its cost: it rebuilds the cluster and re-replicates at
+// every kill point (ROADMAP item 16); TestKillAfterValidatingRead places
+// the same kind of death on both fabrics at the one verb that matters most.
 func TestMSKillAtEveryVerb(t *testing.T) {
 	for _, cfg := range faultConfigs() {
 		for _, sc := range msKillScenarios() {

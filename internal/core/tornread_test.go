@@ -11,6 +11,7 @@ import (
 	"sherman/internal/layout"
 	"sherman/internal/rdma"
 	"sherman/internal/testutil"
+	"sherman/internal/transport/tcp"
 )
 
 // TestTCPTornLeafReads runs lock-free lookups against a leaf that a writer
@@ -31,13 +32,21 @@ func TestTCPTornLeafReads(t *testing.T) {
 		t.Skip("torn reads over TCP need two Ps")
 	}
 	testutil.RunConfigs(t, func(t *testing.T, cfg core.Config) {
-		eps := tcpServers(t, 2)
-		c := dialTCP(t, eps[:1], 0)
+		_, eps := testutil.ServeTCP(t, 2)
+		dial := func(endpoints ...string) *tcp.Cluster {
+			c, err := tcp.NewCluster(endpoints, 1, tcp.Options{HeartbeatInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			return c
+		}
+		c := dial(eps[0])
 		// The writer is a second client with a connection of its own, as
 		// another process would be: its cluster's server 0 is a scratch
 		// server (a cluster's server 0 must be fresh), its server 1 the
 		// tree's.
-		wc := dialTCP(t, []string{eps[1], eps[0]}, 0)
+		wc := dial(eps[1], eps[0])
 		tr := core.New(c, cfg)
 		const keys = 8
 		tr.Bulkload(bulkKVs(keys))

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"sherman/internal/hocl"
+	"sherman/internal/testutil"
 	"sherman/internal/transport"
-	"sherman/internal/transport/tcp"
 )
 
 // TestLockReadNeverTrustsALosingRead runs the remote manager's LockRead over
@@ -27,21 +27,7 @@ func TestLockReadNeverTrustsALosingRead(t *testing.T) {
 		{"baseline", hocl.Baseline()}, // host-memory words: CASRead
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			endpoints := make([]string, 2)
-			for i := range endpoints {
-				srv, err := tcp.NewServer("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				go srv.Serve()
-				t.Cleanup(srv.Close)
-				endpoints[i] = srv.Addr()
-			}
-			c, err := tcp.NewCluster(endpoints, 2, tcp.Options{HeartbeatInterval: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			c, _ := testutil.TCP.New(t, 2, 2, 0)
 			m := c.NewLockManager(hocl.Config{Mode: tc.mode})
 			a, b := c.NewTransport(0), c.NewTransport(1)
 

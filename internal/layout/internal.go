@@ -137,9 +137,6 @@ func (n Internal) Routing() Internal {
 	return Internal{Node{B: b, f: n.f}}
 }
 
-// Full reports whether no separator slot remains.
-func (n Internal) Full() bool { return n.Count() >= n.f.IntCap }
-
 // Insert adds (key, child) keeping separators sorted. Returns false when the
 // node is full; duplicate keys overwrite the child pointer (idempotent
 // retry of a parent update).

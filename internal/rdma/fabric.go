@@ -83,7 +83,7 @@ func NewFabricCap(p sim.Params, numMS, maxMS, numCS int) *Fabric {
 	// First MS-death listener: gate the dead server's memory before any
 	// later listener (replica promotion) or the triggering verb can run, so
 	// no write lands on a server already declared dead.
-	f.Faults.OnMSDeath(func(ms int, _ int64) {
+	f.Faults.OnMSDeath(func(ms int) {
 		servers := *f.servers.Load()
 		if ms >= 0 && ms < len(servers) {
 			servers[ms].SetDead(true)

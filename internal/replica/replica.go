@@ -125,7 +125,6 @@ func (e *Engine) ReReplicate() (Stats, error) {
 			continue // source died mid-copy; leave the backfill pending
 		}
 		rep.CompleteReplica(ck, dst)
-		e.h.Rec.ReReplications++
 		st.ChunksRepaired++
 		st.SlotsCopied += copied
 		if e.opt.Pace != nil {

@@ -56,7 +56,7 @@ type Faults struct {
 	msDead atomic.Pointer[[]bool]
 
 	onDeath   []func(cs int, deathV int64)
-	onMSDeath []func(ms int, deathV int64)
+	onMSDeath []func(ms int)
 	onRestart []func(cs int)
 
 	// lifecycle serializes a death (flag + listener sweep) against
@@ -104,7 +104,6 @@ func raise(anchor *atomic.Int64, v int64) {
 // whose issue triggers an armed kill already sees the server dead.
 type msFault struct {
 	dead     bool
-	deathV   int64 // latest virtual time any verb had reached when it died
 	killAtCS int   // armed verb-indexed kill: trigger on this CS's counter
 	killAtN  int64 // ... when it reaches this count (0 = disarmed)
 	killAtV  int64 // kill at the first verb (any CS) at/after this time (0 = disarmed)
@@ -214,18 +213,10 @@ func (f *Faults) kill(cs int, epoch int64, nowV int64) {
 // dies, before the triggering verb (if any) proceeds. The fabric uses the
 // first slot to gate the dead server's memory; the cluster layer promotes
 // replicas. Listeners run in registration order.
-func (f *Faults) OnMSDeath(fn func(ms int, deathV int64)) {
+func (f *Faults) OnMSDeath(fn func(ms int)) {
 	f.mu.Lock()
 	f.onMSDeath = append(f.onMSDeath, fn)
 	f.mu.Unlock()
-}
-
-// KillMS fails memory server ms immediately: every subsequent verb touching
-// its memory is a no-op (reads zero-fill, writes and atomics discard).
-// Returns only after the death listeners (memory gating, replica
-// promotion) have completed.
-func (f *Faults) KillMS(ms int, nowV int64) {
-	f.killMS(ms, nowV)
 }
 
 // KillMSAtCSVerb arms a kill of memory server ms at compute server cs's
@@ -258,10 +249,13 @@ func (f *Faults) KillMSAtTime(ms int, v int64) {
 	f.mu.Unlock()
 }
 
-// killMS marks the server dead and runs the MS-death listeners under the
-// lifecycle lock, serialized against CS death sweeps and restarts so
-// promotion never interleaves with an orphan sweep.
-func (f *Faults) killMS(ms int, nowV int64) {
+// KillMS fails memory server ms immediately: every subsequent verb touching
+// its memory is a no-op (reads zero-fill, writes and atomics discard).
+// Returns only after the death listeners (memory gating, replica
+// promotion) have completed. They run under the lifecycle lock, serialized
+// against CS death sweeps and restarts so promotion never interleaves with
+// an orphan sweep.
+func (f *Faults) KillMS(ms int) {
 	f.lifecycle.Lock()
 	defer f.lifecycle.Unlock()
 	f.mu.Lock()
@@ -276,10 +270,6 @@ func (f *Faults) killMS(ms int, nowV int64) {
 	s.dead = true
 	s.killAtCS, s.killAtN, s.killAtV = 0, 0, 0
 	f.rearm()
-	if nowV > s.deathV {
-		s.deathV = nowV
-	}
-	deathV := s.deathV
 	dead := make([]bool, len(f.ms))
 	for i := range f.ms {
 		dead[i] = f.ms[i].dead
@@ -288,7 +278,7 @@ func (f *Faults) killMS(ms int, nowV int64) {
 	listeners := f.onMSDeath // header copy; registration appends never mutate it
 	f.mu.Unlock()
 	for _, fn := range listeners {
-		fn(ms, deathV)
+		fn(ms)
 	}
 }
 
@@ -297,17 +287,6 @@ func (f *Faults) killMS(ms int, nowV int64) {
 func (f *Faults) MSAlive(ms int) bool {
 	dead := f.msDead.Load()
 	return dead == nil || ms < 0 || ms >= len(*dead) || !(*dead)[ms]
-}
-
-// MSDeathTime returns the dead server's death anchor — the latest virtual
-// time any verb had reached when it died (0 if alive).
-func (f *Faults) MSDeathTime(ms int) int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if ms < 0 || ms >= len(f.ms) || !f.ms[ms].dead {
-		return 0
-	}
-	return f.ms[ms].deathV
 }
 
 // Restart revives the CS under a new epoch. Clients created before the
@@ -461,7 +440,7 @@ func (f *Faults) onVerbArmed(cs int, epoch int64, nowV int64) (startV, delayNS i
 	for i := 0; i < nv; i++ {
 		// Unlike a CS crash, the issuing client survives: the verb proceeds
 		// against the now-dead server and simply has no effect there.
-		f.killMS(victims[i], nowV)
+		f.KillMS(victims[i])
 	}
 	return startV, delayNS, true
 }

@@ -232,13 +232,6 @@ func (c *Counter) Fraction(v int) float64 {
 	return float64(c.bins[v]) / float64(c.n)
 }
 
-// Bins returns a copy of the raw bins.
-func (c *Counter) Bins() []int64 {
-	out := make([]int64, len(c.bins))
-	copy(out, c.bins)
-	return out
-}
-
 // PercentileValue returns the smallest v such that at least p% of
 // observations are <= v.
 func (c *Counter) PercentileValue(p float64) int {

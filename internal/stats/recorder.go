@@ -74,11 +74,6 @@ type Recorder struct {
 	// carried (those operations are also counted in Ops by kind).
 	Batches    int64
 	BatchedOps int64
-	// BatchSizes is the ops-per-batch distribution; BatchRoundTrips the
-	// round-trips-per-batch distribution. Sum(BatchRoundTrips)/BatchedOps
-	// is the amortized round trips per batched operation.
-	BatchSizes      *Counter
-	BatchRoundTrips *Counter
 	// BatchLeafGroups counts the leaf groups batch executors formed — one
 	// leaf lock acquisition (write batches) or one leaf read (read batches)
 	// per group. BatchChainedLeaves counts sibling leaves processed under a
@@ -154,9 +149,6 @@ type Recorder struct {
 	// Failovers counts chunk promotions (replica became primary after a
 	// memory-server death) attributed to this recorder's window.
 	Failovers int64
-	// ReReplications counts chunks the background re-replicator restored to
-	// full replication factor.
-	ReReplications int64
 
 	// FinishV is the thread's virtual clock when it finished its share of
 	// the workload; the experiment makespan is the max across threads.
@@ -172,8 +164,6 @@ func NewRecorder() *Recorder {
 		WriteRoundTrips: NewCounter(1 << 12),
 		WriteSizes:      NewSizeHist(),
 		ReadRetries:     NewCounter(64),
-		BatchSizes:      NewCounter(1 << 10),
-		BatchRoundTrips: NewCounter(1 << 12),
 		PipelineDepths:  NewCounter(1 << 10),
 	}
 	for i := range r.Latency {
@@ -189,31 +179,12 @@ func (r *Recorder) RecordOp(kind OpKind, latencyNS int64) {
 	r.Ops[kind]++
 }
 
-// RecordBatch stores one finished batch of n same-kind operations,
-// attributing the batch latency to each operation amortized (a batch of n
-// completes n operations in latencyNS total, so each effectively costs the
-// mean — the per-op number a batched client observes).
-func (r *Recorder) RecordBatch(kind OpKind, n int, latencyNS, roundTrips int64) {
-	if n <= 0 {
-		return
-	}
-	per := latencyNS / int64(n)
-	for i := 0; i < n; i++ {
-		r.Latency[kind].Record(per)
-		r.AllLatency.Record(per)
-	}
-	r.Ops[kind] += int64(n)
-	r.Batches++
-	r.BatchedOps += int64(n)
-	r.BatchSizes.Record(n)
-	r.BatchRoundTrips.Record(int(roundTrips))
-}
-
 // RecordMixedBatch stores one finished mixed-op batch: counts[k] operations
-// of each class, completing in latencyNS total over roundTrips round trips.
-// Like RecordBatch, the batch latency is attributed to each operation
-// amortized — the per-op number a batched client observes.
-func (r *Recorder) RecordMixedBatch(counts [NumOpKinds]int64, latencyNS, roundTrips int64) {
+// of each class, completing in latencyNS total.
+// The batch latency is attributed to each operation amortized (a batch of
+// n completes n operations in latencyNS total, so each effectively costs the
+// mean) — the per-op number a batched client observes.
+func (r *Recorder) RecordMixedBatch(counts [NumOpKinds]int64, latencyNS int64) {
 	var n int64
 	for _, c := range counts {
 		n += c
@@ -231,8 +202,6 @@ func (r *Recorder) RecordMixedBatch(counts [NumOpKinds]int64, latencyNS, roundTr
 	}
 	r.Batches++
 	r.BatchedOps += n
-	r.BatchSizes.Record(int(n))
-	r.BatchRoundTrips.Record(int(roundTrips))
 }
 
 // RecordPipelineOp stores one operation issued through the async executor:
@@ -272,8 +241,6 @@ func (r *Recorder) Merge(other *Recorder) {
 	r.ReadRetries.Merge(other.ReadRetries)
 	r.Batches += other.Batches
 	r.BatchedOps += other.BatchedOps
-	r.BatchSizes.Merge(other.BatchSizes)
-	r.BatchRoundTrips.Merge(other.BatchRoundTrips)
 	r.BatchLeafGroups += other.BatchLeafGroups
 	r.BatchChainedLeaves += other.BatchChainedLeaves
 	r.PipelinedOps += other.PipelinedOps
@@ -298,7 +265,6 @@ func (r *Recorder) Merge(other *Recorder) {
 		r.ReplicaLagMaxNS = other.ReplicaLagMaxNS
 	}
 	r.Failovers += other.Failovers
-	r.ReReplications += other.ReReplications
 	if other.FinishV > r.FinishV {
 		r.FinishV = other.FinishV
 	}

@@ -1,0 +1,81 @@
+package testutil
+
+import (
+	"fmt"
+	"testing"
+
+	"sherman/internal/cluster"
+	"sherman/internal/core"
+	"sherman/internal/transport/tcp"
+)
+
+// Fabric is one entry of the fabric axis. New builds a deployment of numMS
+// memory servers and numCS compute servers, replicating every data chunk at
+// factor rf (0 = off), and tears it down when the test ends. It returns the
+// Backend a tree is built over and the fabric's way to fail memory server
+// ms for good, failover included before it returns; server 0 holds the
+// superblock and cannot be killed, nor can a dead server.
+type Fabric struct {
+	Name string
+	New  func(tb testing.TB, numMS, numCS, rf int) (be core.Backend, kill func(ms int) error)
+}
+
+// TCP is the real network over in-process memory servers with heartbeats
+// off, so a server dies only when kill says so or a verb runs into it. kill
+// closes the server, listener and connections, then publishes the death:
+// what KillMemoryServer does after SIGKILLing a launched shermand.
+var TCP = Fabric{Name: "tcp", New: func(tb testing.TB, numMS, numCS, rf int) (core.Backend, func(int) error) {
+	srvs, eps := ServeTCP(tb, numMS)
+	c, err := tcp.NewCluster(eps, numCS, tcp.Options{ReplicationFactor: rf, HeartbeatInterval: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(c.Close)
+	// A pipelined executor's runner goroutines outlive the test, and a
+	// decorated transport of theirs can hold this hook: drop the servers
+	// with the deployment, or each such test pins their memory for good.
+	tb.Cleanup(func() { srvs = nil })
+	return c, func(ms int) error {
+		if ms <= 0 || ms >= len(srvs) || !c.MSAlive(ms) {
+			return fmt.Errorf("testutil: cannot kill memory server %d (live ones are among 1..%d)", ms, numMS-1)
+		}
+		srvs[ms].Close()
+		c.MarkDead(ms)
+		return nil
+	}
+}}
+
+// Fabrics returns the fabric axis: the virtual-time simulator, whose kill
+// is its own, and TCP.
+func Fabrics() []Fabric {
+	sim := Fabric{Name: "sim", New: func(tb testing.TB, numMS, numCS, rf int) (core.Backend, func(int) error) {
+		cl := cluster.New(cluster.Config{NumMS: numMS, NumCS: numCS, ReplicationFactor: rf})
+		return cl, cl.KillMS
+	}}
+	return []Fabric{sim, TCP}
+}
+
+// RunFabrics runs fn once per fabric, as subtests named after it.
+func RunFabrics(t *testing.T, fn func(t *testing.T, fab Fabric)) {
+	t.Helper()
+	for _, fab := range Fabrics() {
+		t.Run(fab.Name, func(t *testing.T) { fn(t, fab) })
+	}
+}
+
+// ServeTCP starts n in-process memory servers, closed when the test ends,
+// and returns them with their endpoints.
+func ServeTCP(tb testing.TB, n int) ([]*tcp.Server, []string) {
+	tb.Helper()
+	srvs, eps := make([]*tcp.Server, n), make([]string, n)
+	for i := range srvs {
+		s, err := tcp.NewServer("127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		go s.Serve()
+		tb.Cleanup(s.Close)
+		srvs[i], eps[i] = s, s.Addr()
+	}
+	return srvs, eps
+}

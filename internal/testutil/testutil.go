@@ -1,10 +1,18 @@
 // Package testutil is the shared deterministic test harness: the
-// TwoLevel/Checksum × Combine configuration matrix, seeded RNG streams,
-// cluster/tree setup with Validate-on-exit, and the in-memory model map the
-// differential oracle suites check the tree against. Before it existed,
-// every property suite (batch, pipeline, fault, core) carried its own copy
-// of this grid-runner; they all run on this one now, so a new suite is a
-// function body, not another scaffold.
+// TwoLevel/Checksum × Combine configuration matrix, the fabric axis, seeded
+// RNG streams, cluster/tree setup with Validate-on-exit, and the in-memory
+// model map the differential oracle suites check the tree against. Before
+// it existed, every property suite (batch, pipeline, fault, core) carried
+// its own copy of this grid-runner; they all run on this one now, so a new
+// suite is a function body, not another scaffold.
+//
+// The fabric axis (Fabrics, RunFabrics) runs one suite on both fabrics
+// instead of a suite plus hand-built copies: Sim is the virtual-time
+// simulator, TCP the real network over in-process memory servers with
+// heartbeats off. Each builds a Deployment, a core.Backend plus a hook that
+// kills a memory server the fabric's way, and KillAfter decorates one to
+// kill the server a chosen read verb addressed, between two verbs of one
+// operation.
 package testutil
 
 import (
@@ -215,10 +223,3 @@ func (m *Model) Scan(from uint64, span int) []layout.KV {
 
 // Len returns the number of live keys.
 func (m *Model) Len() int { return len(m.m) }
-
-// Each calls fn for every (k, v) pair in unspecified order.
-func (m *Model) Each(fn func(k, v uint64)) {
-	for k, v := range m.m {
-		fn(k, v)
-	}
-}

@@ -103,7 +103,7 @@ func TestDeadVerbsMatchSimulator(t *testing.T) {
 	f := rdma.NewFabric(sim.DefaultParams(), 2, 1)
 	simClient := f.NewClient(0)
 	simOut := script(simClient, simClient.GrowChunk(1), func() {
-		f.Faults.KillMS(1, 0)
+		f.Faults.KillMS(1)
 	})
 
 	c, err := NewCluster(startServers(t, 2), 1, Options{HeartbeatInterval: -1})

@@ -42,8 +42,8 @@ func (ls *LocalServers) Kill(ms int) error {
 }
 
 // LocalServers is a set of shermand processes launched on loopback for a
-// local cluster (the README's 2-process quickstart, the differential
-// oracle, the tcp bench experiment).
+// local cluster (the README's 2-process quickstart, the tcppipe and
+// tcpfault experiments, and the tests that SIGKILL a real process).
 type LocalServers struct {
 	// Endpoints are the servers' listen addresses, index = memory server id.
 	Endpoints []string

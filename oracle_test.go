@@ -14,7 +14,8 @@ import (
 // replayed into testutil.Model, the obviously-correct in-memory map. Every
 // result must match the model's, at every grid cell, and (in the
 // migrating variant) while the elasticity engine concurrently adds,
-// rebalances onto, and drains memory servers under the stream.
+// rebalances onto, and drains memory servers under the stream. Every
+// oracle but the migrating one runs on both fabrics (testutil.Fabrics).
 
 // oracleStream drives one session against the model for n steps.
 func oracleStream(t *testing.T, s testSession, model *testutil.Model, rng interface {
@@ -127,20 +128,57 @@ func checkFinalState(t *testing.T, s testSession, model *testutil.Model, keySpac
 }
 
 // TestDifferentialOracle runs the oracle per grid cell at every pipeline
-// depth 1–8 (one depth per seed), with no migrations — the baseline the
-// migrating variant strengthens.
+// depth 1–8 (one depth per seed) on both fabrics, with no migrations — the
+// baseline the migrating variant strengthens. Afterwards every memory
+// server's inbound load must be visible (the Stats opcode over TCP).
 func TestDifferentialOracle(t *testing.T) {
 	depths := []int{1, 2, 4, 8}
 	for _, opts := range gridOptions() {
 		opts := opts
 		t.Run(opts.Advanced.name(), func(t *testing.T) {
 			testutil.RunSeeds(t, 4, func(t *testing.T, seed uint64) {
-				rng := testutil.RNG(seed)
-				depth := depths[(seed-1)%uint64(len(depths))]
-				c, err := NewCluster(ClusterConfig{MemoryServers: 2, ComputeServers: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
+				testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+					rng := testutil.RNG(seed)
+					depth := depths[(seed-1)%uint64(len(depths))]
+					c, _ := fabricCluster(t, fab, 2, 1, 0)
+					s := openSession(t, testTree(t, c, opts), 0, PipelineDepth(depth))
+					model := testutil.NewModel()
+					const keySpace = 400
+					oracleStream(t, s, model, rng, keySpace, 500)
+					checkFinalState(t, s, model, keySpace)
+
+					loads := c.MemoryServerLoads()
+					var inbound int64
+					for _, l := range loads {
+						inbound += l.InboundOps
+					}
+					if len(loads) != 2 || inbound == 0 || LoadSkew(loads) < 1 {
+						t.Fatalf("MemoryServerLoads = %+v (skew %v): want 2 servers, inbound ops, skew >= 1", loads, LoadSkew(loads))
+					}
+				})
+			})
+		})
+	}
+}
+
+// TestDifferentialOraclePoison re-runs the baseline oracle once per grid
+// cell and fabric with TreeOptions.Poison set: every recycled hot-path
+// buffer — the per-session arena, the pooled write-op slices, the lock
+// waiters — is filled with 0xDB the moment its lifetime ends, so an
+// operation that reads scratch past its release returns poisoned garbage
+// and fails the model comparison deterministically. Under -race (the CI
+// configuration) this run doubles as the reuse-after-release detector of
+// the zero-allocation recycling.
+func TestDifferentialOraclePoison(t *testing.T) {
+	depths := []int{1, 2, 4, 8}
+	for i, opts := range gridOptions() {
+		opts := opts
+		opts.Poison = true
+		depth := depths[i%len(depths)]
+		t.Run(opts.Advanced.name(), func(t *testing.T) {
+			testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+				rng := testutil.RNG(uint64(i) + 101)
+				c, _ := fabricCluster(t, fab, 2, 1, 0)
 				s := openSession(t, testTree(t, c, opts), 0, PipelineDepth(depth))
 				model := testutil.NewModel()
 				const keySpace = 400
@@ -151,44 +189,17 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 }
 
-// TestDifferentialOraclePoison re-runs the baseline oracle once per grid
-// cell with TreeOptions.Poison set: every recycled hot-path buffer — the
-// per-session arena, the pooled write-op slices, the lock waiters — is
-// filled with 0xDB the moment its lifetime ends, so an operation that
-// reads scratch past its release returns poisoned garbage and fails the
-// model comparison deterministically. Under -race (the CI configuration)
-// this run doubles as the reuse-after-release detector of the
-// zero-allocation recycling.
-func TestDifferentialOraclePoison(t *testing.T) {
-	depths := []int{1, 2, 4, 8}
-	for i, opts := range gridOptions() {
-		opts := opts
-		opts.Poison = true
-		depth := depths[i%len(depths)]
-		t.Run(opts.Advanced.name(), func(t *testing.T) {
-			rng := testutil.RNG(uint64(i) + 101)
-			c, err := NewCluster(ClusterConfig{MemoryServers: 2, ComputeServers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := openSession(t, testTree(t, c, opts), 0, PipelineDepth(depth))
-			model := testutil.NewModel()
-			const keySpace = 400
-			oracleStream(t, s, model, rng, keySpace, 500)
-			checkFinalState(t, s, model, keySpace)
-		})
-	}
-}
-
 // TestDifferentialOracleTinyCache is the cache-staleness oracle: the same
 // random streams (depths 1–8) run with a deliberately tiny 2-entry index
 // cache, so eviction churn is constant and nearly every speculative
 // leaf-direct read races the stream's own splits — while a writer session
 // on the other compute server forces extra splits, and (for odd seeds) the
-// elasticity engine concurrently adds, rebalances onto, and drains memory
-// servers. Every speculative read must either validate or fall back
-// through the poisoned-path invalidation without ever returning a stale
-// value: any miss shows up as a model mismatch.
+// elasticity engine concurrently rebalances, onto a newly added memory
+// server on the simulator (admitting one is sim-only). Every speculative
+// read must either validate or fall back through the poisoned-path
+// invalidation without ever returning a stale value: any miss shows up as
+// a model mismatch. Over TCP the rebalancing seeds are also the check that
+// Rebalance leaves a tree that validates (testTree).
 func TestDifferentialOracleTinyCache(t *testing.T) {
 	depths := []int{1, 2, 4, 8}
 	for _, opts := range gridOptions() {
@@ -196,108 +207,112 @@ func TestDifferentialOracleTinyCache(t *testing.T) {
 		opts.CacheBytes = 2 * testutil.SmallNodeSize // a 2-entry budget
 		t.Run(opts.Advanced.name(), func(t *testing.T) {
 			testutil.RunSeeds(t, 4, func(t *testing.T, seed uint64) {
-				rng := testutil.RNG(seed)
-				depth := depths[(seed-1)%uint64(len(depths))]
-				migrate := seed%2 == 1
-				c, err := NewCluster(ClusterConfig{
-					MemoryServers: 2, ComputeServers: 2, MaxMemoryServers: 4,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				tree := testTree(t, c, opts)
-				s := openSession(t, tree, 0, PipelineDepth(depth))
+				testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+					rng := testutil.RNG(seed)
+					depth := depths[(seed-1)%uint64(len(depths))]
+					migrate := seed%2 == 1
+					c, _ := fabricCluster(t, fab, 2, 2, 0)
+					tree := testTree(t, c, opts)
+					s := openSession(t, tree, 0, PipelineDepth(depth))
 
-				// A fence band of known keys separates the oracle keyspace
-				// from the churn writer's stripe: scans running off the
-				// oracle region land on fence rows (identical in tree and
-				// model) instead of the writer's racing keys. The band is
-				// wide enough to push the root past level 2, so level-1
-				// entries are budgeted (evictable), not pinned — a 2-entry
-				// cache then churns on every traversal.
-				const keySpace = 400
-				model := testutil.NewModel()
-				fence := make([]KV, 3000)
-				for i := range fence {
-					k := uint64(2*keySpace + 1 + i)
-					fence[i] = KV{Key: k, Value: testutil.BulkValue(k)}
-					model.Put(k, fence[i].Value)
-				}
-				if err := tree.Bulkload(fence); err != nil {
-					t.Fatal(err)
-				}
+					// A fence band of known keys separates the oracle keyspace
+					// from the churn writer's stripe: scans running off the
+					// oracle region land on fence rows (identical in tree and
+					// model) instead of the writer's racing keys. The band is
+					// wide enough to push the root past level 2, so level-1
+					// entries are budgeted (evictable), not pinned — a 2-entry
+					// cache then churns on every traversal.
+					const keySpace = 400
+					model := testutil.NewModel()
+					fence := make([]KV, 3000)
+					for i := range fence {
+						k := uint64(2*keySpace + 1 + i)
+						fence[i] = KV{Key: k, Value: testutil.BulkValue(k)}
+						model.Put(k, fence[i].Value)
+					}
+					if err := tree.Bulkload(fence); err != nil {
+						t.Fatal(err)
+					}
 
-				// Concurrent churn: a writer splitting leaves all over a
-				// disjoint stripe, plus (odd seeds) rebalance/drain cycles —
-				// the two sources of cache staleness under live traffic.
-				stop := make(chan struct{})
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					w := openSession(t, tree, 1)
-					churnRng := testutil.RNG(seed + 1000)
-					added := false
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						for j := 0; j < 50; j++ {
-							w.Put(1_000_000+churnRng.Uint64N(5000)+1, churnRng.Uint64()|1)
-						}
-						if !migrate {
-							continue
-						}
-						if !added {
-							if _, err := c.AddMemoryServer(); err != nil {
+					// Concurrent churn: a writer splitting leaves all over a
+					// disjoint stripe, plus (odd seeds) rebalance cycles — the
+					// two sources of cache staleness under live traffic.
+					stop := make(chan struct{})
+					var wg sync.WaitGroup
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						w := openSession(t, tree, 1)
+						churnRng := testutil.RNG(seed + 1000)
+						added := fab.Name != "sim"
+						for i := 0; ; i++ {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							for j := 0; j < 50; j++ {
+								w.Put(1_000_000+churnRng.Uint64N(5000)+1, churnRng.Uint64()|1)
+							}
+							if !migrate {
+								continue
+							}
+							if !added {
+								if _, err := c.AddMemoryServer(); err != nil {
+									t.Error(err)
+									return
+								}
+								added = true
+							}
+							if _, err := tree.Rebalance(1); err != nil {
 								t.Error(err)
 								return
 							}
-							added = true
 						}
-						if _, err := tree.Rebalance(1); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}()
+					}()
 
-				oracleStream(t, s, model, rng, keySpace, 600)
-				close(stop)
-				wg.Wait()
-				if t.Failed() {
-					t.FailNow()
-				}
-				checkFinalState(t, s, model, keySpace)
-				st := s.Stats()
-				if st.SpeculativeReads == 0 {
-					t.Error("tiny-cache stream issued no speculative reads")
-				}
-				if st.CacheEvictions == 0 {
-					t.Error("2-entry cache saw no evictions")
-				}
+					oracleStream(t, s, model, rng, keySpace, 600)
+					close(stop)
+					wg.Wait()
+					if t.Failed() {
+						t.FailNow()
+					}
+					checkFinalState(t, s, model, keySpace)
+					st := s.Stats()
+					if st.SpeculativeReads == 0 {
+						t.Error("tiny-cache stream issued no speculative reads")
+					}
+					if st.CacheEvictions == 0 {
+						t.Error("2-entry cache saw no evictions")
+					}
+				})
 			})
 		})
 	}
 }
 
 // runFailoverOracle drives one oracle stream on compute server 0 while a
-// churn goroutine on compute server 1 repeatedly kills a memory server,
-// brings a replacement in, and re-replicates back to full redundancy. Every
-// in-flight operation may therefore land mid-failover — its chunk re-keyed
-// to a promoted replica between the validating read and the commit — and
-// must still return exactly the model's answer.
-func runFailoverOracle(t *testing.T, opts TreeOptions, seed uint64, depth int) {
+// churn goroutine on compute server 1 kills memory servers and re-replicates
+// back to full redundancy. On the simulator it kills three servers in turn
+// (1, 2, 3), adding a replacement after each; admitting a server is
+// sim-only, so over TCP it kills one of four (1, 2 or 3 by seed) and repairs
+// onto the survivors. Every in-flight operation may therefore land
+// mid-failover — its chunk re-keyed to a promoted replica between the
+// validating read and the commit — and must still return exactly the
+// model's answer.
+//
+// Over TCP the tree uses the default 1 KiB nodes: repair copies a chunk
+// slot by slot, each slot a locked read over the socket whether it was
+// carved or not (ROADMAP item 16(a)), and an 8 MB chunk of 256-byte slots
+// costs about 1.4 s of it where 1 KiB slots cost a quarter of that.
+func runFailoverOracle(t *testing.T, fab testutil.Fabric, opts TreeOptions, seed uint64, depth int) {
 	rng := testutil.RNG(seed)
-	c, err := NewCluster(ClusterConfig{
-		MemoryServers: 3, ComputeServers: 2, MaxMemoryServers: 6,
-		ReplicationFactor: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
+	numMS, victims := 3, []int{1, 2, 3}
+	if fab.Name != "sim" {
+		numMS, victims = 4, []int{int(seed%3) + 1}
+		opts.NodeSize = 0
 	}
+	c, kill := fabricCluster(t, fab, numMS, 2, 2)
 	tree := testTree(t, c, opts)
 	s := openSession(t, tree, 0, PipelineDepth(depth))
 
@@ -337,20 +352,21 @@ func runFailoverOracle(t *testing.T, opts TreeOptions, seed uint64, depth int) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Kill a server, add a replacement, repair to full redundancy,
-		// repeat. The first cycle runs unconditionally so every run
-		// exercises at least one failover; MS 0 (superblock) is never a
-		// victim, and each kill is fully repaired before the next, so no
-		// chunk ever loses its last copy.
-		for kill := 0; kill < 3; kill++ {
-			victim := kill + 1 // replacements appear as MS 3, 4, 5
-			if err := c.KillMemoryServer(victim); err != nil {
+		// Kill, replace (sim), repair to full redundancy, repeat. The first
+		// cycle runs unconditionally so every run exercises at least one
+		// failover; MS 0 (superblock) is never a victim, and each kill is
+		// fully repaired before the next, so no chunk ever loses its last
+		// copy.
+		for _, victim := range victims {
+			if err := kill(victim); err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := c.AddMemoryServer(); err != nil {
-				t.Error(err)
-				return
+			if fab.Name == "sim" {
+				if _, err := c.AddMemoryServer(); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 			if err := reReplicateAll(); err != nil {
 				t.Error(err)
@@ -387,31 +403,37 @@ func runFailoverOracle(t *testing.T, opts TreeOptions, seed uint64, depth int) {
 }
 
 // TestDifferentialOracleUnderFailover is the replicated differential oracle:
-// random mixed streams at factor 2 while memory servers die, get replaced,
-// and re-replicate underneath — the model must agree on every result, the
-// final state must match key by key, and no chunk may ever lose both copies.
+// random mixed streams at factor 2, on both fabrics, while memory servers
+// die and re-replicate underneath — the model must agree on every result,
+// the final state must match key by key, and no chunk may ever lose both
+// copies.
 func TestDifferentialOracleUnderFailover(t *testing.T) {
 	for _, opts := range gridOptions() {
 		opts := opts
 		t.Run(opts.Advanced.name(), func(t *testing.T) {
 			testutil.RunSeeds(t, 3, func(t *testing.T, seed uint64) {
-				runFailoverOracle(t, opts, seed, []int{1, 4, 8}[(seed-1)%3])
+				testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+					runFailoverOracle(t, fab, opts, seed, []int{1, 4, 8}[(seed-1)%3])
+				})
 			})
 		})
 	}
 }
 
 // TestDifferentialOracleUnderFailoverPoison re-runs the failover oracle once
-// per grid cell with buffer poisoning on, so a mirror or redo path holding a
-// recycled buffer past its release fails the model comparison
-// deterministically (and the -race CI run doubles as the reuse detector).
+// per grid cell and fabric with buffer poisoning on, so a mirror or redo
+// path holding a recycled buffer past its release fails the model
+// comparison deterministically (and the -race CI run doubles as the reuse
+// detector).
 func TestDifferentialOracleUnderFailoverPoison(t *testing.T) {
 	for i, opts := range gridOptions() {
 		opts := opts
 		opts.Poison = true
 		i := i
 		t.Run(opts.Advanced.name(), func(t *testing.T) {
-			runFailoverOracle(t, opts, uint64(i)+201, []int{1, 4, 8}[i%3])
+			testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+				runFailoverOracle(t, fab, opts, uint64(i)+201, []int{1, 4, 8}[i%3])
+			})
 		})
 	}
 }
@@ -420,7 +442,9 @@ func TestDifferentialOracleUnderFailoverPoison(t *testing.T) {
 // the same streams run while a migration goroutine adds memory servers,
 // rebalances onto them, and drains old ones — so every operation may land
 // mid-chunk-migration and resolve through forwarding. The model must still
-// agree on every single result.
+// agree on every single result. It runs on the simulator only: its cycle
+// starts by admitting a memory server, which TCP does not do yet
+// (AddMemoryServer is ErrSimOnly; ROADMAP item 12).
 func TestDifferentialOracleUnderMigration(t *testing.T) {
 	for _, opts := range gridOptions() {
 		opts := opts

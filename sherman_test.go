@@ -4,7 +4,9 @@ import (
 	"sync"
 	"testing"
 
+	"sherman/internal/cluster"
 	"sherman/internal/testutil"
+	"sherman/internal/transport/tcp"
 )
 
 func testCluster(t *testing.T) *Cluster {
@@ -14,6 +16,24 @@ func testCluster(t *testing.T) *Cluster {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// fabricCluster builds a Cluster on one fabric of testutil's axis, with
+// numMS memory servers, numCS compute servers and replication factor rf.
+// kill fails a memory server the fabric's way: KillMemoryServer refuses on
+// TCP servers the cluster did not launch, and these are in-process.
+func fabricCluster(t *testing.T, fab testutil.Fabric, numMS, numCS, rf int) (c *Cluster, kill func(ms int) error) {
+	t.Helper()
+	be, kill := fab.New(t, numMS, numCS, rf)
+	switch be := be.(type) {
+	case *cluster.Cluster:
+		c = &Cluster{be: be, st: be.State, cl: be}
+	case *tcp.Cluster:
+		c = &Cluster{be: be, st: be.State, tc: be}
+	default:
+		t.Fatalf("fabric %s built an unknown backend %T", fab.Name, be)
+	}
+	return c, kill
 }
 
 // testTree creates a tree and registers Validate-on-exit, the public-API

@@ -2,10 +2,8 @@ package sherman
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,61 +12,78 @@ import (
 	"sherman/internal/testutil"
 )
 
-// TestEMethods covers the error-returning synchronous API: the happy path,
-// the reserved-key rejection, and the post-crash ErrSessionDead contract
-// that replaces the legacy methods' panics.
+// TestEMethods covers the error-returning synchronous API on both fabrics:
+// the happy path at pipeline depths 1, 4 and 8 and the reserved-key
+// rejection; then, on the simulator, the post-crash ErrSessionDead contract
+// that replaces the legacy methods' panics, and over TCP the clean
+// ErrSimOnly refusals of compute-side fault injection and of admitting a
+// memory server.
 func TestEMethods(t *testing.T) {
-	c := testCluster(t)
-	tree := testTree(t, c, TreeOptions{})
-	s := openSession(t, tree, 0)
+	testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+		c, _ := fabricCluster(t, fab, 2, 2, 0)
+		tree := testTree(t, c, TreeOptions{})
+		var s testSession
+		for _, depth := range []int{1, 4, 8} {
+			s = openSession(t, tree, depth%2, PipelineDepth(depth))
+			k := uint64(depth) * 100 // each depth runs on its own keys
+			if err := s.PutE(k+7, 70); err != nil {
+				t.Fatalf("depth %d: PutE: %v", depth, err)
+			}
+			if v, ok, err := s.GetE(k + 7); err != nil || !ok || v != 70 {
+				t.Fatalf("depth %d: GetE(%d) = %d, %v, %v", depth, k+7, v, ok, err)
+			}
+			if _, ok, err := s.GetE(k + 8); err != nil || ok {
+				t.Fatalf("depth %d: GetE(%d) = present (err %v), want absent", depth, k+8, err)
+			}
+			if err := s.PutE(k+9, 90); err != nil {
+				t.Fatal(err)
+			}
+			kvs, err := s.ScanE(k+1, 10)
+			if err != nil || len(kvs) != 2 || kvs[0].Key != k+7 || kvs[1].Key != k+9 {
+				t.Fatalf("depth %d: ScanE = %v, %v", depth, kvs, err)
+			}
+			if found, err := s.DeleteE(k + 7); err != nil || !found {
+				t.Fatalf("depth %d: DeleteE(%d) = %v, %v", depth, k+7, found, err)
+			}
+			if found, err := s.DeleteE(k + 7); err != nil || found {
+				t.Fatalf("depth %d: DeleteE(%d) again = %v, %v", depth, k+7, found, err)
+			}
+			if err := s.PutE(0, 1); !errors.Is(err, ErrReservedKey) {
+				t.Fatalf("depth %d: PutE(0) err = %v, want ErrReservedKey", depth, err)
+			}
+			if _, err := s.DeleteE(0); !errors.Is(err, ErrReservedKey) {
+				t.Fatalf("depth %d: DeleteE(0) err = %v, want ErrReservedKey", depth, err)
+			}
+		}
 
-	if err := s.PutE(7, 70); err != nil {
-		t.Fatalf("PutE: %v", err)
-	}
-	if v, ok, err := s.GetE(7); err != nil || !ok || v != 70 {
-		t.Fatalf("GetE(7) = %d, %v, %v", v, ok, err)
-	}
-	if _, ok, err := s.GetE(8); err != nil || ok {
-		t.Fatalf("GetE(8) = present (err %v), want absent", err)
-	}
-	if err := s.PutE(9, 90); err != nil {
-		t.Fatal(err)
-	}
-	kvs, err := s.ScanE(1, 10)
-	if err != nil || len(kvs) != 2 || kvs[0].Key != 7 || kvs[1].Key != 9 {
-		t.Fatalf("ScanE = %v, %v", kvs, err)
-	}
-	if found, err := s.DeleteE(7); err != nil || !found {
-		t.Fatalf("DeleteE(7) = %v, %v", found, err)
-	}
-	if found, err := s.DeleteE(7); err != nil || found {
-		t.Fatalf("DeleteE(7) again = %v, %v", found, err)
-	}
-
-	if err := s.PutE(0, 1); !errors.Is(err, ErrReservedKey) {
-		t.Fatalf("PutE(0) err = %v, want ErrReservedKey", err)
-	}
-	if _, err := s.DeleteE(0); !errors.Is(err, ErrReservedKey) {
-		t.Fatalf("DeleteE(0) err = %v, want ErrReservedKey", err)
-	}
-
-	// A crashed compute server turns every E-method into ErrSessionDead —
-	// no panics.
-	if err := c.KillComputeServer(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutE(5, 50); !errors.Is(err, ErrSessionDead) {
-		t.Fatalf("PutE after crash err = %v, want ErrSessionDead", err)
-	}
-	if _, _, err := s.GetE(5); !errors.Is(err, ErrSessionDead) {
-		t.Fatalf("GetE after crash err = %v, want ErrSessionDead", err)
-	}
-	if _, err := s.DeleteE(5); !errors.Is(err, ErrSessionDead) {
-		t.Fatalf("DeleteE after crash err = %v, want ErrSessionDead", err)
-	}
-	if _, err := s.ScanE(1, 4); !errors.Is(err, ErrSessionDead) {
-		t.Fatalf("ScanE after crash err = %v, want ErrSessionDead", err)
-	}
+		err := c.KillComputeServer(0)
+		if fab.Name != "sim" {
+			if !errors.Is(err, ErrSimOnly) {
+				t.Fatalf("KillComputeServer on %s err = %v, want ErrSimOnly", fab.Name, err)
+			}
+			if _, err := c.AddMemoryServer(); !errors.Is(err, ErrSimOnly) {
+				t.Fatalf("AddMemoryServer on %s err = %v, want ErrSimOnly", fab.Name, err)
+			}
+			return
+		}
+		// A crashed compute server turns every E-method into ErrSessionDead —
+		// no panics. The last session (depth 8) runs on compute server 0.
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutE(5, 50); !errors.Is(err, ErrSessionDead) {
+			t.Fatalf("PutE after crash err = %v, want ErrSessionDead", err)
+		}
+		if _, _, err := s.GetE(5); !errors.Is(err, ErrSessionDead) {
+			t.Fatalf("GetE after crash err = %v, want ErrSessionDead", err)
+		}
+		if _, err := s.DeleteE(5); !errors.Is(err, ErrSessionDead) {
+			t.Fatalf("DeleteE after crash err = %v, want ErrSessionDead", err)
+		}
+		if _, err := s.ScanE(1, 4); !errors.Is(err, ErrSessionDead) {
+			t.Fatalf("ScanE after crash err = %v, want ErrSessionDead", err)
+		}
+	})
 }
 
 // TestCursorErr checks both ends of the Cursor.Err contract: nil after a
@@ -173,251 +188,6 @@ func TestKillMemoryServerZeroRejected(t *testing.T) {
 	}
 	if err := c.KillMemoryServer(-1); err == nil {
 		t.Fatal("KillMemoryServer(-1) accepted")
-	}
-}
-
-// TestTCPDifferential runs the random-stream oracle against a tree over the
-// TCP transport with two real shermand memory-server processes. It
-// exercises launch, the wire protocol, doorbell coalescing, pipelined
-// sessions, Exec batches and teardown end to end.
-func TestTCPDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns processes and builds cmd/shermand")
-	}
-	c, err := NewCluster(ClusterConfig{
-		MemoryServers:  2,
-		ComputeServers: 2,
-		Transport:      TransportTCP,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	tree, err := c.CreateTree(TreeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const (
-		opsPerDepth = 3000
-		keySpace    = 1024
-		scanSpan    = 16
-		execBatch   = 8
-	)
-	model := testutil.NewModel()
-	var kvs []KV
-	for k := uint64(1); k <= 256; k++ {
-		kvs = append(kvs, KV{Key: k, Value: k * 7})
-		model.Put(k, k*7)
-	}
-	if err := tree.Bulkload(kvs); err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(1))
-	randOp := func() Op {
-		key := uint64(rng.Intn(keySpace)) + 1
-		switch r := rng.Intn(100); {
-		case r < 45:
-			return PutOp(key, rng.Uint64()|1)
-		case r < 75:
-			return GetOp(key)
-		case r < 90:
-			return DeleteOp(key)
-		}
-		return ScanOp(key, scanSpan)
-	}
-	// check replays op into the model and reports how got differs from the
-	// result a sequential execution must give.
-	check := func(op Op, got Result) error {
-		var want Result
-		switch op.Kind {
-		case OpPut:
-			model.Put(op.Key, op.Value)
-		case OpGet:
-			want.Value, want.Found = model.Get(op.Key)
-		case OpDelete:
-			want.Found = model.Delete(op.Key)
-		case OpScan:
-			want.KVs = model.Scan(op.Key, op.Span)
-		}
-		if got.Err != nil || got.Found != want.Found || got.Value != want.Value || !slices.Equal(got.KVs, want.KVs) {
-			return fmt.Errorf("%+v = %+v, oracle %+v", op, got, want)
-		}
-		return nil
-	}
-
-	// Synchronous E-methods, one op at a time.
-	for _, depth := range []int{1, 4, 8} {
-		s := openSession(t, tree, depth%c.ComputeServers(), PipelineDepth(depth))
-		for i := 0; i < opsPerDepth; i++ {
-			op := randOp()
-			var got Result
-			switch op.Kind {
-			case OpPut:
-				got.Err = s.PutE(op.Key, op.Value)
-			case OpGet:
-				got.Value, got.Found, got.Err = s.GetE(op.Key)
-			case OpDelete:
-				got.Found, got.Err = s.DeleteE(op.Key)
-			case OpScan:
-				got.KVs, got.Err = s.ScanE(op.Key, op.Span)
-			}
-			if err := check(op, got); err != nil {
-				t.Fatalf("depth %d op %d: %v", depth, i, err)
-			}
-		}
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Exec batches of mixed ops: a batch is observably sequential, so each
-	// slot is checked against the model replayed in submission order.
-	for _, depth := range []int{1, 4} {
-		s := openSession(t, tree, depth%c.ComputeServers(), PipelineDepth(depth))
-		for b := 0; b < opsPerDepth/execBatch; b++ {
-			ops := make([]Op, execBatch)
-			for i := range ops {
-				ops[i] = randOp()
-			}
-			for i, got := range s.Exec(ops) {
-				if err := check(ops[i], got); err != nil {
-					t.Fatalf("depth %d Exec batch %d slot %d: %v", depth, b, i, err)
-				}
-			}
-		}
-	}
-
-	// Streamed futures: a full window of Submits held open at once, each
-	// checked against the model replayed in submission order (the pipeline
-	// preserves per-key order and orders scans after outstanding writes, so
-	// the submit-time state is what each op observes).
-	{
-		s := openSession(t, tree, 0, PipelineDepth(8))
-		type pending struct {
-			op  Op
-			fut *Future
-		}
-		var window []pending
-		drain := func() {
-			for _, p := range window {
-				if err := check(p.op, p.fut.Wait()); err != nil {
-					t.Fatalf("streamed: %v", err)
-				}
-			}
-			window = window[:0]
-		}
-		for i := 0; i < 2000; i++ {
-			op := randOp()
-			window = append(window, pending{op, s.Submit(op)})
-			if len(window) >= 64 {
-				drain()
-			}
-		}
-		drain()
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Concurrent sessions: two depth-8 sessions on different compute servers
-	// drive disjoint key ranges through the shared multiplexed connections
-	// at once; each verifies against its own oracle.
-	{
-		var wg sync.WaitGroup
-		errs := make(chan error, 2)
-		for w := 0; w < 2; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s, err := tree.SessionAt(w, PipelineDepth(8))
-				if err != nil {
-					errs <- err
-					return
-				}
-				base := uint64(10_000 + w*10_000)
-				local := make(map[uint64]uint64)
-				lr := rand.New(rand.NewSource(int64(100 + w)))
-				for i := 0; i < 1500; i++ {
-					key := base + uint64(lr.Intn(512)) + 1
-					switch r := lr.Intn(100); {
-					case r < 50:
-						v := lr.Uint64() | 1
-						if err := s.PutE(key, v); err != nil {
-							errs <- err
-							return
-						}
-						local[key] = v
-					case r < 85:
-						v, ok, err := s.GetE(key)
-						if err != nil {
-							errs <- err
-							return
-						}
-						ov, ook := local[key]
-						if ok != ook || (ok && v != ov) {
-							errs <- fmt.Errorf("worker %d: Get(%d) = %d,%v; oracle %d,%v", w, key, v, ok, ov, ook)
-							return
-						}
-					default:
-						found, err := s.DeleteE(key)
-						if err != nil {
-							errs <- err
-							return
-						}
-						if _, ook := local[key]; found != ook {
-							errs <- fmt.Errorf("worker %d: Delete(%d) = %v; oracle %v", w, key, found, ook)
-							return
-						}
-						delete(local, key)
-					}
-				}
-				if err := s.Flush(); err != nil {
-					errs <- err
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
-	}
-
-	// The Stats opcode surfaces per-server load over TCP.
-	loads := c.MemoryServerLoads()
-	if len(loads) != 2 {
-		t.Fatalf("MemoryServerLoads over tcp = %d servers, want 2", len(loads))
-	}
-	var totalOps int64
-	for _, l := range loads {
-		if l.Dead || l.Draining {
-			t.Fatalf("unexpected load state %+v", l)
-		}
-		totalOps += l.InboundOps
-	}
-	if totalOps == 0 {
-		t.Fatal("MemoryServerLoads over tcp reported zero inbound ops")
-	}
-	if skew := LoadSkew(loads); skew < 1 {
-		t.Fatalf("LoadSkew over tcp = %v, want >= 1", skew)
-	}
-
-	// Sim-only surfaces must refuse cleanly on this cluster.
-	if err := c.KillComputeServer(0); !errors.Is(err, ErrSimOnly) {
-		t.Fatalf("KillComputeServer on tcp err = %v, want ErrSimOnly", err)
-	}
-	if _, err := c.AddMemoryServer(); !errors.Is(err, ErrSimOnly) {
-		t.Fatalf("AddMemoryServer on tcp err = %v, want ErrSimOnly", err)
-	}
-	// Live migration is not one of them: it runs over any Backend.
-	if _, err := tree.Rebalance(0); err != nil {
-		t.Fatalf("Rebalance on tcp: %v", err)
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatalf("Validate after Rebalance on tcp: %v", err)
 	}
 }
 
