@@ -54,8 +54,8 @@ type Config struct {
 	// MaxBytes bounds the budgeted (non-pinned) entries; the pinned top
 	// levels ride outside it, as in the paper.
 	MaxBytes int64
-	// NodeSize is the unit of Limit and of the eviction clock, and the
-	// smallest budget and level share: each holds at least one entry.
+	// NodeSize is the unit of Limit and of the eviction clock. A budget or
+	// level share smaller than one routing copy still holds one entry.
 	NodeSize int
 	// Levels is the budgeted caching depth: tree levels 1..Levels are
 	// cacheable. 0 means DefaultLevels; negative disables the budgeted
@@ -63,31 +63,26 @@ type Config struct {
 	Levels int
 }
 
-// Entry is one cached internal node: a client-local routing copy of the
-// node (layout.Internal.Routing) plus bookkeeping for eviction and targeted
-// invalidation.
+// Entry is one cached internal node: its compact routing copy
+// (layout.Routing) plus bookkeeping for eviction and targeted invalidation.
 type Entry struct {
 	// Addr is the node's disaggregated-memory address; validation failures
 	// on nodes fetched through this entry invalidate it.
 	Addr rdma.Addr
 	// N is the routing copy, charged len(N.B) bytes. It is immutable after
-	// insertion — updates replace the whole entry.
-	N layout.Internal
+	// insertion — updates replace the whole entry. Its chunk table, with
+	// Addr's own chunk, is the set of chunks InvalidateChunk drops the
+	// entry through.
+	N layout.Routing
 
 	level  uint8
 	pinned bool
 	key    uint64 // lower fence, the skiplist key
-	// chunks are the 8 MB chunks this entry references — its own node plus
-	// every child — the index InvalidateChunk drops it through. The slice
-	// views chunkStore when the refs fit inline (the common case: children
-	// stripe across few servers), so admission allocates only the Entry.
-	chunks     []alloc.ChunkID
-	chunkStore [8]alloc.ChunkID
 
 	lastUse atomic.Int64
 	dead    atomic.Bool
-	node    *slNode
-	poolIdx int // index in the eviction pool, guarded by Cache.mu
+	poolIdx int                              // index in the eviction pool, guarded by Cache.mu
+	next    [maxHeight]atomic.Pointer[Entry] // skiplist tower
 }
 
 // Level returns the tree level of the cached node.
@@ -96,10 +91,9 @@ func (e *Entry) Level() uint8 { return e.level }
 // Cache is one compute server's unified index cache. All client threads of
 // the CS share it; lookups are lock-free, mutations serialize on one mutex.
 type Cache struct {
-	levels   int // budgeted depth (0 = none)
-	limit    int // budget in full-node units: Limit and the eviction clock
-	budget   int // budgeted bytes, at least one node
-	nodeSize int
+	levels int // budgeted depth (0 = none)
+	limit  int // budget in full-node units (at least 1): Limit and the eviction clock
+	budget int // budgeted bytes
 
 	sl [MaxLevels + 1]*skiplist
 
@@ -129,7 +123,7 @@ type Cache struct {
 
 // New creates a cache per the config.
 func New(cfg Config) *Cache {
-	budget := max(int(cfg.MaxBytes), cfg.NodeSize)
+	budget := max(int(cfg.MaxBytes), 1)
 	levels := cfg.Levels
 	if levels == 0 {
 		levels = DefaultLevels
@@ -141,13 +135,12 @@ func New(cfg Config) *Cache {
 		levels = MaxLevels
 	}
 	c := &Cache{
-		levels:   levels,
-		limit:    budget / cfg.NodeSize,
-		budget:   budget,
-		nodeSize: cfg.NodeSize,
-		byAddr:   make(map[rdma.Addr]*Entry),
-		byChunk:  make(map[alloc.ChunkID]map[*Entry]struct{}),
-		rnd:      rand.NewPCG(0x5eed, 0xfeed),
+		levels:  levels,
+		limit:   max(budget/cfg.NodeSize, 1),
+		budget:  budget,
+		byAddr:  make(map[rdma.Addr]*Entry),
+		byChunk: make(map[alloc.ChunkID]map[*Entry]struct{}),
+		rnd:     rand.NewPCG(0x5eed, 0xfeed),
 	}
 	for i := range c.sl {
 		c.sl[i] = newSkiplist()
@@ -267,8 +260,7 @@ func (c *Cache) Deepest(key uint64, lo, hi uint8) *Entry {
 	return nil
 }
 
-// share returns level lvl's slice of the byte budget, at least one node so
-// that every level holds one entry: level 1 — whose misses
+// share returns level lvl's slice of the byte budget: level 1 — whose misses
 // cost a near-full descent — gets the largest share, each level above half
 // the previous (2^(levels-lvl) weighting, normalized) over the budgeted
 // levels below the pinned region, 1..min(Levels, rootLevel-2), so no share
@@ -283,7 +275,7 @@ func (c *Cache) share(lvl uint8) int {
 	}
 	num := 1 << (levels - int(lvl))
 	den := (1 << levels) - 1
-	return max(c.budget*num/den, c.nodeSize)
+	return c.budget * num / den
 }
 
 // Insert caches a routing copy of an internal node fetched during
@@ -313,8 +305,9 @@ func (c *Cache) Insert(addr rdma.Addr, n layout.Internal, rootLevel uint8) {
 		replacing = true
 	}
 	if !pinned && !replacing {
+		size := n.CompactLen()
 		c.mu.Lock()
-		full := c.bytes[lvl]+n.RoutingLen() > c.share(lvl)
+		full := c.bytes[lvl]+size > c.share(lvl)
 		admit := !full || c.admitLocked(key)
 		c.mu.Unlock()
 		if !admit {
@@ -323,9 +316,7 @@ func (c *Cache) Insert(addr rdma.Addr, n layout.Internal, rootLevel uint8) {
 		}
 	}
 
-	n = n.Routing()
-	e := &Entry{Addr: addr, N: n, level: lvl, pinned: pinned, key: key, poolIdx: -1}
-	e.chunks = appendRefChunks(e.chunkStore[:0], addr, n)
+	e := &Entry{Addr: addr, N: n.Compact(nil), level: lvl, pinned: pinned, key: key, poolIdx: -1}
 	e.lastUse.Store(c.tick.Add(1))
 	if old := c.sl[lvl].insert(e); old != nil {
 		c.unindex(old)
@@ -386,7 +377,8 @@ func (c *Cache) index(e *Entry) {
 		c.total += len(e.N.B)
 	}
 	c.byAddr[e.Addr] = e
-	for _, ck := range e.chunks {
+	for i := -1; i < e.N.Chunks(); i++ {
+		ck := e.chunk(i)
 		set := c.byChunk[ck]
 		if set == nil {
 			set = make(map[*Entry]struct{})
@@ -425,7 +417,8 @@ func (c *Cache) unindexLocked(e *Entry) {
 	if c.byAddr[e.Addr] == e {
 		delete(c.byAddr, e.Addr)
 	}
-	for _, ck := range e.chunks {
+	for i := -1; i < e.N.Chunks(); i++ {
+		ck := e.chunk(i)
 		if set := c.byChunk[ck]; set != nil {
 			delete(set, e)
 			if len(set) == 0 {
@@ -435,43 +428,36 @@ func (c *Cache) unindexLocked(e *Entry) {
 	}
 }
 
-// appendRefChunks appends the distinct chunks an entry references — its own
-// node plus every child pointer (the bulkload allocator stripes children
-// across servers, so a node's children span few — but more than one —
-// chunks). Walking ChildAt directly instead of materializing Separators
-// keeps admission free of per-node slice allocations.
-func appendRefChunks(dst []alloc.ChunkID, addr rdma.Addr, n layout.Internal) []alloc.ChunkID {
-	dst = addChunk(dst, addr)
-	dst = addChunk(dst, n.Leftmost())
-	for i, cnt := 0, n.Count(); i < cnt; i++ {
-		dst = addChunk(dst, n.ChildAt(i))
+// chunk returns the i-th chunk e references: -1 is the chunk holding the
+// node itself, 0.. its routing copy's chunk table (the chunks its children
+// live in). The node's own chunk may repeat in the table; the chunk index is
+// a set, so registering or removing it twice is harmless.
+func (e *Entry) chunk(i int) alloc.ChunkID {
+	if i < 0 {
+		return alloc.ChunkOf(e.Addr)
 	}
-	return dst
+	return alloc.ChunkOf(e.N.ChunkAt(i))
 }
 
-// addChunk appends a's chunk to dst unless already present.
-func addChunk(dst []alloc.ChunkID, a rdma.Addr) []alloc.ChunkID {
-	ck := alloc.ChunkOf(a)
-	for _, have := range dst {
-		if have == ck {
-			return dst
-		}
-	}
-	return append(dst, ck)
-}
-
-// overShare reports whether level lvl's bytes exceed its budget share.
+// overShare reports whether level lvl's bytes exceed its budget share. A
+// level's one entry never does: every level holds at least one, however
+// small its share.
 func (c *Cache) overShare(lvl uint8) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bytes[lvl] > c.share(lvl)
+	return c.bytes[lvl] > c.share(lvl) && len(c.pools[lvl]) > 1
 }
 
-// overBudget reports whether the budgeted entries exceed the byte budget.
+// overBudget reports whether the budgeted entries exceed the byte budget,
+// which always has room for one entry.
 func (c *Cache) overBudget() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.total > c.budget
+	n := 0
+	for _, p := range c.pools {
+		n += len(p)
+	}
+	return c.total > c.budget && n > 1
 }
 
 // sampleLocked picks one budgeted entry uniformly from levels [lo, hi].

@@ -13,25 +13,30 @@ import (
 var testFormat = layout.DefaultFormat(layout.TwoLevel)
 
 // mkNodeAt builds a full internal node at the given level covering
-// [lower, upper). Its routing copy is within one separator of NodeSize, so
-// a budget of k nodes holds k of them (k < 100), as the tests below count.
+// [lower, upper). Every full node's routing copy is unit bytes, so a budget
+// of k units holds k of them, as the tests below count.
 func mkNodeAt(level uint8, lower, upper uint64) layout.Internal {
 	return mkFilled(level, lower, upper, testFormat.IntCap)
 }
 
 // mkFilled builds an internal node with cnt separators. The separator keys
-// are placeholders (the cache routes by fences), and every child shares the
-// leftmost child's chunk, so the node references one chunk besides its own.
+// are placeholders (the cache routes by fences), and the children are
+// consecutive nodes of MS 0's first chunk, so the node references one chunk
+// besides its own and its copy's length depends on cnt alone.
 func mkFilled(level uint8, lower, upper uint64, cnt int) layout.Internal {
 	n := layout.NewInternal(testFormat, level, lower, upper)
-	n.SetLeftmost(rdma.MakeAddr(0, lower+64))
+	n.SetLeftmost(rdma.MakeAddr(0, 1024))
 	seps := make([]layout.Sep, cnt)
 	for i := range seps {
-		seps[i] = layout.Sep{Key: lower + 1 + uint64(i), Child: n.Leftmost()}
+		seps[i] = layout.Sep{Key: lower + 1 + uint64(i), Child: rdma.MakeAddr(0, uint64(i+2)*1024)}
 	}
 	n.SetSeparators(seps)
 	return n
 }
+
+// unit is the routing-copy length of a full test node: the tests size
+// budgets in it, so that a budget holds as many entries as it names.
+var unit = mkNode(0, 100).CompactLen()
 
 // mkNode builds a level-1 node (the common case across these tests).
 func mkNode(lower, upper uint64) layout.Internal { return mkNodeAt(1, lower, upper) }
@@ -41,7 +46,7 @@ func addr(i uint64) rdma.Addr { return rdma.MakeAddr(0, 0x10000+i*1024) }
 // flat builds a level-1-only cache (the paper's flat type-1 configuration)
 // holding limit entries.
 func flat(limit int) *Cache {
-	return New(Config{MaxBytes: int64(limit * testFormat.NodeSize), NodeSize: testFormat.NodeSize, Levels: 1})
+	return New(Config{MaxBytes: int64(limit * unit), NodeSize: testFormat.NodeSize, Levels: 1})
 }
 
 // insist inserts until admitted (the frequency gate may turn the first
@@ -412,7 +417,7 @@ func TestEvictionProtectsDeepLevels(t *testing.T) {
 // of level-2 inserts cannot displace the level-1 working set.
 func TestBudgetSplit(t *testing.T) {
 	const limit = 30
-	c := New(Config{MaxBytes: int64(limit * testFormat.NodeSize), NodeSize: testFormat.NodeSize, Levels: 2})
+	c := New(Config{MaxBytes: int64(limit * unit), NodeSize: testFormat.NodeSize, Levels: 2})
 	for i := uint64(0); i < 18; i++ {
 		insist(c, addr(i), mkNodeAt(1, i*100, (i+1)*100))
 	}
@@ -437,12 +442,11 @@ func TestBudgetSplit(t *testing.T) {
 // at the next insert. Shares and holdings are routing bytes.
 func TestShareFollowsRootLevel(t *testing.T) {
 	const limit = 30
-	node := testFormat.NodeSize
-	c := New(Config{MaxBytes: int64(limit * node), NodeSize: node, Levels: 2})
+	c := New(Config{MaxBytes: int64(limit * unit), NodeSize: testFormat.NodeSize, Levels: 2})
 	for _, tc := range []struct {
 		root           uint8
 		level1, level2 int
-	}{{0, 20 * node, 10 * node}, {2, 0, 0}, {3, limit * node, 0}, {4, 20 * node, 10 * node}, {7, 20 * node, 10 * node}} {
+	}{{0, 20 * unit, 10 * unit}, {2, 0, 0}, {3, limit * unit, 0}, {4, 20 * unit, 10 * unit}, {7, 20 * unit, 10 * unit}} {
 		c.SetRoot(addr(900+uint64(tc.root)), tc.root)
 		if l1, l2 := c.share(1), c.share(2); l1 != tc.level1 || l2 != tc.level2 {
 			t.Errorf("root at level %d: shares %d:%d bytes, want %d:%d", tc.root, l1, l2, tc.level1, tc.level2)
@@ -451,30 +455,29 @@ func TestShareFollowsRootLevel(t *testing.T) {
 
 	// fills reports whether level 1's bytes fill share: no room left for
 	// one more entry, and none over.
-	entry := mkNode(0, 100).RoutingLen()
-	fills := func(share int) bool { return c.bytes[1] <= share && c.bytes[1]+entry > share }
+	fills := func(share int) bool { return c.bytes[1] <= share && c.bytes[1]+unit > share }
 	c.SetRoot(addr(903), 3)
 	for i := uint64(0); i < limit+10; i++ {
 		insist(c, addr(i), mkNodeAt(1, i*100, (i+1)*100))
 	}
-	if !fills(limit * node) {
-		t.Fatalf("root at level 3: level 1 holds %d bytes, want the whole budget %d", c.bytes[1], limit*node)
+	if !fills(limit * unit) {
+		t.Fatalf("root at level 3: level 1 holds %d bytes, want the whole budget %d", c.bytes[1], limit*unit)
 	}
 	c.SetRoot(addr(904), 4)
 	insist(c, addr(100), mkNodeAt(1, 100*100, 101*100))
-	if !fills(20 * node) {
-		t.Fatalf("root rose to level 4: level 1 holds %d bytes after the next insert, want its share %d", c.bytes[1], 20*node)
+	if !fills(20 * unit) {
+		t.Fatalf("root rose to level 4: level 1 holds %d bytes after the next insert, want its share %d", c.bytes[1], 20*unit)
 	}
 }
 
-// TestByteBudget: a budget of k nodes holds more than k routing copies of
-// 80%-full nodes, every level's bytes stay within its share (a level may
+// TestByteBudget: a budget of k full nodes' copies holds more than k
+// copies of 80%-full nodes, every level's bytes stay within its share (a level may
 // pass it only while it holds its one floor entry), and the total within the
 // budget.
 func TestByteBudget(t *testing.T) {
 	const k = 30
 	fill := testFormat.IntCap * 4 / 5
-	c := New(Config{MaxBytes: int64(k * testFormat.NodeSize), NodeSize: testFormat.NodeSize, Levels: 2})
+	c := New(Config{MaxBytes: int64(k * unit), NodeSize: testFormat.NodeSize, Levels: 2})
 	check := func() {
 		t.Helper()
 		for lvl := uint8(1); lvl <= 2; lvl++ {
@@ -495,13 +498,13 @@ func TestByteBudget(t *testing.T) {
 		}
 	}
 	if c.Len() <= k {
-		t.Fatalf("budget of %d nodes holds %d routing copies of %d%%-full nodes, want more", k, c.Len(), 100*fill/testFormat.IntCap)
+		t.Fatalf("budget of %d full copies holds %d routing copies of %d%%-full nodes, want more", k, c.Len(), 100*fill/testFormat.IntCap)
 	}
-	if want := k * testFormat.NodeSize * 2 / 3 / mkFilled(1, 0, 100, fill).RoutingLen(); len(c.pools[1]) != want {
+	if want := k * unit * 2 / 3 / mkFilled(1, 0, 100, fill).CompactLen(); len(c.pools[1]) != want {
 		t.Fatalf("level 1 holds %d entries, want %d in its two-thirds share", len(c.pools[1]), want)
 	}
 	// The tiniest budget still holds one entry per level; the total floor
-	// is one node, so the level-2 entry goes.
+	// is one entry, so the level-2 entry goes.
 	tiny := New(Config{MaxBytes: 1, NodeSize: testFormat.NodeSize, Levels: 2})
 	insist(tiny, addr(1), mkFilled(1, 0, 100, fill))
 	tiny.Insert(addr(2), mkFilled(2, 0, 1000, fill), 0)
@@ -532,10 +535,40 @@ func TestRejectedInsertAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestAdmittedInsertAllocations: an admitted entry allocates at most its
+// Entry (which is its own skiplist tower) and its routing copy's bytes, with
+// eviction running on every insert.
+func TestAdmittedInsertAllocations(t *testing.T) {
+	const limit = 8
+	c := flat(limit)
+	nodes := make([]layout.Internal, 8*limit)
+	for i := range nodes {
+		k := uint64(i)
+		nodes[i] = mkNode(k*100, (k+1)*100)
+		insist(c, addr(k), nodes[i])
+	}
+	evictions := c.Evictions()
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		i++
+		for b := range c.freq {
+			c.freq[b] = 0xff // keep the gate open
+		}
+		c.Insert(addr(uint64(i%len(nodes))), nodes[i%len(nodes)], 0)
+	})
+	if allocs > 2 {
+		t.Fatalf("an admitted insert allocated %.1f objects, want at most 2", allocs)
+	}
+	if c.Evictions()-evictions < 100 || c.Len() != limit {
+		t.Fatalf("%d evictions, %d entries: the inserts did not cycle the cache", c.Evictions()-evictions, c.Len())
+	}
+}
+
 // TestConcurrentMixed hammers the cache from many goroutines; correctness
 // here is "no crashes, no wrong-range results, bounded size".
 func TestConcurrentMixed(t *testing.T) {
-	c := New(Config{MaxBytes: int64(64 * testFormat.NodeSize), NodeSize: testFormat.NodeSize, Levels: 2})
+	const limit = 64
+	c := New(Config{MaxBytes: int64(limit * unit), NodeSize: testFormat.NodeSize, Levels: 2})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -567,8 +600,8 @@ func TestConcurrentMixed(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() > c.Limit() {
-		t.Errorf("size %d exceeds limit %d", c.Len(), c.Limit())
+	if c.Len() > limit {
+		t.Errorf("size %d exceeds limit %d", c.Len(), limit)
 	}
 }
 

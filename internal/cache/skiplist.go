@@ -17,34 +17,29 @@ import (
 
 const maxHeight = 16
 
-// slNode is one skiplist tower. Readers traverse next pointers with atomic
-// loads only; inserts and unlinks serialize on the list mutex (misses and
-// evictions are rare compared to hits, which is the case the structure is
-// optimized for).
-type slNode struct {
-	key   uint64
-	entry atomic.Pointer[Entry]
-	next  []atomic.Pointer[slNode]
-}
+// An Entry is its own skiplist tower (Entry.next), so admitting one
+// allocates only the Entry and its routing copy. Readers traverse next
+// pointers with atomic loads only; inserts and unlinks serialize on the list
+// mutex (misses and evictions are rare compared to hits, which is the case
+// the structure is optimized for).
 
 // skiplist maps lower-fence keys to cache entries, supporting a
 // predecessor-or-equal query without locks.
 type skiplist struct {
-	head *slNode
+	head *Entry // sentinel tower, key 0, never returned
 	mu   sync.Mutex
 	rnd  rand.Source // guarded by mu
 	size atomic.Int64
 }
 
 func newSkiplist() *skiplist {
-	head := &slNode{next: make([]atomic.Pointer[slNode], maxHeight)}
-	return &skiplist{head: head, rnd: rand.NewPCG(0xcafe, 0xf00d)}
+	return &skiplist{head: new(Entry), rnd: rand.NewPCG(0xcafe, 0xf00d)}
 }
 
-// seek returns the last node with key <= target (key < target when strict;
+// seek returns the last entry with key <= target (key < target when strict;
 // the result may be the head) and, when preds is non-nil, fills the
 // predecessor at every level for insertion/unlinking.
-func (s *skiplist) seek(target uint64, strict bool, preds []*slNode) *slNode {
+func (s *skiplist) seek(target uint64, strict bool, preds *[maxHeight]*Entry) *Entry {
 	x := s.head
 	for lvl := maxHeight - 1; lvl >= 0; lvl-- {
 		for {
@@ -66,44 +61,60 @@ func (s *skiplist) seek(target uint64, strict bool, preds []*slNode) *slNode {
 func (s *skiplist) floor(target uint64) *Entry {
 	x := s.seek(target, false, nil)
 	for x != s.head {
-		if e := x.entry.Load(); e != nil && !e.dead.Load() {
-			return e
+		if !x.dead.Load() {
+			return x
 		}
-		// Dead node: step strictly back with a fresh seek below its key.
+		if r := x.next[0].Load(); r != nil && r.key == x.key && !r.dead.Load() {
+			return r // x was replaced in place (see insert)
+		}
+		// Dead entry: step strictly back with a fresh seek below its key.
 		x = s.seek(x.key, true, nil)
 	}
 	return nil
 }
 
-// insert adds or replaces the entry at e.key (the node's lower fence).
-// It returns the entry that was displaced, if any.
+// insert adds e at e.key (the node's lower fence), replacing the entry
+// already there: e takes its place at every level, and the old tower's
+// bottom link is pointed at e before the old entry reads dead, so a
+// lock-free reader standing on it finds e, as it would have found an entry
+// swapped into a shared tower. It returns the entry that was displaced, if
+// any.
 func (s *skiplist) insert(e *Entry) *Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	preds := make([]*slNode, maxHeight)
-	x := s.seek(e.key, false, preds)
-	if x != s.head && x.key == e.key {
-		old := x.entry.Swap(e)
-		e.node = x
-		if old != nil && !old.dead.Swap(true) {
-			return old
-		}
-		return nil
+	var preds [maxHeight]*Entry
+	s.seek(e.key, true, &preds)
+	old := preds[0].next[0].Load()
+	if old != nil && old.key != e.key {
+		old = nil
 	}
 	h := 1
-	r := s.rnd.Uint64()
-	for h < maxHeight && r&1 == 1 {
+	for r := s.rnd.Uint64(); h < maxHeight && r&1 == 1; r >>= 1 {
 		h++
-		r >>= 1
 	}
-	n := &slNode{key: e.key, next: make([]atomic.Pointer[slNode], h)}
-	n.entry.Store(e)
-	e.node = n
+	for lvl := 0; lvl < maxHeight; lvl++ {
+		succ := preds[lvl].next[lvl].Load()
+		if old != nil && succ == old {
+			succ = old.next[lvl].Load()
+			if lvl >= h {
+				preds[lvl].next[lvl].Store(succ) // unlink the old tower above e's
+			}
+		}
+		if lvl < h {
+			e.next[lvl].Store(succ)
+		}
+	}
 	for lvl := 0; lvl < h; lvl++ {
-		n.next[lvl].Store(preds[lvl].next[lvl].Load())
-		preds[lvl].next[lvl].Store(n)
+		preds[lvl].next[lvl].Store(e)
 	}
-	s.size.Add(1)
+	if old == nil {
+		s.size.Add(1)
+		return nil
+	}
+	old.next[0].Store(e)
+	if !old.dead.Swap(true) {
+		return old
+	}
 	return nil
 }
 
@@ -112,17 +123,15 @@ func (s *skiplist) remove(e *Entry) {
 	e.dead.Store(true)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := e.node
-	if n == nil || n.entry.Load() != e {
-		return // already replaced by a newer entry for the same fence
+	var preds [maxHeight]*Entry
+	s.seek(e.key, true, &preds)
+	if preds[0].next[0].Load() != e {
+		return // already unlinked, or replaced by a newer entry for the same fence
 	}
-	preds := make([]*slNode, maxHeight)
-	s.seek(n.key, true, preds)
-	for lvl := 0; lvl < len(n.next); lvl++ {
-		if preds[lvl].next[lvl].Load() == n {
-			preds[lvl].next[lvl].Store(n.next[lvl].Load())
+	for lvl := 0; lvl < maxHeight; lvl++ {
+		if preds[lvl].next[lvl].Load() == e {
+			preds[lvl].next[lvl].Store(e.next[lvl].Load())
 		}
 	}
-	n.entry.Store(nil)
 	s.size.Add(-1)
 }

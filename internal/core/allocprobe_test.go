@@ -24,6 +24,7 @@ func setupProbe(b *testing.B, depth int) (*core.Handle, *core.Async) {
 	tr.Bulkload(kvs)
 	h := tr.NewHandle(0, 0)
 	as := h.NewAsync(depth)
+	b.Cleanup(as.Close)
 	// warm the cache
 	for i := 0; i < 4096; i++ {
 		h.Lookup(uint64(i + 1))
@@ -38,6 +39,43 @@ func BenchmarkProbeGetCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Lookup(uint64(i%4096 + 1))
 	}
+}
+
+// BenchmarkProbeGetCold runs gets over a tree whose level-1 set is about
+// four times the cache budget — 64Ki keys in 256 B nodes make ~650 level-1
+// nodes, about 50 KB of routing copies, against 14 KiB — so most gets miss
+// level 1, descend, and offer the nodes they read to the cache: admission
+// and eviction run on most ops. allocs/op is the cold-cache allocation rate: an
+// admitted entry allocates its Entry and its routing copy (DESIGN.md §11).
+func BenchmarkProbeGetCold(b *testing.B) {
+	const keys = 1 << 16
+	cl := cluster.New(cluster.Config{NumMS: 2, NumCS: 1})
+	cfg := core.ShermanConfig()
+	cfg.Format = layout.NewFormat(layout.TwoLevel, 8, 256)
+	cfg.LocksPerMS = 1024
+	cfg.CacheBytes = 14 << 10
+	tr := core.New(cl, cfg)
+	kvs := make([]layout.KV, keys)
+	for i := range kvs {
+		k := uint64(i + 1)
+		kvs[i] = layout.KV{Key: k, Value: k * 3}
+	}
+	tr.Bulkload(kvs)
+	h := tr.NewHandle(0, 0)
+	key := func(i int) uint64 { return uint64(i)*40503%keys + 1 }
+	for i := 0; i < keys; i++ {
+		h.Lookup(key(i))
+	}
+	c := tr.Cache(0)
+	hits, misses := c.Hits(), c.Misses()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Lookup(key(i))
+	}
+	b.StopTimer()
+	hits, misses = c.Hits()-hits, c.Misses()-misses
+	b.ReportMetric(float64(hits)/float64(hits+misses), "hit-ratio")
 }
 
 func BenchmarkProbeGetPipelined(b *testing.B) {

@@ -74,8 +74,9 @@ type Async struct {
 	// overlap physically. Capacity depth: the window bounds in-flight
 	// tickets to depth, so a send never blocks.
 	tasks  chan *ticket
-	nrun   int       // runners started; grown lazily up to depth
-	freeTk []*ticket // owner-side ticket pool; refilled by Pending.Wait
+	nrun   int         // runners started; grown lazily up to depth
+	freeTk []*ticket   // owner-side ticket pool; refilled by Pending.Wait
+	closed atomic.Bool // tasks closed: the runners exit as they drain it
 
 	mu      sync.Mutex
 	workers []*Handle // runner handles, for stats folding
@@ -465,6 +466,17 @@ func runTicket(h *Handle, tk *ticket) {
 	tk.done <- struct{}{}
 	if h.pk != nil {
 		h.pk.Park()
+	}
+}
+
+// Close ends the runner goroutines once the tickets already handed to them
+// drain; nothing may be submitted after. Without it a runner blocks on its
+// next ticket forever, pinning the tree, cache and lock tables its handle
+// reaches. Idempotent, and a no-op where no runner ever starts (the
+// simulator, depth 1).
+func (a *Async) Close() {
+	if a.tasks != nil && a.closed.CompareAndSwap(false, true) {
+		close(a.tasks)
 	}
 }
 

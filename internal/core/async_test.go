@@ -46,6 +46,7 @@ func TestAsyncOverlapsIndependentOps(t *testing.T) {
 	span := func(depth int) (int64, *core.Handle) {
 		_, h := asyncTestTree(t, n)
 		a := h.NewAsync(depth)
+		defer a.Close()
 		t0 := h.C.Now()
 		key := uint64(7)
 		for i := 0; i < ops; i++ {
@@ -77,6 +78,7 @@ func TestAsyncOverlapsIndependentOps(t *testing.T) {
 func TestAsyncSameKeyOrdering(t *testing.T) {
 	_, h := asyncTestTree(t, 10_000)
 	a := h.NewAsync(8)
+	defer a.Close()
 
 	// put(k) then get(k): the get must see the put's value and complete
 	// after it.
@@ -117,6 +119,7 @@ func TestAsyncSameKeyOrdering(t *testing.T) {
 func TestAsyncScanBarrier(t *testing.T) {
 	_, h := asyncTestTree(t, 10_000)
 	a := h.NewAsync(8)
+	defer a.Close()
 
 	var writeDones []int64
 	for i := uint64(0); i < 4; i++ {
@@ -154,6 +157,7 @@ func TestAsyncDepth1MatchesSync(t *testing.T) {
 	_, hs := asyncTestTree(t, 10_000)
 	_, ha := asyncTestTree(t, 10_000)
 	a := ha.NewAsync(1)
+	defer a.Close()
 
 	s0, a0 := hs.C.Now(), ha.C.Now()
 	srt, art := hs.Metrics().RoundTrips, ha.Metrics().RoundTrips
@@ -189,6 +193,7 @@ func TestAsyncExecOverlapsGroups(t *testing.T) {
 	run := func(depth int) (int64, []core.OpResult) {
 		_, h := asyncTestTree(t, n)
 		a := h.NewAsync(depth)
+		defer a.Close()
 		var ops []core.Op
 		key := uint64(3)
 		for i := 0; i < 64; i++ {
@@ -233,6 +238,7 @@ func TestAsyncMixedChurnEquivalence(t *testing.T) {
 			seqH := seqTree.NewHandle(0, 0)
 			pipeH := pipeTree.NewHandle(0, 0)
 			a := pipeH.NewAsync(depth)
+			defer a.Close()
 
 			// Results are checked as the window retires them, depth ops
 			// behind submission, so the stream stays pipelined.

@@ -33,11 +33,14 @@ func TestKillAfterValidatingRead(t *testing.T) {
 		{"Insert", false, func(h *core.Handle, key uint64) bool { h.Insert(key, newVal); return true }},
 		{"Delete", true, func(h *core.Handle, key uint64) bool { return h.Delete(key) }},
 		{"NewAsync(1)", false, func(h *core.Handle, key uint64) bool {
-			h.NewAsync(1).SubmitOp(core.Op{Kind: stats.OpInsert, Key: key, Value: newVal}).Wait()
+			a := h.NewAsync(1)
+			defer a.Close()
+			a.SubmitOp(core.Op{Kind: stats.OpInsert, Key: key, Value: newVal}).Wait()
 			return true
 		}},
 		{"NewAsync(4)", false, func(h *core.Handle, key uint64) bool {
 			a := h.NewAsync(4)
+			defer a.Close()
 			p := a.SubmitOp(core.Op{Kind: stats.OpInsert, Key: key, Value: newVal})
 			a.SubmitOp(core.Op{Kind: stats.OpLookup, Key: key + 1}) // keep the window busy behind it
 			p.Wait()

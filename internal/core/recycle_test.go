@@ -34,6 +34,7 @@ func TestPooledStreamsMatchModel(t *testing.T) {
 			tr := testutil.NewTree(t, testutil.NewCluster(t, 2, 1), cfg)
 			h := tr.NewHandle(0, 0)
 			as := h.NewAsync(depth)
+			defer as.Close()
 			model := testutil.NewModel()
 			seed := uint64(depth) * 13
 			if ax.TwoLevel {

@@ -31,11 +31,12 @@ func (h *Handle) rangeInner(from uint64, span int) []layout.KV {
 		h.arena.reset()
 		// Collect the addresses of the next run of leaves from the level-1
 		// node covering the cursor: a cached copy steers speculatively, a
-		// miss reads and validates the node itself. Either way its children
-		// from the cursor on are fetched with parallel RDMA_READs.
+		// miss reads and validates the node itself and steers from its
+		// compact copy in the arena. Either way the copy's children from the
+		// cursor on are fetched with parallel RDMA_READs.
 		addrs := h.scanAddrs[:0]
 		h.C.Step(h.tm.LocalStepNS)
-		var steer layout.Internal
+		var steer layout.Routing
 		e := h.cache.Lookup(cursor, 1)
 		if e != nil {
 			h.Rec.CacheHits++
@@ -51,7 +52,8 @@ func (h *Handle) rangeInner(from uint64, span int) []layout.KV {
 				addr, ce := h.descend(cursor, 1)
 				if r, ok := h.seek(cursor, 1, intentRead, addr, ce, h.nodeBuf, nil, nil); ok {
 					h.cacheNode(r.addr, r.n)
-					steer = layout.AsInternal(r.n)
+					in := layout.AsInternal(r.n)
+					steer = in.Compact(h.arena.bytes(in.CompactLen()))
 				}
 			}
 		}

@@ -123,20 +123,6 @@ func (n Internal) AppendChildrenFrom(dst []rdma.Addr, key uint64) []rdma.Addr {
 	return dst
 }
 
-// RoutingLen is the length of the copy Routing returns: the header, the
-// count, the leftmost child and Count() separators.
-func (n Internal) RoutingLen() int { return n.f.intEntryOff(n.Count()) }
-
-// Routing returns a right-sized, read-only copy of the bytes that route —
-// everything up to the end of the last separator — for the index cache to
-// keep and charge. Fences, level, count and children read as in n; version,
-// checksum and free-slot accessors index past its end and panic.
-func (n Internal) Routing() Internal {
-	b := make([]byte, n.RoutingLen())
-	copy(b, n.B)
-	return Internal{Node{B: b, f: n.f}}
-}
-
 // Insert adds (key, child) keeping separators sorted. Returns false when the
 // node is full; duplicate keys overwrite the child pointer (idempotent
 // retry of a parent update).

@@ -73,7 +73,7 @@ func TestFormatShared(t *testing.T) {
 		t.Fatalf("fixed-cap format interned as %+v", *fixed.shared)
 	}
 	l := NewLeaf(a, 0, NoUpperBound)
-	if l.f != a.shared || a.View(l.B).f != a.shared || NewInternal(a, 1, 0, NoUpperBound).Routing().f != a.shared {
+	if l.f != a.shared || a.View(l.B).f != a.shared || NewInternal(a, 1, 0, NoUpperBound).f != a.shared {
 		t.Fatal("views do not point at the shared geometry")
 	}
 }

@@ -261,87 +261,3 @@ func TestFixedCapFormats(t *testing.T) {
 		}
 	}
 }
-
-// TestRoutingCopyProperty: for every separator count and every format, the
-// routing copy is exactly intEntryOff(Count()) bytes and answers every
-// routing question as the full node does; the version, checksum and
-// free-slot accessors it cannot back panic instead of reading past it.
-func TestRoutingCopyProperty(t *testing.T) {
-	rng := rand.New(rand.NewPCG(37, 1))
-	for _, f := range formats() {
-		for cnt := 0; cnt <= f.IntCap; cnt++ {
-			const step = 100
-			lower := rng.Uint64N(1 << 20)
-			upper := lower + uint64(cnt+1)*step
-			if cnt%2 == 1 {
-				upper = NoUpperBound
-			}
-			n := NewInternal(f, uint8(1+cnt%3), lower, upper)
-			n.SetSibling(rdma.MakeAddr(1, 0x40))
-			n.SetLeftmost(rdma.MakeAddr(0, 0x80))
-			seps := make([]Sep, cnt)
-			for i := range seps {
-				seps[i] = Sep{Key: lower + uint64(i+1)*step - rng.Uint64N(step/2), Child: rdma.MakeAddr(uint16(i%3), uint64(0x1000+i*64))}
-			}
-			n.SetSeparators(seps)
-			if f.Mode == Checksum {
-				n.UpdateChecksum()
-			} else {
-				n.BumpNodeVersions()
-			}
-
-			r := n.Routing()
-			if len(r.B) != f.intEntryOff(cnt) || r.RoutingLen() != len(r.B) {
-				t.Fatalf("%v count %d: routing copy is %d bytes, want %d", f.Mode, cnt, len(r.B), f.intEntryOff(cnt))
-			}
-			if r.Level() != n.Level() || r.Count() != cnt || r.Leftmost() != n.Leftmost() ||
-				r.LowerFence() != lower || r.UpperFence() != upper || r.Sibling() != n.Sibling() {
-				t.Fatalf("%v count %d: routing header differs", f.Mode, cnt)
-			}
-			for i := 0; i < cnt; i++ {
-				if r.KeyAt(i) != n.KeyAt(i) || r.ChildAt(i) != n.ChildAt(i) {
-					t.Fatalf("%v count %d: separator %d differs", f.Mode, cnt, i)
-				}
-			}
-			probes := []uint64{0, lower - 1, lower, upper - 1, upper, NoUpperBound}
-			for _, s := range seps {
-				probes = append(probes, s.Key-1, s.Key, s.Key+1)
-			}
-			for _, k := range probes {
-				if r.Covers(k) != n.Covers(k) {
-					t.Fatalf("%v count %d: Covers(%d) differs", f.Mode, cnt, k)
-				}
-				gc, gi := r.ChildFor(k)
-				wc, wi := n.ChildFor(k)
-				if gc != wc || gi != wi {
-					t.Fatalf("%v count %d: ChildFor(%d) = %v,%d, want %v,%d", f.Mode, cnt, k, gc, gi, wc, wi)
-				}
-				got := r.AppendChildrenFrom(nil, k)
-				want := n.AppendChildrenFrom(nil, k)
-				if len(got) != len(want) {
-					t.Fatalf("%v count %d: AppendChildrenFrom(%d) has %d children, want %d", f.Mode, cnt, k, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%v count %d: AppendChildrenFrom(%d)[%d] differs", f.Mode, cnt, k, i)
-					}
-				}
-			}
-
-			mustPanic(t, "Consistent", func() { r.Consistent() })
-			if cnt < f.IntCap {
-				mustPanic(t, "Insert", func() { r.Insert(upper-1, rdma.MakeAddr(0, 0x40)) })
-			}
-		}
-	}
-}
-
-func mustPanic(t *testing.T, what string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("%s on a routing copy did not panic", what)
-		}
-	}()
-	fn()
-}

@@ -42,6 +42,7 @@ func waveTree(t *testing.T, numMS, rf, keys int, cfg core.Config) (*Cluster, *co
 func waveSession(tr *core.Tree, s, span, ops int, seed uint64) error {
 	h := tr.NewHandle(s, s)
 	a := h.NewAsync(8)
+	defer a.Close()
 	r := rand.New(rand.NewPCG(seed, uint64(s)))
 	model := map[uint64]uint64{}
 	type open struct {
@@ -200,6 +201,7 @@ func TestWaveFramesPerWrite(t *testing.T) {
 	puts := func(s int, ops int, seed uint64) {
 		h := tr.NewHandle(s, s)
 		a := h.NewAsync(8)
+		defer a.Close()
 		r := rand.New(rand.NewPCG(seed, uint64(s)))
 		var fifo []core.Pending
 		for i := 0; i < ops; i++ {

@@ -204,7 +204,9 @@ func TestDifferentialOracleTinyCache(t *testing.T) {
 	depths := []int{1, 2, 4, 8}
 	for _, opts := range gridOptions() {
 		opts := opts
-		opts.CacheBytes = 2 * testutil.SmallNodeSize // a 2-entry budget
+		// A 2-entry budget: two compact copies of this tree's bulkloaded
+		// level-1 nodes (78 B each, 182 B at full width) fit, three do not.
+		opts.CacheBytes = 220
 		t.Run(opts.Advanced.name(), func(t *testing.T) {
 			testutil.RunSeeds(t, 4, func(t *testing.T, seed uint64) {
 				testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {

@@ -2,8 +2,10 @@ package sherman
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"sherman/internal/testutil"
 )
@@ -356,5 +358,38 @@ func TestPipelineVirtualTime(t *testing.T) {
 	}
 	if st.LatencyHidingRatio <= 1 {
 		t.Errorf("LatencyHidingRatio = %.2f, want > 1", st.LatencyHidingRatio)
+	}
+}
+
+// TestDroppedSessionRunnersExit: a depth-8 session over TCP runs its
+// pipeline on up to eight runner goroutines. Once the session is
+// unreachable its cleanup closes the executor and they exit, so opening and
+// dropping sessions in a loop leaves the goroutine count at its baseline
+// instead of pinning every dropped session's tree.
+func TestDroppedSessionRunnersExit(t *testing.T) {
+	c, _ := fabricCluster(t, testutil.TCP, 2, 1, 0)
+	tree := testTree(t, c, TreeOptions{NodeSize: testutil.SmallNodeSize, LocksPerMS: 64})
+	base := runtime.NumGoroutine()
+	peak := base
+	for round := range 8 {
+		s := openSession(t, tree, 0, PipelineDepth(8))
+		for k := range 32 {
+			s.Submit(PutOp(uint64(round*32+k+1), 1))
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, runtime.NumGoroutine())
+	}
+	if peak <= base {
+		t.Fatal("no session started a runner goroutine")
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 10 s after dropping the sessions, %d before opening them (peak %d)",
+				runtime.NumGoroutine(), base, peak)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
 	}
 }

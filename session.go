@@ -3,6 +3,7 @@ package sherman
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"sherman/internal/core"
@@ -190,7 +191,12 @@ func (t *Tree) SessionAt(cs int, opts ...SessionOption) (*Session, error) {
 		o(&cfg)
 	}
 	h := t.tr.NewHandle(cs, int(sessionSeq.Add(1)))
-	return &Session{h: h, a: h.NewAsync(cfg.depth), cs: cs}, nil
+	s := &Session{h: h, a: h.NewAsync(cfg.depth), cs: cs}
+	// A dropped session's pipeline runners (real transports, depth > 1)
+	// would otherwise block on their next ticket forever. The cleanup holds
+	// the executor, which does not reach the session.
+	runtime.AddCleanup(s, (*core.Async).Close, s.a)
+	return s, nil
 }
 
 // ComputeServer returns the compute server this session runs on.

@@ -389,9 +389,10 @@ func (t *Tree) CacheStats(cs int) CacheStats {
 // riding outside the budget, hit/miss aggregates, budget-pressure
 // evictions, staleness invalidations (failed speculative validations,
 // migrated chunks, reclaimed-lock repairs), and inserts the frequency gate
-// turned away under level pressure. The budget charges each entry its
-// routing bytes, which are less than a node, while Capacity is the budget
-// in full-node units, so Entries can exceed Capacity.
+// turned away under level pressure. The budget charges each entry the
+// bytes of its compact routing copy, a fraction of a node, while Capacity
+// is the budget in full-node units, so Entries can exceed Capacity several
+// times over.
 type CacheStats struct {
 	Entries          int
 	PinnedEntries    int
