@@ -182,7 +182,9 @@ func allocSetupTree(depth int, cl core.Backend) (*core.Handle, *core.Async) {
 		k := uint64(i + 1)
 		kvs[i] = layout.KV{Key: k, Value: k * 3}
 	}
-	tr.Bulkload(kvs)
+	if err := tr.Bulkload(kvs); err != nil {
+		panic(err)
+	}
 	h := tr.NewHandle(0, 0)
 	as := h.NewAsync(depth)
 	for i := 0; i < allocProbeKeys; i++ {

@@ -213,7 +213,9 @@ func midWriteCrashCheck(cfg core.Config) error {
 		for i := range kvs {
 			kvs[i] = layout.KV{Key: uint64(i + 1), Value: bulkValue(uint64(i + 1))}
 		}
-		tr.Bulkload(kvs)
+		if err := tr.Bulkload(kvs); err != nil {
+			panic(err)
+		}
 		return cl, tr
 	}
 

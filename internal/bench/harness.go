@@ -323,7 +323,9 @@ func newFixture(e TreeExp, spareMS, factor int) *fixture {
 		k := uint64(i + 1)
 		kvs[i] = layout.KV{Key: k, Value: bulkValue(k)}
 	}
-	tr.Bulkload(kvs)
+	if err := tr.Bulkload(kvs); err != nil {
+		panic(err)
+	}
 
 	baseGen := workload.NewGenerator(wcfg, 0x5eed)
 	gens := make([]*workload.Generator, e.NumCS*e.ThreadsPerCS)

@@ -159,11 +159,15 @@ func TestWindowScalesOps(t *testing.T) {
 
 // TestFig15cShape holds Figure 15(c)'s shape at quick scale: the hit ratio
 // never falls as the cache grows, and a cache covering the level-1 set hits
-// at least 90 % (the paper reports ~98 %).
+// at least 90 % (the paper reports ~98 %). Once a cell reaches saturation
+// (99.9 %) the later ones only have to stay there: a saturated cell misses a
+// few dozen of ~37.5k lookups, on right-edge level-1 nodes another compute
+// server splits off, so it prints 99.9 or 100.0 by chance.
 func TestFig15cShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs six quick-scale tree experiments")
 	}
+	const saturated = 99.9
 	tab := Fig15Cache(QuickScale())
 	prev := 0.0
 	for _, row := range tab.Rows {
@@ -171,13 +175,13 @@ func TestFig15cShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("row %v: %v", row, err)
 		}
-		if ratio < prev {
-			t.Errorf("hit ratio fell to %.1f%% at cache %s (previous row %.1f%%)", ratio, row[0], prev)
+		if floor := min(prev, saturated); ratio < floor {
+			t.Errorf("hit ratio fell to %.1f%% at cache %s, below %.1f%%", ratio, row[0], floor)
 		}
 		if row[0] == "100%" && ratio < 90 {
 			t.Errorf("hit ratio %.1f%% with the level-1 set cached, want at least 90%%", ratio)
 		}
-		prev = ratio
+		prev = max(prev, ratio)
 	}
 }
 

@@ -220,3 +220,66 @@ func TestBulkloadAllocs(t *testing.T) {
 	}
 	t.Logf("Bulkload of %d nodes: %d B allocated beyond chunk growth", nodes, got)
 }
+
+// bulkMidShare adds a 1000-leaf tree per configuration to bulkGolden, the
+// last leaf partial: at 2, 4 and 8 workers the first worker's run ends in
+// the middle of its slab share, so its last wave is partial and the next
+// worker's first leaf is built in another share at the same moment. The
+// hashes were recorded with the one-goroutine build.
+var bulkMidShare = []struct {
+	cfg   string
+	keys  int
+	nodes int
+	hash  string
+}{
+	{"Sherman", 8995, 1111, "12ac8415779e85e3b33a7262a8a9bd27b1db12a80d40951ad7ad09f41575557f"},
+	{"FG+", 9994, 1111, "29457f7a254461e61630553a21c876f74a4d6fcf78fd82095de0393eac6e9137"},
+}
+
+// TestBulkloadImageAnyWorkers: the image is the same at every worker count.
+// At GOMAXPROCS 1, 2, 4 and 8 both fabrics reproduce bulkGolden's hashes and
+// bulkMidShare's, whose worker splits are checked to fall mid-share.
+func TestBulkloadImageAnyWorkers(t *testing.T) {
+	cfgs := map[string]core.Config{}
+	for _, cfg := range testutil.Configs() {
+		cfgs[cfg.Name()] = cfg
+	}
+	rows := append(bulkGolden[:len(bulkGolden):len(bulkGolden)], bulkMidShare...)
+	for _, procs := range []int{1, 2, 4, 8} {
+		for _, g := range rows {
+			cfg := cfgs[g.cfg]
+			for _, fab := range testutil.Fabrics() {
+				if fab.Name == "tcp" && testing.Short() && g.keys > 10000 {
+					continue
+				}
+				t.Run(fmt.Sprintf("procs=%d/%s/%s/%d", procs, g.cfg, fab.Name, g.keys), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					be, _ := fab.New(t, 2, 1, 0)
+					tr := core.New(be, cfg)
+					if err := tr.Bulkload(bulkKVs(g.keys)); err != nil {
+						t.Fatal(err)
+					}
+					if h, n := imageHash(be, cfg.Format); h != g.hash || n != g.nodes {
+						t.Fatalf("image = %s over %d nodes, want %s over %d", h, n, g.hash, g.nodes)
+					}
+				})
+			}
+		}
+	}
+	// The mid-share rows: worker 0 of nw builds nLeaves/nw leaves in
+	// slots/nw slots, which must not divide evenly.
+	for _, g := range bulkMidShare {
+		perLeaf := int(float64(cfgs[g.cfg].Format.LeafCap) * 0.8)
+		nLeaves := (g.keys + perLeaf - 1) / perLeaf
+		slots := min(core.BulkSlab, 2*nLeaves)
+		for _, procs := range []int{2, 4, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			nw := core.BulkWorkers(nLeaves)
+			runtime.GOMAXPROCS(prev)
+			if nw != procs || (nLeaves/nw)%(slots/nw) == 0 {
+				t.Errorf("%s/%d at GOMAXPROCS %d: %d workers, %d leaves each in %d slots; want %d workers and a partial last wave",
+					g.cfg, g.keys, procs, nw, nLeaves/nw, slots/nw, procs)
+			}
+		}
+	}
+}

@@ -13,3 +13,7 @@ func (t *Tree) Locks() *hocl.Manager { return t.locks }
 // Redo reports whether the handle's redo flag is raised: a write whose
 // commit a failover swallowed must retry before it acks.
 func (h *Handle) Redo() bool { return h.redo }
+
+// BulkWorkers is how many goroutines build a leaf level of n leaves at the
+// current GOMAXPROCS.
+func BulkWorkers(n int) int { return bulkWorkers(n) }

@@ -92,7 +92,10 @@ func (t *Tree) Compact() CompactResult {
 	t.collect(root, &kvs, &old)
 
 	t.freeNodes(old)
-	t.Bulkload(kvs) // an empty kvs leaves a single empty leaf
+	// A walk yields sorted live keys; an empty kvs leaves a single empty leaf.
+	if err := t.Bulkload(kvs); err != nil {
+		panic(err)
+	}
 	t.dropCaches()
 
 	after := t.Stats()

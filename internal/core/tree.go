@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"sherman/internal/alloc"
 	"sherman/internal/cache"
@@ -35,8 +38,9 @@ func New(cl Backend, cfg Config) *Tree {
 	// server; the promotion listener purges them through the same O(affected)
 	// per-chunk invalidation migration uses.
 	cl.OnChunkInvalidate(func(ck alloc.ChunkID) { t.InvalidateChunk(ck) })
-	// Empty tree: one leaf covering the whole key space.
-	t.Bulkload(nil)
+	// Empty tree: one leaf covering the whole key space. An empty load
+	// cannot fail.
+	_ = t.Bulkload(nil)
 	return t
 }
 
@@ -68,6 +72,17 @@ func newCSCache(cfg Config) *cache.Cache {
 // the whole build instead of one per node.
 const bulkSlab = 256
 
+// bulkShare is the fewest slab slots, and the fewest leaves, a leaf worker
+// is given: its waves still carry many nodes per frame, and its leaves are
+// worth a goroutine.
+const bulkShare = 32
+
+// bulkWorkers is how many goroutines build a leaf level of n leaves: one per
+// P, as long as each gets bulkShare leaves and bulkShare slots.
+func bulkWorkers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), bulkSlab/bulkShare, n/bulkShare))
+}
+
 // slab stages Bulkload's nodes. A slot is handed out again only after the
 // flush that stored it.
 type slab struct {
@@ -79,6 +94,12 @@ type slab struct {
 
 func newSlab(cl Backend, nodeSize, slots int) *slab {
 	return &slab{cl: cl, size: nodeSize, buf: make([]byte, slots*nodeSize), ops: make([]transport.WriteOp, 0, slots)}
+}
+
+// share returns slots [lo, hi) of an idle slab as a slab of their own, so
+// that leaf workers build side by side in the one buffer.
+func (s *slab) share(lo, hi int) *slab {
+	return &slab{cl: s.cl, size: s.size, buf: s.buf[lo*s.size : hi*s.size], ops: s.ops[lo:lo:hi]}
 }
 
 // next returns the slot the node at a is built in, storing the slab first
@@ -99,18 +120,25 @@ func (s *slab) flush() {
 	s.ops = s.ops[:0]
 }
 
+// ErrReservedKey rejects key 0, the tree's deleted-entry sentinel (§4.4).
+var ErrReservedKey = errors.New("sherman: key 0 is reserved")
+
 // Bulkload replaces the tree contents with the given key-value pairs, which
-// must be sorted by strictly increasing key with no key 0. Leaves are packed
-// to the configured fill factor (80% in the paper, §5.1.3) and spread across
-// memory servers chunk by chunk; nodes are built in a recycled slab and
-// stored a slab at a time. Call before starting client threads.
-func (t *Tree) Bulkload(kvs []layout.KV) {
+// must be sorted by strictly increasing key with no key 0; otherwise it
+// returns an error and changes nothing. Leaves are packed to the configured
+// fill factor (80% in the paper, §5.1.3), and every node's address is
+// allocated in one sequential pass, which stripes consecutive nodes across
+// the memory servers (alloc.Bulk.Alloc). Nodes are built in a recycled slab
+// and stored a slab at a time: the leaf level by bulkWorkers goroutines, each
+// building a contiguous run of leaves in its own share of the slab, and the
+// levels above in the whole slab. Call before starting client threads.
+func (t *Tree) Bulkload(kvs []layout.KV) error {
 	for i := range kvs {
 		if kvs[i].Key == 0 {
-			panic("core: key 0 is reserved")
+			return fmt.Errorf("%w: bulkload index %d", ErrReservedKey, i)
 		}
 		if i > 0 && kvs[i].Key <= kvs[i-1].Key {
-			panic(fmt.Sprintf("core: bulkload keys not strictly sorted at %d", i))
+			return fmt.Errorf("sherman: bulkload keys not strictly increasing at index %d", i)
 		}
 	}
 	f := &t.cfg.Format
@@ -137,29 +165,43 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 	for i := 0; i < nLeaves; i++ {
 		leafAddrs[i] = b.Alloc(f.NodeSize)
 	}
-	for i := 0; i < nLeaves; i++ {
-		lo := i * perLeaf
-		hi := lo + perLeaf
-		if hi > len(kvs) {
-			hi = len(kvs)
+	// Worker w of nw builds leaves [w*nLeaves/nw, (w+1)*nLeaves/nw) in slots
+	// [w*slots/nw, (w+1)*slots/nw) and stores its last wave before it ends.
+	nw, slots := bulkWorkers(nLeaves), cap(s.ops)
+	build := func(w int) {
+		sh := s.share(w*slots/nw, (w+1)*slots/nw)
+		for i := w * nLeaves / nw; i < (w+1)*nLeaves/nw; i++ {
+			lo := i * perLeaf
+			hi := min(lo+perLeaf, len(kvs))
+			var lower, upper uint64 = 0, layout.NoUpperBound
+			if i > 0 {
+				lower = kvs[lo].Key
+			}
+			if hi < len(kvs) {
+				upper = kvs[hi].Key
+			}
+			leaf := layout.NewLeafIn(*f, sh.next(leafAddrs[i]), lower, upper)
+			if i+1 < nLeaves {
+				leaf.SetSibling(leafAddrs[i+1])
+			}
+			leaf.SetEntries(kvs[lo:hi])
+			if f.Mode == layout.Checksum {
+				leaf.UpdateChecksum()
+			}
+			bounds[i] = lower
 		}
-		var lower, upper uint64 = 0, layout.NoUpperBound
-		if i > 0 {
-			lower = kvs[lo].Key
-		}
-		if hi < len(kvs) {
-			upper = kvs[hi].Key
-		}
-		leaf := layout.NewLeafIn(*f, s.next(leafAddrs[i]), lower, upper)
-		if i+1 < nLeaves {
-			leaf.SetSibling(leafAddrs[i+1])
-		}
-		leaf.SetEntries(kvs[lo:hi])
-		if f.Mode == layout.Checksum {
-			leaf.UpdateChecksum()
-		}
-		bounds[i] = lower
+		sh.flush()
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < nw; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			build(w)
+		}()
+	}
+	build(0)
+	wg.Wait()
 
 	// Build internal levels bottom-up until a single root remains.
 	level := uint8(0)
@@ -211,6 +253,7 @@ func (t *Tree) Bulkload(kvs []layout.KV) {
 	// stored.
 	s.flush()
 	t.cl.SetRoot(addrs[0], level)
+	return nil
 }
 
 // Validate walks the whole tree with raw reads and checks structural

@@ -165,11 +165,7 @@ func (n Internal) SetSeparators(seps []Sep) {
 	if len(seps) > n.f.IntCap {
 		panic("layout: too many separators")
 	}
-	lo := n.f.intEntryOff(0)
-	hi := n.f.intEntryOff(n.f.IntCap)
-	for i := lo; i < hi; i++ {
-		n.B[i] = 0
-	}
+	clear(n.B[n.f.intEntryOff(0):n.f.intEntryOff(n.f.IntCap)])
 	for i, s := range seps {
 		n.setAt(i, s.Key, s.Child)
 	}

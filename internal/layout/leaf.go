@@ -223,11 +223,7 @@ func (l Leaf) SetEntries(kvs []KV) {
 		panic("layout: too many entries for leaf")
 	}
 	// Clear the whole entry area first so stale slots cannot resurface.
-	lo := l.f.leafEntryOff(0)
-	hi := l.f.leafEntryOff(l.Cap())
-	for i := lo; i < hi; i++ {
-		l.B[i] = 0
-	}
+	clear(l.B[l.f.leafEntryOff(0):l.f.leafEntryOff(l.Cap())])
 	for i, kv := range kvs {
 		if l.f.Mode == Checksum {
 			l.putKey(l.keyOff(i), kv.Key)

@@ -38,9 +38,7 @@ func (f *Format) View(b []byte) Node {
 
 // Init stamps a fresh node: alive, given level and fences, nil sibling.
 func (n Node) Init(level uint8, lower, upper uint64) {
-	for i := range n.B {
-		n.B[i] = 0
-	}
+	clear(n.B)
 	n.SetAlive(true)
 	n.SetLevel(level)
 	n.SetLowerFence(lower)
@@ -134,8 +132,8 @@ func (n Node) Consistent() bool {
 // padding — larger key sizes only model wire volume).
 func (n Node) putKey(off int, k uint64) {
 	binary.LittleEndian.PutUint64(n.B[off:], k)
-	for i := off + 8; i < off+n.f.KeySize; i++ {
-		n.B[i] = 0
+	if n.f.KeySize > 8 { // the default 8-byte key has no padding to clear
+		clear(n.B[off+8 : off+n.f.KeySize])
 	}
 }
 

@@ -163,7 +163,9 @@ func Bulk(tb testing.TB, tr *core.Tree, n int) []layout.KV {
 		k := uint64(i + 1)
 		kvs[i] = layout.KV{Key: k, Value: BulkValue(k)}
 	}
-	tr.Bulkload(kvs)
+	if err := tr.Bulkload(kvs); err != nil {
+		tb.Fatal(err)
+	}
 	return kvs
 }
 

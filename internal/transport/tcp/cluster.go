@@ -77,9 +77,13 @@ type Cluster struct {
 	hb *membership
 
 	// raw is the metadata client behind ReadRaw/WriteRaw/GrowChunkRaw —
-	// unlike per-thread Transports it is shared, hence the mutex.
-	rawMu sync.Mutex
-	raw   *Transport
+	// unlike per-thread Transports it is shared, hence the mutex. rawPend
+	// and rawBatch are WriteRaw's scratch, reused under the mutex so that a
+	// bulk load's waves allocate nothing.
+	rawMu    sync.Mutex
+	raw      *Transport
+	rawPend  []transport.Pending
+	rawBatch []transport.WriteOp
 }
 
 // NewCluster dials the given shermand endpoints and prepares the cluster:
@@ -337,22 +341,21 @@ const rawWave = defaultWindow / 2
 func (c *Cluster) WriteRaw(ops ...transport.WriteOp) {
 	c.rawMu.Lock()
 	defer c.rawMu.Unlock()
-	var pend []transport.Pending
-	var batch []transport.WriteOp
 	const empty = frameHeader + 4 // header + op count
 	size := empty
 	await := func() {
-		for _, p := range pend {
+		for _, p := range c.rawPend {
 			c.raw.Await(p)
 		}
-		pend = pend[:0]
+		c.rawPend = c.rawPend[:0]
 	}
 	post := func() {
-		if len(pend) == rawWave {
+		if len(c.rawPend) == rawWave {
 			await()
 		}
-		pend = append(pend, c.raw.PostWritesAsync(batch...))
-		batch, size = batch[:0], empty
+		c.rawPend = append(c.rawPend, c.raw.PostWritesAsync(c.rawBatch...))
+		clear(c.rawBatch) // the frame holds a copy; drop the caller's buffers
+		c.rawBatch, size = c.rawBatch[:0], empty
 	}
 	for ms := range c.endpoints {
 		for _, op := range ops {
@@ -360,13 +363,13 @@ func (c *Cluster) WriteRaw(ops ...transport.WriteOp) {
 				continue
 			}
 			n := 12 + len(op.Data) // addr u64, len u32, data
-			if len(batch) > 0 && size+n > burstBytes {
+			if len(c.rawBatch) > 0 && size+n > burstBytes {
 				post()
 			}
-			batch = append(batch, op)
+			c.rawBatch = append(c.rawBatch, op)
 			size += n
 		}
-		if len(batch) > 0 {
+		if len(c.rawBatch) > 0 {
 			post()
 		}
 	}

@@ -15,7 +15,7 @@ import (
 var (
 	// ErrReservedKey rejects writes to key 0, the tree's deleted-entry
 	// sentinel (§4.4).
-	ErrReservedKey = errors.New("sherman: key 0 is reserved")
+	ErrReservedKey = core.ErrReservedKey
 	// ErrBadComputeServer rejects a session on a compute server outside
 	// [0, ComputeServers).
 	ErrBadComputeServer = errors.New("sherman: compute server out of range")

@@ -1,6 +1,7 @@
 package sherman
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -254,8 +255,8 @@ func TestPutGetDeleteScan(t *testing.T) {
 func TestBulkloadValidation(t *testing.T) {
 	c := testCluster(t)
 	tree := testTree(t, c, DefaultTreeOptions())
-	if err := tree.Bulkload([]KV{{Key: 0, Value: 1}}); err == nil {
-		t.Error("Bulkload accepted key 0")
+	if err := tree.Bulkload([]KV{{Key: 1, Value: 1}, {Key: 0, Value: 1}}); !errors.Is(err, ErrReservedKey) {
+		t.Errorf("Bulkload of key 0: err = %v, want ErrReservedKey", err)
 	}
 	if err := tree.Bulkload([]KV{{Key: 5, Value: 1}, {Key: 5, Value: 2}}); err == nil {
 		t.Error("Bulkload accepted duplicate keys")

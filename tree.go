@@ -186,21 +186,12 @@ func (c *Cluster) CreateTree(opts TreeOptions) (*Tree, error) {
 type KV = layout.KV
 
 // Bulkload replaces the tree's contents with the given pairs, which must be
-// sorted by strictly increasing key, none zero. Leaves are packed to the
-// configured fill factor and spread across memory servers. Call before
-// opening Sessions; it is not concurrent-safe with live operations.
-func (t *Tree) Bulkload(kvs []KV) error {
-	for i := range kvs {
-		if kvs[i].Key == 0 {
-			return errors.New("sherman: key 0 is reserved")
-		}
-		if i > 0 && kvs[i].Key <= kvs[i-1].Key {
-			return fmt.Errorf("sherman: bulkload keys not strictly increasing at index %d", i)
-		}
-	}
-	t.tr.Bulkload(kvs)
-	return nil
-}
+// sorted by strictly increasing key, none zero: a key 0 is reported as
+// ErrReservedKey wrapped with its index, and nothing is loaded. Leaves are
+// packed to the configured fill factor, striped across memory servers, and
+// built by up to GOMAXPROCS goroutines. Call before opening Sessions; it is
+// not concurrent-safe with live operations.
+func (t *Tree) Bulkload(kvs []KV) error { return t.tr.Bulkload(kvs) }
 
 // Validate walks the whole tree checking structural invariants (fence
 // nesting, sorted separators, sibling linkage, level consistency). Intended
