@@ -85,7 +85,7 @@ var experiments = []experiment{
 			t, r := bench.Elastic(s, col)
 			return []*bench.Table{t}, func() error { return bench.ElasticGate(&r) }, nil
 		}},
-	{id: "cache", all: true, gate: "leaf-direct speculation cuts RT/op vs cache-off and validates >= 90%; unified multi-level beats flat level-1-only at the same budget",
+	{id: "cache", all: true, gate: "leaf-direct speculation cuts RT/op vs cache-off and validates >= 90%; at a quarter of the measured level-1 set both caches hit level 1 <= 70% and unified multi-level beats flat level-1-only",
 		run: func(s bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {
 			t, r := bench.CacheSweep(s, col)
 			return []*bench.Table{t}, func() error { return bench.CacheGate(r) }, nil

@@ -201,7 +201,15 @@ func chunkStart(ms uint16, base uint64) (transport.Addr, uint64) {
 
 // Bulk is a setup-time allocator used for bulk loading: it grows server
 // memory directly with no virtual-time accounting and no client context.
-// It is not safe for concurrent use.
+// It hands out runs: nodes carved back to back on one server, from one open
+// chunk per server, consecutive runs rotating over the usable servers.
+// Bulkload makes each level-1 node's leaves one run, so a scan batch, which
+// reads one level-1 node's children, reads one server. Rotating runs still
+// spread every key range over all servers, as at the paper's billion-key
+// scale where each server holds hundreds of chunks of every level, rather
+// than putting a tree that fits one 8 MB chunk behind a single NIC. A tree
+// small enough for one level-1 node lives on one server. It is not safe
+// for concurrent use.
 type Bulk struct {
 	g     transport.Grower
 	view  Placement
@@ -233,33 +241,42 @@ func NewBulk(g transport.Grower, view Placement, stats *Stats) *Bulk {
 	}
 }
 
-// Alloc carves a region with the same alignment and chunk discipline as the
-// runtime allocator, striping consecutive allocations across memory servers
-// (one open chunk per server) so the bulkloaded tree is balanced the way the
-// paper's full-scale tree is: at a billion keys every server holds hundreds
-// of chunks of every tree level, so reads spread evenly no matter which key
-// range is hot. A scaled-down tree that fits in one 8 MB chunk would instead
-// put every leaf behind a single NIC, making that NIC's inbound pipeline
-// the whole fabric's bound — a placement artifact of the scaling, not a
-// property of the system.
+// Alloc carves one node: a run of one, so consecutive calls stripe across
+// the usable servers.
 func (b *Bulk) Alloc(size int) transport.Addr {
+	var a [1]transport.Addr
+	b.AllocRun(size, a[:])
+	return a[0]
+}
+
+// AllocRun carves len(out) size-byte regions on one server, with the same
+// alignment and chunk discipline as the runtime allocator, and stores their
+// addresses in out. The run's server is the next usable one in round-robin
+// order; a run longer than that server's open chunk continues in a fresh
+// chunk there. If the server dies or starts draining mid-run, the rest of
+// the run goes to the next usable server.
+func (b *Bulk) AllocRun(size int, out []transport.Addr) {
 	if size <= 0 || size > transport.DefaultChunkSize {
 		panic(fmt.Sprintf("alloc: bad bulk allocation size %d", size))
 	}
 	sz := (uint64(size) + nodeAlign - 1) &^ (nodeAlign - 1)
-	ms := b.place()
-	for b.rem[ms] < sz {
-		if !b.refill(ms) {
+	ms := -1
+	for i := range out {
+		if ms < 0 || !b.view.MSUsable(ms) {
 			ms = b.place()
 		}
+		for b.rem[ms] < sz {
+			if !b.refill(ms) {
+				ms = b.place()
+			}
+		}
+		out[i] = b.cur[ms]
+		b.cur[ms] = b.cur[ms].Add(sz)
+		b.rem[ms] -= sz
 	}
-	addr := b.cur[ms]
-	b.cur[ms] = b.cur[ms].Add(sz)
-	b.rem[ms] -= sz
 	if b.stats != nil {
-		b.stats.Nodes.Add(1)
+		b.stats.Nodes.Add(int64(len(out)))
 	}
-	return addr
 }
 
 // place picks the server of the next allocation.

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -323,5 +324,154 @@ func TestBulkBornDead(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBulkRunsShareOneServer: every node of a run lands on one server, a run
+// longer than a chunk continues in a fresh chunk there, and consecutive runs
+// rotate over the servers.
+func TestBulkRunsShareOneServer(t *testing.T) {
+	f := newTestFabric(3)
+	b := NewBulk(f, everyLive{f}, nil)
+	perChunk := rdma.DefaultChunkSize / 1024
+	seen := map[rdma.Addr]bool{}
+	for r, n := range []int{1, 5, perChunk + 3, 7, 2, 2 * perChunk, 4} {
+		run := make([]rdma.Addr, n)
+		b.AllocRun(1024, run)
+		for _, a := range run {
+			if a.MS() != uint16(r%3) {
+				t.Fatalf("run %d of %d nodes has a node at %v, want all on ms%d", r, n, a, r%3)
+			}
+			if seen[a] || a.Off()/rdma.DefaultChunkSize != (a.Off()+1023)/rdma.DefaultChunkSize {
+				t.Fatalf("run %d: node at %v handed out twice or spans chunks", r, a)
+			}
+			seen[a] = true
+		}
+	}
+}
+
+// drainingView is a placement view in which the servers in drain take no
+// new memory, as while they are scaled in; when flipAfter is positive,
+// server 1 starts draining once that many MSUsable queries are answered.
+type drainingView struct {
+	everyLive
+	drain              map[int]bool
+	queries, flipAfter int
+}
+
+func (v *drainingView) MSUsable(ms int) bool {
+	if v.queries++; v.flipAfter > 0 && v.queries > v.flipAfter {
+		v.drain[1] = true
+	}
+	return v.MSAlive(ms) && !v.drain[ms]
+}
+
+// runServers lists the servers of a run's nodes in order, one entry per
+// stretch of nodes on the same server.
+func runServers(run []rdma.Addr) []uint16 {
+	var out []uint16
+	for i, a := range run {
+		if i == 0 || a.MS() != run[i-1].MS() {
+			out = append(out, a.MS())
+		}
+	}
+	return out
+}
+
+// TestBulkRunSkipsDrainingServer: a draining server gets no run, and one
+// that starts draining mid-run gets none of the run's remaining nodes,
+// which go to the next usable server.
+func TestBulkRunSkipsDrainingServer(t *testing.T) {
+	f := newTestFabric(3)
+	b := NewBulk(f, &drainingView{everyLive: everyLive{f}, drain: map[int]bool{1: true}}, nil)
+	for r, want := range []uint16{0, 2, 0, 2} {
+		run := make([]rdma.Addr, 4)
+		b.AllocRun(1024, run)
+		if got := runServers(run); len(got) != 1 || got[0] != want {
+			t.Fatalf("run %d on servers %v, want ms%d alone", r, got, want)
+		}
+	}
+
+	v := &drainingView{everyLive: everyLive{f}, drain: map[int]bool{}, flipAfter: 6}
+	b = NewBulk(f, v, nil)
+	for r, want := range [][]uint16{{0}, {1, 2}, {0}, {2}} {
+		run := make([]rdma.Addr, 4)
+		b.AllocRun(1024, run)
+		if got := runServers(run); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d on servers %v, want %v (server 1 drains from query %d)", r, got, want, v.flipAfter+1)
+		}
+	}
+}
+
+// TestBulkRunKilledMidRun: whichever chunk growth server 1 dies inside,
+// every node on it lies in a chunk it grew while alive, no address is
+// handed out twice, a run that loses its server mid-run continues on the
+// next usable one, and later runs skip the dead server.
+func TestBulkRunKilledMidRun(t *testing.T) {
+	const node = rdma.DefaultChunkSize / 4
+	split := 0
+	for _, rf := range []int{0, 2} {
+		for n := 1; n <= 12; n++ {
+			g := &dyingGrower{grown: make([]uint64, 3), dead: make([]bool, 3), n: n}
+			b := NewBulk(g, g, nil)
+			if rf > 1 {
+				g.rep = NewReplicaMap()
+				b.SetReplication(g.rep, rf)
+			}
+			seen := map[rdma.Addr]bool{}
+			for r := 0; r < 8; r++ {
+				deadBefore := g.dead[1]
+				run := make([]rdma.Addr, 6) // 1.5 chunks
+				b.AllocRun(node, run)
+				for _, a := range run {
+					if seen[a] {
+						t.Fatalf("rf=%d death at call %d: run %d hands out %v twice", rf, n, r, a)
+					}
+					seen[a] = true
+					if a.MS() == 1 && (deadBefore || a.Off()/rdma.DefaultChunkSize >= g.grown[1]) {
+						t.Fatalf("rf=%d death at call %d: run %d has a node at %v on dead memory", rf, n, r, a)
+					}
+				}
+				switch ss := runServers(run); {
+				case len(ss) == 2 && ss[0] == 1 && ss[1] == 2:
+					split++
+				case len(ss) != 1:
+					t.Fatalf("rf=%d death at call %d: run %d on servers %v, want one, or ms1 then ms2", rf, n, r, ss)
+				}
+			}
+			if !g.dead[1] {
+				t.Fatalf("rf=%d: fewer than %d growths; the scenario is vacuous", rf, n)
+			}
+		}
+	}
+	if split == 0 {
+		t.Fatal("no death fell mid-run; the scenario is vacuous")
+	}
+}
+
+// TestBulkRunReplicaRegistration: under replication a run registers each
+// chunk it grows exactly as single allocations do, once and with one
+// replica on another server, so every node of every run lies in a
+// registered chunk.
+func TestBulkRunReplicaRegistration(t *testing.T) {
+	f := newTestFabric(3)
+	var st Stats
+	b := NewBulk(f, everyLive{f}, &st)
+	rep := NewReplicaMap()
+	b.SetReplication(rep, 2)
+	perChunk := rdma.DefaultChunkSize / 1024
+	for _, n := range []int{perChunk + 1, 3, 2 * perChunk, 1, perChunk} {
+		run := make([]rdma.Addr, n)
+		b.AllocRun(1024, run)
+		for _, a := range run {
+			ck := ChunkID{MS: a.MS(), Index: a.Off() / rdma.DefaultChunkSize}
+			var ts TargetSet
+			if !rep.Targets(ck, &ts) || ts.N != 1 || ts.Bases[0].MS() == ck.MS {
+				t.Fatalf("node %v: chunk %v has %d replicas (%v), want one on another server", a, ck, ts.N, ts.Bases[0])
+			}
+		}
+	}
+	if got := int64(rep.Len()); got != st.Chunks.Load() {
+		t.Fatalf("%d chunks registered, %d grown", got, st.Chunks.Load())
 	}
 }

@@ -58,15 +58,6 @@ func (s Scale) treeExp(name string, mix workload.Mix, dist workload.Dist, cfg co
 	}
 }
 
-// Level1WorkingSetBytes estimates the memory needed to cache every level-1
-// node of a bulkloaded tree with the given key count — the 100% point of
-// the Figure 15(c) cache-size sweep.
-func Level1WorkingSetBytes(keys uint64, cfg core.Config) int64 {
-	leaves := float64(keys) * 0.8 / (float64(cfg.Format.LeafCap) * 0.8)
-	l1Nodes := leaves / (float64(cfg.Format.IntCap) * 0.8)
-	return int64(l1Nodes * float64(cfg.Format.NodeSize))
-}
-
 // Table1 reproduces Table 1: FG+ (the one-sided approach) under read- and
 // write-intensive workloads, uniform and skewed.
 func Table1(s Scale) *Table {
@@ -283,25 +274,19 @@ func Fig15KeySize(s Scale, dist workload.Dist) *Table {
 
 // Fig15Cache reproduces Figure 15(c): throughput and hit ratio vs index
 // cache size (uniform write-intensive). Cache sizes are expressed relative
-// to the level-1 working set, which the key-space scaling shrinks
-// proportionally (DESIGN.md §2).
+// to the level-1 set the cache would hold, measured from a bulkloaded tree
+// of the experiment's shape (level1Bytes), which the key-space scaling
+// shrinks proportionally (DESIGN.md §2).
 func Fig15Cache(s Scale) *Table {
 	t := NewTable("Figure 15(c): index cache size sensitivity (uniform)",
 		"cache(% of L1 set)", "cache(KB)", "Mops", "hit ratio")
-	cfg := core.ShermanConfig()
-	// Level-1 working set: one node per LeafCap*fill leaves.
-	leaves := float64(s.Keys) * 0.8 / (float64(cfg.Format.LeafCap) * 0.8)
-	l1Nodes := leaves / (float64(cfg.Format.IntCap) * 0.8)
-	wsBytes := int64(l1Nodes * float64(cfg.Format.NodeSize))
+	e := s.treeExp("cache", workload.WriteIntensive, workload.Uniform, core.ShermanConfig())
+	l1 := level1Bytes(e)
 	for _, pct := range []int{10, 25, 50, 75, 100, 150} {
-		c := cfg
-		c.CacheBytes = wsBytes * int64(pct) / 100
-		if c.CacheBytes < int64(cfg.Format.NodeSize) {
-			c.CacheBytes = int64(cfg.Format.NodeSize)
-		}
-		e := s.treeExp("cache", workload.WriteIntensive, workload.Uniform, c)
-		r := RunTree(e)
-		t.Add(fmt.Sprintf("%d%%", pct), fmt.Sprint(c.CacheBytes/1024),
+		c := e
+		c.Tree.CacheBytes = max(l1*int64(pct)/100, int64(e.Tree.Format.NodeSize))
+		r := RunTree(c)
+		t.Add(fmt.Sprintf("%d%%", pct), fmt.Sprint(c.Tree.CacheBytes/1024),
 			MopsString(r.Mops), fmt.Sprintf("%.1f%%", r.HitRatio*100))
 	}
 	t.Note("paper: hit ratio approaches ~98%% as the cache covers the level-1 set; throughput follows")

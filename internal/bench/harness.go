@@ -335,6 +335,16 @@ func newFixture(e TreeExp, spareMS, factor int) *fixture {
 	return &fixture{e: e, cl: cl, tr: tr, gens: gens}
 }
 
+// level1Bytes is the 100 % point of the cache-size sweeps: the bytes the
+// index cache takes to hold every level-1 node of e's freshly bulkloaded
+// tree (core.TreeStats.Level1Bytes), measured on a tree of e's own keys,
+// format and memory servers, since a routing copy's size depends on where
+// its children were placed.
+func level1Bytes(e TreeExp) int64 {
+	defer debug.FreeOSMemory()
+	return newFixture(e, 0, 0).tr.Stats().Level1Bytes
+}
+
 // threads is the fixture's worker count.
 func (fx *fixture) threads() int { return len(fx.gens) }
 

@@ -102,15 +102,27 @@ func TestRunWritesShape(t *testing.T) {
 	}
 }
 
-func TestLevel1WorkingSetBytes(t *testing.T) {
-	cfg := core.ShermanConfig()
-	ws := Level1WorkingSetBytes(2<<20, cfg)
-	if ws <= 0 {
-		t.Fatalf("working set = %d", ws)
+// TestCacheGateConstrainedCells: a sweep whose constrained cells hit level
+// 1 above 70 % fails the cache gate, whichever cache hits too often, even
+// with every other check passing.
+func TestCacheGateConstrainedCells(t *testing.T) {
+	ok := CacheResult{
+		Off:          CacheCellResult{RTPerOp: 4},
+		Default:      CacheCellResult{RTPerOp: 1.6, SpecRate: 1},
+		FlatSmall:    CacheCellResult{RTPerOp: 3.2, HitRatio: 0.40},
+		UnifiedSmall: CacheCellResult{RTPerOp: 2.8, HitRatio: 0.32},
 	}
-	// ~2M keys / 51 per leaf / 55 per L1 node * 1 KB ≈ 700-900 KB.
-	if ws < 100<<10 || ws > 4<<20 {
-		t.Errorf("working set %d bytes implausible", ws)
+	if err := CacheGate(&ok); err != nil {
+		t.Fatalf("gate refused a constrained sweep: %v", err)
+	}
+	flat, uni := ok, ok
+	flat.FlatSmall.HitRatio = 0.89
+	uni.UnifiedSmall.HitRatio = 0.71
+	for _, r := range []CacheResult{flat, uni} {
+		if err := CacheGate(&r); err == nil {
+			t.Errorf("gate passed constrained cells hitting %.0f%% / %.0f%%",
+				r.FlatSmall.HitRatio*100, r.UnifiedSmall.HitRatio*100)
+		}
 	}
 }
 
@@ -205,10 +217,10 @@ func TestLoneWorkerGoldens(t *testing.T) {
 		got  counts
 		want counts
 	}{
-		{"tree/batch=1/depth=1", tree(1, 1), counts{221, 467, 6144, 6144, 1220602}},
-		{"tree/batch=1/depth=4", tree(1, 4), counts{746, 1550, 6144, 18432, 1071728}},
-		{"tree/batch=8/depth=1", tree(8, 1), counts{272, 469, 3712, 5376, 1222650}},
-		{"tree/batch=8/depth=4", tree(8, 4), counts{720, 1275, 1344, 2688, 1086541}},
+		{"tree/batch=1/depth=1", tree(1, 1), counts{221, 466, 6144, 6144, 1218602}},
+		{"tree/batch=1/depth=4", tree(1, 4), counts{746, 1549, 6144, 18432, 1071728}},
+		{"tree/batch=8/depth=1", tree(8, 1), counts{272, 468, 3712, 5120, 1220650}},
+		{"tree/batch=8/depth=4", tree(8, 4), counts{720, 1274, 1344, 2432, 1084541}},
 		{"locks", of(RunLocks(Scale{ThreadsPerCS: 1, WarmupOps: 20, MeasureNS: 500_000}, 1,
 			hocl.Config{Mode: hocl.Sherman(), LocksPerMS: 64}, 0.99, sim.DefaultParams()).Rec),
 			counts{115, 230, 4361, 4361, 588735}},
@@ -221,9 +233,9 @@ func TestLoneWorkerGoldens(t *testing.T) {
 	e := replicaExp(Scale{Keys: 32 << 10, ThreadsPerCS: 1, MeasureNS: 500_000})
 	e.NumCS = 1
 	want := ReplicaResult{
-		SteadyMops: 0.22599999999999998, KillMops: 0.16, RecoveredMops: 0.176, ControlMops: 0.23,
+		SteadyMops: 0.22599999999999998, KillMops: 0.17, RecoveredMops: 0.18000000000000002, ControlMops: 0.23,
 		ReplicaWritesPerWrite: 1.0357142857142858, FailedOver: 1, RepairedChunks: 3,
-		RecoveryNS: 154472420, AckedWrites: 20,
+		RecoveryNS: 154491878, AckedWrites: 22,
 	}
 	if got := RunReplica(e); got != want {
 		t.Errorf("replica: got %+v, want %+v", got, want)

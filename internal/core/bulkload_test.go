@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sherman/internal/alloc"
@@ -20,9 +21,9 @@ import (
 // bulkGolden pins the raw image Bulkload leaves in memory: a SHA-256 over a
 // depth-first walk of every reachable node's address and bytes, on two
 // memory servers, for keys 1..keys with testutil.BulkValue values. The
-// hashes were recorded while Bulkload still wrote one node per round trip,
-// so any change to placement, layout or what a slab slot holds when it is
-// shipped shows here. Per configuration the rows are: empty, one key, the
+// hashes were recorded with each level-1 node's leaves placed as one run on
+// one server, so any change to placement, layout or what a slab slot holds
+// when it is shipped shows here. Per configuration the rows are: empty, one key, the
 // most keys one leaf takes, core.BulkSlab-1 / BulkSlab / BulkSlab+1 nodes,
 // and a 200k-key tree.
 var bulkGolden = []struct {
@@ -34,50 +35,64 @@ var bulkGolden = []struct {
 	{"Sherman", 0, 1, "0d14a207a3df7c4210a5d4956ab92f3959c2ceb104e10454af6101b9378ba2a0"},
 	{"Sherman", 1, 1, "82ac795c124f887dc7f9e8bdd0c57462ab12c6126d31521ee0c2c34a7898f176"},
 	{"Sherman", 9, 1, "e6fedd63683719d839344d26d971a161668fc02d3442601e4c7654a8fd009951"},
-	{"Sherman", 2044, 255, "0087cbfe069f15dac874c55bbc1fd387b138faefc7d901e641579d3ec8c13acd"},
-	{"Sherman", 2053, 256, "ddcff44719be807a461491da7187d43d0cb3e939f5e815eb55f0561731043a8f"},
-	{"Sherman", 2062, 257, "ce1f87284564b8e777719aab60bb66507127a9bfb30ee23a8384f3e5f8647f05"},
-	{"Sherman", 200000, 24696, "ab989d4f76c31b807990db815bc808fdf95f65d946668e22d35ded05af742571"},
+	{"Sherman", 2044, 255, "c9a06060c708703ac004dfb52ad5f4071f7bce2af9f36b5acaab1bdbd43edbbf"},
+	{"Sherman", 2053, 256, "5eef20df8545332fcbbcf5713ad8e363ef7a567999824687d631193b36acd34b"},
+	{"Sherman", 2062, 257, "2f20ecc95748bb03b690030764facc67f4898de655a473d67d7dc126f5750c81"},
+	{"Sherman", 200000, 24696, "a972738988c392b3f261128d1655cd1c3b0335e5132fefa6f94e516164587573"},
 	{"FG+", 0, 1, "b93d73006ff314eb050c094580f823bbabd8f4663525eab24ba984029e18b78f"},
 	{"FG+", 1, 1, "9883a1386913e26c926c8de23c675de7804d0b97e931cd8b681972e4d8a5097c"},
 	{"FG+", 10, 1, "6390eb37df0294a504636065c7679c78e23b0ee5708c93ddbaff460eee956e51"},
-	{"FG+", 2271, 255, "bbd41ee9f19609b2079fe78a7417c80338089b14c2ce5c9469e4c0de0dbaf290"},
-	{"FG+", 2281, 256, "4fa79b04b0f7061c138663a1b90481c9c049799f38e409e069539b016a12f0fb"},
-	{"FG+", 2291, 257, "126ffb6982abc8fc515195542bb387ece7f377e3a0e4b4872942f1e64e324167"},
-	{"FG+", 200000, 22223, "2cd48637abe46cfbb798a99df7dc8d88b98d4c085f210445f507d35026e4504c"},
+	{"FG+", 2271, 255, "1e82c37181fd3499890a3697a593caa092ff0f532940a9b1a1a75e1ccdc88e9d"},
+	{"FG+", 2281, 256, "3dce6b86fed82eac4104db43f7e8d6fc0dd0e92ea2295843d3bd898419e63a7b"},
+	{"FG+", 2291, 257, "8b9c8b0d852e6ce450e40f8065cc09133e7a1f33b4e9a0e958c04581317cc086"},
+	{"FG+", 200000, 22223, "11314020f3a20e77b5ef0c3de4332d9ad2f8fd281772b349f6276d4b33a0e449"},
 }
 
-// imageHash walks the tree depth-first from the superblock root and hashes
-// each node's address and raw bytes, returning the digest and node count.
-func imageHash(be core.Backend, f layout.Format) (string, int) {
-	h := sha256.New()
-	nodes := 0
+// walkImage visits every node reachable from the superblock root
+// depth-first, parents before children, with its address and raw bytes.
+func walkImage(be core.Backend, f layout.Format, fn func(a rdma.Addr, b []byte)) {
 	var visit func(a rdma.Addr, b []byte)
 	visit = func(a rdma.Addr, b []byte) {
-		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(a)))
-		h.Write(b)
-		nodes++
+		fn(a, b)
 		n := layout.ViewNode(f, b)
 		if n.IsLeaf() {
 			return
 		}
-		in := layout.AsInternal(n)
-		kids := []rdma.ReadOp{{Addr: in.Leftmost()}}
-		for _, s := range in.Separators() {
-			kids = append(kids, rdma.ReadOp{Addr: s.Child})
+		kids := children(layout.AsInternal(n))
+		ops := make([]rdma.ReadOp, len(kids))
+		for i := range ops {
+			ops[i] = rdma.ReadOp{Addr: kids[i], Buf: make([]byte, f.NodeSize)}
 		}
-		for i := range kids {
-			kids[i].Buf = make([]byte, f.NodeSize)
-		}
-		be.RawRead(kids...)
-		for _, k := range kids {
-			visit(k.Addr, k.Buf)
+		be.RawRead(ops...)
+		for _, op := range ops {
+			visit(op.Addr, op.Buf)
 		}
 	}
 	root, _ := be.RawRoot()
 	rb := make([]byte, f.NodeSize)
 	be.RawRead(rdma.ReadOp{Addr: root, Buf: rb})
 	visit(root, rb)
+}
+
+// children lists an internal node's children, leftmost first.
+func children(in layout.Internal) []rdma.Addr {
+	kids := []rdma.Addr{in.Leftmost()}
+	for _, s := range in.Separators() {
+		kids = append(kids, s.Child)
+	}
+	return kids
+}
+
+// imageHash hashes each reachable node's address and raw bytes in
+// walkImage's order, returning the digest and node count.
+func imageHash(be core.Backend, f layout.Format) (string, int) {
+	h := sha256.New()
+	nodes := 0
+	walkImage(be, f, func(a rdma.Addr, b []byte) {
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(a)))
+		h.Write(b)
+		nodes++
+	})
 	return fmt.Sprintf("%x", h.Sum(nil)), nodes
 }
 
@@ -122,6 +137,88 @@ func TestBulkloadImageGolden(t *testing.T) {
 			t.Errorf("%s: %d golden rows at BulkSlab±1 nodes, want 3", name, atSlab[name])
 		}
 	}
+}
+
+// TestBulkloadPlacement: on both fabrics, over 2 and 3 memory servers, a
+// tree of ten level-1 nodes keeps each level-1 node's leaves on one server,
+// and the servers' leaf counts differ by at most one run of a level-1 node's
+// leaves.
+func TestBulkloadPlacement(t *testing.T) {
+	for _, cfg := range testutil.Configs() {
+		f := cfg.Format
+		perInt := int(float64(f.IntCap) * 0.8)
+		keys := 10 * perInt * int(float64(f.LeafCap)*0.8)
+		for _, numMS := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%s/ms=%d", cfg.Name(), numMS), func(t *testing.T) {
+				testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+					be, _ := fab.New(t, numMS, 1, 0)
+					if err := core.New(be, cfg).Bulkload(bulkKVs(keys)); err != nil {
+						t.Fatal(err)
+					}
+					parents, leaves := 0, make([]int, numMS)
+					walkImage(be, f, func(a rdma.Addr, b []byte) {
+						n := layout.ViewNode(f, b)
+						if n.Level() != 1 {
+							return
+						}
+						parents++
+						kids := children(layout.AsInternal(n))
+						for _, c := range kids {
+							if c.MS() != kids[0].MS() {
+								t.Fatalf("level-1 node %v has children on ms%d and ms%d", a, kids[0].MS(), c.MS())
+							}
+						}
+						leaves[kids[0].MS()] += len(kids)
+					})
+					if parents < 4 {
+						t.Fatalf("%d level-1 nodes, want at least 4", parents)
+					}
+					if lo, hi := slices.Min(leaves), slices.Max(leaves); hi-lo > perInt {
+						t.Fatalf("leaves per server %v differ by more than one run of %d", leaves, perInt)
+					}
+				})
+			})
+		}
+	}
+}
+
+// TestLevel1Bytes: Stats' Level1Bytes is the sum of every level-1 node's
+// compact routing copy, below the same nodes at full size, and smaller than
+// it would be were each node's children striped across the servers at the
+// same offsets.
+func TestLevel1Bytes(t *testing.T) {
+	cfg := core.ShermanConfig()
+	f := cfg.Format
+	testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+		const numMS = 3
+		be, _ := fab.New(t, numMS, 1, 0)
+		tr := core.New(be, cfg)
+		if err := tr.Bulkload(bulkKVs(100000)); err != nil {
+			t.Fatal(err)
+		}
+		var sum, full, striped int64
+		walkImage(be, f, func(_ rdma.Addr, b []byte) {
+			in := layout.AsInternal(layout.ViewNode(f, b))
+			if in.Level() != 1 {
+				return
+			}
+			sum += int64(in.CompactLen())
+			full += int64(f.NodeSize)
+			in = layout.AsInternal(layout.ViewNode(f, slices.Clone(b))) // the walk reads b's children next
+			seps := in.Separators()
+			for j := range seps {
+				seps[j].Child = rdma.MakeAddr(uint16((j+1)%numMS), seps[j].Child.Off())
+			}
+			in.SetSeparators(seps)
+			striped += int64(in.CompactLen())
+		})
+		got := tr.Stats().Level1Bytes
+		if got != sum || got <= 0 || got >= full || got >= striped {
+			t.Fatalf("Level1Bytes = %d; want the walk's sum %d, positive, below %d at full size and below %d striped",
+				got, sum, full, striped)
+		}
+		t.Logf("level 1: %d B compact, %d B striped, %d B at full size", got, striped, full)
+	})
 }
 
 // TestBulkloadReplicasMatchPrimary: under replication every registered
@@ -225,15 +322,16 @@ func TestBulkloadAllocs(t *testing.T) {
 // last leaf partial: at 2, 4 and 8 workers the first worker's run ends in
 // the middle of its slab share, so its last wave is partial and the next
 // worker's first leaf is built in another share at the same moment. The
-// hashes were recorded with the one-goroutine build.
+// hashes were recorded with the one-goroutine build and parent-grouped
+// leaf placement.
 var bulkMidShare = []struct {
 	cfg   string
 	keys  int
 	nodes int
 	hash  string
 }{
-	{"Sherman", 8995, 1111, "12ac8415779e85e3b33a7262a8a9bd27b1db12a80d40951ad7ad09f41575557f"},
-	{"FG+", 9994, 1111, "29457f7a254461e61630553a21c876f74a4d6fcf78fd82095de0393eac6e9137"},
+	{"Sherman", 8995, 1111, "e18d09ef036e3ba0ddef79c71b621eff176756801b3f5ed6404f09495820ac13"},
+	{"FG+", 9994, 1111, "5eed0fd828fb329d12d854b6abd06b6e4498290778a53731bb9ac0b1f25a1fc1"},
 }
 
 // TestBulkloadImageAnyWorkers: the image is the same at every worker count.

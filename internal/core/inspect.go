@@ -24,6 +24,9 @@ type TreeStats struct {
 	// empty tree); a low value indicates delete-driven fragmentation that
 	// Compact can reclaim.
 	MinLeafFill float64
+	// Level1Bytes sums the compact routing copies (Internal.CompactLen) of
+	// every level-1 node: what the index cache holds to cache all of level 1.
+	Level1Bytes int64
 }
 
 // Stats walks the tree and reports structural statistics. Like Validate, it
@@ -54,6 +57,9 @@ func (t *Tree) statsNode(n layout.Node, st *TreeStats) {
 		return
 	}
 	st.InternalNodes++
+	if n.Level() == 1 {
+		st.Level1Bytes += int64(layout.AsInternal(n).CompactLen())
+	}
 	for _, c := range t.children(n) {
 		t.statsNode(f.View(c.Buf), st)
 	}

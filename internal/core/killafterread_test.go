@@ -12,14 +12,15 @@ import (
 )
 
 // TestKillAfterValidatingRead sweeps the bulkloaded keys of a 3-MS RF=2 tree
-// (every third: each leaf is hit at least twice, and a fresh deployment per
-// key is what the test costs) through each way of running one write — the
-// synchronous entry points and the pipelined executor at depth 1 and 4 —
-// on both fabrics, killing the leaf's memory server between the write's
-// validating read and its commit (testutil.KillAfter on the first read
-// verb: a Read on the simulator, the acquire doorbell over TCP, or the Read
-// after a bare lock CAS with combining off). Mirror then finds the chunk
-// re-keyed and raises the handle's redo flag. Whatever the write path and the
+// of several level-1 nodes (every third: each leaf is hit at least twice,
+// and a fresh deployment per key is what the test costs) through each way
+// of running one write — the synchronous entry points and the pipelined
+// executor at depth 1 and 4 — on both fabrics, killing the leaf's memory
+// server between the write's validating read and its commit
+// (testutil.KillAfter on the first read verb: a Read on the simulator, the
+// acquire doorbell over TCP, or the Read after a bare lock CAS with
+// combining off). Mirror then finds the chunk re-keyed and raises the
+// handle's redo flag. Whatever the write path and the
 // fabric, the acked write must be durable through the promoted replica, no
 // other acked write may be lost, the tree must validate, and the op must
 // leave no redo flag behind for the next op to trip over.
@@ -54,7 +55,11 @@ func TestKillAfterValidatingRead(t *testing.T) {
 		load[i] = layout.KV{Key: k, Value: k*7 + 1}
 	}
 	for _, cfg := range testutil.Configs() {
-		cfg.BulkFill = 1.0
+		// Half-full 256 B nodes pack the 120 keys into 20 leaves under 4
+		// level-1 nodes. Bulkload places each level-1 node's leaves on one
+		// server, rotating from MS 0, so the swept keys live on MS 0, 1, 2
+		// and 0 in turn and most leaves have a server the sweep may kill.
+		cfg.BulkFill = 0.5
 		// Small lock tables: over TCP the depth-4 executor's runner
 		// goroutines outlive their subtest (an Async has no shutdown) and
 		// keep its tree, lock tables included, reachable.

@@ -127,11 +127,15 @@ var ErrReservedKey = errors.New("sherman: key 0 is reserved")
 // must be sorted by strictly increasing key with no key 0; otherwise it
 // returns an error and changes nothing. Leaves are packed to the configured
 // fill factor (80% in the paper, §5.1.3), and every node's address is
-// allocated in one sequential pass, which stripes consecutive nodes across
-// the memory servers (alloc.Bulk.Alloc). Nodes are built in a recycled slab
-// and stored a slab at a time: the leaf level by bulkWorkers goroutines, each
-// building a contiguous run of leaves in its own share of the slab, and the
-// levels above in the whole slab. Call before starting client threads.
+// allocated in one sequential pass: the leaves of each future level-1 node
+// as one run on one memory server (alloc.Bulk.AllocRun), runs rotating over
+// the servers, and the internal nodes striped across them. A scan batch,
+// which reads the children of one level-1 node, thus reads one server, and
+// a tree small enough for one level-1 node lives on one server. Nodes are
+// built in a recycled slab and stored a slab at a time: the leaf level by
+// bulkWorkers goroutines, each building a contiguous run of leaves in its
+// own share of the slab, and the levels above in the whole slab. Call
+// before starting client threads.
 func (t *Tree) Bulkload(kvs []layout.KV) error {
 	for i := range kvs {
 		if kvs[i].Key == 0 {
@@ -151,6 +155,10 @@ func (t *Tree) Bulkload(kvs []layout.KV) error {
 	if perLeaf > f.LeafCap {
 		perLeaf = f.LeafCap
 	}
+	perInt := int(float64(f.IntCap) * t.cfg.bulkFill())
+	if perInt < 2 {
+		perInt = 2
+	}
 
 	// Build the leaf level.
 	nLeaves := (len(kvs) + perLeaf - 1) / perLeaf
@@ -162,8 +170,8 @@ func (t *Tree) Bulkload(kvs []layout.KV) error {
 	s := newSlab(t.cl, f.NodeSize, min(bulkSlab, 2*nLeaves))
 	leafAddrs := make([]transport.Addr, nLeaves)
 	bounds := make([]uint64, nLeaves) // lower fence of each leaf
-	for i := 0; i < nLeaves; i++ {
-		leafAddrs[i] = b.Alloc(f.NodeSize)
+	for lo := 0; lo < nLeaves; lo += perInt {
+		b.AllocRun(f.NodeSize, leafAddrs[lo:min(lo+perInt, nLeaves)])
 	}
 	// Worker w of nw builds leaves [w*nLeaves/nw, (w+1)*nLeaves/nw) in slots
 	// [w*slots/nw, (w+1)*slots/nw) and stores its last wave before it ends.
@@ -206,10 +214,6 @@ func (t *Tree) Bulkload(kvs []layout.KV) error {
 	// Build internal levels bottom-up until a single root remains.
 	level := uint8(0)
 	addrs, lowers := leafAddrs, bounds
-	perInt := int(float64(f.IntCap) * t.cfg.bulkFill())
-	if perInt < 2 {
-		perInt = 2
-	}
 	var seps []layout.Sep
 	for len(addrs) > 1 {
 		level++

@@ -352,18 +352,19 @@ func TestRoundTripsPerOpPinned(t *testing.T) {
 }
 
 // TestColdScanRoundTripsPinned counts a scan that misses level 1 on both
-// fabrics: on a tree whose root sits at level 3 or higher, with a one-node
-// cache budget held by another level-1 node, a scan whose rows lie under one
-// level-1 node and whose leaves share one memory server costs exactly 2
-// round trips — the validated level-1 read, then one parallel read of every
-// leaf it steers to.
+// fabrics: on a tree whose root sits at level 3 or higher, over two memory
+// servers, with a one-node cache budget held by another level-1 node, a
+// scan whose rows lie under one level-1 node costs exactly 2 round trips —
+// the validated level-1 read, then one parallel read of every leaf it steers
+// to, which Bulkload placed on one server — and the same scan again, steered
+// by the now-cached level-1 copy, exactly 1.
 func TestColdScanRoundTripsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes and builds cmd/shermand")
 	}
 	for _, transport := range []string{TransportSim, TransportTCP} {
 		t.Run(transport, func(t *testing.T) {
-			c, err := NewCluster(ClusterConfig{MemoryServers: 1, ComputeServers: 1, Transport: transport})
+			c, err := NewCluster(ClusterConfig{MemoryServers: 2, ComputeServers: 1, Transport: transport})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,13 +386,18 @@ func TestColdScanRoundTripsPinned(t *testing.T) {
 			// budgeted slot with another level-1 node under the same
 			// level-2 node.
 			s.Get(500)
-			before := s.Stats().RoundTrips
-			rows := s.Scan(1, 20) // three leaves under the leftmost level-1 node
-			if len(rows) != 20 || rows[0].Key != 1 || rows[19].Key != 20 {
-				t.Fatalf("Scan(1, 20) = %d rows %v", len(rows), rows)
-			}
-			if rt := s.Stats().RoundTrips - before; rt != 2 {
-				t.Errorf("cold scan took %d round trips, want 2", rt)
+			for _, want := range []struct {
+				name string
+				rts  int64
+			}{{"cold", 2}, {"warm", 1}} {
+				before := s.Stats().RoundTrips
+				rows := s.Scan(1, 20) // three leaves under the leftmost level-1 node
+				if len(rows) != 20 || rows[0].Key != 1 || rows[19].Key != 20 {
+					t.Fatalf("%s Scan(1, 20) = %d rows %v", want.name, len(rows), rows)
+				}
+				if rt := s.Stats().RoundTrips - before; rt != want.rts {
+					t.Errorf("%s scan took %d round trips, want %d", want.name, rt, want.rts)
+				}
 			}
 		})
 	}

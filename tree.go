@@ -188,9 +188,10 @@ type KV = layout.KV
 // Bulkload replaces the tree's contents with the given pairs, which must be
 // sorted by strictly increasing key, none zero: a key 0 is reported as
 // ErrReservedKey wrapped with its index, and nothing is loaded. Leaves are
-// packed to the configured fill factor, striped across memory servers, and
-// built by up to GOMAXPROCS goroutines. Call before opening Sessions; it is
-// not concurrent-safe with live operations.
+// packed to the configured fill factor, each level-1 node's leaves placed on
+// one memory server with consecutive level-1 nodes rotating over the
+// servers, and built by up to GOMAXPROCS goroutines. Call before opening
+// Sessions; it is not concurrent-safe with live operations.
 func (t *Tree) Bulkload(kvs []KV) error { return t.tr.Bulkload(kvs) }
 
 // Validate walks the whole tree checking structural invariants (fence
