@@ -139,3 +139,17 @@ func BenchmarkProbeBulkload(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(heap)/float64(nodeCount(tr)), "B/op")
 }
+
+// BenchmarkProbeCreateTree creates a tree over a fresh 2-server simulated
+// cluster at the default LocksPerMS, so B/op and ns/op are tree creation's
+// own cost: the lock manager, the caches, and the root with its first chunk.
+// Building the cluster is not timed.
+func BenchmarkProbeCreateTree(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cl := cluster.New(cluster.Config{NumMS: 2, NumCS: 1})
+		b.StartTimer()
+		core.New(cl, core.ShermanConfig())
+	}
+}

@@ -365,11 +365,14 @@ func goldenStream(depth int) pipelineGolden {
 // Re-pinned once since, declared: a scan that misses level 1 now batches
 // its leaves from the level-1 node it reads, saving a round trip (21886 →
 // 21865 round trips; clock and latency follow, pipelining does not move).
+// Re-pinned a second time, declared: a scan batch reads only the leaves its
+// remaining rows need, so each ReadMulti moves fewer bytes (round trips
+// stay 21865; clock, latency and hiding move by ~0.1 %).
 func TestPipelineVirtualTimeGolden(t *testing.T) {
 	want := map[int]pipelineGolden{
-		1: {clock: 46456581, pipelined: 0, meanDepth: 0, hiding: 0, roundTrips: 21865, meanLatNS: 4382.671698113208},
-		4: {clock: 19170643, pipelined: 10580, meanDepth: 3.3149338374291117, hiding: 2.453428917788683, roundTrips: 21865, meanLatNS: 5420.261226415094},
-		8: {clock: 15720840, pipelined: 10580, meanDepth: 5.112948960302457, hiding: 3.0062563305586445, roundTrips: 21865, meanLatNS: 6531.506320754717},
+		1: {clock: 46401717, pipelined: 0, meanDepth: 0, hiding: 0, roundTrips: 21865, meanLatNS: 4377.495849056604},
+		4: {clock: 19120131, pipelined: 10580, meanDepth: 3.3149338374291117, hiding: 2.457089178317098, roundTrips: 21865, meanLatNS: 5405.780754716981},
+		8: {clock: 15668244, pipelined: 10580, meanDepth: 5.112948960302457, hiding: 3.0129175116721476, roundTrips: 21865, meanLatNS: 6510.686415094339},
 	}
 	for _, depth := range []int{1, 4, 8} {
 		if got := goldenStream(depth); got != want[depth] {

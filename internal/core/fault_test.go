@@ -33,7 +33,7 @@ func faultConfigs() []core.Config {
 			Format:     testutil.SmallFormat(g.mode),
 			Combine:    g.combine,
 			Locks:      g.locks,
-			LocksPerMS: 1024, // keep per-cluster lock state small: many clusters below
+			LocksPerMS: 1024, // small rows: each cluster below allocates, and each crash sweeps, a row per server locked on
 		})
 	}
 	return out

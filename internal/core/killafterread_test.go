@@ -60,9 +60,9 @@ func TestKillAfterValidatingRead(t *testing.T) {
 		// server, rotating from MS 0, so the swept keys live on MS 0, 1, 2
 		// and 0 in turn and most leaves have a server the sweep may kill.
 		cfg.BulkFill = 0.5
-		// Small lock tables: over TCP the depth-4 executor's runner
-		// goroutines outlive their subtest (an Async has no shutdown) and
-		// keep its tree, lock tables included, reachable.
+		// Small lock-table rows: every deployment below allocates one per
+		// server it locks on, and with default-size rows (a 3.7 MB slot row
+		// per simulated server) the sweep runs measurably longer.
 		cfg.LocksPerMS = 1024
 		for _, d := range drivers {
 			t.Run(cfg.Name()+"/"+d.name, func(t *testing.T) {

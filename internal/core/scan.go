@@ -11,6 +11,16 @@ import (
 // maxParallelReads caps one ReadMulti batch of a range query.
 const maxParallelReads = 16
 
+// scanBatch is how many leaves a range query's next batch reads when it
+// still wants need rows: the cursor's leaf plus enough half-full leaves to
+// hold need rows, at most maxParallelReads. A split leaves both halves at
+// least half full, so the batch covers need unless deletes thinned the
+// leaves, and then the scan simply takes another batch.
+func scanBatch(need, leafCap int) int {
+	perLeaf := max(1, leafCap/2)
+	return min(maxParallelReads, 1+(need+perLeaf-1)/perLeaf)
+}
+
 // maxScanRestarts bounds full-scan restarts so a steering bug can never
 // livelock a client silently; the bound is far above anything concurrent
 // splits can cause.
@@ -65,8 +75,8 @@ func (h *Handle) rangeInner(from uint64, span int) []layout.KV {
 			addrs = append(addrs, leaf)
 		} else {
 			addrs = steer.AppendChildrenFrom(addrs, cursor)
-			if len(addrs) > maxParallelReads {
-				addrs = addrs[:maxParallelReads]
+			if n := scanBatch(span-len(out), h.t.cfg.Format.LeafCap); len(addrs) > n {
+				addrs = addrs[:n]
 			}
 		}
 		h.scanAddrs = addrs[:0]

@@ -159,8 +159,8 @@ type Manager struct {
 	gltHostBase []uint64
 
 	// llts[cs] is the CS's local lock table; nil when !mode.Local. Restart
-	// replaces a dead CS's table wholesale (resetCS), so acquisitions and
-	// the death sweep load it atomically.
+	// replaces a dead CS's table with an empty one (resetCS), so
+	// acquisitions and the death sweep load it atomically.
 	llts []atomic.Pointer[localTable]
 
 	// waiterPool recycles gwaiters: each waiter receives exactly one grant
@@ -171,18 +171,21 @@ type Manager struct {
 	waiterPool sync.Pool
 	localPool  sync.Pool
 
-	// slots[ms*locksPerMS+idx] serializes each global lock in virtual time.
-	// Worker goroutines execute at unrelated real-time rates, so a raw
-	// real-time CAS race would let a thread whose virtual clock is far in
-	// the future snatch a lock from virtually-earlier waiters, dragging the
-	// lock's timeline forward and billing laggards phantom retry storms.
+	// slots.at(ms, idx) is the simulation state of GLT slot idx on server
+	// ms; nil for a remote manager. A server's row of slots is allocated on
+	// the first lock there (rows), so servers nobody locks on cost nothing.
+	// Each slot serializes its global lock in virtual time. Worker
+	// goroutines execute at unrelated real-time rates, so a raw real-time
+	// CAS race would let a thread whose virtual clock is far in the future
+	// snatch a lock from virtually-earlier waiters, dragging the lock's
+	// timeline forward and billing laggards phantom retry storms.
 	// Instead each slot tracks its holder and grants releases to the
 	// virtually-earliest waiter, while the waiters pay — against the NIC
 	// pipelines and atomic buckets — for every spin retry real hardware
 	// would have issued during their wait (§3.2.2). Real mutual exclusion
 	// and faithful virtual-time ordering both hold, independent of
 	// goroutine scheduling.
-	slots []gslot
+	slots *rows[gslot]
 
 	// Stats is safe to read after threads quiesce.
 	Stats Stats
@@ -299,21 +302,23 @@ func NewManager(f *rdma.Fabric, cfg Config) *Manager {
 		maxHO = DefaultMaxHandover
 	}
 	m := &Manager{mode: cfg.Mode, locksPerMS: n, maxHandover: maxHO, f: f, virtual: true}
-	// Tables are sized for the fabric's memory-server *capacity*, not its
-	// current count, so AddServer can attach servers while clients hold and
-	// contend locks — the slot array and local tables never move.
+	// The tables' directories are sized for the fabric's memory-server
+	// *capacity*, not its current count, so AddServer can attach servers
+	// while clients hold and contend locks. Each server's row of the slot
+	// table and of every local table is allocated on its first lock and
+	// never moves.
 	maxMS := f.MaxServers()
 	m.gltHostBase = make([]uint64, maxMS)
 	for _, s := range f.Servers() {
 		m.wireServer(s)
 	}
 	if cfg.Mode.Local {
-		m.llts = newLocalTables(len(f.CSs), maxMS*n)
+		m.llts = newLocalTables(len(f.CSs), maxMS, n)
 	}
-	m.slots = make([]gslot, maxMS*n)
+	m.slots = newRows[gslot](maxMS, n)
 	// New servers are wired (on-chip capacity check, host GLT chunk) before
 	// the fabric publishes them, so no client can lock an address on a
-	// server whose table slice is not ready.
+	// server whose GLT is not ready.
 	f.OnAddServer(m.wireServer)
 	// Failure wiring: a compute-server crash orphans every global lock it
 	// holds (marked for lease-expiry reclamation) and strands its queued
@@ -356,7 +361,7 @@ func NewRemoteManager(cfg Config, numMS, numCS, onChipSize int, growHost func(ms
 		}
 	}
 	if cfg.Mode.Local {
-		m.llts = newLocalTables(numCS, numMS*n)
+		m.llts = newLocalTables(numCS, numMS, n)
 	}
 	return m
 }
@@ -407,7 +412,6 @@ type Guard struct {
 	m         *Manager
 	ms        uint16
 	idx       int
-	slot      int
 	gaddr     rdma.Addr
 	ll        *localLock
 	handedOff bool // acquired via handover: global lock still held by this CS
@@ -431,7 +435,7 @@ func (g Guard) Reclaimed() bool { return g.reclaimed }
 // batch executors use this to keep one guard across sibling leaves whose
 // locks collide instead of paying release + re-acquire at the boundary.
 func (m *Manager) SameSlot(g Guard, a rdma.Addr) bool {
-	return g.m == m && int(a.MS())*m.locksPerMS+m.index(a) == g.slot
+	return g.m == m && a.MS() == g.ms && m.index(a) == g.idx
 }
 
 // Lock acquires the exclusive lock protecting the object at addr, per the
@@ -471,10 +475,9 @@ func (m *Manager) LockIdx(c transport.Transport, ms uint16, idx int) Guard {
 // lock is the one acquisition path; a non-nil buf asks for the object at
 // addr to be read by the acquiring CAS's doorbell (see LockRead).
 func (m *Manager) lock(c transport.Transport, ms uint16, idx int, addr rdma.Addr, buf []byte) (g Guard, read bool) {
-	slot := int(ms)*m.locksPerMS + idx
-	g = Guard{m: m, ms: ms, idx: idx, slot: slot, gaddr: m.gltAddr(ms, idx)}
+	g = Guard{m: m, ms: ms, idx: idx, gaddr: m.gltAddr(ms, idx)}
 	if m.mode.Local {
-		ll := m.llts[c.CSID()].Load().lock(slot)
+		ll := m.llts[c.CSID()].Load().at(ms, idx)
 		g.ll = ll
 		g.handedOff = ll.acquire(c, m)
 		if g.handedOff {
@@ -484,7 +487,7 @@ func (m *Manager) lock(c transport.Transport, ms uint16, idx int, addr rdma.Addr
 		}
 	}
 	if m.virtual {
-		g.reclaimed = m.acquireGlobal(c, g.gaddr, slot)
+		g.reclaimed = m.acquireGlobal(c, g.gaddr, m.slots.at(ms, idx))
 	} else {
 		g.reclaimed, read = m.acquireGlobalRemote(c, g.gaddr, addr, buf)
 	}
@@ -500,9 +503,8 @@ func (m *Manager) lock(c transport.Transport, ms uint16, idx int, addr rdma.Addr
 // holder crashed, the caller instead becomes the slot's reclaimer and steals
 // the lock after the dead holder's lease expires; the return value reports
 // that case.
-func (m *Manager) acquireGlobal(c transport.Transport, gaddr rdma.Addr, slot int) (reclaimed bool) {
+func (m *Manager) acquireGlobal(c transport.Transport, gaddr rdma.Addr, s *gslot) (reclaimed bool) {
 	vt := c.(transport.VirtualTimer)
-	s := &m.slots[slot]
 	svc := vt.AtomicSvcNS(gaddr)
 	var spinners int
 	var rel int64
@@ -553,7 +555,7 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr rdma.Addr, slot int
 			if now := c.Now(); now > deathV {
 				deathV = now
 			}
-			m.orphanSlot(slot, int(c.CSID()), deathV)
+			m.orphanSlot(s, int(c.CSID()), deathV)
 			panic(transport.Crash{CS: int(c.CSID())})
 		}
 		if g.reclaim {
@@ -712,8 +714,7 @@ func (m *Manager) reclaim(c transport.Transport, gaddr rdma.Addr, deadV int64) {
 // noteDeath, also invoked by a granted waiter that discovers its own death
 // before issuing any verb (the death sweep could not see it: it had already
 // left the queue).
-func (m *Manager) orphanSlot(slot int, cs int, deathV int64) {
-	s := &m.slots[slot]
+func (m *Manager) orphanSlot(s *gslot, cs int, deathV int64) {
 	s.mu.Lock()
 	m.markOrphanLocked(s, cs, deathV)
 	w, g := s.promoteLocked()
@@ -777,9 +778,14 @@ func (s *gslot) promoteLocked() (*gwaiter, grant) {
 // reclamation, aborts the dead CS's queued waiters (global and local), and
 // promotes the earliest surviving waiter of each orphaned slot to reclaimer.
 // It runs synchronously on the crashing thread before its panic unwinds.
+//
+// It sweeps only the rows already installed. A row installed after the
+// sweep passed its server holds no state of the dead CS: the injector marks
+// the CS dead before the sweep runs, and a thread checks Alive under the
+// slot's mutex before it queues or takes the slot (acquireGlobal), so a
+// thread of the dead CS that installs a row later aborts there.
 func (m *Manager) noteDeath(cs int, deathV int64) {
-	for i := range m.slots {
-		s := &m.slots[i]
+	m.slots.each(func(s *gslot) {
 		s.mu.Lock()
 		// Abort waiters of the dead CS.
 		var doomed []*gwaiter
@@ -804,20 +810,20 @@ func (m *Manager) noteDeath(cs int, deathV int64) {
 		if reclaimer != nil {
 			reclaimer.ch <- g
 		}
-	}
+	})
 	if m.mode.Local {
-		m.llts[cs].Load().killAll()
+		killAll(m.llts[cs].Load())
 	}
 }
 
-// resetCS re-initializes a restarted CS's local lock table; the dead
+// resetCS gives a restarted CS an empty local lock table; the dead
 // incarnation's global locks stay orphaned until survivors (including the
 // new incarnation) reclaim them lazily.
 func (m *Manager) resetCS(cs int) {
 	if !m.mode.Local {
 		return
 	}
-	m.llts[cs].Store(newLocalTable(m.f.MaxServers() * m.locksPerMS))
+	m.llts[cs].Store(newRows[localLock](m.f.MaxServers(), m.locksPerMS))
 }
 
 // releaseSlot records the virtual release time and hands the slot to the
@@ -827,8 +833,7 @@ func (m *Manager) resetCS(cs int) {
 // was declared dead while its final (already-checked) release verb was in
 // flight may find the slot orphaned or already handed to a reclaimer — it
 // must then keep its hands off; the reclamation path owns the slot.
-func (m *Manager) releaseSlot(slot int, now int64, cs int) {
-	s := &m.slots[slot]
+func (m *Manager) releaseSlot(s *gslot, now int64, cs int) {
 	s.mu.Lock()
 	if !s.held || s.holderCS != cs {
 		// Ownership moved to a reclaimer during the crash race; the
@@ -930,6 +935,6 @@ func (m *Manager) flush(c transport.Transport, g Guard, pending []rdma.WriteOp, 
 	if releaseGlobal && m.virtual {
 		// Remote managers have no slot state: the release WRITE above
 		// cleared the physical word, and that is the whole release.
-		m.releaseSlot(g.slot, c.Now(), int(c.CSID()))
+		m.releaseSlot(m.slots.at(g.ms, g.idx), c.Now(), int(c.CSID()))
 	}
 }

@@ -9,18 +9,11 @@ import (
 )
 
 // localTable is one compute server's local lock table (LLT): one local lock
-// per GLT slot of every memory server (§4.3). It coordinates conflicting
-// acquisitions *within* a CS so that at most one thread per CS ever spins on
-// the remote lock.
-type localTable struct {
-	locks []localLock
-}
-
-func newLocalTable(n int) *localTable {
-	return &localTable{locks: make([]localLock, n)}
-}
-
-func (t *localTable) lock(i int) *localLock { return &t.locks[i] }
+// per GLT slot of every memory server (§4.3), a server's row allocated on
+// the CS's first lock there. It coordinates conflicting acquisitions
+// *within* a CS so that at most one thread per CS ever spins on the remote
+// lock.
+type localTable = rows[localLock]
 
 // localLock is one LLT entry. The mutex only guards the entry's own state;
 // waiting happens on per-waiter channels so the FIFO order is explicit and
@@ -164,23 +157,25 @@ func (l *localLock) releaseLocked(c transport.Transport, now int64) {
 	l.mu.Unlock()
 }
 
-// newLocalTables builds one table of n locks for each of numCS compute
-// servers.
-func newLocalTables(numCS, n int) []atomic.Pointer[localTable] {
+// newLocalTables builds an empty table for each of numCS compute servers,
+// with room for a row of n locks on each of servers memory servers.
+func newLocalTables(numCS, servers, n int) []atomic.Pointer[localTable] {
 	t := make([]atomic.Pointer[localTable], numCS)
 	for i := range t {
-		t[i].Store(newLocalTable(n))
+		t[i].Store(newRows[localLock](servers, n))
 	}
 	return t
 }
 
-// killAll aborts every queued waiter of the table's compute server after it
-// died, so their goroutines unwind instead of blocking forever. The table is
-// replaced wholesale on restart (Manager.resetCS). Only the simulator's death
-// sweep calls it, and simulated waiters hold no runnable count.
-func (t *localTable) killAll() {
-	for i := range t.locks {
-		l := &t.locks[i]
+// killAll aborts every queued waiter of a compute server's local table after
+// the CS died, so their goroutines unwind instead of blocking forever. Only
+// rows already installed can hold waiters: a thread that installs a row
+// later checks Alive under the entry's mutex before it queues (acquire), and
+// the injector marks the CS dead before this sweep runs. The table is
+// replaced by an empty one on restart (Manager.resetCS). Only the simulator's
+// death sweep calls it, and simulated waiters hold no runnable count.
+func killAll(t *localTable) {
+	t.each(func(l *localLock) {
 		l.mu.Lock()
 		q := l.queue
 		l.queue = nil
@@ -188,5 +183,5 @@ func (t *localTable) killAll() {
 		for _, w := range q {
 			w.ch <- wake{killed: true}
 		}
-	}
+	})
 }
