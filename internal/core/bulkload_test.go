@@ -282,21 +282,19 @@ func TestBulkloadFramesTCP(t *testing.T) {
 
 // bulkSetup builds a two-server simulated cluster holding an empty tree of
 // the default configuration (1 KiB nodes) and keys 1..n to load into it.
-func bulkSetup(n int) (*cluster.Cluster, *core.Tree, []layout.KV) {
+func bulkSetup(n int) (*core.Tree, []layout.KV) {
 	cl := cluster.New(cluster.Config{NumMS: 2, NumCS: 1})
-	return cl, core.New(cl, core.ShermanConfig()), bulkKVs(n)
+	return core.New(cl, core.ShermanConfig()), bulkKVs(n)
 }
 
-// bulkHeap runs load and returns the heap bytes it allocated beyond the
-// memory servers' own chunk growth.
-func bulkHeap(cl *cluster.Cluster, load func()) uint64 {
-	chunks := cl.AllocStats.Chunks.Load()
+// bulkHeap runs load and returns the heap bytes it allocated. The memory
+// servers' chunks are mapped outside the heap, so their growth is not in it.
+func bulkHeap(load func()) uint64 {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	load()
 	runtime.ReadMemStats(&m1)
-	grown := uint64(cl.AllocStats.Chunks.Load()-chunks) * rdma.DefaultChunkSize
-	return m1.TotalAlloc - m0.TotalAlloc - grown
+	return m1.TotalAlloc - m0.TotalAlloc
 }
 
 func nodeCount(tr *core.Tree) int {
@@ -308,14 +306,14 @@ func nodeCount(tr *core.Tree) int {
 // slab plus a few words per node (address and fence lists), not a node
 // buffer per node.
 func TestBulkloadAllocs(t *testing.T) {
-	cl, tr, kvs := bulkSetup(200000)
-	got := bulkHeap(cl, func() { tr.Bulkload(kvs) })
+	tr, kvs := bulkSetup(200000)
+	got := bulkHeap(func() { tr.Bulkload(kvs) })
 	nodes := nodeCount(tr)
 	slab := uint64(core.BulkSlab * core.ShermanConfig().Format.NodeSize)
 	if limit := slab + 64*uint64(nodes); got > limit {
 		t.Fatalf("Bulkload of %d nodes allocated %d B, want at most %d (slab %d + 64 B/node)", nodes, got, limit, slab)
 	}
-	t.Logf("Bulkload of %d nodes: %d B allocated beyond chunk growth", nodes, got)
+	t.Logf("Bulkload of %d nodes: %d B allocated", nodes, got)
 }
 
 // bulkMidShare adds a 1000-leaf tree per configuration to bulkGolden, the

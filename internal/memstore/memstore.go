@@ -11,13 +11,22 @@
 // and shermand's tcp.Server. A verb that breaks a bounds or alignment rule touches nothing
 // and returns the rule's error; the simulator panics with it, shermand
 // answers it on the wire.
+//
+// Host memory lives outside the Go heap, as a memory server's registered
+// region lives outside any compute server's allocator: each chunk is an
+// anonymous mapping, zero-filled by the kernel on first touch, so an
+// untouched page costs no memory and a simulated server's bytes add nothing
+// to the client's garbage-collection headroom. A store unmaps its chunks
+// once it is unreachable.
 package memstore
 
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"sherman/internal/transport"
 )
@@ -39,6 +48,10 @@ type Store struct {
 	dir    atomic.Pointer[directory]
 	onChip []byte
 
+	// maps is every chunk mapped so far, appended under growMu. It is the
+	// argument of the cleanup that unmaps them, so it must not reach s.
+	maps *[][]byte
+
 	hostLocks [hostStripes]sync.Mutex
 	chipLocks [chipStripes]sync.Mutex
 
@@ -56,11 +69,26 @@ type directory struct {
 	ops    []*atomic.Int64
 }
 
+// mapped counts the chunks mapped and not yet unmapped, process-wide.
+var mapped atomic.Int64
+
 // New returns an empty store with onChipBytes of on-chip memory.
 func New(onChipBytes int) *Store {
-	s := &Store{onChip: make([]byte, onChipBytes)}
+	s := &Store{onChip: make([]byte, onChipBytes), maps: new([][]byte)}
 	s.dir.Store(&directory{})
+	runtime.AddCleanup(s, unmapAll, s.maps)
 	return s
+}
+
+// unmapAll releases a collected store's chunks. No verb can be running on
+// an unreachable store, so nothing can touch them any more.
+func unmapAll(maps *[][]byte) {
+	for _, c := range *maps {
+		if err := syscall.Munmap(c); err != nil {
+			panic(fmt.Sprintf("memstore: unmap chunk: %v", err))
+		}
+		mapped.Add(-1)
+	}
 }
 
 // Grow appends one chunk of host memory and returns its base offset.
@@ -69,9 +97,15 @@ func New(onChipBytes int) *Store {
 func (s *Store) Grow() uint64 {
 	s.growMu.Lock()
 	defer s.growMu.Unlock()
+	c, err := syscall.Mmap(-1, 0, chunkSize, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		panic(fmt.Sprintf("memstore: map %d-byte chunk: %v", chunkSize, err))
+	}
+	mapped.Add(1)
+	*s.maps = append(*s.maps, c)
 	old := s.dir.Load()
 	s.dir.Store(&directory{
-		chunks: append(append([][]byte(nil), old.chunks...), make([]byte, chunkSize)),
+		chunks: append(append([][]byte(nil), old.chunks...), c),
 		ops:    append(append([]*atomic.Int64(nil), old.ops...), new(atomic.Int64)),
 	})
 	return uint64(len(old.chunks)) * chunkSize
@@ -144,7 +178,12 @@ func (s *Store) check(a transport.Addr, n int, k kind) error {
 	return nil
 }
 
-// mem returns the bytes of [a, a+n), which check has accepted.
+// mem returns the bytes of [a, a+n), which check has accepted. A host
+// slice points into a mapped chunk, which the garbage collector does not
+// see: it does not keep s alive, and the chunk is unmapped once s is
+// collected. So no slice into chunk memory outlives the verb call that took
+// it. Every verb keeps s alive until its copy is done by holding the line's
+// stripe lock, an interior pointer into s, until then.
 func (s *Store) mem(a transport.Addr, n int) []byte {
 	off := a.Off()
 	if a.OnChip() {

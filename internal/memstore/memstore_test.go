@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"sherman/internal/transport"
 )
@@ -115,5 +117,66 @@ func TestGrowCounts(t *testing.T) {
 	s.NoteRPC()
 	if ops := s.ChunkOps(); s.InboundOps() != 5 || len(ops) != 2 || ops[0] != 0 || ops[1] != 3 {
 		t.Fatalf("inbound %d, chunks %v; want 5 and [0 3]", s.InboundOps(), ops)
+	}
+}
+
+// dropStores grows n stores of chunks chunks each, writes fill over every
+// chunk's first page and last line, checks that all of them are mapped at
+// once, and drops the stores.
+func dropStores(t *testing.T, n, chunks int, fill byte) {
+	t.Helper()
+	page := bytes.Repeat([]byte{fill}, 4096)
+	stores := make([]*Store, n)
+	for i := range stores {
+		stores[i] = New(64)
+		for range chunks {
+			at := stores[i].Grow()
+			stores[i].Write(transport.MakeAddr(0, at), page)
+			stores[i].Write(transport.MakeAddr(0, at+chunkSize-lineSize), page[:lineSize])
+		}
+	}
+	if got := MappedChunks(); got < int64(n*chunks) {
+		t.Fatalf("%d chunks mapped while %d live stores hold %d", got, n, n*chunks)
+	}
+	runtime.KeepAlive(stores)
+}
+
+// awaitMapped collects garbage until at most want chunks are mapped, or
+// fails after a bounded wait: cleanups run on their own goroutine after
+// the cycle that finds their store unreachable.
+func awaitMapped(t *testing.T, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for MappedChunks() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d chunks still mapped, want at most %d: dropped stores were not unmapped", MappedChunks(), want)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDroppedStoresUnmapChunks: a store's chunks are unmapped once the
+// store is unreachable, so dropping stores returns the mapped-chunk count
+// to where it was.
+func TestDroppedStoresUnmapChunks(t *testing.T) {
+	base := MappedChunks()
+	dropStores(t, 200, 2, 0xee)
+	awaitMapped(t, base)
+}
+
+// TestChunkGrownAfterCollectionIsZero: a chunk grown after other stores'
+// written chunks were unmapped reads all-zero, over its whole length.
+func TestChunkGrownAfterCollectionIsZero(t *testing.T) {
+	base := MappedChunks()
+	dropStores(t, 8, 1, 0xff)
+	awaitMapped(t, base)
+	s := grown(1)
+	buf := make([]byte, 1<<20)
+	for off := uint64(0); off < chunkSize; off += uint64(len(buf)) {
+		s.Read(transport.MakeAddr(0, off), buf)
+		if i := slices.IndexFunc(buf, func(b byte) bool { return b != 0 }); i >= 0 {
+			t.Fatalf("fresh chunk holds %#x at %#x", buf[i], off+uint64(i))
+		}
 	}
 }
