@@ -3,12 +3,15 @@ package sherman
 import (
 	"runtime"
 	"testing"
+
+	"sherman/internal/core"
 )
 
 // The public Session path's heap traffic per operation, on the simulator.
-// Submit+Wait costs exactly one allocation — the *Future, deliberately not
-// pooled (DESIGN §11) — and the synchronous GetE/PutE cost none. The
-// internal/core probes stop at the executor; these cover the layer above.
+// Submit+Wait, GetE and PutE cost no allocation: the Submit after a Wait
+// reuses the spent *Future (DESIGN §11). The internal/core probes stop at
+// the executor; these cover the layer above, and the tree walks behind
+// Tree.Stats and Tree.Validate, which read into per-depth scratch.
 
 const probeKeys = 4096
 
@@ -70,7 +73,7 @@ func TestSessionAllocs(t *testing.T) {
 			want float64
 			op   func(i int)
 		}{
-			{"Submit+Wait", 1, func(i int) { s.Submit(GetOp(key(i))).Wait() }},
+			{"Submit+Wait", 0, func(i int) { s.Submit(GetOp(key(i))).Wait() }},
 			{"GetE", 0, func(i int) { s.GetE(key(i)) }},
 			{"PutE", 0, func(i int) { s.PutE(key(i), uint64(i)) }},
 		} {
@@ -108,5 +111,84 @@ func BenchmarkProbeSessionPutE(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.PutE(uint64(i%probeKeys+1), uint64(i))
+	}
+}
+
+// walkTree bulkloads n keys into a default-options tree on a simulated
+// 2-server cluster.
+func walkTree(tb testing.TB, n int) *Tree {
+	tb.Helper()
+	c, err := NewCluster(ClusterConfig{MemoryServers: 2, ComputeServers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tree, err := c.CreateTree(DefaultTreeOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	kvs := make([]KV, n)
+	for i := range kvs {
+		kvs[i] = KV{Key: uint64(i + 1), Value: uint64(i)}
+	}
+	if err := tree.Bulkload(kvs); err != nil {
+		tb.Fatal(err)
+	}
+	return tree
+}
+
+// heapBytes returns the heap bytes fn allocates, on one P.
+func heapBytes(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestTreeWalkAllocs pins the walk's scratch: Stats and Validate read each
+// level's children into one buffer per recursion depth, so on a 200k-key
+// tree they allocate at most height × (IntCap+1) nodes plus a small
+// constant, however many leaves the tree has. With a buffer per internal
+// node Stats allocated about the tree's size, and Validate, which also
+// copied each leaf's entries, three times that.
+func TestTreeWalkAllocs(t *testing.T) {
+	tree := walkTree(t, 200_000)
+	st := tree.Stats()
+	f := tree.tr.Config().Format
+	limit := uint64(st.Height*(f.IntCap+1)*f.NodeSize) + 16<<10
+	for _, tc := range []struct {
+		name string
+		walk func()
+	}{
+		{"Stats", func() { tree.Stats() }},
+		{"Validate", func() {
+			if err := tree.Validate(); err != nil {
+				t.Error(err)
+			}
+		}},
+	} {
+		got := heapBytes(tc.walk)
+		t.Logf("%s: %d B over %d leaves, height %d (limit %d B)", tc.name, got, st.LeafNodes, st.Height, limit)
+		if got > limit {
+			t.Errorf("%s of a %d-leaf tree of height %d allocated %d B, want at most %d",
+				tc.name, st.LeafNodes, st.Height, got, limit)
+		}
+	}
+}
+
+// BenchmarkProbeTreeWalk runs one Stats and one Validate over a tree of
+// b.N leaves, so ns/op and B/op are per leaf. It is not held at 0 allocs:
+// a walk allocates its per-depth scratch once, so B/op falls toward 0 as
+// the tree grows; a buffer per node or per leaf's entries shows as a
+// floor.
+func BenchmarkProbeTreeWalk(b *testing.B) {
+	perLeaf := int(float64(core.ShermanConfig().Format.LeafCap) * 0.8) // the bulkload fill
+	tree := walkTree(b, b.N*perLeaf)
+	b.ReportAllocs()
+	b.ResetTimer()
+	tree.Stats()
+	if err := tree.Validate(); err != nil {
+		b.Fatal(err)
 	}
 }

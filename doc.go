@@ -55,6 +55,10 @@
 //	results := s.Exec([]sherman.Op{sherman.PutOp(1, 10), sherman.GetOp(2)})
 //	s.Flush()
 //
+// A Future stays readable until the session's next Submit after its first
+// Wait, and that Submit may reuse it, so a steady Submit/Wait loop
+// allocates nothing. A future that was never waited is never reused.
+//
 // Sessions are deliberately single-goroutine (they model one client thread of
 // the paper); open as many as you like across compute servers.
 //

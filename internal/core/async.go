@@ -157,6 +157,11 @@ func (h *Handle) NewAsync(depth int) *Async {
 // Depth returns the pipeline depth (the bound on outstanding operations).
 func (a *Async) Depth() int { return a.depth }
 
+// HasRunners reports whether operations run on runner goroutines, which
+// happens on a real transport at depth > 1. It is the one case where Close
+// has anything to do.
+func (a *Async) HasRunners() bool { return a.tasks != nil }
+
 // Pending is one submitted operation.
 type Pending struct {
 	a    *Async

@@ -35,15 +35,16 @@ func (t *Tree) Stats() TreeStats {
 	st := TreeStats{MinLeafFill: 1}
 	_, root := t.rawRoot()
 	st.Height = int(root.Level()) + 1
-	t.statsNode(root, &st)
+	w := walk{t: t}
+	w.stats(root, 0, &st)
 	if st.LeafNodes > 0 {
 		st.LeafFill /= float64(st.LeafNodes)
 	}
 	return st
 }
 
-func (t *Tree) statsNode(n layout.Node, st *TreeStats) {
-	f := &t.cfg.Format
+func (w *walk) stats(n layout.Node, depth int, st *TreeStats) {
+	f := &w.t.cfg.Format
 	st.BytesUsed += int64(f.NodeSize)
 	if n.IsLeaf() {
 		st.LeafNodes++
@@ -60,8 +61,8 @@ func (t *Tree) statsNode(n layout.Node, st *TreeStats) {
 	if n.Level() == 1 {
 		st.Level1Bytes += int64(layout.AsInternal(n).CompactLen())
 	}
-	for _, c := range t.children(n) {
-		t.statsNode(f.View(c.Buf), st)
+	for _, c := range w.children(depth, n) {
+		w.stats(f.View(c.Buf), depth+1, st)
 	}
 }
 
@@ -95,7 +96,8 @@ func (t *Tree) Compact() CompactResult {
 	var kvs []layout.KV
 	rootAddr, root := t.rawRoot()
 	old := []transport.Addr{rootAddr}
-	t.collect(root, &kvs, &old)
+	w := walk{t: t}
+	w.collect(root, 0, &kvs, &old)
 
 	t.freeNodes(old)
 	// A walk yields sorted live keys; an empty kvs leaves a single empty leaf.
@@ -115,14 +117,14 @@ func (t *Tree) Compact() CompactResult {
 
 // collect appends the subtree's live entries in key order and records its
 // nodes' addresses below n.
-func (t *Tree) collect(n layout.Node, kvs *[]layout.KV, nodes *[]transport.Addr) {
+func (w *walk) collect(n layout.Node, depth int, kvs *[]layout.KV, nodes *[]transport.Addr) {
 	if n.IsLeaf() {
-		*kvs = append(*kvs, layout.AsLeaf(n).Entries()...)
+		*kvs = layout.AsLeaf(n).AppendEntries(*kvs)
 		return
 	}
-	for _, c := range t.children(n) {
+	for _, c := range w.children(depth, n) {
 		*nodes = append(*nodes, c.Addr)
-		t.collect(t.cfg.Format.View(c.Buf), kvs, nodes)
+		w.collect(w.t.cfg.Format.View(c.Buf), depth+1, kvs, nodes)
 	}
 }
 

@@ -267,7 +267,8 @@ func (t *Tree) Bulkload(kvs []layout.KV) error {
 // safe with writers.
 func (t *Tree) Validate() error {
 	root, n := t.rawRoot()
-	return t.validateNode(root, n, n.Level(), 0, layout.NoUpperBound)
+	w := walk{t: t}
+	return w.validate(root, n, 0, n.Level(), 0, layout.NoUpperBound)
 }
 
 // rawRoot reads the root node. The superblock's level field is only a hint
@@ -280,13 +281,36 @@ func (t *Tree) rawRoot() (transport.Addr, layout.Node) {
 	return root, t.cfg.Format.View(nb)
 }
 
+// walk is the read scratch of one whole-tree walk (Validate, Stats,
+// Compact's collect): one ReadOp slice and one buffer per recursion depth,
+// each grown to the widest node met at that depth, so a walk allocates
+// about height nodes' worth of children however many nodes it visits. The
+// scratch is indexed by recursion depth, not by the node's level byte, so
+// a corrupt level cannot alias a parent's buffer while its loop still
+// reads it.
+type walk struct {
+	t    *Tree
+	ops  [][]transport.ReadOp
+	bufs [][]byte
+}
+
 // children reads every child of internal node n, leftmost first, with one
-// RawRead — so a whole-tree walk costs one batch per internal node.
-func (t *Tree) children(n layout.Node) []transport.ReadOp {
+// RawRead into depth's scratch — so a whole-tree walk costs one batch per
+// internal node. The result is valid until the walk next reads children at
+// the same depth.
+func (w *walk) children(depth int, n layout.Node) []transport.ReadOp {
+	if depth == len(w.ops) {
+		w.ops = append(w.ops, nil)
+		w.bufs = append(w.bufs, nil)
+	}
 	in := layout.AsInternal(n)
-	size := t.cfg.Format.NodeSize
-	ops := make([]transport.ReadOp, in.Count()+1)
-	buf := make([]byte, len(ops)*size)
+	size := w.t.cfg.Format.NodeSize
+	k := in.Count() + 1
+	if cap(w.ops[depth]) < k {
+		w.ops[depth] = make([]transport.ReadOp, k)
+		w.bufs[depth] = make([]byte, k*size)
+	}
+	ops, buf := w.ops[depth][:k], w.bufs[depth]
 	for i := range ops {
 		ops[i].Addr = in.Leftmost()
 		if i > 0 {
@@ -294,11 +318,11 @@ func (t *Tree) children(n layout.Node) []transport.ReadOp {
 		}
 		ops[i].Buf = buf[i*size : (i+1)*size]
 	}
-	t.cl.RawRead(ops...)
+	w.t.cl.RawRead(ops...)
 	return ops
 }
 
-func (t *Tree) validateNode(a transport.Addr, n layout.Node, level uint8, lower, upper uint64) error {
+func (w *walk) validate(a transport.Addr, n layout.Node, depth int, level uint8, lower, upper uint64) error {
 	if !n.Alive() {
 		return fmt.Errorf("node %v is freed but reachable", a)
 	}
@@ -309,35 +333,61 @@ func (t *Tree) validateNode(a transport.Addr, n layout.Node, level uint8, lower,
 		return fmt.Errorf("node %v fences [%d,%d), want [%d,%d)", a, n.LowerFence(), n.UpperFence(), lower, upper)
 	}
 	if level == 0 {
-		leaf := layout.AsLeaf(n)
-		for _, kv := range leaf.Entries() {
-			if !(kv.Key >= lower && (upper == layout.NoUpperBound || kv.Key < upper)) {
-				return fmt.Errorf("leaf %v key %d outside [%d,%d)", a, kv.Key, lower, upper)
-			}
+		sorted := w.t.cfg.Format.Mode == layout.Checksum
+		if k, ok := keyOutside(layout.AsLeaf(n), sorted, lower, upper); ok {
+			return fmt.Errorf("leaf %v key %d outside [%d,%d)", a, k, lower, upper)
 		}
 		return nil
 	}
-	seps := layout.AsInternal(n).Separators()
+	in := layout.AsInternal(n)
+	cnt := in.Count()
 	prev := lower
-	for i, s := range seps {
-		if s.Key <= prev {
+	for i := 0; i < cnt; i++ {
+		k := in.KeyAt(i)
+		if k <= prev {
 			return fmt.Errorf("internal %v separators unsorted at %d", a, i)
 		}
-		prev = s.Key
+		prev = k
 	}
 	// Child i covers [separator i-1, separator i): the leftmost child from
 	// the node's lower fence, the last one up to its upper fence.
-	for i, c := range t.children(n) {
+	for i, c := range w.children(depth, n) {
 		lo, hi := lower, upper
 		if i > 0 {
-			lo = seps[i-1].Key
+			lo = in.KeyAt(i - 1)
 		}
-		if i < len(seps) {
-			hi = seps[i].Key
+		if i < cnt {
+			hi = in.KeyAt(i)
 		}
-		if err := t.validateNode(c.Addr, t.cfg.Format.View(c.Buf), level-1, lo, hi); err != nil {
+		if err := w.validate(c.Addr, w.t.cfg.Format.View(c.Buf), depth+1, level-1, lo, hi); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// keyOutside reads leaf's live keys in place, the set Entries yields, and
+// reports the first one in Entries' order outside [lower, upper). A sorted
+// (Checksum mode) leaf's live keys are its first Count() slots, in slot
+// order; otherwise they are the non-zero keys of all Cap() slots, and the
+// first in key order is the smallest.
+func keyOutside(leaf layout.Leaf, sorted bool, lower, upper uint64) (uint64, bool) {
+	n := leaf.Cap()
+	if sorted {
+		n = leaf.Count()
+	}
+	bad, found := uint64(0), false
+	for i := 0; i < n; i++ {
+		k := leaf.Key(i)
+		if (!sorted && k == 0) || (k >= lower && (upper == layout.NoUpperBound || k < upper)) {
+			continue
+		}
+		if sorted {
+			return k, true
+		}
+		if !found || k < bad {
+			bad, found = k, true
+		}
+	}
+	return bad, found
 }

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
+	"sherman/internal/core"
 	"sherman/internal/testutil"
 )
 
@@ -391,5 +393,37 @@ func TestDroppedSessionRunnersExit(t *testing.T) {
 		}
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestDroppedSimulatedTreeFreedInOneGC: a simulated deployment whose depth-8
+// session is dropped is garbage after one collection. The session's
+// executor has no runner goroutines on the simulator, so it registers no
+// cleanup; a cleanup's argument reaches the tree and the cluster and would
+// keep them, memory servers' mapped chunks included, for a second cycle.
+func TestDroppedSimulatedTreeFreedInOneGC(t *testing.T) {
+	tr := func() weak.Pointer[core.Tree] {
+		c, err := NewCluster(ClusterConfig{MemoryServers: 2, ComputeServers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := c.CreateTree(DefaultTreeOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := openSession(t, tree, 0, PipelineDepth(8))
+		for k := range 64 {
+			s.Submit(PutOp(uint64(k+1), 1))
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(tree.tr)
+	}()
+	runtime.GC()
+	for deadline := time.Now().Add(time.Second); tr.Value() != nil; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the dropped simulated tree is still reachable 1 s after one GC")
+		}
 	}
 }

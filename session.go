@@ -73,28 +73,51 @@ type Result struct {
 }
 
 // Future is the pending result of one submitted operation.
+//
+// A future's lifetime ends at the session's next Submit after its first
+// Wait: until then Wait and CompleteAtV repeat their answers, and from then
+// on the session may reuse it for a later operation. A future that was
+// never waited is never reused, and Flush and Exec reuse nothing, so
+// holding several futures and waiting them in any order is fine as long as
+// each is read before the Submit that follows its first Wait. Copy the
+// Result out to keep it longer. Under TreeOptions.Poison the session
+// drops spent futures instead of reusing them, and reading one past its
+// lifetime panics.
 type Future struct {
-	s    *Session
-	p    core.Pending
-	pend bool // p not yet waited on
-	res  Result
-	done int64
+	s     *Session
+	p     core.Pending
+	pend  bool // p not yet waited on
+	spent bool // waited: the session's next Submit may reuse it
+	stale bool // poison mode: read after its lifetime ended
+	res   Result
+	done  int64
 }
+
+// errStaleFuture is the poison-mode panic of a future read past its
+// lifetime.
+const errStaleFuture = "sherman: Future read after the session's next Submit; a waited Future is valid only until then"
 
 // Wait blocks until the operation has completed and returns its result. On
 // the simulator the session clock advances to the operation's virtual
 // completion time; on a real transport at PipelineDepth > 1 the operation is
-// genuinely in flight and Wait blocks for it. Waiting on an already-passed
-// future is free; Wait may be called any number of times.
+// genuinely in flight and Wait blocks for it. Waiting again before the
+// session's next Submit is free and returns the same Result; after that
+// Submit the future may already carry another operation.
 func (f *Future) Wait() Result {
-	if f.pend {
-		f.pend = false
-		var cres core.OpResult
-		if err := f.s.run(func() { cres, f.done = f.p.Wait() }); err != nil {
-			f.res, f.done = Result{Err: err}, f.s.h.C.Now()
-		} else {
-			f.res = resultFrom(cres)
+	if f.stale {
+		panic(errStaleFuture)
+	}
+	if !f.spent {
+		if f.pend {
+			f.pend = false
+			var cres core.OpResult
+			if err := f.s.run(func() { cres, f.done = f.p.Wait() }); err != nil {
+				f.res, f.done = Result{Err: err}, f.s.h.C.Now()
+			} else {
+				f.res = resultFrom(cres)
+			}
 		}
+		f.s.spend(f)
 	}
 	return f.res
 }
@@ -103,8 +126,14 @@ func (f *Future) Wait() Result {
 // virtual clock (see Session.VirtualNow). On a real transport at
 // PipelineDepth > 1 the completion time is unknown until the operation
 // finishes: CompleteAtV returns 0 before the first Wait and the wall-clock
-// completion (transport nanos) after.
-func (f *Future) CompleteAtV() int64 { return f.done }
+// completion (transport nanos) after. Like Wait, it is valid until the
+// session's next Submit after the first Wait.
+func (f *Future) CompleteAtV() int64 {
+	if f.stale {
+		panic(errStaleFuture)
+	}
+	return f.done
+}
 
 // Session is one client thread's interface to a tree, bound to one compute
 // server. Sessions are not safe for concurrent use — they model exactly one
@@ -122,6 +151,16 @@ type Session struct {
 	a    *core.Async
 	cs   int
 	dead bool
+
+	// Waited futures. Wait puts a future on spent; Submit takes one from
+	// free, first swapping the lists when free is empty, so it only ever
+	// takes a future waited before it. Both lists are sized to the
+	// pipeline depth at open and never grow: a future that finds spent
+	// full is left to the collector. Under poison, spent grows instead,
+	// so that Submit can mark every future in it stale, and free stays
+	// empty.
+	free, spent []*Future
+	poison      bool
 
 	// Exec's translation scratch, recycled across batches so steady-state
 	// batching allocates only the caller-owned results slice.
@@ -191,11 +230,21 @@ func (t *Tree) SessionAt(cs int, opts ...SessionOption) (*Session, error) {
 		o(&cfg)
 	}
 	h := t.tr.NewHandle(cs, int(sessionSeq.Add(1)))
-	s := &Session{h: h, a: h.NewAsync(cfg.depth), cs: cs}
-	// A dropped session's pipeline runners (real transports, depth > 1)
-	// would otherwise block on their next ticket forever. The cleanup holds
-	// the executor, which does not reach the session.
-	runtime.AddCleanup(s, (*core.Async).Close, s.a)
+	a := h.NewAsync(cfg.depth)
+	s := &Session{
+		h: h, a: a, cs: cs,
+		free:   make([]*Future, 0, a.Depth()),
+		spent:  make([]*Future, 0, a.Depth()),
+		poison: t.tr.Config().Poison,
+	}
+	if a.HasRunners() {
+		// A dropped session's pipeline runners would otherwise block on
+		// their next ticket forever. The cleanup holds the executor, which
+		// does not reach the session. Elsewhere Close is a no-op, and a
+		// cleanup would keep the executor, and through it the whole
+		// deployment, alive for one more GC cycle.
+		runtime.AddCleanup(s, (*core.Async).Close, a)
+	}
 	return s, nil
 }
 
@@ -242,15 +291,49 @@ func resultFrom(r core.OpResult) Result {
 // the compute server crashes resolves to ErrSessionDead; it was either
 // fully applied or had no effect.
 func (s *Session) Submit(op Op) *Future {
+	f := s.future()
 	cop, err := op.toCore()
+	if err == nil {
+		err = s.run(func() { f.p = s.a.SubmitOp(cop) })
+	}
 	if err != nil {
-		return &Future{res: Result{Err: err}, done: s.h.C.Now()}
+		f.res, f.done = Result{Err: err}, s.h.C.Now()
+	} else {
+		f.pend, f.done = true, f.p.Done()
 	}
-	var p core.Pending
-	if err := s.run(func() { p = s.a.SubmitOp(cop) }); err != nil {
-		return &Future{res: Result{Err: err}, done: s.h.C.Now()}
+	return f
+}
+
+// future ends the lifetime of every future waited since the last Submit and
+// returns a blank one: a reused spent future, or a new one.
+func (s *Session) future() *Future {
+	if s.poison {
+		for _, f := range s.spent {
+			f.stale = true
+		}
+		clear(s.spent)
+		s.spent = s.spent[:0]
+		return &Future{s: s}
 	}
-	return &Future{s: s, p: p, pend: true, done: p.Done()}
+	if len(s.free) == 0 {
+		s.free, s.spent = s.spent, s.free
+	}
+	n := len(s.free)
+	if n == 0 {
+		return &Future{s: s}
+	}
+	f := s.free[n-1]
+	s.free = s.free[:n-1]
+	*f = Future{s: s}
+	return f
+}
+
+// spend records f's first Wait: from the next Submit on, f may be reused.
+func (s *Session) spend(f *Future) {
+	f.spent = true
+	if s.poison || len(s.spent) < cap(s.spent) {
+		s.spent = append(s.spent, f)
+	}
 }
 
 // Exec applies a mixed batch of operations, observably equivalent to
@@ -310,9 +393,8 @@ func (s *Session) Flush() error {
 // --- synchronous helpers: Submit and Wait for one operation ---------------
 
 // submitWait pushes one validated core op through the pipeline and waits for
-// its completion without materializing a Future (a synchronous caller waits
-// immediately, so the future's wait-later-and-repeatedly contract buys
-// nothing but an allocation).
+// its completion without going through a Future: a synchronous caller waits
+// immediately, and the session's spent futures stay as they are.
 func (s *Session) submitWait(cop core.Op) (core.OpResult, error) {
 	var res core.OpResult
 	err := s.run(func() { res, _ = s.a.SubmitOp(cop).Wait() })

@@ -69,7 +69,9 @@ type TreeOptions struct {
 	// Poison fills recycled hot-path scratch (per-session arenas, pooled
 	// write-op slices, lock-wait structs) with 0xDB on release, so any
 	// use-after-release of a recycled buffer corrupts data deterministically
-	// instead of silently reading stale bytes. A debugging/CI mode: the
+	// instead of silently reading stale bytes. Sessions stop reusing waited
+	// Futures, and reading one after the session's next Submit panics.
+	// A debugging/CI mode: the
 	// differential oracle runs once under it (with -race) to prove the
 	// zero-allocation recycling never aliases live data.
 	Poison bool
