@@ -67,7 +67,6 @@ var experiments = []experiment{
 	{id: "fig15c", all: true, run: one(bench.Fig15Cache)},
 	{id: "fig16", all: true, run: one(bench.Fig16)},
 	{id: "extras", run: many(bench.Extras)},
-	{id: "ycsb", run: one(bench.YCSBSuite)},
 	{id: "batch", all: true, run: func(s bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {
 		return bench.BatchTables(s, col), nil, nil
 	}},

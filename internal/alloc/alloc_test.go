@@ -8,6 +8,7 @@ import (
 
 	"sherman/internal/rdma"
 	"sherman/internal/sim"
+	"sherman/internal/transport"
 )
 
 func newTestFabric(numMS int) *rdma.Fabric {
@@ -24,7 +25,7 @@ func TestThreadAllocatorAlignmentAndDistinctness(t *testing.T) {
 	var st Stats
 	a := NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
 
-	seen := map[rdma.Addr]bool{}
+	seen := map[transport.Addr]bool{}
 	for i := 0; i < 1000; i++ {
 		addr := a.Alloc(1024)
 		if addr.Off()%64 != 0 {
@@ -50,7 +51,7 @@ func TestChunkRPCRate(t *testing.T) {
 
 	// The first chunk on MS 0 loses 64 B to the nil-address carve-out, so
 	// one fewer full node fits.
-	perChunk := rdma.DefaultChunkSize/1024 - 1
+	perChunk := transport.DefaultChunkSize/1024 - 1
 	for i := 0; i < perChunk; i++ {
 		a.Alloc(1024)
 	}
@@ -78,7 +79,7 @@ func TestRoundRobinAcrossServers(t *testing.T) {
 		// One max-size allocation consumes a whole chunk. (MS 0's very first
 		// chunk is 64 B short because of the nil-address carve-out, so the
 		// rotation skips it once.)
-		addr := a.Alloc(rdma.DefaultChunkSize)
+		addr := a.Alloc(transport.DefaultChunkSize)
 		order = append(order, addr.MS())
 	}
 	hit := map[uint16]int{}
@@ -106,8 +107,8 @@ func TestAllocationsNeverSpanChunks(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		size := sizes[round%len(sizes)]
 		addr := a.Alloc(size)
-		start := addr.Off() / rdma.DefaultChunkSize
-		end := (addr.Off() + uint64(size) - 1) / rdma.DefaultChunkSize
+		start := addr.Off() / transport.DefaultChunkSize
+		end := (addr.Off() + uint64(size) - 1) / transport.DefaultChunkSize
 		if start != end {
 			t.Fatalf("allocation of %d B at %v spans chunks %d and %d", size, addr, start, end)
 		}
@@ -121,7 +122,7 @@ func TestAllocBadSizesPanic(t *testing.T) {
 	f := newTestFabric(1)
 	var st Stats
 	a := NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
-	for _, size := range []int{0, -1, rdma.DefaultChunkSize + 1} {
+	for _, size := range []int{0, -1, transport.DefaultChunkSize + 1} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -140,7 +141,7 @@ func TestConcurrentAllocatorsDisjoint(t *testing.T) {
 	var st Stats
 	const threads, allocs = 8, 300
 
-	results := make([][]rdma.Addr, threads)
+	results := make([][]transport.Addr, threads)
 	var wg sync.WaitGroup
 	for th := 0; th < threads; th++ {
 		wg.Add(1)
@@ -154,7 +155,7 @@ func TestConcurrentAllocatorsDisjoint(t *testing.T) {
 	}
 	wg.Wait()
 
-	seen := map[rdma.Addr]int{}
+	seen := map[transport.Addr]int{}
 	for th, addrs := range results {
 		for _, a := range addrs {
 			if prev, dup := seen[a]; dup {
@@ -173,7 +174,7 @@ func TestConcurrentAllocatorsDisjoint(t *testing.T) {
 func TestBulkSpreadsServers(t *testing.T) {
 	f := newTestFabric(4)
 	b := NewBulk(f, everyLive{f}, nil)
-	perChunk := rdma.DefaultChunkSize / 1024
+	perChunk := transport.DefaultChunkSize / 1024
 	hit := map[uint16]bool{}
 	for i := 0; i < 4*perChunk; i++ {
 		hit[b.Alloc(1024).MS()] = true
@@ -224,7 +225,7 @@ func TestAllocPropertyAligned(t *testing.T) {
 func TestForwardingSingleTarget(t *testing.T) {
 	fwd := NewForwarding()
 	ck := ChunkID{MS: 1, Index: 3}
-	base := rdma.MakeAddr(2, 5*rdma.DefaultChunkSize)
+	base := transport.MakeAddr(2, 5*transport.DefaultChunkSize)
 	if _, ok := fwd.Reuse(ck, 0, 1); ok {
 		t.Fatal("Reuse found an entry before Install")
 	}
@@ -243,7 +244,7 @@ func TestForwardingSingleTarget(t *testing.T) {
 				t.Fatal("duplicate Install did not panic")
 			}
 		}()
-		fwd.Install(ck, base.Add(rdma.DefaultChunkSize), 0, 1)
+		fwd.Install(ck, base.Add(transport.DefaultChunkSize), 0, 1)
 	}()
 	// The re-stamped owner (cs 1, epoch 7) governs draining.
 	if n := fwd.DropDead(func(cs int, epoch int64) bool { return cs == 1 && epoch == 7 }); n != 0 {
@@ -280,7 +281,7 @@ func (g *dyingGrower) GrowChunkRaw(ms uint16) uint64 {
 	if g.dead[ms] {
 		return 0
 	}
-	base := g.grown[ms] * rdma.DefaultChunkSize
+	base := g.grown[ms] * transport.DefaultChunkSize
 	g.grown[ms]++
 	return base
 }
@@ -299,9 +300,9 @@ func TestBulkBornDead(t *testing.T) {
 				g.rep = NewReplicaMap()
 				b.SetReplication(g.rep, rf)
 			}
-			seen := map[rdma.Addr]bool{}
+			seen := map[transport.Addr]bool{}
 			for i := 0; i < 32; i++ {
-				a := b.Alloc(rdma.DefaultChunkSize / 2)
+				a := b.Alloc(transport.DefaultChunkSize / 2)
 				if g.dead[1] && a.MS() == 1 {
 					t.Fatalf("rf=%d death at call %d: allocation %d at %v on the dead server", rf, n, i, a)
 				}
@@ -333,16 +334,16 @@ func TestBulkBornDead(t *testing.T) {
 func TestBulkRunsShareOneServer(t *testing.T) {
 	f := newTestFabric(3)
 	b := NewBulk(f, everyLive{f}, nil)
-	perChunk := rdma.DefaultChunkSize / 1024
-	seen := map[rdma.Addr]bool{}
+	perChunk := transport.DefaultChunkSize / 1024
+	seen := map[transport.Addr]bool{}
 	for r, n := range []int{1, 5, perChunk + 3, 7, 2, 2 * perChunk, 4} {
-		run := make([]rdma.Addr, n)
+		run := make([]transport.Addr, n)
 		b.AllocRun(1024, run)
 		for _, a := range run {
 			if a.MS() != uint16(r%3) {
 				t.Fatalf("run %d of %d nodes has a node at %v, want all on ms%d", r, n, a, r%3)
 			}
-			if seen[a] || a.Off()/rdma.DefaultChunkSize != (a.Off()+1023)/rdma.DefaultChunkSize {
+			if seen[a] || a.Off()/transport.DefaultChunkSize != (a.Off()+1023)/transport.DefaultChunkSize {
 				t.Fatalf("run %d: node at %v handed out twice or spans chunks", r, a)
 			}
 			seen[a] = true
@@ -368,7 +369,7 @@ func (v *drainingView) MSUsable(ms int) bool {
 
 // runServers lists the servers of a run's nodes in order, one entry per
 // stretch of nodes on the same server.
-func runServers(run []rdma.Addr) []uint16 {
+func runServers(run []transport.Addr) []uint16 {
 	var out []uint16
 	for i, a := range run {
 		if i == 0 || a.MS() != run[i-1].MS() {
@@ -385,7 +386,7 @@ func TestBulkRunSkipsDrainingServer(t *testing.T) {
 	f := newTestFabric(3)
 	b := NewBulk(f, &drainingView{everyLive: everyLive{f}, drain: map[int]bool{1: true}}, nil)
 	for r, want := range []uint16{0, 2, 0, 2} {
-		run := make([]rdma.Addr, 4)
+		run := make([]transport.Addr, 4)
 		b.AllocRun(1024, run)
 		if got := runServers(run); len(got) != 1 || got[0] != want {
 			t.Fatalf("run %d on servers %v, want ms%d alone", r, got, want)
@@ -395,7 +396,7 @@ func TestBulkRunSkipsDrainingServer(t *testing.T) {
 	v := &drainingView{everyLive: everyLive{f}, drain: map[int]bool{}, flipAfter: 6}
 	b = NewBulk(f, v, nil)
 	for r, want := range [][]uint16{{0}, {1, 2}, {0}, {2}} {
-		run := make([]rdma.Addr, 4)
+		run := make([]transport.Addr, 4)
 		b.AllocRun(1024, run)
 		if got := runServers(run); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("run %d on servers %v, want %v (server 1 drains from query %d)", r, got, want, v.flipAfter+1)
@@ -408,7 +409,7 @@ func TestBulkRunSkipsDrainingServer(t *testing.T) {
 // handed out twice, a run that loses its server mid-run continues on the
 // next usable one, and later runs skip the dead server.
 func TestBulkRunKilledMidRun(t *testing.T) {
-	const node = rdma.DefaultChunkSize / 4
+	const node = transport.DefaultChunkSize / 4
 	split := 0
 	for _, rf := range []int{0, 2} {
 		for n := 1; n <= 12; n++ {
@@ -418,17 +419,17 @@ func TestBulkRunKilledMidRun(t *testing.T) {
 				g.rep = NewReplicaMap()
 				b.SetReplication(g.rep, rf)
 			}
-			seen := map[rdma.Addr]bool{}
+			seen := map[transport.Addr]bool{}
 			for r := 0; r < 8; r++ {
 				deadBefore := g.dead[1]
-				run := make([]rdma.Addr, 6) // 1.5 chunks
+				run := make([]transport.Addr, 6) // 1.5 chunks
 				b.AllocRun(node, run)
 				for _, a := range run {
 					if seen[a] {
 						t.Fatalf("rf=%d death at call %d: run %d hands out %v twice", rf, n, r, a)
 					}
 					seen[a] = true
-					if a.MS() == 1 && (deadBefore || a.Off()/rdma.DefaultChunkSize >= g.grown[1]) {
+					if a.MS() == 1 && (deadBefore || a.Off()/transport.DefaultChunkSize >= g.grown[1]) {
 						t.Fatalf("rf=%d death at call %d: run %d has a node at %v on dead memory", rf, n, r, a)
 					}
 				}
@@ -459,12 +460,12 @@ func TestBulkRunReplicaRegistration(t *testing.T) {
 	b := NewBulk(f, everyLive{f}, &st)
 	rep := NewReplicaMap()
 	b.SetReplication(rep, 2)
-	perChunk := rdma.DefaultChunkSize / 1024
+	perChunk := transport.DefaultChunkSize / 1024
 	for _, n := range []int{perChunk + 1, 3, 2 * perChunk, 1, perChunk} {
-		run := make([]rdma.Addr, n)
+		run := make([]transport.Addr, n)
 		b.AllocRun(1024, run)
 		for _, a := range run {
-			ck := ChunkID{MS: a.MS(), Index: a.Off() / rdma.DefaultChunkSize}
+			ck := ChunkID{MS: a.MS(), Index: a.Off() / transport.DefaultChunkSize}
 			var ts TargetSet
 			if !rep.Targets(ck, &ts) || ts.N != 1 || ts.Bases[0].MS() == ck.MS {
 				t.Fatalf("node %v: chunk %v has %d replicas (%v), want one on another server", a, ck, ts.N, ts.Bases[0])

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // ChunkID names one fixed-length chunk of a memory server's host memory —
@@ -15,17 +15,17 @@ type ChunkID struct {
 }
 
 // ChunkOf returns the chunk holding the host-memory address a.
-func ChunkOf(a rdma.Addr) ChunkID {
-	return ChunkID{MS: a.MS(), Index: a.Off() / rdma.DefaultChunkSize}
+func ChunkOf(a transport.Addr) ChunkID {
+	return ChunkID{MS: a.MS(), Index: a.Off() / transport.DefaultChunkSize}
 }
 
 // ChunkBase returns the address of the chunk's first byte.
-func (c ChunkID) ChunkBase() rdma.Addr {
-	return rdma.MakeAddr(c.MS, c.Index*rdma.DefaultChunkSize)
+func (c ChunkID) ChunkBase() transport.Addr {
+	return transport.MakeAddr(c.MS, c.Index*transport.DefaultChunkSize)
 }
 
 // Contains reports whether a lies inside the chunk.
-func (c ChunkID) Contains(a rdma.Addr) bool {
+func (c ChunkID) Contains(a transport.Addr) bool {
 	return !a.OnChip() && ChunkOf(a) == c
 }
 
@@ -39,7 +39,7 @@ const MaxForwardHops = 8
 
 // forwardEntry is one installed chunk relocation.
 type forwardEntry struct {
-	newBase rdma.Addr
+	newBase transport.Addr
 	ownerCS int
 	epoch   int64
 }
@@ -75,7 +75,7 @@ func NewForwarding() *Forwarding {
 // reference to a first-generation original — so Install panics on a
 // duplicate; migrate the stragglers of an already-forwarded chunk into its
 // existing target via Reuse instead.
-func (f *Forwarding) Install(c ChunkID, newBase rdma.Addr, ownerCS int, epoch int64) {
+func (f *Forwarding) Install(c ChunkID, newBase transport.Addr, ownerCS int, epoch int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if old, ok := f.m[c]; ok {
@@ -95,7 +95,7 @@ const permanentOwner = -1
 // somewhere (it was migrated off the dead server earlier) keeps its entry:
 // the existing target holds the live data, the dead original only
 // tombstones.
-func (f *Forwarding) InstallReplica(c ChunkID, newBase rdma.Addr) {
+func (f *Forwarding) InstallReplica(c ChunkID, newBase transport.Addr) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, ok := f.m[c]; ok {
@@ -111,12 +111,12 @@ func (f *Forwarding) InstallReplica(c ChunkID, newBase rdma.Addr) {
 // a fresh target and Install). Source offsets are allocated monotonically
 // and never recycled, so stragglers carved into the chunk after its first
 // migration copy into untouched offsets of the same target chunk.
-func (f *Forwarding) Reuse(c ChunkID, ownerCS int, epoch int64) (rdma.Addr, bool) {
+func (f *Forwarding) Reuse(c ChunkID, ownerCS int, epoch int64) (transport.Addr, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	e, ok := f.m[c]
 	if !ok {
-		return rdma.NilAddr, false
+		return transport.NilAddr, false
 	}
 	e.ownerCS, e.epoch = ownerCS, epoch
 	f.m[c] = e
@@ -127,17 +127,17 @@ func (f *Forwarding) Reuse(c ChunkID, ownerCS int, epoch int64) (rdma.Addr, bool
 // (same offset within the new chunk). ok=false means the chunk has no
 // forwarding entry — the address either never moved or its entry already
 // drained (callers then re-traverse from the root).
-func (f *Forwarding) Resolve(a rdma.Addr) (rdma.Addr, bool) {
+func (f *Forwarding) Resolve(a transport.Addr) (transport.Addr, bool) {
 	if a.OnChip() || a.IsNil() {
-		return rdma.NilAddr, false
+		return transport.NilAddr, false
 	}
 	f.mu.RLock()
 	e, ok := f.m[ChunkOf(a)]
 	f.mu.RUnlock()
 	if !ok {
-		return rdma.NilAddr, false
+		return transport.NilAddr, false
 	}
-	return e.newBase.Add(a.Off() % rdma.DefaultChunkSize), true
+	return e.newBase.Add(a.Off() % transport.DefaultChunkSize), true
 }
 
 // DropDead drains entries whose owning compute server is no longer at the

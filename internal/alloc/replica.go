@@ -5,7 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // MaxReplicationFactor bounds ClusterConfig.ReplicationFactor; MaxReplicas
@@ -23,7 +23,7 @@ const (
 // by pointer — mutate in place, atomically.
 type replicaSet struct {
 	n       int
-	bases   [MaxReplicas]rdma.Addr
+	bases   [MaxReplicas]transport.Addr
 	applied [MaxReplicas]*atomic.Int64
 	// pending[i] non-nil-and-true marks a replica whose bulk backfill
 	// (re-replication CopyChunk) is still running: it receives mirrors like
@@ -43,7 +43,7 @@ func (s *replicaSet) complete(i int) bool {
 // completion advances the shared per-replica watermark (Watermark).
 type TargetSet struct {
 	N       int
-	Bases   [MaxReplicas]rdma.Addr
+	Bases   [MaxReplicas]transport.Addr
 	applied [MaxReplicas]*atomic.Int64
 }
 
@@ -68,7 +68,7 @@ type Promotion struct {
 	// Old is the dead primary chunk; NewBase the promoted replica chunk's
 	// base (same-offset addressing, like a forwarding entry).
 	Old     ChunkID
-	NewBase rdma.Addr
+	NewBase transport.Addr
 }
 
 // ReplicaMap is the cluster-wide chunk→replicas placement table. Like the
@@ -134,7 +134,7 @@ func (r *ReplicaMap) swap(mutate func(m map[ChunkID]*replicaSet)) {
 	r.m.Store(&m)
 }
 
-func newSet(bases ...rdma.Addr) *replicaSet {
+func newSet(bases ...transport.Addr) *replicaSet {
 	if len(bases) > MaxReplicas {
 		panic(fmt.Sprintf("alloc: %d replicas exceeds MaxReplicas=%d", len(bases), MaxReplicas))
 	}
@@ -149,7 +149,7 @@ func newSet(bases ...rdma.Addr) *replicaSet {
 // Register publishes freshly placed replica chunks for primary chunk ck.
 // Every base must lie on a distinct memory server, none on ck's own. Called
 // once per chunk at allocation time, before any node is carved from it.
-func (r *ReplicaMap) Register(ck ChunkID, bases ...rdma.Addr) {
+func (r *ReplicaMap) Register(ck ChunkID, bases ...transport.Addr) {
 	for i, b := range bases {
 		if b.MS() == ck.MS {
 			panic(fmt.Sprintf("alloc: replica of chunk (%d,%d) placed on its own server", ck.MS, ck.Index))
@@ -177,7 +177,7 @@ func (r *ReplicaMap) Register(ck ChunkID, bases ...rdma.Addr) {
 // as a last resort until CompleteReplica. Returns false when ck is not a
 // registered primary — a concurrent failover re-keyed it — or the set is
 // full; the re-replicator then skips the chunk.
-func (r *ReplicaMap) AddPendingReplica(ck ChunkID, base rdma.Addr) bool {
+func (r *ReplicaMap) AddPendingReplica(ck ChunkID, base transport.Addr) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old, ok := (*r.m.Load())[ck]
@@ -219,7 +219,7 @@ func (r *ReplicaMap) Drop(ck ChunkID) {
 // CompleteReplica marks base's copy of ck as fully backfilled, making it a
 // first-class failover candidate. No-op when ck was re-keyed by a racing
 // failover or base is no longer in its set.
-func (r *ReplicaMap) CompleteReplica(ck ChunkID, base rdma.Addr) {
+func (r *ReplicaMap) CompleteReplica(ck ChunkID, base transport.Addr) {
 	if s, ok := (*r.m.Load())[ck]; ok {
 		for i := 0; i < s.n; i++ {
 			if s.bases[i] == base && s.pending[i] != nil {

@@ -221,11 +221,6 @@ type TreeExp struct {
 	Theta     float64
 	RangeSpan int
 
-	// Workload, when non-nil, overrides the Mix/Dist/Theta/RangeSpan-derived
-	// configuration entirely (used for the YCSB presets, whose semantics —
-	// latest-biased reads, read-modify-write — go beyond those fields).
-	Workload *workload.Config
-
 	Tree core.Config
 
 	// WarmupOps is executed per thread before measurement to fill index
@@ -315,9 +310,6 @@ func newFixture(e TreeExp, spareMS, factor int) *fixture {
 	wcfg := workload.DefaultConfig(e.Mix, e.Dist, e.Keys)
 	wcfg.Theta = e.Theta
 	wcfg.RangeSpan = e.RangeSpan
-	if e.Workload != nil {
-		wcfg = *e.Workload
-	}
 	kvs := make([]layout.KV, wcfg.LoadedKeys())
 	for i := range kvs {
 		k := uint64(i + 1)
@@ -567,18 +559,13 @@ func (sc *batchScratch) exec(h *core.Handle, as *core.Async, ops []workload.Op) 
 }
 
 // appendCoreOps translates one generated batch to the unified operation
-// model, appending to dst, expanding YCSB-F read-modify-writes into an
-// explicit lookup ahead of each update (the planner's stable sort keeps the
-// pair ordered on its key).
+// model, appending to out.
 func appendCoreOps(out []core.Op, ops []workload.Op) []core.Op {
 	for _, op := range ops {
 		switch op.Kind {
 		case workload.Lookup:
 			out = append(out, core.Op{Kind: stats.OpLookup, Key: op.Key})
 		case workload.Insert:
-			if op.RMW {
-				out = append(out, core.Op{Kind: stats.OpLookup, Key: op.Key})
-			}
 			out = append(out, core.Op{Kind: stats.OpInsert, Key: op.Key, Value: op.Value})
 		case workload.Delete:
 			out = append(out, core.Op{Kind: stats.OpDelete, Key: op.Key})
@@ -595,11 +582,6 @@ func doOpAsync(as *core.Async, op workload.Op) {
 	case workload.Lookup:
 		as.SubmitOp(core.Op{Kind: stats.OpLookup, Key: op.Key})
 	case workload.Insert:
-		if op.RMW {
-			// YCSB-F: the read pipelines ahead of its update; same-key
-			// ordering in the executor keeps the pair dependent.
-			as.SubmitOp(core.Op{Kind: stats.OpLookup, Key: op.Key})
-		}
 		as.SubmitOp(core.Op{Kind: stats.OpInsert, Key: op.Key, Value: op.Value})
 	case workload.Delete:
 		as.SubmitOp(core.Op{Kind: stats.OpDelete, Key: op.Key})
@@ -614,9 +596,6 @@ func doOp(h *core.Handle, op workload.Op) {
 	case workload.Lookup:
 		h.Lookup(op.Key)
 	case workload.Insert:
-		if op.RMW {
-			h.Lookup(op.Key) // YCSB-F: read the record before updating it
-		}
 		h.Insert(op.Key, op.Value)
 	case workload.Delete:
 		h.Delete(op.Key)

@@ -8,6 +8,7 @@ import (
 	"sherman/internal/rdma"
 	"sherman/internal/sim"
 	"sherman/internal/stats"
+	"sherman/internal/transport"
 )
 
 // newRand creates a thread-local PRNG.
@@ -79,7 +80,7 @@ func RunWrites(e WriteExp) WriteResult {
 			// Saturation benchmarks keep many WRITEs in flight: post
 			// unsignaled batches per QP, paying one round trip per batch.
 			const batch = 32
-			ops := make([]rdma.WriteOp, 0, batch)
+			ops := make([]transport.WriteOp, 0, batch)
 			for i := 0; i < e.Ops; i += batch {
 				ms := uint16(0)
 				if !e.Inbound {
@@ -87,9 +88,9 @@ func RunWrites(e WriteExp) WriteResult {
 				}
 				ops = ops[:0]
 				for j := 0; j < batch && i+j < e.Ops; j++ {
-					off := bases[ms][th] + uint64(((i+j)*e.IOSize)%(rdma.DefaultChunkSize-e.IOSize))
+					off := bases[ms][th] + uint64(((i+j)*e.IOSize)%(transport.DefaultChunkSize-e.IOSize))
 					off &^= 63
-					ops = append(ops, rdma.WriteOp{Addr: rdma.MakeAddr(ms, off), Data: data})
+					ops = append(ops, transport.WriteOp{Addr: transport.MakeAddr(ms, off), Data: data})
 				}
 				c.PostWrites(ops...)
 				runtime.Gosched()

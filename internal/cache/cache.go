@@ -27,7 +27,7 @@ import (
 
 	"sherman/internal/alloc"
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // MaxLevels bounds the tree levels the cache indexes (level 0 — leaves — is
@@ -68,7 +68,7 @@ type Config struct {
 type Entry struct {
 	// Addr is the node's disaggregated-memory address; validation failures
 	// on nodes fetched through this entry invalidate it.
-	Addr rdma.Addr
+	Addr transport.Addr
 	// N is the routing copy, charged len(N.B) bytes. It is immutable after
 	// insertion — updates replace the whole entry. Its chunk table, with
 	// Addr's own chunk, is the set of chunks InvalidateChunk drops the
@@ -104,14 +104,14 @@ type Cache struct {
 	bytes   [MaxLevels + 1]int      // routing bytes of each level's pool
 	total   int                     // routing bytes across all pools
 	pinned  []*Entry                // top-level entries, flushed wholesale on root change
-	byAddr  map[rdma.Addr]*Entry
+	byAddr  map[transport.Addr]*Entry
 	byChunk map[alloc.ChunkID]map[*Entry]struct{}
 	freq    [freqBuckets]uint8
 	touches int
 	rnd     rand.Source // guarded by mu
 
 	rootMu    sync.RWMutex
-	root      rdma.Addr
+	root      transport.Addr
 	rootLevel uint8
 
 	hits         atomic.Int64
@@ -138,7 +138,7 @@ func New(cfg Config) *Cache {
 		levels:  levels,
 		limit:   max(budget/cfg.NodeSize, 1),
 		budget:  budget,
-		byAddr:  make(map[rdma.Addr]*Entry),
+		byAddr:  make(map[transport.Addr]*Entry),
 		byChunk: make(map[alloc.ChunkID]map[*Entry]struct{}),
 		rnd:     rand.NewPCG(0x5eed, 0xfeed),
 	}
@@ -191,7 +191,7 @@ func (c *Cache) Invalidations() int64 { return c.invalids.Load() }
 func (c *Cache) AdmissionRejects() int64 { return c.admitRejects.Load() }
 
 // Root returns the cached root address and level (NilAddr when unknown).
-func (c *Cache) Root() (rdma.Addr, uint8) {
+func (c *Cache) Root() (transport.Addr, uint8) {
 	c.rootMu.RLock()
 	defer c.rootMu.RUnlock()
 	return c.root, c.rootLevel
@@ -199,7 +199,7 @@ func (c *Cache) Root() (rdma.Addr, uint8) {
 
 // SetRoot records a (re)fetched root. A root change drops the pinned top
 // entries — they belong to a stale top structure.
-func (c *Cache) SetRoot(a rdma.Addr, level uint8) {
+func (c *Cache) SetRoot(a transport.Addr, level uint8) {
 	c.rootMu.Lock()
 	changed := a != c.root
 	c.root, c.rootLevel = a, level
@@ -285,7 +285,7 @@ func (c *Cache) share(lvl uint8) int {
 // above are always admitted and never evicted; nodes at budgeted levels pass
 // the admission gate. Inserting over an existing fence key replaces the old
 // entry — a split's parent update refreshes the cached copy in O(1).
-func (c *Cache) Insert(addr rdma.Addr, n layout.Internal, rootLevel uint8) {
+func (c *Cache) Insert(addr transport.Addr, n layout.Internal, rootLevel uint8) {
 	lvl := n.Level()
 	if lvl == 0 || lvl > MaxLevels {
 		return
@@ -547,7 +547,7 @@ func (c *Cache) Invalidate(e *Entry) bool { return c.drop(e, true) }
 // hook for targeted repairs: a reclaimed lock's holder may have died
 // mid-write, so the post-reclaim validated read drops the possibly-stale
 // copy instead of scanning for it.
-func (c *Cache) InvalidateAddr(a rdma.Addr) bool {
+func (c *Cache) InvalidateAddr(a transport.Addr) bool {
 	c.mu.Lock()
 	e := c.byAddr[a]
 	c.mu.Unlock()

@@ -7,7 +7,7 @@ import (
 
 	"sherman/internal/alloc"
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 var testFormat = layout.DefaultFormat(layout.TwoLevel)
@@ -25,10 +25,10 @@ func mkNodeAt(level uint8, lower, upper uint64) layout.Internal {
 // besides its own and its copy's length depends on cnt alone.
 func mkFilled(level uint8, lower, upper uint64, cnt int) layout.Internal {
 	n := layout.NewInternal(testFormat, level, lower, upper)
-	n.SetLeftmost(rdma.MakeAddr(0, 1024))
+	n.SetLeftmost(transport.MakeAddr(0, 1024))
 	seps := make([]layout.Sep, cnt)
 	for i := range seps {
-		seps[i] = layout.Sep{Key: lower + 1 + uint64(i), Child: rdma.MakeAddr(0, uint64(i+2)*1024)}
+		seps[i] = layout.Sep{Key: lower + 1 + uint64(i), Child: transport.MakeAddr(0, uint64(i+2)*1024)}
 	}
 	n.SetSeparators(seps)
 	return n
@@ -41,7 +41,7 @@ var unit = mkNode(0, 100).CompactLen()
 // mkNode builds a level-1 node (the common case across these tests).
 func mkNode(lower, upper uint64) layout.Internal { return mkNodeAt(1, lower, upper) }
 
-func addr(i uint64) rdma.Addr { return rdma.MakeAddr(0, 0x10000+i*1024) }
+func addr(i uint64) transport.Addr { return transport.MakeAddr(0, 0x10000+i*1024) }
 
 // flat builds a level-1-only cache (the paper's flat type-1 configuration)
 // holding limit entries.
@@ -51,7 +51,7 @@ func flat(limit int) *Cache {
 
 // insist inserts until admitted (the frequency gate may turn the first
 // attempt away under level pressure, exactly like a repeated traversal).
-func insist(c *Cache, a rdma.Addr, n layout.Internal) {
+func insist(c *Cache, a transport.Addr, n layout.Internal) {
 	for i := 0; i < 3; i++ {
 		c.Insert(a, n, 0)
 		if e := c.sl[n.Level()].floor(n.LowerFence()); e != nil && e.Addr == a {
@@ -67,7 +67,7 @@ func TestLookupHitAndMiss(t *testing.T) {
 
 	for _, tc := range []struct {
 		key  uint64
-		want rdma.Addr
+		want transport.Addr
 		hit  bool
 	}{
 		{100, addr(1), true},
@@ -286,14 +286,14 @@ func TestInvalidateChunk(t *testing.T) {
 	c := flat(1024)
 	// addr() keeps everything in MS 0 chunk 0; place one entry's node in a
 	// different chunk and one entry's child in chunk 0.
-	far := rdma.MakeAddr(1, 0)
+	far := transport.MakeAddr(1, 0)
 	inChunk := mkNode(100, 200) // leftmost child lands in MS 0, chunk 0
 	c.Insert(far, inChunk, 0)
 	outNode := layout.NewInternal(testFormat, 1, 300, 400)
-	outNode.SetLeftmost(rdma.MakeAddr(1, 64))
-	c.Insert(rdma.MakeAddr(1, 1024), outNode, 0)
+	outNode.SetLeftmost(transport.MakeAddr(1, 64))
+	c.Insert(transport.MakeAddr(1, 1024), outNode, 0)
 
-	dropped := c.InvalidateChunk(alloc.ChunkOf(rdma.MakeAddr(0, 0)))
+	dropped := c.InvalidateChunk(alloc.ChunkOf(transport.MakeAddr(0, 0)))
 	if dropped != 1 {
 		t.Fatalf("InvalidateChunk dropped %d, want 1 (the entry steering into the chunk)", dropped)
 	}
@@ -644,7 +644,7 @@ func TestLevelsDisabled(t *testing.T) {
 
 func ExampleCache() {
 	c := New(Config{MaxBytes: 1 << 20, NodeSize: testFormat.NodeSize})
-	c.Insert(rdma.MakeAddr(0, 0x8000), mkNode(1000, 2000), 0)
+	c.Insert(transport.MakeAddr(0, 0x8000), mkNode(1000, 2000), 0)
 	if e := c.Lookup(1500, 1); e != nil {
 		fmt.Println("hit:", e.N.LowerFence(), e.N.UpperFence())
 	}

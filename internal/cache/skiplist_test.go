@@ -7,12 +7,12 @@ import (
 	"testing/quick"
 
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 func slEntry(key uint64) *Entry {
 	n := layout.NewInternal(testFormat, 1, key, key+100)
-	return &Entry{Addr: rdma.MakeAddr(0, 0x1000+key), N: n.Compact(nil), key: key}
+	return &Entry{Addr: transport.MakeAddr(0, 0x1000+key), N: n.Compact(nil), key: key}
 }
 
 // TestSkiplistFloorAgainstReference compares floor queries against a sorted

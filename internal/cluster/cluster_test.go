@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"sherman/internal/deploy"
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 func TestNewClusterReservesSuperblock(t *testing.T) {
@@ -15,7 +15,7 @@ func TestNewClusterReservesSuperblock(t *testing.T) {
 	}
 	// MS 0 must already own the superblock chunk, so the first allocator
 	// chunk cannot be offset 0 (Addr 0 is the nil pointer).
-	if got := c.F.Servers()[0].Capacity(); got != rdma.DefaultChunkSize {
+	if got := c.F.Servers()[0].Capacity(); got != transport.DefaultChunkSize {
 		t.Fatalf("MS0 capacity = %d, want one chunk", got)
 	}
 	base := c.F.Servers()[0].Grow()
@@ -41,7 +41,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 // exactly one wins.
 func TestCASRootRace(t *testing.T) {
 	c := New(Config{NumMS: 1, NumCS: 4})
-	oldRoot := rdma.MakeAddr(0, 0x1000)
+	oldRoot := transport.MakeAddr(0, 0x1000)
 	c.SetRoot(oldRoot, 0)
 
 	const racers = 16
@@ -52,7 +52,7 @@ func TestCASRootRace(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			cl := c.NewClient(i % 4)
-			wins[i] = deploy.CASRoot(cl, oldRoot, rdma.MakeAddr(0, uint64(0x2000+i*64)), 1)
+			wins[i] = deploy.CASRoot(cl, oldRoot, transport.MakeAddr(0, uint64(0x2000+i*64)), 1)
 		}(i)
 	}
 	wg.Wait()
@@ -70,7 +70,7 @@ func TestCASRootRace(t *testing.T) {
 	}
 	cl := c.NewClient(0)
 	r, _ := ReadRoot(cl)
-	if r != rdma.MakeAddr(0, uint64(0x2000+winner*64)) {
+	if r != transport.MakeAddr(0, uint64(0x2000+winner*64)) {
 		t.Fatalf("root %v does not match winner %d", r, winner)
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"sherman/internal/cluster"
 	"sherman/internal/core"
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
 	"sherman/internal/testutil"
+	"sherman/internal/transport"
 	"sherman/internal/transport/tcp"
 )
 
@@ -50,18 +50,18 @@ var bulkGolden = []struct {
 
 // walkImage visits every node reachable from the superblock root
 // depth-first, parents before children, with its address and raw bytes.
-func walkImage(be core.Backend, f layout.Format, fn func(a rdma.Addr, b []byte)) {
-	var visit func(a rdma.Addr, b []byte)
-	visit = func(a rdma.Addr, b []byte) {
+func walkImage(be core.Backend, f layout.Format, fn func(a transport.Addr, b []byte)) {
+	var visit func(a transport.Addr, b []byte)
+	visit = func(a transport.Addr, b []byte) {
 		fn(a, b)
 		n := layout.ViewNode(f, b)
 		if n.IsLeaf() {
 			return
 		}
 		kids := children(layout.AsInternal(n))
-		ops := make([]rdma.ReadOp, len(kids))
+		ops := make([]transport.ReadOp, len(kids))
 		for i := range ops {
-			ops[i] = rdma.ReadOp{Addr: kids[i], Buf: make([]byte, f.NodeSize)}
+			ops[i] = transport.ReadOp{Addr: kids[i], Buf: make([]byte, f.NodeSize)}
 		}
 		be.RawRead(ops...)
 		for _, op := range ops {
@@ -70,13 +70,13 @@ func walkImage(be core.Backend, f layout.Format, fn func(a rdma.Addr, b []byte))
 	}
 	root, _ := be.RawRoot()
 	rb := make([]byte, f.NodeSize)
-	be.RawRead(rdma.ReadOp{Addr: root, Buf: rb})
+	be.RawRead(transport.ReadOp{Addr: root, Buf: rb})
 	visit(root, rb)
 }
 
 // children lists an internal node's children, leftmost first.
-func children(in layout.Internal) []rdma.Addr {
-	kids := []rdma.Addr{in.Leftmost()}
+func children(in layout.Internal) []transport.Addr {
+	kids := []transport.Addr{in.Leftmost()}
 	for _, s := range in.Separators() {
 		kids = append(kids, s.Child)
 	}
@@ -88,7 +88,7 @@ func children(in layout.Internal) []rdma.Addr {
 func imageHash(be core.Backend, f layout.Format) (string, int) {
 	h := sha256.New()
 	nodes := 0
-	walkImage(be, f, func(a rdma.Addr, b []byte) {
+	walkImage(be, f, func(a transport.Addr, b []byte) {
 		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(a)))
 		h.Write(b)
 		nodes++
@@ -156,7 +156,7 @@ func TestBulkloadPlacement(t *testing.T) {
 						t.Fatal(err)
 					}
 					parents, leaves := 0, make([]int, numMS)
-					walkImage(be, f, func(a rdma.Addr, b []byte) {
+					walkImage(be, f, func(a transport.Addr, b []byte) {
 						n := layout.ViewNode(f, b)
 						if n.Level() != 1 {
 							return
@@ -197,7 +197,7 @@ func TestLevel1Bytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sum, full, striped int64
-		walkImage(be, f, func(_ rdma.Addr, b []byte) {
+		walkImage(be, f, func(_ transport.Addr, b []byte) {
 			in := layout.AsInternal(layout.ViewNode(f, b))
 			if in.Level() != 1 {
 				return
@@ -207,7 +207,7 @@ func TestLevel1Bytes(t *testing.T) {
 			in = layout.AsInternal(layout.ViewNode(f, slices.Clone(b))) // the walk reads b's children next
 			seps := in.Separators()
 			for j := range seps {
-				seps[j].Child = rdma.MakeAddr(uint16((j+1)%numMS), seps[j].Child.Off())
+				seps[j].Child = transport.MakeAddr(uint16((j+1)%numMS), seps[j].Child.Off())
 			}
 			in.SetSeparators(seps)
 			striped += int64(in.CompactLen())
@@ -244,9 +244,9 @@ func TestBulkloadReplicasMatchPrimary(t *testing.T) {
 			if !be.Replicas().Targets(ck, &ts) || ts.N != 1 {
 				t.Fatalf("chunk %v has %d replicas, want 1", ck, ts.N)
 			}
-			for off := uint64(0); off < rdma.DefaultChunkSize; off += piece {
-				be.RawRead(rdma.ReadOp{Addr: ck.ChunkBase().Add(off), Buf: primary},
-					rdma.ReadOp{Addr: ts.Bases[0].Add(off), Buf: replica})
+			for off := uint64(0); off < transport.DefaultChunkSize; off += piece {
+				be.RawRead(transport.ReadOp{Addr: ck.ChunkBase().Add(off), Buf: primary},
+					transport.ReadOp{Addr: ts.Bases[0].Add(off), Buf: replica})
 				if !bytes.Equal(primary, replica) {
 					t.Fatalf("chunk %v differs from its replica %v in [%#x, +%d)", ck, ts.Bases[0], off, piece)
 				}

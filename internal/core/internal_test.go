@@ -9,8 +9,8 @@ import (
 
 	"sherman/internal/cluster"
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
 	"sherman/internal/stats"
+	"sherman/internal/transport"
 )
 
 func internalConfigs() []Config {
@@ -37,7 +37,7 @@ func TestTornNodeDetected(t *testing.T) {
 		// Snapshot the node, then simulate a half-applied write: bump the
 		// front version / flip a byte without updating the tail.
 		buf := make([]byte, cfg.Format.NodeSize)
-		cl.RawRead(rdma.ReadOp{Addr: root, Buf: buf})
+		cl.RawRead(transport.ReadOp{Addr: root, Buf: buf})
 		n := layout.ViewNode(cfg.Format, buf)
 		if !n.Consistent() {
 			t.Fatalf("%s: clean node reports inconsistent", cfg.Name())
@@ -68,7 +68,7 @@ func TestCompactFreesOldNodes(t *testing.T) {
 	tr.Compact()
 
 	buf := make([]byte, cfg.Format.NodeSize)
-	cl.RawRead(rdma.ReadOp{Addr: oldRoot, Buf: buf})
+	cl.RawRead(transport.ReadOp{Addr: oldRoot, Buf: buf})
 	if layout.ViewNode(cfg.Format, buf).Alive() {
 		t.Error("old root still marked alive after compact")
 	}

@@ -13,8 +13,8 @@ import (
 	"sherman/internal/alloc"
 	"sherman/internal/cluster"
 	core "sherman/internal/core"
-	"sherman/internal/rdma"
 	"sherman/internal/testutil"
+	"sherman/internal/transport"
 )
 
 // moveWithoutRepoint reproduces the crash state: the node at src is moved
@@ -22,12 +22,12 @@ import (
 // the parent pointer is left stale, exactly as if the migrating compute
 // server died between the kill write and the repoint. The forwarding entry
 // is recorded as owned by (dead) compute server owner.
-func moveWithoutRepoint(t *testing.T, cl *cluster.Cluster, h *core.Handle, src rdma.Addr, dstMS uint16, owner int) rdma.Addr {
+func moveWithoutRepoint(t *testing.T, cl *cluster.Cluster, h *core.Handle, src transport.Addr, dstMS uint16, owner int) transport.Addr {
 	t.Helper()
-	newBase := rdma.MakeAddr(dstMS, h.C.GrowChunk(dstMS))
+	newBase := transport.MakeAddr(dstMS, h.C.GrowChunk(dstMS))
 	ck := alloc.ChunkOf(src)
 	cl.Fwd.Install(ck, newBase, owner, cl.Faults().Epoch(owner))
-	dst := newBase.Add(src.Off() % rdma.DefaultChunkSize)
+	dst := newBase.Add(src.Off() % transport.DefaultChunkSize)
 	if _, err := h.MoveNode(src, dst); err != nil {
 		t.Fatalf("MoveNode(%v): %v", src, err)
 	}

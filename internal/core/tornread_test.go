@@ -9,8 +9,8 @@ import (
 
 	"sherman/internal/core"
 	"sherman/internal/layout"
-	"sherman/internal/rdma"
 	"sherman/internal/testutil"
+	"sherman/internal/transport"
 	"sherman/internal/transport/tcp"
 )
 
@@ -59,8 +59,8 @@ func TestTCPTornLeafReads(t *testing.T) {
 		g := tr.Locks().Lock(lt, leaf)
 		defer tr.Locks().Unlock(lt, g, nil, false)
 		img := make([]byte, cfg.Format.NodeSize)
-		c.RawRead(rdma.ReadOp{Addr: leaf, Buf: img})
-		wt, at := wc.NewTransport(0), rdma.MakeAddr(1, leaf.Off())
+		c.RawRead(transport.ReadOp{Addr: leaf, Buf: img})
+		wt, at := wc.NewTransport(0), transport.MakeAddr(1, leaf.Off())
 		post := func(side uint64) {
 			l := layout.AsLeaf(layout.ViewNode(cfg.Format, img))
 			for k := uint64(1); k <= keys; k++ {

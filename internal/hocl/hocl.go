@@ -19,6 +19,7 @@
 package hocl
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -290,18 +291,8 @@ type grant struct {
 // NewManager builds the lock tables over fabric f. Host-memory GLTs reserve
 // one chunk per memory server at setup time.
 func NewManager(f *rdma.Fabric, cfg Config) *Manager {
-	if err := cfg.Mode.validate(); err != nil {
-		panic(err)
-	}
-	n := cfg.LocksPerMS
-	if n == 0 {
-		n = DefaultLocksPerMS
-	}
-	maxHO := cfg.MaxHandover
-	if maxHO == 0 {
-		maxHO = DefaultMaxHandover
-	}
-	m := &Manager{mode: cfg.Mode, locksPerMS: n, maxHandover: maxHO, f: f, virtual: true}
+	m := newManager(cfg)
+	m.f, m.virtual = f, true
 	// The tables' directories are sized for the fabric's memory-server
 	// *capacity*, not its current count, so AddServer can attach servers
 	// while clients hold and contend locks. Each server's row of the slot
@@ -313,9 +304,9 @@ func NewManager(f *rdma.Fabric, cfg Config) *Manager {
 		m.wireServer(s)
 	}
 	if cfg.Mode.Local {
-		m.llts = newLocalTables(len(f.CSs), maxMS, n)
+		m.llts = newLocalTables(len(f.CSs), maxMS, m.locksPerMS)
 	}
-	m.slots = newRows[gslot](maxMS, n)
+	m.slots = newRows[gslot](maxMS, m.locksPerMS)
 	// New servers are wired (on-chip capacity check, host GLT chunk) before
 	// the fabric publishes them, so no client can lock an address on a
 	// server whose GLT is not ready.
@@ -335,35 +326,45 @@ func NewManager(f *rdma.Fabric, cfg Config) *Manager {
 // bytes (checked against the GLT when Mode.OnChip); growHost reserves the
 // host-memory GLT chunk on one server when !Mode.OnChip.
 func NewRemoteManager(cfg Config, numMS, numCS, onChipSize int, growHost func(ms uint16) uint64) *Manager {
-	if err := cfg.Mode.validate(); err != nil {
-		panic(err)
-	}
-	n := cfg.LocksPerMS
-	if n == 0 {
-		n = DefaultLocksPerMS
-	}
-	maxHO := cfg.MaxHandover
-	if maxHO == 0 {
-		maxHO = DefaultMaxHandover
-	}
-	m := &Manager{mode: cfg.Mode, locksPerMS: n, maxHandover: maxHO}
+	m := newManager(cfg)
 	m.gltHostBase = make([]uint64, numMS)
-	if cfg.Mode.OnChip {
-		if need := n * 2; need > onChipSize {
-			panic(fmt.Sprintf("hocl: %d locks need %d B on-chip, NIC has %d B", n, need, onChipSize))
-		}
-	} else {
-		if n*8 > rdma.DefaultChunkSize {
-			panic(fmt.Sprintf("hocl: host GLT of %d locks exceeds one chunk", n))
-		}
+	m.checkCapacity(onChipSize)
+	if !cfg.Mode.OnChip {
 		for ms := 0; ms < numMS; ms++ {
 			m.gltHostBase[ms] = growHost(uint16(ms))
 		}
 	}
 	if cfg.Mode.Local {
-		m.llts = newLocalTables(numCS, numMS, n)
+		m.llts = newLocalTables(numCS, numMS, m.locksPerMS)
 	}
 	return m
+}
+
+// newManager validates cfg and applies its defaults; both constructors
+// start here.
+func newManager(cfg Config) *Manager {
+	if err := cfg.Mode.validate(); err != nil {
+		panic(err)
+	}
+	return &Manager{
+		mode:        cfg.Mode,
+		locksPerMS:  cmp.Or(cfg.LocksPerMS, DefaultLocksPerMS),
+		maxHandover: cmp.Or(cfg.MaxHandover, DefaultMaxHandover),
+	}
+}
+
+// checkCapacity panics unless one memory server can hold its GLT: 2 B per
+// lock in a NIC with onChipSize bytes of device memory, or 8 B per lock in
+// one host-memory chunk.
+func (m *Manager) checkCapacity(onChipSize int) {
+	n := m.locksPerMS
+	if !m.mode.OnChip {
+		if n*8 > transport.DefaultChunkSize {
+			panic(fmt.Sprintf("hocl: host GLT of %d locks exceeds one chunk", n))
+		}
+	} else if need := n * 2; need > onChipSize {
+		panic(fmt.Sprintf("hocl: %d locks need %d B on-chip, NIC has %d B", n, need, onChipSize))
+	}
 }
 
 // LocksPerMS returns the GLT size per memory server.
@@ -374,22 +375,15 @@ func (m *Manager) LocksPerMS() int { return m.locksPerMS }
 // It runs at manager creation for existing servers and from the fabric's
 // growth hook for scaled-out ones.
 func (m *Manager) wireServer(s *rdma.Server) {
-	n := m.locksPerMS
-	if m.mode.OnChip {
-		if need := n * 2; need > s.OnChipSize() {
-			panic(fmt.Sprintf("hocl: %d locks need %d B on-chip, NIC has %d B", n, need, s.OnChipSize()))
-		}
-		return
+	m.checkCapacity(s.OnChipSize())
+	if !m.mode.OnChip {
+		m.gltHostBase[s.ID] = s.Grow()
 	}
-	if n*8 > rdma.DefaultChunkSize {
-		panic(fmt.Sprintf("hocl: host GLT of %d locks exceeds one chunk", n))
-	}
-	m.gltHostBase[s.ID] = s.Grow()
 }
 
 // index hashes a protected object's address into its GLT slot (§4.3, line 5
 // of Figure 6). splitmix64 finalizer — fast and well mixed.
-func (m *Manager) index(a rdma.Addr) int {
+func (m *Manager) index(a transport.Addr) int {
 	x := uint64(a)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -400,11 +394,11 @@ func (m *Manager) index(a rdma.Addr) int {
 }
 
 // gltAddr returns the global address of lock slot idx on server ms.
-func (m *Manager) gltAddr(ms uint16, idx int) rdma.Addr {
+func (m *Manager) gltAddr(ms uint16, idx int) transport.Addr {
 	if m.mode.OnChip {
-		return rdma.MakeOnChipAddr(ms, uint64(idx)*2)
+		return transport.MakeOnChipAddr(ms, uint64(idx)*2)
 	}
-	return rdma.MakeAddr(ms, m.gltHostBase[ms]+uint64(idx)*8)
+	return transport.MakeAddr(ms, m.gltHostBase[ms]+uint64(idx)*8)
 }
 
 // Guard is an acquired lock; pass it back to Unlock.
@@ -412,7 +406,7 @@ type Guard struct {
 	m         *Manager
 	ms        uint16
 	idx       int
-	gaddr     rdma.Addr
+	gaddr     transport.Addr
 	ll        *localLock
 	handedOff bool // acquired via handover: global lock still held by this CS
 	reclaimed bool // acquired by stealing a dead holder's expired lease
@@ -434,14 +428,14 @@ func (g Guard) Reclaimed() bool { return g.reclaimed }
 // may then modify the object at a under g without a second acquisition;
 // batch executors use this to keep one guard across sibling leaves whose
 // locks collide instead of paying release + re-acquire at the boundary.
-func (m *Manager) SameSlot(g Guard, a rdma.Addr) bool {
+func (m *Manager) SameSlot(g Guard, a transport.Addr) bool {
 	return g.m == m && a.MS() == g.ms && m.index(a) == g.idx
 }
 
 // Lock acquires the exclusive lock protecting the object at addr, per the
 // HOCL_Lock pseudo-code (Figure 6): local lock first (queueing locally under
 // contention), then the remote lock in the GLT unless it was handed over.
-func (m *Manager) Lock(c transport.Transport, addr rdma.Addr) Guard {
+func (m *Manager) Lock(c transport.Transport, addr transport.Addr) Guard {
 	g, _ := m.lock(c, addr.MS(), m.index(addr), addr, nil)
 	return g
 }
@@ -457,7 +451,7 @@ func (m *Manager) Lock(c transport.Transport, addr rdma.Addr) Guard {
 // discarded and the retries are bare CASes: a contended lock never drags an
 // object-sized read behind every spin), the lock was stolen from an expired
 // lease, combine is off, or the manager is virtual.
-func (m *Manager) LockRead(c transport.Transport, addr rdma.Addr, buf []byte, combine bool) (g Guard, read bool) {
+func (m *Manager) LockRead(c transport.Transport, addr transport.Addr, buf []byte, combine bool) (g Guard, read bool) {
 	if !combine {
 		buf = nil
 	}
@@ -468,13 +462,13 @@ func (m *Manager) LockRead(c transport.Transport, addr rdma.Addr, buf []byte, co
 // The lock microbenchmarks (Figures 2 and 16) use it to place exactly N
 // distinct locks.
 func (m *Manager) LockIdx(c transport.Transport, ms uint16, idx int) Guard {
-	g, _ := m.lock(c, ms, idx, rdma.NilAddr, nil)
+	g, _ := m.lock(c, ms, idx, transport.NilAddr, nil)
 	return g
 }
 
 // lock is the one acquisition path; a non-nil buf asks for the object at
 // addr to be read by the acquiring CAS's doorbell (see LockRead).
-func (m *Manager) lock(c transport.Transport, ms uint16, idx int, addr rdma.Addr, buf []byte) (g Guard, read bool) {
+func (m *Manager) lock(c transport.Transport, ms uint16, idx int, addr transport.Addr, buf []byte) (g Guard, read bool) {
 	g = Guard{m: m, ms: ms, idx: idx, gaddr: m.gltAddr(ms, idx)}
 	if m.mode.Local {
 		ll := m.llts[c.CSID()].Load().at(ms, idx)
@@ -503,7 +497,7 @@ func (m *Manager) lock(c transport.Transport, ms uint16, idx int, addr rdma.Addr
 // holder crashed, the caller instead becomes the slot's reclaimer and steals
 // the lock after the dead holder's lease expires; the return value reports
 // that case.
-func (m *Manager) acquireGlobal(c transport.Transport, gaddr rdma.Addr, s *gslot) (reclaimed bool) {
+func (m *Manager) acquireGlobal(c transport.Transport, gaddr transport.Addr, s *gslot) (reclaimed bool) {
 	vt := c.(transport.VirtualTimer)
 	svc := vt.AtomicSvcNS(gaddr)
 	var spinners int
@@ -606,7 +600,7 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr rdma.Addr, s *gslot
 // previous holder's write-back precedes its release WRITE on its queue pair,
 // and our READ follows our CAS on ours, so a CAS that saw the release is
 // followed by a READ that sees the write-back.
-func (m *Manager) acquireGlobalRemote(c transport.Transport, gaddr, addr rdma.Addr, buf []byte) (reclaimed, read bool) {
+func (m *Manager) acquireGlobalRemote(c transport.Transport, gaddr, addr transport.Addr, buf []byte) (reclaimed, read bool) {
 	id := uint64(c.CSID()) + 1
 	lease := c.Timing().LeaseNS
 	var stamp uint64 // last observed holder stamp
@@ -648,7 +642,7 @@ func (m *Manager) acquireGlobalRemote(c transport.Transport, gaddr, addr rdma.Ad
 // casWord issues one CAS of the physical lock word at gaddr from old to id in
 // the table's width, as an acquire doorbell carrying the READ of buf at addr
 // when buf is non-nil.
-func (m *Manager) casWord(c transport.Transport, gaddr rdma.Addr, old, id uint64, addr rdma.Addr, buf []byte) (uint64, bool) {
+func (m *Manager) casWord(c transport.Transport, gaddr transport.Addr, old, id uint64, addr transport.Addr, buf []byte) (uint64, bool) {
 	switch {
 	case m.mode.OnChip && buf != nil:
 		prev, ok := c.CAS16Read(gaddr, uint16(old), uint16(id), addr, buf)
@@ -675,7 +669,7 @@ func (m *Manager) casWord(c transport.Transport, gaddr rdma.Addr, old, id uint64
 // exclusive simulation ownership guarantee the observed stamp belongs to a
 // dead client. Reclamation counts as an acquisition; the caller holds the
 // lock when it returns.
-func (m *Manager) reclaim(c transport.Transport, gaddr rdma.Addr, deadV int64) {
+func (m *Manager) reclaim(c transport.Transport, gaddr transport.Addr, deadV int64) {
 	vt := c.(transport.VirtualTimer)
 	tm := c.Timing()
 	svc := vt.AtomicSvcNS(gaddr)
@@ -869,11 +863,11 @@ var (
 
 // releaseOp returns the WRITE command that clears the GLT slot (lock release
 // by RDMA_WRITE, which is cheaper than RDMA_FAA — §5.1.2, [68]).
-func (m *Manager) releaseOp(gaddr rdma.Addr) rdma.WriteOp {
+func (m *Manager) releaseOp(gaddr transport.Addr) transport.WriteOp {
 	if m.mode.OnChip {
-		return rdma.WriteOp{Addr: gaddr, Data: zeroOnChip}
+		return transport.WriteOp{Addr: gaddr, Data: zeroOnChip}
 	}
-	return rdma.WriteOp{Addr: gaddr, Data: zeroHost}
+	return transport.WriteOp{Addr: gaddr, Data: zeroHost}
 }
 
 // Unlock releases the lock, flushing the caller's pending dependent writes.
@@ -886,7 +880,7 @@ func (m *Manager) releaseOp(gaddr rdma.Addr) rdma.WriteOp {
 // All writes in pending must target the same memory server as the lock;
 // PostWrites enforces this. Writes to *other* servers (cross-MS split
 // siblings) must be issued by the caller before Unlock, as in Figure 7.
-func (m *Manager) Unlock(c transport.Transport, g Guard, pending []rdma.WriteOp, combine bool) {
+func (m *Manager) Unlock(c transport.Transport, g Guard, pending []transport.WriteOp, combine bool) {
 	if g.ll != nil {
 		// Decide the handover before flushing, but do not hold the local
 		// entry's mutex across the flush: flushing issues fabric verbs, and
@@ -914,7 +908,7 @@ func (m *Manager) Unlock(c transport.Transport, g Guard, pending []rdma.WriteOp,
 
 // flush issues the dependent writes and, when releaseGlobal is set, the GLT
 // clear.
-func (m *Manager) flush(c transport.Transport, g Guard, pending []rdma.WriteOp, combine, releaseGlobal bool) {
+func (m *Manager) flush(c transport.Transport, g Guard, pending []transport.WriteOp, combine, releaseGlobal bool) {
 	if combine {
 		ops := pending
 		if releaseGlobal {

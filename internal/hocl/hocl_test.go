@@ -7,6 +7,7 @@ import (
 
 	"sherman/internal/rdma"
 	"sherman/internal/sim"
+	"sherman/internal/transport"
 )
 
 func testFabric(t *testing.T, numMS, numCS int) *rdma.Fabric {
@@ -235,7 +236,7 @@ func TestHandoverSkipsRemoteCAS(t *testing.T) {
 func TestLockIndexDeterministic(t *testing.T) {
 	f := testFabric(t, 2, 1)
 	m := NewManager(f, Config{Mode: Sherman(), LocksPerMS: 128})
-	a := rdma.MakeAddr(1, 0x12340)
+	a := transport.MakeAddr(1, 0x12340)
 	i1 := m.index(a)
 	i2 := m.index(a)
 	if i1 != i2 {
@@ -247,7 +248,7 @@ func TestLockIndexDeterministic(t *testing.T) {
 	// Different addresses should mostly hash differently.
 	same := 0
 	for off := uint64(0); off < 1024; off += 64 {
-		if m.index(rdma.MakeAddr(0, 1<<20+off)) == i1 {
+		if m.index(transport.MakeAddr(0, 1<<20+off)) == i1 {
 			same++
 		}
 	}
@@ -278,17 +279,40 @@ func TestModeValidation(t *testing.T) {
 }
 
 // TestOnChipCapacity ensures lock tables that exceed NIC device memory are
-// rejected rather than silently truncated.
+// rejected rather than silently truncated, by both constructors.
 func TestOnChipCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("oversized on-chip GLT did not panic")
-		}
-	}()
 	p := sim.DefaultParams()
 	p.OnChipMemBytes = 1024 // room for 512 locks only
-	f := rdma.NewFabric(p, 1, 1)
-	NewManager(f, Config{Mode: Mode{OnChip: true}, LocksPerMS: 1024})
+	cfg := Config{Mode: Mode{OnChip: true}, LocksPerMS: 1024}
+	const want = "hocl: 1024 locks need 2048 B on-chip, NIC has 1024 B"
+	mustPanic(t, "virtual", want, func() { NewManager(rdma.NewFabric(p, 1, 1), cfg) })
+	mustPanic(t, "remote", want, func() {
+		NewRemoteManager(cfg, 1, 1, p.OnChipMemBytes, func(uint16) uint64 { return 0 })
+	})
+}
+
+// TestHostGLTCapacity ensures both constructors reject a host-memory GLT
+// larger than the one chunk each memory server reserves for it.
+func TestHostGLTCapacity(t *testing.T) {
+	cfg := Config{LocksPerMS: transport.DefaultChunkSize/8 + 1}
+	const want = "hocl: host GLT of 1048577 locks exceeds one chunk"
+	mustPanic(t, "virtual", want, func() { NewManager(testFabric(t, 1, 1), cfg) })
+	mustPanic(t, "remote", want, func() {
+		NewRemoteManager(cfg, 1, 1, 0, func(uint16) uint64 { return 0 })
+	})
+}
+
+// mustPanic runs build as subtest name and fails it unless build panics
+// with the message want.
+func mustPanic(t *testing.T, name, want string, build func()) {
+	t.Run(name, func(t *testing.T) {
+		defer func() {
+			if msg, _ := recover().(string); msg != want {
+				t.Errorf("panic %q, want %q", msg, want)
+			}
+		}()
+		build()
+	})
 }
 
 // TestPhysicalLockWord checks the GLT word is physically set while held and
@@ -309,7 +333,7 @@ func TestPhysicalLockWord(t *testing.T) {
 				var buf [8]byte
 				if onChip {
 					// Read the containing word from device memory via verb.
-					w := rdma.MakeOnChipAddr(0, (3*2)&^7)
+					w := transport.MakeOnChipAddr(0, (3*2)&^7)
 					c.Read(w, buf[:])
 					shift := ((3 * 2) % 8) * 8
 					return (le64(buf[:]) >> shift) & 0xffff
@@ -408,7 +432,7 @@ func TestContendedLocalWaitsAllocateNothing(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				release := make([]rdma.WriteOp, 0, 1) // room for the release op
+				release := make([]transport.WriteOp, 0, 1) // room for the release op
 				for i := 0; i < ops; i++ {
 					g := m.LockIdx(c, 0, 0)
 					c.Step(20)

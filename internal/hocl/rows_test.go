@@ -7,6 +7,7 @@ import (
 
 	"sherman/internal/rdma"
 	"sherman/internal/sim"
+	"sherman/internal/transport"
 )
 
 // installed counts the rows in place.
@@ -49,7 +50,7 @@ func TestRowsAllocatedOnFirstUse(t *testing.T) {
 	c := f.NewClient(0)
 	g := m.LockIdx(c, 0, 7)
 	m.Unlock(c, g, nil, true)
-	g = m.Lock(c, rdma.MakeAddr(0, 4096))
+	g = m.Lock(c, transport.MakeAddr(0, 4096))
 	m.Unlock(c, g, nil, true)
 	s, l := rowCounts(m)
 	if s != 1 || l[0] != 1 || l[1] != 0 {
@@ -169,7 +170,7 @@ func TestLockOnAddedServer(t *testing.T) {
 	}
 	c := f.NewClient(0)
 	for i := 0; i < 2; i++ {
-		g := m.Lock(c, rdma.MakeAddr(s.ID, 8192))
+		g := m.Lock(c, transport.MakeAddr(s.ID, 8192))
 		if g.HandedOver() || g.Reclaimed() {
 			t.Fatalf("uncontended lock on the new server: handover %v, reclaimed %v", g.HandedOver(), g.Reclaimed())
 		}

@@ -3,7 +3,7 @@ package layout
 import (
 	"testing"
 
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // The view benchmarks time the accessors the index calls once or more per
@@ -41,10 +41,10 @@ func BenchmarkLeafSetEntry(b *testing.B) {
 func BenchmarkInternalChildFor(b *testing.B) {
 	f := DefaultFormat(TwoLevel)
 	n := NewInternal(f, 1, 0, NoUpperBound)
-	n.SetLeftmost(rdma.Addr(1))
+	n.SetLeftmost(transport.Addr(1))
 	seps := make([]Sep, f.IntCap*8/10)
 	for i := range seps {
-		seps[i] = Sep{Key: uint64(i+1) * 100, Child: rdma.Addr(i + 2)}
+		seps[i] = Sep{Key: uint64(i+1) * 100, Child: transport.Addr(i + 2)}
 	}
 	n.SetSeparators(seps)
 	span := uint64(len(seps)+1) * 100

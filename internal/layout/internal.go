@@ -3,7 +3,7 @@ package layout
 import (
 	"sort"
 
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // Internal views a node buffer as an internal (index) node: a sorted array
@@ -54,21 +54,21 @@ func (n Internal) Count() int { return n.getU16(n.countOff()) }
 func (n Internal) setCount(c int) { n.putU16(n.countOff(), c) }
 
 // Leftmost returns the child covering keys below the first separator.
-func (n Internal) Leftmost() rdma.Addr { return rdma.Addr(n.getU64(n.countOff() + 2)) }
+func (n Internal) Leftmost() transport.Addr { return transport.Addr(n.getU64(n.countOff() + 2)) }
 
 // SetLeftmost stores the leftmost child pointer.
-func (n Internal) SetLeftmost(a rdma.Addr) { n.putU64(n.countOff()+2, uint64(a)) }
+func (n Internal) SetLeftmost(a transport.Addr) { n.putU64(n.countOff()+2, uint64(a)) }
 
 // KeyAt returns separator key i.
 func (n Internal) KeyAt(i int) uint64 { return n.getKey(n.f.intEntryOff(i)) }
 
 // ChildAt returns the child pointer paired with separator key i.
-func (n Internal) ChildAt(i int) rdma.Addr {
-	return rdma.Addr(n.getU64(n.f.intEntryOff(i) + n.f.KeySize))
+func (n Internal) ChildAt(i int) transport.Addr {
+	return transport.Addr(n.getU64(n.f.intEntryOff(i) + n.f.KeySize))
 }
 
 // setAt stores separator i.
-func (n Internal) setAt(i int, key uint64, child rdma.Addr) {
+func (n Internal) setAt(i int, key uint64, child transport.Addr) {
 	off := n.f.intEntryOff(i)
 	n.putKey(off, key)
 	n.putU64(off+n.f.KeySize, uint64(child))
@@ -77,7 +77,7 @@ func (n Internal) setAt(i int, key uint64, child rdma.Addr) {
 // SetChild rewrites the child pointer at the index ChildFor returned: -1 is
 // the leftmost child, i >= 0 the i-th separator's child. The migration
 // engine uses it to repoint a parent at a relocated node.
-func (n Internal) SetChild(i int, a rdma.Addr) {
+func (n Internal) SetChild(i int, a transport.Addr) {
 	if i < 0 {
 		n.SetLeftmost(a)
 		return
@@ -87,7 +87,7 @@ func (n Internal) SetChild(i int, a rdma.Addr) {
 
 // ChildFor returns the child to descend into for key, plus the index of the
 // separator chosen (-1 for leftmost).
-func (n Internal) ChildFor(key uint64) (rdma.Addr, int) {
+func (n Internal) ChildFor(key uint64) (transport.Addr, int) {
 	cnt := n.Count()
 	// First separator strictly greater than key; descend left of it.
 	i := sort.Search(cnt, func(i int) bool { return n.KeyAt(i) > key })
@@ -100,14 +100,14 @@ func (n Internal) ChildFor(key uint64) (rdma.Addr, int) {
 // ChildrenFrom returns the children covering keys >= key within this node's
 // range, in key order. Range queries use it to fetch several target leaves
 // with parallel RDMA_READs (§4.4).
-func (n Internal) ChildrenFrom(key uint64) []rdma.Addr {
+func (n Internal) ChildrenFrom(key uint64) []transport.Addr {
 	return n.AppendChildrenFrom(nil, key)
 }
 
 // AppendChildrenFrom appends the children covering keys >= key onto dst and
 // returns the extended slice — the allocation-free variant for callers that
 // recycle a scratch buffer.
-func (n Internal) AppendChildrenFrom(dst []rdma.Addr, key uint64) []rdma.Addr {
+func (n Internal) AppendChildrenFrom(dst []transport.Addr, key uint64) []transport.Addr {
 	cnt := n.Count()
 	_, i := n.ChildFor(key)
 	if i < 0 {
@@ -126,7 +126,7 @@ func (n Internal) AppendChildrenFrom(dst []rdma.Addr, key uint64) []rdma.Addr {
 // Insert adds (key, child) keeping separators sorted. Returns false when the
 // node is full; duplicate keys overwrite the child pointer (idempotent
 // retry of a parent update).
-func (n Internal) Insert(key uint64, child rdma.Addr) bool {
+func (n Internal) Insert(key uint64, child transport.Addr) bool {
 	cnt := n.Count()
 	i := sort.Search(cnt, func(i int) bool { return n.KeyAt(i) >= key })
 	if i < cnt && n.KeyAt(i) == key {
@@ -157,7 +157,7 @@ func (n Internal) Separators() []Sep {
 // Sep is one separator of an internal node.
 type Sep struct {
 	Key   uint64
-	Child rdma.Addr
+	Child transport.Addr
 }
 
 // SetSeparators rewrites the node's separator array.
@@ -176,7 +176,7 @@ func (n Internal) SetSeparators(seps []Sep) {
 // the separator key to push up. right must be freshly initialized with n's
 // level. Fences and sibling pointers are fixed up here; the caller persists
 // both nodes and the parent update.
-func (n Internal) SplitInto(right Internal, rightAddr rdma.Addr) (sepKey uint64) {
+func (n Internal) SplitInto(right Internal, rightAddr transport.Addr) (sepKey uint64) {
 	seps := n.Separators()
 	mid := len(seps) / 2
 	sepKey = seps[mid].Key

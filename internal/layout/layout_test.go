@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 func formats() []Format {
@@ -356,7 +356,7 @@ func TestInternalInsertSearch(t *testing.T) {
 		in := NewInternal(f, 1, 0, NoUpperBound)
 		in.SetLeftmost(0x10)
 		for _, k := range []uint64{100, 50, 150} {
-			if !in.Insert(k, rdma.Addr(k)) {
+			if !in.Insert(k, transport.Addr(k)) {
 				t.Fatalf("insert %d failed", k)
 			}
 		}
@@ -398,14 +398,14 @@ func TestInternalSplit(t *testing.T) {
 		in.SetLeftmost(1)
 		n := f.IntCap
 		for i := 0; i < n; i++ {
-			in.Insert(uint64(i+1)*10, rdma.Addr(i+2))
+			in.Insert(uint64(i+1)*10, transport.Addr(i+2))
 		}
 		right := NewInternal(f, 2, 0, 0)
-		sep := in.SplitInto(right, rdma.Addr(0xbeef))
+		sep := in.SplitInto(right, transport.Addr(0xbeef))
 		if in.UpperFence() != sep || right.LowerFence() != sep {
 			t.Fatalf("%v: fences not stitched at separator", f.Mode)
 		}
-		if in.Sibling() != rdma.Addr(0xbeef) {
+		if in.Sibling() != transport.Addr(0xbeef) {
 			t.Fatal("left sibling not set")
 		}
 		if right.Level() != 2 {
@@ -419,14 +419,14 @@ func TestInternalSplit(t *testing.T) {
 		// Every key routes to the same child as before the split.
 		for i := 0; i < n; i++ {
 			k := uint64(i+1) * 10
-			var got rdma.Addr
+			var got transport.Addr
 			if k < sep {
 				got, _ = in.ChildFor(k)
 			} else {
 				got, _ = right.ChildFor(k)
 			}
-			if got != rdma.Addr(i+2) {
-				t.Fatalf("%v: key %d routes to %v, want %v", f.Mode, k, got, rdma.Addr(i+2))
+			if got != transport.Addr(i+2) {
+				t.Fatalf("%v: key %d routes to %v, want %v", f.Mode, k, got, transport.Addr(i+2))
 			}
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"hash/crc64"
 
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -80,10 +80,12 @@ func (n Node) UpperFence() uint64 { return binary.LittleEndian.Uint64(n.B[offUpp
 func (n Node) SetUpperFence(k uint64) { binary.LittleEndian.PutUint64(n.B[offUpper:], k) }
 
 // Sibling returns the right-sibling pointer (B-link).
-func (n Node) Sibling() rdma.Addr { return rdma.Addr(binary.LittleEndian.Uint64(n.B[offSib:])) }
+func (n Node) Sibling() transport.Addr {
+	return transport.Addr(binary.LittleEndian.Uint64(n.B[offSib:]))
+}
 
 // SetSibling stores the right-sibling pointer.
-func (n Node) SetSibling(a rdma.Addr) { binary.LittleEndian.PutUint64(n.B[offSib:], uint64(a)) }
+func (n Node) SetSibling(a transport.Addr) { binary.LittleEndian.PutUint64(n.B[offSib:], uint64(a)) }
 
 // Covers reports whether key falls inside the node's fence interval — the
 // cache-validation check of §4.2.3.

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // TestLeafModelProperty drives a random op sequence against a leaf and a
@@ -88,14 +88,14 @@ func TestInternalModelProperty(t *testing.T) {
 	fn := func(seed uint64) bool {
 		f := DefaultFormat(TwoLevel)
 		n := NewInternal(f, 1, 0, NoUpperBound)
-		leftmost := rdma.MakeAddr(0, 64)
+		leftmost := transport.MakeAddr(0, 64)
 		n.SetLeftmost(leftmost)
 		rng := rand.New(rand.NewPCG(seed, 13))
 
-		seps := map[uint64]rdma.Addr{}
+		seps := map[uint64]transport.Addr{}
 		for i := 0; i < 40; i++ {
 			k := rng.Uint64N(10_000) + 1
-			child := rdma.MakeAddr(0, uint64(0x1000+i*64))
+			child := transport.MakeAddr(0, uint64(0x1000+i*64))
 			if !n.Insert(k, child) {
 				break
 			}
@@ -134,18 +134,18 @@ func TestInternalSplitProperty(t *testing.T) {
 	fn := func(seed uint64) bool {
 		f := NewFormat(TwoLevel, 8, 512)
 		n := NewInternal(f, 2, 100, 90_000)
-		n.SetLeftmost(rdma.MakeAddr(0, 64))
+		n.SetLeftmost(transport.MakeAddr(0, 64))
 		rng := rand.New(rand.NewPCG(seed, 99))
 		for i := 0; ; i++ {
 			k := rng.Uint64N(80_000) + 101
-			if !n.Insert(k, rdma.MakeAddr(0, uint64(0x1000+i*64))) {
+			if !n.Insert(k, transport.MakeAddr(0, uint64(0x1000+i*64))) {
 				break
 			}
 		}
 		// Reference routing before the split.
 		type route struct {
 			key   uint64
-			child rdma.Addr
+			child transport.Addr
 		}
 		var ref []route
 		for p := 0; p < 200; p++ {
@@ -154,7 +154,7 @@ func TestInternalSplitProperty(t *testing.T) {
 			ref = append(ref, route{k, c})
 		}
 
-		rightAddr := rdma.MakeAddr(1, 0x8000)
+		rightAddr := transport.MakeAddr(1, 0x8000)
 		right := NewInternal(f, 2, 0, NoUpperBound)
 		sep := n.SplitInto(right, rightAddr)
 
@@ -165,7 +165,7 @@ func TestInternalSplitProperty(t *testing.T) {
 			return false
 		}
 		for _, r := range ref {
-			var got rdma.Addr
+			var got transport.Addr
 			if r.key < sep {
 				got, _ = n.ChildFor(r.key)
 			} else {

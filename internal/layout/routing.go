@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // Routing is the compact, read-only copy of an internal node that the index
@@ -38,7 +38,7 @@ const (
 	rtLower, rtUpper          = 8, 16
 	rtTable                   = 24
 
-	// chunkShift is log2(rdma.DefaultChunkSize): a child's chunk is its
+	// chunkShift is log2(transport.DefaultChunkSize): a child's chunk is its
 	// address with the low chunkShift bits cleared.
 	chunkShift = 23
 	chunkMask  = 1<<chunkShift - 1
@@ -66,8 +66,8 @@ func (r Routing) Covers(key uint64) bool {
 func (r Routing) Chunks() int { return int(binary.LittleEndian.Uint16(r.B[rtChunks:])) }
 
 // ChunkAt returns the base address of chunk-table entry i.
-func (r Routing) ChunkAt(i int) rdma.Addr {
-	return rdma.Addr(binary.LittleEndian.Uint64(r.B[rtTable+8*i:]))
+func (r Routing) ChunkAt(i int) transport.Addr {
+	return transport.Addr(binary.LittleEndian.Uint64(r.B[rtTable+8*i:]))
 }
 
 func (r Routing) childOff() int { return rtTable + 8*r.Chunks() }
@@ -81,20 +81,20 @@ func (r Routing) KeyAt(i int) uint64 {
 }
 
 // ChildAt returns the child pointer paired with separator key i.
-func (r Routing) ChildAt(i int) rdma.Addr { return r.child(i + 1) }
+func (r Routing) ChildAt(i int) transport.Addr { return r.child(i + 1) }
 
 // child decodes entry j of the child list (0 is the leftmost).
-func (r Routing) child(j int) rdma.Addr {
+func (r Routing) child(j int) transport.Addr {
 	w, shift := int(r.B[rtChildW]), uint(r.B[rtShift])
 	v := getUint(r.B, r.childOff()+j*w, w)
 	offBits := chunkShift - shift
 	off := (v & (1<<offBits - 1)) << shift
-	return r.ChunkAt(int(v>>offBits)) | rdma.Addr(off)
+	return r.ChunkAt(int(v>>offBits)) | transport.Addr(off)
 }
 
 // ChildFor returns the child to descend into for key, plus the index of the
 // separator chosen (-1 for leftmost) — exactly Internal.ChildFor's answer.
-func (r Routing) ChildFor(key uint64) (rdma.Addr, int) {
+func (r Routing) ChildFor(key uint64) (transport.Addr, int) {
 	i := r.search(key)
 	return r.child(i), i - 1
 }
@@ -118,7 +118,7 @@ func (r Routing) search(key uint64) int {
 
 // AppendChildrenFrom appends the children covering keys >= key onto dst, in
 // key order, and returns the extended slice.
-func (r Routing) AppendChildrenFrom(dst []rdma.Addr, key uint64) []rdma.Addr {
+func (r Routing) AppendChildrenFrom(dst []transport.Addr, key uint64) []transport.Addr {
 	for j, n := r.search(key), r.Count(); j <= n; j++ {
 		dst = append(dst, r.child(j))
 	}
@@ -133,7 +133,7 @@ func (g routingGeom) size(cnt int) int {
 }
 
 // child returns entry j of the node's child list (0 is the leftmost).
-func (n Internal) child(j int) rdma.Addr {
+func (n Internal) child(j int) transport.Addr {
 	if j == 0 {
 		return n.Leftmost()
 	}

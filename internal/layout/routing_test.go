@@ -6,7 +6,7 @@ import (
 	"slices"
 	"testing"
 
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // checkRouting compares every accessor of n's compact copy against n itself,
@@ -68,17 +68,17 @@ func randInternal(rng *rand.Rand, f Format, cnt int, span uint64, nchunks int, a
 		upper = NoUpperBound
 	}
 	n := NewInternal(f, uint8(1+rng.IntN(4)), lower, upper)
-	chunks := make([]rdma.Addr, nchunks)
+	chunks := make([]transport.Addr, nchunks)
 	for i := range chunks {
 		ms := uint16(rng.IntN(0x8000))
 		if i == 0 {
 			ms = 0x7fff
 		}
-		chunks[i] = rdma.MakeAddr(ms, rng.Uint64N(1<<(48-chunkShift))<<chunkShift)
+		chunks[i] = transport.MakeAddr(ms, rng.Uint64N(1<<(48-chunkShift))<<chunkShift)
 	}
-	addr := func() rdma.Addr {
-		off := rng.Uint64N(rdma.DefaultChunkSize) >> align << align
-		return chunks[rng.IntN(nchunks)] | rdma.Addr(off)
+	addr := func() transport.Addr {
+		off := rng.Uint64N(transport.DefaultChunkSize) >> align << align
+		return chunks[rng.IntN(nchunks)] | transport.Addr(off)
 	}
 	n.SetLeftmost(addr())
 	keys := make([]uint64, 0, cnt)
@@ -124,16 +124,16 @@ func TestRoutingCopyProperty(t *testing.T) {
 // no more than 280 B, against the 790 B its full-width separator array
 // takes.
 func TestRoutingCopySize(t *testing.T) {
-	if 1<<chunkShift != rdma.DefaultChunkSize {
-		t.Fatalf("chunkShift %d does not match the %d-byte chunk", chunkShift, rdma.DefaultChunkSize)
+	if 1<<chunkShift != transport.DefaultChunkSize {
+		t.Fatalf("chunkShift %d does not match the %d-byte chunk", chunkShift, transport.DefaultChunkSize)
 	}
 	f := DefaultFormat(TwoLevel)
 	const children, gap = 48, 44
 	lower := uint64(5_000_000)
 	n := NewInternal(f, 1, lower, lower+children*gap)
 	// Each server's run of leaves starts 10 nodes before a chunk boundary.
-	leaf := func(j int) rdma.Addr {
-		return rdma.MakeAddr(uint16(j%2), 3*rdma.DefaultChunkSize-10*1024+uint64(j/2)*1024)
+	leaf := func(j int) transport.Addr {
+		return transport.MakeAddr(uint16(j%2), 3*transport.DefaultChunkSize-10*1024+uint64(j/2)*1024)
 	}
 	n.SetLeftmost(leaf(0))
 	seps := make([]Sep, children-1)
@@ -168,16 +168,16 @@ func FuzzRoutingCopy(f *testing.F) {
 		// small scales, the whole key space at large ones.
 		scale := uint(in.byte() % 64)
 		cnt := int(in.byte()) % (fm.IntCap + 1)
-		palette := make([]rdma.Addr, 1+in.byte()%4)
+		palette := make([]transport.Addr, 1+in.byte()%4)
 		for i := range palette {
 			ms := uint16(in.byte())<<7 | uint16(in.byte()&0x7f)
-			palette[i] = rdma.MakeAddr(ms, uint64(in.byte())<<chunkShift)
+			palette[i] = transport.MakeAddr(ms, uint64(in.byte())<<chunkShift)
 		}
 		align := uint(in.byte() % (chunkShift + 1))
-		child := func() rdma.Addr {
+		child := func() transport.Addr {
 			b := in.byte()
 			off := uint64(in.byte())<<16 | uint64(in.byte())<<8 | uint64(in.byte())
-			return palette[int(b)%len(palette)] | rdma.Addr(off&chunkMask>>align<<align)
+			return palette[int(b)%len(palette)] | transport.Addr(off&chunkMask>>align<<align)
 		}
 		leftmost := child()
 		seps := make([]Sep, 0, cnt)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"sherman/internal/sim"
+	"sherman/internal/transport"
 )
 
 // yield makes every verb a real scheduling point once the fabric has a
@@ -37,7 +38,7 @@ type Client struct {
 
 	// M accumulates verb-level metrics; the index layer snapshots the Op*
 	// fields around each index operation.
-	M Metrics
+	M transport.Metrics
 
 	// epoch is the compute server's incarnation at client creation; a
 	// restart bumps it, so clients of a crashed-then-restarted CS stay dead.
@@ -116,7 +117,7 @@ func (c *Client) roundTrip() {
 
 // Read fetches len(buf) bytes at a via RDMA_READ: one round trip, with the
 // response payload charged at the memory server's NIC.
-func (c *Client) Read(a Addr, buf []byte) {
+func (c *Client) Read(a transport.Addr, buf []byte) {
 	c.checkVerb()
 	p := &c.F.P
 	srv := c.F.Server(a)
@@ -133,7 +134,7 @@ func (c *Client) Read(a Addr, buf []byte) {
 // ReadMulti issues the given reads in parallel (one command per target, all
 // posted back-to-back) and returns when the slowest completes; this is how
 // range queries fetch several leaves in one round-trip time (§4.4).
-func (c *Client) ReadMulti(reqs []ReadOp) {
+func (c *Client) ReadMulti(reqs []transport.ReadOp) {
 	if len(reqs) == 0 {
 		return
 	}
@@ -162,8 +163,8 @@ func (c *Client) ReadMulti(reqs []ReadOp) {
 }
 
 // Write stores data at a via a single signaled RDMA_WRITE: one round trip.
-func (c *Client) Write(a Addr, data []byte) {
-	c.PostWrites(WriteOp{Addr: a, Data: data})
+func (c *Client) Write(a transport.Addr, data []byte) {
+	c.PostWrites(transport.WriteOp{Addr: a, Data: data})
 }
 
 // PostWrites posts the given WRITE commands on one queue pair in order, with
@@ -172,7 +173,7 @@ func (c *Client) Write(a Addr, data []byte) {
 // write-back then lock release — complete in one round trip. All targets
 // must live on the same memory server, since an RC QP connects exactly one
 // pair of NICs.
-func (c *Client) PostWrites(ops ...WriteOp) {
+func (c *Client) PostWrites(ops ...transport.WriteOp) {
 	if len(ops) == 0 {
 		return
 	}
@@ -205,7 +206,7 @@ func (c *Client) PostWrites(ops ...WriteOp) {
 	c.yield()
 }
 
-func (c *Client) atomicTiming(a Addr, backlogNS int64) int64 {
+func (c *Client) atomicTiming(a transport.Addr, backlogNS int64) int64 {
 	c.checkVerb()
 	p := &c.F.P
 	srv := c.F.Server(a)
@@ -232,7 +233,7 @@ func (c *Client) atomicTiming(a Addr, backlogNS int64) int64 {
 // AtomicSvcNS returns the total in-NIC service time of one atomic command
 // targeting a — pipeline occupancy plus conflict serialization (§3.2.2,
 // §4.3). Lock managers use it to size handoff backlogs.
-func (c *Client) AtomicSvcNS(a Addr) int64 {
+func (c *Client) AtomicSvcNS(a transport.Addr) int64 {
 	if a.OnChip() {
 		return c.F.P.OnChipAtomicNS + c.F.P.OnChipAtomicUnitNS
 	}
@@ -243,7 +244,7 @@ func (c *Client) AtomicSvcNS(a Addr) int64 {
 // value and whether the swap happened. Host-memory targets pay the in-NIC
 // PCIe-transaction cost serialized per atomic bucket (§3.2.2); on-chip
 // targets do not (§4.3).
-func (c *Client) CAS(a Addr, old, new uint64) (uint64, bool) {
+func (c *Client) CAS(a transport.Addr, old, new uint64) (uint64, bool) {
 	return c.cas(a, old, new, 0, a, nil)
 }
 
@@ -251,18 +252,18 @@ func (c *Client) CAS(a Addr, old, new uint64) (uint64, bool) {
 // time already queued in the target NIC's atomic unit — the in-flight
 // commands of concurrent spinners (§3.2.2). Lock managers use it to model
 // handoff latency under heavy contention.
-func (c *Client) CASBacklog(a Addr, old, new uint64, backlogNS int64) (uint64, bool) {
+func (c *Client) CASBacklog(a transport.Addr, old, new uint64, backlogNS int64) (uint64, bool) {
 	return c.cas(a, old, new, backlogNS, a, nil)
 }
 
 // CASRead is the acquire doorbell: the CAS on lock and the READ of buf at a
 // posted back to back on one queue pair, the READ executing after the CAS
 // (RC in-order delivery, §4.5). One round trip.
-func (c *Client) CASRead(lock Addr, old, new uint64, a Addr, buf []byte) (uint64, bool) {
+func (c *Client) CASRead(lock transport.Addr, old, new uint64, a transport.Addr, buf []byte) (uint64, bool) {
 	return c.cas(lock, old, new, 0, a, buf)
 }
 
-func (c *Client) cas(a Addr, old, new uint64, backlogNS int64, ra Addr, buf []byte) (uint64, bool) {
+func (c *Client) cas(a transport.Addr, old, new uint64, backlogNS int64, ra transport.Addr, buf []byte) (uint64, bool) {
 	fin := c.atomicTiming(a, backlogNS)
 	prev := c.F.Server(a).cas(a, old, new)
 	swapped := prev == old
@@ -278,22 +279,22 @@ func (c *Client) cas(a Addr, old, new uint64, backlogNS int64, ra Addr, buf []by
 // must be 2-aligned within its 8-byte word). Masked CAS is the "enhanced
 // atomic" verb Sherman uses to pack 131,072 locks into 256 KB of on-chip
 // memory (§4.3).
-func (c *Client) CAS16(a Addr, old, new uint16) (uint16, bool) {
+func (c *Client) CAS16(a transport.Addr, old, new uint16) (uint16, bool) {
 	return c.cas16(a, old, new, 0, a, nil)
 }
 
 // CAS16Backlog is CAS16 behind backlogNS of queued atomic service time; see
 // CASBacklog.
-func (c *Client) CAS16Backlog(a Addr, old, new uint16, backlogNS int64) (uint16, bool) {
+func (c *Client) CAS16Backlog(a transport.Addr, old, new uint16, backlogNS int64) (uint16, bool) {
 	return c.cas16(a, old, new, backlogNS, a, nil)
 }
 
 // CAS16Read is CASRead with the masked 16-bit CAS of on-chip lock words.
-func (c *Client) CAS16Read(lock Addr, old, new uint16, a Addr, buf []byte) (uint16, bool) {
+func (c *Client) CAS16Read(lock transport.Addr, old, new uint16, a transport.Addr, buf []byte) (uint16, bool) {
 	return c.cas16(lock, old, new, 0, a, buf)
 }
 
-func (c *Client) cas16(a Addr, old, new uint16, backlogNS int64, ra Addr, buf []byte) (uint16, bool) {
+func (c *Client) cas16(a transport.Addr, old, new uint16, backlogNS int64, ra transport.Addr, buf []byte) (uint16, bool) {
 	fin := c.atomicTiming(a, backlogNS)
 	prev := c.F.Server(a).cas16(a, old, new)
 	swapped := prev == old
@@ -312,7 +313,7 @@ func (c *Client) cas16(a Addr, old, new uint16, backlogNS int64, ra Addr, buf []
 // enters the server's inbound pipeline when the CAS has executed — one RTT
 // before casFin — pays its response payload there, and the one round trip
 // atomicTiming booked covers both commands.
-func (c *Client) readBehind(casFin int64, lock, a Addr, buf []byte) int64 {
+func (c *Client) readBehind(casFin int64, lock, a transport.Addr, buf []byte) int64 {
 	if buf == nil {
 		return casFin
 	}
@@ -333,7 +334,7 @@ func (c *Client) readBehind(casFin int64, lock, a Addr, buf []byte) int64 {
 
 // FAA executes RDMA_FAA on the 8-byte word at a and returns the previous
 // value.
-func (c *Client) FAA(a Addr, delta uint64) uint64 {
+func (c *Client) FAA(a transport.Addr, delta uint64) uint64 {
 	fin := c.atomicTiming(a, 0)
 	prev := c.F.Server(a).faa(a, delta)
 	c.Clk.AdvanceTo(fin)
@@ -346,7 +347,7 @@ func (c *Client) FAA(a Addr, delta uint64) uint64 {
 // executing a memory operation. Lock implementations use it to bill spin
 // retries that are implied by virtual time rather than observed in real
 // time (see hocl).
-func (c *Client) ChargeAtomic(a Addr) {
+func (c *Client) ChargeAtomic(a transport.Addr) {
 	fin := c.atomicTiming(a, 0)
 	c.Clk.AdvanceTo(fin)
 	c.M.CASFailures++
@@ -372,7 +373,7 @@ const maxSpinCharges = 1 << 14
 // convoy-depth x service-time, and the lock manager bills exactly that
 // bound to the winning CAS (CASBacklog). Booking open-loop charges as well
 // would double-count the storm and grow the queue without bound.
-func (c *Client) ChargeSpin(a Addr, from, to, cadence int64) int {
+func (c *Client) ChargeSpin(a transport.Addr, from, to, cadence int64) int {
 	c.checkVerb()
 	p := &c.F.P
 	srv := c.F.Server(a)

@@ -1,3 +1,20 @@
+// Package rdma simulates the RDMA fabric of a disaggregated-memory cluster:
+// memory servers exposing host memory and NIC on-chip device memory, compute
+// servers with client threads, and the one-sided verbs (READ, WRITE, CAS,
+// FAA, masked CAS) plus doorbell-batched posts and a two-sided RPC path for
+// the wimpy memory thread.
+//
+// Every operation really executes against shared process memory — the
+// internal/memstore store shermand embeds too, with 64-byte access atomicity
+// matching cacheline-granular NIC DMA — so lock-free readers observe genuine
+// torn data that the index's version/checksum machinery must catch.
+// Performance is accounted in virtual time via internal/sim; see DESIGN.md
+// §3 for the model.
+//
+// The verb surface and its value types (Addr, ReadOp, WriteOp, Metrics) are
+// internal/transport's; *Client implements transport.Transport and
+// transport.VirtualTimer, the capability interface carrying the virtual-time
+// hooks.
 package rdma
 
 import (
@@ -6,6 +23,7 @@ import (
 	"sync/atomic"
 
 	"sherman/internal/sim"
+	"sherman/internal/transport"
 )
 
 // DefaultServerHeadroom is how many memory servers beyond the initial count
@@ -144,7 +162,7 @@ func (f *Fabric) AddServer() (*Server, error) {
 }
 
 // Server returns the memory server addressed by a.
-func (f *Fabric) Server(a Addr) *Server {
+func (f *Fabric) Server(a transport.Addr) *Server {
 	servers := *f.servers.Load()
 	ms := a.MS()
 	if int(ms) >= len(servers) {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"sherman/internal/sim"
+	"sherman/internal/transport"
 )
 
 func testFabric(numMS, numCS int) *Fabric {
@@ -14,15 +15,15 @@ func testFabric(numMS, numCS int) *Fabric {
 }
 
 func TestAddrEncoding(t *testing.T) {
-	a := MakeAddr(7, 0x123456789a)
+	a := transport.MakeAddr(7, 0x123456789a)
 	if a.MS() != 7 || a.Off() != 0x123456789a || a.OnChip() || a.IsNil() {
 		t.Fatalf("addr round trip failed: %v", a)
 	}
-	oc := MakeOnChipAddr(3, 64)
+	oc := transport.MakeOnChipAddr(3, 64)
 	if !oc.OnChip() || oc.MS() != 3 || oc.Off() != 64 {
 		t.Fatalf("on-chip addr round trip failed: %v", oc)
 	}
-	if !NilAddr.IsNil() {
+	if !transport.NilAddr.IsNil() {
 		t.Fatal("NilAddr not nil")
 	}
 	if a.Add(16).Off() != a.Off()+16 {
@@ -34,7 +35,7 @@ func TestAddrEncodingProperty(t *testing.T) {
 	fn := func(ms uint16, off uint64) bool {
 		ms &= 0x7fff
 		off &= (uint64(1) << 48) - 1
-		a := MakeAddr(ms, off)
+		a := transport.MakeAddr(ms, off)
 		return a.MS() == ms && a.Off() == off && !a.OnChip()
 	}
 	if err := quick.Check(fn, nil); err != nil {
@@ -43,9 +44,9 @@ func TestAddrEncodingProperty(t *testing.T) {
 }
 
 func TestAddrPanics(t *testing.T) {
-	assertPanics(t, func() { MakeAddr(0, 1<<48) })
-	assertPanics(t, func() { MakeAddr(1<<15, 0) })
-	assertPanics(t, func() { NilAddr.Add(1) })
+	assertPanics(t, func() { transport.MakeAddr(0, 1<<48) })
+	assertPanics(t, func() { transport.MakeAddr(1<<15, 0) })
+	assertPanics(t, func() { transport.NilAddr.Add(1) })
 }
 
 func assertPanics(t *testing.T, fn func()) {
@@ -63,7 +64,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	base := f.Servers()[1].Grow()
 	c := f.NewClient(0)
 	data := []byte("hello disaggregated memory")
-	addr := MakeAddr(1, base+128)
+	addr := transport.MakeAddr(1, base+128)
 	c.Write(addr, data)
 	got := make([]byte, len(data))
 	c.Read(addr, got)
@@ -81,9 +82,9 @@ func TestPostWritesInOrderSingleTrip(t *testing.T) {
 	c := f.NewClient(0)
 	c.M.BeginOp()
 	c.PostWrites(
-		WriteOp{Addr: MakeAddr(0, base), Data: []byte{1, 2, 3}},
-		WriteOp{Addr: MakeAddr(0, base+64), Data: []byte{4, 5}},
-		WriteOp{Addr: MakeAddr(0, base+128), Data: []byte{6}},
+		transport.WriteOp{Addr: transport.MakeAddr(0, base), Data: []byte{1, 2, 3}},
+		transport.WriteOp{Addr: transport.MakeAddr(0, base+64), Data: []byte{4, 5}},
+		transport.WriteOp{Addr: transport.MakeAddr(0, base+128), Data: []byte{6}},
 	)
 	if c.M.OpRoundTrips != 1 {
 		t.Fatalf("combined post cost %d round trips, want 1", c.M.OpRoundTrips)
@@ -92,7 +93,7 @@ func TestPostWritesInOrderSingleTrip(t *testing.T) {
 		t.Fatalf("writes = %d", c.M.Writes)
 	}
 	buf := make([]byte, 1)
-	c.Read(MakeAddr(0, base+128), buf)
+	c.Read(transport.MakeAddr(0, base+128), buf)
 	if buf[0] != 6 {
 		t.Fatal("combined write not applied")
 	}
@@ -105,8 +106,8 @@ func TestPostWritesRejectsCrossServer(t *testing.T) {
 	c := f.NewClient(0)
 	assertPanics(t, func() {
 		c.PostWrites(
-			WriteOp{Addr: MakeAddr(0, 0), Data: []byte{1}},
-			WriteOp{Addr: MakeAddr(1, 0), Data: []byte{2}},
+			transport.WriteOp{Addr: transport.MakeAddr(0, 0), Data: []byte{1}},
+			transport.WriteOp{Addr: transport.MakeAddr(1, 0), Data: []byte{2}},
 		)
 	})
 }
@@ -115,7 +116,7 @@ func TestCAS(t *testing.T) {
 	f := testFabric(1, 2)
 	base := f.Servers()[0].Grow()
 	c := f.NewClient(0)
-	a := MakeAddr(0, base)
+	a := transport.MakeAddr(0, base)
 	if _, ok := c.CAS(a, 0, 42); !ok {
 		t.Fatal("CAS from zero failed")
 	}
@@ -135,10 +136,10 @@ func TestCAS16MaskedSemantics(t *testing.T) {
 	f := testFabric(1, 1)
 	base := f.Servers()[0].Grow()
 	c := f.NewClient(0)
-	word := MakeAddr(0, base)
+	word := transport.MakeAddr(0, base)
 	// Set the full word, then CAS only the middle 16-bit lane.
 	c.Write(word, []byte{0x11, 0x11, 0x22, 0x22, 0x33, 0x33, 0x44, 0x44})
-	lane := MakeAddr(0, base+2)
+	lane := transport.MakeAddr(0, base+2)
 	prev, ok := c.CAS16(lane, 0x2222, 0xbeef)
 	if !ok || prev != 0x2222 {
 		t.Fatalf("CAS16 = %#x,%v", prev, ok)
@@ -155,7 +156,7 @@ func TestFAA(t *testing.T) {
 	f := testFabric(1, 1)
 	base := f.Servers()[0].Grow()
 	c := f.NewClient(0)
-	a := MakeAddr(0, base+8)
+	a := transport.MakeAddr(0, base+8)
 	if prev := c.FAA(a, 5); prev != 0 {
 		t.Fatalf("FAA prev = %d", prev)
 	}
@@ -168,8 +169,8 @@ func TestOnChipMemoryIsolated(t *testing.T) {
 	f := testFabric(1, 1)
 	base := f.Servers()[0].Grow()
 	c := f.NewClient(0)
-	host := MakeAddr(0, base)
-	chip := MakeOnChipAddr(0, 0)
+	host := transport.MakeAddr(0, base)
+	chip := transport.MakeOnChipAddr(0, 0)
 	c.Write(host, []byte{0xaa})
 	c.Write(chip, []byte{0xbb})
 	h := make([]byte, 1)
@@ -190,8 +191,8 @@ func TestAtomicTimingOnChipVsHost(t *testing.T) {
 	cHost := f.NewClient(0)
 	cChip := f.NewClient(1)
 	// Same bucket hammered: host atomics must be much slower than on-chip.
-	hostA := MakeAddr(0, base)
-	chipA := MakeOnChipAddr(1, 0)
+	hostA := transport.MakeAddr(0, base)
+	chipA := transport.MakeOnChipAddr(1, 0)
 	const n = 200
 	for i := 0; i < n; i++ {
 		cHost.CAS(hostA, 1, 1) // always fails; timing is what matters
@@ -210,7 +211,7 @@ func TestBandwidthBoundWrites(t *testing.T) {
 	c := f.NewClient(0)
 	big := make([]byte, 4096)
 	t0 := c.Now()
-	c.Write(MakeAddr(0, base), big)
+	c.Write(transport.MakeAddr(0, base), big)
 	perOp := c.Now() - t0
 	// 4 KB at 0.08 ns/B = ~327 ns of service beyond the RTT.
 	if perOp < p.RTTNS+int64(4096*p.NSPerByte) {
@@ -227,7 +228,7 @@ func TestTornReadAt64ByteGranularity(t *testing.T) {
 	// 64-byte-aligned mixtures of them, never intra-line shears.
 	pa := bytes.Repeat([]byte{0xaa}, 128)
 	pb := bytes.Repeat([]byte{0xbb}, 128)
-	addr := MakeAddr(0, base)
+	addr := transport.MakeAddr(0, base)
 	w.Write(addr, pa)
 
 	var wg sync.WaitGroup
@@ -276,16 +277,16 @@ func TestGrowAndBounds(t *testing.T) {
 	}
 	b0 := s.Grow()
 	b1 := s.Grow()
-	if b0 != 0 || b1 != DefaultChunkSize {
+	if b0 != 0 || b1 != transport.DefaultChunkSize {
 		t.Fatalf("chunk bases %d, %d", b0, b1)
 	}
-	if s.Capacity() != 2*DefaultChunkSize {
+	if s.Capacity() != 2*transport.DefaultChunkSize {
 		t.Fatal("capacity wrong")
 	}
 	c := f.NewClient(0)
-	assertPanics(t, func() { c.Read(MakeAddr(0, 2*DefaultChunkSize), make([]byte, 8)) })
+	assertPanics(t, func() { c.Read(transport.MakeAddr(0, 2*transport.DefaultChunkSize), make([]byte, 8)) })
 	// Objects must not span chunks.
-	assertPanics(t, func() { c.Read(MakeAddr(0, DefaultChunkSize-4), make([]byte, 8)) })
+	assertPanics(t, func() { c.Read(transport.MakeAddr(0, transport.DefaultChunkSize-4), make([]byte, 8)) })
 }
 
 func TestRPCChargesMemoryThread(t *testing.T) {
@@ -309,15 +310,15 @@ func TestRPCChargesMemoryThread(t *testing.T) {
 func TestReadMultiParallel(t *testing.T) {
 	p := sim.DefaultParams()
 	f := NewFabric(p, 4, 1)
-	var addrs []Addr
+	var addrs []transport.Addr
 	for ms := 0; ms < 4; ms++ {
 		base := f.Servers()[ms].Grow()
-		addrs = append(addrs, MakeAddr(uint16(ms), base))
+		addrs = append(addrs, transport.MakeAddr(uint16(ms), base))
 	}
 	c := f.NewClient(0)
-	var reqs []ReadOp
+	var reqs []transport.ReadOp
 	for _, a := range addrs {
-		reqs = append(reqs, ReadOp{Addr: a, Buf: make([]byte, 1024)})
+		reqs = append(reqs, transport.ReadOp{Addr: a, Buf: make([]byte, 1024)})
 	}
 	c.M.BeginOp()
 	t0 := c.Now()
@@ -336,7 +337,7 @@ func TestReadMultiParallel(t *testing.T) {
 func TestConcurrentAtomicsLinearize(t *testing.T) {
 	f := testFabric(1, 4)
 	base := f.Servers()[0].Grow()
-	a := MakeAddr(0, base)
+	a := transport.MakeAddr(0, base)
 	const threads = 8
 	const each = 500
 	var wg sync.WaitGroup

@@ -6,6 +6,7 @@ import (
 
 	"sherman/internal/memstore"
 	"sherman/internal/sim"
+	"sherman/internal/transport"
 )
 
 // Server is one memory server: host DRAM and on-chip device memory (the
@@ -62,7 +63,7 @@ func (s *Server) Capacity() uint64 { return s.st.Capacity() }
 func (s *Server) OnChipSize() int { return s.st.OnChipSize() }
 
 // NoteInbound books n served verbs against the server and a's chunk.
-func (s *Server) NoteInbound(a Addr, n int64) { s.st.NoteInbound(a, n) }
+func (s *Server) NoteInbound(a transport.Addr, n int64) { s.st.NoteInbound(a, n) }
 
 // NoteRPC books one memory-thread RPC against the server.
 func (s *Server) NoteRPC() { s.st.NoteRPC() }
@@ -88,7 +89,7 @@ func (s *Server) Dead() bool { return s.dead.Load() }
 // death and chases to a replica. A bounds or alignment violation is a bug
 // in the caller, not a fault the fabric models, so it panics.
 
-func (s *Server) read(a Addr, buf []byte) {
+func (s *Server) read(a transport.Addr, buf []byte) {
 	if s.dead.Load() {
 		clear(buf)
 		return
@@ -96,13 +97,13 @@ func (s *Server) read(a Addr, buf []byte) {
 	s.must(s.st.Read(a, buf))
 }
 
-func (s *Server) write(a Addr, data []byte) {
+func (s *Server) write(a transport.Addr, data []byte) {
 	if !s.dead.Load() {
 		s.must(s.st.Write(a, data))
 	}
 }
 
-func (s *Server) cas(a Addr, old, new uint64) uint64 {
+func (s *Server) cas(a transport.Addr, old, new uint64) uint64 {
 	if s.dead.Load() {
 		return 0
 	}
@@ -111,7 +112,7 @@ func (s *Server) cas(a Addr, old, new uint64) uint64 {
 	return prev
 }
 
-func (s *Server) cas16(a Addr, old, new uint16) uint16 {
+func (s *Server) cas16(a transport.Addr, old, new uint16) uint16 {
 	if s.dead.Load() {
 		return 0
 	}
@@ -120,7 +121,7 @@ func (s *Server) cas16(a Addr, old, new uint16) uint16 {
 	return prev
 }
 
-func (s *Server) faa(a Addr, delta uint64) uint64 {
+func (s *Server) faa(a transport.Addr, delta uint64) uint64 {
 	if s.dead.Load() {
 		return 0
 	}
@@ -137,20 +138,20 @@ func (s *Server) must(err error) {
 
 // bucketFor returns the NIC-internal atomic bucket serializing commands that
 // target a. Buckets are keyed by low destination-address bits (§3.2.2).
-func (s *Server) bucketFor(a Addr) *sim.Resource {
+func (s *Server) bucketFor(a transport.Addr) *sim.Resource {
 	return &s.buckets[(a.Off()>>3)%uint64(len(s.buckets))]
 }
 
 // WriteAt stores data at host offset off without virtual-time accounting.
 // It is intended for bulk loading before client threads start.
 func (s *Server) WriteAt(off uint64, data []byte) {
-	s.write(MakeAddr(s.ID, off), data)
+	s.write(transport.MakeAddr(s.ID, off), data)
 }
 
 // ReadAt loads len(buf) bytes from host offset off without virtual-time
 // accounting. Intended for tests and debugging.
 func (s *Server) ReadAt(off uint64, buf []byte) {
-	s.read(MakeAddr(s.ID, off), buf)
+	s.read(transport.MakeAddr(s.ID, off), buf)
 }
 
 // ResetTime rewinds all of the server's resource clocks to zero between

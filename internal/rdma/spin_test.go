@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sherman/internal/sim"
+	"sherman/internal/transport"
 )
 
 func spinFabric() *Fabric {
@@ -13,7 +14,7 @@ func spinFabric() *Fabric {
 func TestCASBacklogDelaysCompletion(t *testing.T) {
 	f := spinFabric()
 	f.Servers()[0].Grow()
-	a := MakeAddr(0, 0x100)
+	a := transport.MakeAddr(0, 0x100)
 
 	// Without backlog.
 	c1 := f.NewClient(0)
@@ -36,7 +37,7 @@ func TestCASBacklogDelaysCompletion(t *testing.T) {
 
 func TestCAS16Backlog(t *testing.T) {
 	f := spinFabric()
-	a := MakeOnChipAddr(0, 4)
+	a := transport.MakeOnChipAddr(0, 4)
 	c := f.NewClient(0)
 	prev, ok := c.CAS16Backlog(a, 0, 7, 10_000)
 	if !ok || prev != 0 {
@@ -47,7 +48,7 @@ func TestCAS16Backlog(t *testing.T) {
 	}
 	// The 16-bit field must hold the swapped value.
 	var buf [8]byte
-	c.Read(MakeOnChipAddr(0, 0), buf[:])
+	c.Read(transport.MakeOnChipAddr(0, 0), buf[:])
 	if got := uint16(buf[4]) | uint16(buf[5])<<8; got != 7 {
 		t.Errorf("on-chip field = %d, want 7", got)
 	}
@@ -56,8 +57,8 @@ func TestCAS16Backlog(t *testing.T) {
 func TestAtomicSvcNS(t *testing.T) {
 	f := spinFabric()
 	c := f.NewClient(0)
-	host := c.AtomicSvcNS(MakeAddr(0, 8))
-	chip := c.AtomicSvcNS(MakeOnChipAddr(0, 8))
+	host := c.AtomicSvcNS(transport.MakeAddr(0, 8))
+	chip := c.AtomicSvcNS(transport.MakeOnChipAddr(0, 8))
 	if host <= chip {
 		t.Errorf("host atomic service %d should exceed on-chip %d (PCIe cost)", host, chip)
 	}
@@ -70,7 +71,7 @@ func TestAtomicSvcNS(t *testing.T) {
 func TestChargeSpinCountsAndClock(t *testing.T) {
 	f := spinFabric()
 	f.Servers()[0].Grow()
-	a := MakeAddr(0, 0x40)
+	a := transport.MakeAddr(0, 0x40)
 	c := f.NewClient(0)
 
 	const from, to, cadence = 0, 100_000, 2_500
@@ -95,14 +96,14 @@ func TestChargeSpinEmptyWindow(t *testing.T) {
 	f.Servers()[0].Grow()
 	c := f.NewClient(0)
 	c.Clk.Set(500)
-	if n := c.ChargeSpin(MakeAddr(0, 0x40), 500, 400, 1000); n != 0 {
+	if n := c.ChargeSpin(transport.MakeAddr(0, 0x40), 500, 400, 1000); n != 0 {
 		t.Errorf("retries for empty window = %d", n)
 	}
 	if c.Now() != 500 {
 		t.Errorf("clock moved backwards to %d", c.Now())
 	}
 	// Zero/negative cadence falls back rather than looping forever.
-	if n := c.ChargeSpin(MakeAddr(0, 0x40), 500, 10_000, 0); n <= 0 {
+	if n := c.ChargeSpin(transport.MakeAddr(0, 0x40), 500, 10_000, 0); n <= 0 {
 		t.Errorf("fallback cadence produced %d retries", n)
 	}
 }
@@ -112,7 +113,7 @@ func TestChargeSpinBounded(t *testing.T) {
 	f.Servers()[0].Grow()
 	c := f.NewClient(0)
 	// A pathologically long window must not loop unboundedly.
-	n := c.ChargeSpin(MakeAddr(0, 0x40), 0, 1<<40, 100)
+	n := c.ChargeSpin(transport.MakeAddr(0, 0x40), 0, 1<<40, 100)
 	if n != maxSpinCharges {
 		t.Errorf("retries = %d, want the %d cap", n, maxSpinCharges)
 	}
@@ -141,22 +142,24 @@ func TestYieldOnlyWithSecondClient(t *testing.T) {
 
 	f := spinFabric()
 	base := f.Servers()[0].Grow()
-	a, chip := MakeAddr(0, base+256), MakeOnChipAddr(0, 8)
+	a, chip := transport.MakeAddr(0, base+256), transport.MakeOnChipAddr(0, 8)
 	buf := make([]byte, 64)
 	verbs := []struct {
 		name string
 		fn   func(c *Client)
 	}{
 		{"Read", func(c *Client) { c.Read(a, buf) }},
-		{"ReadMulti", func(c *Client) { c.ReadMulti([]ReadOp{{Addr: a, Buf: buf}, {Addr: a.Add(64), Buf: buf}}) }},
+		{"ReadMulti", func(c *Client) { c.ReadMulti([]transport.ReadOp{{Addr: a, Buf: buf}, {Addr: a.Add(64), Buf: buf}}) }},
 		{"Write", func(c *Client) { c.Write(a, buf) }},
-		{"PostWrites", func(c *Client) { c.PostWrites(WriteOp{Addr: a, Data: buf}, WriteOp{Addr: a.Add(64), Data: buf}) }},
+		{"PostWrites", func(c *Client) {
+			c.PostWrites(transport.WriteOp{Addr: a, Data: buf}, transport.WriteOp{Addr: a.Add(64), Data: buf})
+		}},
 		{"CAS", func(c *Client) { c.CAS(a.Add(128), 0, 1) }},
 		{"CASBacklog", func(c *Client) { c.CASBacklog(a.Add(128), 1, 0, 1000) }},
 		{"CASRead", func(c *Client) { c.CASRead(a.Add(128), 0, 1, a, buf) }},
 		{"CAS16", func(c *Client) { c.CAS16(chip, 0, 1) }},
 		{"CAS16Backlog", func(c *Client) { c.CAS16Backlog(chip, 1, 0, 1000) }},
-		{"CAS16Read", func(c *Client) { c.CAS16Read(chip, 0, 1, MakeOnChipAddr(0, 0), buf[:8]) }},
+		{"CAS16Read", func(c *Client) { c.CAS16Read(chip, 0, 1, transport.MakeOnChipAddr(0, 0), buf[:8]) }},
 		{"FAA", func(c *Client) { c.FAA(a.Add(192), 1) }},
 		{"ChargeAtomic", func(c *Client) { c.ChargeAtomic(a.Add(192)) }},
 		{"ChargeSpin", func(c *Client) { c.ChargeSpin(a, c.Now(), c.Now()+100_000, 2_500) }},
@@ -197,7 +200,7 @@ func TestAtomicUnitSaturation(t *testing.T) {
 	// Interleave in rounds so all clients' commands overlap in virtual time.
 	for r := 0; r < casEach; r++ {
 		for i, c := range cs {
-			a := MakeAddr(0, uint64(0x1000+i*0x200+r*8))
+			a := transport.MakeAddr(0, uint64(0x1000+i*0x200+r*8))
 			c.CAS(a, 0, 1)
 		}
 	}

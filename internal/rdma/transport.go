@@ -26,7 +26,7 @@ func (c *Client) NumMS() int { return c.F.NumServers() }
 func (c *Client) MSAlive(ms int) bool { return c.F.Faults.MSAlive(ms) }
 
 // Metrics exposes the per-thread verb counters.
-func (c *Client) Metrics() *Metrics { return &c.M }
+func (c *Client) Metrics() *transport.Metrics { return &c.M }
 
 // Timing exposes the simulation's cost constants.
 func (c *Client) Timing() transport.Timing {
@@ -67,7 +67,7 @@ func (f *Fabric) GrowChunkRaw(ms uint16) uint64 { return f.Servers()[ms].Grow() 
 
 // ReadRaw fills each op's buffer from its physical address with no
 // virtual-time accounting (Validate, Stats).
-func (f *Fabric) ReadRaw(ops ...ReadOp) {
+func (f *Fabric) ReadRaw(ops ...transport.ReadOp) {
 	for _, op := range ops {
 		f.Servers()[op.Addr.MS()].ReadAt(op.Addr.Off(), op.Buf)
 	}
@@ -75,7 +75,7 @@ func (f *Fabric) ReadRaw(ops ...ReadOp) {
 
 // WriteRaw stores each op's data at its physical address, in order, with no
 // virtual-time accounting (bulk load, the superblock).
-func (f *Fabric) WriteRaw(ops ...WriteOp) {
+func (f *Fabric) WriteRaw(ops ...transport.WriteOp) {
 	for _, op := range ops {
 		f.Servers()[op.Addr.MS()].WriteAt(op.Addr.Off(), op.Data)
 	}

@@ -33,7 +33,7 @@ import (
 
 	"sherman/internal/alloc"
 	"sherman/internal/core"
-	"sherman/internal/rdma"
+	"sherman/internal/transport"
 )
 
 // Options tunes one engine.
@@ -115,7 +115,7 @@ func (e *Engine) ReReplicate() (Stats, error) {
 			st.SkippedNoTarget++
 			continue
 		}
-		dst := rdma.MakeAddr(uint16(ms), e.h.C.GrowChunk(uint16(ms)))
+		dst := transport.MakeAddr(uint16(ms), e.h.C.GrowChunk(uint16(ms)))
 		if !rep.AddPendingReplica(ck, dst) {
 			st.SkippedNoTarget++
 			continue // re-keyed by a racing failover, or set full

@@ -27,7 +27,10 @@
 // not on the tree's path (DESIGN.md §4).
 //
 // The package is dependency-free so both backends (and the packages between
-// them and the tree) can share its types without import cycles.
+// them and the tree) can share its types without import cycles. It is the
+// one spelling of those types: above the backends only the simulator's own
+// deployment, the experiments that drive its fabric directly and the virtual
+// lock manager import internal/rdma (internal/deploy's TestImportBoundaries).
 package transport
 
 import "fmt"

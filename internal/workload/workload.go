@@ -17,9 +17,6 @@ type Op struct {
 	Value uint64
 	// Span is the requested result count for range queries.
 	Span int
-	// RMW marks an Insert as read-modify-write (YCSB F): the driver reads
-	// the key before writing it.
-	RMW bool
 }
 
 // Kind enumerates operation types.
@@ -96,15 +93,6 @@ type Config struct {
 	// LoadedFraction is the share of the key space that was bulkloaded (the
 	// paper loads trees 80% full).
 	LoadedFraction float64
-
-	// Latest biases lookups toward the most recently inserted region (the
-	// unloaded tail that fresh inserts fill) — YCSB workload D's "read
-	// latest" pattern.
-	Latest bool
-
-	// ReadModifyWrite marks Insert operations as read-modify-write (YCSB
-	// F): drivers issue a Lookup for the key before the Insert.
-	ReadModifyWrite bool
 }
 
 // DefaultConfig fills in the paper's defaults for the given mix and
@@ -187,12 +175,6 @@ func (g *Generator) Next() Op {
 	}
 	op := Op{Kind: kind, Key: g.NextKey()}
 	switch kind {
-	case Lookup:
-		if g.cfg.Latest && g.rng.Float64() < 0.5 {
-			// YCSB-D: half the reads chase the freshest records, which
-			// live in the unloaded tail that inserts fill.
-			op.Key = g.freshKey(op.Key)
-		}
 	case Insert:
 		op.Value = g.rng.Uint64()
 		if op.Value == 0 {
@@ -203,7 +185,6 @@ func (g *Generator) Next() Op {
 			// 20% tail of each key's hash bucket by flipping high bits.
 			op.Key = g.freshKey(op.Key)
 		}
-		op.RMW = g.cfg.ReadModifyWrite
 	case Range:
 		op.Span = g.cfg.RangeSpan
 	}

@@ -298,77 +298,3 @@ func TestNextKeyRangeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestYCSBConfigs(t *testing.T) {
-	for _, w := range AllYCSB() {
-		cfg := YCSBConfig(w, 10_000)
-		if err := cfg.Mix.Validate(); err != nil {
-			t.Errorf("%v: %v", w, err)
-		}
-		g := NewGenerator(cfg, 3)
-		for i := 0; i < 1000; i++ {
-			op := g.Next()
-			if op.Key == 0 || op.Key > cfg.Keys {
-				t.Fatalf("%v: key %d out of range", w, op.Key)
-			}
-		}
-	}
-	if YCSBA.String() != "YCSB-A" {
-		t.Errorf("String = %q", YCSBA.String())
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("unknown workload did not panic")
-			}
-		}()
-		YCSBConfig(YCSB('Z'), 10)
-	}()
-}
-
-// TestYCSBCharacter checks each preset's defining property.
-func TestYCSBCharacter(t *testing.T) {
-	const keys = 10_000
-	draw := func(w YCSB, n int) (lookups, inserts, ranges, rmw, latestReads int) {
-		g := NewGenerator(YCSBConfig(w, keys), 5)
-		loaded := YCSBConfig(w, keys).LoadedKeys()
-		for i := 0; i < n; i++ {
-			op := g.Next()
-			switch op.Kind {
-			case Lookup:
-				lookups++
-				if op.Key > loaded {
-					latestReads++
-				}
-			case Insert:
-				inserts++
-				if op.RMW {
-					rmw++
-				}
-			case Range:
-				ranges++
-			}
-		}
-		return
-	}
-	const n = 20_000
-	if l, _, _, _, _ := draw(YCSBC, n); l != n {
-		t.Errorf("C: %d lookups of %d ops, want all", l, n)
-	}
-	if _, ins, _, rmw, _ := draw(YCSBF, n); rmw != ins || ins == 0 {
-		t.Errorf("F: %d of %d inserts flagged RMW", rmw, ins)
-	}
-	if _, _, r, _, _ := draw(YCSBE, n); r < n*9/10 {
-		t.Errorf("E: only %d scans of %d ops", r, n)
-	}
-	// D biases reads toward the fresh tail; A's reads land there only at
-	// the scrambled distribution's natural ~20% rate.
-	_, _, _, _, dLatest := draw(YCSBD, n)
-	_, _, _, _, aLatest := draw(YCSBA, n)
-	if dLatest < n/10 {
-		t.Errorf("D: only %d latest-biased reads", dLatest)
-	}
-	if dLatest < aLatest*2 {
-		t.Errorf("D latest reads (%d) not clearly above A's natural rate (%d)", dLatest, aLatest)
-	}
-}
