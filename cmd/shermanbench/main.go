@@ -57,8 +57,10 @@ var experiments = []experiment{
 	{id: "table2", all: true, run: one(func(bench.Scale) *bench.Table { return bench.Table2() })},
 	{id: "fig2", all: true, run: one(bench.Fig2)},
 	{id: "fig3", all: true, run: one(bench.Fig3)},
-	{id: "fig10", all: true, run: many(func(s bench.Scale) []*bench.Table { return bench.Ablation(s, workload.Zipfian) })},
-	{id: "fig11", all: true, run: many(func(s bench.Scale) []*bench.Table { return bench.Ablation(s, workload.Uniform) })},
+	{id: "fig10", all: true, gate: "write-only: +Acquire Doorbell's median write takes one round trip fewer than +2-Level Ver's",
+		run: ablation(workload.Zipfian)},
+	{id: "fig11", all: true, gate: "write-only: +Acquire Doorbell's median write takes one round trip fewer than +2-Level Ver's, at no lower Mops",
+		run: ablation(workload.Uniform)},
 	{id: "fig12", all: true, run: one(bench.Fig12)},
 	{id: "fig13", all: true, run: many(bench.Fig13)},
 	{id: "fig14", all: true, run: many(bench.Fig14)},
@@ -103,6 +105,14 @@ var experiments = []experiment{
 	{id: "tcppipe", run: runTCPPipe,
 		gate: fmt.Sprintf("at depth 8 client and server put >= %.0f frames into each write; depth-8 read verbs >= %.1fx depth-1's throughput",
 			tpMinFramesPerWrite, tpMinDepthSpeedup)},
+}
+
+// ablation runs Figure 10 or 11 with its gate.
+func ablation(dist workload.Dist) func(bench.Scale, *bench.Collector) ([]*bench.Table, func() error, error) {
+	return func(s bench.Scale, _ *bench.Collector) ([]*bench.Table, func() error, error) {
+		tables, writeOnly := bench.Ablation(s, dist)
+		return tables, func() error { return bench.AblationGate(dist, writeOnly) }, nil
+	}
 }
 
 // one adapts an ungated experiment that renders one table.

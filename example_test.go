@@ -260,10 +260,11 @@ func ExampleCluster_ScheduleCrash() {
 			log.Fatal(err)
 		}
 	}
-	// ...then its server dies in the middle of the next write: the fourth
-	// fabric operation of a warm put is the commit doorbell, so the crash
-	// lands with the leaf's lock held and the write not applied.
-	if err := cluster.ScheduleCrash(1, 4); err != nil {
+	// ...then its server dies in the middle of the next write: a warm put
+	// is two fabric operations, the acquire doorbell (lock CAS + leaf READ)
+	// and then the commit doorbell, so a crash at the second lands with the
+	// leaf's lock held and the write not applied.
+	if err := cluster.ScheduleCrash(1, 2); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("dead session reports:", doomed.Submit(sherman.PutOp(50, 1)).Wait().Err)

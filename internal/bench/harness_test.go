@@ -199,19 +199,23 @@ func TestFig15cShape(t *testing.T) {
 
 // TestLoneWorkerGoldens pins the driver: a lone simulated client's counts
 // repeat exactly (DESIGN.md §1), so each cell must reproduce these counts
-// op for op.
+// op for op. The tree cells run the paper's published write; the sherman
+// cells add the acquire doorbell, and were recorded when the simulator
+// adopted it, as were the replica cell's counts.
 func TestLoneWorkerGoldens(t *testing.T) {
 	type counts struct{ ops, rts, p50, p99, end int64 }
 	of := func(rec *stats.Recorder) counts {
 		return counts{rec.TotalOps(), rec.RoundTrips, rec.AllLatency.Percentile(50),
 			rec.AllLatency.Percentile(99), rec.FinishV}
 	}
-	tree := func(bs, depth int) counts {
-		e := tinyExp(workload.WriteIntensive, workload.Zipfian, core.ShermanConfig())
+	run := func(cfg core.Config, bs, depth int) counts {
+		e := tinyExp(workload.WriteIntensive, workload.Zipfian, cfg)
 		e.NumCS, e.ThreadsPerCS = 1, 1
 		e.BatchSize, e.PipelineDepth = bs, depth
 		return of(RunTree(e).Rec)
 	}
+	tree := func(bs, depth int) counts { return run(paperSherman(), bs, depth) }
+	sherman := func(bs, depth int) counts { return run(core.ShermanConfig(), bs, depth) }
 	for _, c := range []struct {
 		name string
 		got  counts
@@ -221,6 +225,10 @@ func TestLoneWorkerGoldens(t *testing.T) {
 		{"tree/batch=1/depth=4", tree(1, 4), counts{746, 1549, 6144, 18432, 1071728}},
 		{"tree/batch=8/depth=1", tree(8, 1), counts{272, 468, 3712, 5120, 1220650}},
 		{"tree/batch=8/depth=4", tree(8, 4), counts{720, 1274, 1344, 2432, 1084541}},
+		{"sherman/batch=1/depth=1", sherman(1, 1), counts{297, 457, 4352, 4352, 1181335}},
+		{"sherman/batch=1/depth=4", sherman(1, 4), counts{1029, 1585, 4352, 12288, 1057830}},
+		{"sherman/batch=8/depth=1", sherman(8, 1), counts{352, 458, 2688, 4096, 1180308}},
+		{"sherman/batch=8/depth=4", sherman(8, 4), counts{936, 1257, 1088, 1728, 1066280}},
 		{"locks", of(RunLocks(Scale{ThreadsPerCS: 1, WarmupOps: 20, MeasureNS: 500_000}, 1,
 			hocl.Config{Mode: hocl.Sherman(), LocksPerMS: 64}, 0.99, sim.DefaultParams()).Rec),
 			counts{115, 230, 4361, 4361, 588735}},
@@ -233,9 +241,9 @@ func TestLoneWorkerGoldens(t *testing.T) {
 	e := replicaExp(Scale{Keys: 32 << 10, ThreadsPerCS: 1, MeasureNS: 500_000})
 	e.NumCS = 1
 	want := ReplicaResult{
-		SteadyMops: 0.22599999999999998, KillMops: 0.17, RecoveredMops: 0.18000000000000002, ControlMops: 0.23,
-		ReplicaWritesPerWrite: 1.0357142857142858, FailedOver: 1, RepairedChunks: 3,
-		RecoveryNS: 154491878, AckedWrites: 22,
+		SteadyMops: 0.29, KillMops: 0.21000000000000002, RecoveredMops: 0.184, ControlMops: 0.296,
+		ReplicaWritesPerWrite: 1.0266666666666666, FailedOver: 2, RepairedChunks: 4,
+		RecoveryNS: 205763602, AckedWrites: 27,
 	}
 	if got := RunReplica(e); got != want {
 		t.Errorf("replica: got %+v, want %+v", got, want)

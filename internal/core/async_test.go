@@ -315,8 +315,7 @@ type pipelineGolden struct {
 // scans through SubmitOp — waiting on every seventh op, the rest left to the
 // window — with a 24-op Exec batch every 400 ops, on small nodes so leaves
 // split mid-pipeline.
-func goldenStream(depth int) pipelineGolden {
-	cfg := core.ShermanConfig()
+func goldenStream(cfg core.Config, depth int) pipelineGolden {
 	cfg.Format = testutil.SmallFormat(layout.TwoLevel)
 	tr := core.New(cluster.New(cluster.Config{NumMS: 4, NumCS: 1}), cfg)
 	wl := workload.DefaultConfig(workload.Mix{LookupPct: 40, InsertPct: 40, DeletePct: 10, RangePct: 10},
@@ -368,15 +367,31 @@ func goldenStream(depth int) pipelineGolden {
 // Re-pinned a second time, declared: a scan batch reads only the leaves its
 // remaining rows need, so each ReadMulti moves fewer bytes (round trips
 // stay 21865; clock, latency and hiding move by ~0.1 %).
+// Those three rows are the published write, AblationConfig(StepTwoLevelVer).
+// ShermanConfig adds the acquire doorbell, which saves one round trip per
+// write that wins its lock's first CAS; its rows were recorded when the
+// simulator adopted it.
 func TestPipelineVirtualTimeGolden(t *testing.T) {
-	want := map[int]pipelineGolden{
-		1: {clock: 46401717, pipelined: 0, meanDepth: 0, hiding: 0, roundTrips: 21865, meanLatNS: 4377.495849056604},
-		4: {clock: 19120131, pipelined: 10580, meanDepth: 3.3149338374291117, hiding: 2.457089178317098, roundTrips: 21865, meanLatNS: 5405.780754716981},
-		8: {clock: 15668244, pipelined: 10580, meanDepth: 5.112948960302457, hiding: 3.0129175116721476, roundTrips: 21865, meanLatNS: 6510.686415094339},
-	}
-	for _, depth := range []int{1, 4, 8} {
-		if got := goldenStream(depth); got != want[depth] {
-			t.Errorf("depth %d:\n got %+v\nwant %+v", depth, got, want[depth])
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		want map[int]pipelineGolden
+	}{
+		{"published", core.AblationConfig(core.StepTwoLevelVer), map[int]pipelineGolden{
+			1: {clock: 46401717, pipelined: 0, meanDepth: 0, hiding: 0, roundTrips: 21865, meanLatNS: 4377.495849056604},
+			4: {clock: 19120131, pipelined: 10580, meanDepth: 3.3149338374291117, hiding: 2.457089178317098, roundTrips: 21865, meanLatNS: 5405.780754716981},
+			8: {clock: 15668244, pipelined: 10580, meanDepth: 5.112948960302457, hiding: 3.0129175116721476, roundTrips: 21865, meanLatNS: 6510.686415094339},
+		}},
+		{"sherman", core.ShermanConfig(), map[int]pipelineGolden{
+			1: {clock: 35541525, pipelined: 0, meanDepth: 0, hiding: 0, roundTrips: 16478, meanLatNS: 3352.952169811321},
+			4: {clock: 14766546, pipelined: 10580, meanDepth: 3.281758034026465, hiding: 2.4417993936269564, roundTrips: 16478, meanLatNS: 4109.233490566037},
+			8: {clock: 12015516, pipelined: 10580, meanDepth: 5.078733459357278, hiding: 3.013320213684968, roundTrips: 16478, meanLatNS: 4940.990660377359},
+		}},
+	} {
+		for _, depth := range []int{1, 4, 8} {
+			if got := goldenStream(tc.cfg, depth); got != tc.want[depth] {
+				t.Errorf("%s, depth %d:\n got %+v\nwant %+v", tc.name, depth, got, tc.want[depth])
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"sherman/internal/cluster"
 	core "sherman/internal/core"
+	"sherman/internal/hocl"
 	"sherman/internal/layout"
 	"sherman/internal/testutil"
 )
@@ -200,12 +201,14 @@ func TestUpdateInPlaceWriteSize(t *testing.T) {
 }
 
 // TestCombineSavesRoundTrip measures that command combination reduces a
-// non-structural insert from 4 round trips to 3 (Figure 14(b)).
+// non-structural insert from 4 round trips to 3 (Figure 14(b)), and that the
+// acquire doorbell, combining the lock CAS with the leaf READ, takes it to 2.
 func TestCombineSavesRoundTrip(t *testing.T) {
-	measure := func(combine bool) int64 {
+	measure := func(combine, doorbell bool) int64 {
 		cfg := core.ShermanConfig()
 		cfg.Format = testutil.SmallFormat(layout.TwoLevel)
 		cfg.Combine = combine
+		cfg.AcquireDoorbell = doorbell
 		cl := testutil.NewCluster(t, 1, 1)
 		tr := core.New(cl, cfg)
 		kvs := make([]layout.KV, 100)
@@ -219,13 +222,40 @@ func TestCombineSavesRoundTrip(t *testing.T) {
 		h.Insert(50, 2)
 		return h.Metrics().OpRoundTrips
 	}
-	with := measure(true)
-	without := measure(false)
-	if with != 3 {
-		t.Errorf("combined insert took %d round trips, want 3 (lock, read, write+unlock)", with)
+	if got := measure(true, false); got != 3 {
+		t.Errorf("combined insert took %d round trips, want 3 (lock, read, write+unlock)", got)
 	}
-	if without != 4 {
-		t.Errorf("uncombined insert took %d round trips, want 4", without)
+	if got := measure(false, false); got != 4 {
+		t.Errorf("uncombined insert took %d round trips, want 4", got)
+	}
+	if got := measure(true, true); got != 2 {
+		t.Errorf("insert with the acquire doorbell took %d round trips, want 2 (lock+read, write+unlock)", got)
+	}
+}
+
+// TestPublishedConfigPinned pins what the reproduction figures run: the
+// published Sherman write, AblationConfig(StepTwoLevelVer), is ShermanConfig
+// field for field except the acquire doorbell, and the sixth ablation step is
+// ShermanConfig itself.
+func TestPublishedConfigPinned(t *testing.T) {
+	published := core.Config{
+		Format:  layout.DefaultFormat(layout.TwoLevel),
+		Combine: true,
+		Locks:   hocl.Sherman(),
+	}
+	if got := core.AblationConfig(core.StepTwoLevelVer); got != published {
+		t.Errorf("AblationConfig(StepTwoLevelVer) = %+v, want the published write %+v", got, published)
+	}
+	sherman := core.ShermanConfig()
+	if got := core.AblationConfig(core.StepAcquireDoorbell); got != sherman {
+		t.Errorf("AblationConfig(StepAcquireDoorbell) = %+v, want ShermanConfig %+v", got, sherman)
+	}
+	sherman.AcquireDoorbell = false
+	if sherman != published {
+		t.Errorf("ShermanConfig without the doorbell = %+v, want %+v", sherman, published)
+	}
+	if steps := core.AblationSteps(); steps[len(steps)-1] != core.StepAcquireDoorbell || steps[len(steps)-2] != core.StepTwoLevelVer {
+		t.Errorf("AblationSteps = %v, want +Acquire Doorbell right after +2-Level Ver", steps)
 	}
 }
 

@@ -24,6 +24,12 @@ type Config struct {
 	// sibling + node + release) as one doorbell batch (§4.5).
 	Combine bool
 
+	// AcquireDoorbell posts the lock CAS and the READ of the node it
+	// protects as one doorbell (hocl.LockRead): §4.5's combining applied to
+	// the acquire side, one round trip fewer per write. The published write
+	// (the reproduction figures) keeps it off.
+	AcquireDoorbell bool
+
 	// Locks configures HOCL (§4.3); hocl.Baseline() gives FG-style host
 	// memory spin locks.
 	Locks hocl.Mode
@@ -73,13 +79,16 @@ func (c Config) bulkFill() float64 {
 	return c.BulkFill
 }
 
-// ShermanConfig is the full system: two-level versions, command combination,
-// hierarchical on-chip locks.
+// ShermanConfig is the full system: two-level versions, command combination
+// at both ends of the critical section, hierarchical on-chip locks. The
+// paper's reproduction figures run AblationConfig(StepTwoLevelVer), the
+// published write without the acquire doorbell.
 func ShermanConfig() Config {
 	return Config{
-		Format:  layout.DefaultFormat(layout.TwoLevel),
-		Combine: true,
-		Locks:   hocl.Sherman(),
+		Format:          layout.DefaultFormat(layout.TwoLevel),
+		Combine:         true,
+		AcquireDoorbell: true,
+		Locks:           hocl.Sherman(),
 	}
 }
 
@@ -105,11 +114,14 @@ const (
 	StepOnChip
 	StepHierarchical
 	StepTwoLevelVer
+	// StepAcquireDoorbell is this repo's sixth bar: the published system
+	// plus the acquire doorbell, which is ShermanConfig.
+	StepAcquireDoorbell
 )
 
 // String names the step as the figures do.
 func (s AblationStep) String() string {
-	return [...]string{"FG+", "+Combine", "+On-Chip", "+Hierarchical", "+2-Level Ver"}[s]
+	return [...]string{"FG+", "+Combine", "+On-Chip", "+Hierarchical", "+2-Level Ver", "+Acquire Doorbell"}[s]
 }
 
 // AblationConfig returns the tree configuration for a step.
@@ -129,10 +141,13 @@ func AblationConfig(s AblationStep) Config {
 	if s >= StepTwoLevelVer {
 		c.Format = layout.DefaultFormat(layout.TwoLevel)
 	}
+	if s >= StepAcquireDoorbell {
+		c.AcquireDoorbell = true
+	}
 	return c
 }
 
 // AblationSteps lists all steps in order.
 func AblationSteps() []AblationStep {
-	return []AblationStep{StepFGPlus, StepCombine, StepOnChip, StepHierarchical, StepTwoLevelVer}
+	return []AblationStep{StepFGPlus, StepCombine, StepOnChip, StepHierarchical, StepTwoLevelVer, StepAcquireDoorbell}
 }

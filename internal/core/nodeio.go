@@ -98,7 +98,7 @@ func (h *Handle) seek(key uint64, level uint8, in intent, addr transport.Addr, c
 			// The acquire doorbell: where the fabric can post the lock CAS
 			// and the node READ together (hocl decides), read reports that
 			// buf already holds the node as of the acquisition.
-			g, read = h.t.locks.LockRead(h.C, addr, buf, h.t.cfg.Combine)
+			g, read = h.t.locks.LockRead(h.C, addr, buf, h.t.cfg.AcquireDoorbell)
 			if g.HandedOver() {
 				h.Rec.Handovers++
 			}

@@ -1,9 +1,6 @@
 package core_test
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,25 +11,22 @@ import (
 	"sherman/internal/transport/tcp"
 )
 
-// TestTCPTornLeafReads runs lock-free lookups against a leaf that a writer
-// keeps rewriting over TCP, for both layouts. The writer holds the leaf's
-// HOCL lock and posts whole-leaf images that alternate between two value
-// sets, each sealed as a write-back seals it (entry and node versions
-// bumped, or the checksum recomputed). Every value a reader returns must
-// come from one of the two images.
+// TestTCPTornLeafReads runs a lock-free lookup against a leaf that a writer
+// is rewriting over TCP, for both layouts. The writer holds the leaf's HOCL
+// lock and posts whole-leaf images that alternate between two value sets,
+// each sealed as a write-back seals it (entry and node versions bumped, or
+// the checksum recomputed). Every value a reader returns must come from one
+// of the two images.
 //
-// shermand applies a verb per 64-byte line, as a NIC does, so reads racing
-// the writer tear at line boundaries and the read-side consistency checks
-// must catch them: the readers go on until they have counted a retry, and
-// fail after 5 s without one. That needs two connections applied side by
-// side, so it needs two Ps: at one, a connection's goroutine never yields
-// inside a verb.
+// shermand applies a verb per 64-byte line, as a NIC does, so a read racing
+// the writer tears at a line boundary, and the read-side consistency checks
+// must catch it. The tear is forced, not waited for: the server holds one
+// image's write after its first line (memstore's HoldWrite) until the reader
+// has read the leaf twice, so the reader's first read is torn on every run
+// and its lookup must retry.
 func TestTCPTornLeafReads(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("torn reads over TCP need two Ps")
-	}
 	testutil.RunConfigs(t, func(t *testing.T, cfg core.Config) {
-		_, eps := testutil.ServeTCP(t, 2)
+		srvs, eps := testutil.ServeTCP(t, 2)
 		dial := func(endpoints ...string) *tcp.Cluster {
 			c, err := tcp.NewCluster(endpoints, 1, tcp.Options{HeartbeatInterval: -1})
 			if err != nil {
@@ -79,51 +73,49 @@ func TestTCPTornLeafReads(t *testing.T) {
 			wt.Write(at, img)
 		}
 		post(0)
-		stop, stopped := make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(stopped)
-			for side := uint64(1); ; side ^= 1 {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				post(side)
-			}
-		}()
+		h := tr.NewHandle(0, 1)
+		const k = keys / 2
+		h.Lookup(k) // warm: the next lookup reads the leaf and nothing else
+		before := h.Rec.ReadRetries.Sum()
 
-		const readers = 4
-		deadline := time.Now().Add(5 * time.Second)
-		var torn atomic.Bool
-		hs := make([]*core.Handle, readers)
-		var wg sync.WaitGroup
-		for i := range hs {
-			h := tr.NewHandle(0, i+1)
-			hs[i] = h
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := 0; !torn.Load() && time.Now().Before(deadline); j++ {
-					k := uint64(j%keys) + 1
-					if v, ok := h.Lookup(k); !ok || v>>1 != k {
-						t.Errorf("lookup(%d) = %#x, %v; want %#x or %#x", k, v, ok, k<<1, k<<1|1)
-						return
-					}
-					if h.Rec.ReadRetries.Sum() > 0 {
-						torn.Store(true)
-					}
-				}
-			}()
+		// Hold the next image's write after its first line until the
+		// server has answered two of the reader's reads: the first of them
+		// saw that line new and the rest of the leaf old.
+		srv := srvs[0]
+		held, release := make(chan int64), make(chan struct{})
+		srv.HoldWrite(func() {
+			held <- srv.InboundOps()
+			<-release
+		})
+		written := make(chan struct{})
+		go func() {
+			defer close(written)
+			post(1)
+		}()
+		served := <-held
+		var v uint64
+		var ok bool
+		looked := make(chan struct{})
+		go func() {
+			defer close(looked)
+			v, ok = h.Lookup(k)
+		}()
+	wait:
+		for srv.InboundOps() < served+2 {
+			select {
+			case <-looked:
+				break wait // one read was enough: it saw no tear
+			case <-time.After(100 * time.Microsecond):
+			}
 		}
-		wg.Wait()
-		close(stop)
-		<-stopped
-		var retries int64
-		for _, h := range hs {
-			retries += h.Rec.ReadRetries.Sum()
+		close(release)
+		<-looked
+		<-written
+		if !ok || v>>1 != k {
+			t.Errorf("lookup(%d) = %#x, %v; want %#x or %#x", k, v, ok, k<<1, k<<1|1)
 		}
-		if retries == 0 {
-			t.Fatal("no read retried in 5 s: no reader saw a torn leaf")
+		if h.Rec.ReadRetries.Sum() == before {
+			t.Error("the lookup did not retry a leaf read torn between its first two lines")
 		}
 	})
 }

@@ -218,3 +218,83 @@ func TestConcurrentHotKeyContention(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentAcquireDoorbellHotSlot aims two compute servers' writers at
+// one leaf, so every write contends for one GLT slot, with the acquire
+// doorbell on. Many first CASes lose there: each loser's READ must be billed
+// on the fabric and its bytes never trusted, since they can predate the
+// holder's write-back. Each key is written by one thread, so that thread's
+// model decides its final value; the tree must match every model and
+// validate, and the memory server must have served exactly the commands the
+// clients counted, wasted READs included.
+func TestConcurrentAcquireDoorbellHotSlot(t *testing.T) {
+	cfg := core.ShermanConfig()
+	cfg.Format = layout.NewFormat(layout.TwoLevel, 8, 1024)
+	const threads, keysPer, rounds = 4, 4, 1500
+	if threads*keysPer > cfg.Format.LeafCap {
+		t.Fatalf("%d keys overflow one %d-entry leaf", threads*keysPer, cfg.Format.LeafCap)
+	}
+	cl := testutil.NewCluster(t, 1, 2)
+	tr := testutil.NewTree(t, cl, cfg)
+	srv := cl.F.Servers()[0]
+	served0 := srv.InboundOps()
+	// Every client exists before any worker starts, so the simulator yields
+	// on every verb from the first (rdma.Client.yield).
+	hs := make([]*core.Handle, threads+1)
+	for i := range hs {
+		hs[i] = tr.NewHandle(i%2, i)
+	}
+	key := func(th, j int) uint64 { return uint64(j*threads + th + 1) } // interleaved: one leaf
+	models := make([]*testutil.Model, threads)
+	var wg sync.WaitGroup
+	for th := range threads {
+		models[th] = testutil.NewModel()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h, m, rng := hs[th], models[th], testutil.RNG(uint64(th)+1)
+			for i := range rounds {
+				k := key(th, rng.IntN(keysPer))
+				if rng.IntN(4) == 0 {
+					h.Delete(k)
+					m.Delete(k)
+				} else {
+					v := uint64(i+1)<<8 | uint64(th)
+					h.Insert(k, v)
+					m.Put(k, v)
+				}
+				// A write that trusted stale bytes clobbers another
+				// thread's entry; its owner sees the loss here before a
+				// later write of its own could heal it.
+				k = key(th, rng.IntN(keysPer))
+				want, wantOK := m.Get(k)
+				if got, ok := h.Lookup(k); ok != wantOK || got != want {
+					t.Errorf("thread %d, round %d: key %d reads (%d, %v), model (%d, %v)", th, i, k, got, ok, want, wantOK)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	check := hs[threads]
+	for th, m := range models {
+		for j := range keysPer {
+			k := key(th, j)
+			want, wantOK := m.Get(k)
+			if got, ok := check.Lookup(k); ok != wantOK || got != want {
+				t.Errorf("key %d: tree has (%d, %v), model (%d, %v)", k, got, ok, want, wantOK)
+			}
+		}
+	}
+	if ls := tr.LockStats(); ls.AcquireReadsWasted.Load() == 0 {
+		t.Errorf("no first CAS lost on a slot two compute servers hammer (AcquireReads %d)", ls.AcquireReads.Load())
+	}
+	var posted int64
+	for _, h := range hs {
+		m := h.Metrics()
+		posted += m.Reads + m.Writes + m.Atomics + m.RPCs
+	}
+	if served := srv.InboundOps() - served0; served != posted {
+		t.Errorf("memory server served %d commands, clients posted %d", served, posted)
+	}
+}

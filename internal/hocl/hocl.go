@@ -7,10 +7,12 @@
 // simulated fabric) serializes each global lock through a slot so virtual
 // time orders the grants; a remote manager (NewRemoteManager, over a real
 // network) has only the physical lock word and a CAS retry loop. Write paths
-// acquire through LockRead, which on a remote manager posts the first CAS
-// and the READ of the protected object as one doorbell — the acquire-side
-// counterpart of Unlock's write-back + release doorbell (§4.5) — and trusts
-// the bytes only if that CAS won; on a virtual manager it is Lock.
+// acquire through LockRead, which can post the first CAS and the READ of the
+// protected object as one doorbell — the acquire-side counterpart of
+// Unlock's write-back + release doorbell (§4.5) — and trusts the bytes only
+// if that first attempt won. Both kinds follow that one rule; the virtual
+// manager decides from its slot whether the first attempt wins, and bills
+// the READ of one that lost.
 //
 // The package also implements every degraded configuration the paper
 // ablates (Figure 16 and the +On-Chip / +Hierarchical steps of Figures 10
@@ -86,7 +88,7 @@ type Stats struct {
 	// GlobalRetries counts failed remote CAS attempts.
 	GlobalRetries atomic.Int64
 	// AcquireReads counts acquisitions whose first CAS carried the READ of
-	// the protected object in its doorbell (LockRead on a remote manager);
+	// the protected object in its doorbell (LockRead with doorbell set);
 	// AcquireReadsWasted counts those whose first CAS lost, so the bytes
 	// were discarded. Their difference is the round trips the doorbell saved.
 	AcquireReads       atomic.Int64
@@ -441,18 +443,18 @@ func (m *Manager) Lock(c transport.Transport, addr transport.Addr) Guard {
 }
 
 // LockRead is Lock for a caller whose first act under the lock is to read
-// the object at addr into buf — every tree write. With combine set, on a
-// remote manager, the first CAS on the GLT slot carries that READ in its
-// doorbell (the acquire doorbell: transport.CASRead), and read reports that
-// this CAS won, so buf holds the object as of the acquisition and the caller
-// need only validate it. read is false — the caller reads for itself, as
-// after Lock — whenever no CAS was sent (handover), the first CAS lost (what
-// it fetched may be another holder's half-applied write-back, so it is
-// discarded and the retries are bare CASes: a contended lock never drags an
-// object-sized read behind every spin), the lock was stolen from an expired
-// lease, combine is off, or the manager is virtual.
-func (m *Manager) LockRead(c transport.Transport, addr transport.Addr, buf []byte, combine bool) (g Guard, read bool) {
-	if !combine {
+// the object at addr into buf — every tree write. With doorbell set, the
+// first CAS on the GLT slot carries that READ in its doorbell (the acquire
+// doorbell: transport.CASRead), and read reports that this CAS won, so buf
+// holds the object as of the acquisition and the caller need only validate
+// it. read is false — the caller reads for itself, as after Lock — whenever
+// no CAS was sent (handover), the first CAS lost (what it fetched may be
+// another holder's half-applied write-back, so it is discarded and the
+// retries are bare CASes: a contended lock never drags an object-sized read
+// behind every spin), the lock was stolen from an expired lease, or doorbell
+// is off.
+func (m *Manager) LockRead(c transport.Transport, addr transport.Addr, buf []byte, doorbell bool) (g Guard, read bool) {
+	if !doorbell {
 		buf = nil
 	}
 	return m.lock(c, addr.MS(), m.index(addr), addr, buf)
@@ -481,7 +483,7 @@ func (m *Manager) lock(c transport.Transport, ms uint16, idx int, addr transport
 		}
 	}
 	if m.virtual {
-		g.reclaimed = m.acquireGlobal(c, g.gaddr, m.slots.at(ms, idx))
+		g.reclaimed, read = m.acquireGlobal(c, g.gaddr, addr, buf, m.slots.at(ms, idx))
 	} else {
 		g.reclaimed, read = m.acquireGlobalRemote(c, g.gaddr, addr, buf)
 	}
@@ -495,9 +497,17 @@ func (m *Manager) lock(c transport.Transport, ms uint16, idx int, addr transport
 // the physical lock word from 0 to this CS's identifier (+1 so an id of zero
 // is distinguishable from "unlocked") with one RDMA_CAS. When the current
 // holder crashed, the caller instead becomes the slot's reclaimer and steals
-// the lock after the dead holder's lease expires; the return value reports
-// that case.
-func (m *Manager) acquireGlobal(c transport.Transport, gaddr transport.Addr, s *gslot) (reclaimed bool) {
+// the lock after the dead holder's lease expires; reclaimed reports that
+// case.
+//
+// A non-nil buf is the acquire doorbell's READ of addr, decided by the remote
+// arm's rule: the first attempt carries it, and only a first attempt that
+// wins may trust it. The slot says which one this is. A free slot whose
+// previous virtual hold is over is won by the first CAS, which is then the
+// doorbell and returns read. Any other first attempt — one that queues, spins
+// out the rest of a hold or meets an orphan — lost: its READ is billed on the
+// fabric and discarded, and the CAS that finally wins is bare, as after Lock.
+func (m *Manager) acquireGlobal(c transport.Transport, gaddr, addr transport.Addr, buf []byte, s *gslot) (reclaimed, read bool) {
 	vt := c.(transport.VirtualTimer)
 	svc := vt.AtomicSvcNS(gaddr)
 	var spinners int
@@ -519,8 +529,9 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr transport.Addr, s *
 			s.deadCS, s.deadV = 0, 0
 			s.holderCS = int(c.CSID())
 			s.mu.Unlock()
+			m.wastedRead(c, addr, buf)
 			m.reclaim(c, gaddr, deadV)
-			return true
+			return true, false
 		}
 		// Queue on the slot; the releaser grants to the virtually-earliest
 		// waiter and passes its release timestamp along.
@@ -529,6 +540,7 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr transport.Addr, s *
 		s.noteArrival(w.clock)
 		m.Stats.noteWaiters(len(s.waiters))
 		s.mu.Unlock()
+		m.wastedRead(c, addr, buf)
 		g := <-w.ch
 		m.waiterPool.Put(w) // single grant received; no one else holds w
 		if g.killed {
@@ -554,7 +566,7 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr transport.Addr, s *
 		}
 		if g.reclaim {
 			m.reclaim(c, gaddr, g.deadV)
-			return true
+			return true, false
 		}
 		rel, spinners = g.rel, g.spinners
 		m.Stats.Grants.Add(1)
@@ -564,8 +576,19 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr transport.Addr, s *
 		s.held = true
 		s.holderCS = int(c.CSID())
 		s.mu.Unlock()
+		if buf != nil && rel <= c.Now() {
+			// Free in virtual time too: the first CAS wins, and its
+			// doorbell's READ is valid under the lock.
+			if _, ok := m.casWord(c, gaddr, 0, uint64(c.CSID())+1, addr, buf); !ok {
+				panic(errLostSlot)
+			}
+			m.Stats.AcquireReads.Add(1)
+			return false, true
+		}
 		// The lock is free in real time, but the previous virtual hold
-		// window may extend past our clock; spin through the remainder.
+		// window may extend past our clock; spin through the remainder. A
+		// doorbell reaching here met that hold, so its first attempt lost.
+		m.wastedRead(c, addr, buf)
 	}
 	// Pay the spin retries of the wait: one CAS in flight at all times,
 	// each completing only after the convoy's queued commands drain
@@ -582,9 +605,31 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr transport.Addr, s *
 		_, ok = vt.CASBacklog(gaddr, 0, uint64(id), backlog)
 	}
 	if !ok {
-		panic("hocl: winning CAS failed despite slot serialization")
+		panic(errLostSlot)
 	}
-	return false
+	return false, false
+}
+
+// errLostSlot is the virtual manager's invariant: a thread that owns a slot's
+// simulation state finds the physical lock word free.
+const errLostSlot = "hocl: winning CAS failed despite slot serialization"
+
+// wastedRead bills the acquire doorbell's READ behind a first attempt that
+// lost on a virtual manager (nothing when buf is nil): the fabric's pipelines
+// carry it, the thread's Metrics count it as the remote arm's doorbell would,
+// and buf receives bytes the caller never sees, since the lock's winning CAS
+// is bare and the caller reads afterwards.
+func (m *Manager) wastedRead(c transport.Transport, addr transport.Addr, buf []byte) {
+	if buf == nil {
+		return
+	}
+	m.Stats.AcquireReads.Add(1)
+	m.Stats.AcquireReadsWasted.Add(1)
+	m.f.WastedRead(c.CSID(), c.Now(), addr, buf)
+	met := c.Metrics()
+	met.Reads++
+	met.DoorbellBatches++
+	met.DoorbellOps += 2
 }
 
 // acquireGlobalRemote is the real-network acquisition: a plain CAS retry

@@ -59,6 +59,9 @@ type Store struct {
 	// host-memory verbs down by chunk: the load signal that migration picks
 	// hot chunks by and that replica repair places by.
 	inbound atomic.Int64
+
+	// hold is HoldWrite's one-shot hook; nil unless a test armed it.
+	hold atomic.Pointer[func()]
 }
 
 // directory is the immutable chunk directory: each chunk's memory and its
@@ -209,6 +212,13 @@ func (s *Store) Read(a transport.Addr, buf []byte) error { return s.copyLines(a,
 // Write copies data to a.
 func (s *Store) Write(a transport.Addr, data []byte) error { return s.copyLines(a, data, true) }
 
+// HoldWrite is a hook for tests: the next Write that spans more than one
+// line copies its first line, releases that line's lock and calls hold
+// before it copies the rest, so any verb that runs until hold returns sees
+// that write torn between its first two lines, as a NIC's write can be
+// mid-transfer. It fires once.
+func (s *Store) HoldWrite(hold func()) { s.hold.Store(&hold) }
+
 // copyLines moves buf to (write) or from memory at a one line at a time, in
 // increasing address order, each line under its stripe lock.
 func (s *Store) copyLines(a transport.Addr, buf []byte, write bool) error {
@@ -216,6 +226,10 @@ func (s *Store) copyLines(a transport.Addr, buf []byte, write bool) error {
 		return err
 	}
 	mem := s.mem(a, len(buf))
+	var hold *func()
+	if write && s.hold.Load() != nil && int(a.Off()%lineSize)+len(buf) > lineSize {
+		hold = s.hold.Swap(nil)
+	}
 	for lo := 0; lo < len(buf); {
 		at := a + transport.Addr(lo)
 		hi := min(lo+lineSize-int(at.Off()%lineSize), len(buf))
@@ -228,6 +242,10 @@ func (s *Store) copyLines(a transport.Addr, buf []byte, write bool) error {
 		}
 		mu.Unlock()
 		lo = hi
+		if hold != nil {
+			(*hold)()
+			hold = nil
+		}
 	}
 	return nil
 }

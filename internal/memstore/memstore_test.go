@@ -66,6 +66,34 @@ func TestTornReadAt64ByteGranularity(t *testing.T) {
 	wg.Wait()
 }
 
+// TestHoldWriteTearsOnce: an armed hold stops the next multi-line write
+// after its first line, so a read from inside the hold sees the new first
+// line and the old second one; the write then completes, and the hold does
+// not fire again.
+func TestHoldWriteTearsOnce(t *testing.T) {
+	s := grown(1)
+	a := transport.MakeAddr(0, 64)
+	pa, pb := bytes.Repeat([]byte{0xaa}, 128), bytes.Repeat([]byte{0xbb}, 128)
+	s.Write(a, pa)
+	fired := 0
+	s.HoldWrite(func() {
+		fired++
+		buf := make([]byte, 128)
+		s.Read(a, buf)
+		if !bytes.Equal(buf[:64], pb[:64]) || !bytes.Equal(buf[64:], pa[64:]) {
+			t.Errorf("read inside the hold = %x, want the new first line and the old second", buf)
+		}
+	})
+	s.Write(a, pa[:8]) // one line: the hold waits for a write it can tear
+	s.Write(a, pb)
+	s.Write(a, pa)
+	buf := make([]byte, 128)
+	s.Read(a, buf)
+	if fired != 1 || !bytes.Equal(buf, pa) {
+		t.Errorf("hold fired %d times, memory %x; want once, then the last write whole", fired, buf)
+	}
+}
+
 // TestConcurrentAtomicsLinearize: FAAs from many goroutines lose no update,
 // and CAS16s on the four 2-byte fields of one word never disturb each other.
 func TestConcurrentAtomicsLinearize(t *testing.T) {

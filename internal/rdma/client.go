@@ -332,6 +332,25 @@ func (c *Client) readBehind(casFin int64, lock, a transport.Addr, buf []byte) in
 	return t + p.RTTNS
 }
 
+// WastedRead books the READ an acquire doorbell carries behind a first CAS
+// that lost, for a lock manager that models the lost CAS instead of issuing
+// it: compute server cs posts the READ at virtual time at, it takes one post
+// on the CS's outbound pipeline and its response payload on the memory
+// server's inbound one, and its bytes land in buf, where nothing may trust
+// them (they can be another holder's half-applied write-back). It moves no
+// clock and books no round trip, since the lock manager's spin billing
+// models the CAS it rode behind, and it is not a verb: fault injection
+// neither counts nor stops it, and the caller counts the command in its
+// thread's Metrics.
+func (f *Fabric) WastedRead(cs uint16, at int64, a transport.Addr, buf []byte) {
+	p := &f.P
+	srv := f.Server(a)
+	t := f.CSs[cs].Outbound.Acquire(at, p.OutboundMinNS)
+	srv.Inbound.Acquire(t, p.PayloadNS(len(buf), p.InboundMinNS))
+	srv.NoteInbound(a, 1)
+	srv.read(a, buf)
+}
+
 // FAA executes RDMA_FAA on the 8-byte word at a and returns the previous
 // value.
 func (c *Client) FAA(a transport.Addr, delta uint64) uint64 {

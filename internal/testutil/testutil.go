@@ -33,7 +33,9 @@ const SmallNodeSize = 256
 
 // Axes is one cell of the ablation matrix every equivalence property must
 // hold across: the consistency layout (two-level versions vs checksum) ×
-// command combination on or off. The lock mode rides along with the layout
+// command combination on or off, at both ends of the critical section (the
+// acquire doorbell and the commit doorbell), as the public
+// CombineCommands option sets it. The lock mode rides along with the layout
 // — Sherman's on-chip hierarchical locks with the two-level layout, the
 // FG-style host-memory baseline with checksums — so both lock-word formats
 // are exercised too.
@@ -73,10 +75,11 @@ func (a Axes) Config(nodeSize int) core.Config {
 		mode, locks = layout.TwoLevel, hocl.Sherman()
 	}
 	return core.Config{
-		Format:     layout.NewFormat(mode, 8, nodeSize),
-		Combine:    a.Combine,
-		Locks:      locks,
-		LocksPerMS: 1024,
+		Format:          layout.NewFormat(mode, 8, nodeSize),
+		Combine:         a.Combine,
+		AcquireDoorbell: a.Combine,
+		Locks:           locks,
+		LocksPerMS:      1024,
 	}
 }
 

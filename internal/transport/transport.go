@@ -21,10 +21,8 @@
 //
 // Both implement the whole verb surface, the acquire doorbell included
 // (CASRead/CAS16Read: a lock CAS and the dependent READ of the locked object
-// in one round trip). The real fabric's write path uses it on every
-// acquisition; the simulator's virtual lock manager keeps the paper's
-// published CAS-then-READ, so there the verb is implemented and tested but
-// not on the tree's path (DESIGN.md §4).
+// in one round trip), and a tree write acquires through it on both unless its
+// configuration is the paper's published three-verb write (DESIGN.md §4).
 //
 // The package is dependency-free so both backends (and the packages between
 // them and the tree) can share its types without import cycles. It is the

@@ -293,13 +293,11 @@ func TestClusterStatsSamePathBothFabrics(t *testing.T) {
 }
 
 // TestRoundTripsPerOpPinned counts the protocol, deterministically: with a
-// warm cache, updating an existing key costs exactly 2 round trips over TCP
-// (the acquire doorbell: lock CAS + leaf READ; then write-back + release)
-// and the published 3 on the simulator (CAS, READ, write-back + release —
-// the virtual manager keeps Lock-then-read, DESIGN.md §4), a get exactly 1
-// on both, and with CombineCommands off a TCP put is back to 4 separate
-// verbs. A change that quietly re-serialises the acquire fails here, not
-// only in the benchmark.
+// warm cache, updating an existing key costs exactly 2 round trips on both
+// fabrics (the acquire doorbell: lock CAS + leaf READ; then write-back +
+// release), a get exactly 1, and with CombineCommands off a TCP put is back
+// to 4 separate verbs. A change that quietly re-serialises the acquire fails
+// here, not only in the benchmark.
 func TestRoundTripsPerOpPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes and builds cmd/shermand")
@@ -311,7 +309,7 @@ func TestRoundTripsPerOpPinned(t *testing.T) {
 		adv             *AdvancedOptions
 		put, get        int64
 	}{
-		{"sim", TransportSim, nil, 3, 1},
+		{"sim", TransportSim, nil, 2, 1},
 		{"tcp", TransportTCP, nil, 2, 1},
 		{"tcp-nocombine", TransportTCP, noCombine, 4, 1},
 	} {
@@ -344,7 +342,7 @@ func TestRoundTripsPerOpPinned(t *testing.T) {
 				}
 			}
 			ls := tree.LockStats()
-			if wantCarried := tc.transport == TransportTCP && tc.adv == nil; (ls.AcquireReads == 3) != wantCarried || ls.AcquireReadsWasted != 0 {
+			if wantCarried := tc.adv == nil; (ls.AcquireReads == 3) != wantCarried || ls.AcquireReadsWasted != 0 {
 				t.Errorf("LockStats: AcquireReads = %d, AcquireReadsWasted = %d over 3 uncontended puts", ls.AcquireReads, ls.AcquireReadsWasted)
 			}
 		})

@@ -88,8 +88,8 @@ type AdvancedOptions struct {
 	// (§4.4); false selects FG's sorted checksum layout.
 	TwoLevelVersions bool
 	// CombineCommands posts dependent commands as one doorbell batch
-	// (§4.5): write-back + lock release, and on the real fabric lock CAS +
-	// node READ.
+	// (§4.5) at both ends of a write's critical section: lock CAS + node
+	// READ, and write-back + lock release.
 	CombineCommands bool
 	// OnChipLocks stores global lock tables in NIC on-chip memory (§4.3).
 	OnChipLocks bool
@@ -132,6 +132,7 @@ func (o TreeOptions) toCore() (core.Config, error) {
 		}
 		cfg.Format = layout.NewFormat(mode, keySize, nodeSize)
 		cfg.Combine = a.CombineCommands
+		cfg.AcquireDoorbell = a.CombineCommands
 		cfg.Locks = hocl.Mode{
 			OnChip:    a.OnChipLocks,
 			Local:     a.LocalLockTables,
@@ -277,9 +278,9 @@ func (t *Tree) LockStats() LockStats {
 // compute server. LeaseExpiries counts locks orphaned by compute-server
 // crashes; Reclaims counts the expired-lease reclamations survivors
 // performed to free them. AcquireReads counts acquisitions whose lock CAS
-// carried the node READ in one doorbell (the real fabric's write path, with
-// CombineCommands on); AcquireReadsWasted those whose CAS lost, so the bytes
-// were discarded — the doorbell saves a round trip on the difference.
+// carried the node READ in one doorbell (the write path on both fabrics,
+// with CombineCommands on); AcquireReadsWasted those whose CAS lost, so the
+// bytes were discarded — the doorbell saves a round trip on the difference.
 type LockStats struct {
 	Acquisitions  int64
 	Handovers     int64
