@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"sherman/internal/cluster"
@@ -201,11 +202,29 @@ func measureAlloc(p allocProbe) (allocsPerOp, bytesPerOp, gcPauseFrac float64) {
 	if setup == nil {
 		setup = allocSetup
 	}
+	// ReadMemStats counts every goroutine's allocations, the runtime's own
+	// included, so the measured run must not overlap runtime work. Three
+	// such sites were seen, all in the runtime, not in this code, each
+	// reading 1–6 allocations (0.0001–0.0004 allocs/op) in some runs:
+	//   - a stop-the-world that restarts the world with an idle P and no
+	//     idle thread builds a new M (runtime.newm): the before-snapshot's
+	//     own restart did that in 7 of 40 `-exp alloc -quick` runs on
+	//     put_steady;
+	//   - the end of a GC wakes background goroutines that allocate (the
+	//     unique package's map cleanup);
+	//   - the background scavenger, returning the freed fixtures' memory
+	//     to the OS, re-arms its timer and can grow a timer heap.
+	// So the probe runs at one P, where a restart has no idle P to wake a
+	// thread for; FreeOSMemory forces the GC and does the scavenger's work
+	// before the warm-up; and one yield lets the goroutines that GC woke
+	// run before any of the probe's work.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	h, as := setup(p.depth)
+	debug.FreeOSMemory()
+	runtime.Gosched()
 	// Warmup run: populates handle scratch, pools, and the tree's value
 	// overwrites so the measured run sees only steady-state work.
 	p.run(h, as)
-	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()

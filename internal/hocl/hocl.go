@@ -7,12 +7,13 @@
 // simulated fabric) serializes each global lock through a slot so virtual
 // time orders the grants; a remote manager (NewRemoteManager, over a real
 // network) has only the physical lock word and a CAS retry loop. Write paths
-// acquire through LockRead, which can post the first CAS and the READ of the
-// protected object as one doorbell — the acquire-side counterpart of
-// Unlock's write-back + release doorbell (§4.5) — and trusts the bytes only
-// if that first attempt won. Both kinds follow that one rule; the virtual
-// manager decides from its slot whether the first attempt wins, and bills
-// the READ of one that lost.
+// acquire through LockRead, which posts each of an acquisition's first
+// DoorbellAttempts CASes together with the READ of the protected object as
+// one doorbell — the acquire-side counterpart of Unlock's write-back +
+// release doorbell (§4.5) — and trusts the bytes only of the attempt that
+// won. Both kinds follow that one rule; the virtual manager knows from its
+// slot which CAS wins, and bills the READ behind each attempt its spin
+// model counts as lost.
 //
 // The package also implements every degraded configuration the paper
 // ablates (Figure 16 and the +On-Chip / +Hierarchical steps of Figures 10
@@ -87,10 +88,12 @@ type Stats struct {
 	Handovers atomic.Int64
 	// GlobalRetries counts failed remote CAS attempts.
 	GlobalRetries atomic.Int64
-	// AcquireReads counts acquisitions whose first CAS carried the READ of
-	// the protected object in its doorbell (LockRead with doorbell set);
-	// AcquireReadsWasted counts those whose first CAS lost, so the bytes
-	// were discarded. Their difference is the round trips the doorbell saved.
+	// AcquireReads counts the CAS attempts that carried the READ of the
+	// protected object in their doorbell (LockRead with doorbell set: an
+	// acquisition's first DoorbellAttempts attempts, never a lease steal);
+	// AcquireReadsWasted counts every one of them whose CAS lost, so the
+	// bytes were discarded. Their difference is the acquisitions whose node
+	// READ rode the winning CAS: the round trips the doorbell saved.
 	AcquireReads       atomic.Int64
 	AcquireReadsWasted atomic.Int64
 	// LocalWaits counts acquisitions that had to wait for a local holder.
@@ -442,17 +445,32 @@ func (m *Manager) Lock(c transport.Transport, addr transport.Addr) Guard {
 	return g
 }
 
+// DoorbellAttempts is how many CAS attempts of one acquisition carry the
+// acquire doorbell's READ (LockRead); later attempts are bare CASes, and an
+// acquisition that wins with one reads after it. Every retry's READ costs
+// the compute server's NIC one more outbound command and the memory server a
+// node's payload, for nothing when it loses. Within a few attempts that
+// buys a round trip off the hold; behind every spin of a convoy's long wait
+// it feeds the wait itself. In the simulator's uniform put sweep at
+// pipeline depth 8, where the compute servers' outbound pipelines run near
+// their command rate, a READ behind every billed spin collapsed throughput
+// from 44.8 to 1.3 Mops (p99 3.9 ms), behind the first 4 it held 44.8, and
+// behind the first 8 it fell to 20.3.
+const DoorbellAttempts = 4
+
 // LockRead is Lock for a caller whose first act under the lock is to read
-// the object at addr into buf — every tree write. With doorbell set, the
-// first CAS on the GLT slot carries that READ in its doorbell (the acquire
-// doorbell: transport.CASRead), and read reports that this CAS won, so buf
-// holds the object as of the acquisition and the caller need only validate
-// it. read is false — the caller reads for itself, as after Lock — whenever
-// no CAS was sent (handover), the first CAS lost (what it fetched may be
-// another holder's half-applied write-back, so it is discarded and the
-// retries are bare CASes: a contended lock never drags an object-sized read
-// behind every spin), the lock was stolen from an expired lease, or doorbell
-// is off.
+// the object at addr into buf — every tree write. With doorbell set, each of
+// the acquisition's first DoorbellAttempts CASes on the GLT slot carries
+// that READ in its doorbell (the acquire doorbell: transport.CASRead),
+// retries included, and read reports that the acquisition was won by such a
+// CAS, so buf holds the object as of the acquisition and the caller need
+// only validate it. What a losing attempt fetched may be another holder's
+// half-applied write-back: it is counted in Stats.AcquireReadsWasted and
+// overwritten by the next attempt's READ, never handed back. read is false
+// — the caller reads for itself, as after Lock — when no CAS was sent
+// (handover), the winning CAS came after DoorbellAttempts lost ones, the
+// lock was stolen from an expired lease (the steal is a bare CAS), or
+// doorbell is off.
 func (m *Manager) LockRead(c transport.Transport, addr transport.Addr, buf []byte, doorbell bool) (g Guard, read bool) {
 	if !doorbell {
 		buf = nil
@@ -501,12 +519,14 @@ func (m *Manager) lock(c transport.Transport, ms uint16, idx int, addr transport
 // case.
 //
 // A non-nil buf is the acquire doorbell's READ of addr, decided by the remote
-// arm's rule: the first attempt carries it, and only a first attempt that
-// wins may trust it. The slot says which one this is. A free slot whose
-// previous virtual hold is over is won by the first CAS, which is then the
-// doorbell and returns read. Any other first attempt — one that queues, spins
-// out the rest of a hold or meets an orphan — lost: its READ is billed on the
-// fabric and discarded, and the CAS that finally wins is bare, as after Lock.
+// arm's rule: each of the first DoorbellAttempts CASes carries it, and only
+// the one that wins may be trusted. The slot says which CAS that is. A free
+// slot whose previous virtual hold is over is won by the first CAS. A thread
+// that queues and is granted the slot, or spins out the rest of a hold,
+// wins with the CAS after its n billed spins; each billed spin is a lost
+// attempt, whose READ is billed too when it is one of the first
+// DoorbellAttempts (chargeSpin). The winning CAS is the doorbell and
+// returns read when n < DoorbellAttempts.
 func (m *Manager) acquireGlobal(c transport.Transport, gaddr, addr transport.Addr, buf []byte, s *gslot) (reclaimed, read bool) {
 	vt := c.(transport.VirtualTimer)
 	svc := vt.AtomicSvcNS(gaddr)
@@ -529,8 +549,7 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr, addr transport.Add
 			s.deadCS, s.deadV = 0, 0
 			s.holderCS = int(c.CSID())
 			s.mu.Unlock()
-			m.wastedRead(c, addr, buf)
-			m.reclaim(c, gaddr, deadV)
+			m.reclaim(c, gaddr, deadV, addr, buf)
 			return true, false
 		}
 		// Queue on the slot; the releaser grants to the virtually-earliest
@@ -540,7 +559,6 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr, addr transport.Add
 		s.noteArrival(w.clock)
 		m.Stats.noteWaiters(len(s.waiters))
 		s.mu.Unlock()
-		m.wastedRead(c, addr, buf)
 		g := <-w.ch
 		m.waiterPool.Put(w) // single grant received; no one else holds w
 		if g.killed {
@@ -565,7 +583,7 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr, addr transport.Add
 			panic(transport.Crash{CS: int(c.CSID())})
 		}
 		if g.reclaim {
-			m.reclaim(c, gaddr, g.deadV)
+			m.reclaim(c, gaddr, g.deadV, addr, buf)
 			return true, false
 		}
 		rel, spinners = g.rel, g.spinners
@@ -586,18 +604,18 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr, addr transport.Add
 			return false, true
 		}
 		// The lock is free in real time, but the previous virtual hold
-		// window may extend past our clock; spin through the remainder. A
-		// doorbell reaching here met that hold, so its first attempt lost.
-		m.wastedRead(c, addr, buf)
+		// window may extend past our clock; spin through the remainder.
 	}
 	// Pay the spin retries of the wait: one CAS in flight at all times,
 	// each completing only after the convoy's queued commands drain
 	// (§3.2.2), so the retry cadence stretches with the convoy.
 	backlog := int64(spinners) * svc
-	n := vt.ChargeSpin(gaddr, c.Now(), rel, c.Timing().RTTNS+svc+backlog)
-	m.Stats.GlobalRetries.Add(int64(n))
+	n := m.chargeSpin(c, gaddr, rel, c.Timing().RTTNS+svc+backlog, addr, buf)
 
+	// The winning CAS, behind the convoy's backlog: with a doorbell its READ
+	// is the queue pair's next command, executed once the CAS has won.
 	id := uint64(c.CSID()) + 1
+	postAt := c.Now()
 	var ok bool
 	if m.mode.OnChip {
 		_, ok = vt.CAS16Backlog(gaddr, 0, uint16(id), backlog)
@@ -607,29 +625,35 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr, addr transport.Add
 	if !ok {
 		panic(errLostSlot)
 	}
-	return false, false
+	if buf == nil || n >= DoorbellAttempts {
+		return false, false
+	}
+	c.AdvanceTo(m.f.ReadBehind(c, postAt, c.Now(), gaddr, addr, buf))
+	m.Stats.AcquireReads.Add(1)
+	return false, true
 }
 
 // errLostSlot is the virtual manager's invariant: a thread that owns a slot's
 // simulation state finds the physical lock word free.
 const errLostSlot = "hocl: winning CAS failed despite slot serialization"
 
-// wastedRead bills the acquire doorbell's READ behind a first attempt that
-// lost on a virtual manager (nothing when buf is nil): the fabric's pipelines
-// carry it, the thread's Metrics count it as the remote arm's doorbell would,
-// and buf receives bytes the caller never sees, since the lock's winning CAS
-// is bare and the caller reads afterwards.
-func (m *Manager) wastedRead(c transport.Transport, addr transport.Addr, buf []byte) {
-	if buf == nil {
-		return
+// chargeSpin bills, on a virtual manager, the spin retries of a wait that
+// ends at `to` (rdma.Fabric.ChargeSpin, from the thread's clock at the given
+// cadence) and returns how many it billed. With buf set, the first
+// DoorbellAttempts retries are lost acquire doorbells, so their READs of
+// addr are billed too and counted wasted.
+func (m *Manager) chargeSpin(c transport.Transport, gaddr transport.Addr, to, cadence int64, addr transport.Addr, buf []byte) int {
+	reads := 0
+	if buf != nil {
+		reads = DoorbellAttempts
 	}
-	m.Stats.AcquireReads.Add(1)
-	m.Stats.AcquireReadsWasted.Add(1)
-	m.f.WastedRead(c.CSID(), c.Now(), addr, buf)
-	met := c.Metrics()
-	met.Reads++
-	met.DoorbellBatches++
-	met.DoorbellOps += 2
+	n := m.f.ChargeSpin(c, gaddr, c.Now(), to, cadence, addr, len(buf), reads)
+	m.Stats.GlobalRetries.Add(int64(n))
+	if w := int64(min(n, reads)); w > 0 {
+		m.Stats.AcquireReads.Add(w)
+		m.Stats.AcquireReadsWasted.Add(w)
+	}
+	return n
 }
 
 // acquireGlobalRemote is the real-network acquisition: a plain CAS retry
@@ -639,12 +663,14 @@ func (m *Manager) wastedRead(c transport.Transport, addr transport.Addr, buf []b
 // unchanged for a full lease is treated as a crashed holder's and stolen,
 // mirroring the simulator's lease-expiry reclamation on the real clock.
 //
-// A non-nil buf rides the first attempt as the acquire doorbell's READ of
-// addr; read reports that this attempt won. A winning CAS's READ is valid
-// because both ends of the critical section are in-order doorbells: the
-// previous holder's write-back precedes its release WRITE on its queue pair,
-// and our READ follows our CAS on ours, so a CAS that saw the release is
-// followed by a READ that sees the write-back.
+// A non-nil buf rides the first DoorbellAttempts attempts as the acquire
+// doorbell's READ of addr (never the lease steal); read reports that an
+// attempt carrying it won. A losing attempt's bytes are overwritten by the
+// next attempt's, or by the caller's own read after a later bare win. A
+// winning CAS's READ is valid because both ends of the critical section are
+// in-order doorbells: the previous holder's write-back precedes its release
+// WRITE on its queue pair, and our READ follows our CAS on ours, so a CAS
+// that saw the release is followed by a READ that sees the write-back.
 func (m *Manager) acquireGlobalRemote(c transport.Transport, gaddr, addr transport.Addr, buf []byte) (reclaimed, read bool) {
 	id := uint64(c.CSID()) + 1
 	lease := c.Timing().LeaseNS
@@ -654,6 +680,8 @@ func (m *Manager) acquireGlobalRemote(c transport.Transport, gaddr, addr transpo
 		c.CheckAlive()
 		if retries > 0 {
 			m.Stats.GlobalRetries.Add(1)
+		}
+		if retries == DoorbellAttempts {
 			buf = nil
 		}
 		prev, ok := m.casWord(c, gaddr, 0, id, addr, buf)
@@ -714,14 +742,12 @@ func (m *Manager) casWord(c transport.Transport, gaddr transport.Addr, old, id u
 // exclusive simulation ownership guarantee the observed stamp belongs to a
 // dead client. Reclamation counts as an acquisition; the caller holds the
 // lock when it returns.
-func (m *Manager) reclaim(c transport.Transport, gaddr transport.Addr, deadV int64) {
-	vt := c.(transport.VirtualTimer)
+func (m *Manager) reclaim(c transport.Transport, gaddr transport.Addr, deadV int64, addr transport.Addr, buf []byte) {
 	tm := c.Timing()
-	svc := vt.AtomicSvcNS(gaddr)
-	expiry := deadV + tm.LeaseNS
-	// Until the lease runs out the reclaimer is just another spinner.
-	n := vt.ChargeSpin(gaddr, c.Now(), expiry, tm.RTTNS+svc)
-	m.Stats.GlobalRetries.Add(int64(n))
+	svc := c.(transport.VirtualTimer).AtomicSvcNS(gaddr)
+	// Until the lease runs out the reclaimer is just another spinner, whose
+	// lost attempts carry the acquire doorbell's READ when buf is set.
+	m.chargeSpin(c, gaddr, deadV+tm.LeaseNS, tm.RTTNS+svc, addr, buf)
 
 	// Read-then-CAS, retried: a dead client's final posted verb can still
 	// land (it passed its fault check before the crash flag rose) and

@@ -12,12 +12,14 @@ import (
 
 // TestLockReadNeverTrustsALosingRead runs the remote manager's LockRead over
 // two in-process memory servers. Compute server A holds a node's lock; B's
-// LockRead goes out and its first attempt — the one carrying the READ —
-// loses, fetching the old image. A then writes a new image and releases in
-// one doorbell. B must come back holding the lock and either report "not
-// read" or hand back A's new image — never what its losing attempt fetched.
-// An uncontended LockRead afterwards does carry the node; with combine off
-// nothing is carried.
+// LockRead goes out and its attempts — each of the first DoorbellAttempts
+// carrying the READ — lose, fetching the old image. A then writes a new
+// image and releases in one doorbell. B must come back holding the lock; if
+// it won within DoorbellAttempts attempts, with the node read by its winning
+// attempt: A's new image, never what a losing attempt fetched. Every
+// carrying attempt but a winning one is counted wasted. An uncontended
+// LockRead afterwards carries the node in one round trip; with the doorbell
+// off nothing is carried.
 func TestLockReadNeverTrustsALosingRead(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -54,15 +56,24 @@ func TestLockReadNeverTrustsALosingRead(t *testing.T) {
 			m.Unlock(a, ga, []transport.WriteOp{{Addr: node, Data: newImg}}, true)
 			r := <-done
 
-			if got := m.Stats.AcquireReads.Load(); got != 1 {
-				t.Errorf("AcquireReads = %d, want 1: only the first attempt carries the READ", got)
-			}
-			if m.Stats.GlobalRetries.Load() == 0 {
+			retries := m.Stats.GlobalRetries.Load()
+			if retries == 0 {
 				t.Error("GlobalRetries = 0: B never retried")
+			}
+			// Attempt i (0-based) carries the READ when i < DoorbellAttempts;
+			// B's winning attempt is number retries.
+			wantRead := retries < hocl.DoorbellAttempts
+			wantCarried, wantWasted := min(retries+1, hocl.DoorbellAttempts), min(retries, hocl.DoorbellAttempts)
+			if carried, wasted := m.Stats.AcquireReads.Load(), m.Stats.AcquireReadsWasted.Load(); carried != wantCarried || wasted != wantWasted {
+				t.Errorf("AcquireReads/Wasted = %d/%d after %d retries, want %d/%d", carried, wasted, retries, wantCarried, wantWasted)
+			}
+			if r.read != wantRead {
+				t.Errorf("contended LockRead won at attempt %d and reported read = %v, want %v", retries, r.read, wantRead)
 			}
 			if r.read && !bytes.Equal(r.buf, newImg) {
 				t.Fatalf("LockRead reported the node read but handed back image %#x, want A's %#x", r.buf[0], newImg[0])
 			}
+			base := m.Stats.AcquireReads.Load()
 			// B really holds the lock, over A's write-back.
 			got := make([]byte, size)
 			b.Read(node, got)
@@ -82,14 +93,14 @@ func TestLockReadNeverTrustsALosingRead(t *testing.T) {
 				t.Errorf("uncontended LockRead took %d round trips, want 1", rt)
 			}
 			m.Unlock(a, g, nil, true)
-			if carried, wasted := m.Stats.AcquireReads.Load(), m.Stats.AcquireReadsWasted.Load(); carried != 2 || wasted != 1 {
-				t.Errorf("AcquireReads/Wasted = %d/%d, want 2/1", carried, wasted)
+			if carried := m.Stats.AcquireReads.Load(); carried != base+1 {
+				t.Errorf("AcquireReads = %d after an uncontended LockRead, want %d", carried, base+1)
 			}
 
-			// Combine off: a bare CAS, nothing carried, nothing counted.
+			// Doorbell off: a bare CAS, nothing carried, nothing counted.
 			g, read = m.LockRead(a, node, buf, false)
-			if read || m.Stats.AcquireReads.Load() != 2 {
-				t.Errorf("LockRead without combine: read = %v, AcquireReads = %d", read, m.Stats.AcquireReads.Load())
+			if read || m.Stats.AcquireReads.Load() != base+1 {
+				t.Errorf("LockRead without the doorbell: read = %v, AcquireReads = %d", read, m.Stats.AcquireReads.Load())
 			}
 			m.Unlock(a, g, nil, false)
 		})

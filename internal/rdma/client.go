@@ -16,8 +16,11 @@ import (
 // lone client has no one to yield to, and its virtual time never depended
 // on real-time scheduling, so it skips the scheduler. The count only rises:
 // from the moment a second client exists, every verb yields.
-func (c *Client) yield() {
-	if c.F.ClientCount() > 1 {
+func (c *Client) yield() { c.F.yield() }
+
+// yield is Client.yield for work the fabric does on a client's behalf.
+func (f *Fabric) yield() {
+	if f.ClientCount() > 1 {
 		onYield()
 	}
 }
@@ -74,13 +77,18 @@ func (c *Client) CheckAlive() {
 // the CS is dead (or this verb triggers an armed kill), stalls the clock
 // through a partition, and applies degradation delay. Called at verb entry,
 // before any memory effect, so the crashing verb is never applied.
-func (c *Client) checkVerb() {
-	start, delay, ok := c.F.Faults.OnVerb(int(c.CS.ID), c.epoch, c.Clk.Now())
+func (c *Client) checkVerb() { c.Clk.AdvanceTo(c.F.gate(c.CS.ID, c.epoch, c.Clk.Now())) }
+
+// gate is checkVerb's consultation of the injector for a client of compute
+// server cs in incarnation epoch whose clock reads now: it returns the time
+// the verb starts, past any partition stall and degradation delay, or
+// panics with sim.Crash.
+func (f *Fabric) gate(cs uint16, epoch, now int64) int64 {
+	start, delay, ok := f.Faults.OnVerb(int(cs), epoch, now)
 	if !ok {
-		panic(sim.Crash{CS: int(c.CS.ID)})
+		panic(sim.Crash{CS: int(cs)})
 	}
-	c.Clk.AdvanceTo(start)
-	c.Clk.Advance(delay)
+	return max(start, now) + max(delay, 0)
 }
 
 // Now returns the thread's current virtual time.
@@ -307,48 +315,40 @@ func (c *Client) cas16(a transport.Addr, old, new uint16, backlogNS int64, ra tr
 }
 
 // readBehind executes the READ that an acquire doorbell carries behind its
-// CAS (nothing when buf is nil) and returns the doorbell's completion time.
-// casFin is the CAS's own completion: the READ is the queue pair's next
-// command, so it occupies the CS's outbound pipeline for one more post,
-// enters the server's inbound pipeline when the CAS has executed — one RTT
-// before casFin — pays its response payload there, and the one round trip
-// atomicTiming booked covers both commands.
+// CAS (nothing when buf is nil) and returns the doorbell's completion time;
+// see Fabric.ReadBehind.
 func (c *Client) readBehind(casFin int64, lock, a transport.Addr, buf []byte) int64 {
 	if buf == nil {
 		return casFin
 	}
+	return c.F.ReadBehind(c, c.Clk.Now(), casFin, lock, a, buf)
+}
+
+// ReadBehind executes the READ of buf at a that client c's acquire doorbell
+// posts behind its CAS on lock, posted at virtual time postAt and completed
+// at casFin, counts it in c's Metrics and returns the doorbell's completion
+// time. The READ is the queue pair's next command: it occupies the CS's
+// outbound pipeline for one more post, enters the server's inbound pipeline
+// when the CAS has executed — one RTT before casFin — and pays its response
+// payload there, and the CAS's round trip covers both commands. It moves no
+// clock: Client's CASRead advances its own, and a lock manager that sent
+// the winning CAS on its own (behind a convoy's backlog) advances c's to the
+// returned time.
+func (f *Fabric) ReadBehind(c transport.Transport, postAt, casFin int64, lock, a transport.Addr, buf []byte) int64 {
 	if a.MS() != lock.MS() {
 		panic(fmt.Sprintf("rdma: combined post spans servers ms%d and ms%d", lock.MS(), a.MS()))
 	}
-	p := &c.F.P
-	srv := c.F.Server(a)
-	c.CS.Outbound.Acquire(c.Clk.Now(), p.OutboundMinNS)
+	p := &f.P
+	srv := f.Server(a)
+	f.CSs[c.CSID()].Outbound.Acquire(postAt, p.OutboundMinNS)
 	t := srv.Inbound.Acquire(casFin-p.RTTNS, p.PayloadNS(len(buf), p.InboundMinNS))
 	srv.NoteInbound(a, 1)
 	srv.read(a, buf)
-	c.M.Reads++
-	c.M.DoorbellBatches++
-	c.M.DoorbellOps += 2
+	m := c.Metrics()
+	m.Reads++
+	m.DoorbellBatches++
+	m.DoorbellOps += 2
 	return t + p.RTTNS
-}
-
-// WastedRead books the READ an acquire doorbell carries behind a first CAS
-// that lost, for a lock manager that models the lost CAS instead of issuing
-// it: compute server cs posts the READ at virtual time at, it takes one post
-// on the CS's outbound pipeline and its response payload on the memory
-// server's inbound one, and its bytes land in buf, where nothing may trust
-// them (they can be another holder's half-applied write-back). It moves no
-// clock and books no round trip, since the lock manager's spin billing
-// models the CAS it rode behind, and it is not a verb: fault injection
-// neither counts nor stops it, and the caller counts the command in its
-// thread's Metrics.
-func (f *Fabric) WastedRead(cs uint16, at int64, a transport.Addr, buf []byte) {
-	p := &f.P
-	srv := f.Server(a)
-	t := f.CSs[cs].Outbound.Acquire(at, p.OutboundMinNS)
-	srv.Inbound.Acquire(t, p.PayloadNS(len(buf), p.InboundMinNS))
-	srv.NoteInbound(a, 1)
-	srv.read(a, buf)
 }
 
 // FAA executes RDMA_FAA on the 8-byte word at a and returns the previous
@@ -393,26 +393,57 @@ const maxSpinCharges = 1 << 14
 // bound to the winning CAS (CASBacklog). Booking open-loop charges as well
 // would double-count the storm and grow the queue without bound.
 func (c *Client) ChargeSpin(a transport.Addr, from, to, cadence int64) int {
-	c.checkVerb()
-	p := &c.F.P
-	srv := c.F.Server(a)
+	return c.F.ChargeSpin(c, a, from, to, cadence, transport.NilAddr, 0, 0)
+}
+
+// ChargeSpin is Client.ChargeSpin for client c of this fabric, whose first
+// `reads` lost CASes on lock each carry an acquire doorbell's READ of size
+// bytes at a. Such a retry's READ is the queue pair's next command: it
+// takes one more post on the CS's outbound pipeline after the CAS's and its
+// response payload on the server's inbound pipeline after the CAS's, booked
+// in the same pass, so the pipelines see every command in time order. c's
+// Metrics count the READs as CASRead counts its own, and the server counts
+// them as inbound commands, but no bytes move: nothing may read what a
+// losing attempt fetched. A lock manager whose CASes carry READs calls this
+// instead of the VirtualTimer method; it reaches c's clock and counters
+// through the Transport, so a decorated transport takes the same path.
+func (f *Fabric) ChargeSpin(c transport.Transport, lock transport.Addr, from, to, cadence int64, a transport.Addr, size, reads int) int {
+	c.AdvanceTo(f.gate(c.CSID(), c.Epoch(), c.Now()))
+	p := &f.P
+	srv := f.Server(lock)
+	out := &f.CSs[c.CSID()].Outbound
+	if reads > 0 && a.MS() != lock.MS() {
+		panic(fmt.Sprintf("rdma: combined post spans servers ms%d and ms%d", lock.MS(), a.MS()))
+	}
 	if cadence <= 0 {
 		cadence = p.RTTNS
 	}
 	n := 0
 	for t := from; t+cadence < to && n < maxSpinCharges; t += cadence {
-		c.CS.Outbound.Acquire(t, p.OutboundMinNS)
-		srv.Inbound.Acquire(t, p.InboundMinNS)
+		o := out.Acquire(t, p.OutboundMinNS)
+		i := srv.Inbound.Acquire(t, p.InboundMinNS)
+		if n < reads {
+			out.Acquire(o, p.OutboundMinNS)
+			srv.Inbound.Acquire(i, p.PayloadNS(size, p.InboundMinNS))
+		}
 		n++
 	}
-	srv.NoteInbound(a, int64(n))
-	c.M.Atomics += int64(n)
-	c.M.CASFailures += int64(n)
-	c.M.RoundTrips += int64(n)
-	c.M.OpRoundTrips += int64(n)
-	c.Clk.AdvanceTo(to)
+	n64, r64 := int64(n), int64(min(n, reads))
+	srv.NoteInbound(lock, n64)
+	m := c.Metrics()
+	m.Atomics += n64
+	m.CASFailures += n64
+	m.RoundTrips += n64
+	m.OpRoundTrips += n64
+	if r64 > 0 {
+		srv.NoteInbound(a, r64)
+		m.Reads += r64
+		m.DoorbellBatches += r64
+		m.DoorbellOps += 2 * r64
+	}
+	c.AdvanceTo(to)
 	if n > 0 {
-		c.yield()
+		f.yield()
 	}
 	return n
 }

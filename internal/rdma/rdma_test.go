@@ -219,54 +219,33 @@ func TestBandwidthBoundWrites(t *testing.T) {
 	}
 }
 
+// TestTornReadAt64ByteGranularity forces a tear through the verbs: a write
+// of two 64-byte lines is held after its first line (Server.HoldWrite), and
+// another client's READ from inside the hold must see the new first line
+// whole and the old second line whole — a tear at the line boundary, never
+// inside a line. The write then completes. The race that makes such tears
+// happen on their own is memstore's TestTornReadAt64ByteGranularity.
 func TestTornReadAt64ByteGranularity(t *testing.T) {
 	f := testFabric(1, 2)
-	base := f.Servers()[0].Grow()
+	srv := f.Servers()[0]
+	base := srv.Grow()
 	w := f.NewClient(0)
 	r := f.NewClient(1)
-	// Two 128-byte patterns; a reader racing a writer must only ever see
-	// 64-byte-aligned mixtures of them, never intra-line shears.
 	pa := bytes.Repeat([]byte{0xaa}, 128)
 	pb := bytes.Repeat([]byte{0xbb}, 128)
 	addr := transport.MakeAddr(0, base)
 	w.Write(addr, pa)
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if i%2 == 0 {
-				w.Write(addr, pb)
-			} else {
-				w.Write(addr, pa)
-			}
-		}
-	}()
 	buf := make([]byte, 128)
-	for i := 0; i < 3000; i++ {
-		r.Read(addr, buf)
-		for line := 0; line < 2; line++ {
-			seg := buf[line*64 : line*64+64]
-			first := seg[0]
-			if first != 0xaa && first != 0xbb {
-				t.Fatalf("byte neither pattern: %#x", first)
-			}
-			for _, b := range seg {
-				if b != first {
-					t.Fatal("intra-line shear observed")
-				}
-			}
-		}
+	srv.HoldWrite(func() { r.Read(addr, buf) })
+	w.Write(addr, pb)
+	if !bytes.Equal(buf[:64], pb[:64]) || !bytes.Equal(buf[64:], pa[64:]) {
+		t.Fatalf("read inside the held write = %x, want the new first line and the old second", buf)
 	}
-	close(stop)
-	wg.Wait()
+	r.Read(addr, buf)
+	if !bytes.Equal(buf, pb) {
+		t.Fatalf("read after the held write completed = %x, want the new image whole", buf)
+	}
 }
 
 func TestGrowAndBounds(t *testing.T) {

@@ -74,6 +74,12 @@ func (s *Server) InboundOps() int64 { return s.st.InboundOps() }
 // ChunkOps returns a snapshot of the served verbs booked per host chunk.
 func (s *Server) ChunkOps() []int64 { return s.st.ChunkOps() }
 
+// HoldWrite is the store's test hook (memstore.Store.HoldWrite), the one a
+// TCP server exposes by embedding its store: the next multi-line write to
+// this server stops after its first line, on the writing client's
+// goroutine, until hold returns.
+func (s *Server) HoldWrite(hold func()) { s.st.HoldWrite(hold) }
+
 // SetDead fails (or revives, in tests) the server's memory: subsequent
 // reads zero-fill and writes/atomics discard. The fault injector's MS-death
 // listener chain calls this before replica promotion runs.
