@@ -68,7 +68,6 @@ var experiments = []experiment{
 	{id: "fig15b", all: true, run: one(func(s bench.Scale) *bench.Table { return bench.Fig15KeySize(s, workload.Zipfian) })},
 	{id: "fig15c", all: true, run: one(bench.Fig15Cache)},
 	{id: "fig16", all: true, run: one(bench.Fig16)},
-	{id: "extras", run: many(bench.Extras)},
 	{id: "batch", all: true, run: func(s bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {
 		return bench.BatchTables(s, col), nil, nil
 	}},

@@ -54,6 +54,31 @@ func TestReadmeListsTheRegistry(t *testing.T) {
 	}
 }
 
+// TestEveryExperimentIsReadByACheck keeps experiments that nothing reads
+// out of the registry: an id that is not one of the paper's tables or
+// figures must have a -check gate or be run by a CI step's -exp list.
+func TestEveryExperimentIsReadByACheck(t *testing.T) {
+	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inCI := map[string]bool{}
+	for _, m := range regexp.MustCompile(`-exp ([\w,]+)`).FindAllSubmatch(ci, -1) {
+		for _, id := range strings.Split(string(m[1]), ",") {
+			inCI[id] = true
+		}
+	}
+	if len(inCI) == 0 {
+		t.Fatal("ci.yml names no -exp step")
+	}
+	for _, e := range experiments {
+		paper := strings.HasPrefix(e.id, "table") || strings.HasPrefix(e.id, "fig")
+		if !paper && e.gate == "" && !inCI[e.id] {
+			t.Errorf("experiment %q is not from the paper, has no -check gate and no CI step runs it", e.id)
+		}
+	}
+}
+
 func TestUnknownExperimentRejected(t *testing.T) {
 	for _, spec := range []string{"tcp", "quick", "fig10,nope"} {
 		_, err := selectExperiments(spec)

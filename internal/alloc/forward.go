@@ -24,11 +24,6 @@ func (c ChunkID) ChunkBase() transport.Addr {
 	return transport.MakeAddr(c.MS, c.Index*transport.DefaultChunkSize)
 }
 
-// Contains reports whether a lies inside the chunk.
-func (c ChunkID) Contains(a transport.Addr) bool {
-	return !a.OnChip() && ChunkOf(a) == c
-}
-
 // MaxForwardHops bounds a forwarding chase: a chunk may be relocated many
 // times over a cluster's life (migration, then failover of the target, ...),
 // and each relocation adds at most one hop to the chase a reader performs

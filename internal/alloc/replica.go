@@ -109,14 +109,6 @@ func (r *ReplicaMap) Targets(ck ChunkID, out *TargetSet) bool {
 	return true
 }
 
-// Replicas returns the number of live replica copies chunk ck carries.
-func (r *ReplicaMap) Replicas(ck ChunkID) int {
-	if s, ok := (*r.m.Load())[ck]; ok {
-		return s.n
-	}
-	return 0
-}
-
 // Registered reports whether ck is a replicated primary chunk.
 func (r *ReplicaMap) Registered(ck ChunkID) bool {
 	_, ok := (*r.m.Load())[ck]

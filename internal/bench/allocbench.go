@@ -48,8 +48,12 @@ type allocProbe struct {
 
 // allocProbes is the probe set. get_cached and put_steady are the tentpole
 // claims (zero allocs in steady state); the pipelined and mixed-batch
-// variants pin down the async executor and planner scratch.
+// variants pin down the async executor and planner scratch. The mixed-batch
+// probe's op and result slices are allocated here, once, so its measured
+// run allocates nothing of its own.
 func allocProbes() []allocProbe {
+	execOps := make([]core.Op, execBatchSize)
+	execResults := make([]core.OpResult, execBatchSize)
 	return []allocProbe{
 		{
 			name: "get_cached", depth: 1, ops: allocProbeOps,
@@ -113,18 +117,16 @@ func allocProbes() []allocProbe {
 		{
 			name: "exec_mixed_d4", depth: 4, ops: allocProbeOps,
 			run: func(h *core.Handle, as *core.Async) {
-				ops := make([]core.Op, execBatchSize)
-				results := make([]core.OpResult, execBatchSize)
 				for i := 0; i < allocProbeOps/execBatchSize; i++ {
-					for j := range ops {
+					for j := range execOps {
 						k := uint64((i*execBatchSize+j)%allocProbeKeys + 1)
 						if j%2 == 0 {
-							ops[j] = core.Op{Kind: stats.OpLookup, Key: k}
+							execOps[j] = core.Op{Kind: stats.OpLookup, Key: k}
 						} else {
-							ops[j] = core.Op{Kind: stats.OpInsert, Key: k, Value: k}
+							execOps[j] = core.Op{Kind: stats.OpInsert, Key: k, Value: k}
 						}
 					}
-					as.ExecInto(ops, results)
+					as.ExecInto(execOps, execResults)
 				}
 			},
 		},
@@ -264,7 +266,7 @@ func AllocTables(s Scale, c *Collector) []*Table {
 		})
 	}
 	t.Note("single goroutine, %d ops per probe after a warmup pass and forced GC", allocProbeOps)
-	t.Note("exec_mixed's residual allocs/op is the caller-owned results slice of Exec-without-Into callers: the probe itself recycles")
+	t.Note("exec_mixed reuses one op slice and one results slice (ExecInto) across every batch of both runs")
 	t.Note("get_tcp runs client and in-process wire-v2 servers in one heap: the delta covers both ends of every real round trip")
 	return []*Table{t}
 }
@@ -273,8 +275,9 @@ func AllocTables(s Scale, c *Collector) []*Table {
 // AllocGate independent of the baseline band. The steady-state paths must
 // measure exactly zero; 0.01 absorbs sub-one-per-hundred-ops noise (e.g. a
 // pool refill after a background GC) without admitting any real per-op
-// allocation. exec_mixed_d4 has no steady per-op allocs either — its
-// results buffer is recycled via ExecInto — so it shares the zero budget.
+// allocation. exec_mixed_d4 has no steady per-op allocs either — its op and
+// results slices are built with the probe and reused via ExecInto — so it
+// shares the zero budget.
 var allocBudgets = map[string]float64{
 	"alloc/get_cached":       0.01,
 	"alloc/get_pipelined_d8": 0.01,

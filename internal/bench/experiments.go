@@ -6,7 +6,6 @@ import (
 	"sherman/internal/core"
 	"sherman/internal/hocl"
 	"sherman/internal/layout"
-	"sherman/internal/sim"
 	"sherman/internal/workload"
 )
 
@@ -92,7 +91,7 @@ func Fig2(s Scale) *Table {
 	t := NewTable("Figure 2: RDMA-based exclusive locks vs contention",
 		"theta", "Mops", "p50(us)", "p99(us)")
 	for _, theta := range []float64{0, 0.8, 0.9, 0.95, 0.99} {
-		r := RunLocks(lockScale(s), 7, hocl.Config{Mode: hocl.Baseline(), LocksPerMS: figLocks}, theta, sim.DefaultParams())
+		r := RunLocks(lockScale(s), 7, hocl.Config{Mode: hocl.Baseline(), LocksPerMS: figLocks}, theta)
 		label := fmt.Sprintf("%.2f", theta)
 		if theta == 0 {
 			label = "uniform"
@@ -344,7 +343,7 @@ func Fig16(s Scale) *Table {
 		{"Handover", hocl.Sherman()},
 	}
 	for _, st := range steps {
-		r := RunLocks(lockScale(s), 8, hocl.Config{Mode: st.mode, LocksPerMS: figLocks}, 0.99, sim.DefaultParams())
+		r := RunLocks(lockScale(s), 8, hocl.Config{Mode: st.mode, LocksPerMS: figLocks}, 0.99)
 		t.Add(st.name, MopsString(r.Mops), USString(r.P50), USString(r.P99),
 			fmt.Sprint(r.Handovers), fmt.Sprint(r.GlobalRetries))
 	}

@@ -414,14 +414,6 @@ type TreeResult struct {
 	CacheEvictions int64
 	// Handovers is the number of lock acquisitions satisfied by handover.
 	Handovers int64
-	// LockAcquisitions, LockRetries and LockMaxWaiters expose the lock
-	// manager's aggregate counters (whole run, including warmup).
-	LockAcquisitions  int64
-	LockRetries       int64
-	LockMaxWaiters    int64
-	LockGrants        int64
-	LockGrantSpinners int64
-
 	// MeasuredLockAcquisitions is the lock manager's acquisition count over
 	// the measurement window only (the harness snapshots the counter at the
 	// warmup barrier, when every thread is parked).
@@ -462,24 +454,17 @@ func RunTree(e TreeExp) TreeResult {
 	for cs := 0; cs < e.NumCS; cs++ {
 		evictions += fx.tr.Cache(cs).Evictions()
 	}
-	ls := fx.tr.LockStats()
 	res := TreeResult{
-		Name:              e.Name,
-		Mops:              mops,
-		CacheEvictions:    evictions,
-		P50:               merged.AllLatency.Percentile(50),
-		P90:               merged.AllLatency.Percentile(90),
-		P99:               merged.AllLatency.Percentile(99),
-		Rec:               merged,
-		HitRatio:          merged.HitRatio(),
-		Handovers:         merged.Handovers,
-		LockAcquisitions:  ls.Acquisitions.Load(),
-		LockRetries:       ls.GlobalRetries.Load(),
-		LockMaxWaiters:    ls.MaxWaiters.Load(),
-		LockGrants:        ls.Grants.Load(),
-		LockGrantSpinners: ls.GrantSpinnersSum.Load(),
-
-		MeasuredLockAcquisitions: ls.Acquisitions.Load() - warmupAcq,
+		Name:                     e.Name,
+		Mops:                     mops,
+		CacheEvictions:           evictions,
+		P50:                      merged.AllLatency.Percentile(50),
+		P90:                      merged.AllLatency.Percentile(90),
+		P99:                      merged.AllLatency.Percentile(99),
+		Rec:                      merged,
+		HitRatio:                 merged.HitRatio(),
+		Handovers:                merged.Handovers,
+		MeasuredLockAcquisitions: fx.tr.LockStats().Acquisitions.Load() - warmupAcq,
 	}
 	if ops := merged.TotalOps(); ops > 0 {
 		res.RoundTripsPerOp = float64(merged.RoundTrips) / float64(ops)
@@ -522,11 +507,6 @@ func RunTreeN(e TreeExp, runs int) TreeResult {
 		acc.RoundTripsPerOp += r.RoundTripsPerOp / float64(runs)
 		acc.LockAcqPerOp += r.LockAcqPerOp / float64(runs)
 		acc.Rec = r.Rec
-		acc.LockAcquisitions = r.LockAcquisitions
-		acc.LockRetries = r.LockRetries
-		acc.LockMaxWaiters = r.LockMaxWaiters
-		acc.LockGrants = r.LockGrants
-		acc.LockGrantSpinners = r.LockGrantSpinners
 		acc.MeasuredLockAcquisitions = r.MeasuredLockAcquisitions
 	}
 	return acc

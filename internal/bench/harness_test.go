@@ -8,7 +8,6 @@ import (
 
 	"sherman/internal/core"
 	"sherman/internal/hocl"
-	"sherman/internal/sim"
 	"sherman/internal/stats"
 	"sherman/internal/workload"
 )
@@ -79,7 +78,7 @@ func TestRunTreeNAverages(t *testing.T) {
 
 func TestRunLocksBasics(t *testing.T) {
 	r := RunLocks(Scale{ThreadsPerCS: 4, WarmupOps: 20, MeasureNS: 500_000}, 2,
-		hocl.Config{Mode: hocl.Sherman(), LocksPerMS: 64}, 0.99, sim.DefaultParams())
+		hocl.Config{Mode: hocl.Sherman(), LocksPerMS: 64}, 0.99)
 	if r.Mops <= 0 {
 		t.Fatalf("lock throughput = %v", r.Mops)
 	}
@@ -230,7 +229,7 @@ func TestLoneWorkerGoldens(t *testing.T) {
 		{"sherman/batch=8/depth=1", sherman(8, 1), counts{352, 458, 2688, 4096, 1180308}},
 		{"sherman/batch=8/depth=4", sherman(8, 4), counts{936, 1257, 1088, 1728, 1066280}},
 		{"locks", of(RunLocks(Scale{ThreadsPerCS: 1, WarmupOps: 20, MeasureNS: 500_000}, 1,
-			hocl.Config{Mode: hocl.Sherman(), LocksPerMS: 64}, 0.99, sim.DefaultParams()).Rec),
+			hocl.Config{Mode: hocl.Sherman(), LocksPerMS: 64}, 0.99).Rec),
 			counts{115, 230, 4361, 4361, 588735}},
 	} {
 		if c.got != c.want {

@@ -37,8 +37,8 @@ type LockResult struct {
 // s.ThreadsPerCS threads acquire a lock of lk's table on memory server 0,
 // hold it lockHoldNS and release it. Locks are picked Zipf(theta), or
 // uniformly when theta is 0.
-func RunLocks(s Scale, numCS int, lk hocl.Config, theta float64, p sim.Params) LockResult {
-	f := rdma.NewFabric(p, 1, numCS)
+func RunLocks(s Scale, numCS int, lk hocl.Config, theta float64) LockResult {
+	f := rdma.NewFabric(sim.DefaultParams(), 1, numCS)
 	mgr := hocl.NewManager(f, lk)
 	var zipf *workload.ZipfGen
 	if theta > 0 {

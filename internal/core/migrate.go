@@ -282,10 +282,9 @@ func (w *chunkWalk) visit(addr transport.Addr) {
 	}
 }
 
-// copyPaceStride is how many chunk slots CopyChunk copies between Pace
-// callbacks, so a re-replication sweep inside a paced benchmark window keeps
-// its clock inside the gate like any other worker.
-const copyPaceStride = 64
+// copyCheckStride is how many chunk slots CopyChunk copies between checks
+// that its source server is still alive.
+const copyCheckStride = 64
 
 // CopyChunk copies every node slot of chunk src onto the same offsets of the
 // chunk at dstBase, and returns the number of non-empty slots copied. It is
@@ -307,13 +306,8 @@ func (h *Handle) CopyChunk(src alloc.ChunkID, dstBase transport.Addr) int {
 	base := src.ChunkBase()
 	copied := 0
 	for off, slot := uint64(0), 0; off+uint64(nodeSize) <= transport.DefaultChunkSize; off, slot = off+uint64(nodeSize), slot+1 {
-		if slot%copyPaceStride == 0 {
-			if !h.t.cl.MSAlive(int(src.MS)) {
-				break // source died; its failover owns the chunk now
-			}
-			if h.Pace != nil {
-				h.Pace(h.C.Now())
-			}
+		if slot%copyCheckStride == 0 && !h.t.cl.MSAlive(int(src.MS)) {
+			break // source died; its failover owns the chunk now
 		}
 		a := base.Add(off)
 		g := h.t.locks.Lock(h.C, a)

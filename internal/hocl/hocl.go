@@ -39,7 +39,8 @@ import (
 const DefaultLocksPerMS = 16384
 
 // DefaultMaxHandover bounds consecutive intra-CS handovers so remote
-// compute servers cannot starve (§4.3: MAX_DEPTH = 4).
+// compute servers cannot starve (§4.3: MAX_DEPTH = 4). The paper fixes it
+// and nothing here sweeps it (DESIGN.md §6).
 const DefaultMaxHandover = 4
 
 // Mode selects which parts of HOCL are active; the zero value is the FG-like
@@ -102,11 +103,6 @@ type Stats struct {
 	// lock — the depth of the worst convoy (diagnostic for the §3.2.2
 	// collapse).
 	MaxWaiters atomic.Int64
-	// Grants counts lock handoffs to queued waiters; GrantSpinnersSum sums
-	// the queue depth at those handoffs (diagnostics: their ratio is the
-	// average convoy depth a winner's CAS must traverse).
-	Grants           atomic.Int64
-	GrantSpinnersSum atomic.Int64
 
 	// LeaseExpiries counts lock slots orphaned by a compute-server crash
 	// (holder died while holding the global lock); Reclaims counts the
@@ -137,18 +133,14 @@ type Config struct {
 	// LocksPerMS is the GLT size per memory server; 0 means
 	// DefaultLocksPerMS.
 	LocksPerMS int
-	// MaxHandover is the consecutive-handover bound; 0 means
-	// DefaultMaxHandover.
-	MaxHandover int
 }
 
 // Manager owns the global lock tables of every memory server and the local
 // lock tables of every compute server.
 type Manager struct {
-	mode        Mode
-	locksPerMS  int
-	maxHandover int
-	f           *rdma.Fabric // nil for a remote manager
+	mode       Mode
+	locksPerMS int
+	f          *rdma.Fabric // nil for a remote manager
 
 	// virtual selects the acquisition protocol. A virtual manager (built by
 	// NewManager over the simulated fabric) serializes each global lock
@@ -352,9 +344,8 @@ func newManager(cfg Config) *Manager {
 		panic(err)
 	}
 	return &Manager{
-		mode:        cfg.Mode,
-		locksPerMS:  cmp.Or(cfg.LocksPerMS, DefaultLocksPerMS),
-		maxHandover: cmp.Or(cfg.MaxHandover, DefaultMaxHandover),
+		mode:       cfg.Mode,
+		locksPerMS: cmp.Or(cfg.LocksPerMS, DefaultLocksPerMS),
 	}
 }
 
@@ -371,9 +362,6 @@ func (m *Manager) checkCapacity(onChipSize int) {
 		panic(fmt.Sprintf("hocl: %d locks need %d B on-chip, NIC has %d B", n, need, onChipSize))
 	}
 }
-
-// LocksPerMS returns the GLT size per memory server.
-func (m *Manager) LocksPerMS() int { return m.locksPerMS }
 
 // wireServer prepares one memory server's share of the lock tables: the
 // on-chip capacity check, and — in host mode — the GLT chunk reservation.
@@ -587,8 +575,6 @@ func (m *Manager) acquireGlobal(c transport.Transport, gaddr, addr transport.Add
 			return true, false
 		}
 		rel, spinners = g.rel, g.spinners
-		m.Stats.Grants.Add(1)
-		m.Stats.GrantSpinnersSum.Add(int64(g.spinners))
 	} else {
 		rel = s.relV
 		s.held = true
@@ -962,7 +948,7 @@ func (m *Manager) Unlock(c transport.Transport, g Guard, pending []transport.Wri
 		// misses this handover window (it re-acquires the global lock
 		// itself, exactly as if it had arrived after the release).
 		g.ll.mu.Lock()
-		handover := m.mode.Handover && len(g.ll.queue) > 0 && g.ll.depth < int32(m.maxHandover)
+		handover := m.mode.Handover && len(g.ll.queue) > 0 && g.ll.depth < DefaultMaxHandover
 		if handover {
 			g.ll.depth++
 		} else {

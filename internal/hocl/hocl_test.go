@@ -137,11 +137,10 @@ func TestVirtualHoldWindowsDisjoint(t *testing.T) {
 }
 
 // TestHandoverBounded checks that consecutive handovers never exceed
-// MaxHandover, so remote compute servers cannot be starved (§4.3).
+// DefaultMaxHandover, so remote compute servers cannot be starved (§4.3).
 func TestHandoverBounded(t *testing.T) {
-	const maxHO = 4
 	f := testFabric(t, 1, 2)
-	m := NewManager(f, Config{Mode: Sherman(), LocksPerMS: 16, MaxHandover: maxHO})
+	m := NewManager(f, Config{Mode: Sherman(), LocksPerMS: 16})
 
 	// All threads on CS 0 pound one lock; a lone CS-1 thread must still get
 	// in. Track the longest run of consecutive handovers.
@@ -175,8 +174,8 @@ func TestHandoverBounded(t *testing.T) {
 		}(th)
 	}
 	wg.Wait()
-	if maxRun > maxHO {
-		t.Errorf("observed %d consecutive handovers, bound is %d", maxRun, maxHO)
+	if maxRun > DefaultMaxHandover {
+		t.Errorf("observed %d consecutive handovers, bound is %d", maxRun, DefaultMaxHandover)
 	}
 	if m.Stats.Handovers.Load() == 0 {
 		t.Error("expected some handovers under same-CS contention")

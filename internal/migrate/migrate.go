@@ -25,13 +25,16 @@ import (
 	"sherman/internal/transport"
 )
 
+const (
+	// maxChunks bounds the chunks moved by one Rebalance call.
+	maxChunks = 64
+	// slack is the max/mean load imbalance Rebalance tolerates before
+	// moving anything.
+	slack = 1.15
+)
+
 // Options tunes one engine.
 type Options struct {
-	// MaxChunks bounds the chunks moved by one Rebalance call (0 = 64).
-	MaxChunks int
-	// Slack is the max/mean load imbalance Rebalance tolerates before
-	// moving anything (0 = 1.15).
-	Slack float64
 	// Baseline, when non-nil, is a prior load snapshot subtracted from the
 	// current counters so the picker sees a recent window instead of the
 	// cluster's whole history.
@@ -40,20 +43,6 @@ type Options struct {
 	// the engine's current virtual time; benchmark harnesses use it to keep
 	// the migrator inside the simulation gate's window.
 	Pace func(nowNS int64)
-}
-
-func (o Options) maxChunks() int {
-	if o.MaxChunks == 0 {
-		return 64
-	}
-	return o.MaxChunks
-}
-
-func (o Options) slack() float64 {
-	if o.Slack == 0 {
-		return 1.15
-	}
-	return o.Slack
 }
 
 // Stats reports one engine run.
@@ -67,9 +56,6 @@ type Stats struct {
 	// owned (readers keep resolving through forwarding until a recovery
 	// sweep repairs them).
 	Repoints, RepointMisses int
-	// SkippedNodes counts collected nodes found already dead at move time
-	// (freed or concurrently migrated).
-	SkippedNodes int
 	// CacheDropped counts index-cache entries invalidated across compute
 	// servers.
 	CacheDropped int
@@ -84,7 +70,6 @@ func (s *Stats) add(o Stats) {
 	s.BytesCopied += o.BytesCopied
 	s.Repoints += o.Repoints
 	s.RepointMisses += o.RepointMisses
-	s.SkippedNodes += o.SkippedNodes
 	s.CacheDropped += o.CacheDropped
 }
 
@@ -114,7 +99,7 @@ func (e *Engine) Rebalance() (Stats, error) {
 	if e.opt.Baseline != nil {
 		loads = stats.SubLoads(loads, e.opt.Baseline)
 	}
-	plan := planRebalance(loads, e.opt.slack(), e.opt.maxChunks())
+	plan := planRebalance(loads)
 	var st Stats
 	err := e.runPlan(plan, &st)
 	st.VirtualNS = e.h.C.Now() - start
@@ -168,7 +153,7 @@ type move struct {
 // planRebalance picks (chunk, target) moves that bring the hottest servers
 // toward the mean, using per-chunk inbound counts as the transferable load
 // unit.
-func planRebalance(loads []stats.MSLoad, slack float64, maxChunks int) []move {
+func planRebalance(loads []stats.MSLoad) []move {
 	type srv struct {
 		ms       int
 		ops      int64
@@ -346,7 +331,6 @@ func (e *Engine) migrateChunk(ck alloc.ChunkID, dstMS uint16, items []core.Chunk
 		dst := newBase.Add(it.Addr.Off() % transport.DefaultChunkSize)
 		mv, err := e.h.MoveNode(it.Addr, dst)
 		if err != nil {
-			st.SkippedNodes++
 			continue // already dead: freed or migrated under us
 		}
 		st.NodesMoved++

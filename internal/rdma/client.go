@@ -74,21 +74,17 @@ func (c *Client) CheckAlive() {
 }
 
 // checkVerb gates one fabric verb on the injector: it aborts the thread when
-// the CS is dead (or this verb triggers an armed kill), stalls the clock
-// through a partition, and applies degradation delay. Called at verb entry,
-// before any memory effect, so the crashing verb is never applied.
-func (c *Client) checkVerb() { c.Clk.AdvanceTo(c.F.gate(c.CS.ID, c.epoch, c.Clk.Now())) }
+// the CS is dead (or this verb triggers an armed kill). Called at verb
+// entry, before any memory effect, so the crashing verb is never applied.
+func (c *Client) checkVerb() { c.F.gate(c.CS.ID, c.epoch, c.Clk.Now()) }
 
 // gate is checkVerb's consultation of the injector for a client of compute
-// server cs in incarnation epoch whose clock reads now: it returns the time
-// the verb starts, past any partition stall and degradation delay, or
-// panics with sim.Crash.
-func (f *Fabric) gate(cs uint16, epoch, now int64) int64 {
-	start, delay, ok := f.Faults.OnVerb(int(cs), epoch, now)
-	if !ok {
+// server cs in incarnation epoch whose clock reads now: it panics with
+// sim.Crash unless the verb may proceed.
+func (f *Fabric) gate(cs uint16, epoch, now int64) {
+	if !f.Faults.OnVerb(int(cs), epoch, now) {
 		panic(sim.Crash{CS: int(cs)})
 	}
-	return max(start, now) + max(delay, 0)
 }
 
 // Now returns the thread's current virtual time.
@@ -202,7 +198,6 @@ func (c *Client) PostWrites(ops ...transport.WriteOp) {
 		srv.NoteInbound(op.Addr, 1)
 		srv.write(op.Addr, op.Data)
 		c.M.WriteBytes += int64(len(op.Data))
-		c.M.OpWriteBytes += int64(len(op.Data))
 		c.M.Writes++
 	}
 	c.Clk.AdvanceTo(t + p.RTTNS)
@@ -408,7 +403,7 @@ func (c *Client) ChargeSpin(a transport.Addr, from, to, cadence int64) int {
 // instead of the VirtualTimer method; it reaches c's clock and counters
 // through the Transport, so a decorated transport takes the same path.
 func (f *Fabric) ChargeSpin(c transport.Transport, lock transport.Addr, from, to, cadence int64, a transport.Addr, size, reads int) int {
-	c.AdvanceTo(f.gate(c.CSID(), c.Epoch(), c.Now()))
+	f.gate(c.CSID(), c.Epoch(), c.Now())
 	p := &f.P
 	srv := f.Server(lock)
 	out := &f.CSs[c.CSID()].Outbound

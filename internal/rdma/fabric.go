@@ -170,14 +170,3 @@ func (f *Fabric) Server(a transport.Addr) *Server {
 	}
 	return servers[ms]
 }
-
-// ResetTime rewinds every resource clock in the fabric to zero. Call only
-// between experiments, with no client threads running.
-func (f *Fabric) ResetTime() {
-	for _, s := range f.Servers() {
-		s.ResetTime()
-	}
-	for _, cs := range f.CSs {
-		cs.Outbound.Reset()
-	}
-}

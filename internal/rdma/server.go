@@ -159,14 +159,3 @@ func (s *Server) WriteAt(off uint64, data []byte) {
 func (s *Server) ReadAt(off uint64, buf []byte) {
 	s.read(transport.MakeAddr(s.ID, off), buf)
 }
-
-// ResetTime rewinds all of the server's resource clocks to zero between
-// experiments.
-func (s *Server) ResetTime() {
-	s.Inbound.Reset()
-	s.AtomicUnit.Reset()
-	s.CPU.Reset()
-	for i := range s.buckets {
-		s.buckets[i].Reset()
-	}
-}

@@ -40,11 +40,6 @@ import (
 type Options struct {
 	// MaxChunks bounds chunks repaired by one ReReplicate call (0 = 16).
 	MaxChunks int
-	// Pace, when non-nil, is called between chunk repairs (no lock held)
-	// with the engine's current virtual time; benchmark harnesses use it to
-	// keep the re-replicator inside the simulation gate's window. It is also
-	// installed as the engine handle's Pace so CopyChunk paces mid-chunk.
-	Pace func(nowNS int64)
 }
 
 func (o Options) maxChunks() int {
@@ -81,9 +76,6 @@ type Engine struct {
 // New creates an engine over handle h (which determines the compute server
 // and virtual clock the repair traffic runs on).
 func New(h *core.Handle, opt Options) *Engine {
-	if opt.Pace != nil {
-		h.Pace = opt.Pace
-	}
 	return &Engine{t: h.Tree(), h: h, opt: opt}
 }
 
@@ -127,9 +119,6 @@ func (e *Engine) ReReplicate() (Stats, error) {
 		rep.CompleteReplica(ck, dst)
 		st.ChunksRepaired++
 		st.SlotsCopied += copied
-		if e.opt.Pace != nil {
-			e.opt.Pace(e.h.C.Now())
-		}
 	}
 	st.VirtualNS = e.h.C.Now() - start
 	return st, nil

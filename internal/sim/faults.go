@@ -35,21 +35,21 @@ func IsCrash(v any) (Crash, bool) {
 // The fault-free path (nothing armed anywhere, CS alive) takes no lock:
 // OnVerb checks the CS's incarnation word, counts the verb and raises the
 // lease anchor with atomics, and Alive and MSAlive are one atomic load
-// each. Everything else — arming, kills, restarts, partitions, degrades and
-// every verb while any of them is armed — runs under mu as before. In a
-// CPU profile of a single-client simulator run (sim-mixed-d8), the
-// mutex-guarded gate (OnVerb plus Alive) cost ~4 % of samples, as much as
-// every Resource.Acquire of the run together; lock-free, OnVerb is ~0.5 %
-// and Alive inlines into its callers as one load and compare.
+// each. Everything else — arming, kills, restarts and every verb while a
+// kill is armed — runs under mu as before. In a CPU profile of a
+// single-client simulator run (sim-mixed-d8), the mutex-guarded gate
+// (OnVerb plus Alive) cost ~4 % of samples, as much as every
+// Resource.Acquire of the run together; lock-free, OnVerb is ~0.5 % and
+// Alive inlines into its callers as one load and compare.
 type Faults struct {
 	mu      sync.Mutex
 	cs      []csFault
 	ms      []msFault
 	msArmed int // servers with an armed kill; keeps OnVerb's scan gated
 
-	// armed sends every verb to the locked path while any fault other than
-	// a plain kill is armed: a verb- or time-indexed kill of any server, a
-	// degrade or a partition. rearm recomputes it under mu.
+	// armed sends every verb to the locked path while a verb- or
+	// time-indexed kill of any server is armed. rearm recomputes it under
+	// mu.
 	armed atomic.Bool
 	// msDead is a copy-on-write snapshot of the memory servers' dead flags
 	// for MSAlive, republished under mu when a server dies.
@@ -70,13 +70,11 @@ type Faults struct {
 // csFault is the fault state of one compute server. The atomics are read
 // without mu; every write to state, and every other field, is under mu.
 type csFault struct {
-	state     atomic.Int64 // epoch<<1 | dead; Restart bumps the epoch, so clients of older epochs stay dead
-	verbs     atomic.Int64 // fabric verbs issued by this CS since creation
-	deathV    atomic.Int64 // lease anchor: latest virtual time the CS could have issued a verb
-	killAtN   int64        // kill when verbs reaches this count (0 = disarmed)
-	killAtV   int64        // kill at the first verb at/after this virtual time (0 = disarmed)
-	degradeNS int64        // extra per-verb issue delay (degraded NIC)
-	healAtV   int64        // partition: verbs before this virtual time stall until it
+	state   atomic.Int64 // epoch<<1 | dead; Restart bumps the epoch, so clients of older epochs stay dead
+	verbs   atomic.Int64 // fabric verbs issued by this CS since creation
+	deathV  atomic.Int64 // lease anchor: latest virtual time the CS could have issued a verb
+	killAtN int64        // kill when verbs reaches this count (0 = disarmed)
+	killAtV int64        // kill at the first verb at/after this virtual time (0 = disarmed)
 }
 
 // live is the state word of a running incarnation.
@@ -123,7 +121,7 @@ func (f *Faults) rearm() {
 	armed := f.msArmed > 0
 	for i := range f.cs {
 		s := &f.cs[i]
-		armed = armed || s.killAtN != 0 || s.killAtV != 0 || s.degradeNS != 0 || s.healAtV != 0
+		armed = armed || s.killAtN != 0 || s.killAtV != 0
 	}
 	f.armed.Store(armed)
 }
@@ -304,7 +302,6 @@ func (f *Faults) Restart(cs int) {
 	s.state.Store(live(s.epoch() + 1))
 	s.deathV.Store(0)
 	s.killAtN, s.killAtV = 0, 0
-	s.degradeNS, s.healAtV = 0, 0
 	f.rearm()
 	listeners := f.onRestart // header copy
 	f.mu.Unlock()
@@ -313,39 +310,11 @@ func (f *Faults) Restart(cs int) {
 	}
 }
 
-// Degrade adds extraNS of issue delay to every subsequent verb of the CS — a
-// NIC running hot or a flaky link retransmitting.
-func (f *Faults) Degrade(cs int, extraNS int64) {
-	f.mu.Lock()
-	f.cs[cs].degradeNS = extraNS
-	f.rearm()
-	f.mu.Unlock()
-}
-
-// Partition stalls every verb the CS issues before virtual time healV until
-// that time — a transient network partition that heals.
-func (f *Faults) Partition(cs int, healV int64) {
-	f.mu.Lock()
-	f.cs[cs].healAtV = healV
-	f.rearm()
-	f.mu.Unlock()
-}
-
 // Epoch returns the CS's current incarnation.
 func (f *Faults) Epoch(cs int) int64 { return f.cs[cs].epoch() }
 
 // Dead reports whether the CS is currently failed.
 func (f *Faults) Dead(cs int) bool { return f.cs[cs].dead() }
-
-// DeathTime returns the failed CS's lease anchor — the latest virtual time
-// at which it could have issued a verb (0 if alive).
-func (f *Faults) DeathTime(cs int) int64 {
-	s := &f.cs[cs]
-	if !s.dead() {
-		return 0
-	}
-	return s.deathV.Load()
-}
 
 // Alive reports whether a client of the given epoch on cs may issue verbs.
 func (f *Faults) Alive(cs int, epoch int64) bool { return f.cs[cs].state.Load() == live(epoch) }
@@ -369,14 +338,13 @@ func (f *Faults) LatestVerbV() int64 {
 }
 
 // OnVerb accounts one fabric verb issued by a client of the given epoch at
-// virtual time nowV. It returns the virtual time the verb may start (>= nowV
-// under partition) plus any degradation delay; ok=false means the client is
-// dead (stale epoch, killed, or this very verb triggered an armed kill) and
-// must abort by panicking with Crash — the verb has no effect.
-func (f *Faults) OnVerb(cs int, epoch int64, nowV int64) (startV, delayNS int64, ok bool) {
+// virtual time nowV. false means the client is dead (stale epoch, killed,
+// or this very verb triggered an armed kill) and must abort by panicking
+// with Crash — the verb has no effect.
+func (f *Faults) OnVerb(cs int, epoch int64, nowV int64) bool {
 	s := &f.cs[cs]
 	if s.state.Load() != live(epoch) {
-		return 0, 0, false
+		return false
 	}
 	if f.armed.Load() {
 		return f.onVerbArmed(cs, epoch, nowV)
@@ -387,20 +355,20 @@ func (f *Faults) OnVerb(cs int, epoch int64, nowV int64) (startV, delayNS int64,
 		// A kill or restart landed between the check and the count: the
 		// verb belongs to a dead incarnation and has no effect.
 		s.verbs.Add(-1)
-		return 0, 0, false
+		return false
 	}
-	return nowV, 0, true
+	return true
 }
 
 // onVerbArmed is OnVerb while some fault is armed: the verb is accounted
 // under mu, so an armed verb-indexed kill of a single-threaded victim fires
 // at exactly its verb.
-func (f *Faults) onVerbArmed(cs int, epoch int64, nowV int64) (startV, delayNS int64, ok bool) {
+func (f *Faults) onVerbArmed(cs int, epoch int64, nowV int64) bool {
 	f.mu.Lock()
 	s := &f.cs[cs]
 	if s.state.Load() != live(epoch) {
 		f.mu.Unlock()
-		return 0, 0, false
+		return false
 	}
 	verbs := s.verbs.Add(1)
 	raise(&s.deathV, nowV)
@@ -410,13 +378,8 @@ func (f *Faults) onVerbArmed(cs int, epoch int64, nowV int64) (startV, delayNS i
 		// incarnation (a racing Restart makes it a no-op; the thread still
 		// aborts — its epoch is stale either way).
 		f.kill(cs, epoch, nowV)
-		return 0, 0, false
+		return false
 	}
-	startV = nowV
-	if s.healAtV > startV {
-		startV = s.healAtV
-	}
-	delayNS = s.degradeNS
 	var victims [4]int
 	nv := 0
 	if f.msArmed > 0 {
@@ -442,5 +405,5 @@ func (f *Faults) onVerbArmed(cs int, epoch int64, nowV int64) (startV, delayNS i
 		// against the now-dead server and simply has no effect there.
 		f.KillMS(victims[i])
 	}
-	return startV, delayNS, true
+	return true
 }

@@ -20,7 +20,6 @@ import "sync"
 type Resource struct {
 	mu     sync.Mutex
 	clock  int64 // virtual time up to which committed work extends
-	busy   int64 // total service committed since time 0
 	credit int64 // recent idle capacity claimable by out-of-order arrivals
 }
 
@@ -40,7 +39,6 @@ func (r *Resource) Acquire(now, service int64) int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.busy += service
 	if now >= r.clock {
 		// The resource is idle at the caller's time: start immediately and
 		// bank the idle gap (up to the cap) for out-of-order laggards.
@@ -67,29 +65,6 @@ func (r *Resource) Peek() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.clock
-}
-
-// Utilization returns the fraction of virtual time the resource has been
-// busy (0 when unused).
-func (r *Resource) Utilization() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.clock == 0 {
-		return 0
-	}
-	u := float64(r.busy) / float64(r.clock)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// Reset rewinds the resource between experiments; never call with threads
-// running.
-func (r *Resource) Reset() {
-	r.mu.Lock()
-	r.clock, r.busy, r.credit = 0, 0, 0
-	r.mu.Unlock()
 }
 
 // Clock is a per-thread virtual clock. It is owned by exactly one goroutine

@@ -101,16 +101,15 @@ func TestResourceSaturationQueues(t *testing.T) {
 	}
 }
 
-func TestResourceUtilization(t *testing.T) {
+func TestResourcePeek(t *testing.T) {
 	var r Resource
+	if r.Peek() != 0 {
+		t.Fatal("unused resource has a horizon")
+	}
 	r.Acquire(0, 50)
 	r.Acquire(50, 50)
-	if u := r.Utilization(); u != 1.0 {
-		t.Fatalf("utilization = %v, want 1.0", u)
-	}
-	r.Reset()
-	if r.Peek() != 0 {
-		t.Fatal("reset did not rewind")
+	if h := r.Peek(); h != 100 {
+		t.Fatalf("horizon = %d, want 100", h)
 	}
 }
 

@@ -145,27 +145,6 @@ func (h *Hist) Percentile(p float64) int64 {
 	return h.max
 }
 
-// CDF returns (value, cumulativeFraction) pairs for every non-empty bucket,
-// used to report distributions like Figure 14(b).
-func (h *Hist) CDF() []CDFPoint {
-	var out []CDFPoint
-	var seen int64
-	for b, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		seen += c
-		out = append(out, CDFPoint{Value: bucketLow(b), Fraction: float64(seen) / float64(h.n)})
-	}
-	return out
-}
-
-// CDFPoint is one point of a cumulative distribution.
-type CDFPoint struct {
-	Value    int64
-	Fraction float64
-}
-
 // Counter is a small-domain exact histogram (e.g. retry counts 0..N, round
 // trips per operation). Values beyond the domain clamp into the last bin.
 type Counter struct {

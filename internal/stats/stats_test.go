@@ -141,27 +141,6 @@ func TestBucketOfPinned(t *testing.T) {
 	}
 }
 
-func TestHistCDF(t *testing.T) {
-	h := NewHist()
-	for i := 1; i <= 100; i++ {
-		h.Record(int64(i))
-	}
-	cdf := h.CDF()
-	if len(cdf) == 0 {
-		t.Fatal("empty CDF")
-	}
-	last := 0.0
-	for _, pt := range cdf {
-		if pt.Fraction < last {
-			t.Fatalf("CDF not monotone at value %d", pt.Value)
-		}
-		last = pt.Fraction
-	}
-	if math.Abs(last-1.0) > 1e-9 {
-		t.Errorf("CDF ends at %v, want 1.0", last)
-	}
-}
-
 func TestCounter(t *testing.T) {
 	c := NewCounter(8)
 	for v := 0; v < 12; v++ { // values 8..11 clamp into bin 7

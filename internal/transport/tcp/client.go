@@ -135,30 +135,11 @@ func (t *Transport) Take() { t.held = true }
 // from zeroed memory so validating reads observe the death (DESIGN.md §12).
 // markDead runs failover promotion synchronously before publishing the
 // death, so by the time a verb reports a dead server the forwarding map
-// already redirects its chunks.
+// already redirects its chunks. The synchronous READ and WRITE verbs are
+// their AsyncVerbs twins awaited at once, so both paths share one
+// completion.
 
-func (t *Transport) Read(a transport.Addr, buf []byte) {
-	t.m.Reads++
-	ms := a.MS()
-	mx, alive := t.cl.mux(ms)
-	if !alive {
-		clear(buf)
-		return
-	}
-	t.payload = appendU32(appendU64(t.payload[:0], uint64(a)), uint32(len(buf)))
-	tag := t.post(mx, opRead)
-	resp, ok := t.await(mx, tag)
-	if !ok {
-		mx.release(tag)
-		t.cl.markDead(int(ms))
-		clear(buf)
-		return
-	}
-	copy(buf, resp)
-	mx.release(tag)
-	t.m.RoundTrips++
-	t.m.OpRoundTrips++
-}
+func (t *Transport) Read(a transport.Addr, buf []byte) { t.Await(t.ReadAsync(a, buf)) }
 
 func (t *Transport) ReadMulti(ops []transport.ReadOp) {
 	if len(ops) == 0 {
@@ -243,30 +224,11 @@ func (t *Transport) ReadMulti(ops []transport.ReadOp) {
 }
 
 func (t *Transport) Write(a transport.Addr, data []byte) {
-	t.m.Writes++
-	t.m.WriteBytes += int64(len(data))
-	t.m.OpWriteBytes += int64(len(data))
-	ms := a.MS()
-	mx, alive := t.cl.mux(ms)
-	if !alive {
-		return // dead: write discarded
-	}
-	t.payload = appendU32(t.payload[:0], 1)
-	t.payload = appendU32(appendU64(t.payload, uint64(a)), uint32(len(data)))
-	t.payload = append(t.payload, data...)
-	tag := t.post(mx, opWriteBatch)
-	_, ok := t.await(mx, tag)
-	mx.release(tag)
-	if !ok {
-		t.cl.markDead(int(ms))
-		return
-	}
-	t.m.RoundTrips++
-	t.m.OpRoundTrips++
+	t.PostWrites(transport.WriteOp{Addr: a, Data: data})
 }
 
 // buildWriteBatch assembles the WriteBatch payload for ops and books the
-// write metrics — shared by the sync and async paths.
+// write metrics.
 func (t *Transport) buildWriteBatch(ops []transport.WriteOp) {
 	t.payload = appendU32(t.payload[:0], uint32(len(ops)))
 	for _, op := range ops {
@@ -274,7 +236,6 @@ func (t *Transport) buildWriteBatch(ops []transport.WriteOp) {
 		t.payload = append(t.payload, op.Data...)
 		t.m.Writes++
 		t.m.WriteBytes += int64(len(op.Data))
-		t.m.OpWriteBytes += int64(len(op.Data))
 	}
 	if len(ops) > 1 {
 		t.m.DoorbellBatches++
@@ -282,28 +243,9 @@ func (t *Transport) buildWriteBatch(ops []transport.WriteOp) {
 	}
 }
 
-func (t *Transport) PostWrites(ops ...transport.WriteOp) {
-	if len(ops) == 0 {
-		return
-	}
-	// Dependent writes to one server coalesce into a single WriteBatch
-	// frame, applied op by op in posted order: §4.5's doorbell batch.
-	t.buildWriteBatch(ops)
-	ms := ops[0].Addr.MS()
-	mx, alive := t.cl.mux(ms)
-	if !alive {
-		return
-	}
-	tag := t.post(mx, opWriteBatch)
-	_, ok := t.await(mx, tag)
-	mx.release(tag)
-	if !ok {
-		t.cl.markDead(int(ms))
-		return
-	}
-	t.m.RoundTrips++
-	t.m.OpRoundTrips++
-}
+// PostWrites coalesces dependent writes to one server into a single
+// WriteBatch frame, applied op by op in posted order: §4.5's doorbell batch.
+func (t *Transport) PostWrites(ops ...transport.WriteOp) { t.Await(t.PostWritesAsync(ops...)) }
 
 func (t *Transport) CAS(a transport.Addr, old, new uint64) (uint64, bool) {
 	return t.CASRead(a, old, new, a, nil)
@@ -404,47 +346,39 @@ func (t *Transport) cas(op byte, lock transport.Addr, fromZero bool, a transport
 
 func (t *Transport) FAA(a transport.Addr, delta uint64) uint64 {
 	t.m.Atomics++
-	ms := a.MS()
-	mx, alive := t.cl.mux(ms)
-	if !alive {
-		return 0
-	}
 	t.payload = appendU64(appendU64(t.payload[:0], uint64(a)), delta)
-	tag := t.post(mx, opFAA)
-	resp, ok := t.await(mx, tag)
-	if !ok {
-		mx.release(tag)
-		t.cl.markDead(int(ms))
-		return 0
-	}
-	p := payloadReader{b: resp}
-	prev := p.u64()
-	mx.release(tag)
-	t.m.RoundTrips++
-	t.m.OpRoundTrips++
-	return prev
+	return t.call(a.MS(), opFAA)
 }
 
 func (t *Transport) GrowChunk(ms uint16) uint64 {
 	t.m.RPCs++
+	t.payload = t.payload[:0]
+	return t.call(ms, opGrow)
+}
+
+// call posts the frame its caller built in t.payload to server ms, awaits
+// it, and returns the u64 the reply starts with: the FAA's previous value
+// or the grown chunk's base. A dead server answers 0.
+func (t *Transport) call(ms uint16, op byte) uint64 {
 	mx, alive := t.cl.mux(ms)
 	if !alive {
 		return 0
 	}
-	t.payload = t.payload[:0]
-	tag := t.post(mx, opGrow)
+	tag := t.post(mx, op)
 	resp, ok := t.await(mx, tag)
+	var v uint64
+	if ok {
+		p := payloadReader{b: resp}
+		v = p.u64()
+	}
+	mx.release(tag)
 	if !ok {
-		mx.release(tag)
 		t.cl.markDead(int(ms))
 		return 0
 	}
-	p := payloadReader{b: resp}
-	base := p.u64()
-	mx.release(tag)
 	t.m.RoundTrips++
 	t.m.OpRoundTrips++
-	return base
+	return v
 }
 
 // --- transport.AsyncVerbs --------------------------------------------------

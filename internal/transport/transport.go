@@ -17,7 +17,8 @@
 //     It does not implement VirtualTimer — virtual-time hooks degrade to
 //     synchronous no-ops — but it does implement AsyncVerbs, so pipelined
 //     executors overlap real round trips, and Parker, so their threads'
-//     posts leave together.
+//     posts leave together. Its synchronous Read, Write and PostWrites are
+//     the AsyncVerbs posts awaited at once.
 //
 // Both implement the whole verb surface, the acquire doorbell included
 // (CASRead/CAS16Read: a lock CAS and the dependent READ of the locked object

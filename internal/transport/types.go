@@ -89,6 +89,11 @@ type WriteOp struct {
 
 // Metrics counts verb activity on one client thread. All fields are owned by
 // the client's goroutine; aggregate across threads only after they finish.
+// Both fabrics count a verb alike, so one scenario reads the same counts on
+// the simulator and over TCP. Session stats report RoundTrips, WriteBytes,
+// CASFailures and the doorbell counters; the tree's per-operation
+// round-trip histogram reads OpRoundTrips; tests check the verb mix
+// (Reads, Writes, Atomics, RPCs) against what the servers served.
 type Metrics struct {
 	// RoundTrips counts network round trips; a doorbell-batched post of
 	// several dependent WRITEs counts once (that is the point of command
@@ -97,10 +102,8 @@ type Metrics struct {
 	// OpRoundTrips counts round trips since the last BeginOp.
 	OpRoundTrips int64
 
-	// WriteBytes totals payload bytes sent by WRITE verbs; OpWriteBytes
-	// since the last BeginOp.
-	WriteBytes   int64
-	OpWriteBytes int64
+	// WriteBytes totals payload bytes sent by WRITE verbs.
+	WriteBytes int64
 
 	Reads   int64
 	Writes  int64
@@ -119,8 +122,7 @@ type Metrics struct {
 	CASFailures int64
 }
 
-// BeginOp resets the per-operation counters.
+// BeginOp resets the per-operation counter.
 func (m *Metrics) BeginOp() {
 	m.OpRoundTrips = 0
-	m.OpWriteBytes = 0
 }
