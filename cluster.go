@@ -9,6 +9,7 @@ import (
 	"sherman/internal/core"
 	"sherman/internal/deploy"
 	"sherman/internal/sim"
+	"sherman/internal/transport"
 	"sherman/internal/transport/tcp"
 )
 
@@ -23,8 +24,9 @@ const (
 	// live migration are real here — a membership service heartbeats the
 	// servers, KillMemoryServer SIGKILLs a launched process, and Rebalance
 	// and DrainMemoryServer move chunks between running servers.
-	// Compute-side fault injection and admitting a memory server
-	// (AddMemoryServer, MaxMemoryServers) are sim-only; they return
+	// Compute-server crashes (KillComputeServer, ScheduleCrash,
+	// RestartComputeServer) work as on the simulator. Admitting a memory
+	// server (AddMemoryServer, MaxMemoryServers) is sim-only and returns
 	// ErrSimOnly.
 	TransportTCP = "tcp"
 )
@@ -33,9 +35,8 @@ var (
 	// ErrBadFabricParams rejects a FabricParams field that is out of range
 	// for the selected transport; the error message names the field.
 	ErrBadFabricParams = errors.New("sherman: bad fabric parameter")
-	// ErrSimOnly rejects an operation (compute-side fault injection,
-	// admitting a memory server) on a cluster whose transport is a real
-	// network.
+	// ErrSimOnly rejects an operation a real network cannot serve:
+	// admitting a memory server, or killing one this process does not own.
 	ErrSimOnly = errors.New("sherman: operation requires the simulated transport")
 )
 
@@ -283,37 +284,25 @@ func (c *Cluster) Close() {
 	}
 }
 
-// anchorClock aligns a fresh handle's clock with the cluster's latest
-// virtual verb time, so maintenance sweeps (Recover, migration,
-// re-replication) report their own span rather than the cluster's age. Real
-// clocks are already aligned and need no anchoring.
-func (c *Cluster) anchorClock(h *core.Handle) {
-	if c.cl != nil {
-		h.SetClock(c.cl.Faults().LatestVerbV())
-	}
-}
-
 // MemoryServers returns the memory-server count.
 func (c *Cluster) MemoryServers() int { return c.be.NumMS() }
 
 // ComputeServers returns the compute-server count.
 func (c *Cluster) ComputeServers() int { return c.be.NumCS() }
 
-// KillComputeServer simulates the crash of compute server cs: every session
-// bound to it fails — in-flight operations abort with no effect at their
-// next fabric verb, and all further calls on those sessions report
-// ErrSessionDead. Locks the dead sessions held become reclaimable by
-// survivors once the liveness lease expires, and splits they left half-done
-// are completed by Tree.Recover. The memory servers are untouched: in the
-// one-sided design the client is the unit of failure. Sim-only.
+// KillComputeServer crashes compute server cs: every session bound to it
+// fails — in-flight operations abort with no effect at their next fabric
+// verb, and all further calls on those sessions report ErrSessionDead.
+// Locks the dead sessions held become reclaimable by survivors once the
+// liveness lease expires (on TransportTCP the real 200 ms lease), queued
+// lock waiters of the dead server abort, and splits it left half-done are
+// completed by Tree.Recover. The memory servers are untouched: in the
+// one-sided design the client is the unit of failure.
 func (c *Cluster) KillComputeServer(cs int) error {
-	if c.cl == nil {
-		return fmt.Errorf("%w: KillComputeServer", ErrSimOnly)
+	if err := c.checkCS(cs); err != nil {
+		return err
 	}
-	if cs < 0 || cs >= c.cl.NumCS() {
-		return fmt.Errorf("%w: %d not in [0,%d)", ErrBadComputeServer, cs, c.cl.NumCS())
-	}
-	c.cl.Kill(cs, 0)
+	c.st.Faults().Kill(cs, 0)
 	return nil
 }
 
@@ -322,44 +311,75 @@ func (c *Cluster) KillComputeServer(cs int) error {
 // counts verbs issued by any of the server's sessions from now). The crash
 // then behaves exactly like KillComputeServer — in particular, an
 // operation mid-flight at that verb is dropped with no effect, which is
-// how tests place a crash inside a write's critical section. Sim-only.
+// how tests place a crash inside a write's critical section.
 func (c *Cluster) ScheduleCrash(cs int, n int64) error {
-	if c.cl == nil {
-		return fmt.Errorf("%w: ScheduleCrash", ErrSimOnly)
-	}
-	if cs < 0 || cs >= c.cl.NumCS() {
-		return fmt.Errorf("%w: %d not in [0,%d)", ErrBadComputeServer, cs, c.cl.NumCS())
+	if err := c.checkCS(cs); err != nil {
+		return err
 	}
 	if n < 1 {
 		return fmt.Errorf("sherman: ScheduleCrash needs n >= 1, got %d", n)
 	}
-	c.cl.Faults().KillAtVerb(cs, n)
+	c.st.Faults().KillAtVerb(cs, n)
 	return nil
 }
 
 // RestartComputeServer revives a killed compute server under a fresh
 // incarnation. Sessions opened before the crash stay dead — open new ones.
-// Sim-only.
 func (c *Cluster) RestartComputeServer(cs int) error {
-	if c.cl == nil {
-		return fmt.Errorf("%w: RestartComputeServer", ErrSimOnly)
+	if err := c.checkCS(cs); err != nil {
+		return err
 	}
-	if cs < 0 || cs >= c.cl.NumCS() {
-		return fmt.Errorf("%w: %d not in [0,%d)", ErrBadComputeServer, cs, c.cl.NumCS())
-	}
-	c.cl.Restart(cs)
+	c.st.Faults().Restart(cs)
 	return nil
 }
 
 // ComputeServerAlive reports whether compute server cs is currently up.
 func (c *Cluster) ComputeServerAlive(cs int) bool {
+	return c.checkCS(cs) == nil && !c.st.Faults().Dead(cs)
+}
+
+// checkCS reports ErrBadComputeServer for a cs out of range.
+func (c *Cluster) checkCS(cs int) error {
 	if cs < 0 || cs >= c.be.NumCS() {
-		return false
+		return fmt.Errorf("%w: %d not in [0,%d)", ErrBadComputeServer, cs, c.be.NumCS())
 	}
-	if c.cl == nil {
-		return true // real compute servers are this process; it is running
+	return nil
+}
+
+// checkLiveCS rejects a compute server that cannot run a maintenance
+// sweep (what): one out of range, or dead.
+func (c *Cluster) checkLiveCS(cs int, what string) error {
+	if err := c.checkCS(cs); err != nil {
+		return err
 	}
-	return !c.cl.Faults().Dead(cs)
+	if c.st.Faults().Dead(cs) {
+		return fmt.Errorf("%w: %s must run on a live compute server", ErrSessionDead, what)
+	}
+	return nil
+}
+
+// onComputeServer runs a maintenance sweep (recovery, migration,
+// re-replication) on a fresh handle of compute server cs, converting a
+// crash of cs mid-sweep into ErrSessionDead. The handle's clock is anchored
+// at the cluster's latest verb time, so the sweep reports its own span
+// rather than the cluster's age (real clocks need no anchoring; there the
+// latest verb time is 0 and the anchor does nothing).
+func (t *Tree) onComputeServer(cs int, what string, fn func(h *core.Handle) error) (err error) {
+	if err := t.c.checkLiveCS(cs, what); err != nil {
+		return err
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := transport.IsCrash(r); ok {
+				err = ErrSessionDead
+				return
+			}
+			panic(r)
+		}
+	}()
+	h := t.tr.NewHandle(cs, int(sessionSeq.Add(1)))
+	h.SetClock(t.c.st.Faults().LatestVerbV())
+	return fn(h)
 }
 
 // KillMemoryServer fails memory server ms permanently: reads of its memory

@@ -69,7 +69,7 @@ var experiments = []experiment{
 	{id: "fig15c", all: true, run: one(bench.Fig15Cache)},
 	{id: "fig16", all: true, run: one(bench.Fig16)},
 	{id: "batch", all: true, run: func(s bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {
-		return bench.BatchTables(s, col), nil, nil
+		return []*bench.Table{bench.BatchSweep(s, col)}, nil, nil
 	}},
 	{id: "pipeline", all: true, gate: "depth-4 beats depth-1 for put and get (hiding > 1.5x)",
 		run: func(s bench.Scale, col *bench.Collector) ([]*bench.Table, func() error, error) {

@@ -3,8 +3,8 @@ package sherman
 import (
 	"fmt"
 
+	"sherman/internal/core"
 	"sherman/internal/migrate"
-	"sherman/internal/sim"
 	"sherman/internal/stats"
 )
 
@@ -54,7 +54,7 @@ func (t *Tree) Rebalance(via int) (MigrationStats, error) {
 // could still use is refused, whether or not any tree exists.
 func (c *Cluster) DrainMemoryServer(ms, via int) (MigrationStats, error) {
 	var total MigrationStats
-	if err := c.checkMigrator(via); err != nil {
+	if err := c.checkLiveCS(via, "migration"); err != nil {
 		return total, err
 	}
 	if err := c.st.SetDraining(ms, true); err != nil {
@@ -80,36 +80,10 @@ func (c *Cluster) DrainMemoryServer(ms, via int) (MigrationStats, error) {
 
 // runMigration runs fn over a fresh engine on compute server via,
 // converting a mid-migration crash of via into ErrSessionDead.
-func (t *Tree) runMigration(via int, fn func(*migrate.Engine) error) (err error) {
-	if err := t.c.checkMigrator(via); err != nil {
-		return err
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := sim.IsCrash(r); ok {
-				err = ErrSessionDead
-				return
-			}
-			panic(r)
-		}
-	}()
-	h := t.tr.NewHandle(via, int(sessionSeq.Add(1)))
-	// Anchor the clock at the cluster's latest verb time so the reported
-	// VirtualNS measures the migration, not the cluster's age (see
-	// Tree.Recover).
-	t.c.anchorClock(h)
-	return fn(migrate.New(h, migrate.Options{}))
-}
-
-// checkMigrator rejects a compute server that cannot drive a migration.
-func (c *Cluster) checkMigrator(via int) error {
-	if via < 0 || via >= c.ComputeServers() {
-		return fmt.Errorf("%w: %d not in [0,%d)", ErrBadComputeServer, via, c.ComputeServers())
-	}
-	if !c.ComputeServerAlive(via) {
-		return fmt.Errorf("%w: migration must run on a live compute server", ErrSessionDead)
-	}
-	return nil
+func (t *Tree) runMigration(via int, fn func(*migrate.Engine) error) error {
+	return t.onComputeServer(via, "migration", func(h *core.Handle) error {
+		return fn(migrate.New(h, migrate.Options{}))
+	})
 }
 
 // MigrationStats reports one Rebalance or DrainMemoryServer run.

@@ -1,4 +1,4 @@
-package alloc
+package alloc_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sherman/internal/alloc"
 	"sherman/internal/rdma"
 	"sherman/internal/sim"
 	"sherman/internal/transport"
@@ -22,8 +23,8 @@ func (v everyLive) MSUsable(ms int) bool { return v.MSAlive(ms) }
 
 func TestThreadAllocatorAlignmentAndDistinctness(t *testing.T) {
 	f := newTestFabric(2)
-	var st Stats
-	a := NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
+	var st alloc.Stats
+	a := alloc.NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
 
 	seen := map[transport.Addr]bool{}
 	for i := 0; i < 1000; i++ {
@@ -45,9 +46,9 @@ func TestThreadAllocatorAlignmentAndDistinctness(t *testing.T) {
 // fresh chunk is one RPC.
 func TestChunkRPCRate(t *testing.T) {
 	f := newTestFabric(1)
-	var st Stats
+	var st alloc.Stats
 	c := f.NewClient(0)
-	a := NewThreadAllocator(c, everyLive{f}, &st, 0)
+	a := alloc.NewThreadAllocator(c, everyLive{f}, &st, 0)
 
 	// The first chunk on MS 0 loses 64 B to the nil-address carve-out, so
 	// one fewer full node fits.
@@ -71,8 +72,8 @@ func TestChunkRPCRate(t *testing.T) {
 // memory servers, staggered by the seed.
 func TestRoundRobinAcrossServers(t *testing.T) {
 	f := newTestFabric(4)
-	var st Stats
-	a := NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 1)
+	var st alloc.Stats
+	a := alloc.NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 1)
 
 	var order []uint16
 	for i := 0; i < 9; i++ {
@@ -101,8 +102,8 @@ func TestRoundRobinAcrossServers(t *testing.T) {
 // chunk, or Server.slice would panic on access.
 func TestAllocationsNeverSpanChunks(t *testing.T) {
 	f := newTestFabric(1)
-	var st Stats
-	a := NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
+	var st alloc.Stats
+	a := alloc.NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
 	sizes := []int{1024, 4096, 64, 8128, 333, 1 << 20}
 	for round := 0; round < 200; round++ {
 		size := sizes[round%len(sizes)]
@@ -120,8 +121,8 @@ func TestAllocationsNeverSpanChunks(t *testing.T) {
 
 func TestAllocBadSizesPanic(t *testing.T) {
 	f := newTestFabric(1)
-	var st Stats
-	a := NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
+	var st alloc.Stats
+	a := alloc.NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
 	for _, size := range []int{0, -1, transport.DefaultChunkSize + 1} {
 		func() {
 			defer func() {
@@ -138,7 +139,7 @@ func TestAllocBadSizesPanic(t *testing.T) {
 // disjoint regions (each owns its chunks).
 func TestConcurrentAllocatorsDisjoint(t *testing.T) {
 	f := newTestFabric(2)
-	var st Stats
+	var st alloc.Stats
 	const threads, allocs = 8, 300
 
 	results := make([][]transport.Addr, threads)
@@ -147,7 +148,7 @@ func TestConcurrentAllocatorsDisjoint(t *testing.T) {
 		wg.Add(1)
 		go func(th int) {
 			defer wg.Done()
-			a := NewThreadAllocator(f.NewClient(th%2), everyLive{f}, &st, th)
+			a := alloc.NewThreadAllocator(f.NewClient(th%2), everyLive{f}, &st, th)
 			for i := 0; i < allocs; i++ {
 				results[th] = append(results[th], a.Alloc(1024))
 			}
@@ -173,7 +174,7 @@ func TestConcurrentAllocatorsDisjoint(t *testing.T) {
 // bulkloaded tree lands spread out.
 func TestBulkSpreadsServers(t *testing.T) {
 	f := newTestFabric(4)
-	b := NewBulk(f, everyLive{f}, nil)
+	b := alloc.NewBulk(f, everyLive{f}, nil)
 	perChunk := transport.DefaultChunkSize / 1024
 	hit := map[uint16]bool{}
 	for i := 0; i < 4*perChunk; i++ {
@@ -188,8 +189,8 @@ func TestBulkSpreadsServers(t *testing.T) {
 // client metrics (it models pre-experiment setup).
 func TestBulkNoTimeAccounting(t *testing.T) {
 	f := newTestFabric(1)
-	var st Stats
-	b := NewBulk(f, everyLive{f}, &st)
+	var st alloc.Stats
+	b := alloc.NewBulk(f, everyLive{f}, &st)
 	for i := 0; i < 100; i++ {
 		b.Alloc(2048)
 	}
@@ -205,8 +206,8 @@ func TestBulkNoTimeAccounting(t *testing.T) {
 // addresses.
 func TestAllocPropertyAligned(t *testing.T) {
 	f := newTestFabric(2)
-	var st Stats
-	a := NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
+	var st alloc.Stats
+	a := alloc.NewThreadAllocator(f.NewClient(0), everyLive{f}, &st, 0)
 	fn := func(raw uint16) bool {
 		size := int(raw)%8192 + 1
 		addr := a.Alloc(size)
@@ -223,8 +224,8 @@ func TestAllocPropertyAligned(t *testing.T) {
 // target (so first-generation references keep resolving) — installing a
 // fresh one is a protocol violation and panics.
 func TestForwardingSingleTarget(t *testing.T) {
-	fwd := NewForwarding()
-	ck := ChunkID{MS: 1, Index: 3}
+	fwd := alloc.NewForwarding()
+	ck := alloc.ChunkID{MS: 1, Index: 3}
 	base := transport.MakeAddr(2, 5*transport.DefaultChunkSize)
 	if _, ok := fwd.Reuse(ck, 0, 1); ok {
 		t.Fatal("Reuse found an entry before Install")
@@ -264,7 +265,7 @@ type dyingGrower struct {
 	grown    []uint64
 	dead     []bool
 	calls, n int
-	rep      *ReplicaMap
+	rep      *alloc.ReplicaMap
 }
 
 func (g *dyingGrower) NumMS() int           { return len(g.grown) }
@@ -295,9 +296,9 @@ func TestBulkBornDead(t *testing.T) {
 	for _, rf := range []int{0, 2} {
 		for n := 1; n <= 12; n++ {
 			g := &dyingGrower{grown: make([]uint64, 3), dead: make([]bool, 3), n: n}
-			b := NewBulk(g, g, nil)
+			b := alloc.NewBulk(g, g, nil)
 			if rf > 1 {
-				g.rep = NewReplicaMap()
+				g.rep = alloc.NewReplicaMap()
 				b.SetReplication(g.rep, rf)
 			}
 			seen := map[transport.Addr]bool{}
@@ -317,8 +318,8 @@ func TestBulkBornDead(t *testing.T) {
 			if g.rep == nil {
 				continue
 			}
-			for _, ck := range g.rep.UnderReplicated(MaxReplicationFactor + 1) { // every registered chunk
-				var ts TargetSet
+			for _, ck := range g.rep.UnderReplicated(alloc.MaxReplicationFactor + 1) { // every registered chunk
+				var ts alloc.TargetSet
 				g.rep.Targets(ck, &ts)
 				if ck.MS == 1 || ts.N == 1 && ts.Bases[0].MS() == 1 {
 					t.Fatalf("rf=%d death at call %d: chunk %v (replica %v) registered on the dead server", rf, n, ck, ts.Bases[0])
@@ -333,7 +334,7 @@ func TestBulkBornDead(t *testing.T) {
 // rotate over the servers.
 func TestBulkRunsShareOneServer(t *testing.T) {
 	f := newTestFabric(3)
-	b := NewBulk(f, everyLive{f}, nil)
+	b := alloc.NewBulk(f, everyLive{f}, nil)
 	perChunk := transport.DefaultChunkSize / 1024
 	seen := map[transport.Addr]bool{}
 	for r, n := range []int{1, 5, perChunk + 3, 7, 2, 2 * perChunk, 4} {
@@ -384,7 +385,7 @@ func runServers(run []transport.Addr) []uint16 {
 // which go to the next usable server.
 func TestBulkRunSkipsDrainingServer(t *testing.T) {
 	f := newTestFabric(3)
-	b := NewBulk(f, &drainingView{everyLive: everyLive{f}, drain: map[int]bool{1: true}}, nil)
+	b := alloc.NewBulk(f, &drainingView{everyLive: everyLive{f}, drain: map[int]bool{1: true}}, nil)
 	for r, want := range []uint16{0, 2, 0, 2} {
 		run := make([]transport.Addr, 4)
 		b.AllocRun(1024, run)
@@ -394,7 +395,7 @@ func TestBulkRunSkipsDrainingServer(t *testing.T) {
 	}
 
 	v := &drainingView{everyLive: everyLive{f}, drain: map[int]bool{}, flipAfter: 6}
-	b = NewBulk(f, v, nil)
+	b = alloc.NewBulk(f, v, nil)
 	for r, want := range [][]uint16{{0}, {1, 2}, {0}, {2}} {
 		run := make([]transport.Addr, 4)
 		b.AllocRun(1024, run)
@@ -414,9 +415,9 @@ func TestBulkRunKilledMidRun(t *testing.T) {
 	for _, rf := range []int{0, 2} {
 		for n := 1; n <= 12; n++ {
 			g := &dyingGrower{grown: make([]uint64, 3), dead: make([]bool, 3), n: n}
-			b := NewBulk(g, g, nil)
+			b := alloc.NewBulk(g, g, nil)
 			if rf > 1 {
-				g.rep = NewReplicaMap()
+				g.rep = alloc.NewReplicaMap()
 				b.SetReplication(g.rep, rf)
 			}
 			seen := map[transport.Addr]bool{}
@@ -456,17 +457,17 @@ func TestBulkRunKilledMidRun(t *testing.T) {
 // registered chunk.
 func TestBulkRunReplicaRegistration(t *testing.T) {
 	f := newTestFabric(3)
-	var st Stats
-	b := NewBulk(f, everyLive{f}, &st)
-	rep := NewReplicaMap()
+	var st alloc.Stats
+	b := alloc.NewBulk(f, everyLive{f}, &st)
+	rep := alloc.NewReplicaMap()
 	b.SetReplication(rep, 2)
 	perChunk := transport.DefaultChunkSize / 1024
 	for _, n := range []int{perChunk + 1, 3, 2 * perChunk, 1, perChunk} {
 		run := make([]transport.Addr, n)
 		b.AllocRun(1024, run)
 		for _, a := range run {
-			ck := ChunkID{MS: a.MS(), Index: a.Off() / transport.DefaultChunkSize}
-			var ts TargetSet
+			ck := alloc.ChunkID{MS: a.MS(), Index: a.Off() / transport.DefaultChunkSize}
+			var ts alloc.TargetSet
 			if !rep.Targets(ck, &ts) || ts.N != 1 || ts.Bases[0].MS() == ck.MS {
 				t.Fatalf("node %v: chunk %v has %d replicas (%v), want one on another server", a, ck, ts.N, ts.Bases[0])
 			}

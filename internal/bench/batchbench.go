@@ -7,21 +7,15 @@ import (
 	"sherman/internal/workload"
 )
 
-// BatchTables reports the batch execution pipeline: the batched-vs-
-// sequential sweep that quantifies the per-operation amortization, and a
-// batched YCSB-style mix table. Not paper figures — the paper batches only
-// the dependent writes *within* one operation (§4.5); these tables measure
-// what batching *across* operations adds on top. When c is non-nil, typed
-// metrics are recorded for the JSON report and regression gate.
-func BatchTables(s Scale, c *Collector) []*Table {
-	return []*Table{BatchSweep(s, c), BatchYCSB(s)}
-}
-
-// BatchSweep compares batched and sequential execution of a uniform
-// write-only workload at increasing batch sizes, for both engines. batch=1
-// is the sequential path; RT/op and lock acq/op are measured-window
-// per-operation costs, and ops/group is the number of operations each leaf
-// lock acquisition served.
+// BatchSweep reports the batch execution pipeline: it compares batched and
+// sequential execution of a uniform write-only workload at increasing batch
+// sizes, for both engines. Not a paper figure — the paper batches only the
+// dependent writes *within* one operation (§4.5); this table measures what
+// batching *across* operations adds on top. batch=1 is the sequential path;
+// RT/op and lock acq/op are measured-window per-operation costs, and
+// ops/group is the number of operations each leaf lock acquisition served.
+// When c is non-nil, typed metrics are recorded for the JSON report and
+// regression gate.
 func BatchSweep(s Scale, c *Collector) *Table {
 	t := NewTable("Batch pipeline: batched vs sequential Put (uniform write-only)",
 		"config", "keys", "batch", "Mops", "RT/op", "lock acq/op", "ops/group", "p50(us)", "p99(us)")
@@ -57,31 +51,5 @@ func BatchSweep(s Scale, c *Collector) *Table {
 	}
 	t.Note("batch=1 is the sequential path; RT/op and acq/op are measured-window per-operation costs")
 	t.Note("p50/p99 are amortized per-op latencies: a batch of n completing in T books T/n per operation")
-	return t
-}
-
-// BatchYCSB runs batched YCSB-style mixes (batch clients submitting groups
-// of operations) against the full Sherman configuration.
-func BatchYCSB(s Scale) *Table {
-	t := NewTable("Batched YCSB-style workloads (Sherman, zipfian 0.99)",
-		"workload", "batch", "Mops", "RT/op", "p99(us)")
-	mixes := []struct {
-		name string
-		mix  workload.Mix
-	}{
-		{"write-only", workload.WriteOnly},
-		{"update-heavy (A-like)", workload.WriteIntensive},
-		{"read-mostly (B-like)", workload.ReadIntensive},
-	}
-	for _, m := range mixes {
-		for _, bs := range []int{1, 32} {
-			e := s.treeExp(m.name, m.mix, workload.Zipfian, core.ShermanConfig())
-			e.BatchSize = bs
-			r := RunTreeN(e, s.runs())
-			t.Add(m.name, fmt.Sprint(bs), MopsString(r.Mops),
-				fmt.Sprintf("%.2f", r.RoundTripsPerOp), USString(r.P99))
-		}
-	}
-	t.Note("batched clients keep per-key semantics: a batch is equivalent to its operations applied in order")
 	return t
 }

@@ -6,8 +6,8 @@ import (
 	"sherman/internal/cluster"
 	"sherman/internal/core"
 	"sherman/internal/layout"
-	"sherman/internal/sim"
 	"sherman/internal/stats"
+	"sherman/internal/transport"
 	"sherman/internal/workload"
 )
 
@@ -113,7 +113,7 @@ func RunFaults(e TreeExp, rounds int) FaultResult {
 		res.Rounds = append(res.Rounds, r)
 
 		if victim >= 0 {
-			fx.cl.Restart(victim)
+			fx.cl.Faults().Restart(victim)
 		}
 		fx.clock = recH.C.Now() + 10_000
 	}
@@ -237,7 +237,7 @@ func midWriteCrashCheck(cfg core.Config) error {
 	crashed := func() (crashed bool) {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := sim.IsCrash(r); ok {
+				if _, ok := transport.IsCrash(r); ok {
 					crashed = true
 					return
 				}

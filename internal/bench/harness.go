@@ -143,7 +143,7 @@ func Run(sp Spec) ([]*stats.Recorder, int64) {
 				rec.FinishV = w.C.Now()
 				ends[i] = rec.FinishV
 				if r := recover(); r != nil {
-					if _, ok := sim.IsCrash(r); !ok {
+					if _, ok := transport.IsCrash(r); !ok {
 						panic(r)
 					}
 				}

@@ -2,7 +2,8 @@
 // memory servers, compute servers and the virtual-time RDMA fabric between
 // them. Everything compute-side that does not depend on the fabric — the
 // superblock, forwarding, replicas, failover promotion, allocator wiring and
-// placement, draining included — is the embedded deploy.State.
+// placement, draining included, and the fault injector — is the embedded
+// deploy.State.
 package cluster
 
 import (
@@ -58,7 +59,7 @@ func New(cfg Config) *Cluster {
 		maxMS = cfg.NumMS + rdma.DefaultServerHeadroom
 	}
 	f := rdma.NewFabricCap(p, cfg.NumMS, maxMS, cfg.NumCS)
-	st, err := deploy.New(f, cfg.ReplicationFactor)
+	st, err := deploy.New(f, cfg.ReplicationFactor, f.Faults)
 	if err == nil {
 		err = st.ReserveSuperblock()
 	}
@@ -136,28 +137,6 @@ func (c *Cluster) Loads() []stats.MSLoad {
 	}
 	return out
 }
-
-// Kill fails compute server cs: every client thread bound to it aborts with
-// sim.Crash at its next fabric verb, its held locks become reclaimable after
-// the lease expires, and its queued lock waiters are woken and aborted. nowV
-// seeds the lease anchor; pass the caller's best bound on the victim's
-// clocks (the injector keeps the max of it and every verb it has seen).
-func (c *Cluster) Kill(cs int, nowV int64) {
-	c.F.Faults.Kill(cs, nowV)
-}
-
-// CSAlive reports whether a client of the given incarnation on compute
-// server cs may still issue verbs.
-func (c *Cluster) CSAlive(cs int, epoch int64) bool { return c.F.Faults.Alive(cs, epoch) }
-
-// Restart revives compute server cs under a new incarnation. Clients (and
-// sessions) created before the crash stay dead; create fresh ones.
-func (c *Cluster) Restart(cs int) { c.F.Faults.Restart(cs) }
-
-// Faults exposes the fabric's deterministic fault injector for tests and
-// the fault benchmark (verb-indexed and time-indexed kills, degradation,
-// partitions).
-func (c *Cluster) Faults() *sim.Faults { return c.F.Faults }
 
 // ReadRoot forwards to deploy.ReadRoot: the superblock is the same on every
 // fabric.

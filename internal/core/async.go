@@ -346,9 +346,11 @@ func (a *Async) release() {
 }
 
 // await is settle re-panicking a compute-server crash in the owner
-// goroutine, where the session layer converts it to ErrSessionDead.
+// goroutine, where the session layer converts it to ErrSessionDead. The
+// count block took goes first: the dead owner never posts again.
 func (a *Async) await(i int) {
 	if crash := a.settle(i); crash != nil {
+		a.release()
 		panic(crash)
 	}
 }

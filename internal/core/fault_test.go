@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"testing"
 
-	"sherman/internal/cluster"
 	core "sherman/internal/core"
+	"sherman/internal/deploy"
 	"sherman/internal/hocl"
 	"sherman/internal/layout"
-	"sherman/internal/sim"
 	"sherman/internal/testutil"
+	"sherman/internal/transport"
 )
 
 // faultConfigs is the TwoLevel/Checksum x Combine grid, covering both lock
@@ -105,13 +105,13 @@ func faultScenarios() []faultScenario {
 
 func faultVal(k uint64) uint64 { return k*7 + 1 }
 
-// buildFaultTree builds a deterministic cluster+tree for one scenario run,
-// returning the bulkloaded keys.
-func buildFaultTree(cfg core.Config, sc faultScenario) (*cluster.Cluster, *core.Tree, []uint64) {
-	cl := cluster.New(cluster.Config{NumMS: 2, NumCS: 2})
+// buildFaultTree builds a deterministic deployment and tree on fab for one
+// scenario run, returning its fault injector and the bulkloaded keys.
+func buildFaultTree(t *testing.T, fab testutil.Fabric, cfg core.Config, sc faultScenario) (*deploy.Faults, *core.Tree, []uint64) {
+	be, _ := fab.New(t, 2, 2, 0)
 	c := cfg
 	c.BulkFill = 1.0
-	tr := core.New(cl, c)
+	tr := core.New(be, c)
 	load := sc.load
 	if load == nil {
 		load = make([]uint64, c.Format.LeafCap)
@@ -124,7 +124,7 @@ func buildFaultTree(cfg core.Config, sc faultScenario) (*cluster.Cluster, *core.
 		kvs[i] = layout.KV{Key: k, Value: faultVal(k)}
 	}
 	tr.Bulkload(kvs)
-	return cl, tr, load
+	return testutil.Faults(be), tr, load
 }
 
 // runCrashing runs fn and reports whether it aborted with a compute-server
@@ -132,7 +132,7 @@ func buildFaultTree(cfg core.Config, sc faultScenario) (*cluster.Cluster, *core.
 func runCrashing(fn func()) (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := sim.IsCrash(r); ok {
+			if _, ok := transport.IsCrash(r); ok {
 				crashed = true
 				return
 			}
@@ -143,101 +143,107 @@ func runCrashing(fn func()) (crashed bool) {
 	return false
 }
 
-// TestCrashAtEveryVerb is the fault-model property test: for every scripted
-// operation, every configuration of the consistency x combine grid, and
-// every fabric-verb index of the operation, a compute-server crash injected
-// at that verb must leave the tree recoverable — the survivor's retry is
-// idempotent (reclaiming the dead session's lock if held), the structural
-// sweep completes any half-done split, Validate passes, and every
-// acknowledged write (bulkload + prefix) is durable. The in-flight
-// operation itself must be invisible or fully applied, never torn. It
-// stays on the simulator: compute-server crashes are the simulator's fault
-// injection, and the sweep rebuilds a tree at every verb, a cost ROADMAP
-// item 16 has to cut before it can run on the fabric axis.
+// TestCrashAtEveryVerb is the fault-model property test, on both fabrics:
+// for every scripted operation, every configuration of the consistency x
+// combine grid, and every fabric-verb index of the operation, a
+// compute-server crash injected at that verb must leave the tree
+// recoverable — the survivor's retry is idempotent (reclaiming the dead
+// session's lock if held), the structural sweep completes any half-done
+// split, Validate passes, and every acknowledged write (bulkload + prefix)
+// is durable. The in-flight operation itself must be invisible or fully
+// applied, never torn. Over TCP a victim killed holding a lock costs the
+// survivor the real 200 ms lease before it steals the lock, which is most
+// of that cell's time.
 func TestCrashAtEveryVerb(t *testing.T) {
 	for _, cfg := range faultConfigs() {
 		for _, sc := range faultScenarios() {
 			t.Run(faultCfgName(cfg)+"/"+sc.name, func(t *testing.T) {
-				// Dry run: count the operation's fabric verbs.
-				cl, tr, load := buildFaultTree(cfg, sc)
-				victim := tr.NewHandle(1, 1)
-				if sc.prefix != nil {
-					sc.prefix(victim)
-				}
-				v0 := cl.Faults().Verbs(1)
-				sc.op(victim)
-				verbs := int(cl.Faults().Verbs(1) - v0)
-				if verbs < 2 {
-					t.Fatalf("implausible verb count %d", verbs)
-				}
-				if err := tr.Validate(); err != nil {
-					t.Fatalf("dry run left invalid tree: %v", err)
-				}
-
-				for i := 1; i <= verbs; i++ {
-					cl, tr, load = buildFaultTree(cfg, sc)
-					victim = tr.NewHandle(1, 1)
-					if sc.prefix != nil {
-						sc.prefix(victim)
-					}
-					cl.Faults().KillAtVerb(1, int64(i))
-					if !runCrashing(func() { sc.op(victim) }) {
-						t.Fatalf("verb %d/%d: victim survived its armed kill", i, verbs)
-					}
-
-					surv := tr.NewHandle(0, 2)
-					surv.SetClock(victim.C.Now())
-
-					// Invisible or fully applied, never torn.
-					got, ok := surv.Lookup(sc.key)
-					switch {
-					case sc.deleted:
-						if ok && got != sc.old {
-							t.Fatalf("verb %d: delete left torn value %#x", i, got)
-						}
-					case sc.present:
-						if !ok || (got != sc.old && got != sc.new) {
-							t.Fatalf("verb %d: update left (%#x,%v), want old %#x or new %#x", i, got, ok, sc.old, sc.new)
-						}
-					default:
-						if ok && got != sc.new {
-							t.Fatalf("verb %d: insert left torn value %#x", i, got)
-						}
-					}
-
-					// The survivor's retry is idempotent and reclaims the
-					// dead session's lock when the crash left it held.
-					sc.op(surv)
-					if _, complete := surv.RecoverStructure(); !complete {
-						t.Fatalf("verb %d: recovery pass budget exhausted", i)
-					}
-
-					if err := tr.Validate(); err != nil {
-						t.Fatalf("verb %d/%d: post-recovery validate: %v", i, verbs, err)
-					}
-					// Acked writes are durable; the retried op is applied.
-					for _, k := range load {
-						want, wantOK := faultVal(k), true
-						if k == sc.key {
-							want, wantOK = sc.new, !sc.deleted
-						}
-						got, ok := surv.Lookup(k)
-						if ok != wantOK || (ok && got != want) {
-							t.Fatalf("verb %d: key %d = (%#x,%v), want (%#x,%v)", i, k, got, ok, want, wantOK)
-						}
-					}
-					if sc.prefix != nil {
-						if got, ok := surv.Lookup(faultPrefixKey); !ok || got != faultPrefixVal {
-							t.Fatalf("verb %d: acked prefix write lost: (%#x,%v)", i, got, ok)
-						}
-					}
-					if !sc.deleted && !sc.present {
-						if got, ok := surv.Lookup(sc.key); !ok || got != sc.new {
-							t.Fatalf("verb %d: retried insert missing: (%#x,%v)", i, got, ok)
-						}
-					}
-				}
+				testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+					crashAtEveryVerb(t, fab, cfg, sc)
+				})
 			})
+		}
+	}
+}
+
+func crashAtEveryVerb(t *testing.T, fab testutil.Fabric, cfg core.Config, sc faultScenario) {
+	// Dry run: count the operation's fabric verbs.
+	faults, tr, load := buildFaultTree(t, fab, cfg, sc)
+	victim := tr.NewHandle(1, 1)
+	if sc.prefix != nil {
+		sc.prefix(victim)
+	}
+	v0 := faults.Verbs(1)
+	sc.op(victim)
+	verbs := int(faults.Verbs(1) - v0)
+	if verbs < 2 {
+		t.Fatalf("implausible verb count %d", verbs)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("dry run left invalid tree: %v", err)
+	}
+
+	for i := 1; i <= verbs; i++ {
+		faults, tr, load = buildFaultTree(t, fab, cfg, sc)
+		victim = tr.NewHandle(1, 1)
+		if sc.prefix != nil {
+			sc.prefix(victim)
+		}
+		faults.KillAtVerb(1, int64(i))
+		if !runCrashing(func() { sc.op(victim) }) {
+			t.Fatalf("verb %d/%d: victim survived its armed kill", i, verbs)
+		}
+
+		surv := tr.NewHandle(0, 2)
+		surv.SetClock(victim.C.Now())
+
+		// Invisible or fully applied, never torn.
+		got, ok := surv.Lookup(sc.key)
+		switch {
+		case sc.deleted:
+			if ok && got != sc.old {
+				t.Fatalf("verb %d: delete left torn value %#x", i, got)
+			}
+		case sc.present:
+			if !ok || (got != sc.old && got != sc.new) {
+				t.Fatalf("verb %d: update left (%#x,%v), want old %#x or new %#x", i, got, ok, sc.old, sc.new)
+			}
+		default:
+			if ok && got != sc.new {
+				t.Fatalf("verb %d: insert left torn value %#x", i, got)
+			}
+		}
+
+		// The survivor's retry is idempotent and reclaims the dead
+		// session's lock when the crash left it held.
+		sc.op(surv)
+		if _, complete := surv.RecoverStructure(); !complete {
+			t.Fatalf("verb %d: recovery pass budget exhausted", i)
+		}
+
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("verb %d/%d: post-recovery validate: %v", i, verbs, err)
+		}
+		// Acked writes are durable; the retried op is applied.
+		for _, k := range load {
+			want, wantOK := faultVal(k), true
+			if k == sc.key {
+				want, wantOK = sc.new, !sc.deleted
+			}
+			got, ok := surv.Lookup(k)
+			if ok != wantOK || (ok && got != want) {
+				t.Fatalf("verb %d: key %d = (%#x,%v), want (%#x,%v)", i, k, got, ok, want, wantOK)
+			}
+		}
+		if sc.prefix != nil {
+			if got, ok := surv.Lookup(faultPrefixKey); !ok || got != faultPrefixVal {
+				t.Fatalf("verb %d: acked prefix write lost: (%#x,%v)", i, got, ok)
+			}
+		}
+		if !sc.deleted && !sc.present {
+			if got, ok := surv.Lookup(sc.key); !ok || got != sc.new {
+				t.Fatalf("verb %d: retried insert missing: (%#x,%v)", i, got, ok)
+			}
 		}
 	}
 }
@@ -249,15 +255,15 @@ func TestCrashAtEveryVerb(t *testing.T) {
 func TestReclaimCountsAndLeaseExpiry(t *testing.T) {
 	for _, cfg := range faultConfigs() {
 		sc := faultScenarios()[0] // update-inplace
-		cl, tr, _ := buildFaultTree(cfg, sc)
+		faults, tr, _ := buildFaultTree(t, testutil.Sim, cfg, sc)
 		victim := tr.NewHandle(1, 1)
-		v0 := cl.Faults().Verbs(1)
+		v0 := faults.Verbs(1)
 		victim.Insert(sc.key, 1)
-		verbs := int(cl.Faults().Verbs(1) - v0)
+		verbs := int(faults.Verbs(1) - v0)
 
-		cl, tr, _ = buildFaultTree(cfg, sc)
+		faults, tr, _ = buildFaultTree(t, testutil.Sim, cfg, sc)
 		victim = tr.NewHandle(1, 1)
-		cl.Faults().KillAtVerb(1, int64(verbs)) // the commit verb: lock held
+		faults.KillAtVerb(1, int64(verbs)) // the commit verb: lock held
 		if !runCrashing(func() { victim.Insert(sc.key, 1) }) {
 			t.Fatalf("%s: victim survived", faultCfgName(cfg))
 		}

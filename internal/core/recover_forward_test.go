@@ -61,7 +61,7 @@ func TestRecoverRepairsForwardedChild(t *testing.T) {
 		}
 		victim := items[len(items)-1] // last = deepest (parents sort first)
 		moveWithoutRepoint(t, cl, h, victim.Addr, 0, 1)
-		cl.Kill(1, 0) // the "migrator" dies; its forwarding entry is orphaned
+		cl.Faults().Kill(1, 0) // the "migrator" dies; its forwarding entry is orphaned
 
 		// The tree still serves through the forwarding hop.
 		probe := victim.LowerFence + 1
@@ -127,7 +127,7 @@ func TestRecoverRepairsForwardedRoot(t *testing.T) {
 			t.Fatal("root not found")
 		}
 		moveWithoutRepoint(t, cl, h, rootItem.Addr, 0, 1)
-		cl.Kill(1, 0)
+		cl.Faults().Kill(1, 0)
 
 		if _, ok := h.Lookup(5); !ok {
 			t.Fatal("key 5 unreachable through forwarded root")

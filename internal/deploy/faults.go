@@ -1,36 +1,24 @@
-package sim
+package deploy
 
 import (
 	"sync"
 	"sync/atomic"
-
-	"sherman/internal/transport"
 )
 
-// Crash is the panic value raised when a client thread of a failed compute
-// server touches the fabric. The one-sided design makes the *client* the unit
-// of failure (no memory-server CPU participates in the data path), so a
-// compute-server crash is modeled as every one of its threads aborting at its
-// next fabric verb: verbs issued before the crash point are fully applied,
-// the crashing verb and everything after it have no effect. Higher layers
-// (the session API, the bench harness) recover the panic at the thread
-// boundary and surface a typed error.
-//
-// The type is shared with every other transport backend (an alias of
-// transport.Crash), so crash recovery in the session layer works identically
-// over a real network.
-type Crash = transport.Crash
-
-// IsCrash reports whether a recovered panic value is a compute-server crash.
-func IsCrash(v any) (Crash, bool) {
-	return transport.IsCrash(v)
-}
-
-// Faults is the deterministic fault injector of one fabric. All client
-// threads consult it at every fabric verb; faults are armed by verb index or
-// by virtual time, so a given schedule reproduces exactly on a
+// Faults is the deterministic fault injector of one deployment. The
+// one-sided design makes the client the unit of failure, so a
+// compute-server crash is compute-side state — which incarnation of each
+// compute server is alive — and both fabrics share it: every verb of every
+// client thread, simulated or over TCP, consults it first (OnVerb), and a
+// thread of a dead compute server aborts with transport.Crash at its next
+// verb. Verbs issued before the crash point are fully applied; the crashing
+// verb and everything after it have no effect. Faults are armed by verb
+// index or by virtual time, so a given schedule reproduces exactly on a
 // single-threaded victim (and up to goroutine interleaving on a
-// multi-threaded one).
+// multi-threaded one). Over TCP the clock is real and verbs report time 0,
+// so only verb-indexed kills and immediate ones fire there; memory-server
+// triggers are the simulator's alone (TCP's memory servers die as
+// processes).
 //
 // The fault-free path (nothing armed anywhere, CS alive) takes no lock:
 // OnVerb checks the CS's incarnation word, counts the verb and raises the

@@ -3,10 +3,13 @@
 // servers have near-zero compute power, so chunk placement (§4.2.4) and the
 // set of servers it skips while they drain, the superblock's root pointer,
 // the forwarding map, the replica table, failover promotion and the
-// migration lock all live with the clients. A fabric (the
-// simulator's internal/cluster, the real network's internal/transport/tcp)
-// supplies verbs, liveness, load counters and untimed raw access; it embeds
-// a State for everything else and calls Failover from its death trigger.
+// migration lock all live with the clients — and, since the client is the
+// unit of failure, so does which incarnation of each compute server is
+// alive (Faults, the one fault injector both fabrics gate every verb on).
+// A fabric (the simulator's internal/cluster, the real network's
+// internal/transport/tcp) supplies verbs, liveness, load counters and
+// untimed raw access; it embeds a State for everything else and calls
+// Failover from its death trigger.
 package deploy
 
 import (
@@ -56,8 +59,9 @@ type State struct {
 	// writers mirror through it; Failover rewrites it.
 	Rep *alloc.ReplicaMap
 
-	f  fabric
-	rf int // configured copies per chunk incl. primary (0/1 = off)
+	f      fabric
+	rf     int     // configured copies per chunk incl. primary (0/1 = off)
+	faults *Faults // the deployment's one fault injector
 
 	// invalidators are per-tree cache invalidation hooks, run by Failover
 	// after it forwards a chunk to its replica so no compute server keeps
@@ -90,13 +94,15 @@ func CheckFactor(rf, numMS int) error {
 	return nil
 }
 
-// New builds the shared state over fabric f at replication factor rf. It
-// touches no memory: call ReserveSuperblock once the fabric answers.
-func New(f fabric, rf int) (*State, error) {
+// New builds the shared state over fabric f at replication factor rf, with
+// faults as the deployment's fault injector: the one every verb of f
+// consults. It touches no memory: call ReserveSuperblock once the fabric
+// answers.
+func New(f fabric, rf int, faults *Faults) (*State, error) {
 	if err := CheckFactor(rf, f.NumMS()); err != nil {
 		return nil, err
 	}
-	s := &State{Fwd: alloc.NewForwarding(), f: f, rf: rf, draining: map[int]bool{}}
+	s := &State{Fwd: alloc.NewForwarding(), f: f, rf: rf, faults: faults, draining: map[int]bool{}}
 	if rf > 1 {
 		s.Rep = alloc.NewReplicaMap()
 	}
@@ -112,6 +118,15 @@ func (s *State) ReserveSuperblock() error {
 	}
 	return nil
 }
+
+// Faults is the deployment's fault injector: compute-server kills,
+// scheduled crashes and restarts on either fabric, plus the simulator's
+// memory-server triggers.
+func (s *State) Faults() *Faults { return s.faults }
+
+// CSAlive reports whether a client of the given incarnation on compute
+// server cs may still issue verbs.
+func (s *State) CSAlive(cs int, epoch int64) bool { return s.faults.Alive(cs, epoch) }
 
 // Failover promotes every chunk memory server ms hosted to its freshest
 // complete replica on a server alive reports live: the replica table is

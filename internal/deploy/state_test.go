@@ -101,7 +101,7 @@ func (v *fakeVerbs) CAS(a transport.Addr, old, new uint64) (uint64, bool) {
 func newState(t *testing.T, numMS, rf int) (*deploy.State, *fakeFabric) {
 	t.Helper()
 	f := newFake(numMS)
-	s, err := deploy.New(f, rf)
+	s, err := deploy.New(f, rf, deploy.NewFaults(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +123,14 @@ func TestCheckFactor(t *testing.T) {
 			t.Errorf("CheckFactor(%d, %d) = %v, want ok=%v", tc.rf, tc.numMS, err, tc.ok)
 		}
 		// New applies the same check against the fabric's own size.
-		if _, err := deploy.New(newFake(tc.numMS), tc.rf); (err == nil) != tc.ok {
+		if _, err := deploy.New(newFake(tc.numMS), tc.rf, nil); (err == nil) != tc.ok {
 			t.Errorf("New(%d servers, factor %d) = %v, want ok=%v", tc.numMS, tc.rf, err, tc.ok)
 		}
 	}
-	if s, _ := deploy.New(newFake(2), 0); s.Replicas() != nil || s.ReplicationFactor() != 0 {
+	if s, _ := deploy.New(newFake(2), 0, nil); s.Replicas() != nil || s.ReplicationFactor() != 0 {
 		t.Error("factor 0 must leave replication off and echo 0")
 	}
-	if s, _ := deploy.New(newFake(2), 2); s.Replicas() == nil || s.ReplicationFactor() != 2 {
+	if s, _ := deploy.New(newFake(2), 2, nil); s.Replicas() == nil || s.ReplicationFactor() != 2 {
 		t.Error("factor 2 must build the replica table and echo 2")
 	}
 }

@@ -5,14 +5,14 @@ import (
 	"sync"
 	"testing"
 
-	"sherman/internal/sim"
+	"sherman/internal/transport"
 )
 
 // lockCrashing runs fn, reporting whether it aborted with a CS crash.
 func lockCrashing(fn func()) (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := sim.IsCrash(r); ok {
+			if _, ok := transport.IsCrash(r); ok {
 				crashed = true
 				return
 			}

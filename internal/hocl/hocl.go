@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sherman/internal/deploy"
 	"sherman/internal/rdma"
 	"sherman/internal/transport"
 )
@@ -321,8 +322,12 @@ func NewManager(f *rdma.Fabric, cfg Config) *Manager {
 // slot arbitration: the physical lock word is the whole truth, acquired by a
 // plain CAS retry loop. onChipSize is each server's on-chip capacity in
 // bytes (checked against the GLT when Mode.OnChip); growHost reserves the
-// host-memory GLT chunk on one server when !Mode.OnChip.
-func NewRemoteManager(cfg Config, numMS, numCS, onChipSize int, growHost func(ms uint16) uint64) *Manager {
+// host-memory GLT chunk on one server when !Mode.OnChip. faults is the
+// deployment's injector: a compute-server crash aborts the server's queued
+// local waiters and a restart gives it fresh local tables, as under
+// NewManager. A dead holder's global lock word needs no sweep: the CAS loop
+// steals it once its stamp has stood for a lease.
+func NewRemoteManager(cfg Config, numMS, numCS, onChipSize int, growHost func(ms uint16) uint64, faults *deploy.Faults) *Manager {
 	m := newManager(cfg)
 	m.gltHostBase = make([]uint64, numMS)
 	m.checkCapacity(onChipSize)
@@ -333,6 +338,8 @@ func NewRemoteManager(cfg Config, numMS, numCS, onChipSize int, growHost func(ms
 	}
 	if cfg.Mode.Local {
 		m.llts = newLocalTables(numCS, numMS, m.locksPerMS)
+		faults.OnDeath(func(cs int, _ int64) { killAll(m.llts[cs].Load()) })
+		faults.OnRestart(m.resetCS)
 	}
 	return m
 }
@@ -874,7 +881,7 @@ func (m *Manager) resetCS(cs int) {
 	if !m.mode.Local {
 		return
 	}
-	m.llts[cs].Store(newRows[localLock](m.f.MaxServers(), m.locksPerMS))
+	m.llts[cs].Store(newRows[localLock](len(m.llts[cs].Load().dir), m.locksPerMS))
 }
 
 // releaseSlot records the virtual release time and hands the slot to the

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"sherman/internal/deploy"
 	"sherman/internal/rdma"
 	"sherman/internal/sim"
 	"sherman/internal/transport"
@@ -286,7 +287,7 @@ func TestOnChipCapacity(t *testing.T) {
 	const want = "hocl: 1024 locks need 2048 B on-chip, NIC has 1024 B"
 	mustPanic(t, "virtual", want, func() { NewManager(rdma.NewFabric(p, 1, 1), cfg) })
 	mustPanic(t, "remote", want, func() {
-		NewRemoteManager(cfg, 1, 1, p.OnChipMemBytes, func(uint16) uint64 { return 0 })
+		NewRemoteManager(cfg, 1, 1, p.OnChipMemBytes, func(uint16) uint64 { return 0 }, deploy.NewFaults(1))
 	})
 }
 
@@ -297,7 +298,7 @@ func TestHostGLTCapacity(t *testing.T) {
 	const want = "hocl: host GLT of 1048577 locks exceeds one chunk"
 	mustPanic(t, "virtual", want, func() { NewManager(testFabric(t, 1, 1), cfg) })
 	mustPanic(t, "remote", want, func() {
-		NewRemoteManager(cfg, 1, 1, 0, func(uint16) uint64 { return 0 })
+		NewRemoteManager(cfg, 1, 1, 0, func(uint16) uint64 { return 0 }, deploy.NewFaults(1))
 	})
 }
 

@@ -94,12 +94,14 @@ func (l *localLock) acquire(c transport.Transport, m *Manager) bool {
 			pk.Park()
 		}
 		wk := <-w.ch
-		if held {
-			pk.Take() // counted by the releaser (releaseLocked)
-		}
 		m.localPool.Put(w) // single wake received; no one else holds w
 		if wk.killed {
+			// The death sweep (killAll) counts nobody: the dead thread's
+			// count stays given up, and it posts nothing more.
 			panic(transport.Crash{CS: int(c.CSID())})
+		}
+		if held {
+			pk.Take() // counted by the releaser (releaseLocked)
 		}
 		// Ownership transferred by the releaser; account the wait.
 		c.AdvanceTo(wk.v)

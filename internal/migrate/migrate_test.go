@@ -7,9 +7,9 @@ import (
 	"sherman/internal/cluster"
 	"sherman/internal/core"
 	"sherman/internal/migrate"
-	"sherman/internal/sim"
 	"sherman/internal/stats"
 	"sherman/internal/testutil"
+	"sherman/internal/transport"
 )
 
 // buildMigrTree builds a deterministic 2-MS cluster whose tree stripes
@@ -49,7 +49,7 @@ func checkExactContents(t *testing.T, tr *core.Tree, keys int, when string) {
 func runCrashing(fn func()) (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := sim.IsCrash(r); ok {
+			if _, ok := transport.IsCrash(r); ok {
 				crashed = true
 				return
 			}

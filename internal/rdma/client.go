@@ -64,12 +64,12 @@ func (c *Client) Epoch() int64 { return c.epoch }
 // crashed since the client was created).
 func (c *Client) Alive() bool { return c.F.Faults.Alive(int(c.CS.ID), c.epoch) }
 
-// CheckAlive panics with sim.Crash when the client's compute server has
+// CheckAlive panics with transport.Crash when the client's compute server has
 // failed. Verbs check implicitly; lock managers call it from verb-free spin
 // and queue paths so a doomed thread cannot linger (or block peers) there.
 func (c *Client) CheckAlive() {
 	if !c.Alive() {
-		panic(sim.Crash{CS: int(c.CS.ID)})
+		panic(transport.Crash{CS: int(c.CS.ID)})
 	}
 }
 
@@ -80,10 +80,10 @@ func (c *Client) checkVerb() { c.F.gate(c.CS.ID, c.epoch, c.Clk.Now()) }
 
 // gate is checkVerb's consultation of the injector for a client of compute
 // server cs in incarnation epoch whose clock reads now: it panics with
-// sim.Crash unless the verb may proceed.
+// transport.Crash unless the verb may proceed.
 func (f *Fabric) gate(cs uint16, epoch, now int64) {
 	if !f.Faults.OnVerb(int(cs), epoch, now) {
-		panic(sim.Crash{CS: int(cs)})
+		panic(transport.Crash{CS: int(cs)})
 	}
 }
 

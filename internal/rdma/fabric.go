@@ -22,6 +22,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sherman/internal/deploy"
 	"sherman/internal/sim"
 	"sherman/internal/transport"
 )
@@ -44,10 +45,10 @@ type Fabric struct {
 	P   sim.Params
 	CSs []*ComputeServer
 
-	// Faults is the fabric's deterministic fault injector. Every verb of
-	// every client consults it; a dead compute server's clients abort with
-	// sim.Crash at their next verb.
-	Faults *sim.Faults
+	// Faults is the deployment's fault injector (deploy.State holds the
+	// same one). Every verb of every client consults it; a dead compute
+	// server's clients abort with transport.Crash at their next verb.
+	Faults *deploy.Faults
 
 	serverMu   sync.Mutex                // guards growth
 	servers    atomic.Pointer[[]*Server] // published snapshot
@@ -97,7 +98,7 @@ func NewFabricCap(p sim.Params, numMS, maxMS, numCS int) *Fabric {
 	if maxMS > 1<<15 {
 		panic(fmt.Sprintf("rdma: max server count %d exceeds the 15-bit id space", maxMS))
 	}
-	f := &Fabric{P: p, Faults: sim.NewFaults(numCS), maxServers: maxMS}
+	f := &Fabric{P: p, Faults: deploy.NewFaults(numCS), maxServers: maxMS}
 	// First MS-death listener: gate the dead server's memory before any
 	// later listener (replica promotion) or the triggering verb can run, so
 	// no write lands on a server already declared dead.

@@ -6,6 +6,7 @@ import (
 
 	"sherman/internal/cluster"
 	"sherman/internal/core"
+	"sherman/internal/deploy"
 	"sherman/internal/transport/tcp"
 )
 
@@ -45,14 +46,19 @@ var TCP = Fabric{Name: "tcp", New: func(tb testing.TB, numMS, numCS, rf int) (co
 	}
 }}
 
-// Fabrics returns the fabric axis: the virtual-time simulator, whose kill
-// is its own, and TCP.
-func Fabrics() []Fabric {
-	sim := Fabric{Name: "sim", New: func(tb testing.TB, numMS, numCS, rf int) (core.Backend, func(int) error) {
-		cl := cluster.New(cluster.Config{NumMS: numMS, NumCS: numCS, ReplicationFactor: rf})
-		return cl, cl.KillMS
-	}}
-	return []Fabric{sim, TCP}
+// Sim is the virtual-time simulator, whose kill is its own.
+var Sim = Fabric{Name: "sim", New: func(tb testing.TB, numMS, numCS, rf int) (core.Backend, func(int) error) {
+	cl := cluster.New(cluster.Config{NumMS: numMS, NumCS: numCS, ReplicationFactor: rf})
+	return cl, cl.KillMS
+}}
+
+// Fabrics returns the fabric axis: Sim and TCP.
+func Fabrics() []Fabric { return []Fabric{Sim, TCP} }
+
+// Faults returns the fault injector of a deployment a Fabric built: the
+// deploy.State both fabrics embed holds it.
+func Faults(be core.Backend) *deploy.Faults {
+	return be.(interface{ Faults() *deploy.Faults }).Faults()
 }
 
 // RunFabrics runs fn once per fabric, as subtests named after it.

@@ -39,6 +39,8 @@ func nowNS() int64 { return time.Since(clockBase).Nanoseconds() }
 type Transport struct {
 	cl      *Cluster
 	cs      uint16
+	epoch   int64 // cs's incarnation at creation: a restart leaves this thread dead
+	gated   bool  // verbs consult the fault injector; false for the raw client only
 	m       transport.Metrics
 	payload []byte // request payload scratch
 
@@ -76,15 +78,38 @@ type pendingOp struct {
 }
 
 const (
-	pendDead  byte = iota // server was dead at issue; Await applies dead semantics
+	pendFree  byte = iota // on the freelist (or never used)
+	pendDead              // server was dead at issue; Await applies dead semantics
 	pendRead              // opRead in flight; Await fills buf
 	pendWrite             // opWriteBatch in flight
 )
 
-// Close releases the per-thread scratch. The sockets are cluster-owned
-// (Cluster.Close tears them down), so this is a formality kept for the
-// owner-calls-Close discipline the v1 pooled transport established.
-func (t *Transport) Close() {}
+// checkVerb gates one verb on the deployment's fault injector, exactly as
+// the simulator's clients do: a thread of a dead compute server (or one
+// whose verb trips an armed kill) aborts before the verb has any effect.
+// The clock is real, so the verb reports time 0 and only verb-indexed and
+// immediate kills fire here.
+func (t *Transport) checkVerb() {
+	if t.gated && !t.cl.Faults().OnVerb(int(t.cs), t.epoch, 0) {
+		t.crash()
+	}
+}
+
+// crash aborts this thread with transport.Crash. The frames it posted and
+// has not awaited (a mirror wave cut short) were issued before the crash
+// point, so it awaits them first, returning their window slots to the
+// muxes. Then it gives its runnable count up: a dead thread still counted
+// would keep the cluster's count above zero, and nobody would write the
+// other threads' posted frames.
+func (t *Transport) crash() {
+	for i := range t.pend {
+		if t.pend[i].kind != pendFree {
+			t.Await(transport.Pending(i))
+		}
+	}
+	t.Park()
+	panic(transport.Crash{CS: int(t.cs)})
+}
 
 // post issues one frame carrying t.payload on mx — no syscall; the frame
 // leaves when the last runnable thread of the cluster blocks, this one
@@ -145,6 +170,7 @@ func (t *Transport) ReadMulti(ops []transport.ReadOp) {
 	if len(ops) == 0 {
 		return
 	}
+	t.checkVerb()
 	// Group by memory server: each group is one ReadBatch frame — the
 	// doorbell-batched post of the simulator mapped to one round trip. All
 	// groups are issued before any is awaited, so a multi-server fan-out
@@ -275,6 +301,7 @@ func (t *Transport) CAS16Read(lock transport.Addr, old, new uint16, a transport.
 // memory as the CAS left it, exactly like the second command of a doorbell
 // on an RC queue pair: the two existing frames, no opcode of its own.
 func (t *Transport) cas(op byte, lock transport.Addr, fromZero bool, a transport.Addr, buf []byte) (uint64, bool) {
+	t.checkVerb()
 	t.m.Atomics++
 	ms := lock.MS()
 	if buf != nil {
@@ -360,6 +387,7 @@ func (t *Transport) GrowChunk(ms uint16) uint64 {
 // it, and returns the u64 the reply starts with: the FAA's previous value
 // or the grown chunk's base. A dead server answers 0.
 func (t *Transport) call(ms uint16, op byte) uint64 {
+	t.checkVerb()
 	mx, alive := t.cl.mux(ms)
 	if !alive {
 		return 0
@@ -398,6 +426,7 @@ func (t *Transport) newPending() (transport.Pending, *pendingOp) {
 // ReadAsync posts the read and returns without waiting. buf is filled (or
 // zero-filled, on death) at Await time.
 func (t *Transport) ReadAsync(a transport.Addr, buf []byte) transport.Pending {
+	t.checkVerb()
 	t.m.Reads++
 	idx, p := t.newPending()
 	p.ms = a.MS()
@@ -417,6 +446,9 @@ func (t *Transport) ReadAsync(a transport.Addr, buf []byte) transport.Pending {
 // The data is captured into the frame at post, so callers may reuse their
 // op buffers immediately.
 func (t *Transport) PostWritesAsync(ops ...transport.WriteOp) transport.Pending {
+	if len(ops) > 0 {
+		t.checkVerb()
+	}
 	idx, p := t.newPending()
 	p.buf = nil
 	if len(ops) == 0 {
@@ -461,7 +493,7 @@ func (t *Transport) Await(pd transport.Pending) {
 			}
 		}
 	}
-	p.buf = nil
+	p.kind, p.buf = pendFree, nil
 	t.pfree = append(t.pfree, int32(pd))
 }
 
@@ -475,9 +507,14 @@ func (t *Transport) Step(int64)      {}
 func (t *Transport) AdvanceTo(int64) {}
 
 func (t *Transport) CSID() uint16 { return t.cs }
-func (t *Transport) Epoch() int64 { return 0 }
-func (t *Transport) Alive() bool  { return true }
-func (t *Transport) CheckAlive()  {}
+func (t *Transport) Epoch() int64 { return t.epoch }
+func (t *Transport) Alive() bool  { return t.cl.Faults().Alive(int(t.cs), t.epoch) }
+
+func (t *Transport) CheckAlive() {
+	if !t.Alive() {
+		t.crash()
+	}
+}
 
 func (t *Transport) NumMS() int          { return len(t.cl.endpoints) }
 func (t *Transport) MSAlive(ms int) bool { return !t.cl.isDead(ms) }

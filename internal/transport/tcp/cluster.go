@@ -35,8 +35,8 @@ type Options struct {
 // can — sockets, heartbeat membership, the cluster clock, Stats-opcode load
 // counters, raw access — and embeds deploy.State for the compute-side rest
 // (superblock, forwarding, replicas, failover promotion, allocator wiring,
-// placement and draining), the same code the simulator's
-// internal/cluster.Cluster embeds.
+// placement and draining, and the fault injector every Transport's verbs
+// consult), the same code the simulator's internal/cluster.Cluster embeds.
 //
 // Fault tolerance is real here: a membership service heartbeats every
 // server on a wall-clock interval, I/O errors on any client verb feed the
@@ -106,12 +106,12 @@ func NewCluster(endpoints []string, numCS int, opt Options) (*Cluster, error) {
 		deadOnce:  make([]sync.Once, len(endpoints)),
 		muxes:     make([]*muxConn, len(endpoints)),
 	}
-	st, err := deploy.New(c, opt.ReplicationFactor)
+	st, err := deploy.New(c, opt.ReplicationFactor, deploy.NewFaults(numCS))
 	if err != nil {
 		return nil, fmt.Errorf("tcp: %w", err)
 	}
 	c.State = st
-	c.raw = c.newTransport(0)
+	c.raw = &Transport{cl: c} // no compute server's thread: never gated
 	if err := c.bringUp(); err != nil {
 		c.Close() // every dialed mux
 		return nil, err
@@ -235,21 +235,26 @@ func (c *Cluster) mux(ms uint16) (*muxConn, bool) {
 	return c.muxes[ms], true
 }
 
-func (c *Cluster) newTransport(cs int) *Transport {
-	return &Transport{cl: c, cs: uint16(cs)}
-}
-
 // --- core.Backend ----------------------------------------------------------
 
 // NewTransport creates a client thread's transport bound to compute server
-// cs. On TCP a "compute server" is a thread-group identity, not a process
-// boundary — CSID still partitions the local lock tables.
+// cs in its current incarnation. On TCP a "compute server" is a thread-group
+// identity, not a process boundary: CSID still partitions the local lock
+// tables, and a crash of cs (the deployment's fault injector) aborts the
+// group's threads at their next verb.
 func (c *Cluster) NewTransport(cs int) transport.Transport { return c.newTransport(cs) }
+
+// newTransport is NewTransport's body, kept out of it so that NewTransport
+// stays cheap enough to inline (under -race too): a caller then sees the
+// concrete *Transport and its verbs' arguments need not escape.
+func (c *Cluster) newTransport(cs int) *Transport {
+	return &Transport{cl: c, cs: uint16(cs), epoch: c.Faults().Epoch(cs), gated: true}
+}
 
 // NewLockManager builds the remote lock manager: no fabric, no virtual-time
 // arbitration — the physical lock word on the servers is the whole truth.
 func (c *Cluster) NewLockManager(cfg hocl.Config) *hocl.Manager {
-	return hocl.NewRemoteManager(cfg, len(c.endpoints), c.numCS, c.onChip, c.GrowChunkRaw)
+	return hocl.NewRemoteManager(cfg, len(c.endpoints), c.numCS, c.onChip, c.GrowChunkRaw, c.Faults())
 }
 
 // NumCS returns the compute-server (thread-group) count.
@@ -257,10 +262,6 @@ func (c *Cluster) NumCS() int { return c.numCS }
 
 // MSAlive reports whether memory server ms is reachable.
 func (c *Cluster) MSAlive(ms int) bool { return !c.isDead(ms) }
-
-// CSAlive is always true: the compute servers are this process's thread
-// groups, and it is running.
-func (c *Cluster) CSAlive(int, int64) bool { return true }
 
 // Loads polls every memory server's Stats opcode and returns per-server
 // inbound-op counts with per-chunk breakdowns — the real-network analogue

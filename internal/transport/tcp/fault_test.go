@@ -112,7 +112,6 @@ func TestDeadVerbsMatchSimulator(t *testing.T) {
 	}
 	defer c.Close()
 	tr := c.NewTransport(0)
-	defer tr.(*Transport).Close()
 	tcpOut := script(tr, tr.GrowChunk(1), func() {
 		c.MarkDead(1)
 	})
@@ -221,7 +220,6 @@ func TestLeaseReclaimRealClock(t *testing.T) {
 	m := c.NewLockManager(hocl.Config{Mode: hocl.Baseline()})
 
 	dead := c.NewTransport(1)
-	defer dead.(*Transport).Close()
 	g := m.LockIdx(dead, 0, 3)
 	if g.Reclaimed() {
 		t.Fatal("first acquisition reclaimed")
@@ -229,7 +227,6 @@ func TestLeaseReclaimRealClock(t *testing.T) {
 	// The holder "crashes": never unlocks, never pings again.
 
 	tr := c.NewTransport(0)
-	defer tr.(*Transport).Close()
 	start := time.Now()
 	g2 := m.LockIdx(tr, 0, 3)
 	waited := time.Since(start)

@@ -236,9 +236,9 @@ type Grower interface {
 }
 
 // Crash is the panic value thrown by a transport whose compute server has
-// been killed; the session layer recovers it into ErrSessionDead. It lives
-// here so every backend throws the same type without importing the
-// simulator (sim.Crash is an alias of it).
+// been killed: both fabrics gate every verb on the deployment's one fault
+// injector (deploy.Faults) and throw it at a dead server's next verb. The
+// session layer recovers it into ErrSessionDead.
 type Crash struct {
 	// CS is the dead compute server's id.
 	CS int

@@ -1,10 +1,8 @@
 package sherman
 
 import (
-	"fmt"
-
+	"sherman/internal/core"
 	"sherman/internal/replica"
-	"sherman/internal/sim"
 )
 
 // This file is the public face of the replication subsystem: chunk-granular
@@ -25,30 +23,11 @@ import (
 // ErrSessionDead when via crashes mid-sweep. With replication disabled it
 // is a no-op.
 func (t *Tree) ReReplicate(via int) (ReReplicationStats, error) {
-	if via < 0 || via >= t.c.ComputeServers() {
-		return ReReplicationStats{}, fmt.Errorf("%w: %d not in [0,%d)", ErrBadComputeServer, via, t.c.ComputeServers())
-	}
-	if !t.c.ComputeServerAlive(via) {
-		return ReReplicationStats{}, fmt.Errorf("%w: re-replication must run on a live compute server", ErrSessionDead)
-	}
 	var st replica.Stats
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := sim.IsCrash(r); ok {
-					err = ErrSessionDead
-					return
-				}
-				panic(r)
-			}
-		}()
-		h := t.tr.NewHandle(via, int(sessionSeq.Add(1)))
-		// Anchor the clock at the cluster's latest verb time so VirtualNS
-		// measures the repair, not the cluster's age (see Tree.Recover).
-		t.c.anchorClock(h)
+	err := t.onComputeServer(via, "re-replication", func(h *core.Handle) (err error) {
 		st, err = replica.New(h, replica.Options{}).ReReplicate()
 		return err
-	}()
+	})
 	return ReReplicationStats{
 		ChunksRepaired:  st.ChunksRepaired,
 		SlotsCopied:     st.SlotsCopied,

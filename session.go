@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 
 	"sherman/internal/core"
-	"sherman/internal/sim"
 	"sherman/internal/stats"
+	"sherman/internal/transport"
 )
 
 // Typed errors of the session API.
@@ -180,7 +180,7 @@ func (s *Session) run(fn func()) (err error) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := sim.IsCrash(r); ok {
+			if _, ok := transport.IsCrash(r); ok {
 				s.dead = true
 				err = ErrSessionDead
 				return
@@ -222,8 +222,8 @@ func PipelineDepth(n int) SessionOption {
 // SessionAt opens a session on compute server cs (0 <= cs <
 // ComputeServers), reporting ErrBadComputeServer for an out-of-range cs.
 func (t *Tree) SessionAt(cs int, opts ...SessionOption) (*Session, error) {
-	if cs < 0 || cs >= t.c.ComputeServers() {
-		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrBadComputeServer, cs, t.c.ComputeServers())
+	if err := t.c.checkCS(cs); err != nil {
+		return nil, err
 	}
 	cfg := sessionConfig{depth: 1}
 	for _, o := range opts {

@@ -7,7 +7,6 @@ import (
 	"sherman/internal/core"
 	"sherman/internal/hocl"
 	"sherman/internal/layout"
-	"sherman/internal/sim"
 )
 
 // Engine selects which index design a tree runs.
@@ -302,54 +301,36 @@ type LockStats struct {
 // to restore the tree to a Validate-clean state; running it when nothing
 // crashed is safe and repairs nothing.
 func (t *Tree) Recover(cs int) (rs RecoveryStats, err error) {
-	if cs < 0 || cs >= t.c.ComputeServers() {
-		return RecoveryStats{}, fmt.Errorf("%w: %d not in [0,%d)", ErrBadComputeServer, cs, t.c.ComputeServers())
-	}
-	if !t.c.ComputeServerAlive(cs) {
-		return RecoveryStats{}, fmt.Errorf("%w: recovery must run on a live compute server", ErrSessionDead)
-	}
-	defer func() {
-		// The recovering server can itself crash mid-sweep.
-		if r := recover(); r != nil {
-			if _, ok := sim.IsCrash(r); ok {
-				err = ErrSessionDead
-				return
+	err = t.onComputeServer(cs, "recovery", func(h *core.Handle) error {
+		t0 := h.C.Now()
+		repairs, complete := h.RecoverStructure()
+		rs = RecoveryStats{SplitRepairs: repairs, VirtualNS: h.C.Now() - t0}
+		if !complete {
+			return fmt.Errorf("sherman: recovery pass budget exhausted with repairs pending (%d done); run Recover again", repairs)
+		}
+		// The forwarding map is cluster-wide: a dead migrator's entries may
+		// be the only thing keeping *any* tree's stale parent pointers
+		// resolvable, so every tree must be swept clean before the entries
+		// can drain.
+		t.c.treeMu.Lock()
+		trees := append([]*Tree(nil), t.c.trees...)
+		t.c.treeMu.Unlock()
+		for _, other := range trees {
+			if other == t {
+				continue
 			}
-			panic(r)
+			oh := other.tr.NewHandle(cs, int(sessionSeq.Add(1)))
+			oh.SetClock(h.C.Now())
+			n, ok := oh.RecoverStructure()
+			rs.SplitRepairs += n
+			if !ok {
+				return fmt.Errorf("sherman: recovery pass budget exhausted on a sibling tree (%d repairs done); run Recover again", rs.SplitRepairs)
+			}
 		}
-	}()
-	h := t.tr.NewHandle(cs, int(sessionSeq.Add(1)))
-	// Anchor the fresh handle's clock at the cluster's latest verb time:
-	// otherwise the sweep's first contended acquisition would spend virtual
-	// time catching up through all prior activity and the reported latency
-	// would measure the cluster's age, not the recovery.
-	t.c.anchorClock(h)
-	t0 := h.C.Now()
-	repairs, complete := h.RecoverStructure()
-	rs = RecoveryStats{SplitRepairs: repairs, VirtualNS: h.C.Now() - t0}
-	if !complete {
-		return rs, fmt.Errorf("sherman: recovery pass budget exhausted with repairs pending (%d done); run Recover again", repairs)
-	}
-	// The forwarding map is cluster-wide: a dead migrator's entries may be
-	// the only thing keeping *any* tree's stale parent pointers resolvable,
-	// so every tree must be swept clean before the entries can drain.
-	t.c.treeMu.Lock()
-	trees := append([]*Tree(nil), t.c.trees...)
-	t.c.treeMu.Unlock()
-	for _, other := range trees {
-		if other == t {
-			continue
-		}
-		oh := other.tr.NewHandle(cs, int(sessionSeq.Add(1)))
-		oh.SetClock(h.C.Now())
-		n, ok := oh.RecoverStructure()
-		rs.SplitRepairs += n
-		if !ok {
-			return rs, fmt.Errorf("sherman: recovery pass budget exhausted on a sibling tree (%d repairs done); run Recover again", rs.SplitRepairs)
-		}
-	}
-	rs.ForwardingDrained = t.tr.DrainDeadForwarding()
-	return rs, nil
+		rs.ForwardingDrained = t.tr.DrainDeadForwarding()
+		return nil
+	})
+	return rs, err
 }
 
 // RecoveryStats reports one Tree.Recover run: the number of half-done
