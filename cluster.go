@@ -383,10 +383,11 @@ func (t *Tree) onComputeServer(cs int, what string, fn func(h *core.Handle) erro
 }
 
 // KillMemoryServer fails memory server ms permanently: reads of its memory
-// return zeros, and writes to it are lost. On the simulator its NIC stops
-// answering; on TransportTCP the shermand process this cluster launched is
-// SIGKILLed for real (external Endpoints are not this process's to kill and
-// return ErrSimOnly). With replication enabled the cluster fails over
+// return zeros, and writes to it are lost. The death is the deployment's
+// own, declared through its fault injector as on every fabric; on
+// TransportTCP the shermand process this cluster launched is then SIGKILLed
+// for real (external Endpoints are not this process's to kill and return
+// ErrSimOnly). With replication enabled the cluster fails over
 // synchronously — the freshest complete replica of every chunk the server
 // owned is promoted and all acknowledged writes remain readable; run
 // Tree.ReReplicate afterwards to restore full redundancy. Without
@@ -395,24 +396,15 @@ func (t *Tree) onComputeServer(cs int, what string, fn func(h *core.Handle) erro
 // server 0 holds the cluster superblock and cannot be killed, and a dead
 // server cannot be killed twice.
 func (c *Cluster) KillMemoryServer(ms int) error {
-	if c.cl != nil {
-		return c.cl.KillMS(ms)
-	}
-	if c.ts == nil {
+	if c.cl == nil && c.ts == nil {
 		return fmt.Errorf("%w: KillMemoryServer on external Endpoints (this process does not own the servers)", ErrSimOnly)
 	}
-	if ms <= 0 || ms >= c.be.NumMS() {
-		return fmt.Errorf("sherman: cannot kill memory server %d (valid: 1..%d; server 0 holds the superblock)", ms, c.be.NumMS()-1)
-	}
-	if !c.tc.MSAlive(ms) {
-		return fmt.Errorf("sherman: memory server %d is already dead", ms)
-	}
-	if err := c.ts.Kill(ms); err != nil {
+	if err := c.st.KillMS(ms); err != nil {
 		return err
 	}
-	// Publish the death (and run failover promotion) immediately rather
-	// than waiting for a heartbeat or client verb to trip over the corpse.
-	c.tc.MarkDead(ms)
+	if c.ts != nil {
+		return c.ts.Kill(ms)
+	}
 	return nil
 }
 

@@ -14,10 +14,11 @@ import (
 // runTCPFault is the -exp tcpfault experiment: the replica experiment's
 // kill→failover→re-replicate walkthrough over real sockets. Three shermand
 // processes serve a factor-2 tree; workers hammer it through a steady
-// window, then a kill window in which one server's process is SIGKILLed for
-// real (mid-doorbell if one is in flight) while every worker tracks the
-// writes it got acks for on a private key stripe; re-replication then
-// restores full redundancy on the two survivors, and a read-back pass
+// window, then a kill window in which one server is declared dead — its
+// connection closes mid-doorbell if one is in flight — and its process is
+// SIGKILLed for real, while every worker tracks the writes it got acks for
+// on a private key stripe; re-replication then restores full redundancy on
+// the two survivors, and a read-back pass
 // demands every acked write back, exactly once. Throughput is honest Mops
 // over the wall clock — real sockets, real failure detection, real repair.
 //
@@ -261,7 +262,7 @@ func runTCPFault(bench.Scale, *bench.Collector) ([]*bench.Table, func() error, e
 	t.Addf("recovered", fmt.Sprintf("%.3f", res.RecoveredMops),
 		fmt.Sprintf("acked writes %d, lost %d, dup/phantom %d; validate %s",
 			res.AckedWrites, res.LostAcked, res.DupOrPhantom, valid))
-	t.Note("the victim is a real OS process killed with SIGKILL; failover runs inside the detecting verb")
+	t.Note("the victim is a real OS process, SIGKILLed once the deployment has declared it dead and failed over")
 	t.Note("wall-clock throughput is reported, not band-gated — the gate is zero lost acked writes")
 	return []*bench.Table{t}, func() error { return tcpFaultGate(res) }, nil
 }

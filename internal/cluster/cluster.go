@@ -2,8 +2,8 @@
 // memory servers, compute servers and the virtual-time RDMA fabric between
 // them. Everything compute-side that does not depend on the fabric — the
 // superblock, forwarding, replicas, failover promotion, allocator wiring and
-// placement, draining included, and the fault injector — is the embedded
-// deploy.State.
+// placement, draining included, and the fault injector with its
+// memory-server kills — is the embedded deploy.State.
 package cluster
 
 import (
@@ -66,30 +66,8 @@ func New(cfg Config) *Cluster {
 	if err != nil {
 		panic("cluster: " + err.Error())
 	}
-	// The listener runs synchronously in the MS-death chain, after the
-	// fabric has gated the dead server's memory and before the triggering
-	// verb proceeds.
-	f.Faults.OnMSDeath(func(ms int) { st.Failover(ms, f.Faults.MSAlive) })
 	return &Cluster{State: st, F: f, P: p}
 }
-
-// KillMS fails memory server ms: its memory goes dark (reads zero-fill,
-// writes and atomics discard) and, under replication, every chunk it
-// hosted fails over to its freshest replica before this call returns.
-// Server 0 hosts the cluster superblock and cannot be killed.
-func (c *Cluster) KillMS(ms int) error {
-	if ms <= 0 || ms >= c.NumMS() {
-		return fmt.Errorf("cluster: cannot kill memory server %d (valid: 1..%d; server 0 holds the superblock)", ms, c.NumMS()-1)
-	}
-	if !c.F.Faults.MSAlive(ms) {
-		return fmt.Errorf("cluster: memory server %d is already dead", ms)
-	}
-	c.F.Faults.KillMS(ms)
-	return nil
-}
-
-// MSAlive reports whether memory server ms is live.
-func (c *Cluster) MSAlive(ms int) bool { return c.F.Faults.MSAlive(ms) }
 
 // NumMS returns the current memory-server count.
 func (c *Cluster) NumMS() int { return c.F.NumServers() }

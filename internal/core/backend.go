@@ -15,11 +15,13 @@ import (
 // Two implementations exist: *cluster.Cluster (the simulated deployment —
 // the default) and the TCP cluster of internal/transport/tcp (real memory-
 // server processes). Each supplies the fabric half itself (NewTransport,
-// NewLockManager, NumCS/NumMS, MSAlive, CSAlive, Loads) and gets the rest —
-// placement (MSUsable, SetDraining), forwarding, replicas, the migration
-// lock — by embedding the one deploy.State. Core and the migration engine
-// reach all of it through this interface and never inspect the backend's
-// concrete type, so a decorator that embeds a Backend loses nothing.
+// NewLockManager, NumCS/NumMS, Loads) and gets the rest — liveness
+// (MSAlive, CSAlive: the one fault injector's flags, whose KillMS is the
+// one way a memory server dies), placement (MSUsable, SetDraining),
+// forwarding, replicas and failover, the migration lock — by embedding the
+// one deploy.State. Core and the migration engine reach all of it through
+// this interface and never inspect the backend's concrete type, so a
+// decorator that embeds a Backend loses nothing.
 type Backend interface {
 	// NewTransport creates one client thread's verb surface, bound to
 	// compute server cs.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sherman/internal/alloc"
 	"sherman/internal/cluster"
 	"sherman/internal/core"
 	"sherman/internal/layout"
@@ -128,4 +129,44 @@ func TestKillAfterValidatingRead(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestFailoverSeesServerDead pins the order of a memory-server death on
+// both fabrics: the dead flag is published before failover re-keys a
+// single chunk. A mirror that finds its chunk re-keyed redoes the write
+// only if it also finds the server dead, so a failover that ran ahead of
+// the flag would let a pipelined runner ack a write that landed nowhere
+// (TestKillAfterValidatingRead's NewAsync(4) cell over TCP). The hook
+// records what MSAlive says each time failover invalidates a chunk.
+func TestFailoverSeesServerDead(t *testing.T) {
+	const victim = 1
+	load := make([]layout.KV, 120)
+	for i := range load {
+		k := uint64(2 * (i + 1))
+		load[i] = layout.KV{Key: k, Value: k*7 + 1}
+	}
+	cfg := testutil.Configs()[0]
+	cfg.BulkFill = 0.5 // 4 level-1 nodes: MS 1 holds a run of leaves
+	cfg.LocksPerMS = 1024
+	testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+		be, kill := fab.New(t, 3, 2, 2)
+		tr := core.New(be, cfg)
+		tr.Bulkload(load)
+		var alive []bool // MSAlive(victim) at each promoted chunk
+		be.OnChunkInvalidate(func(alloc.ChunkID) { alive = append(alive, be.MSAlive(victim)) })
+		if err := kill(victim); err != nil {
+			t.Fatal(err)
+		}
+		if len(alive) == 0 {
+			t.Fatal("no chunk was promoted: the scenario is vacuous")
+		}
+		for i, a := range alive {
+			if a {
+				t.Fatalf("failover promoted chunk %d of %d while MS %d still read alive", i+1, len(alive), victim)
+			}
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("validate: %v", err)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	core "sherman/internal/core"
 	"sherman/internal/layout"
 	"sherman/internal/replica"
+	"sherman/internal/testutil"
 )
 
 // msKillScenario is one scripted operation run to completion while a memory
@@ -191,6 +192,60 @@ func checkMSKillState(t *testing.T, tag string, cl *cluster.Cluster, tr *core.Tr
 	if _, present := want[120]; !present {
 		if got, ok := h.Lookup(120); ok {
 			t.Fatalf("%s: deleted key 120 resurrected as %#x", tag, got)
+		}
+	}
+}
+
+// TestMSKillTriggerOverTCP arms the injector's memory-server trigger over
+// TCP: the put's first verb declares the death of its leaf's server. The
+// death is the client's declaration, as for a missed heartbeat: failover
+// promotes the replicas and the server's connection fails, while the
+// in-process server itself stays up. The put must ack, read back through
+// the promoted replica with every bulkloaded key intact, and the tree must
+// validate.
+func TestMSKillTriggerOverTCP(t *testing.T) {
+	const key, first, second = 82, 0xbeef, 0xcafe
+	load := make([]layout.KV, 120)
+	for i := range load {
+		k := uint64(2 * (i + 1))
+		load[i] = layout.KV{Key: k, Value: faultVal(k)}
+	}
+	cfg := testutil.Configs()[0]
+	cfg.BulkFill = 0.5 // 4 level-1 nodes: the key's leaves are not on MS 0
+	cfg.LocksPerMS = 1024
+	inner, _ := testutil.TCP.New(t, 3, 2, 2)
+	// A put's first read is its leaf's: record that server rather than kill it.
+	leafMS := 0
+	be := &testutil.KillAfter{Backend: inner, Kill: func(ms int) error { leafMS = ms; return nil }}
+	tr := core.New(be, cfg)
+	tr.Bulkload(load)
+	h := tr.NewHandle(1, 1)
+	h.Lookup(key) // warm the cache: the put's first read is its leaf's
+	be.Arm(testutil.VerbRead|testutil.VerbCASRead, 1)
+	h.Insert(key, first)
+	if leafMS == 0 {
+		t.Fatalf("key %d's leaf is on MS 0, which cannot be killed", key)
+	}
+
+	testutil.Faults(inner).KillMSAtCSVerb(leafMS, 1, 1)
+	h.Insert(key, second)
+	if be.MSAlive(leafMS) {
+		t.Fatal("armed kill never fired")
+	}
+	if be.Forwarding().Len() == 0 || be.Replicas().Lost() != 0 {
+		t.Fatalf("failover: %d forwarding entries, %d chunks lost", be.Forwarding().Len(), be.Replicas().Lost())
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("validate: %v", err)
+	}
+	vh := tr.NewHandle(0, 99)
+	for _, kv := range load {
+		want := kv.Value
+		if kv.Key == key {
+			want = second
+		}
+		if got, ok := vh.Lookup(kv.Key); !ok || got != want {
+			t.Fatalf("killed MS %d: key %d = (%#x,%v), want (%#x,true)", leafMS, kv.Key, got, ok, want)
 		}
 	}
 }

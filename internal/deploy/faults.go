@@ -16,9 +16,12 @@ import (
 // index or by virtual time, so a given schedule reproduces exactly on a
 // single-threaded victim (and up to goroutine interleaving on a
 // multi-threaded one). Over TCP the clock is real and verbs report time 0,
-// so only verb-indexed kills and immediate ones fire there; memory-server
-// triggers are the simulator's alone (TCP's memory servers die as
-// processes).
+// so only verb-indexed kills and immediate ones fire there.
+//
+// A memory server's death is compute-side state too: KillMS is the one way
+// a server dies on either fabric, whoever declares it — a test, the public
+// API, an armed trigger, or over TCP a missed heartbeat or a verb's I/O
+// error — and MSAlive is the one place every layer reads it.
 //
 // The fault-free path (nothing armed anywhere, CS alive) takes no lock:
 // OnVerb checks the CS's incarnation word, counts the verb and raises the
@@ -196,9 +199,11 @@ func (f *Faults) kill(cs int, epoch int64, nowV int64) {
 }
 
 // OnMSDeath registers a listener invoked synchronously when a memory server
-// dies, before the triggering verb (if any) proceeds. The fabric uses the
-// first slot to gate the dead server's memory; the cluster layer promotes
-// replicas. Listeners run in registration order.
+// dies, after MSAlive reports it dead and before the triggering verb (if
+// any) proceeds. Listeners run in registration order: the simulator's
+// fabric gates the dead server's memory first (it registers before
+// deploy.New), deploy.New's listener promotes replicas, and a TCP cluster's
+// fails the server's connection last.
 func (f *Faults) OnMSDeath(fn func(ms int)) {
 	f.mu.Lock()
 	f.onMSDeath = append(f.onMSDeath, fn)
@@ -236,11 +241,14 @@ func (f *Faults) KillMSAtTime(ms int, v int64) {
 }
 
 // KillMS fails memory server ms immediately: every subsequent verb touching
-// its memory is a no-op (reads zero-fill, writes and atomics discard).
-// Returns only after the death listeners (memory gating, replica
-// promotion) have completed. They run under the lifecycle lock, serialized
-// against CS death sweeps and restarts so promotion never interleaves with
-// an orphan sweep.
+// its memory is a no-op (reads zero-fill, writes and atomics discard). The
+// dead flag is published first, then the listeners run (memory gating,
+// replica promotion, the TCP connection's failure), so a reader that finds
+// a chunk already promoted also finds its old server dead. KillMS returns
+// only after the listeners have completed. They run under the lifecycle
+// lock, serialized against CS death sweeps and restarts so promotion never
+// interleaves with an orphan sweep; a concurrent KillMS of the same server
+// waits there and returns once the first one's listeners are done.
 func (f *Faults) KillMS(ms int) {
 	f.lifecycle.Lock()
 	defer f.lifecycle.Unlock()

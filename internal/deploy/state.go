@@ -6,10 +6,12 @@
 // migration lock all live with the clients — and, since the client is the
 // unit of failure, so does which incarnation of each compute server is
 // alive (Faults, the one fault injector both fabrics gate every verb on).
+// A memory server's death is compute-side as well: Faults.KillMS is the one
+// death path on every fabric, and State.MSAlive reads its one dead flag.
 // A fabric (the simulator's internal/cluster, the real network's
-// internal/transport/tcp) supplies verbs, liveness, load counters and
-// untimed raw access; it embeds a State for everything else and calls
-// Failover from its death trigger.
+// internal/transport/tcp) supplies verbs, load counters and untimed raw
+// access, plus what a death does to its own memory or connections, hooked
+// on Faults.OnMSDeath; it embeds a State for everything else.
 package deploy
 
 import (
@@ -56,14 +58,14 @@ type State struct {
 
 	// Rep is the chunk→replicas placement table (nil when replication is
 	// off). Allocators register every fresh chunk's mirror copies here;
-	// writers mirror through it; Failover rewrites it.
+	// writers mirror through it; failover rewrites it.
 	Rep *alloc.ReplicaMap
 
 	f      fabric
 	rf     int     // configured copies per chunk incl. primary (0/1 = off)
 	faults *Faults // the deployment's one fault injector
 
-	// invalidators are per-tree cache invalidation hooks, run by Failover
+	// invalidators are per-tree cache invalidation hooks, run by failover
 	// after it forwards a chunk to its replica so no compute server keeps
 	// steering into the dead server's addresses.
 	invMu        sync.Mutex
@@ -96,7 +98,9 @@ func CheckFactor(rf, numMS int) error {
 
 // New builds the shared state over fabric f at replication factor rf, with
 // faults as the deployment's fault injector: the one every verb of f
-// consults. It touches no memory: call ReserveSuperblock once the fabric
+// consults. It registers failover as a memory-server death listener, after
+// whatever the fabric registered before it and ahead of what it registers
+// after. It touches no memory: call ReserveSuperblock once the fabric
 // answers.
 func New(f fabric, rf int, faults *Faults) (*State, error) {
 	if err := CheckFactor(rf, f.NumMS()); err != nil {
@@ -106,6 +110,7 @@ func New(f fabric, rf int, faults *Faults) (*State, error) {
 	if rf > 1 {
 		s.Rep = alloc.NewReplicaMap()
 	}
+	faults.OnMSDeath(s.failover)
 	return s, nil
 }
 
@@ -120,26 +125,45 @@ func (s *State) ReserveSuperblock() error {
 }
 
 // Faults is the deployment's fault injector: compute-server kills,
-// scheduled crashes and restarts on either fabric, plus the simulator's
-// memory-server triggers.
+// scheduled crashes and restarts, and memory-server deaths and triggers, on
+// either fabric.
 func (s *State) Faults() *Faults { return s.faults }
 
 // CSAlive reports whether a client of the given incarnation on compute
 // server cs may still issue verbs.
 func (s *State) CSAlive(cs int, epoch int64) bool { return s.faults.Alive(cs, epoch) }
 
-// Failover promotes every chunk memory server ms hosted to its freshest
-// complete replica on a server alive reports live: the replica table is
-// re-keyed, a permanent forwarding entry is installed and every registered
-// invalidator runs, all before Failover returns. A fabric calls it from its
-// death trigger before the death becomes observable to verbs, so a reader
-// that sees the dead server already finds the chase target published —
-// there is no window where the data is dark. It issues no verbs.
-func (s *State) Failover(ms int, alive func(int) bool) {
+// MSAlive reports whether memory server ms is live: the fault injector's
+// dead flag, the one every fabric's verbs and every layer above read.
+func (s *State) MSAlive(ms int) bool { return s.faults.MSAlive(ms) }
+
+// KillMS fails memory server ms for good through the fault injector, with
+// failover included before it returns. It refuses a server out of range,
+// server 0 (it holds the superblock) and a server already dead.
+func (s *State) KillMS(ms int) error {
+	if ms <= 0 || ms >= s.f.NumMS() {
+		return fmt.Errorf("deploy: cannot kill memory server %d (valid: 1..%d; server 0 holds the superblock)", ms, s.f.NumMS()-1)
+	}
+	if !s.MSAlive(ms) {
+		return fmt.Errorf("deploy: memory server %d is already dead", ms)
+	}
+	s.faults.KillMS(ms)
+	return nil
+}
+
+// failover promotes every chunk memory server ms hosted to its freshest
+// complete replica on a live server: the replica table is re-keyed, a
+// permanent forwarding entry is installed and every registered invalidator
+// runs. It is the injector's memory-server death listener, so it runs after
+// the dead flag is published and the fabric's gate has closed: a reader
+// that finds a chunk re-keyed also finds its old server dead and chases (or
+// redoes), and one that sees the death before the forwarding entry exists
+// re-traverses until it does. It issues no verbs.
+func (s *State) failover(ms int) {
 	if s.Rep == nil {
 		return
 	}
-	promoted := s.Rep.FailoverServer(uint16(ms), alive)
+	promoted := s.Rep.FailoverServer(uint16(ms), s.MSAlive)
 	s.invMu.Lock()
 	invs := s.invalidators
 	s.invMu.Unlock()
@@ -152,7 +176,7 @@ func (s *State) Failover(ms int, alive func(int) bool) {
 	s.failovers.Add(int64(len(promoted)))
 }
 
-// OnChunkInvalidate registers a hook Failover calls for every chunk it
+// OnChunkInvalidate registers a hook failover calls for every chunk it
 // promotes. Trees register their index-cache invalidation here so cached
 // pointers into a dead server stop steering.
 func (s *State) OnChunkInvalidate(fn func(alloc.ChunkID)) {
@@ -184,15 +208,15 @@ func (s *State) MigrationUnlock() { s.migMu.Unlock() }
 // NumMS is the fabric's memory-server count.
 func (s *State) NumMS() int { return s.f.NumMS() }
 
-// MSUsable reports whether memory server ms may receive new placements: the
-// fabric reports it alive and it is not draining.
+// MSUsable reports whether memory server ms may receive new placements: it
+// is alive and not draining.
 func (s *State) MSUsable(ms int) bool {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
 	return s.usableLocked(ms)
 }
 
-func (s *State) usableLocked(ms int) bool { return s.f.MSAlive(ms) && !s.draining[ms] }
+func (s *State) usableLocked(ms int) bool { return s.MSAlive(ms) && !s.draining[ms] }
 
 // Draining reports whether memory server ms is being scaled in.
 func (s *State) Draining(ms int) bool {
@@ -276,7 +300,7 @@ func (s *State) RawRead(ops ...transport.ReadOp) {
 	var chased []transport.ReadOp // copied on the first redirect: ops is the caller's
 	for i, op := range ops {
 		a := op.Addr
-		for hop := 0; hop < alloc.MaxForwardHops && !s.f.MSAlive(int(a.MS())); hop++ {
+		for hop := 0; hop < alloc.MaxForwardHops && !s.MSAlive(int(a.MS())); hop++ {
 			fwd, ok := s.Fwd.Resolve(a)
 			if !ok {
 				break

@@ -11,9 +11,10 @@ import (
 )
 
 // fakeFabric is the least a fabric can be: sparse byte-addressed memory,
-// per-server chunk growth and a dead flag. No simulator, no sockets — what
-// the tests below pin is the deployment contract every fabric inherits by
-// embedding deploy.State.
+// per-server chunk growth and a gate that darkens a dead server's memory,
+// closed by the injector's death listener as the simulator's is. No
+// simulator, no sockets — what the tests below pin is the deployment
+// contract every fabric inherits by embedding deploy.State.
 type fakeFabric struct {
 	mem    map[transport.Addr]byte
 	grown  []uint64 // chunks grown per server
@@ -101,7 +102,9 @@ func (v *fakeVerbs) CAS(a transport.Addr, old, new uint64) (uint64, bool) {
 func newState(t *testing.T, numMS, rf int) (*deploy.State, *fakeFabric) {
 	t.Helper()
 	f := newFake(numMS)
-	s, err := deploy.New(f, rf, deploy.NewFaults(1))
+	faults := deploy.NewFaults(1)
+	faults.OnMSDeath(func(ms int) { f.dead[ms] = true }) // the fabric's gate: before deploy.New
+	s, err := deploy.New(f, rf, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +126,14 @@ func TestCheckFactor(t *testing.T) {
 			t.Errorf("CheckFactor(%d, %d) = %v, want ok=%v", tc.rf, tc.numMS, err, tc.ok)
 		}
 		// New applies the same check against the fabric's own size.
-		if _, err := deploy.New(newFake(tc.numMS), tc.rf, nil); (err == nil) != tc.ok {
+		if _, err := deploy.New(newFake(tc.numMS), tc.rf, deploy.NewFaults(1)); (err == nil) != tc.ok {
 			t.Errorf("New(%d servers, factor %d) = %v, want ok=%v", tc.numMS, tc.rf, err, tc.ok)
 		}
 	}
-	if s, _ := deploy.New(newFake(2), 0, nil); s.Replicas() != nil || s.ReplicationFactor() != 0 {
+	if s, _ := deploy.New(newFake(2), 0, deploy.NewFaults(1)); s.Replicas() != nil || s.ReplicationFactor() != 0 {
 		t.Error("factor 0 must leave replication off and echo 0")
 	}
-	if s, _ := deploy.New(newFake(2), 2, nil); s.Replicas() == nil || s.ReplicationFactor() != 2 {
+	if s, _ := deploy.New(newFake(2), 2, deploy.NewFaults(1)); s.Replicas() == nil || s.ReplicationFactor() != 2 {
 		t.Error("factor 2 must build the replica table and echo 2")
 	}
 }
@@ -238,7 +241,7 @@ func TestDrainingPlacement(t *testing.T) {
 	if err := s.SetDraining(1, true); err != nil {
 		t.Fatal(err)
 	}
-	f.dead[2] = true
+	s.Faults().KillMS(2)
 	if s.MSUsable(1) || s.MSUsable(2) || !s.MSUsable(0) || !s.Draining(1) || s.Draining(2) {
 		t.Fatalf("usable %v %v %v, draining %v %v", s.MSUsable(0), s.MSUsable(1), s.MSUsable(2), s.Draining(1), s.Draining(2))
 	}
@@ -266,9 +269,11 @@ func TestDrainingPlacement(t *testing.T) {
 	}
 }
 
-// TestFailoverPromotes: promotion installs forwarding and runs every
-// invalidator exactly once per promoted chunk, all before Failover returns;
-// afterwards RawRead serves the dead chunks from their promoted replicas.
+// TestFailoverPromotes: a memory-server death, declared through the
+// injector, publishes the dead flag and closes the fabric's gate before
+// promotion; promotion installs forwarding and runs every invalidator
+// exactly once per promoted chunk, all before KillMS returns; afterwards
+// RawRead serves the dead chunks from their promoted replicas.
 func TestFailoverPromotes(t *testing.T) {
 	s, f := newState(t, 3, 2)
 	b := s.NewBulk()
@@ -288,14 +293,16 @@ func TestFailoverPromotes(t *testing.T) {
 			if ck.MS != victim {
 				t.Errorf("invalidator %d ran for chunk %v of a live server", i, ck)
 			}
-			if fwd, ok := s.Fwd.Resolve(ck.ChunkBase()); !ok || !f.MSAlive(int(fwd.MS())) {
+			if fwd, ok := s.Fwd.Resolve(ck.ChunkBase()); !ok || !s.MSAlive(int(fwd.MS())) {
 				t.Errorf("invalidator %d ran before chunk %v forwards to a live server", i, ck)
+			}
+			if s.MSAlive(victim) || !f.dead[victim] {
+				t.Errorf("invalidator %d ran for chunk %v before the death was published and gated", i, ck)
 			}
 		})
 	}
 
-	f.dead[victim] = true
-	s.Failover(victim, f.MSAlive)
+	s.Faults().KillMS(victim)
 
 	promoted := map[alloc.ChunkID]bool{}
 	for _, a := range addrs {
@@ -330,13 +337,25 @@ func TestFailoverPromotes(t *testing.T) {
 		}
 	}
 
-	// Without replication a death promotes nothing and runs no hook.
+	// Without replication a death promotes nothing and runs no hook. The
+	// checked kill refuses server 0 (the superblock's), servers that do not
+	// exist and a second kill of a dead one.
 	s0, f0 := newState(t, 2, 0)
 	s0.OnChunkInvalidate(func(alloc.ChunkID) { t.Error("invalidator ran with replication off") })
-	f0.dead[1] = true
-	s0.Failover(1, f0.MSAlive)
-	if s0.Failovers() != 0 || s0.Forwarding().Len() != 0 {
-		t.Fatalf("unreplicated failover: %d promotions, %d forwarding entries", s0.Failovers(), s0.Forwarding().Len())
+	for _, ms := range []int{0, 2, -1} {
+		if s0.KillMS(ms) == nil {
+			t.Fatalf("KillMS(%d) accepted", ms)
+		}
+	}
+	if err := s0.KillMS(1); err != nil {
+		t.Fatal(err)
+	}
+	if s0.KillMS(1) == nil {
+		t.Fatal("KillMS killed a dead server twice")
+	}
+	if s0.Failovers() != 0 || s0.Forwarding().Len() != 0 || s0.MSAlive(1) || !f0.dead[1] {
+		t.Fatalf("unreplicated failover: %d promotions, %d forwarding entries, alive %v, gated %v",
+			s0.Failovers(), s0.Forwarding().Len(), s0.MSAlive(1), f0.dead[1])
 	}
 }
 
@@ -360,7 +379,8 @@ func TestRawReadChase(t *testing.T) {
 	if !bytes.Equal(buf, make([]byte, len(buf))) || f.rawOps[len(f.rawOps)-1] != b1.Add(128) {
 		t.Fatalf("live server: read %q at %v, want zeros in place at %v", buf, f.rawOps[len(f.rawOps)-1], b1.Add(128))
 	}
-	f.dead[1], f.dead[2] = true, true
+	s.Faults().KillMS(1)
+	s.Faults().KillMS(2)
 	s.RawRead(transport.ReadOp{Addr: b1.Add(128), Buf: buf})
 	if !bytes.Equal(buf, data) {
 		t.Fatalf("RawRead through 2 hops = %q, want %q", buf, data)

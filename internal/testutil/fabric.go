@@ -1,7 +1,6 @@
 package testutil
 
 import (
-	"fmt"
 	"testing"
 
 	"sherman/internal/cluster"
@@ -13,18 +12,20 @@ import (
 // Fabric is one entry of the fabric axis. New builds a deployment of numMS
 // memory servers and numCS compute servers, replicating every data chunk at
 // factor rf (0 = off), and tears it down when the test ends. It returns the
-// Backend a tree is built over and the fabric's way to fail memory server
-// ms for good, failover included before it returns; server 0 holds the
-// superblock and cannot be killed, nor can a dead server.
+// Backend a tree is built over and a hook that fails memory server ms for
+// good through the deployment's fault injector, failover included before it
+// returns; server 0 holds the superblock and cannot be killed, nor can a
+// dead server.
 type Fabric struct {
 	Name string
 	New  func(tb testing.TB, numMS, numCS, rf int) (be core.Backend, kill func(ms int) error)
 }
 
 // TCP is the real network over in-process memory servers with heartbeats
-// off, so a server dies only when kill says so or a verb runs into it. kill
-// closes the server, listener and connections, then publishes the death:
-// what KillMemoryServer does after SIGKILLing a launched shermand.
+// off, so a server dies only when kill, an armed trigger or a verb's I/O
+// error declares it. kill declares the death through the deployment's
+// fault injector, then closes the server, listener and connections: what
+// KillMemoryServer does before SIGKILLing a launched shermand.
 var TCP = Fabric{Name: "tcp", New: func(tb testing.TB, numMS, numCS, rf int) (core.Backend, func(int) error) {
 	srvs, eps := ServeTCP(tb, numMS)
 	c, err := tcp.NewCluster(eps, numCS, tcp.Options{ReplicationFactor: rf, HeartbeatInterval: -1})
@@ -37,16 +38,17 @@ var TCP = Fabric{Name: "tcp", New: func(tb testing.TB, numMS, numCS, rf int) (co
 	// with the deployment, or each such test pins their memory for good.
 	tb.Cleanup(func() { srvs = nil })
 	return c, func(ms int) error {
-		if ms <= 0 || ms >= len(srvs) || !c.MSAlive(ms) {
-			return fmt.Errorf("testutil: cannot kill memory server %d (live ones are among 1..%d)", ms, numMS-1)
+		if err := c.KillMS(ms); err != nil {
+			return err
 		}
-		srvs[ms].Close()
-		c.MarkDead(ms)
+		if srvs != nil { // nil once the test has ended and closed them
+			srvs[ms].Close()
+		}
 		return nil
 	}
 }}
 
-// Sim is the virtual-time simulator, whose kill is its own.
+// Sim is the virtual-time simulator, whose kill is the injector's alone.
 var Sim = Fabric{Name: "sim", New: func(tb testing.TB, numMS, numCS, rf int) (core.Backend, func(int) error) {
 	cl := cluster.New(cluster.Config{NumMS: numMS, NumCS: numCS, ReplicationFactor: rf})
 	return cl, cl.KillMS

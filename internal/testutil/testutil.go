@@ -10,7 +10,8 @@
 // instead of a suite plus hand-built copies: Sim is the virtual-time
 // simulator, TCP the real network over in-process memory servers with
 // heartbeats off. Each builds a Deployment, a core.Backend plus a hook that
-// kills a memory server the fabric's way, and KillAfter decorates one to
+// kills a memory server through the deployment's fault injector (over TCP
+// it then closes the in-process server too), and KillAfter decorates one to
 // kill the server a chosen read verb addressed, between two verbs of one
 // operation.
 package testutil

@@ -158,9 +158,12 @@ func (t *Transport) Take() { t.held = true }
 // Verbs against a dead server apply the dead-memory semantics every backend
 // shares — reads zero-fill, writes are discarded, atomics fabricate success
 // from zeroed memory so validating reads observe the death (DESIGN.md §12).
-// markDead runs failover promotion synchronously before publishing the
-// death, so by the time a verb reports a dead server the forwarding map
-// already redirects its chunks. The synchronous READ and WRITE verbs are
+// A failed round trip declares the death (deploy.Faults.KillMS, which a
+// concurrent declarer waits on), and failover has promoted the server's
+// chunks by the time the declaring verb returns: it issues no network verbs
+// (the replica copies are already on the live servers; only compute-side
+// maps change), so running it inside the detecting verb cannot deadlock. The
+// synchronous READ and WRITE verbs are
 // their AsyncVerbs twins awaited at once, so both paths share one
 // completion.
 
@@ -243,7 +246,7 @@ func (t *Transport) ReadMulti(ops []transport.ReadOp) {
 		if g.issued {
 			mx.release(g.tag)
 			if !ok {
-				t.cl.markDead(int(g.ms))
+				t.cl.Faults().KillMS(int(g.ms))
 			}
 		}
 	}
@@ -356,7 +359,7 @@ func (t *Transport) cas(op byte, lock transport.Addr, fromZero bool, a transport
 			}
 			return prev, swapped
 		}
-		t.cl.markDead(int(ms))
+		t.cl.Faults().KillMS(int(ms))
 	}
 	// Dead memory fabricates the atomic from zeroed bytes, exactly as the
 	// simulator does (DESIGN.md §12): a CAS expecting 0 "succeeds" so lock
@@ -401,7 +404,7 @@ func (t *Transport) call(ms uint16, op byte) uint64 {
 	}
 	mx.release(tag)
 	if !ok {
-		t.cl.markDead(int(ms))
+		t.cl.Faults().KillMS(int(ms))
 		return 0
 	}
 	t.m.RoundTrips++
@@ -487,7 +490,7 @@ func (t *Transport) Await(pd transport.Pending) {
 			t.m.OpRoundTrips++
 		} else {
 			mx.release(p.tag)
-			t.cl.markDead(int(p.ms))
+			t.cl.Faults().KillMS(int(p.ms))
 			if p.kind == pendRead {
 				clear(p.buf)
 			}
@@ -517,7 +520,7 @@ func (t *Transport) CheckAlive() {
 }
 
 func (t *Transport) NumMS() int          { return len(t.cl.endpoints) }
-func (t *Transport) MSAlive(ms int) bool { return !t.cl.isDead(ms) }
+func (t *Transport) MSAlive(ms int) bool { return t.cl.MSAlive(ms) }
 
 func (t *Transport) Metrics() *transport.Metrics { return &t.m }
 

@@ -18,7 +18,7 @@ type Options struct {
 	// including the primary (0/1 = off). At 2+ allocators place factor-1
 	// mirror chunks on distinct other servers, client writes are mirrored
 	// as coalesced WriteBatch frames, and a memory-server death promotes
-	// each of its chunks to the freshest replica before the detecting verb
+	// each of its chunks to the freshest replica before the declaring call
 	// returns.
 	ReplicationFactor int
 	// HeartbeatInterval is the membership service's ping cadence; 0 means
@@ -39,9 +39,13 @@ type Options struct {
 // consult), the same code the simulator's internal/cluster.Cluster embeds.
 //
 // Fault tolerance is real here: a membership service heartbeats every
-// server on a wall-clock interval, I/O errors on any client verb feed the
-// same death path, and under replication each death synchronously promotes
-// the dead server's chunks to their freshest replicas (DESIGN.md §13).
+// server on a wall-clock interval, and a missed heartbeat, an I/O error on
+// any client verb or a failed Stats round trip declares the server dead
+// through the injector's one death path (deploy.Faults.KillMS), as a kill
+// or an armed trigger does. The cluster keeps no dead flag of its own: the
+// injector publishes the death, failover promotes the dead server's chunks
+// to their freshest replicas under replication, and only then does this
+// cluster's listener fail the server's connection (DESIGN.md §13).
 // Live migration (rebalance, drain) runs over it unchanged; only admitting
 // a new memory server stays sim-only, since the endpoint list is fixed.
 type Cluster struct {
@@ -55,17 +59,9 @@ type Cluster struct {
 	// timeline anchored at memory server 0's Ping epoch (see Transport.Now).
 	clockOff atomic.Int64
 
-	// dead[ms] flips once when ms becomes unreachable; every Transport of
-	// this cluster shares the view, so one thread's I/O error makes the
-	// death visible to all (the fabric-manager gossip of §2 collapsed to a
-	// process-local flag). deadOnce serializes the failover promotion that
-	// must complete before the death is published.
-	dead     []atomic.Bool
-	deadOnce []sync.Once
-
 	// muxes holds the one multiplexed connection per memory server, dialed
 	// at bring-up (so the first measured op never pays a TCP handshake) and
-	// shared by every client thread. Failover closes a server's mux, which
+	// shared by every client thread. A server's death closes its mux, which
 	// forces round trips blocked on a stalled (not closed) server to error
 	// out.
 	muxes []*muxConn
@@ -102,8 +98,6 @@ func NewCluster(endpoints []string, numCS int, opt Options) (*Cluster, error) {
 	c := &Cluster{
 		endpoints: endpoints,
 		numCS:     numCS,
-		dead:      make([]atomic.Bool, len(endpoints)),
-		deadOnce:  make([]sync.Once, len(endpoints)),
 		muxes:     make([]*muxConn, len(endpoints)),
 	}
 	st, err := deploy.New(c, opt.ReplicationFactor, deploy.NewFaults(numCS))
@@ -111,6 +105,17 @@ func NewCluster(endpoints []string, numCS int, opt Options) (*Cluster, error) {
 		return nil, fmt.Errorf("tcp: %w", err)
 	}
 	c.State = st
+	// The last memory-server death listener, after failover: fail the mux,
+	// which unblocks every goroutine stuck mid-round-trip on the dead server
+	// (a SIGSTOPped process holds its sockets open without answering) with
+	// dead-memory semantics. Deaths come after bring-up has dialed every
+	// mux; the range guard is for a trigger armed with a server that does
+	// not exist, as in the simulator's gate.
+	st.Faults().OnMSDeath(func(ms int) {
+		if ms < len(c.muxes) {
+			c.muxes[ms].fail()
+		}
+	})
 	c.raw = &Transport{cl: c} // no compute server's thread: never gated
 	if err := c.bringUp(); err != nil {
 		c.Close() // every dialed mux
@@ -190,46 +195,17 @@ func (c *Cluster) Shutdown() {
 		c.hb.stop()
 	}
 	for ms := range c.endpoints {
-		if !c.isDead(ms) {
+		if c.MSAlive(ms) {
 			c.muxes[ms].roundTrip(opShutdown, nil, nil)
 		}
 	}
 	c.Close()
 }
 
-func (c *Cluster) isDead(ms int) bool { return c.dead[ms].Load() }
-
-// markDead publishes the death of memory server ms. Under replication the
-// failover promotion runs first, inside the sync.Once — a concurrent caller
-// blocks until it finishes — so by the time any verb observes dead[ms] the
-// forwarding map already redirects every promoted chunk: the same
-// no-dark-window guarantee the simulator gets from its synchronous
-// OnMSDeath listener. The promotion itself issues no network verbs (the
-// replica copies are already on the live servers; only compute-side maps
-// change), so running it inside the detecting verb cannot deadlock.
-func (c *Cluster) markDead(ms int) {
-	if ms < 0 || ms >= len(c.endpoints) {
-		return
-	}
-	c.deadOnce[ms].Do(func() {
-		c.Failover(ms, func(i int) bool { return i != ms && !c.dead[i].Load() })
-		c.dead[ms].Store(true)
-		// Fail the mux: unblocks every goroutine stuck mid-round-trip on the
-		// dead server (a SIGSTOPped process holds its sockets open without
-		// answering) with dead-memory semantics.
-		c.muxes[ms].fail()
-	})
-}
-
-// MarkDead declares memory server ms dead, running failover promotion as if
-// a verb had observed the death. The launcher's kill path calls it right
-// after SIGKILL so tests don't wait out a heartbeat interval.
-func (c *Cluster) MarkDead(ms int) { c.markDead(ms) }
-
 // mux returns the multiplexed connection to ms, or alive=false when the
 // server is dead (the caller applies dead-memory semantics).
 func (c *Cluster) mux(ms uint16) (*muxConn, bool) {
-	if c.isDead(int(ms)) {
+	if !c.MSAlive(int(ms)) {
 		return nil, false
 	}
 	return c.muxes[ms], true
@@ -260,9 +236,6 @@ func (c *Cluster) NewLockManager(cfg hocl.Config) *hocl.Manager {
 // NumCS returns the compute-server (thread-group) count.
 func (c *Cluster) NumCS() int { return c.numCS }
 
-// MSAlive reports whether memory server ms is reachable.
-func (c *Cluster) MSAlive(ms int) bool { return !c.isDead(ms) }
-
 // Loads polls every memory server's Stats opcode and returns per-server
 // inbound-op counts with per-chunk breakdowns — the real-network analogue
 // of the simulator's NIC load accounting, feeding the same stats.MSLoad
@@ -291,7 +264,7 @@ func (c *Cluster) Loads() []stats.MSLoad {
 			}
 		})
 		if !ok {
-			c.markDead(ms)
+			c.Faults().KillMS(ms)
 			out[ms].Dead = true
 		}
 	}

@@ -113,7 +113,7 @@ func TestDeadVerbsMatchSimulator(t *testing.T) {
 	defer c.Close()
 	tr := c.NewTransport(0)
 	tcpOut := script(tr, tr.GrowChunk(1), func() {
-		c.MarkDead(1)
+		c.Faults().KillMS(1)
 	})
 
 	if simOut != tcpOut {

@@ -20,10 +20,12 @@ func (ls *LocalServers) Signal(ms int, sig os.Signal) error {
 	return ls.procs[ms].Process.Signal(sig)
 }
 
-// Kill SIGKILLs server ms's process — the real-world analogue of the
-// simulator's KillMS, taking effect mid-doorbell if one is in flight. The
-// process is reaped so it does not linger as a zombie; Stop remains safe to
-// call afterwards.
+// Kill SIGKILLs server ms's process, taking effect mid-doorbell if one is
+// in flight. It only ends the process: the deployment learns of the death
+// through its fault injector (deploy.Faults.KillMS), which
+// KillMemoryServer calls first, or else from a missed heartbeat or a
+// verb's I/O error. The process is reaped so it does not linger as a
+// zombie; Stop remains safe to call afterwards.
 func (ls *LocalServers) Kill(ms int) error {
 	if ms < 0 || ms >= len(ls.procs) || ls.procs[ms].Process == nil {
 		return fmt.Errorf("tcp: no server process %d", ms)
@@ -55,7 +57,9 @@ type LocalServers struct {
 // LaunchLocal builds cmd/shermand (with the module's own toolchain — no
 // binaries are shipped) and spawns n memory-server processes on loopback
 // ports. Each prints "LISTEN <addr>" once bound; LaunchLocal returns when
-// all n are accepting. Call Stop to tear the processes down.
+// all n are accepting. Call Stop to tear the processes down. Launching owns
+// the processes, not their liveness: a server is dead to a cluster over
+// them only once that cluster's fault injector says so.
 func LaunchLocal(n int) (*LocalServers, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("tcp: need at least one server")

@@ -21,13 +21,13 @@ const (
 	defaultHeartbeatTimeout  = 200 * time.Millisecond
 )
 
-// membership is the cluster's liveness service, replacing the simulator's
-// synchronous kill listener: one goroutine per memory server pings it on a
-// real-time interval over a dedicated connection with hard read/write
-// deadlines. A missed deadline — connection refused, reset, or a process
-// that holds its sockets open but stops answering (SIGSTOP) — feeds the
-// same markDead path an I/O error on a client verb does, so deaths are
-// detected even when no client verb happens to touch the dead server.
+// membership is the cluster's liveness service: one goroutine per memory
+// server pings it on a real-time interval over a dedicated connection with
+// hard read/write deadlines. A missed deadline — connection refused, reset,
+// or a process that holds its sockets open but stops answering (SIGSTOP) —
+// declares the death through the same injector path an I/O error on a
+// client verb does, so deaths are detected even when no client verb
+// happens to touch the dead server.
 type membership struct {
 	c        *Cluster
 	interval time.Duration
@@ -76,19 +76,19 @@ func (m *membership) watch(ms int) {
 			return
 		case <-tick.C:
 		}
-		if m.c.isDead(ms) {
+		if !m.c.MSAlive(ms) {
 			return
 		}
 		if conn == nil {
 			c, err := net.DialTimeout("tcp", m.c.endpoints[ms], m.timeout)
 			if err != nil {
-				m.c.markDead(ms)
+				m.c.Faults().KillMS(ms)
 				return
 			}
 			conn, r = c, bufio.NewReader(c)
 		}
 		if !m.ping(conn, r) {
-			m.c.markDead(ms)
+			m.c.Faults().KillMS(ms)
 			return
 		}
 	}

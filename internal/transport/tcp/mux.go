@@ -87,10 +87,11 @@ const (
 //
 // Failure is terminal (a dead server stays dead, as in v1): fail closes the
 // socket, the reader's next read errors, it sweeps every in-flight slot with
-// err, and later issues self-complete with err. Verbs observing err call
-// Cluster.markDead, which runs failover promotion before the death is
-// published — the mux itself never touches the cluster, keeping the
-// markDead→fail call acyclic.
+// err, and later issues self-complete with err. Verbs observing err declare
+// the death through the deployment's fault injector (deploy.Faults.KillMS),
+// which publishes it, runs failover and then the cluster's listener that
+// calls fail — the mux itself never touches the cluster, keeping the
+// KillMS→fail call acyclic.
 type muxConn struct {
 	ms  int
 	c   net.Conn
