@@ -7,6 +7,7 @@ import (
 	"sherman/internal/core"
 	"sherman/internal/layout"
 	"sherman/internal/stats"
+	"sherman/internal/testutil"
 )
 
 func setupProbe(b *testing.B, depth int) (*core.Handle, *core.Async) {
@@ -126,17 +127,25 @@ func BenchmarkProbeExecMixed(b *testing.B) {
 }
 
 // BenchmarkProbeBulkload bulkloads a tree of b.N leaves (1 KiB nodes at the
-// default 80% fill) on the simulator, so ns/op is per leaf built and stored.
-// B/op is reported per node: the heap bytes the build allocated, divided by
-// the nodes built — the figure TestBulkloadAllocs bounds.
+// default 80% fill) on each fabric, TCP over two in-process servers, so
+// ns/op is per leaf built and stored and MB/s counts the leaves' bytes. B/op
+// is reported per node: the heap bytes the build allocated, divided by the
+// nodes built — the figure TestBulkloadAllocs bounds. Over TCP it includes
+// the servers' own allocations.
 func BenchmarkProbeBulkload(b *testing.B) {
-	perLeaf := int(float64(core.ShermanConfig().Format.LeafCap) * 0.8)
-	tr, kvs := bulkSetup(b.N * perLeaf)
-	b.ReportAllocs()
-	b.ResetTimer()
-	heap := bulkHeap(func() { tr.Bulkload(kvs) })
-	b.StopTimer()
-	b.ReportMetric(float64(heap)/float64(nodeCount(tr)), "B/op")
+	f := core.ShermanConfig().Format
+	perLeaf := int(float64(f.LeafCap) * 0.8)
+	for _, fab := range testutil.Fabrics() {
+		b.Run(fab.Name, func(b *testing.B) {
+			tr, kvs := bulkSetup(b, fab, b.N*perLeaf)
+			b.SetBytes(int64(f.NodeSize))
+			b.ReportAllocs()
+			b.ResetTimer()
+			heap := bulkHeap(func() { tr.Bulkload(kvs) })
+			b.StopTimer()
+			b.ReportMetric(float64(heap)/float64(nodeCount(tr)), "B/op")
+		})
+	}
 }
 
 // BenchmarkProbeCreateTree creates a tree over a fresh 2-server simulated

@@ -37,13 +37,18 @@ type Backend interface {
 	NumCS() int
 
 	// SetRoot stores the superblock root pointer and level without timing;
-	// bulk load uses it before client threads start.
+	// bulk load uses it before client threads start. It is RawWrite's
+	// barrier: it posts the root only once every raw write posted before
+	// it is stored and acknowledged, and returns once the root is too.
 	SetRoot(root transport.Addr, level uint8)
-	// RawWrite stores every op without timing, mirrored to each op's chunk
+	// RawWrite posts every op without timing, mirrored to each op's chunk
 	// replicas when replicating — setup-time writes (bulk load, compaction,
-	// free bits) must be failover-covered like any client write. The batch
-	// travels together: ops to one server apply in order, nothing orders
-	// ops to different servers.
+	// free bits) must be failover-covered like any client write. It may
+	// return before the ops are stored: their data is copied, so the
+	// caller may reuse the buffers at once, and they are stored and
+	// acknowledged when the next SetRoot returns. Ops to one server apply
+	// in posted order, across calls; nothing orders ops to different
+	// servers.
 	RawWrite(ops ...transport.WriteOp)
 	// RawRead fills every op's buffer without timing, chasing the
 	// forwarding map for ops whose server is dead.

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"sherman/internal/alloc"
-	"sherman/internal/cluster"
 	"sherman/internal/core"
 	"sherman/internal/layout"
 	"sherman/internal/testutil"
@@ -280,11 +279,11 @@ func TestBulkloadFramesTCP(t *testing.T) {
 	t.Logf("Bulkload of %d nodes: %d request frames", k, sent)
 }
 
-// bulkSetup builds a two-server simulated cluster holding an empty tree of
+// bulkSetup builds a two-server deployment on fab holding an empty tree of
 // the default configuration (1 KiB nodes) and keys 1..n to load into it.
-func bulkSetup(n int) (*core.Tree, []layout.KV) {
-	cl := cluster.New(cluster.Config{NumMS: 2, NumCS: 1})
-	return core.New(cl, core.ShermanConfig()), bulkKVs(n)
+func bulkSetup(tb testing.TB, fab testutil.Fabric, n int) (*core.Tree, []layout.KV) {
+	be, _ := fab.New(tb, 2, 1, 0)
+	return core.New(be, core.ShermanConfig()), bulkKVs(n)
 }
 
 // bulkHeap runs load and returns the heap bytes it allocated. The memory
@@ -302,18 +301,30 @@ func nodeCount(tr *core.Tree) int {
 	return st.LeafNodes + st.InternalNodes
 }
 
-// TestBulkloadAllocs pins the slab: building a 200k-key tree allocates one
-// slab plus a few words per node (address and fence lists), not a node
-// buffer per node.
+// rawWindow is the most raw-write data a TCP cluster keeps posted and
+// unacknowledged: its raw window of 32 frames of at most 64 KiB each.
+const rawWindow = 32 << 16
+
+// TestBulkloadAllocs pins the slab and, over TCP, the raw window: building
+// a 200k-key tree allocates one slab plus a few words per node (address and
+// fence lists), not a node buffer per node, and over TCP, with the servers
+// in this process, at most one raw window's worth of frame buffers on top,
+// not a buffer for every wave posted.
 func TestBulkloadAllocs(t *testing.T) {
-	tr, kvs := bulkSetup(200000)
-	got := bulkHeap(func() { tr.Bulkload(kvs) })
-	nodes := nodeCount(tr)
-	slab := uint64(core.BulkSlab * core.ShermanConfig().Format.NodeSize)
-	if limit := slab + 64*uint64(nodes); got > limit {
-		t.Fatalf("Bulkload of %d nodes allocated %d B, want at most %d (slab %d + 64 B/node)", nodes, got, limit, slab)
-	}
-	t.Logf("Bulkload of %d nodes: %d B allocated", nodes, got)
+	testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+		tr, kvs := bulkSetup(t, fab, 200000)
+		got := bulkHeap(func() { tr.Bulkload(kvs) })
+		nodes := nodeCount(tr)
+		slab := uint64(core.BulkSlab * core.ShermanConfig().Format.NodeSize)
+		limit := slab + 64*uint64(nodes)
+		if fab.Name == "tcp" {
+			limit += rawWindow
+		}
+		if got > limit {
+			t.Fatalf("Bulkload of %d nodes allocated %d B, want at most %d (slab %d + 64 B/node, plus a raw window over TCP)", nodes, got, limit, slab)
+		}
+		t.Logf("Bulkload of %d nodes: %d B allocated", nodes, got)
+	})
 }
 
 // bulkMidShare adds a 1000-leaf tree per configuration to bulkGolden, the

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	core "sherman/internal/core"
 	"sherman/internal/deploy"
@@ -246,6 +247,173 @@ func crashAtEveryVerb(t *testing.T, fab testutil.Fabric, cfg core.Config, sc fau
 			}
 		}
 	}
+}
+
+// TestReleaseFollowsWriteBack: a lock is free only once its holder's
+// write-backs are stored. On each fabric and every configuration of the
+// consistency x combine grid, a second writer on another compute server
+// updates the same key the moment the first writer's release WRITE (alone,
+// or at the end of its doorbell batch) returns, and the first writer's next
+// WRITE waits for it (2 s at most). The key must end at the second value: a
+// release posted ahead of a write-back lets the second writer read the old
+// leaf, and the late write-back then overwrites its update. TestCrashAtEveryVerb
+// cannot see that order: a crash between the early release and the
+// write-back leaves the op invisible, which it accepts. On the simulator the
+// lock slot is handed on only after the holder's whole flush, so the first
+// writer's held WRITE times out and the order stays invisible there; over
+// TCP the lock word is the whole lock, so the second writer takes it at once.
+func TestReleaseFollowsWriteBack(t *testing.T) {
+	const key, first, second = 120, 0xbeef, 0xf00d
+	for _, cfg := range faultConfigs() {
+		t.Run(faultCfgName(cfg), func(t *testing.T) {
+			testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
+				be, _ := fab.New(t, 2, 2, 0)
+				hb := &hookBackend{Backend: be}
+				c := cfg
+				c.BulkFill = 1.0
+				tr := core.New(hb, c)
+				var kvs []layout.KV
+				for k := uint64(2); k <= 240; k += 2 {
+					kvs = append(kvs, layout.KV{Key: k, Value: faultVal(k)})
+				}
+				tr.Bulkload(kvs)
+				w1, w2 := tr.NewHandle(1, 1), tr.NewHandle(0, 2)
+				hb.hook.second = func() { w2.Insert(key, second) }
+				w1.Insert(key, first)
+				if hb.hook.done == nil {
+					t.Fatal("the first writer's release WRITE was never seen")
+				}
+				select {
+				case <-hb.hook.done:
+				case <-time.After(10 * time.Second):
+					t.Fatal("the second writer did not finish within 10 s of the first writer's release")
+				}
+				if got, ok := tr.NewHandle(0, 3).Lookup(key); !ok || got != second {
+					t.Fatalf("key %d = (%#x, %v), want the second writer's %#x", key, got, ok, second)
+				}
+				if err := tr.Validate(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+	}
+}
+
+// hookBackend decorates compute server 1's thread with a releaseHook.
+type hookBackend struct {
+	core.Backend
+	hook *releaseHook
+}
+
+func (b *hookBackend) NewTransport(cs int) transport.Transport {
+	inner := b.Backend.NewTransport(cs)
+	if cs != 1 {
+		return inner
+	}
+	b.hook = &releaseHook{Transport: inner}
+	if vt, ok := inner.(transport.VirtualTimer); ok {
+		return hookSim{b.hook, vt}
+	}
+	return hookTCP{b.hook, inner.(transport.AsyncVerbs), inner.(transport.Parker)}
+}
+
+// releaseHook remembers the lock word its thread's last swapping CAS took.
+// Once a WRITE to that word returns, it runs second on a goroutine, closing
+// done when second returns, and holds the thread's next WRITE until then, or
+// for 2 s at most.
+type releaseHook struct {
+	transport.Transport
+	lock   transport.Addr
+	second func()
+	done   chan struct{}
+}
+
+type (
+	hookSim struct {
+		*releaseHook
+		transport.VirtualTimer
+	}
+	hookTCP struct {
+		*releaseHook
+		transport.AsyncVerbs
+		transport.Parker
+	}
+)
+
+func (x *releaseHook) took(lock transport.Addr, swapped bool) {
+	if swapped {
+		x.lock = lock
+	}
+}
+
+func (x *releaseHook) wrote(a transport.Addr) {
+	if a == x.lock && x.done == nil {
+		x.done = make(chan struct{})
+		go func() {
+			defer close(x.done)
+			x.second()
+		}()
+	}
+}
+
+func (x *releaseHook) hold() {
+	if x.done != nil {
+		select {
+		case <-x.done:
+		case <-time.After(2 * time.Second):
+		}
+	}
+}
+
+func (x *releaseHook) Write(a transport.Addr, data []byte) {
+	x.hold()
+	x.Transport.Write(a, data)
+	x.wrote(a)
+}
+
+func (x *releaseHook) PostWrites(ops ...transport.WriteOp) {
+	x.hold()
+	x.Transport.PostWrites(ops...)
+	if len(ops) > 0 {
+		x.wrote(ops[len(ops)-1].Addr)
+	}
+}
+
+func (x *releaseHook) CAS(a transport.Addr, old, new uint64) (uint64, bool) {
+	v, ok := x.Transport.CAS(a, old, new)
+	x.took(a, ok)
+	return v, ok
+}
+
+func (x *releaseHook) CAS16(a transport.Addr, old, new uint16) (uint16, bool) {
+	v, ok := x.Transport.CAS16(a, old, new)
+	x.took(a, ok)
+	return v, ok
+}
+
+func (x *releaseHook) CASRead(lock transport.Addr, old, new uint64, a transport.Addr, buf []byte) (uint64, bool) {
+	v, ok := x.Transport.CASRead(lock, old, new, a, buf)
+	x.took(lock, ok)
+	return v, ok
+}
+
+func (x *releaseHook) CAS16Read(lock transport.Addr, old, new uint16, a transport.Addr, buf []byte) (uint16, bool) {
+	v, ok := x.Transport.CAS16Read(lock, old, new, a, buf)
+	x.took(lock, ok)
+	return v, ok
+}
+
+// The simulator's lock manager takes a slot it was granted with these.
+func (x hookSim) CASBacklog(a transport.Addr, old, new uint64, backlogNS int64) (uint64, bool) {
+	v, ok := x.VirtualTimer.CASBacklog(a, old, new, backlogNS)
+	x.took(a, ok)
+	return v, ok
+}
+
+func (x hookSim) CAS16Backlog(a transport.Addr, old, new uint16, backlogNS int64) (uint16, bool) {
+	v, ok := x.VirtualTimer.CAS16Backlog(a, old, new, backlogNS)
+	x.took(a, ok)
+	return v, ok
 }
 
 // TestReclaimCountsAndLeaseExpiry pins the lock-layer accounting: a victim

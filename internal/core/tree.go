@@ -68,8 +68,8 @@ func newCSCache(cfg Config) *cache.Cache {
 
 // bulkSlab is how many nodes Bulkload builds before it stores them: each
 // node is built in place in one of this many recycled slots, and a full slab
-// leaves as one RawWrite — 256 KiB waves at 1 KiB nodes, and one buffer for
-// the whole build instead of one per node.
+// is posted as one RawWrite — 256 KiB waves at 1 KiB nodes, and one buffer
+// for the whole build instead of one per node.
 const bulkSlab = 256
 
 // bulkShare is the fewest slab slots, and the fewest leaves, a leaf worker
@@ -84,7 +84,7 @@ func bulkWorkers(n int) int {
 }
 
 // slab stages Bulkload's nodes. A slot is handed out again only after the
-// flush that stored it.
+// flush that posted it: the posted wave holds a copy of its nodes.
 type slab struct {
 	cl   Backend
 	size int
@@ -114,7 +114,7 @@ func (s *slab) next(a transport.Addr) []byte {
 	return slot
 }
 
-// flush stores every node built since the last flush with one RawWrite.
+// flush posts every node built since the last flush with one RawWrite.
 func (s *slab) flush() {
 	s.cl.RawWrite(s.ops...)
 	s.ops = s.ops[:0]
@@ -132,10 +132,11 @@ var ErrReservedKey = errors.New("sherman: key 0 is reserved")
 // the servers, and the internal nodes striped across them. A scan batch,
 // which reads the children of one level-1 node, thus reads one server, and
 // a tree small enough for one level-1 node lives on one server. Nodes are
-// built in a recycled slab and stored a slab at a time: the leaf level by
+// built in a recycled slab and posted a slab at a time: the leaf level by
 // bulkWorkers goroutines, each building a contiguous run of leaves in its
-// own share of the slab, and the levels above in the whole slab. Call
-// before starting client threads.
+// own share of the slab, and the levels above in the whole slab. A worker
+// goes on building while its waves are in flight; SetRoot awaits them all.
+// Call before starting client threads.
 func (t *Tree) Bulkload(kvs []layout.KV) error {
 	for i := range kvs {
 		if kvs[i].Key == 0 {
@@ -253,8 +254,8 @@ func (t *Tree) Bulkload(kvs []layout.KV) error {
 		}
 		addrs, lowers = newAddrs, upLowers
 	}
-	// The root pointer is published only after every node it reaches is
-	// stored.
+	// SetRoot is the waves' barrier: the root pointer is published only
+	// once every node it reaches is stored and acknowledged.
 	s.flush()
 	t.cl.SetRoot(addrs[0], level)
 	return nil

@@ -39,12 +39,15 @@ func superAddr(off uint64) transport.Addr { return transport.MakeAddr(0, off) }
 
 // fabric is what a State needs from whatever carries the verbs: topology
 // and chunk growth, plus untimed batched access at physical addresses (no
-// forwarding, no mirroring — State adds both). A batch's ops to one server
-// apply in order; nothing orders ops to different servers.
+// forwarding, no mirroring — State adds both). WriteRaw may return once its
+// ops are posted, their data copied; SyncRaw returns once every op posted
+// before it is stored. Raw ops to one server apply in posted order, across
+// calls; nothing orders ops to different servers.
 type fabric interface {
 	transport.Grower
 	ReadRaw(ops ...transport.ReadOp)
 	WriteRaw(ops ...transport.WriteOp)
+	SyncRaw()
 }
 
 // State is the compute-side shared state of a running deployment.
@@ -269,11 +272,12 @@ func (s *State) NewBulk() *alloc.Bulk {
 	return b
 }
 
-// RawWrite stores every op without timing, each mirrored to its chunk's
+// RawWrite posts every op without timing, each mirrored to its chunk's
 // replicas at the same intra-chunk offset when the cluster replicates —
 // setup-time writes (bulk load, compaction, free bits) must be
 // failover-covered like any client write. The fabric gets primaries and
-// copies as one batch.
+// copies as one batch. The ops are stored and acknowledged by the time the
+// next SetRoot returns.
 func (s *State) RawWrite(ops ...transport.WriteOp) {
 	if s.Rep != nil {
 		all := slices.Clip(ops) // copies on the first append: ops is the caller's
@@ -321,12 +325,17 @@ func (s *State) RawRead(ops ...transport.ReadOp) {
 }
 
 // SetRoot stores the root pointer and level without timing; bulk load uses
-// it before client threads start.
+// it before client threads start. It is the raw writes' one barrier: every
+// RawWrite posted before it is stored and acknowledged before the root is
+// posted, so a published root reaches only stored nodes, and the root is
+// stored when it returns.
 func (s *State) SetRoot(root transport.Addr, level uint8) {
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[superRootOff:], uint64(root))
 	binary.LittleEndian.PutUint64(buf[superLevelOff:], uint64(level))
+	s.f.SyncRaw()
 	s.f.WriteRaw(transport.WriteOp{Addr: superAddr(0), Data: buf[:]})
+	s.f.SyncRaw()
 }
 
 // RawRoot is the untimed ReadRoot, for Validate and Stats.

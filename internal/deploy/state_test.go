@@ -22,6 +22,13 @@ type fakeFabric struct {
 	rawOps []transport.Addr // address of every ReadRaw op, in order
 
 	rawBatches int // ReadRaw and WriteRaw calls
+
+	// unsynced counts the WriteRaw calls since the last SyncRaw; rootEarly
+	// records a superblock write posted while some were unsynced. The fake
+	// stores at once, as the simulator does, but keeps the books a posting
+	// fabric's barrier depends on.
+	unsynced  int
+	rootEarly bool
 }
 
 func newFake(numMS int) *fakeFabric {
@@ -54,6 +61,12 @@ func (f *fakeFabric) ReadRaw(ops ...transport.ReadOp) {
 func (f *fakeFabric) WriteRaw(ops ...transport.WriteOp) {
 	f.rawBatches++
 	for _, op := range ops {
+		if op.Addr.MS() == 0 && op.Addr.Off() < 16 && f.unsynced > 0 {
+			f.rootEarly = true
+		}
+	}
+	f.unsynced++
+	for _, op := range ops {
 		if f.dead[op.Addr.MS()] {
 			continue
 		}
@@ -62,6 +75,8 @@ func (f *fakeFabric) WriteRaw(ops ...transport.WriteOp) {
 		}
 	}
 }
+
+func (f *fakeFabric) SyncRaw() { f.unsynced = 0 }
 
 // read and write are single-op raw accesses for the tests' own setup and
 // checks.
@@ -179,6 +194,19 @@ func TestRootRoundTrip(t *testing.T) {
 	}
 	if r, lvl := s.RawRoot(); r != next || lvl != 4 || v.writes != writes {
 		t.Fatalf("failed CAS left root (%v, %d) after %d writes, want (%v, 4) and none", r, lvl, v.writes-writes, next)
+	}
+}
+
+// TestSetRootIsTheBarrier: SetRoot posts the root only once every raw write
+// posted before it is synced, and leaves nothing unsynced behind it.
+func TestSetRootIsTheBarrier(t *testing.T) {
+	s, f := newState(t, 2, 2)
+	a := s.NewBulk().Alloc(64)
+	s.RawWrite(transport.WriteOp{Addr: a, Data: []byte{1}})
+	s.RawWrite(transport.WriteOp{Addr: a.Add(1), Data: []byte{2}})
+	s.SetRoot(a, 0)
+	if f.rootEarly || f.unsynced != 0 {
+		t.Fatalf("SetRoot: root posted before its nodes were synced = %v, %d writes unsynced after it", f.rootEarly, f.unsynced)
 	}
 }
 

@@ -80,3 +80,7 @@ func (f *Fabric) WriteRaw(ops ...transport.WriteOp) {
 		f.Servers()[op.Addr.MS()].WriteAt(op.Addr.Off(), op.Data)
 	}
 }
+
+// SyncRaw returns at once: WriteRaw has stored every op by the time it
+// returns.
+func (f *Fabric) SyncRaw() {}

@@ -72,10 +72,13 @@ type Cluster struct {
 
 	hb *membership
 
-	// raw is the metadata client behind ReadRaw/WriteRaw/GrowChunkRaw —
-	// unlike per-thread Transports it is shared, hence the mutex. rawPend
-	// and rawBatch are WriteRaw's scratch, reused under the mutex so that a
-	// bulk load's waves allocate nothing.
+	// raw is the metadata client behind ReadRaw/WriteRaw/SyncRaw/
+	// GrowChunkRaw — unlike per-thread Transports it is shared, hence the
+	// mutex, held while it posts, writes or awaits and not between a raw
+	// write's post and its await. rawPend lists the raw writes posted and
+	// not yet awaited, oldest first; rawBatch is WriteRaw's packing scratch.
+	// Both are reused under the mutex so that a bulk load's waves allocate
+	// nothing.
 	rawMu    sync.Mutex
 	raw      *Transport
 	rawPend  []transport.Pending
@@ -303,29 +306,29 @@ func (c *Cluster) ReadRaw(ops ...transport.ReadOp) {
 	c.raw.ReadMulti(ops)
 }
 
-// rawWave bounds the WriteBatch frames WriteRaw keeps in flight: the raw
-// client must not block on a window only its own awaits can free.
+// rawWave bounds the WriteBatch frames the raw client keeps in flight, so
+// at most rawWave*burstBytes of raw data is ever posted and unacknowledged,
+// and the raw client never blocks on a window only its own awaits can free.
 const rawWave = defaultWindow / 2
 
-// WriteRaw stores every op through the shared metadata client as one posted
-// wave. Each server's ops are packed, in order, into WriteBatch frames of at
-// most burstBytes header included, so neither end's burst buffer ever grows
-// (an op bigger than that rides alone); every frame is posted before any is
-// awaited. Nothing orders ops to different servers.
+// WriteRaw posts every op through the shared metadata client and returns
+// without waiting for the servers; SyncRaw awaits them. Each server's ops
+// are packed, in order, into WriteBatch frames of at most burstBytes header
+// included, so neither end's burst buffer ever grows (an op bigger than that
+// rides alone). A frame holds a copy of its data, so the caller may reuse
+// its buffers at once, and the frames are on the wire when WriteRaw returns.
+// When rawWave frames are in flight the oldest half is awaited first. Ops to
+// one server apply in posted order, behind every earlier raw write and
+// ahead of every later verb to it on this cluster's one connection; nothing
+// orders ops to different servers.
 func (c *Cluster) WriteRaw(ops ...transport.WriteOp) {
 	c.rawMu.Lock()
 	defer c.rawMu.Unlock()
 	const empty = frameHeader + 4 // header + op count
 	size := empty
-	await := func() {
-		for _, p := range c.rawPend {
-			c.raw.Await(p)
-		}
-		c.rawPend = c.rawPend[:0]
-	}
 	post := func() {
 		if len(c.rawPend) == rawWave {
-			await()
+			c.awaitRaw(rawWave / 2)
 		}
 		c.rawPend = append(c.rawPend, c.raw.PostWritesAsync(c.rawBatch...))
 		clear(c.rawBatch) // the frame holds a copy; drop the caller's buffers
@@ -347,5 +350,25 @@ func (c *Cluster) WriteRaw(ops ...transport.WriteOp) {
 			post()
 		}
 	}
-	await()
+	// The raw client holds no runnable count: with no counted thread left to
+	// write its frames, it writes them itself. It does so under rawMu, so a
+	// write that blocks on a full socket holds the other posters back instead
+	// of letting the write buffer grow behind it.
+	c.run.park(false)
+}
+
+// SyncRaw returns once every raw write posted before it is stored and
+// acknowledged, or its server declared dead.
+func (c *Cluster) SyncRaw() {
+	c.rawMu.Lock()
+	defer c.rawMu.Unlock()
+	c.awaitRaw(len(c.rawPend))
+}
+
+// awaitRaw awaits the n oldest posted raw writes. Call it under rawMu.
+func (c *Cluster) awaitRaw(n int) {
+	for _, p := range c.rawPend[:n] {
+		c.raw.Await(p)
+	}
+	c.rawPend = c.rawPend[:copy(c.rawPend, c.rawPend[n:])]
 }
