@@ -161,6 +161,21 @@ func TestBatchConcurrentSessions(t *testing.T) {
 	if st.BatchedOps < st.BatchLeafGroups {
 		t.Errorf("BatchedOps %d < BatchLeafGroups %d: grouping never amortized", st.BatchedOps, st.BatchLeafGroups)
 	}
+
+	// A point write runs the leaf-group write path as a group of one, but it
+	// is no batch: a session that only Submits reports no batch leaf group.
+	ps := openSession(t, tree, 1, PipelineDepth(4))
+	for k := uint64(1); k <= 64; k++ {
+		ps.Submit(PutOp(k, k))
+		ps.Submit(GetOp(k))
+		if k%4 == 0 {
+			ps.Submit(DeleteOp(k))
+		}
+	}
+	ps.check(ps.Flush())
+	if st := ps.Stats(); st.RoundTrips == 0 || st.Batches != 0 || st.BatchLeafGroups != 0 {
+		t.Errorf("Submit-only session: %+v, want round trips and no batch or batch leaf group", st)
+	}
 }
 
 // TestBatchEmpty covers the degenerate input: an empty batch touches

@@ -71,7 +71,7 @@ type ClusterConfig struct {
 	// including the primary. 0 or 1 disables replication (the default: no
 	// redundancy, matching the paper's single-copy design). At factor k every
 	// chunk's writes are mirrored to k-1 replica chunks on distinct other
-	// memory servers, and a memory-server death promotes the freshest replica
+	// memory servers, and a memory-server death promotes a complete replica
 	// of each lost chunk with zero lost acknowledged writes (see DESIGN.md
 	// §12; §13 for the TCP backend's membership-driven variant). Must not
 	// exceed MemoryServers.
@@ -388,8 +388,8 @@ func (t *Tree) onComputeServer(cs int, what string, fn func(h *core.Handle) erro
 // TransportTCP the shermand process this cluster launched is then SIGKILLed
 // for real (external Endpoints are not this process's to kill and return
 // ErrSimOnly). With replication enabled the cluster fails over
-// synchronously — the freshest complete replica of every chunk the server
-// owned is promoted and all acknowledged writes remain readable; run
+// synchronously — a complete replica of every chunk the server owned is
+// promoted and all acknowledged writes remain readable; run
 // Tree.ReReplicate afterwards to restore full redundancy. Without
 // replication the server's data is simply gone (the call still succeeds; it
 // models the failure the replication subsystem exists to survive). Memory

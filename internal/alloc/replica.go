@@ -19,17 +19,16 @@ const (
 
 // replicaSet is one primary chunk's mirror copies. Published sets are
 // immutable (structural changes swap in a fresh set under ReplicaMap.mu);
-// only the applied watermarks and pending flags — shared across generations
-// by pointer — mutate in place, atomically.
+// only the pending flags — shared across generations by pointer — mutate in
+// place, atomically.
 type replicaSet struct {
-	n       int
-	bases   [MaxReplicas]transport.Addr
-	applied [MaxReplicas]*atomic.Int64
+	n     int
+	bases [MaxReplicas]transport.Addr
 	// pending[i] non-nil-and-true marks a replica whose bulk backfill
 	// (re-replication CopyChunk) is still running: it receives mirrors like
-	// any replica, but promotion prefers any completed replica over it
-	// regardless of watermark — its watermark tracks only the recent
-	// mirrors, not the history the unfinished copy is still delivering.
+	// any replica, but it holds only the recent mirrors, not the history the
+	// unfinished copy is still delivering, so promotion prefers any complete
+	// replica over it.
 	pending [MaxReplicas]*atomic.Bool
 }
 
@@ -39,27 +38,10 @@ func (s *replicaSet) complete(i int) bool {
 }
 
 // TargetSet is a caller-owned snapshot of one chunk's replica targets,
-// filled by ReplicaMap.Targets without allocating. A mirror doorbell's
-// completion advances the shared per-replica watermark (Watermark).
+// filled by ReplicaMap.Targets without allocating.
 type TargetSet struct {
-	N       int
-	Bases   [MaxReplicas]transport.Addr
-	applied [MaxReplicas]*atomic.Int64
-}
-
-// Watermark returns replica i's shared applied-watermark cell, so a mirror
-// engine batching writes across chunks can note completion per posted write
-// without re-resolving the chunk.
-func (t *TargetSet) Watermark(i int) *atomic.Int64 { return t.applied[i] }
-
-// NoteWatermark raises w to v (monotone max).
-func NoteWatermark(w *atomic.Int64, v int64) {
-	for {
-		old := w.Load()
-		if v <= old || w.CompareAndSwap(old, v) {
-			return
-		}
-	}
+	N     int
+	Bases [MaxReplicas]transport.Addr
 }
 
 // Promotion records one chunk failed over to a replica after its primary's
@@ -105,7 +87,6 @@ func (r *ReplicaMap) Targets(ck ChunkID, out *TargetSet) bool {
 	}
 	out.N = s.n
 	out.Bases = s.bases
-	out.applied = s.applied
 	return true
 }
 
@@ -131,10 +112,7 @@ func newSet(bases ...transport.Addr) *replicaSet {
 		panic(fmt.Sprintf("alloc: %d replicas exceeds MaxReplicas=%d", len(bases), MaxReplicas))
 	}
 	s := &replicaSet{n: len(bases)}
-	for i, b := range bases {
-		s.bases[i] = b
-		s.applied[i] = new(atomic.Int64)
-	}
+	copy(s.bases[:], bases)
 	return s
 }
 
@@ -180,9 +158,8 @@ func (r *ReplicaMap) AddPendingReplica(ck ChunkID, base transport.Addr) bool {
 		panic(fmt.Sprintf("alloc: replica of chunk (%d,%d) placed on its own server", ck.MS, ck.Index))
 	}
 	s := &replicaSet{n: old.n + 1}
-	s.bases, s.applied, s.pending = old.bases, old.applied, old.pending
+	s.bases, s.pending = old.bases, old.pending
 	s.bases[old.n] = base
-	s.applied[old.n] = new(atomic.Int64)
 	p := new(atomic.Bool)
 	p.Store(true)
 	s.pending[old.n] = p
@@ -223,11 +200,16 @@ func (r *ReplicaMap) CompleteReplica(ck ChunkID, base transport.Addr) {
 }
 
 // FailoverServer removes dead server ms from the placement table: every
-// chunk whose primary lived on ms is promoted to its freshest live replica
-// (returned for forwarding installation), and every replica copy hosted on
-// ms is dropped from its set. aliveMS reports whether a server is still
-// live. Chunks whose primary died with no live replica are dropped and
-// counted as lost.
+// chunk whose primary lived on ms is promoted to its first complete live
+// replica, else its first live one (returned for forwarding installation),
+// and every replica copy hosted on ms is dropped from its set. aliveMS
+// reports whether a server is still live. Chunks whose primary died with no
+// live replica are dropped and counted as lost.
+//
+// No clock ranks the candidates: every mirror lands before its primary
+// commit (on the simulator it is applied as it is posted, over TCP it is
+// awaited), so every complete live replica holds every acked write of its
+// chunk, and any of them will do.
 func (r *ReplicaMap) FailoverServer(ms uint16, aliveMS func(int) bool) []Promotion {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -235,17 +217,15 @@ func (r *ReplicaMap) FailoverServer(ms uint16, aliveMS func(int) bool) []Promoti
 	r.swap(func(m map[ChunkID]*replicaSet) {
 		for ck, s := range m {
 			if ck.MS == ms {
-				// Primary died: promote the freshest live replica. A replica
-				// still backfilling (pending) holds only recent mirrors, so
-				// any complete replica beats it regardless of watermark.
-				best, bestV, bestComplete := -1, int64(-1), false
+				// Primary died. A replica still backfilling (pending) holds
+				// only recent mirrors, so any complete replica beats it.
+				best := -1
 				for i := 0; i < s.n; i++ {
 					if !aliveMS(int(s.bases[i].MS())) {
 						continue
 					}
-					c, v := s.complete(i), s.applied[i].Load()
-					if best < 0 || (c && !bestComplete) || (c == bestComplete && v > bestV) {
-						best, bestV, bestComplete = i, v, c
+					if best < 0 || (s.complete(i) && !s.complete(best)) {
+						best = i
 					}
 				}
 				delete(m, ck)
@@ -259,7 +239,6 @@ func (r *ReplicaMap) FailoverServer(ms uint16, aliveMS func(int) bool) []Promoti
 						continue
 					}
 					next.bases[next.n] = s.bases[i]
-					next.applied[next.n] = s.applied[i]
 					next.pending[next.n] = s.pending[i]
 					next.n++
 				}
@@ -284,7 +263,6 @@ func (r *ReplicaMap) FailoverServer(ms uint16, aliveMS func(int) bool) []Promoti
 					continue
 				}
 				next.bases[next.n] = s.bases[i]
-				next.applied[next.n] = s.applied[i]
 				next.pending[next.n] = s.pending[i]
 				next.n++
 			}

@@ -2,12 +2,13 @@ package core
 
 // arena is a per-Handle bump allocator for byte buffers whose lifetime is
 // bounded by one top-level operation: split sibling nodes, new roots, the
-// private copies batch executors queue behind a leaf lock, and the parallel
+// private copies a leaf write group queues behind its lock, and the parallel
 // read buffers of a range scan. Handles are single-goroutine, so the arena
-// needs no synchronization; it is reset at operation boundaries (insertInner,
-// deleteInner, rangeInner, each batch write group) and grows monotonically to
-// the high-water mark of the deepest operation seen — after warmup, a steady
-// workload bump-allocates from the retained slab and never touches the heap.
+// needs no synchronization; it is reset at operation boundaries (rangeInner
+// and each leaf write group, a point Put or Delete being a group of one)
+// and grows monotonically to the high-water mark of the deepest operation
+// seen — after warmup, a steady workload bump-allocates from the retained
+// slab and never touches the heap.
 //
 // Ownership rule: an arena buffer is valid until the handle's next top-level
 // operation begins. Anything that outlives the operation — cache entries,

@@ -62,17 +62,6 @@ func (h *Handle) pace() {
 	}
 }
 
-// appendCopiedWrite queues one write-back with a private copy of data:
-// batch executors defer their writes until the group's single doorbell
-// post, by which time the shared node buffer may hold a different node. The
-// copy lives in the handle's arena — valid until the next operation resets
-// it, which is after the group's doorbell flushed.
-func (h *Handle) appendCopiedWrite(ops []transport.WriteOp, a transport.Addr, data []byte) []transport.WriteOp {
-	cp := h.arena.bytes(len(data))
-	copy(cp, data)
-	return append(ops, transport.WriteOp{Addr: a, Data: cp})
-}
-
 // opCounts tallies ops per kind, excluding scans (which record
 // individually), and returns the point-op total.
 func opCounts(ops []Op) (counts [stats.NumOpKinds]int64, points int64) {
@@ -296,13 +285,10 @@ func (h *Handle) execReadGroupBody() {
 	}
 }
 
-// execWriteGroup locks the leaf covering ops[start] and applies every
-// consecutive covered operation — inserts and deletes mutate the locked
-// image and queue entry write-backs, lookups read it — then releases with
-// one combined write-backs+release doorbell. The group chains into aliased
-// siblings where the lock slot allows, and ends early when a split consumes
-// the guard. floor, when nonzero, bounds how early the unit may start on its
-// timeline. Returns the index of the first unconsumed op.
+// execWriteGroup runs one locked leaf group (writeLeafGroup) as Exec's write
+// unit: on its own timeline behind the executor's window when a is non-nil.
+// floor, when nonzero, bounds how early the unit may start on its timeline.
+// Returns the index of the first unconsumed op.
 func (h *Handle) execWriteGroup(a *Async, ops []planOp, start int, results []OpResult, floor int64) int {
 	h.ex.ops, h.ex.results, h.ex.start = ops, results, start
 	if a != nil {
@@ -311,102 +297,14 @@ func (h *Handle) execWriteGroup(a *Async, ops []planOp, start int, results []OpR
 		h.execWriteGroupBody()
 	}
 	h.ex.ops, h.ex.results = nil, nil
+	h.Rec.BatchLeafGroups++
 	return h.ex.i
 }
 
-// execWriteGroupBody is the locked write unit framed by h.ex (bound once as
+// execWriteGroupBody is the write unit framed by h.ex (bound once as
 // h.ex.writeFn).
 func (h *Handle) execWriteGroupBody() {
-	f := &h.t.cfg.Format
-	ops, results, start := h.ex.ops, h.ex.results, h.ex.start
-	var i int
-redo:
-	h.arena.reset()
-	i = start
-	{
-		addr, g, leaf := h.lockLeafForWrite(ops[i].key)
-		h.Rec.BatchLeafGroups++
-		pending := h.takeWops()
-	group:
-		for {
-			h.C.Step(h.tm.LocalStepNS)
-			dirty := false
-			for i < len(ops) && leafCovers(leaf.Node, ops[i].key) {
-				op := ops[i]
-				split := false
-				switch op.kind {
-				case stats.OpLookup:
-					// Served from the locked image: exclusion means no torn
-					// entries, and the image reflects the group's earlier
-					// writes, preserving submission order on the key.
-					if slot, hit := leaf.Find(op.key); hit {
-						results[op.pos] = OpResult{Value: leaf.Value(slot), Found: true}
-					}
-				case stats.OpDelete:
-					if f.Mode == layout.TwoLevel {
-						if slot, hit := leaf.Find(op.key); hit {
-							leaf.ClearEntry(slot)
-							off, sz := leaf.EntrySpan(slot)
-							pending = h.appendCopiedWrite(pending, addr.Add(uint64(off)), leaf.B[off:off+sz])
-							results[op.pos].Found = true
-						}
-					} else if leaf.DeleteSorted(op.key) {
-						results[op.pos].Found = true
-						dirty = true
-					}
-				case stats.OpInsert:
-					// A full leaf splits: the split writes whole nodes,
-					// carrying every entry already applied to the local
-					// image, and earlier queued writes ride along in the
-					// same doorbell ahead of the split's write-backs.
-					if f.Mode == layout.TwoLevel {
-						slot, found := leaf.Find(op.key)
-						if !found {
-							slot = leaf.FindFree()
-						}
-						if found || slot >= 0 {
-							leaf.SetEntry(slot, op.key, op.value)
-							off, sz := leaf.EntrySpan(slot)
-							pending = h.appendCopiedWrite(pending, addr.Add(uint64(off)), leaf.B[off:off+sz])
-						} else {
-							h.splitLeaf(addr, g, leaf, op.key, op.value, pending)
-							split = true
-						}
-					} else if leaf.InsertSorted(op.key, op.value) {
-						dirty = true
-					} else {
-						h.splitLeaf(addr, g, leaf, op.key, op.value, pending)
-						split = true
-					}
-				}
-				i++
-				if split {
-					break group // the split released the guard
-				}
-			}
-			if f.Mode == layout.Checksum && dirty {
-				leaf.UpdateChecksum()
-				pending = h.appendCopiedWrite(pending, addr, leaf.B)
-			}
-			if i < len(ops) {
-				if sib, sibLeaf, ok := h.chainToSibling(g, leaf, ops[i].key); ok {
-					addr, leaf = sib, sibLeaf
-					continue group
-				}
-			}
-			pending = growForRelease(pending)
-			h.unlockWrite(g, pending)
-			h.keepWops(pending)
-			break
-		}
-		if h.takeRedo() {
-			// A failover swallowed the group's doorbell (or a split's): no
-			// write became durable and nothing acked, so re-run the whole
-			// group against the promoted chunk; results recompute identically.
-			goto redo
-		}
-	}
-	h.ex.i = i
+	h.ex.i, _ = h.writeLeafGroup(h.ex.ops, h.ex.start, h.ex.results)
 }
 
 // chainToSibling attempts to continue a locked group into the right sibling

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"sherman/internal/alloc"
 	"sherman/internal/cache"
 	"sherman/internal/deploy"
@@ -71,15 +69,14 @@ type Handle struct {
 	scanBufs  [][]byte
 
 	// Mirror engine scratch (see mirror.go). replicated caches Rep != nil;
-	// repWops/repMarks are the replica write ops of the current doorbell
-	// group with their per-replica watermark cells; repTargets is the
-	// per-chunk target snapshot; oneWop adapts single-write call sites to the
-	// group path; repLo/repHi frame the per-MS group mirrorFn posts (bound
-	// once at handle creation so OnTimeline takes no per-op closure);
-	// mirrorEndV is the latest mirror completion awaiting a lag sample.
+	// repWops are the replica write ops of the current doorbell group;
+	// repTargets is the per-chunk target snapshot; oneWop adapts
+	// single-write call sites to the group path; repLo/repHi frame the
+	// per-MS group mirrorFn posts (bound once at handle creation so
+	// OnTimeline takes no per-op closure); mirrorEndV is the latest mirror
+	// completion awaiting a lag sample.
 	replicated bool
 	repWops    []transport.WriteOp
-	repMarks   []*atomic.Int64
 	repPends   []transport.Pending
 	repTargets alloc.TargetSet
 	oneWop     [1]transport.WriteOp
@@ -112,6 +109,11 @@ type Handle struct {
 		readFn        func()
 		writeFn       func()
 	}
+
+	// one and oneRes are the one-op plan and result a point Put or Delete
+	// runs writeLeafGroup over (execOne).
+	one    [1]planOp
+	oneRes [1]OpResult
 
 	// poison mirrors Config.Poison: recycled scratch is filled with 0xDB so
 	// reuse-after-release reads deterministic garbage.
@@ -148,7 +150,6 @@ func (t *Tree) NewHandle(cs int, seed int) *Handle {
 		h.replicated = true
 		h.rep = rep
 		h.repWops = make([]transport.WriteOp, 0, 8)
-		h.repMarks = make([]*atomic.Int64, 0, 8)
 		h.mirrorFn = h.postMirrorGroup
 	}
 	return h

@@ -15,10 +15,10 @@ import (
 // replica holds a superset of the acked writes of its chunk: a memory
 // server can die at any verb boundary and no acked write is lost.
 //
-// The engine is allocation-free in steady state: replica ops and their
-// watermark cells accumulate in handle-owned scratch slices, per-chunk
-// targets land in a handle-owned TargetSet, and the doorbell thunk handed to
-// OnTimeline is bound once at handle creation.
+// The engine is allocation-free in steady state: replica ops accumulate in
+// a handle-owned scratch slice, per-chunk targets land in a handle-owned
+// TargetSet, and the doorbell thunk handed to OnTimeline is bound once at
+// handle creation.
 
 // mirror duplicates ops onto the replica chunks of their targets and posts
 // the copies as per-server doorbells on a detached timeline. No-op when the
@@ -28,7 +28,7 @@ func (h *Handle) mirror(ops []transport.WriteOp) {
 	if !h.replicated || len(ops) == 0 {
 		return
 	}
-	wops, marks := h.repWops[:0], h.repMarks[:0]
+	wops := h.repWops[:0]
 	for _, op := range ops {
 		if op.Addr.OnChip() {
 			continue
@@ -48,52 +48,52 @@ func (h *Handle) mirror(ops []transport.WriteOp) {
 		inner := op.Addr.Off() % transport.DefaultChunkSize
 		for i := 0; i < h.repTargets.N; i++ {
 			wops = append(wops, transport.WriteOp{Addr: h.repTargets.Bases[i].Add(inner), Data: op.Data})
-			marks = append(marks, h.repTargets.Watermark(i))
 		}
 	}
-	h.repWops, h.repMarks = wops, marks
+	h.repWops = wops
 	if len(wops) > 0 {
 		h.postMirrors()
 	}
-	h.repWops, h.repMarks = wops[:0], marks[:0]
+	h.repWops = wops[:0]
 }
 
-// postMirrors partitions the accumulated replica ops into per-server groups
-// (stably, preserving program order within each server) and posts each group
-// as one combined doorbell starting at the current virtual time — replica
-// servers absorb the mirrors in parallel with the primary commit the caller
-// issues next. Each posted op's replica watermark advances to the doorbell's
-// completion time.
+// nextServerGroup gathers the replica ops bound for the server of
+// h.repWops[lo] into h.repWops[lo:hi] and returns hi. The partition is
+// stable: each server's ops keep their program order.
+func (h *Handle) nextServerGroup(lo int) (hi int) {
+	ms := h.repWops[lo].Addr.MS()
+	hi = lo + 1
+	for i := hi; i < len(h.repWops); i++ {
+		if h.repWops[i].Addr.MS() != ms {
+			continue
+		}
+		// Rotate [hi, i] right by one, keeping same-server op order.
+		op := h.repWops[i]
+		copy(h.repWops[hi+1:i+1], h.repWops[hi:i])
+		h.repWops[hi] = op
+		hi++
+	}
+	return hi
+}
+
+// postMirrors posts the accumulated replica ops as one combined doorbell per
+// server (nextServerGroup), each starting at the current virtual time on
+// its own detached timeline — replica servers absorb the mirrors in
+// parallel with the primary commit the caller issues next. The simulator
+// applies a mirror as it is posted, so every replica holds it before that
+// commit.
 func (h *Handle) postMirrors() {
 	if h.vt == nil && h.av != nil {
 		h.postMirrorsAsync()
 		return
 	}
 	start := h.C.Now()
-	posted := 0
-	for posted < len(h.repWops) {
-		ms := h.repWops[posted].Addr.MS()
-		hi := posted + 1
-		for i := hi; i < len(h.repWops); i++ {
-			if h.repWops[i].Addr.MS() != ms {
-				continue
-			}
-			// Rotate [hi, i] right by one, keeping same-server op order.
-			op, mk := h.repWops[i], h.repMarks[i]
-			copy(h.repWops[hi+1:i+1], h.repWops[hi:i])
-			copy(h.repMarks[hi+1:i+1], h.repMarks[hi:i])
-			h.repWops[hi], h.repMarks[hi] = op, mk
-			hi++
-		}
-		h.repLo, h.repHi = posted, hi
-		end := h.onTimeline(start, h.mirrorFn)
-		for i := posted; i < hi; i++ {
-			alloc.NoteWatermark(h.repMarks[i], end)
-		}
-		if end > h.mirrorEndV {
+	for lo, hi := 0, 0; lo < len(h.repWops); lo = hi {
+		hi = h.nextServerGroup(lo)
+		h.repLo, h.repHi = lo, hi
+		if end := h.onTimeline(start, h.mirrorFn); end > h.mirrorEndV {
 			h.mirrorEndV = end
 		}
-		posted = hi
 	}
 	h.Rec.ReplicaWrites += int64(len(h.repWops))
 }
@@ -112,32 +112,14 @@ func (h *Handle) postMirrorGroup() {
 // completes here, before the caller issues the primary commit.
 func (h *Handle) postMirrorsAsync() {
 	h.repPends = h.repPends[:0]
-	posted := 0
-	for posted < len(h.repWops) {
-		ms := h.repWops[posted].Addr.MS()
-		hi := posted + 1
-		for i := hi; i < len(h.repWops); i++ {
-			if h.repWops[i].Addr.MS() != ms {
-				continue
-			}
-			// Rotate [hi, i] right by one, keeping same-server op order.
-			op, mk := h.repWops[i], h.repMarks[i]
-			copy(h.repWops[hi+1:i+1], h.repWops[hi:i])
-			copy(h.repMarks[hi+1:i+1], h.repMarks[hi:i])
-			h.repWops[hi], h.repMarks[hi] = op, mk
-			hi++
-		}
-		h.repPends = append(h.repPends, h.av.PostWritesAsync(h.repWops[posted:hi]...))
-		posted = hi
+	for lo, hi := 0, 0; lo < len(h.repWops); lo = hi {
+		hi = h.nextServerGroup(lo)
+		h.repPends = append(h.repPends, h.av.PostWritesAsync(h.repWops[lo:hi]...))
 	}
 	for _, p := range h.repPends {
 		h.av.Await(p)
 	}
-	end := h.C.Now()
-	for i := range h.repMarks {
-		alloc.NoteWatermark(h.repMarks[i], end)
-	}
-	if end > h.mirrorEndV {
+	if end := h.C.Now(); end > h.mirrorEndV {
 		h.mirrorEndV = end
 	}
 	h.Rec.ReplicaWrites += int64(len(h.repWops))

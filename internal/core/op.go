@@ -38,11 +38,16 @@ type cost struct {
 // entry points and both overlap mechanisms of the pipelined executor
 // (async.go) call it, so the contract below holds on every path.
 //
+// A point insert or delete is a leaf group of one: it runs writeLeafGroup,
+// the same lock, write-back and release as Exec's write units, over a
+// one-op plan and result held in the handle (no allocation, and h.ex is
+// never touched).
+//
 // Redo contract: a write whose commit doorbell was swallowed by a failover —
 // the leaf's memory server died after the validating read, so mirror found
 // the chunk re-keyed and raised h.redo — changed nothing durable and must
-// not ack. execOne retries it through the promoted chunk until a commit
-// lands, and always returns with the flag consumed. An insert is an
+// not ack. writeLeafGroup retries it through the promoted chunk until a
+// commit lands, and always returns with the flag consumed. An insert is an
 // idempotent upsert; a retried delete sees the key again (nothing durable
 // changed), so found stays truthful.
 //
@@ -55,22 +60,11 @@ func (h *Handle) execOne(op Op) (res OpResult, c cost) {
 	switch op.Kind {
 	case stats.OpLookup:
 		res.Value, res.Found = h.lookupInner(op.Key)
-	case stats.OpInsert:
-		for {
-			c.dataBytes = h.insertInner(op.Key, op.Value)
-			if !h.takeRedo() {
-				break
-			}
-		}
-	case stats.OpDelete:
-		for {
-			var found bool
-			found, c.dataBytes = h.deleteInner(op.Key)
-			res.Found = res.Found || found
-			if !h.takeRedo() {
-				break
-			}
-		}
+	case stats.OpInsert, stats.OpDelete:
+		h.one[0] = planOp{kind: op.Kind, key: op.Key, value: op.Value}
+		h.oneRes[0] = OpResult{}
+		_, c.dataBytes = h.writeLeafGroup(h.one[:], 0, h.oneRes[:])
+		res = h.oneRes[0]
 	case stats.OpRange:
 		if op.Span > 0 {
 			res.KVs = h.rangeInner(op.Key, op.Span)

@@ -7,6 +7,7 @@ import (
 	"sherman/internal/deploy"
 	"sherman/internal/hocl"
 	"sherman/internal/layout"
+	"sherman/internal/stats"
 	"sherman/internal/transport"
 )
 
@@ -36,65 +37,133 @@ func (h *Handle) unlockWith(g hocl.Guard, ops ...transport.WriteOp) {
 	h.keepWops(w)
 }
 
-func (h *Handle) insertInner(key, value uint64) (dataBytes int64) {
-	h.arena.reset()
-	addr, g, leaf := h.lockLeafForWrite(key)
-	f := &h.t.cfg.Format
-	h.C.Step(h.tm.LocalStepNS)
-	if f.Mode == layout.TwoLevel {
-		i, found := leaf.Find(key)
-		if !found {
-			i = leaf.FindFree()
-		}
-		if found || i >= 0 {
-			// Entry-level modification: bump FEV/REV and write back only the
-			// entry (Figure 7 lines 11-17) — the write-amplification fix.
-			leaf.SetEntry(i, key, value)
-			off, sz := leaf.EntrySpan(i)
-			h.unlockWith(g, transport.WriteOp{Addr: addr.Add(uint64(off)), Data: leaf.B[off : off+sz]})
-			return int64(sz)
-		}
-		return h.splitLeaf(addr, g, leaf, key, value, nil)
-	}
-	if leaf.InsertSorted(key, value) {
-		leaf.UpdateChecksum()
-		h.unlockWith(g, transport.WriteOp{Addr: addr, Data: leaf.B})
-		return int64(f.NodeSize)
-	}
-	return h.splitLeaf(addr, g, leaf, key, value, nil)
+// appendCopiedWrite queues one write-back with a private copy of data: a
+// leaf write group defers its writes until its single doorbell post, by
+// which time the shared node buffer may hold a different node (a chained
+// sibling). The copy lives in the handle's arena — valid until the next
+// operation resets it, which is after the group's doorbell flushed.
+func (h *Handle) appendCopiedWrite(ops []transport.WriteOp, a transport.Addr, data []byte) []transport.WriteOp {
+	cp := h.arena.bytes(len(data))
+	copy(cp, data)
+	return append(ops, transport.WriteOp{Addr: a, Data: cp})
 }
 
-func (h *Handle) deleteInner(key uint64) (bool, int64) {
-	h.arena.reset()
-	addr, g, leaf := h.lockLeafForWrite(key)
+// writeLeafGroup is the one leaf write (Figure 7: lock, read, modify,
+// combined write-backs + release). It locks the leaf covering ops[start]
+// and applies every consecutive covered operation: inserts and deletes
+// mutate the locked image and queue their write-backs (the entry alone in
+// TwoLevel, the whole leaf with its checksum otherwise), lookups read it.
+// One combined write-backs+release doorbell ends the group. The group
+// chains into aliased siblings where the lock slot allows, and ends early
+// when a split consumes the guard. A point Put or Delete is a group of one
+// (execOne); Exec's write units are the longer groups.
+//
+// It returns the index of the first unconsumed op and the bytes the
+// committed attempt wrote back. A commit a failover swallowed (h.redo, see
+// execOne) re-runs the whole group against the promoted chunk, so the flag
+// is always consumed on return.
+func (h *Handle) writeLeafGroup(ops []planOp, start int, results []OpResult) (next int, dataBytes int64) {
 	f := &h.t.cfg.Format
-	h.C.Step(h.tm.LocalStepNS)
-	if f.Mode == layout.TwoLevel {
-		i, found := leaf.Find(key)
-		if !found {
-			h.unlockWrite(g, nil)
-			return false, 0
+	var i int
+redo:
+	h.arena.reset()
+	i, dataBytes = start, 0
+	{
+		addr, g, leaf := h.lockLeafForWrite(ops[i].key)
+		pending := h.takeWops()
+	group:
+		for {
+			h.C.Step(h.tm.LocalStepNS)
+			dirty := false
+			for i < len(ops) && leafCovers(leaf.Node, ops[i].key) {
+				op := ops[i]
+				split := false
+				switch op.kind {
+				case stats.OpLookup:
+					// Served from the locked image: exclusion means no torn
+					// entries, and the image reflects the group's earlier
+					// writes, preserving submission order on the key.
+					if slot, hit := leaf.Find(op.key); hit {
+						results[op.pos] = OpResult{Value: leaf.Value(slot), Found: true}
+					}
+				case stats.OpDelete:
+					if f.Mode == layout.TwoLevel {
+						if slot, hit := leaf.Find(op.key); hit {
+							leaf.ClearEntry(slot)
+							off, sz := leaf.EntrySpan(slot)
+							pending = h.appendCopiedWrite(pending, addr.Add(uint64(off)), leaf.B[off:off+sz])
+							dataBytes += int64(sz)
+							results[op.pos].Found = true
+						}
+					} else if leaf.DeleteSorted(op.key) {
+						results[op.pos].Found = true
+						dirty = true
+					}
+				case stats.OpInsert:
+					// Entry-level modification in TwoLevel: bump FEV/REV and
+					// write back only the entry (Figure 7 lines 11-17). A
+					// full leaf splits: the split writes whole nodes,
+					// carrying every entry already applied to the local
+					// image, and earlier queued writes ride along in the
+					// same doorbell ahead of the split's write-backs.
+					if f.Mode == layout.TwoLevel {
+						slot, found := leaf.Find(op.key)
+						if !found {
+							slot = leaf.FindFree()
+						}
+						if found || slot >= 0 {
+							leaf.SetEntry(slot, op.key, op.value)
+							off, sz := leaf.EntrySpan(slot)
+							pending = h.appendCopiedWrite(pending, addr.Add(uint64(off)), leaf.B[off:off+sz])
+							dataBytes += int64(sz)
+						} else {
+							dataBytes += h.splitLeaf(addr, g, leaf, op.key, op.value, pending)
+							split = true
+						}
+					} else if leaf.InsertSorted(op.key, op.value) {
+						dirty = true
+					} else {
+						dataBytes += h.splitLeaf(addr, g, leaf, op.key, op.value, pending)
+						split = true
+					}
+				}
+				i++
+				if split {
+					break group // the split released the guard
+				}
+			}
+			if f.Mode == layout.Checksum && dirty {
+				leaf.UpdateChecksum()
+				pending = h.appendCopiedWrite(pending, addr, leaf.B)
+				dataBytes += int64(f.NodeSize)
+			}
+			if i < len(ops) {
+				if sib, sibLeaf, ok := h.chainToSibling(g, leaf, ops[i].key); ok {
+					addr, leaf = sib, sibLeaf
+					continue group
+				}
+			}
+			pending = growForRelease(pending)
+			h.unlockWrite(g, pending)
+			h.keepWops(pending)
+			break
 		}
-		leaf.ClearEntry(i)
-		off, sz := leaf.EntrySpan(i)
-		h.unlockWith(g, transport.WriteOp{Addr: addr.Add(uint64(off)), Data: leaf.B[off : off+sz]})
-		return true, int64(sz)
+		if h.takeRedo() {
+			// A failover swallowed the group's doorbell (or a split's): no
+			// write became durable and nothing acked, so re-run the whole
+			// group against the promoted chunk; results recompute identically.
+			goto redo
+		}
 	}
-	if !leaf.DeleteSorted(key) {
-		h.unlockWrite(g, nil)
-		return false, 0
-	}
-	leaf.UpdateChecksum()
-	h.unlockWith(g, transport.WriteOp{Addr: addr, Data: leaf.B})
-	return true, int64(f.NodeSize)
+	return i, dataBytes
 }
 
 // splitLeaf splits the locked full leaf, inserting (key, value) into the
 // proper half, and propagates the separator to the parent (Figure 7 lines
-// 18-39). It returns the data bytes written back. carry holds writes a
-// batch executor accumulated under g before the split filled the leaf; they
-// target g's memory server and are posted ahead of the split's write-backs
-// in the same doorbell batch.
+// 18-39). It returns the data bytes written back. carry holds the writes
+// the leaf group queued under g before the split filled the leaf (possibly
+// none); they target g's memory server and are posted ahead of the split's
+// write-backs in the same doorbell batch.
 func (h *Handle) splitLeaf(addr transport.Addr, g hocl.Guard, leaf layout.Leaf, key, value uint64, carry []transport.WriteOp) int64 {
 	f := &h.t.cfg.Format
 	kvs := leaf.AppendEntries(h.kvs[:0]) // sorts the unsorted leaf (Figure 7 line 21)
@@ -123,9 +192,6 @@ func (h *Handle) splitLeaf(addr transport.Addr, g hocl.Guard, leaf layout.Leaf, 
 	}
 
 	dataBytes := int64(2 * f.NodeSize)
-	if carry == nil {
-		carry = h.takeWops()
-	}
 	// Sibling write-back, node write-back and lock release combine when the
 	// new sibling landed on the same MS (Figure 7 lines 29-35).
 	if sibAddr.MS() == addr.MS() {

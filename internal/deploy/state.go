@@ -154,8 +154,8 @@ func (s *State) KillMS(ms int) error {
 	return nil
 }
 
-// failover promotes every chunk memory server ms hosted to its freshest
-// complete replica on a live server: the replica table is re-keyed, a
+// failover promotes every chunk memory server ms hosted to a complete
+// replica on a live server: the replica table is re-keyed, a
 // permanent forwarding entry is installed and every registered invalidator
 // runs. It is the injector's memory-server death listener, so it runs after
 // the dead flag is published and the fabric's gate has closed: a reader

@@ -5,7 +5,7 @@
 // The write-side mechanism lives below it — allocators place and register
 // replica chunks (internal/alloc), handles mirror every committed write to
 // them (internal/core's mirror engine), and the fabric's death trigger
-// promotes the freshest replica of each dead primary (deploy.State.Failover).
+// promotes a complete replica of each dead primary (deploy.State.Failover).
 // What is left over after a failover is under-replication: every promoted
 // chunk lost one copy, and every chunk that kept its primary may have lost a
 // replica. The Engine sweeps those chunks, hottest first, and rebuilds each

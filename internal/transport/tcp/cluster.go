@@ -18,7 +18,7 @@ type Options struct {
 	// including the primary (0/1 = off). At 2+ allocators place factor-1
 	// mirror chunks on distinct other servers, client writes are mirrored
 	// as coalesced WriteBatch frames, and a memory-server death promotes
-	// each of its chunks to the freshest replica before the declaring call
+	// each of its chunks to a complete replica before the declaring call
 	// returns.
 	ReplicationFactor int
 	// HeartbeatInterval is the membership service's ping cadence; 0 means
@@ -44,7 +44,7 @@ type Options struct {
 // through the injector's one death path (deploy.Faults.KillMS), as a kill
 // or an armed trigger does. The cluster keeps no dead flag of its own: the
 // injector publishes the death, failover promotes the dead server's chunks
-// to their freshest replicas under replication, and only then does this
+// to complete replicas under replication, and only then does this
 // cluster's listener fail the server's connection (DESIGN.md §13).
 // Live migration (rebalance, drain) runs over it unchanged; only admitting
 // a new memory server stays sim-only, since the endpoint list is fixed.
