@@ -302,9 +302,16 @@ func (h *Handle) execWriteGroup(a *Async, ops []planOp, start int, results []OpR
 }
 
 // execWriteGroupBody is the write unit framed by h.ex (bound once as
-// h.ex.writeFn).
+// h.ex.writeFn). It records the group as record does a point write: its
+// round trips, redone attempts included, and the bytes it wrote back.
 func (h *Handle) execWriteGroupBody() {
-	h.ex.i, _ = h.writeLeafGroup(h.ex.ops, h.ex.start, h.ex.results)
+	rtrips := h.m.OpRoundTrips
+	var dataBytes int64
+	h.ex.i, dataBytes = h.writeLeafGroup(h.ex.ops, h.ex.start, h.ex.results)
+	h.Rec.WriteRoundTrips.Record(int(h.m.OpRoundTrips - rtrips))
+	if dataBytes > 0 {
+		h.Rec.WriteSizes.Record(dataBytes)
+	}
 }
 
 // chainToSibling attempts to continue a locked group into the right sibling

@@ -11,6 +11,7 @@ import (
 	"sherman/internal/layout"
 	"sherman/internal/testutil"
 	"sherman/internal/transport"
+	"sherman/internal/transport/tap"
 )
 
 // faultConfigs is the TwoLevel/Checksum x Combine grid, covering both lock
@@ -253,38 +254,44 @@ func crashAtEveryVerb(t *testing.T, fab testutil.Fabric, cfg core.Config, sc fau
 // write-backs are stored. On each fabric and every configuration of the
 // consistency x combine grid, a second writer on another compute server
 // updates the same key the moment the first writer's release WRITE (alone,
-// or at the end of its doorbell batch) returns, and the first writer's next
-// WRITE waits for it (2 s at most). The key must end at the second value: a
-// release posted ahead of a write-back lets the second writer read the old
-// leaf, and the late write-back then overwrites its update. TestCrashAtEveryVerb
-// cannot see that order: a crash between the early release and the
-// write-back leaves the op invisible, which it accepts. On the simulator the
-// lock slot is handed on only after the holder's whole flush, so the first
-// writer's held WRITE times out and the order stays invisible there; over
-// TCP the lock word is the whole lock, so the second writer takes it at once.
+// or at the end of its doorbell batch) returns, and a tap hook holds the
+// first writer there until the second finishes (2 s at most). The key must
+// end at the second value: a release posted ahead of a write-back lets the
+// second writer read the old leaf, and the late write-back then overwrites
+// its update. TestCrashAtEveryVerb cannot see that order: a crash between
+// the early release and the write-back leaves the op invisible, which it
+// accepts. On the simulator the lock slot is handed on only after the
+// holder's whole flush, so the first writer is not held and the order
+// stays invisible there; over TCP the lock word is the whole lock, so the
+// second writer takes it at once.
 func TestReleaseFollowsWriteBack(t *testing.T) {
 	const key, first, second = 120, 0xbeef, 0xf00d
 	for _, cfg := range faultConfigs() {
 		t.Run(faultCfgName(cfg), func(t *testing.T) {
 			testutil.RunFabrics(t, func(t *testing.T, fab testutil.Fabric) {
 				be, _ := fab.New(t, 2, 2, 0)
-				hb := &hookBackend{Backend: be}
+				// The simulator hands a lock slot on only after the holder's
+				// whole flush, so a hold there could only time out.
+				hb := &releaseHook{hold: 2 * time.Second}
+				if fab.Name == testutil.Sim.Name {
+					hb.hold = 0
+				}
 				c := cfg
 				c.BulkFill = 1.0
-				tr := core.New(hb, c)
+				tr := core.New(testutil.Tap(t, be, hb.hook), c)
 				var kvs []layout.KV
 				for k := uint64(2); k <= 240; k += 2 {
 					kvs = append(kvs, layout.KV{Key: k, Value: faultVal(k)})
 				}
 				tr.Bulkload(kvs)
 				w1, w2 := tr.NewHandle(1, 1), tr.NewHandle(0, 2)
-				hb.hook.second = func() { w2.Insert(key, second) }
+				hb.second = func() { w2.Insert(key, second) }
 				w1.Insert(key, first)
-				if hb.hook.done == nil {
+				if hb.done == nil {
 					t.Fatal("the first writer's release WRITE was never seen")
 				}
 				select {
-				case <-hb.hook.done:
+				case <-hb.done:
 				case <-time.After(10 * time.Second):
 					t.Fatal("the second writer did not finish within 10 s of the first writer's release")
 				}
@@ -299,121 +306,55 @@ func TestReleaseFollowsWriteBack(t *testing.T) {
 	}
 }
 
-// hookBackend decorates compute server 1's thread with a releaseHook.
-type hookBackend struct {
-	core.Backend
-	hook *releaseHook
-}
-
-func (b *hookBackend) NewTransport(cs int) transport.Transport {
-	inner := b.Backend.NewTransport(cs)
-	if cs != 1 {
-		return inner
-	}
-	b.hook = &releaseHook{Transport: inner}
-	if vt, ok := inner.(transport.VirtualTimer); ok {
-		return hookSim{b.hook, vt}
-	}
-	return hookTCP{b.hook, inner.(transport.AsyncVerbs), inner.(transport.Parker)}
-}
-
-// releaseHook remembers the lock word its thread's last swapping CAS took.
-// Once a WRITE to that word returns, it runs second on a goroutine, closing
-// done when second returns, and holds the thread's next WRITE until then, or
-// for 2 s at most.
+// releaseHook watches compute server 1's thread. It remembers the lock
+// word the thread's last swapping CAS took. Once a WRITE to that word
+// returns (alone, or last in a doorbell batch), it runs second on a
+// goroutine, closing done when second returns, and holds the thread there
+// until then, or for hold at most.
 type releaseHook struct {
-	transport.Transport
+	hold   time.Duration
 	lock   transport.Addr
 	second func()
 	done   chan struct{}
 }
 
-type (
-	hookSim struct {
-		*releaseHook
-		transport.VirtualTimer
+func (x *releaseHook) hook(cs int) tap.Hook {
+	if cs != 1 {
+		return nil
 	}
-	hookTCP struct {
-		*releaseHook
-		transport.AsyncVerbs
-		transport.Parker
-	}
-)
-
-func (x *releaseHook) took(lock transport.Addr, swapped bool) {
-	if swapped {
-		x.lock = lock
-	}
+	return x.after
 }
 
-func (x *releaseHook) wrote(a transport.Addr) {
-	if a == x.lock && x.done == nil {
+func (x *releaseHook) after(c tap.Call) {
+	switch c.Kind {
+	case tap.CAS, tap.CAS16, tap.CASBacklog, tap.CAS16Backlog:
+		// The backlog CASes are how the simulator's lock manager takes a
+		// slot it was granted.
+		if c.Swapped {
+			x.lock = c.Addr
+		}
+	case tap.CASRead, tap.CAS16Read:
+		if c.Swapped {
+			x.lock = c.Lock
+		}
+	case tap.Write, tap.PostWrites:
+		last := c.Addr
+		if n := len(c.Writes); n > 0 {
+			last = c.Writes[n-1].Addr
+		}
+		if last != x.lock || x.done != nil {
+			return
+		}
 		x.done = make(chan struct{})
 		go func() {
 			defer close(x.done)
 			x.second()
 		}()
-	}
-}
-
-func (x *releaseHook) hold() {
-	if x.done != nil {
 		select {
 		case <-x.done:
-		case <-time.After(2 * time.Second):
+		case <-time.After(x.hold):
 		}
 	}
-}
-
-func (x *releaseHook) Write(a transport.Addr, data []byte) {
-	x.hold()
-	x.Transport.Write(a, data)
-	x.wrote(a)
-}
-
-func (x *releaseHook) PostWrites(ops ...transport.WriteOp) {
-	x.hold()
-	x.Transport.PostWrites(ops...)
-	if len(ops) > 0 {
-		x.wrote(ops[len(ops)-1].Addr)
-	}
-}
-
-func (x *releaseHook) CAS(a transport.Addr, old, new uint64) (uint64, bool) {
-	v, ok := x.Transport.CAS(a, old, new)
-	x.took(a, ok)
-	return v, ok
-}
-
-func (x *releaseHook) CAS16(a transport.Addr, old, new uint16) (uint16, bool) {
-	v, ok := x.Transport.CAS16(a, old, new)
-	x.took(a, ok)
-	return v, ok
-}
-
-func (x *releaseHook) CASRead(lock transport.Addr, old, new uint64, a transport.Addr, buf []byte) (uint64, bool) {
-	v, ok := x.Transport.CASRead(lock, old, new, a, buf)
-	x.took(lock, ok)
-	return v, ok
-}
-
-func (x *releaseHook) CAS16Read(lock transport.Addr, old, new uint16, a transport.Addr, buf []byte) (uint16, bool) {
-	v, ok := x.Transport.CAS16Read(lock, old, new, a, buf)
-	x.took(lock, ok)
-	return v, ok
-}
-
-// The simulator's lock manager takes a slot it was granted with these.
-func (x hookSim) CASBacklog(a transport.Addr, old, new uint64, backlogNS int64) (uint64, bool) {
-	v, ok := x.VirtualTimer.CASBacklog(a, old, new, backlogNS)
-	x.took(a, ok)
-	return v, ok
-}
-
-func (x hookSim) CAS16Backlog(a transport.Addr, old, new uint16, backlogNS int64) (uint16, bool) {
-	v, ok := x.VirtualTimer.CAS16Backlog(a, old, new, backlogNS)
-	x.took(a, ok)
-	return v, ok
 }
 
 // TestReclaimCountsAndLeaseExpiry pins the lock-layer accounting: a victim

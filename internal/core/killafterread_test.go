@@ -18,37 +18,45 @@ import (
 // of running one write — the synchronous entry points and the pipelined
 // executor at depth 1 and 4 — on both fabrics, killing the leaf's memory
 // server between the write's validating read and its commit
-// (testutil.KillAfter on the first read verb: a Read on the simulator, the
-// acquire doorbell over TCP, or the Read after a bare lock CAS with
-// combining off). Mirror then finds the chunk re-keyed and raises the
-// handle's redo flag. Whatever the write path and the
-// fabric, the acked write must be durable through the promoted replica, no
-// other acked write may be lost, the tree must validate, and the op must
-// leave no redo flag behind for the next op to trip over.
+// (testutil.KillAfter on the first read verb: the acquire doorbell, or the
+// Read after a bare lock CAS with combining off). Mirror then finds the
+// chunk re-keyed and raises the handle's redo flag. Whatever the write
+// path and the fabric, the acked write must be durable through the
+// promoted replica, no other acked write may be lost, the tree must
+// validate, and the op must leave no redo flag behind for the next op to
+// trip over. The @post cells arm the first post instead: a replicated
+// write's mirror, posted before its primary commit (PostWritesAsync over
+// TCP), so the death lands on the replica's server between the two.
 func TestKillAfterValidatingRead(t *testing.T) {
 	const newVal = 0xfeed
+	const read = testutil.VerbRead | testutil.VerbCASRead
+	insert := func(h *core.Handle, key uint64) bool { h.Insert(key, newVal); return true }
+	async4 := func(h *core.Handle, key uint64) bool {
+		a := h.NewAsync(4)
+		defer a.Close()
+		p := a.SubmitOp(core.Op{Kind: stats.OpInsert, Key: key, Value: newVal})
+		a.SubmitOp(core.Op{Kind: stats.OpLookup, Key: key + 1}) // keep the window busy behind it
+		p.Wait()
+		a.Flush()
+		return true
+	}
 	drivers := []struct {
 		name   string
 		delete bool
+		arm    testutil.Verb
 		run    func(h *core.Handle, key uint64) (found bool)
 	}{
-		{"Insert", false, func(h *core.Handle, key uint64) bool { h.Insert(key, newVal); return true }},
-		{"Delete", true, func(h *core.Handle, key uint64) bool { return h.Delete(key) }},
-		{"NewAsync(1)", false, func(h *core.Handle, key uint64) bool {
+		{"Insert", false, read, insert},
+		{"Delete", true, read, func(h *core.Handle, key uint64) bool { return h.Delete(key) }},
+		{"NewAsync(1)", false, read, func(h *core.Handle, key uint64) bool {
 			a := h.NewAsync(1)
 			defer a.Close()
 			a.SubmitOp(core.Op{Kind: stats.OpInsert, Key: key, Value: newVal}).Wait()
 			return true
 		}},
-		{"NewAsync(4)", false, func(h *core.Handle, key uint64) bool {
-			a := h.NewAsync(4)
-			defer a.Close()
-			p := a.SubmitOp(core.Op{Kind: stats.OpInsert, Key: key, Value: newVal})
-			a.SubmitOp(core.Op{Kind: stats.OpLookup, Key: key + 1}) // keep the window busy behind it
-			p.Wait()
-			a.Flush()
-			return true
-		}},
+		{"NewAsync(4)", false, read, async4},
+		{"Insert@post", false, testutil.VerbPost, insert},
+		{"NewAsync(4)@post", false, testutil.VerbPost, async4},
 	}
 	load := make([]layout.KV, 120)
 	for i := range load {
@@ -76,13 +84,14 @@ func TestKillAfterValidatingRead(t *testing.T) {
 						// down before the next is built.
 						t.Run(fmt.Sprintf("key=%d", target.Key), func(t *testing.T) {
 							inner, kill := fab.New(t, 3, 2, 2)
-							be := &testutil.KillAfter{Backend: inner, Kill: kill}
+							k := &testutil.KillAfter{Kill: kill}
+							be := testutil.Tap(t, inner, k.Hook)
 							tr := core.New(be, cfg)
 							tr.Bulkload(load)
 							h := tr.NewHandle(1, 1)
 							h.Lookup(target.Key) // warm the cache: the write's first read is its leaf's
 
-							be.Arm(testutil.VerbRead|testutil.VerbCASRead, 1)
+							k.Arm(d.arm, 1)
 							found := d.run(h, target.Key)
 							killed := 0
 							for ms := 1; ms < 3; ms++ {

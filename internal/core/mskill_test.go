@@ -216,12 +216,13 @@ func TestMSKillTriggerOverTCP(t *testing.T) {
 	inner, _ := testutil.TCP.New(t, 3, 2, 2)
 	// A put's first read is its leaf's: record that server rather than kill it.
 	leafMS := 0
-	be := &testutil.KillAfter{Backend: inner, Kill: func(ms int) error { leafMS = ms; return nil }}
+	k := &testutil.KillAfter{Kill: func(ms int) error { leafMS = ms; return nil }}
+	be := testutil.Tap(t, inner, k.Hook)
 	tr := core.New(be, cfg)
 	tr.Bulkload(load)
 	h := tr.NewHandle(1, 1)
 	h.Lookup(key) // warm the cache: the put's first read is its leaf's
-	be.Arm(testutil.VerbRead|testutil.VerbCASRead, 1)
+	k.Arm(testutil.VerbRead|testutil.VerbCASRead, 1)
 	h.Insert(key, first)
 	if leafMS == 0 {
 		t.Fatalf("key %d's leaf is on MS 0, which cannot be killed", key)

@@ -13,7 +13,8 @@ import (
 // Rec.WriteSizes, the distribution behind Figure 14(c), on both layouts: a
 // TwoLevel put, update or found delete writes back its entry alone, a
 // checksum-layout write the whole leaf, a split both halves, and a delete
-// of an absent key nothing.
+// of an absent key nothing. An Exec group records once, as a point write
+// does.
 func TestWriteSizesPerOp(t *testing.T) {
 	for _, cfg := range testutil.Configs() {
 		t.Run(cfg.Name(), func(t *testing.T) {
@@ -55,6 +56,23 @@ func TestWriteSizesPerOp(t *testing.T) {
 				want("filling put", leafWrite, func() { h.Insert(k, k) })
 			}
 			want("split", int64(2*f.NodeSize), func() { h.Insert(uint64(f.LeafCap)+1, 1) })
+			// An Exec of two updates on one leaf is one locked group: one
+			// sample of both entries' bytes (the whole leaf once in the
+			// checksum layout), and one of a point update's round trips.
+			h.Lookup(1) // warm the cache past the split: both writes find the leaf at once
+			want("point update", leafWrite, func() { h.Insert(1, 2) })
+			rtrips := h.Rec.WriteRoundTrips.PercentileValue(50)
+			groupWrite := 2 * leafWrite
+			if f.Mode == layout.Checksum {
+				groupWrite = leafWrite
+			}
+			want("Exec of two updates", groupWrite, func() {
+				h.Exec([]core.Op{{Kind: stats.OpInsert, Key: 1, Value: 3}, {Kind: stats.OpInsert, Key: 2, Value: 3}})
+			})
+			if rt := h.Rec.WriteRoundTrips; rt.Count() != 1 || rt.PercentileValue(50) != rtrips {
+				t.Fatalf("Exec of two updates recorded %d round-trip samples (median %d), want one of %d",
+					rt.Count(), rt.PercentileValue(50), rtrips)
+			}
 			if err := tr.Validate(); err != nil {
 				t.Fatal(err)
 			}

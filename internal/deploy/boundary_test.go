@@ -13,10 +13,10 @@ import (
 
 // TestImportBoundaries keeps the deployment split honest for non-test
 // files: the shared state knows no fabric and no tree; the memory store both
-// fabrics use knows nothing but the transport's types; the two fabrics —
-// the simulator (rdma) and TCP — know nothing of each other and both import
-// the store; and the tree and the migration engine above it name no fabric
-// at all, so both run over any core.Backend. Across the module, only the
+// fabrics use and the verb tap know nothing but the transport's types; the
+// two fabrics — the simulator (rdma) and TCP — know nothing of each other
+// and both import the store; and the tree and the migration engine above it
+// name no fabric at all, so both run over any core.Backend. Across the module, only the
 // simulator's deployment (cluster), the experiments that drive its fabric
 // directly (bench) and the virtual lock manager (hocl) import the simulator;
 // everything else spells the verb surface's types through transport.
@@ -30,6 +30,7 @@ func TestImportBoundaries(t *testing.T) {
 	}{
 		{dir: ".", banned: []string{"cluster", "rdma", "sim", "core", "transport/tcp"}},
 		{dir: "../memstore", only: []string{"transport"}},
+		{dir: "../transport/tap", only: []string{"transport"}},
 		{dir: "../transport/tcp", banned: []string{"cluster", "rdma", "sim"}, needs: "memstore"},
 		{dir: "../rdma", banned: []string{"transport/tcp"}, needs: "memstore"},
 		{dir: "../core", banned: []string{"cluster", "rdma"}},

@@ -6,6 +6,8 @@ import (
 	"sherman/internal/cluster"
 	"sherman/internal/core"
 	"sherman/internal/deploy"
+	"sherman/internal/transport"
+	"sherman/internal/transport/tap"
 	"sherman/internal/transport/tcp"
 )
 
@@ -34,7 +36,7 @@ var TCP = Fabric{Name: "tcp", New: func(tb testing.TB, numMS, numCS, rf int) (co
 	}
 	tb.Cleanup(c.Close)
 	// A pipelined executor's runner goroutines outlive the test, and a
-	// decorated transport of theirs can hold this hook: drop the servers
+	// tapped transport of theirs can hold this hook: drop the servers
 	// with the deployment, or each such test pins their memory for good.
 	tb.Cleanup(func() { srvs = nil })
 	return c, func(ms int) error {
@@ -61,6 +63,33 @@ func Fabrics() []Fabric { return []Fabric{Sim, TCP} }
 // deploy.State both fabrics embed holds it.
 func Faults(be core.Backend) *deploy.Faults {
 	return be.(interface{ Faults() *deploy.Faults }).Faults()
+}
+
+// Tap returns be with its client threads' verbs reported through tap.Wrap:
+// a thread of compute server cs is tapped with hook(cs), or left bare when
+// that is nil. A transport the tap refuses fails tb and stays bare.
+func Tap(tb testing.TB, be core.Backend, hook func(cs int) tap.Hook) core.Backend {
+	return &tapped{Backend: be, tb: tb, hook: hook}
+}
+
+type tapped struct {
+	core.Backend
+	tb   testing.TB
+	hook func(cs int) tap.Hook
+}
+
+func (b *tapped) NewTransport(cs int) transport.Transport {
+	inner := b.Backend.NewTransport(cs)
+	h := b.hook(cs)
+	if h == nil {
+		return inner
+	}
+	c, err := tap.Wrap(inner, h)
+	if err != nil {
+		b.tb.Errorf("testutil.Tap: %v", err)
+		return inner
+	}
+	return c
 }
 
 // RunFabrics runs fn once per fabric, as subtests named after it.

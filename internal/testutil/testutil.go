@@ -11,9 +11,9 @@
 // simulator, TCP the real network over in-process memory servers with
 // heartbeats off. Each builds a Deployment, a core.Backend plus a hook that
 // kills a memory server through the deployment's fault injector (over TCP
-// it then closes the in-process server too), and KillAfter decorates one to
-// kill the server a chosen read verb addressed, between two verbs of one
-// operation.
+// it then closes the in-process server too). Tap reports a deployment's
+// verbs to a hook through tap.Wrap, and KillAfter is the hook that kills
+// the server a chosen verb addressed, between two verbs of one operation.
 package testutil
 
 import (

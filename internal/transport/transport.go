@@ -25,6 +25,11 @@
 // in one round trip), and a tree write acquires through it on both unless its
 // configuration is the paper's published three-verb write (DESIGN.md §4).
 //
+// To watch or interrupt a thread's verbs, wrap its Transport with
+// internal/transport/tap: tap.Wrap reports every verb to one hook and keeps
+// exactly the inner transport's capability set, so no decorator of its own
+// has to forward the capability interfaces by hand.
+//
 // The package is dependency-free so both backends (and the packages between
 // them and the tree) can share its types without import cycles. It is the
 // one spelling of those types: above the backends only the simulator's own
